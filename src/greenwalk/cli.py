@@ -105,7 +105,8 @@ def load_config(path) -> dict:
     if not isinstance(tols, dict):
         raise ConfigError("tolerances must be an object")
     for key, val in tols.items():
-        if not isinstance(val, (int, float)) or val <= 0:
+        # lambda = 0 is the Green measure itself; every other tolerance is a size
+        if not isinstance(val, (int, float)) or val < 0 or (val == 0 and key != "lam"):
             raise ConfigError(f"tolerance {key!r} must be a positive number")
     if EXPERIMENTS[name].stochastic:
         if "mc" not in cfg or "seed" not in cfg["mc"]:
@@ -453,14 +454,9 @@ def list_experiments() -> str:
     return "\n".join(lines)
 
 
-def run(config_path, out_dir=None, threads=None) -> int:
+def run(config_path, out_dir=None) -> int:
     cfg = load_config(config_path)
     cfg = _resolve_seed(cfg)
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
     prefix = cfg.get("output", "greenwalk")
     if out_dir is not None:
         prefix = str(Path(out_dir) / Path(prefix).name)
@@ -481,7 +477,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="directory overriding the output prefix location")
-    p_run.add_argument("--threads", type=int, default=None, help="cap worker threads")
     p_val = sub.add_parser("validate", help="validate a config without running it")
     p_val.add_argument("config")
     sub.add_parser("list", help="list available experiments")
@@ -494,7 +489,7 @@ def main(argv=None) -> int:
             load_config(args.config)
             print(json.dumps({"valid": True, "config": str(args.config)}, sort_keys=True))
             return 0
-        return run(args.config, out_dir=args.out, threads=args.threads)
+        return run(args.config, out_dir=args.out)
     except GreenwalkError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, sort_keys=True))
         return 1

@@ -148,27 +148,51 @@ def evolve_semigroup(
     return FieldGrid(f.grid, _from_spectral(f.grid, acc * _to_spectral(f)))
 
 
+# width of a rate class: four ulps of 1, above the FFT roundoff of a_hat
+_RATE_QUANTUM = 2.0**-50
+
+
+@dataclass(frozen=True)
+class _RateClasses:
+    """u(tau, x) = sum_c weights[c] e^{-tau rates[c]}, the grid semigroup at one point.
+
+    Grid modes whose symbol a_hat rounds to one multiple of _RATE_QUANTUM form
+    a class; weights sums f's phased spectrum over it, rates = 1 - a_hat.
+    """
+
+    rates: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def build(cls, kernel: JumpKernel, f: FieldGrid, x) -> "_RateClasses":
+        grid = f.grid
+        a_hat = spectral_density(kernel, grid)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        phase = sum(kmesh * x[ax] for ax, kmesh in enumerate(grid.wavenumbers()))
+        w = _to_spectral(f) * np.exp(1j * phase) / (2.0 * grid.half_width) ** grid.dim
+        keys, inverse = np.unique(np.rint(a_hat.ravel() / _RATE_QUANTUM), return_inverse=True)
+        weights = np.bincount(inverse, weights=w.ravel().real, minlength=keys.size)
+        # decay rates 1 - a_hat >= 0 up to roundoff
+        return cls(np.maximum(1.0 - keys * _RATE_QUANTUM, 0.0), weights)
+
+    def __call__(self, taus) -> np.ndarray:
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        return np.exp(-np.outer(taus, self.rates)) @ self.weights
+
+
 def semigroup_point_values(kernel: JumpKernel, f: FieldGrid, x, taus) -> np.ndarray:
     """u(tau, x) for an array of times, via the exact Fourier exponential.
 
-    Equals the fully summed Poisson series e^{tau (a_hat - 1)} applied to f;
-    grid values of a_hat with identical symbol are grouped so the cost is
-    (number of distinct symbol values) x len(taus).  Subject to the same
-    box-periodization error as evolve_semigroup at large tau.
+    Equals the fully summed Poisson series e^{tau (a_hat - 1)} applied to f.
+    Grid modes are grouped into rate classes: symbols a_hat that round to
+    the same multiple of q = _RATE_QUANTUM = 2^-50 (four ulps of 1) share
+    one rate, so the cost is (number of classes) x len(taus) after one FFT.
+    Moving each symbol to its class centre changes u by at most
+    |du| <= tau (q/2) sum_k |w_k|, with w_k the phased spectrum of f.
+    Subject to the same box-periodization error as evolve_semigroup at
+    large tau.
     """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    grid = f.grid
-    a_hat = spectral_density(kernel, grid)
-    phase = np.zeros(grid.shape)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    for ax, kmesh in enumerate(grid.wavenumbers()):
-        phase = phase + kmesh * x[ax]
-    w = _to_spectral(f) * np.exp(1j * phase) / (2.0 * grid.half_width) ** grid.dim
-    sym, inverse = np.unique(a_hat.ravel(), return_inverse=True)
-    w_class = np.bincount(inverse, weights=w.ravel().real, minlength=sym.size)
-    # decay rates 1 - a_hat >= 0 up to roundoff
-    rates = np.maximum(1.0 - sym, 0.0)
-    return (np.exp(-np.outer(taus, rates)) * w_class).sum(axis=1)
+    return _RateClasses.build(kernel, f, x)(taus)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,12 @@ from .errors import ConfigError, DivergentGreenMeasureError, TruncationError
 from .green import (
     CLFunction,
     GreenExistence,
-    _to_spectral,
+    _RateClasses,
     check_green_existence,
     potential,
-    semigroup_point_values,
 )
 from .grids import FieldGrid, GridSpec
-from .kernels import JumpKernel, spectral_density
+from .kernels import JumpKernel
 from .simulate import BinSpec, McEstimate, OccupationHistogram, _deposit
 from .subordinate import (
     SubordinatorSpec,
@@ -105,9 +104,10 @@ def subordinated_solution(
     if tail > 100.0 * tail_tol:
         raise TruncationError(f"tau cutoff {tau_max} leaves tail bound {tail:.3e}")
 
+    u = _RateClasses.build(kernel, fs, x)
+
     def integrand(tau):
-        u = float(semigroup_point_values(kernel, fs, x, [tau])[0])
-        return u * rho_density(spec, t, tau)
+        return float(u(tau)[0]) * rho_density(spec, t, tau)
 
     # rho_t has scale sqrt(t)-ish; grade the breakpoints around it
     pts = np.unique(np.concatenate([np.geomspace(tau_max * 1e-8, tau_max, 16)]))
@@ -229,9 +229,7 @@ class _PointSemigroup:
     c (tau + s)^{-p}, p = d/alpha, fitted to the grid values at tau0/2, tau0.
     """
 
-    kernel: JumpKernel
-    fs: FieldGrid
-    x: np.ndarray
+    u: _RateClasses
     tau0: float
     p: float
     c: float
@@ -242,7 +240,8 @@ class _PointSemigroup:
         grid = fs.grid
         if tau0 is None:
             tau0 = grid.half_width**2 / 16.0
-        u_pair = semigroup_point_values(kernel, fs, x, [tau0 / 2.0, tau0])
+        u = _RateClasses.build(kernel, fs, x)
+        u_pair = u([tau0 / 2.0, tau0])
         if u_pair[0] <= 0 or u_pair[1] <= 0 or u_pair[1] >= u_pair[0]:
             raise TruncationError("semigroup values unusable for the tail fit")
         r = (u_pair[0] / u_pair[1]) ** (1.0 / p)
@@ -250,14 +249,14 @@ class _PointSemigroup:
         if shift <= -tau0 / 2.0:
             raise TruncationError("tail fit produced an invalid shift")
         c = float(u_pair[1] * (tau0 + shift) ** p)
-        return cls(kernel, fs, np.atleast_1d(np.asarray(x, float)), tau0, p, c, shift)
+        return cls(u, tau0, p, c, shift)
 
     def __call__(self, taus) -> np.ndarray:
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         out = np.empty(taus.shape)
         near = taus <= self.tau0
         if np.any(near):
-            out[near] = semigroup_point_values(self.kernel, self.fs, self.x, taus[near])
+            out[near] = self.u(taus[near])
         far = ~near
         if np.any(far):
             out[far] = self.c * (taus[far] + self.shift) ** (-self.p)
@@ -299,6 +298,30 @@ def _validate_limit_inputs(kernel: JumpKernel, spec: SubordinatorSpec) -> None:
         raise ConfigError(f"subordinator family {spec.family!r} fails admissibility")
 
 
+def _occupation_integrals(kernel, spec, f, x, T_grid, grid, tau0) -> np.ndarray:
+    """int_0^T v(s, x) ds for each T in T_grid.
+
+    The 1/2-stable family uses the closed-form occupation weight
+    R(T, tau) = int_0^T rho_s(tau) ds, reducing each T to a single
+    tau-quadrature; other families integrate v(s, x) in s directly.
+    """
+    _validate_limit_inputs(kernel, spec)
+    if _is_half_stable(spec):
+        ps = _PointSemigroup.build(kernel, f.samples_on(grid), x, _tail_exponent(kernel), tau0)
+        return np.array([_curve_integral_half_stable(ps, T) for T in T_grid])
+    return np.array([
+        integrate.quad(
+            lambda s: subordinated_solution(kernel, spec, f, x, s, grid=grid),
+            0.0,
+            T,
+            points=np.geomspace(max(T * 1e-6, 1e-8), T, 10).tolist(),
+            limit=100,
+            epsrel=1e-6,
+        )[0]
+        for T in T_grid
+    ])
+
+
 def renormalized_potential_curve(
     kernel: JumpKernel,
     spec: SubordinatorSpec,
@@ -308,34 +331,12 @@ def renormalized_potential_curve(
     grid: GridSpec,
     tau0: Optional[float] = None,
 ) -> RenormCurve:
-    """(1/N(T)) int_0^T v(s, x) ds along T_grid, with target V(x, f).
-
-    The 1/2-stable family uses the closed-form occupation weight
-    R(T, tau) = int_0^T rho_s(tau) ds, reducing each curve point to a single
-    tau-quadrature; other families integrate v(s, x) in s directly.
-    """
-    _validate_limit_inputs(kernel, spec)
+    """(1/N(T)) int_0^T v(s, x) ds along T_grid, with target V(x, f)."""
     T_grid = np.asarray(T_grid, dtype=float)
+    integrals = _occupation_integrals(kernel, spec, f, x, T_grid, grid, tau0)
     target = potential(kernel, f, x, grid)
-    fs = f.samples_on(grid)
     N_vals = np.array([normalization_N(spec, T) for T in T_grid])
-    values = np.empty(T_grid.size)
-    if _is_half_stable(spec):
-        ps = _PointSemigroup.build(kernel, fs, x, _tail_exponent(kernel), tau0)
-        for i, T in enumerate(T_grid):
-            values[i] = _curve_integral_half_stable(ps, T) / N_vals[i]
-    else:
-        for i, T in enumerate(T_grid):
-            val = integrate.quad(
-                lambda s: subordinated_solution(kernel, spec, f, x, s, grid=grid),
-                0.0,
-                T,
-                points=np.geomspace(max(T * 1e-6, 1e-8), T, 10).tolist(),
-                limit=100,
-                epsrel=1e-6,
-            )[0]
-            values[i] = val / N_vals[i]
-    return RenormCurve(T_grid, values, target, N_vals)
+    return RenormCurve(T_grid, integrals / N_vals, target, N_vals)
 
 
 def unnormalized_potential_integral(
@@ -348,21 +349,7 @@ def unnormalized_potential_integral(
     tau0: Optional[float] = None,
 ) -> float:
     """int_0^T v(s, x) ds without the 1/N(T) renormalization (diverges in T)."""
-    _validate_limit_inputs(kernel, spec)
-    fs = f.samples_on(grid)
-    if _is_half_stable(spec):
-        ps = _PointSemigroup.build(kernel, fs, x, _tail_exponent(kernel), tau0)
-        return _curve_integral_half_stable(ps, T)
-    return float(
-        integrate.quad(
-            lambda s: subordinated_solution(kernel, spec, f, x, s, grid=grid),
-            0.0,
-            T,
-            points=np.geomspace(max(T * 1e-6, 1e-8), T, 10).tolist(),
-            limit=100,
-            epsrel=1e-6,
-        )[0]
-    )
+    return float(_occupation_integrals(kernel, spec, f, x, [T], grid, tau0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +531,8 @@ def fke_residual(
             raise ValueError("pass a grid or use an f with grid samples")
         grid = f.grid_samples.grid
     fs = f.samples_on(grid)
-    # group the spectral representation by decay rate, as in the semigroup
-    a_hat = spectral_density(kernel, grid)
-    phase = np.zeros(grid.shape)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    for ax, kmesh in enumerate(grid.wavenumbers()):
-        phase = phase + kmesh * xv[ax]
-    w = _to_spectral(fs) * np.exp(1j * phase) / (2.0 * grid.half_width) ** grid.dim
-    sym, inverse = np.unique(a_hat.ravel(), return_inverse=True)
-    w_class = np.bincount(inverse, weights=w.ravel().real, minlength=sym.size)
-    rates = np.maximum(1.0 - sym, 0.0)
+    classes = _RateClasses.build(kernel, fs, x)
+    rates, w_class = classes.rates, classes.weights
 
     m = t_grid.size - 1
     v = np.empty(m + 1)

@@ -155,9 +155,10 @@ def make_gamma_subordinator(a: float, b: float) -> SubordinatorSpec:
         return phi_eval(lam) / np.asarray(lam)
 
     def k_primitive(t):
-        # int_0^t E1(a s) ds = t E1(a t) + (1 - e^{-a t})/a
+        # int_0^t E1(a s) ds = t E1(a t) + (1 - e^{-a t})/a; t E1(a t) -> 0 at t = 0
         t = np.asarray(t, dtype=float)
-        return b * (t * special.exp1(a * t) + -np.expm1(-a * t) / a)
+        t_e1 = t * special.exp1(a * t, out=np.zeros_like(t), where=t > 0)
+        return b * (t_e1 - np.expm1(-a * t) / a)
 
     def increment_sampler(dt, rng, size):
         return rng.gamma(b * dt, 1.0 / a, size=size)

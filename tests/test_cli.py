@@ -1,6 +1,7 @@
 """Command-line runner tests: strict configs, artifacts, reproducibility."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +71,20 @@ def test_stochastic_experiment_requires_seed(tmp_path):
 
 def test_nonpositive_tolerance_rejected(tmp_path):
     p = write_cfg(tmp_path, "bad", experiment="potential", tolerances={"lam": -1.0})
+    with pytest.raises(ConfigError):
+        load_config(p)
+
+
+def test_readme_example_config_validates(tmp_path):
+    # lambda = 0 (the Green measure itself) is the README's own example
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    p = tmp_path / "readme.json"
+    p.write_text(readme.split("```json")[1].split("```")[0])
+    assert load_config(p)["tolerances"]["lam"] == 0.0
+
+
+def test_zero_tolerance_other_than_lam_rejected(tmp_path):
+    p = write_cfg(tmp_path, "bad", experiment="green-compare", tolerances={"radius": 0.0})
     with pytest.raises(ConfigError):
         load_config(p)
 

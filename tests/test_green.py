@@ -12,6 +12,8 @@ V(0, a) equals the same zeta series.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from greenwalk.errors import DivergentGreenMeasureError
@@ -19,6 +21,7 @@ from greenwalk.grids import FieldGrid, GridSpec, field_from_function
 from greenwalk.green import (
     CLFunction,
     GreenExistence,
+    _RateClasses,
     apply_generator,
     check_green_existence,
     cl_from_grid,
@@ -37,6 +40,7 @@ from greenwalk.kernels import (
     make_cauchy_kernel,
     make_gaussian_kernel,
     sample_density,
+    spectral_density,
 )
 
 GRID1 = GridSpec(1, 1024, 40.0)
@@ -156,6 +160,94 @@ def test_kolmogorov_residual_is_second_order_in_h(k1):
 
     r1, r2 = residual(0.2), residual(0.1)
     assert r1 / r2 > 3.5
+
+
+# ---------------------------------------------------------------------------
+# rate classes of the point semigroup
+# ---------------------------------------------------------------------------
+
+# The 64^3 Gaussian grid has 748 rate classes.  Grouping symbols by exact
+# float equality gives 176,190 (FFT roundoff splits equal symbols), so a
+# grouping that roundoff defeats cannot pass this ceiling.
+RATE_CLASS_CEILING = 1000
+
+
+def per_mode_sum(kernel, fs, x, taus):
+    """sum_k w_k e^{-tau max(1 - a_hat_k, 0)} over every grid mode, ungrouped."""
+    grid = fs.grid
+    rates = np.maximum(1.0 - spectral_density(kernel, grid).ravel(), 0.0)
+    phase = sum(kmesh * xi for kmesh, xi in zip(grid.wavenumbers(), x))
+    f_hat = np.fft.fftn(np.fft.ifftshift(fs.values)) * grid.cell_volume
+    w = (f_hat * np.exp(1j * phase)).real.ravel() / (2.0 * grid.half_width) ** grid.dim
+    return np.array([np.sum(w * np.exp(-tau * rates)) for tau in taus])
+
+
+def test_rate_classes_stay_few_on_gaussian_grid(k3):
+    classes = _RateClasses.build(k3, sample_density(k3, GRID3), (0.0, 0.0, 0.0))
+    assert classes.rates.size <= RATE_CLASS_CEILING
+
+
+@pytest.mark.parametrize("x", [(0.0, 0.0, 0.0), (1.5, -0.5, 2.0)])
+def test_grouped_semigroup_matches_per_mode_sum(k3, x):
+    fs = sample_density(k3, GRID3)
+    taus = np.linspace(0.0, GRID3.half_width**2 / 16.0, 33)  # up to the tail-fit tau0
+    got = semigroup_point_values(k3, fs, x, taus)
+    np.testing.assert_allclose(got, per_mode_sum(k3, fs, x, taus), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("x", [(0.0,), (3.0,)])
+def test_grouped_semigroup_matches_per_mode_sum_cauchy(x):
+    # The aliasing gate needs a half width near 6e5 for the 1/(pi(1+x^2))
+    # tail, so tau0 = L^2/16 would be ~2e10, where one ulp of rate already
+    # moves u by ~4e-6; compare over the Gaussian's tau range instead.
+    kernel = make_cauchy_kernel()
+    fs = sample_density(kernel, GridSpec(1, 2**20, 6e5))
+    taus = np.linspace(0.0, 16.0, 9)
+    got = semigroup_point_values(kernel, fs, x, taus)
+    np.testing.assert_allclose(got, per_mode_sum(kernel, fs, x, taus), rtol=1e-13, atol=0.0)
+
+
+PROPERTY_GRIDS = [GridSpec(1, 256, 20.0), GridSpec(2, 64, 12.0)]
+
+
+def random_field(grid, seed, scale):
+    return FieldGrid(grid, scale * np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
+
+
+def grid_node(grid, flat):
+    return np.array([c.ravel()[flat] for c in grid.meshgrid()])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    which=st.integers(0, len(PROPERTY_GRIDS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+    node=st.integers(0, 2**31),
+    tau=st.floats(0.0, 25.0),
+)
+def test_semigroup_is_a_contraction_at_grid_nodes(which, seed, scale, node, tau):
+    grid = PROPERTY_GRIDS[which]
+    kernel = make_gaussian_kernel(grid.dim)
+    fs = random_field(grid, seed, scale)
+    u = semigroup_point_values(kernel, fs, grid_node(grid, node % fs.values.size), [tau])[0]
+    assert abs(u) <= np.max(np.abs(fs.values)) + 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    which=st.integers(0, len(PROPERTY_GRIDS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+    node=st.integers(0, 2**31),
+)
+def test_semigroup_at_time_zero_returns_f_at_grid_nodes(which, seed, scale, node):
+    grid = PROPERTY_GRIDS[which]
+    kernel = make_gaussian_kernel(grid.dim)
+    fs = random_field(grid, seed, scale)
+    flat = node % fs.values.size
+    u0 = semigroup_point_values(kernel, fs, grid_node(grid, flat), [0.0])[0]
+    assert u0 == pytest.approx(fs.values.ravel()[flat], abs=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------

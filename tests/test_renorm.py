@@ -252,6 +252,13 @@ def test_fke_residual_zero_for_constant(k1, stable):
     assert fke_residual(k1, stable, f, [0.0], t_grid, grid=GRID1) < 1e-12
 
 
+def test_fke_residual_finite_for_gamma(k1, gamma):
+    f = cl_from_kernel(k1)
+    t_grid = 0.02 * np.arange(51)
+    res = fke_residual(k1, gamma, f, [0.0], t_grid, grid=GRID1, t_min=0.1)
+    assert np.isfinite(res) and res < 1e-2
+
+
 def test_fke_residual_small_on_fine_grid(k1, stable):
     f = cl_from_kernel(k1)
     t_grid = 0.02 * np.arange(101)

@@ -249,6 +249,22 @@ def test_gfd_caputo_oracle(stable):
     assert caputo_error(stable, 4e-3) < 0.01 * 2.0 / np.sqrt(np.pi)
 
 
+def test_gamma_k_primitive_is_zero_at_zero(gamma):
+    assert gamma.k_primitive(0.0) == 0.0
+    prims = gamma.k_primitive(np.array([0.0, 0.5]))
+    assert prims[0] == 0.0 and prims[1] == pytest.approx(integrate.quad(gamma.k_eval, 0.0, 0.5)[0])
+
+
+def test_gfd_gamma_of_t_is_the_primitive(gamma):
+    # D^{(k)} t = int_0^t k(s) ds for every kernel k
+    dt = 4e-3
+    ts, ks, masses = grid_and_kernel(gamma, dt, 1.2)
+    out = gfd_apply(ks, ts.copy(), dt, cell_masses=masses)
+    assert np.all(np.isfinite(out))
+    i = int(round(1.0 / dt)) - 1  # gfd output starts at t_1
+    assert out[i] == pytest.approx(float(gamma.k_primitive(ts[i + 1])), rel=1e-4)
+
+
 def test_gfd_second_order_convergence(stable):
     e1, e2 = caputo_error(stable, 8e-3), caputo_error(stable, 4e-3)
     assert e1 / e2 > 1.8
