@@ -25,7 +25,8 @@ from .green import (
 )
 from .grids import FieldGrid, GridSpec
 from .kernels import JumpKernel
-from .simulate import BinSpec, McEstimate, OccupationHistogram, _deposit
+from .simulate import BinSpec, McEstimate, _Moments, _deposit, _end_values
+from .simulate import _histogram, _mc_reduce, _path_chunks
 from .subordinate import (
     SubordinatorSpec,
     _k_integral,
@@ -131,8 +132,8 @@ def mc_time_changed_expectation(
 ) -> McEstimate:
     """Sample mean of f(Z(t)) with Z = X(D(t)).
 
-    D(t) is drawn exactly for the 1/2-stable family (half-normal marginal);
-    other families fall back to grid first passage with step ds.
+    D(t) is drawn by sample_inverse_many: exactly for every stable family,
+    by grid first passage with step ds (default 1e-3 t) for the others.
     """
     if n < 2:
         raise ValueError("need n >= 2 samples")
@@ -141,29 +142,9 @@ def mc_time_changed_expectation(
     if t == 0:
         return McEstimate(f.value_at(x), 0.0, n, seed)
     rng = np.random.default_rng(seed)
-    if _is_half_stable(spec):
-        d_draws = np.abs(rng.normal(0.0, np.sqrt(2.0 * t), size=n))
-    else:
-        if ds is None:
-            ds = 1e-3 * t
-        d_draws = sample_inverse_many(spec, t, ds, n, seed=int(rng.integers(2**63)))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    counts = rng.poisson(d_draws)
-    total = int(counts.sum())
-    jumps = kernel.sampler(rng, total)
-    ends = np.cumsum(counts)
-    sums = np.zeros((n, x.size))
-    if total:
-        cum = np.cumsum(jumps, axis=0)
-        nz = counts > 0
-        sums[nz] = cum[ends[nz] - 1]
-        first = np.flatnonzero(nz)
-        if first.size > 1:
-            sums[first[1:]] -= cum[ends[first[:-1]] - 1]
-    vals = f.values_at(x[None, :] + sums)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(n))
-    return McEstimate(mean, stderr, n, seed, {"time_change": spec.family})
+    ds = 1e-3 * t if ds is None else ds
+    d_draws = sample_inverse_many(spec, t, ds, n, seed=int(rng.integers(2**63)))
+    return _mc_reduce(_end_values(kernel, f, x, d_draws, rng), seed, time_change=spec.family)
 
 
 def normalization_N(spec: SubordinatorSpec, T: float) -> float:
@@ -378,34 +359,21 @@ def _conditional_histogram(kernel, spec, x, T, bins, n, seed):
     """
     rng = np.random.default_rng(seed)
     N_T = normalization_N(spec, T)
-    # beyond tau_stop the remaining expected mass is negligible
     tau_stop = 8.0 * np.sqrt(T) + 16.0
-    n_bins = int(np.prod(bins.shape))
-    acc = np.zeros(n_bins)
-    acc2 = np.zeros(n_bins)
-    escaped = 0.0
-    for _ in range(n):
-        count = rng.poisson(tau_stop)
-        times = np.sort(rng.uniform(0.0, tau_stop, size=count))
-        jumps = kernel.sampler(rng, count)
-        states = np.vstack([x[None, :], x[None, :] + np.cumsum(jumps, axis=0)])
-        knots = np.concatenate(([0.0], times, [tau_stop]))
-        weights = np.diff(_clipped_mean_half_stable(T, knots)) / N_T
-        idx = bins.flat_index(states)
-        inside = idx >= 0
-        repl = np.bincount(idx[inside], weights=weights[inside], minlength=n_bins)
-        acc += repl
-        acc2 += repl**2
-        escaped += float(weights[~inside].sum()) + (T - float(
-            _clipped_mean_half_stable(T, tau_stop)
-        )) / N_T
-    mean = acc / n
-    var = np.maximum(acc2 / n - mean**2, 0.0)
-    stderr = np.sqrt(var / n)
-    return (
-        OccupationHistogram(bins, mean.reshape(bins.shape), escaped / n, T),
-        stderr.reshape(bins.shape),
-    )
+    # beyond tau_stop the expected mass is negligible; it counts as escaped
+    tail = (T - float(_clipped_mean_half_stable(T, tau_stop))) / N_T
+    acc = _Moments()
+    for c in _path_chunks(kernel, x, np.full(n, tau_stop), rng, int(np.prod(bins.shape))):
+        # tau at the end of each interval, measured from its path's start
+        knots = np.cumsum(c.durations)
+        knots -= (knots[c.first] - c.durations[c.first])[c.path]
+        clipped = _clipped_mean_half_stable(T, knots)
+        weights = np.diff(clipped, prepend=0.0)
+        weights[c.first] = clipped[c.first]
+        rows = _deposit(bins, c, weights / N_T)
+        rows[:, -1] += tail
+        acc.add(rows)
+    return _histogram(bins, acc, T)
 
 
 def renormalized_green_histogram(
@@ -442,9 +410,7 @@ def renormalized_green_histogram(
     rng = np.random.default_rng(seed)
     N_T = normalization_N(spec, T)
     n_bins = int(np.prod(bins.shape))
-    acc = np.zeros(n_bins)
-    acc2 = np.zeros(n_bins)
-    escaped = 0.0
+    acc = _Moments()
     chunk = 1024
     max_steps = 20_000_000 // max(chunk, 1)
     done = 0
@@ -452,35 +418,24 @@ def renormalized_green_histogram(
         c = min(chunk, n - done)
         s_level = np.zeros(c)
         pos = np.tile(x, (c, 1))
-        repl = np.zeros((c, n_bins))
-        repl_esc = np.zeros(c)
+        repl = np.zeros((c, n_bins + 1))  # last column: mass outside the bins
         rows = np.arange(c)
         for _ in range(max_steps):
             gaps = rng.exponential(size=c)
             incs = np.asarray(spec.increment_sampler(gaps, rng, c), dtype=float)
             dur = np.minimum(s_level + incs, T) - np.minimum(s_level, T)
             idx = bins.flat_index(pos)
-            inside = idx >= 0
-            np.add.at(repl, (rows[inside], idx[inside]), dur[inside])
-            repl_esc += np.where(inside, 0.0, dur)
+            idx[idx < 0] = n_bins
+            repl[rows, idx] += dur  # one entry per row, so no index repeats
             s_level += incs
             if np.all(s_level >= T):
                 break
             pos = pos + kernel.sampler(rng, c)
         else:
             raise TruncationError("Z-occupation failed to exhaust the horizon")
-        repl /= N_T
-        acc += repl.sum(axis=0)
-        acc2 += (repl**2).sum(axis=0)
-        escaped += repl_esc.sum() / N_T
+        acc.add(repl / N_T)
         done += c
-    mean = acc / n
-    var = np.maximum(acc2 / n - mean**2, 0.0)
-    stderr = np.sqrt(var / n)
-    return (
-        OccupationHistogram(bins, mean.reshape(bins.shape), escaped / n, T),
-        stderr.reshape(bins.shape),
-    )
+    return _histogram(bins, acc, T)
 
 
 # ---------------------------------------------------------------------------

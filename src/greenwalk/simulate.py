@@ -101,11 +101,86 @@ def sample_cpp_path(kernel: JumpKernel, x, T: float, rng: np.random.Generator) -
     return CppPath(x, jump_times, positions, T)
 
 
+class _Moments:
+    """Replica count, mean and centred sum of squares per component.
+
+    Chunks are reduced in two passes and merged by the update of Chan, Golub
+    and LeVeque, so a constant sample has stderr 0 exactly.
+    """
+
+    n, mean, m2 = 0, 0.0, 0.0
+
+    def add(self, rows: np.ndarray) -> None:
+        m, mean = rows.shape[0], rows.mean(axis=0)
+        delta, total = mean - self.mean, self.n + m
+        self.m2 = self.m2 + ((rows - mean) ** 2).sum(axis=0) + delta**2 * (self.n * m / total)
+        self.mean, self.n = self.mean + delta * (m / total), total
+
+    def stderr(self):
+        return np.sqrt(self.m2 / ((self.n - 1) * self.n)) if self.n > 1 else 0.0 * self.m2
+
+
 def _mc_reduce(samples: np.ndarray, seed: int, **extra) -> McEstimate:
-    n = samples.size
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(mean, stderr, n, seed, dict(extra))
+    acc = _Moments()
+    acc.add(samples)
+    return McEstimate(float(acc.mean), float(acc.stderr()), acc.n, seed, dict(extra))
+
+
+# float64 elements one chunk of paths may hold: interval states, durations
+# and path indices, plus one consumer row (e.g. histogram bins) per path
+_CHUNK_ELEMENTS = 1 << 20
+
+
+@dataclass
+class _PathChunk:
+    """Whole paths laid out interval by interval.
+
+    Interval i of the chunk belongs to path[i], holds states[i] for
+    durations[i]; first[p] is the index of path p's first interval.
+    """
+
+    states: np.ndarray
+    durations: np.ndarray
+    path: np.ndarray
+    first: np.ndarray
+
+    @property
+    def n_paths(self) -> int:
+        return self.first.size
+
+
+def _path_chunks(kernel: JumpKernel, x, horizons, rng, row_width: int = 0):
+    """Exact compound Poisson paths on [0, horizons[p]], a chunk at a time.
+
+    Given N ~ Poisson(h) jumps the N + 1 holding times are h Dirichlet(1..1),
+    the spacings of sorted uniforms, drawn as Exp(1) normalised per path;
+    the states are a segmented cumsum of one flat kernel.sampler call.
+    """
+    if kernel.sampler is None:
+        raise ValueError("kernel has no jump sampler")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    counts = rng.poisson(horizons)
+    ends = np.cumsum((counts + 1) * (x.size + 2) + row_width)
+    start = 0
+    while start < counts.size:
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + _CHUNK_ELEMENTS, side="right")), start + 1)
+        seg = counts[start:stop] + 1
+        path = np.repeat(np.arange(seg.size), seg)
+        first = np.cumsum(seg) - seg
+        e = rng.standard_exponential(path.size)
+        durations = np.repeat(horizons[start:stop] / np.add.reduceat(e, first), seg) * e
+        jumps = kernel.sampler(rng, path.size - seg.size)
+        cum = np.zeros((jumps.shape[0] + 1, x.size))
+        np.cumsum(jumps, axis=0, out=cum[1:])
+        # cum[k] sums the chunk's first k jumps and each path has one interval
+        # more than jumps, so interval i of path p holds
+        # x + cum[i - p] - cum[first[p] - p]
+        states = np.take(cum, np.arange(path.size) - path, axis=0)
+        states -= np.take(np.take(cum, first - np.arange(seg.size), axis=0), path, axis=0)
+        states += x
+        yield _PathChunk(states, durations, path, first)
+        start = stop
 
 
 def mc_expectation(
@@ -119,22 +194,15 @@ def mc_expectation(
     if t == 0:
         return McEstimate(f.value_at(x), 0.0, n, seed)
     rng = np.random.default_rng(seed)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    # state at time t = x + sum of Poisson(t)-many jumps; exact in law
-    counts = rng.poisson(t, size=n)
-    total = int(counts.sum())
-    jumps = kernel.sampler(rng, total)
-    ends = np.cumsum(counts)
-    sums = np.zeros((n, x.size))
-    if total:
-        cum = np.cumsum(jumps, axis=0)
-        nz = counts > 0
-        sums[nz] = cum[ends[nz] - 1]
-        first = np.flatnonzero(nz)
-        if first.size > 1:
-            sums[first[1:]] -= cum[ends[first[:-1]] - 1]
-    vals = f.values_at(x[None, :] + sums)
-    return _mc_reduce(vals, seed)
+    return _mc_reduce(_end_values(kernel, f, x, np.full(n, float(t)), rng), seed)
+
+
+def _end_values(kernel: JumpKernel, f: CLFunction, x, horizons, rng) -> np.ndarray:
+    """f at the end state of one path per horizon; exact in law."""
+    return np.concatenate([
+        f.values_at(c.states[np.append(c.first[1:], c.path.size) - 1])
+        for c in _path_chunks(kernel, x, horizons, rng)
+    ])
 
 
 def sample_random_potential(kernel: JumpKernel, f: CLFunction, x, T: float, rng) -> float:
@@ -152,12 +220,10 @@ def mc_truncated_potential(
     if n < 2:
         raise ValueError("need n >= 2 samples")
     rng = np.random.default_rng(seed)
-    vals = np.fromiter(
-        (sample_random_potential(kernel, f, x, T, rng) for _ in range(n)),
-        dtype=float,
-        count=n,
-    )
-    return _mc_reduce(vals, seed)
+    return _mc_reduce(np.concatenate([
+        np.bincount(c.path, weights=f.values_at(c.states) * c.durations, minlength=c.n_paths)
+        for c in _path_chunks(kernel, x, np.full(n, float(T)), rng)
+    ]), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -224,43 +290,46 @@ class OccupationHistogram:
         return float(np.sum(self.masses * bin_values))
 
 
-def _deposit(bins: BinSpec, states: np.ndarray, durations: np.ndarray):
-    masses = np.zeros(bins.shape)
-    idx = bins.flat_index(states)
-    inside = idx >= 0
-    flat = np.zeros(masses.size)
-    np.add.at(flat, idx[inside], durations[inside])
-    escaped = float(durations[~inside].sum())
-    return flat.reshape(bins.shape), escaped
+def _deposit(bins: BinSpec, chunk: _PathChunk, weights: np.ndarray) -> np.ndarray:
+    """Per-path bin masses, (n_paths, n_bins + 1); the last column is the mass outside."""
+    n_cols = int(np.prod(bins.shape)) + 1
+    idx = bins.flat_index(chunk.states)
+    idx[idx < 0] = n_cols - 1
+    flat = np.bincount(chunk.path * n_cols + idx, weights, minlength=chunk.n_paths * n_cols)
+    return flat.reshape(chunk.n_paths, n_cols)
+
+
+def _histogram(bins: BinSpec, acc: _Moments, horizon: float):
+    """(mean histogram, per-bin standard error) from replica rows laid out as by _deposit."""
+    mean, stderr = acc.mean[:-1].reshape(bins.shape), acc.stderr()[:-1].reshape(bins.shape)
+    return OccupationHistogram(bins, mean, float(acc.mean[-1]), horizon), stderr
+
+
+def _start_in_box(bins: BinSpec, x) -> np.ndarray:
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x < np.asarray(bins.lo)) or np.any(x >= np.asarray(bins.hi)):
+        raise ValueError("start point outside the binned box")
+    return x
 
 
 def empirical_random_green_measure(
     kernel: JumpKernel, x, T: float, bins: BinSpec, rng
 ) -> OccupationHistogram:
     """Occupation measure of a single path: durations deposited per bin."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < np.asarray(bins.lo)) or np.any(x >= np.asarray(bins.hi)):
-        raise ValueError("start point outside the binned box")
-    path = sample_cpp_path(kernel, x, T, rng)
+    path = sample_cpp_path(kernel, _start_in_box(bins, x), T, rng)
     states, durations = path.holding_intervals()
-    masses, escaped = _deposit(bins, states, durations)
-    return OccupationHistogram(bins, masses, escaped, T)
+    zero = np.zeros(durations.size, dtype=np.int64)
+    row = _deposit(bins, _PathChunk(states, durations, zero, zero[:1]), durations)[0]
+    return OccupationHistogram(bins, row[:-1].reshape(bins.shape), float(row[-1]), T)
 
 
 def average_random_green_measure(
     kernel: JumpKernel, x, T: float, bins: BinSpec, n: int, seed: int
 ):
     """Mean and standard error per bin over n single-path histograms."""
+    x = _start_in_box(bins, x)
     rng = np.random.default_rng(seed)
-    acc = np.zeros(bins.shape)
-    acc2 = np.zeros(bins.shape)
-    escaped = 0.0
-    for _ in range(n):
-        h = empirical_random_green_measure(kernel, x, T, bins, rng)
-        acc += h.masses
-        acc2 += h.masses**2
-        escaped += h.escaped
-    mean = acc / n
-    var = np.maximum(acc2 / n - mean**2, 0.0)
-    stderr = np.sqrt(var / n)
-    return OccupationHistogram(bins, mean, escaped / n, T), stderr
+    acc = _Moments()
+    for c in _path_chunks(kernel, x, np.full(n, float(T)), rng, int(np.prod(bins.shape))):
+        acc.add(_deposit(bins, c, c.durations))
+    return _histogram(bins, acc, T)

@@ -39,7 +39,9 @@ class SubordinatorSpec:
     """Driftless subordinator with derived kernels and an increment sampler.
 
     k_primitive is the exact primitive int_0^t k(s) ds where available;
-    rho_closed_form is set for families with a known inverse-process density.
+    rho_closed_form is set for families with a known inverse-process density;
+    self_similarity is the index alpha of a self-similar family, for which
+    S(c t) has the law of c^{1/alpha} S(t).
     """
 
     family: str
@@ -51,6 +53,7 @@ class SubordinatorSpec:
     increment_sampler: Callable  # (dt, rng, size) -> nonnegative increments
     k_primitive: Optional[Callable] = None
     rho_closed_form: Optional[Callable] = None  # (t, tau) -> density
+    self_similarity: Optional[float] = None
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "params": dict(self.params)}
@@ -71,7 +74,7 @@ def _standard_stable(alpha: float, rng, size) -> np.ndarray:
     """One-sided alpha-stable with Laplace transform e^{-lambda^alpha} (Kanter)."""
     u = rng.uniform(0.0, np.pi, size=size)
     e = rng.exponential(size=size)
-    a = (np.sin(alpha * u) / np.sin(u)) ** (1.0 / alpha)
+    a = np.sin(alpha * u) / np.sin(u) ** (1.0 / alpha)
     b = (np.sin((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
     return a * b
 
@@ -114,10 +117,8 @@ def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
             return np.exp(-(np.asarray(tau, float) ** 2) / (4.0 * t)) / np.sqrt(np.pi * t)
 
     else:
-        scale = lambda dt: dt ** (1.0 / alpha)
-
         def increment_sampler(dt, rng, size):
-            return scale(dt) * _standard_stable(alpha, rng, size)
+            return dt ** (1.0 / alpha) * _standard_stable(alpha, rng, size)
 
         rho_closed_form = None
 
@@ -131,6 +132,7 @@ def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
         increment_sampler,
         k_primitive,
         rho_closed_form,
+        alpha,
     )
 
 
@@ -317,42 +319,22 @@ def sample_inverse_many(
     n: int,
     seed: int,
     max_steps: int = 50_000_000,
-    block: int = 4096,
-    chunk: int = 2048,
 ) -> np.ndarray:
-    """First-passage times over level t of S simulated on the grid {0, ds, ...}.
+    """n independent draws of D(t) = inf{s : S(s) >= t}.
 
-    Returns n draws of D(t) with O(ds) upward discretization bias.
+    For a self-similar family with index alpha the draws are exact and do
+    not depend on ds: D(t) has the law of (t / S(1))^alpha (Meerschaert and
+    Straka, Math. Model. Nat. Phenom. 8 (2013)), with S(1) drawn by the
+    spec's own increment sampler.  Other families use first passage of S
+    simulated on the grid {0, ds, 2 ds, ...}, which has an O(ds) upward bias.
     """
     if t <= 0 or ds <= 0:
         raise ValueError("t and ds must be positive")
     rng = np.random.default_rng(seed)
-    out = np.empty(n)
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        carry = np.zeros(m)
-        offset = np.zeros(m, dtype=np.int64)
-        result = np.full(m, -1.0)
-        alive = np.arange(m)
-        while alive.size:
-            if offset.size and int(offset.max()) > max_steps:
-                raise TruncationError("inverse subordinator failed to cross within step cap")
-            inc = spec.increment_sampler(ds, rng, (alive.size, block))
-            cum = carry[:, None] + np.cumsum(inc, axis=1)
-            crossed = cum >= t
-            hit = crossed.any(axis=1)
-            first = np.argmax(crossed, axis=1)
-            if np.any(hit):
-                rows = np.flatnonzero(hit)
-                result[alive[rows]] = (offset[rows] + first[rows] + 1) * ds
-            keep = ~hit
-            carry = cum[keep, -1]
-            offset = offset[keep] + block
-            alive = alive[keep]
-        out[done : done + m] = result
-        done += m
-    return out
+    if spec.self_similarity is not None:
+        return (t / spec.increment_sampler(1.0, rng, n)) ** spec.self_similarity
+    draws = [inverse_subordinator_curve(spec, [t], ds, rng, max_steps)[0] for _ in range(n)]
+    return np.array(draws)
 
 
 def sample_inverse_subordinator(
@@ -365,24 +347,18 @@ def sample_inverse_subordinator(
     """One draw of D(t) by grid first passage; bias is O(ds) upward."""
     if t <= 0 or ds <= 0:
         raise ValueError("t and ds must be positive")
-    s = 0.0
-    steps = 0
-    block = 4096
-    while steps <= max_steps:
-        inc = spec.increment_sampler(ds, rng, block)
-        cum = s + np.cumsum(inc)
-        crossed = np.flatnonzero(cum >= t)
-        if crossed.size:
-            return InverseSubSample(t, (steps + crossed[0] + 1) * ds, ds)
-        s = cum[-1]
-        steps += block
-    raise TruncationError("inverse subordinator failed to cross within step cap")
+    value = float(inverse_subordinator_curve(spec, [t], ds, rng, max_steps)[0])
+    return InverseSubSample(t, value, ds)
 
 
 def inverse_subordinator_curve(
     spec: SubordinatorSpec, t_values, ds: float, rng, max_steps: int = 50_000_000
 ) -> np.ndarray:
-    """D(t) for sorted levels t_values along one shared S path (monotone)."""
+    """D(t) for sorted levels t_values along one shared S path (monotone).
+
+    S is simulated on the grid {0, ds, 2 ds, ...}; each D(t) is the first
+    grid time where S reaches t, an O(ds) upward bias.
+    """
     t_values = np.asarray(t_values, dtype=float)
     if np.any(np.diff(t_values) < 0):
         raise ValueError("t_values must be sorted")

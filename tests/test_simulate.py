@@ -5,9 +5,15 @@ jumps have per-coordinate variance 2; f identically constant makes every
 path functional deterministic, so stderr must be exactly zero.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
+
+import greenwalk.simulate as simulate
 
 from greenwalk.grids import FieldGrid, GridSpec
 from greenwalk.green import cl_from_grid, cl_from_kernel, evolve_semigroup
@@ -20,6 +26,8 @@ from greenwalk.simulate import (
     mc_truncated_potential,
     sample_cpp_path,
     sample_random_potential,
+    _Moments,
+    _path_chunks,
 )
 
 GRID1 = GridSpec(1, 1024, 40.0)
@@ -83,6 +91,87 @@ def test_path_state_lookup_consistent(k1):
     assert durations.sum() == pytest.approx(path.horizon, abs=1e-12)
     for i, t in enumerate(path.jump_times):
         np.testing.assert_array_equal(path.state_at(t + 1e-9), path.positions[i])
+
+
+# ---------------------------------------------------------------------------
+# batched path engine
+# ---------------------------------------------------------------------------
+
+
+def chunk_counts(chunk):
+    return np.diff(np.append(chunk.first, chunk.path.size)) - 1
+
+
+def test_engine_jump_counts_are_poisson(k1):
+    h, n = 10.0, 20000
+    chunks = _path_chunks(k1, [0.0], np.full(n, h), np.random.default_rng(7))
+    counts = np.concatenate([chunk_counts(c) for c in chunks])
+    assert counts.size == n
+    assert abs(counts.mean() - h) < 4 * counts.std(ddof=1) / np.sqrt(n)
+    assert counts.var(ddof=1) == pytest.approx(h, rel=0.05)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.floats(1e-3, 40.0),
+    n=st.integers(1, 50),
+    cap=st.integers(1, 2000),
+    row_width=st.integers(0, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engine_holding_times_cover_each_horizon(k3, h, n, cap, row_width, seed):
+    x = np.array([0.5, 0.0, -1.0])
+    with mock.patch.object(simulate, "_CHUNK_ELEMENTS", cap):
+        chunks = list(_path_chunks(k3, x, np.full(n, h), np.random.default_rng(seed), row_width))
+    assert sum(c.n_paths for c in chunks) == n
+    for c in chunks:
+        assert np.all(c.durations >= 0.0)
+        totals = np.bincount(c.path, weights=c.durations, minlength=c.n_paths)
+        np.testing.assert_allclose(totals, h, rtol=1e-12)
+        np.testing.assert_array_equal(c.states[c.first], np.tile(x, (c.n_paths, 1)))
+        # a chunk stays under the cap unless it holds a single path
+        cost = c.path.size * (x.size + 2) + c.n_paths * row_width
+        assert c.n_paths == 1 or cost <= cap
+
+
+def test_chunked_moments_match_two_pass():
+    rows = np.random.default_rng(2).normal(3.0, 2.0, size=(1000, 5))
+    acc = _Moments()
+    for part in np.array_split(rows, [1, 7, 300, 301]):
+        acc.add(part)
+    assert acc.n == 1000
+    np.testing.assert_allclose(acc.mean, rows.mean(axis=0), rtol=1e-13)
+    np.testing.assert_allclose(acc.stderr(), rows.std(axis=0, ddof=1) / np.sqrt(1000), rtol=1e-12)
+
+
+def test_batched_truncated_potential_matches_path_loop(k1):
+    f = cl_from_kernel(k1)
+    T, n = 10.0, 4000
+    batched = mc_truncated_potential(k1, f, [0.0], T, n, seed=31)
+    rng = np.random.default_rng(32)
+    loop = np.array([sample_random_potential(k1, f, [0.0], T, rng) for _ in range(n)])
+    se = np.hypot(batched.stderr, loop.std(ddof=1) / np.sqrt(n))
+    assert abs(batched.mean - loop.mean()) < 5 * se
+
+
+def test_tiny_chunk_cap_keeps_law_and_mass(k1, k3):
+    bins = BinSpec.cube(8.0, 4, 3)
+    T, n = 50.0, 400
+    f = cl_from_kernel(k1)
+    ref_hist, ref_se = average_random_green_measure(k3, (0.0, 0.0, 0.0), T, bins, n, seed=12)
+    ref_pot = mc_truncated_potential(k1, f, [0.0], 5.0, 2000, seed=12)
+    ref_end = mc_expectation(k1, f, [0.0], 1.0, 2000, seed=12)
+    with mock.patch.object(simulate, "_CHUNK_ELEMENTS", 64):
+        hist, se = average_random_green_measure(k3, (0.0, 0.0, 0.0), T, bins, n, seed=13)
+        pot = mc_truncated_potential(k1, f, [0.0], 5.0, 2000, seed=13)
+        end = mc_expectation(k1, f, [0.0], 1.0, 2000, seed=13)
+    for h in (ref_hist, hist):
+        assert abs(h.total_mass() / T - 1.0) < 1e-12
+    spread = np.hypot(ref_se, se)
+    seen = spread > 0
+    assert np.max(np.abs(ref_hist.masses - hist.masses)[seen] / spread[seen]) <= 5.0
+    for a, b in ((ref_pot, pot), (ref_end, end)):
+        assert abs(a.mean - b.mean) <= 5.0 * np.hypot(a.stderr, b.stderr)
 
 
 # ---------------------------------------------------------------------------

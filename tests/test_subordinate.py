@@ -9,7 +9,7 @@ D(t) =d= |N(0, sqrt(2t))| with mean 2 sqrt(t/pi).
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from greenwalk.subordinate import (
     SubordinatorSpec,
@@ -161,6 +161,37 @@ def test_inverse_sampling_is_reproducible(stable):
     a = sample_inverse_many(stable, 1.0, 1e-2, 500, seed=21)
     b = sample_inverse_many(stable, 1.0, 1e-2, 500, seed=21)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 0.9])
+def test_kanter_sampler_laplace_transform(alpha):
+    # E exp(-lambda S(1)) = exp(-lambda^alpha) for the standard alpha-stable law
+    s1 = make_stable_subordinator(alpha).increment_sampler(1.0, np.random.default_rng(5), 400_000)
+    for lam in (0.5, 1.0, 3.0):
+        vals = np.exp(-lam * s1)
+        z = (vals.mean() - np.exp(-(lam**alpha))) / (vals.std(ddof=1) / np.sqrt(vals.size))
+        assert abs(z) < 4.0, (lam, z)
+
+
+def test_exact_stable07_inverse_moments():
+    # E D(1)^m = m! / Gamma(1 + m alpha) for the inverse alpha-stable subordinator
+    draws = sample_inverse_many(make_stable_subordinator(0.7), 1.0, 1e-3, 200_000, seed=4)
+    for m, target in ((1, 1.0 / special.gamma(1.7)), (2, 2.0 / special.gamma(2.4))):
+        vals = draws**m
+        z = (vals.mean() - target) / (vals.std(ddof=1) / np.sqrt(vals.size))
+        assert abs(z) < 4.0, (m, z)
+
+
+def test_stable_inverse_draws_do_not_depend_on_ds(stable):
+    coarse = sample_inverse_many(stable, 1.0, 1e-2, 300, seed=6)
+    fine = sample_inverse_many(stable, 1.0, 1e-4, 300, seed=6)
+    np.testing.assert_array_equal(coarse, fine)
+
+
+def test_half_stable_inverse_draws_follow_half_normal(stable):
+    # D(1) = |N(0, sqrt 2)| has CDF erf(x / 2)
+    draws = sample_inverse_many(stable, 1.0, 1e-4, 2000, seed=10)
+    assert stats.kstest(draws, lambda x: special.erf(x / 2.0)).pvalue > 1e-3
 
 
 # ---------------------------------------------------------------------------
