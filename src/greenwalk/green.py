@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 from .errors import (
     DivergentGreenMeasureError,
@@ -74,7 +74,7 @@ class CLFunction:
         if self.evaluator is not None:
             return np.asarray(self.evaluator(points), dtype=float).ravel()
         if self.grid_samples is not None:
-            return np.array([self.grid_samples.value_at(p) for p in points])
+            return self.grid_samples.values_at(points)
         raise MissingNormsError("CL function has neither evaluator nor samples")
 
     def samples_on(self, grid: GridSpec) -> FieldGrid:
@@ -119,33 +119,14 @@ def apply_generator(kernel: JumpKernel, f: FieldGrid) -> FieldGrid:
     return FieldGrid(f.grid, conv - f.values)
 
 
-def evolve_semigroup(
-    kernel: JumpKernel,
-    f: FieldGrid,
-    t: float,
-    tol: float = 1e-12,
-    max_terms: int = 100_000,
-) -> FieldGrid:
-    """u(t,.) = e^{-t} sum_n (t^n/n!) a_n * f, truncated at Poisson tail < tol."""
+def evolve_semigroup(kernel: JumpKernel, f: FieldGrid, t: float) -> FieldGrid:
+    """u(t,.) = e^{-t} sum_n (t^n/n!) a_n * f, summed exactly as e^{t (a_hat - 1)} f."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if t == 0:
         return FieldGrid(f.grid, f.values.copy())
-    n_terms = int(stats.poisson.isf(tol, t)) + 1
-    if n_terms > max_terms:
-        raise TruncationError(f"semigroup needs {n_terms} terms, cap is {max_terms}")
     a_hat = spectral_density(kernel, f.grid)
-    log_t = np.log(t)
-    log_w = -t + np.arange(n_terms + 1) * log_t - special.gammaln(np.arange(n_terms + 1) + 1)
-    weights = np.exp(log_w)
-    acc = np.full(f.grid.shape, weights[0], dtype=complex)
-    power = np.ones(f.grid.shape, dtype=complex)
-    for n in range(1, n_terms + 1):
-        power = power * a_hat
-        acc += weights[n] * power
-    return FieldGrid(f.grid, _from_spectral(f.grid, acc * _to_spectral(f)))
+    return FieldGrid(f.grid, _from_spectral(f.grid, np.exp(t * (a_hat - 1.0)) * _to_spectral(f)))
 
 
 # width of a rate class: four ulps of 1, above the FFT roundoff of a_hat
@@ -214,19 +195,26 @@ def check_green_existence(kernel: JumpKernel) -> GreenExistence:
     return GreenExistence.EXISTS if kernel.dim > alpha else GreenExistence.DIVERGENT
 
 
-def _decay_exponent(kernel: JumpKernel, alpha: Optional[float]) -> float:
-    """d / alpha, requiring d > alpha; raises when alpha is unknown."""
+def _decay_exponent(kernel: JumpKernel, alpha: Optional[float] = None) -> float:
+    """d / alpha, the n^{-d/alpha} decay of a_n; the one Green-existence gate.
+
+    alpha defaults to the kernel's tail exponent.  Raises
+    DivergentGreenMeasureError when alpha is unknown, or when d <= alpha for
+    the given alpha or for the kernel's own.
+    """
+    own = None if kernel.tail_params is None else kernel.tail_params[1]
     if alpha is None:
-        if kernel.tail_params is None:
+        if own is None:
             raise DivergentGreenMeasureError(
-                "lambda = 0 requires a known tail exponent alpha; "
+                "the Green measure needs a known tail exponent alpha; "
                 "fit one with fit_small_k_expansion"
             )
-        alpha = kernel.tail_params[1]
-    if kernel.dim <= alpha:
-        raise DivergentGreenMeasureError(
-            f"Green measure diverges: d = {kernel.dim} <= alpha = {alpha}"
-        )
+        alpha = own
+    for a in (alpha, own):
+        if a is not None and kernel.dim <= a:
+            raise DivergentGreenMeasureError(
+                f"Green measure diverges: d = {kernel.dim} <= alpha = {a}"
+            )
     return kernel.dim / alpha
 
 
@@ -387,14 +375,10 @@ def potential_field(
     max_terms: int = 48,
     alpha: Optional[float] = None,
 ) -> FieldGrid:
-    """V(., f) = f + G_0 * f on the grid."""
-    if check_green_existence(kernel) is GreenExistence.DIVERGENT:
-        raise DivergentGreenMeasureError(
-            f"potential undefined: d = {kernel.dim} <= alpha = {kernel.tail_params[1]}"
-        )
+    """V(., f) = f + G_0 * f on the grid; the Green series gates existence."""
+    g0 = green_regular_series(kernel, grid, 0.0, tol=tol, max_terms=max_terms, alpha=alpha)
     if f.sup_norm is None or f.l1_norm is None:
         cl_norm(f)  # raises unless samples provide finite norms
-    g0 = green_regular_series(kernel, grid, 0.0, tol=tol, max_terms=max_terms, alpha=alpha)
     fs = f.samples_on(grid)
     conv = convolve_fields(g0.regular_part, fs)
     return FieldGrid(grid, fs.values + conv.values)

@@ -111,24 +111,31 @@ class FieldGrid:
 
     def value_at(self, x) -> float:
         """Multilinear interpolation at a point inside the box."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return float(self.values_at(x)[0])
+
+    def values_at(self, points) -> np.ndarray:
+        """Multilinear interpolation at an (m, d) array of points inside the box.
+
+        Indices wrap periodically, so points past the upper edge interpolate
+        against the cells at the lower edge.
+        """
         g = self.grid
-        pos = (x + g.half_width) / g.spacing
+        pos = (np.asarray(points, dtype=float).reshape(-1, g.dim) + g.half_width) / g.spacing
         lo = np.floor(pos).astype(int)
         frac = pos - lo
-        out = 0.0
+        out = np.zeros(pos.shape[0])
         for corner in range(1 << g.dim):
-            w = 1.0
+            w = np.ones(pos.shape[0])
             idx = []
             for ax in range(g.dim):
                 if corner >> ax & 1:
-                    w *= frac[ax]
-                    idx.append((lo[ax] + 1) % g.points_per_axis)
+                    w *= frac[:, ax]
+                    idx.append((lo[:, ax] + 1) % g.points_per_axis)
                 else:
-                    w *= 1.0 - frac[ax]
-                    idx.append(lo[ax] % g.points_per_axis)
+                    w *= 1.0 - frac[:, ax]
+                    idx.append(lo[:, ax] % g.points_per_axis)
             out += w * self.values[tuple(idx)]
-        return float(out)
+        return out
 
 
 def require_same_grid(a: FieldGrid, b: FieldGrid) -> None:

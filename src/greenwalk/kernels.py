@@ -130,11 +130,8 @@ def make_tabulated_kernel(samples: FieldGrid) -> JumpKernel:
 
     def density(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.empty(x.shape[0])
-        for i, xi in enumerate(x):
-            inside = np.all(np.abs(xi) < g.half_width - g.spacing)
-            out[i] = table.value_at(xi) if inside else 0.0
-        return out
+        inside = np.all(np.abs(x) < g.half_width - g.spacing, axis=1)
+        return np.where(inside, table.values_at(x), 0.0)
 
     # alias sampler over grid cells plus uniform jitter within a cell
     probs = (table.values / table.values.sum()).ravel()

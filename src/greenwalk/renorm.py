@@ -13,16 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 
-from .errors import ConfigError, DivergentGreenMeasureError, TruncationError
-from .green import (
-    CLFunction,
-    GreenExistence,
-    _RateClasses,
-    check_green_existence,
-    potential,
-)
+from .errors import ConfigError, TruncationError
+from .green import CLFunction, _decay_exponent, _RateClasses, potential
 from .grids import FieldGrid, GridSpec
 from .kernels import JumpKernel
 from .simulate import BinSpec, McEstimate, _Moments, _deposit, _end_values
@@ -30,10 +24,10 @@ from .simulate import _histogram, _mc_reduce, _path_chunks
 from .subordinate import (
     SubordinatorSpec,
     _k_integral,
+    _mixture_weights,
     check_H,
     check_admissible,
     kernel_cell_masses,
-    rho_density,
     sample_inverse_many,
 )
 from .subordinate import gfd_apply
@@ -54,26 +48,6 @@ def _is_half_stable(spec: SubordinatorSpec) -> bool:
     return spec.family == "stable" and abs(spec.params.get("alpha", 0.0) - 0.5) < 1e-12
 
 
-def _survival_bound(spec: SubordinatorSpec, t: float, tau: float) -> float:
-    """Chernoff bound for P(D(t) > tau) = P(S(tau) < t)."""
-
-    def exponent(v):
-        lam = np.exp(v)
-        return lam * t - tau * float(spec.phi_eval(lam))
-
-    res = optimize.minimize_scalar(exponent, bounds=(-30.0, 30.0), method="bounded")
-    return float(min(1.0, np.exp(res.fun)))
-
-
-def _default_tau_max(spec: SubordinatorSpec, t: float, tail_tol: float) -> float:
-    tau = max(10.0, 10.0 * t)
-    for _ in range(60):
-        if _survival_bound(spec, t, tau) < tail_tol:
-            return tau
-        tau *= 2.0
-    raise TruncationError("could not find a tau cutoff with small survival bound")
-
-
 def subordinated_solution(
     kernel: JumpKernel,
     spec: SubordinatorSpec,
@@ -81,15 +55,15 @@ def subordinated_solution(
     x,
     t: float,
     grid: Optional[GridSpec] = None,
-    tol: float = 1e-9,
-    tail_tol: float = 1e-8,
-    tau_max: Optional[float] = None,
 ) -> float:
-    """v(t, x) = int_0^infty u(tau, x) rho_t(tau) dtau by adaptive quadrature.
+    """v(t, x) = int_0^infty u(tau, x) rho_t(tau) dtau, summed in closed form.
 
-    u is the semigroup of X applied to f; the integral is cut at tau_max
-    where the remainder is bounded by sup|f| times a Chernoff bound for
-    P(D(t) > tau_max).
+    u is the semigroup of X applied to f, a sum of exponentials
+    sum_c w_c e^{-tau r_c} over the grid's rate classes, so the tau-integral
+    is exactly sum_c w_c E e^{-r_c D(t)}: no tau cutoff and no quadrature.
+    The weights come from subordinate._mixture_weights (fixed-Talbot
+    inversion, or the spec's laplace_closed_form), which raises
+    InversionInstabilityError rather than return an unstable value.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -97,27 +71,8 @@ def subordinated_solution(
         if f.grid_samples is None:
             raise ValueError("pass a grid or use an f with grid samples")
         grid = f.grid_samples.grid
-    fs = f.samples_on(grid)
-    sup = f.sup_norm if f.sup_norm is not None else float(np.max(np.abs(fs.values)))
-    if tau_max is None:
-        tau_max = _default_tau_max(spec, t, tail_tol / max(sup, 1e-300))
-    tail = sup * _survival_bound(spec, t, tau_max)
-    if tail > 100.0 * tail_tol:
-        raise TruncationError(f"tau cutoff {tau_max} leaves tail bound {tail:.3e}")
-
-    u = _RateClasses.build(kernel, fs, x)
-
-    def integrand(tau):
-        return float(u(tau)[0]) * rho_density(spec, t, tau)
-
-    # rho_t has scale sqrt(t)-ish; grade the breakpoints around it
-    pts = np.unique(np.concatenate([np.geomspace(tau_max * 1e-8, tau_max, 16)]))
-    val, err = integrate.quad(
-        integrand, 0.0, tau_max, points=pts.tolist(), limit=300, epsabs=tol, epsrel=tol
-    )
-    if err > max(100.0 * tol, 1e-6 * abs(val)) and err > 1e-8:
-        raise TruncationError(f"subordination quadrature error estimate {err:.3e}")
-    return float(val)
+    u = _RateClasses.build(kernel, f.samples_on(grid), x)
+    return float(u.weights @ _mixture_weights(spec, t, u.rates))
 
 
 def mc_time_changed_expectation(
@@ -244,17 +199,6 @@ class _PointSemigroup:
         return out
 
 
-def _tail_exponent(kernel: JumpKernel) -> float:
-    if kernel.tail_params is None:
-        raise ConfigError("kernel needs tail parameters; fit alpha first")
-    _, alpha = kernel.tail_params
-    if kernel.dim <= alpha:
-        raise DivergentGreenMeasureError(
-            f"Green measure diverges: d = {kernel.dim} <= alpha = {alpha}"
-        )
-    return kernel.dim / alpha
-
-
 def _curve_integral_half_stable(ps: _PointSemigroup, T: float) -> float:
     """int_0^infty u(tau, x) R(T, tau) dtau via graded trapezoid panels."""
     tau_hi = 30.0 * np.sqrt(T) + 10.0 * ps.tau0
@@ -265,42 +209,32 @@ def _curve_integral_half_stable(ps: _PointSemigroup, T: float) -> float:
     return float(np.trapezoid(vals, taus))
 
 
-def _validate_limit_inputs(kernel: JumpKernel, spec: SubordinatorSpec) -> None:
-    existence = check_green_existence(kernel)
-    if existence is GreenExistence.DIVERGENT:
-        raise DivergentGreenMeasureError(
-            f"no Green measure for d = {kernel.dim}, alpha = {kernel.tail_params[1]}"
-        )
-    if existence is GreenExistence.UNKNOWN:
-        raise ConfigError("kernel tail exponent unknown; fit alpha before the limit")
+def _validate_limit_inputs(kernel: JumpKernel, spec: SubordinatorSpec) -> float:
+    """Decay exponent d/alpha of the Green measure, once the limit's hypotheses hold."""
+    p = _decay_exponent(kernel)
     if not check_H(spec).passed:
         raise ConfigError(f"subordinator family {spec.family!r} fails the kernel limits")
     if not check_admissible(spec, s0=1.0).passed:
         raise ConfigError(f"subordinator family {spec.family!r} fails admissibility")
+    return p
 
 
 def _occupation_integrals(kernel, spec, f, x, T_grid, grid, tau0) -> np.ndarray:
     """int_0^T v(s, x) ds for each T in T_grid.
 
     The 1/2-stable family uses the closed-form occupation weight
-    R(T, tau) = int_0^T rho_s(tau) ds, reducing each T to a single
-    tau-quadrature; other families integrate v(s, x) in s directly.
+    R(T, tau) = int_0^T rho_s(tau) ds against the semigroup with its
+    power-law continuation past the box horizon tau0.  Other families sum
+    the rate classes against W_T(r) = int_0^T E e^{-r D(s)} ds from
+    subordinate._mixture_weights, with no quadrature in s.
     """
-    _validate_limit_inputs(kernel, spec)
+    p = _validate_limit_inputs(kernel, spec)
+    fs = f.samples_on(grid)
     if _is_half_stable(spec):
-        ps = _PointSemigroup.build(kernel, f.samples_on(grid), x, _tail_exponent(kernel), tau0)
+        ps = _PointSemigroup.build(kernel, fs, x, p, tau0)
         return np.array([_curve_integral_half_stable(ps, T) for T in T_grid])
-    return np.array([
-        integrate.quad(
-            lambda s: subordinated_solution(kernel, spec, f, x, s, grid=grid),
-            0.0,
-            T,
-            points=np.geomspace(max(T * 1e-6, 1e-8), T, 10).tolist(),
-            limit=100,
-            epsrel=1e-6,
-        )[0]
-        for T in T_grid
-    ])
+    u = _RateClasses.build(kernel, fs, x)
+    return np.array([u.weights @ _mixture_weights(spec, T, u.rates, integrated=True) for T in T_grid])
 
 
 def renormalized_potential_curve(
@@ -443,19 +377,6 @@ def renormalized_green_histogram(
 # ---------------------------------------------------------------------------
 
 
-def _laplace_weights(spec: SubordinatorSpec, t: float, rates: np.ndarray) -> np.ndarray:
-    """E[e^{-r D(t)}] per rate r >= 0 (Mittag-Leffler weights of the mixture)."""
-    rates = np.asarray(rates, dtype=float)
-    if _is_half_stable(spec):
-        # E_{1/2}(-r sqrt(t)) = e^{r^2 t} erfc(r sqrt(t)), computed stably
-        return special.erfcx(rates * np.sqrt(t))
-    tau_max = _default_tau_max(spec, t, 1e-10)
-    taus = np.concatenate(([0.0], np.geomspace(tau_max * 1e-8, tau_max, 800)))
-    rho = np.array([rho_density(spec, t, tau) for tau in taus])
-    damp = np.exp(-np.outer(taus, rates))
-    return np.trapezoid(rho[:, None] * damp, taus, axis=0)
-
-
 def fke_residual(
     kernel: JumpKernel,
     spec: SubordinatorSpec,
@@ -467,8 +388,9 @@ def fke_residual(
 ) -> float:
     """max_t |D_t^{(k)} v(t, x) - (L v)(t, x)| over the interior of t_grid.
 
-    v and Lv are evaluated from the exact spectral mixture, so the residual
-    isolates the time discretization of the fractional derivative.  The
+    v and Lv are evaluated from the exact spectral mixture: the rate-class
+    weights times E e^{-r D(t)} from subordinate._mixture_weights, so the
+    residual isolates the time discretization of the fractional derivative.  The
     first interior node is always excluded (the memory kernel is singular at
     0); v itself has a sqrt-type cusp there, so convergence studies should
     also pass a fixed burn-in window t_min to keep the measured region away
@@ -495,7 +417,7 @@ def fke_residual(
     v[0] = float(np.sum(w_class))
     lv[0] = float(np.sum(-rates * w_class))
     for j in range(1, m + 1):
-        ml = _laplace_weights(spec, t_grid[j], rates)
+        ml = _mixture_weights(spec, t_grid[j], rates)
         v[j] = float(np.sum(ml * w_class))
         lv[j] = float(np.sum(-rates * ml * w_class))
     masses = kernel_cell_masses(spec, dt, m)

@@ -1,5 +1,7 @@
 """Grid container tests: construction, interpolation, persistence."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,34 @@ def test_require_same_grid_raises():
     b = FieldGrid(GridSpec(1, 16, 8.0), np.zeros(16))
     with pytest.raises(GridMismatchError):
         require_same_grid(a, b)
+
+
+def _multilinear_reference(f, x):
+    """Per-point multilinear interpolation with periodic indices."""
+    g = f.grid
+    pos = (np.asarray(x, dtype=float) + g.half_width) / g.spacing
+    lo = np.floor(pos).astype(int)
+    frac = pos - lo
+    total = 0.0
+    for corner in itertools.product((0, 1), repeat=g.dim):
+        w = np.prod([frac[ax] if c else 1.0 - frac[ax] for ax, c in enumerate(corner)])
+        total += w * f.values[tuple((lo + np.array(corner)) % g.points_per_axis)]
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_values_at_matches_per_point_lookup(dim):
+    g = GridSpec(dim, 16, 3.0)
+    f = field_from_function(g, lambda x: np.cos(np.atleast_2d(x) @ np.arange(1.0, dim + 1.0)))
+    rng = np.random.default_rng(4)
+    L, h = g.half_width, g.spacing
+    edge = np.array([-L, -L + 1e-13, L - h, L - 0.5 * h, L - 1e-13])
+    points = np.concatenate([
+        rng.uniform(-L, L, size=(200, dim)),
+        np.repeat(edge[:, None], dim, axis=1),
+        rng.choice(edge, size=(50, dim)),
+    ])
+    got = f.values_at(points)
+    assert got.shape == (points.shape[0],)
+    np.testing.assert_allclose(got, [f.value_at(p) for p in points], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got, [_multilinear_reference(f, p) for p in points], rtol=0, atol=1e-15)

@@ -6,6 +6,8 @@ occupation weight int_0^T rho_s(tau) ds has the closed form
 2 sqrt(T/pi) e^{-tau^2/(4T)} - tau erfc(tau/(2 sqrt(T))).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -98,6 +100,14 @@ def test_subordinated_solution_small_time_limit(k1, stable):
     assert v == pytest.approx(f.value_at([0.0]), rel=0.01)
 
 
+def test_subordinated_solution_stable07_matches_mc(k1):
+    spec = make_stable_subordinator(0.7)
+    f = cl_from_kernel(k1)
+    v = subordinated_solution(k1, spec, f, [0.0], 1.0, grid=GRID1)
+    est = mc_time_changed_expectation(k1, spec, f, [0.0], 1.0, n=200000, seed=23)
+    assert abs(est.mean - v) <= 5 * est.stderr
+
+
 def test_mc_time_changed_constant(k1, stable):
     est = mc_time_changed_expectation(k1, stable, const_cl(GRID1, 1.0), [0.0], 1.0, 64, seed=3)
     assert est.mean == pytest.approx(1.0)
@@ -141,6 +151,16 @@ def test_limit_requires_green_existence(k1, stable):
         renormalized_potential_curve(
             k1, stable, cl_from_kernel(k1), [0.0], np.array([1.0, 2.0]), GRID1
         )
+
+
+def test_limit_rejects_unknown_tail_exponent(stable):
+    # without a tail exponent the Green measure's existence is undecided
+    unknown = dataclasses.replace(make_gaussian_kernel(3), tail_params=None)
+    f = cl_from_kernel(unknown)
+    with pytest.raises(DivergentGreenMeasureError):
+        renormalized_potential_curve(unknown, stable, f, [0.0, 0.0, 0.0], np.array([1.0, 2.0]), GRID3)
+    with pytest.raises(DivergentGreenMeasureError):
+        unnormalized_potential_integral(unknown, stable, f, [0.0, 0.0, 0.0], 1.0, GRID3)
 
 
 def test_limit_rejects_inadmissible_subordinator(k3, gamma):

@@ -7,12 +7,17 @@ half-normal marginal rho_t(tau) = (pi t)^{-1/2} e^{-tau^2/(4t)}, so
 D(t) =d= |N(0, sqrt(2t))| with mean 2 sqrt(t/pi).
 """
 
+import dataclasses
+
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from greenwalk.errors import InversionInstabilityError
 from greenwalk.subordinate import (
     SubordinatorSpec,
+    _mixture_weights,
     check_H,
     check_admissible,
     gfd_apply,
@@ -222,6 +227,82 @@ def test_rho_gamma_integrates_to_one(gamma):
 def test_rho_closed_form_unavailable_for_gamma(gamma):
     with pytest.raises(ValueError):
         rho_density(gamma, 1.0, 1.0, method="closed_form")
+
+
+# ---------------------------------------------------------------------------
+# mixture weights E e^{-r D(t)} and W_T(r) = int_0^T E e^{-r D(s)} ds
+# ---------------------------------------------------------------------------
+
+RATES = np.linspace(0.0, 2.0, 9)
+
+
+def test_mixture_weights_gamma_match_mpmath(gamma):
+    # t-transform of E e^{-r D(t)} is K/(r + Phi) with Phi = log(1 + lambda)
+    with mp.workdps(30):
+        for t in (0.1, 1.0, 4.0):
+            ref = [
+                float(mp.invertlaplace(lambda s: mp.log1p(s) / (s * (r + mp.log1p(s))), t))
+                for r in RATES
+            ]
+            np.testing.assert_allclose(_mixture_weights(gamma, t, RATES), ref, rtol=0, atol=1e-11)
+
+
+def test_mixture_weights_stable07_match_mittag_leffler():
+    spec = make_stable_subordinator(0.7)
+    with mp.workdps(40):
+        for t in (0.1, 1.0, 4.0):
+            ref = [
+                float(mp.nsum(lambda k: (-r * t**0.7) ** k / mp.gamma(0.7 * k + 1), [0, mp.inf]))
+                for r in RATES
+            ]
+            np.testing.assert_allclose(_mixture_weights(spec, t, RATES), ref, rtol=0, atol=1e-11)
+
+
+def test_mixture_weights_half_stable_inversion_matches_erfcx(stable):
+    talbot = dataclasses.replace(stable, laplace_closed_form=None)
+    for t in (0.02, 1.0, 4.0, 100.0):
+        exact = special.erfcx(RATES * np.sqrt(t))
+        np.testing.assert_array_equal(_mixture_weights(stable, t, RATES), exact)
+        np.testing.assert_allclose(_mixture_weights(talbot, t, RATES), exact, rtol=0, atol=1e-11)
+
+
+def test_mixture_weights_are_exact_at_rate_zero(gamma):
+    for spec in (gamma, make_stable_subordinator(0.7)):
+        for t in (0.02, 1.0, 100.0):
+            assert _mixture_weights(spec, t, [0.0])[0] == 1.0
+            assert _mixture_weights(spec, t, [0.0], integrated=True)[0] == t
+
+
+def test_occupation_weights_half_stable_closed_form(stable):
+    # int_0^T erfcx(r sqrt(s)) ds = (erfcx(x) + 2 x / sqrt(pi) - 1) / r^2, x = r sqrt(T)
+    rates = RATES[1:]
+    for T in (1.0, 512.0, 2.0**21):
+        x = rates * np.sqrt(T)
+        exact = (special.erfcx(x) + 2.0 * x / np.sqrt(np.pi) - 1.0) / rates**2
+        got = _mixture_weights(stable, T, rates, integrated=True)
+        np.testing.assert_allclose(got, exact, rtol=1e-9)
+
+
+def test_occupation_weights_integrate_the_weights(gamma):
+    for spec in (gamma, make_stable_subordinator(0.7)):
+        for T in (0.5, 3.0):
+            quad = [
+                integrate.quad(lambda s: _mixture_weights(spec, s, [r])[0], 0.0, T, epsabs=1e-13)[0]
+                for r in RATES
+            ]
+            np.testing.assert_allclose(
+                _mixture_weights(spec, T, RATES, integrated=True), quad, rtol=1e-10, atol=1e-12
+            )
+
+
+def test_mixture_inversion_outside_talbot_validity_raises():
+    # r + e^{-lambda} vanishes on the line Re lambda = -log r, right of the
+    # imaginary axis for r < 1, where the Talbot contour cannot enclose it
+    spec = dataclasses.replace(make_stable_subordinator(0.7), phi_eval=lambda lam: np.exp(-lam))
+    with np.errstate(all="ignore"):
+        for integrated in (False, True):
+            with pytest.raises(InversionInstabilityError):
+                _mixture_weights(spec, 1.0, RATES, integrated=integrated)
 
 
 def test_time_averaged_ratio_near_one_at_large_t(stable):
