@@ -228,8 +228,7 @@ def _green_series_profile(cfg, kernel, grid):
     res = green_regular_series(kernel, grid, lam)
     radius = cfg.get("tolerances", {}).get("radius", 3.0)
     xs, pts = _axis_points(grid, kernel, radius)
-    vals = [res.regular_part.value_at(p) for p in pts]
-    return lam, xs, pts, vals
+    return lam, xs, pts, res.regular_part.values_at(pts)
 
 
 def _exp_green_series(cfg, prefix):

@@ -243,9 +243,10 @@ def green_regular_series(
 ) -> ResolventKernel:
     """Partial sums of a_n / (1+lambda)^n with a power-law tail estimate.
 
-    For lambda = 0 the summation stops at max_terms (box periodization of
-    a_n degrades beyond that) and the remaining tail is estimated from the
-    n^{-d/alpha} decay via a Hurwitz-zeta weight on the last term.
+    Summed in Fourier space until the l1 bound on a term's sup is below tol,
+    then transformed back once.  For lambda = 0 the summation stops at
+    max_terms (box periodization of a_n degrades beyond that) and the tail is
+    estimated from the n^{-d/alpha} decay via a Hurwitz-zeta weight on the last term.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -259,20 +260,17 @@ def green_regular_series(
         n += 1
         power = power * ratio
         acc += power
-        inc_sup = float(np.max(np.abs(np.fft.ifftn(power).real))) / grid.cell_volume
-        if inc_sup < tol:
+        # sup_x |a_n(x)| / (1+lambda)^n <= sum |power| / (N^d cell_volume), equal when power >= 0
+        if np.sum(np.abs(power)) / (power.size * grid.cell_volume) < tol:
             break
-    vals = _from_spectral(grid, acc.astype(complex))
-    tail = None
     if lam == 0:
         # tail(x) ~ a_n(x) * sum_{m>n} (m/n)^{-p} = a_n(x) n^p zeta(p, n+1)
-        last = _from_spectral(grid, power.astype(complex))
-        vals = vals + last * (n**p) * special.zeta(p, n + 1)
-        tail = p
+        acc += power * (n**p) * special.zeta(p, n + 1)
+    vals = _from_spectral(grid, acc)
     floor = float(vals.min())
     if floor < -1e-8:
         raise TruncationError(f"Green series produced negative values ({floor:.2e})")
-    return ResolventKernel(lam, kernel.name, FieldGrid(grid, np.maximum(vals, 0.0)), n, tail)
+    return ResolventKernel(lam, kernel.name, FieldGrid(grid, np.maximum(vals, 0.0)), n, p)
 
 
 def _fourier_cutoff(kernel: JumpKernel, lam: float) -> float:
@@ -367,6 +365,15 @@ def convolve_fields(a: FieldGrid, b: FieldGrid) -> FieldGrid:
     return FieldGrid(a.grid, _from_spectral(a.grid, _to_spectral(a) * _to_spectral(b)))
 
 
+def _green_convolution(kernel, f, grid, tol, max_terms, alpha) -> tuple[FieldGrid, FieldGrid]:
+    """(f sampled on the grid, G_0 * f); the Green series gates before the norms check."""
+    g0 = green_regular_series(kernel, grid, 0.0, tol=tol, max_terms=max_terms, alpha=alpha)
+    if f.sup_norm is None or f.l1_norm is None:
+        cl_norm(f)  # raises unless samples provide finite norms
+    fs = f.samples_on(grid)
+    return fs, convolve_fields(g0.regular_part, fs)
+
+
 def potential_field(
     kernel: JumpKernel,
     f: CLFunction,
@@ -376,11 +383,7 @@ def potential_field(
     alpha: Optional[float] = None,
 ) -> FieldGrid:
     """V(., f) = f + G_0 * f on the grid; the Green series gates existence."""
-    g0 = green_regular_series(kernel, grid, 0.0, tol=tol, max_terms=max_terms, alpha=alpha)
-    if f.sup_norm is None or f.l1_norm is None:
-        cl_norm(f)  # raises unless samples provide finite norms
-    fs = f.samples_on(grid)
-    conv = convolve_fields(g0.regular_part, fs)
+    fs, conv = _green_convolution(kernel, f, grid, tol, max_terms, alpha)
     return FieldGrid(grid, fs.values + conv.values)
 
 
@@ -394,7 +397,5 @@ def potential(
     alpha: Optional[float] = None,
 ) -> float:
     """V(x, f) = f(x) + (G_0 * f)(x), the delta part plus the regular convolution."""
-    field = potential_field(kernel, f, grid, tol=tol, max_terms=max_terms, alpha=alpha)
-    fs = f.samples_on(grid)
-    conv_at_x = field.value_at(x) - fs.value_at(x)
-    return float(f.value_at(x) + conv_at_x)
+    _, conv = _green_convolution(kernel, f, grid, tol, max_terms, alpha)
+    return float(f.value_at(x) + conv.value_at(x))

@@ -8,6 +8,7 @@ a_hat(k) = 1 - A |k|^alpha + o(|k|^alpha) with A > 0 and 0 < alpha <= 2.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,7 +20,7 @@ from .grids import FieldGrid, GridSpec, field_from_function
 ALIASING_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity hash: the spectral cache keys on the object
 class JumpKernel:
     """Symmetric probability density with an evaluable Fourier transform.
 
@@ -191,14 +192,22 @@ def check_aliasing(kernel: JumpKernel, grid: GridSpec, threshold: float = ALIASI
     return samples
 
 
+_SPECTRAL_CACHE: "weakref.WeakKeyDictionary[JumpKernel, dict]" = weakref.WeakKeyDictionary()
+
+
 def spectral_density(kernel: JumpKernel, grid: GridSpec) -> np.ndarray:
     """Discrete Fourier transform of the sampled density (approximates a_hat).
 
     Returned in numpy fftn frequency layout; real for symmetric kernels.
+    Sampled and alias-checked once per (kernel, grid) while the kernel lives:
+    later calls return the same read-only array; AliasingError is never cached.
     """
-    samples = check_aliasing(kernel, grid)
-    shifted = np.fft.ifftshift(samples.values)
-    return np.real(np.fft.fftn(shifted)) * grid.cell_volume
+    by_grid = _SPECTRAL_CACHE.setdefault(kernel, {})
+    if grid not in by_grid:
+        shifted = np.fft.ifftshift(check_aliasing(kernel, grid).values)
+        by_grid[grid] = np.real(np.fft.fftn(shifted)) * grid.cell_volume
+        by_grid[grid].flags.writeable = False
+    return by_grid[grid]
 
 
 def convolve_power(kernel: JumpKernel, n: int, grid: GridSpec) -> FieldGrid:

@@ -480,7 +480,7 @@ def rho_density(
     v1 = float(_talbot(F, t, order))
     v2 = float(_talbot(F, t, 2 * order))
     scale = max(abs(v2), 1e-12)
-    if abs(v1 - v2) > instability_tol * scale:
+    if not abs(v1 - v2) <= instability_tol * scale:  # a NaN from overflow fails too
         raise InversionInstabilityError(
             f"Talbot orders {order}/{2 * order} disagree: {v1:.6g} vs {v2:.6g}"
         )

@@ -10,6 +10,8 @@ potential with f = a satisfies a + G_0 * a = sum_{n >= 1} a_n, so
 V(0, a) equals the same zeta series.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,12 +41,14 @@ from greenwalk.kernels import (
     JumpKernel,
     make_cauchy_kernel,
     make_gaussian_kernel,
+    make_tabulated_kernel,
     sample_density,
     spectral_density,
 )
 
 GRID1 = GridSpec(1, 1024, 40.0)
 GRID3 = GridSpec(3, 64, 16.0)
+SMALL_GRID3 = GridSpec(3, 32, 12.0)
 
 # zeta-series oracle for the Gaussian d=3 Green kernel at the origin
 ZETA_ORACLE = (4 * np.pi) ** -1.5 * special.zeta(1.5)
@@ -322,6 +326,75 @@ def test_resolvent_identity(k1):
         np.testing.assert_allclose(back, fs.values, atol=1e-3)
 
 
+def series_per_term_ifft(kernel, grid, lam, tol=1e-10, max_terms=48):
+    """Reference Green series that checks every term's sup by its own inverse FFT.
+
+    Returns (n_terms, regular part); the zeta tail at lambda = 0 is added in
+    real space from a second inverse FFT of the last term.
+    """
+    ratio = spectral_density(kernel, grid) / (1.0 + lam)
+    power, acc, n = np.ones(grid.shape), np.zeros(grid.shape), 0
+    while n < max_terms:
+        n += 1
+        power = power * ratio
+        acc += power
+        if np.max(np.abs(np.fft.ifftn(power).real)) / grid.cell_volume < tol:
+            break
+    to_real = lambda spec: np.fft.fftshift(np.fft.ifftn(spec).real) / grid.cell_volume
+    vals = to_real(acc)
+    if lam == 0:
+        p = kernel.dim / kernel.tail_params[1]
+        vals = vals + to_real(power) * n**p * special.zeta(p, n + 1)
+    return n, np.maximum(vals, 0.0)
+
+
+@pytest.mark.parametrize(
+    "dim, lam, n_terms",
+    [(3, 0.0, 48), (3, 0.5, 35), (1, 0.2, 48), (1, 1.0, 29)],
+)
+def test_series_stop_rule_matches_per_term_ifft(dim, lam, n_terms):
+    # for a_hat >= 0 the l1 bound equals the old per-term sup (attained at the origin)
+    kernel = make_gaussian_kernel(dim)
+    grid = GRID3 if dim == 3 else GRID1
+    ref_n, ref = series_per_term_ifft(kernel, grid, lam)
+    res = green_regular_series(kernel, grid, lam)
+    assert res.n_terms == ref_n == n_terms
+    # one inverse FFT instead of two moves the lambda = 0 field by roundoff only
+    assert np.max(np.abs(res.regular_part.values - ref)) <= 1e-15 * np.max(ref)
+
+
+def test_series_stop_rule_never_stops_early_for_signed_symbol():
+    # the box kernel's a_hat is a sinc with negative lobes, where the l1 bound exceeds the sup
+    box = make_tabulated_kernel(field_from_function(GRID1, lambda x: (np.abs(x[:, 0]) <= 1.0) * 1.0))
+    assert spectral_density(box, GRID1).min() < 0
+    # max_terms above the 52 terms the rule needs, so the stop rule decides
+    ref_n, ref = series_per_term_ifft(box, GRID1, 0.5, max_terms=200)
+    res = green_regular_series(box, GRID1, 0.5, max_terms=200)
+    assert 200 > res.n_terms >= ref_n
+    np.testing.assert_allclose(res.regular_part.values, ref, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_green_series_makes_one_inverse_fft(k3, lam, monkeypatch):
+    calls = []
+    ifftn = np.fft.ifftn
+    monkeypatch.setattr(np.fft, "ifftn", lambda a, *args, **kw: calls.append(1) or ifftn(a, *args, **kw))
+    green_regular_series(k3, GRID3, lam)
+    assert len(calls) == 1
+
+
+def test_density_is_sampled_once_per_kernel_and_grid():
+    grid = SMALL_GRID3
+    base = make_gaussian_kernel(3)
+    calls = []
+    kernel = dataclasses.replace(base, density=lambda x: calls.append(1) or base.density(x))
+    f = cl_from_grid(sample_density(base, grid))
+    green_regular_series(kernel, grid, 0.0)
+    potential(kernel, f, [0.0, 0.0, 0.0], grid)
+    evolve_semigroup(kernel, f.grid_samples, 1.0)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # potentials
 # ---------------------------------------------------------------------------
@@ -346,6 +419,23 @@ def test_potential_is_linear(k3):
     vg = potential_field(k3, g, GRID3)
     vc = potential_field(k3, combo, GRID3)
     np.testing.assert_allclose(vc.values, 2.0 * vf.values + vg.values, atol=1e-8)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    c1=st.floats(-1e3, 1e3),
+    c2=st.floats(-1e3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+    node=st.integers(0, 2**31),
+)
+def test_potential_is_linear_in_random_coefficients(k3, c1, c2, seed, node):
+    f = sample_density(k3, SMALL_GRID3)
+    g = random_field(SMALL_GRID3, seed, 1.0)
+    x = grid_node(SMALL_GRID3, node % f.values.size)
+    vf, vg = (potential(k3, cl_from_grid(h), x, SMALL_GRID3) for h in (f, g))
+    combo = cl_from_grid(FieldGrid(SMALL_GRID3, c1 * f.values + c2 * g.values))
+    v = potential(k3, combo, x, SMALL_GRID3)
+    assert abs(v - (c1 * vf + c2 * vg)) <= 1e-12 * (abs(c1) + abs(c2))
 
 
 def test_potential_solves_minus_L_V_equals_f(k3):

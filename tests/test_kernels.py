@@ -6,11 +6,16 @@ has Fourier transform e^{-|k|^2} and n-fold convolution
 Fourier transform e^{-|k|}.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from greenwalk.errors import InvalidKernelError
-from greenwalk.grids import GridSpec, field_from_function
+from greenwalk.errors import AliasingError, InvalidKernelError
+from greenwalk.grids import FieldGrid, GridSpec, field_from_function
 from greenwalk.kernels import (
     JumpKernel,
     convolve_power,
@@ -19,6 +24,7 @@ from greenwalk.kernels import (
     make_gaussian_kernel,
     make_tabulated_kernel,
     sample_density,
+    spectral_density,
     validate_kernel,
 )
 
@@ -197,3 +203,67 @@ def test_validate_flags_asymmetric_density():
     report = validate_kernel(odd, GRID1)
     assert not report.symmetric
     assert not report.passed
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    log_n=st.integers(5, 7),
+    half_width=st.floats(12.0, 20.0),
+    tabulated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_has_unit_mass_and_even_symmetry(dim, log_n, half_width, tabulated, seed):
+    grid = GridSpec(dim, 2**log_n, half_width)
+    n = grid.points_per_axis
+    flip = lambda v: v[np.ix_(*[(-np.arange(n)) % n] * dim)]
+    if tabulated:
+        # random even table, zero where the interpolated density is cut off
+        raw = np.random.default_rng(seed).uniform(0.0, 1.0, grid.shape)
+        inside = np.all([np.abs(c) < half_width - 1.5 * grid.spacing for c in grid.meshgrid()], axis=0)
+        kernel = make_tabulated_kernel(FieldGrid(grid, (raw + flip(raw)) * inside))
+    else:
+        kernel = make_gaussian_kernel(dim)
+    report = validate_kernel(kernel, grid)
+    assert report.symmetric and report.nonnegative
+    assert report.mass == pytest.approx(1.0, abs=1e-9)
+    a_hat = spectral_density(kernel, grid)
+    assert a_hat.flat[0] == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(a_hat, flip(a_hat), rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# spectral density cache
+# ---------------------------------------------------------------------------
+
+
+def test_spectral_density_is_cached_and_read_only():
+    kernel = make_gaussian_kernel(1)
+    a_hat = spectral_density(kernel, GRID1)
+    assert spectral_density(kernel, GRID1) is a_hat
+    with pytest.raises(ValueError):
+        a_hat[0] = 0.0
+
+
+def test_spectral_cache_keys_on_the_kernel_object():
+    base = make_gaussian_kernel(1)
+    # a list is unhashable, so a field-wise hash could not key this kernel
+    listed = JumpKernel(1, base.density, base.fourier, [1.0, 2.0])
+    assert spectral_density(listed, GRID1) is spectral_density(listed, GRID1)
+    assert spectral_density(base, GRID1) is not spectral_density(listed, GRID1)
+
+
+def test_spectral_cache_entry_dies_with_its_kernel():
+    kernel = make_gaussian_kernel(1)
+    entry = weakref.ref(spectral_density(kernel, GRID1))
+    assert entry() is not None  # held by the cache alone
+    del kernel
+    gc.collect()
+    assert entry() is None
+
+
+def test_aliasing_kernel_raises_on_every_call():
+    kernel = make_cauchy_kernel()  # density 2e-4 at the box edge x = -40
+    for _ in range(2):
+        with pytest.raises(AliasingError):
+            spectral_density(kernel, GRID1)

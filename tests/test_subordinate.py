@@ -12,6 +12,8 @@ import dataclasses
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from greenwalk.errors import InversionInstabilityError
@@ -229,6 +231,14 @@ def test_rho_closed_form_unavailable_for_gamma(gamma):
         rho_density(gamma, 1.0, 1.0, method="closed_form")
 
 
+@pytest.mark.parametrize("t, tau", [(0.05, 5.0), (0.5, 8.0)])
+def test_rho_density_raises_when_the_transform_overflows(t, tau):
+    # e^{-tau lambda K(lambda)} overflows on the contour for alpha = 0.7; the
+    # resulting NaN must fail the order gate instead of being returned
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InversionInstabilityError):
+        rho_density(make_stable_subordinator(0.7), t, tau, method="laplace")
+
+
 # ---------------------------------------------------------------------------
 # mixture weights E e^{-r D(t)} and W_T(r) = int_0^T E e^{-r D(s)} ds
 # ---------------------------------------------------------------------------
@@ -334,6 +344,19 @@ def test_gfd_of_constant_is_exactly_zero(stable):
     ts, ks, masses = grid_and_kernel(stable, 0.01, 1.0)
     out = gfd_apply(ks, np.full(ts.size, 3.7), 0.01, cell_masses=masses)
     assert np.max(np.abs(out)) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=st.sampled_from(["stable", "gamma"]),
+    c=st.floats(-1e6, 1e6),
+    dt=st.floats(1e-3, 0.05),
+    T=st.floats(0.2, 2.0),
+)
+def test_gfd_of_random_constant_is_zero(stable, gamma, family, c, dt, T):
+    spec = stable if family == "stable" else gamma
+    ts, ks, masses = grid_and_kernel(spec, dt, T)
+    assert np.max(np.abs(gfd_apply(ks, np.full(ts.size, c), dt, cell_masses=masses))) == 0.0
 
 
 def test_gfd_is_linear(stable):
