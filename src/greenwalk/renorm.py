@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, TruncationError
 from .green import CLFunction, _decay_exponent, _RateClasses, potential
@@ -42,10 +41,6 @@ __all__ = [
     "renormalized_green_histogram",
     "fke_residual",
 ]
-
-
-def _is_half_stable(spec: SubordinatorSpec) -> bool:
-    return spec.family == "stable" and abs(spec.params.get("alpha", 0.0) - 0.5) < 1e-12
 
 
 def subordinated_solution(
@@ -87,7 +82,7 @@ def mc_time_changed_expectation(
 ) -> McEstimate:
     """Sample mean of f(Z(t)) with Z = X(D(t)).
 
-    D(t) is drawn by sample_inverse_many: exactly for every stable family,
+    D(t) is drawn by sample_inverse_many: exactly for every self-similar spec,
     by grid first passage with step ds (default 1e-3 t) for the others.
     """
     if n < 2:
@@ -99,7 +94,7 @@ def mc_time_changed_expectation(
     rng = np.random.default_rng(seed)
     ds = 1e-3 * t if ds is None else ds
     d_draws = sample_inverse_many(spec, t, ds, n, seed=int(rng.integers(2**63)))
-    return _mc_reduce(_end_values(kernel, f, x, d_draws, rng), seed, time_change=spec.family)
+    return _mc_reduce(_end_values(kernel, f, x, d_draws, rng), seed, time_change=spec.to_json_dict())
 
 
 def normalization_N(spec: SubordinatorSpec, T: float) -> float:
@@ -149,13 +144,6 @@ class RenormCurve:
                             repr(float(self.target)), repr(float(g))])
 
 
-def _occupation_weight_half_stable(T: float, tau: np.ndarray) -> np.ndarray:
-    """R(T, tau) = int_0^T rho_s(tau) ds for the 1/2-stable inverse subordinator."""
-    tau = np.asarray(tau, dtype=float)
-    z = tau / (2.0 * np.sqrt(T))
-    return 2.0 * np.sqrt(T / np.pi) * np.exp(-(z**2)) - tau * special.erfc(z)
-
-
 @dataclass
 class _PointSemigroup:
     """u(tau, x) evaluator with a power-law continuation past the box horizon.
@@ -199,42 +187,55 @@ class _PointSemigroup:
         return out
 
 
-def _curve_integral_half_stable(ps: _PointSemigroup, T: float) -> float:
-    """int_0^infty u(tau, x) R(T, tau) dtau via graded trapezoid panels."""
-    tau_hi = 30.0 * np.sqrt(T) + 10.0 * ps.tau0
-    near = np.linspace(0.0, ps.tau0, 512)
-    far = np.geomspace(ps.tau0, tau_hi, 4096)
-    taus = np.concatenate([near, far[1:]])
-    vals = ps(taus) * _occupation_weight_half_stable(T, taus)
-    return float(np.trapezoid(vals, taus))
+def _clipped_mean(spec: SubordinatorSpec):
+    """The spec's (T, tau) -> C_T(tau) = E[S(tau) ^ T], the expected time in [0, T] with D <= tau."""
+    if spec.clipped_mean is None:
+        raise ConfigError("the subordinator has no clipped mean E[S(tau) ^ T]")
+    return spec.clipped_mean
+
+
+def _horizon(clipped_mean, T: float) -> float:
+    """tau* = min{tau : T - C_T(tau) <= 1e-8 T}, bracketed on powers of 2, then bisected."""
+    brackets = np.concatenate(([0.0], 2.0 ** np.arange(-40, 200)))
+    done = T - clipped_mean(T, brackets) <= 1e-8 * T
+    if not done.any():
+        raise TruncationError(f"E[S(tau) ^ T] does not reach T = {T:.6g}")
+    i = int(np.argmax(done))
+    lo, hi = brackets[max(i - 1, 0)], brackets[i]
+    while hi - lo > 1e-6 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if T - clipped_mean(T, np.array([mid]))[0] <= 1e-8 * T else (mid, hi)
+    return hi
 
 
 def _validate_limit_inputs(kernel: JumpKernel, spec: SubordinatorSpec) -> float:
     """Decay exponent d/alpha of the Green measure, once the limit's hypotheses hold."""
     p = _decay_exponent(kernel)
     if not check_H(spec).passed:
-        raise ConfigError(f"subordinator family {spec.family!r} fails the kernel limits")
+        raise ConfigError("the subordinator fails the kernel limits")
     if not check_admissible(spec, s0=1.0).passed:
-        raise ConfigError(f"subordinator family {spec.family!r} fails admissibility")
+        raise ConfigError("the subordinator fails admissibility")
     return p
 
 
 def _occupation_integrals(kernel, spec, f, x, T_grid, grid, tau0) -> np.ndarray:
     """int_0^T v(s, x) ds for each T in T_grid.
 
-    The 1/2-stable family uses the closed-form occupation weight
-    R(T, tau) = int_0^T rho_s(tau) ds against the semigroup with its
-    power-law continuation past the box horizon tau0.  Other families sum
-    the rate classes against W_T(r) = int_0^T E e^{-r D(s)} ds from
-    subordinate._mixture_weights, with no quadrature in s.
+    D(s) sits at tau while s runs over [S(tau-), S(tau)], so the integral is
+    the Stieltjes integral of u(tau, x) against C_T(tau) = E[S(tau) ^ T], summed
+    by trapezoids up to the horizon tau*.  u is the grid semigroup with its
+    power-law continuation past the box horizon tau0.
     """
     p = _validate_limit_inputs(kernel, spec)
-    fs = f.samples_on(grid)
-    if _is_half_stable(spec):
-        ps = _PointSemigroup.build(kernel, fs, x, p, tau0)
-        return np.array([_curve_integral_half_stable(ps, T) for T in T_grid])
-    u = _RateClasses.build(kernel, fs, x)
-    return np.array([u.weights @ _mixture_weights(spec, T, u.rates, integrated=True) for T in T_grid])
+    clipped_mean = _clipped_mean(spec)
+    ps = _PointSemigroup.build(kernel, f.samples_on(grid), x, p, tau0)
+    out = []
+    for T in T_grid:
+        tau_hi = max(_horizon(clipped_mean, T), ps.tau0)
+        taus = np.union1d(np.linspace(0.0, ps.tau0, 512), np.geomspace(ps.tau0, tau_hi, 4096))
+        u = ps(taus)
+        out.append(0.5 * (u[1:] + u[:-1]) @ np.diff(clipped_mean(T, taus)))
+    return np.array(out)
 
 
 def renormalized_potential_curve(
@@ -272,36 +273,26 @@ def unnormalized_potential_integral(
 # ---------------------------------------------------------------------------
 
 
-def _clipped_mean_half_stable(T: float, tau: np.ndarray) -> np.ndarray:
-    """E[S(tau) ^ T] for the 1/2-stable subordinator, in closed form."""
-    tau = np.asarray(tau, dtype=float)
-    z = tau / (2.0 * np.sqrt(T))
-    return (
-        T * special.erf(z)
-        + tau * np.sqrt(T / np.pi) * np.exp(-(z**2))
-        - 0.5 * tau**2 * special.erfc(z)
-    )
-
-
 def _conditional_histogram(kernel, spec, x, T, bins, n, seed):
-    """Z-occupation with the S-randomness integrated out (1/2-stable only).
+    """Z-occupation with the S-randomness integrated out.
 
     Conditional on the X path, the expected holding time of Z in the state
-    on [tau_i, tau_{i+1}) is E[S(tau_{i+1}) ^ T] - E[S(tau_i) ^ T]; replicas
-    then differ only through the light-tailed X path, which slashes the
-    variance relative to sampling the Levy increments of S directly.
+    on [tau_i, tau_{i+1}) is C_T(tau_{i+1}) - C_T(tau_i), C_T(tau) = E[S(tau) ^ T];
+    replicas then differ only through the light-tailed X path, which slashes
+    the variance relative to sampling the Levy increments of S directly.
     """
+    clipped_mean = _clipped_mean(spec)
     rng = np.random.default_rng(seed)
     N_T = normalization_N(spec, T)
-    tau_stop = 8.0 * np.sqrt(T) + 16.0
-    # beyond tau_stop the expected mass is negligible; it counts as escaped
-    tail = (T - float(_clipped_mean_half_stable(T, tau_stop))) / N_T
+    tau_stop = _horizon(clipped_mean, T)
+    # beyond tau_stop the expected mass is below 1e-8 T; it counts as escaped
+    tail = (T - float(clipped_mean(T, np.array([tau_stop]))[0])) / N_T
     acc = _Moments()
     for c in _path_chunks(kernel, x, np.full(n, tau_stop), rng, int(np.prod(bins.shape))):
         # tau at the end of each interval, measured from its path's start
         knots = np.cumsum(c.durations)
         knots -= (knots[c.first] - c.durations[c.first])[c.path]
-        clipped = _clipped_mean_half_stable(T, knots)
+        clipped = clipped_mean(T, knots)
         weights = np.diff(clipped, prepend=0.0)
         weights[c.first] = clipped[c.first]
         rows = _deposit(bins, c, weights / N_T)
@@ -325,10 +316,11 @@ def renormalized_green_histogram(
     The holding time of Z in the i-th state of X is S(tau_{i+1}) - S(tau_i)
     clipped at T, where tau_i are the jump times of X; the subordinator is
     therefore sampled exactly at those times and the occupation measure has
-    no time-grid bias.  For the 1/2-stable family the default integrates the
-    heavy-tailed S-increments out analytically (method "conditional");
-    method "raw" keeps them sampled.  Returns (mean histogram, per-bin
-    standard error).
+    no time-grid bias.  The default (method "conditional") integrates the
+    heavy-tailed S-increments out through the spec's clipped mean
+    E[S(tau) ^ T], and raises ConfigError for a spec without one; method
+    "raw" keeps them sampled, as an untruncated cross-check.  Returns (mean
+    histogram, per-bin standard error).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -337,10 +329,8 @@ def renormalized_green_histogram(
     if method not in ("auto", "conditional", "raw"):
         raise ValueError(f"unknown method {method!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if method in ("auto", "conditional") and _is_half_stable(spec):
+    if method != "raw":
         return _conditional_histogram(kernel, spec, x, T, bins, n, seed)
-    if method == "conditional":
-        raise ValueError(f"no conditional scheme for family {spec.family!r}")
     rng = np.random.default_rng(seed)
     N_T = normalization_N(spec, T)
     n_bins = int(np.prod(bins.shape))

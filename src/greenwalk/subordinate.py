@@ -9,6 +9,7 @@ t-Laplace transform K(lambda) e^{-tau lambda K(lambda)}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -43,7 +44,9 @@ class SubordinatorSpec:
     laplace_closed_form (t, rates) -> E e^{-r D(t)} is set for families whose
     mixture weights have a closed form, and replaces their Laplace inversion;
     self_similarity is the index alpha of a self-similar family, for which
-    S(c t) has the law of c^{1/alpha} S(t).
+    S(c t) has the law of c^{1/alpha} S(t); clipped_mean (T, tau) ->
+    E[S(tau) ^ T] is the expected time s in [0, T] with D(s) <= tau, which
+    the renormalized occupation limit needs.
     """
 
     family: str
@@ -57,6 +60,7 @@ class SubordinatorSpec:
     rho_closed_form: Optional[Callable] = None  # (t, tau) -> density
     self_similarity: Optional[float] = None
     laplace_closed_form: Optional[Callable] = None  # (t, rates) -> E e^{-r D(t)}
+    clipped_mean: Optional[Callable] = None  # (T, tau) -> E[S(tau) ^ T]
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "params": dict(self.params)}
@@ -73,13 +77,76 @@ class InverseSubSample:
             raise ValueError("inverse subordinator value must be >= 0")
 
 
+def _kanter_A(alpha: float, u, eps):
+    """Kanter's A(u) on (0, pi), given eps = pi - u to keep precision at the pole u -> pi."""
+    b = 1.0 / (1.0 - alpha)
+    return np.sin(alpha * u) ** (alpha * b) * np.sin((1.0 - alpha) * u) / np.sin(eps) ** b
+
+
 def _standard_stable(alpha: float, rng, size) -> np.ndarray:
-    """One-sided alpha-stable with Laplace transform e^{-lambda^alpha} (Kanter)."""
+    """One-sided alpha-stable with Laplace transform e^{-lambda^alpha}.
+
+    Kanter (Ann. Probab. 3 (1975) 697): S = (A(U)/E)^{(1-alpha)/alpha} with U
+    uniform on (0, pi) and E ~ Exp(1).
+    """
     u = rng.uniform(0.0, np.pi, size=size)
-    e = rng.exponential(size=size)
-    a = np.sin(alpha * u) / np.sin(u) ** (1.0 / alpha)
-    b = (np.sin((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
-    return a * b
+    return (_kanter_A(alpha, u, np.pi - u) / rng.exponential(size=size)) ** ((1.0 - alpha) / alpha)
+
+
+# rows x nodes of the Kanter quadrature held at once
+_KANTER_BLOCK = 1 << 18
+
+
+def _kanter_average(alpha: float, s, h: Callable, h_inf: float) -> np.ndarray:
+    """E h(A(U) s^{1/(1-alpha)}) over U uniform on (0, pi); 0 where s = 0.
+
+    For small s the integrand piles up at the pole u -> pi.  In y, with
+    pi - u = pi e^{-y}, it is smooth: 12-node Gauss-Legendre panels of width
+    min(1, 2 (1 - alpha)) cover [0, Y], where Y lies 8 e-folds beyond the
+    scale pi - u = sin(alpha pi) min(s, 1) at which A s^{1/(1-alpha)} ~ 1.
+    Beyond Y, h equals h_inf to roundoff, and that part is added exactly.
+    """
+    s = np.asarray(s, dtype=float)
+    out, pos = np.zeros(s.shape), s > 0
+    Y = np.log(np.pi / (np.sin(alpha * np.pi) * np.min(s[pos], initial=1.0))) + 8.0
+    edges = np.linspace(0.0, Y, int(np.ceil(Y / min(1.0, 2.0 * (1.0 - alpha)))) + 1)
+    x, w = np.polynomial.legendre.leggauss(12)
+    half = 0.5 * np.diff(edges)[:, None]
+    y = (edges[:-1, None] + half * (1.0 + x)).ravel()
+    A = _kanter_A(alpha, -np.pi * np.expm1(-y), np.pi * np.exp(-y))
+    weights = np.exp(-y) * (half * w).ravel()
+    scaled = s[pos] ** (1.0 / (1.0 - alpha))
+    blocks = np.array_split(scaled, 1 + scaled.size * y.size // _KANTER_BLOCK)
+    out[pos] = np.concatenate([h(b[:, None] * A) @ weights for b in blocks]) + h_inf * np.exp(-Y)
+    return out
+
+
+def _w_expint(p: float, w: np.ndarray) -> np.ndarray:
+    """w E_p(w), E_p(w) = int_1^inf e^{-w t} t^{-p} dt, for p > 0.
+
+    Starts at q = p - ceil(p) in (-1, 0], an upper incomplete gamma of order
+    1 - q in [1, 2) (E_1 if p is an integer), and climbs by q E_{q+1} = e^{-w} - w E_q.
+    """
+    q = p - np.ceil(p - 1e-9)
+    if q > -1e-9:
+        q, f = 1.0, w * special.exp1(w)
+    else:
+        f = w**q * special.gamma(1.0 - q) * special.gammaincc(1.0 - q, w)
+    while q < p - 0.5:
+        f, q = (w * np.exp(-w) - w * f) / q, q + 1.0
+    return f
+
+
+def _stable_clipped_mean(alpha: float, T: float, tau) -> np.ndarray:
+    """E[S(tau) ^ T] for the alpha-stable subordinator, from Kanter's representation.
+
+    S(tau) = T (w/E)^{(1-alpha)/alpha}, w = A(U) (tau T^{-alpha})^{1/(1-alpha)}, so
+    E[S(tau) ^ T | U] = T (1 - e^{-w} + w E_p(w)), p = (1 - alpha)/alpha, with
+    no cancellation as tau -> 0.
+    """
+    p = (1.0 - alpha) / alpha
+    s = np.asarray(tau, dtype=float) * T**-alpha
+    return T * _kanter_average(alpha, s, lambda w: _w_expint(p, w) - np.expm1(-w), 1.0)
 
 
 def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
@@ -123,11 +190,28 @@ def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
             # E_{1/2}(-r sqrt(t)) = e^{r^2 t} erfc(r sqrt(t)), computed stably
             return special.erfcx(np.asarray(rates, float) * np.sqrt(t))
 
+        def clipped_mean(T, tau):
+            tau = np.asarray(tau, dtype=float)
+            z = tau / (2.0 * np.sqrt(T))
+            return (
+                T * special.erf(z)
+                + tau * np.sqrt(T / np.pi) * np.exp(-(z**2))
+                - 0.5 * tau**2 * special.erfc(z)
+            )
+
     else:
         def increment_sampler(dt, rng, size):
             return dt ** (1.0 / alpha) * _standard_stable(alpha, rng, size)
 
-        rho_closed_form = laplace_closed_form = None
+        def rho_closed_form(t, tau):
+            # P(D(t) <= tau) = P(S(1) >= t tau^{-1/alpha}) = E[1 - e^{-w}] with
+            # w = A(U) (tau t^{-alpha})^{1/(1-alpha)}; differentiate in tau.  rho_t(0) = k(t)
+            tau = np.asarray(tau, dtype=float)
+            mean = _kanter_average(alpha, tau * t**-alpha, lambda w: w * np.exp(-w), 0.0)
+            return np.divide(mean, (1.0 - alpha) * tau, out=np.full(tau.shape, k_eval(t)), where=tau > 0)
+
+        clipped_mean = functools.partial(_stable_clipped_mean, alpha)
+        laplace_closed_form = None
 
     return SubordinatorSpec(
         "stable",
@@ -141,6 +225,7 @@ def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
         rho_closed_form,
         alpha,
         laplace_closed_form,
+        clipped_mean,
     )
 
 
@@ -173,6 +258,11 @@ def make_gamma_subordinator(a: float, b: float) -> SubordinatorSpec:
     def increment_sampler(dt, rng, size):
         return rng.gamma(b * dt, 1.0 / a, size=size)
 
+    def clipped_mean(T, tau):
+        # S(tau) ~ Gamma(b tau, rate a): E[S; S < T] + T P(S >= T)
+        shape = b * np.asarray(tau, dtype=float)
+        return shape / a * special.gammainc(shape + 1.0, a * T) + T * special.gammaincc(shape, a * T)
+
     return SubordinatorSpec(
         "gamma",
         {"a": a, "b": b},
@@ -182,7 +272,7 @@ def make_gamma_subordinator(a: float, b: float) -> SubordinatorSpec:
         phi_eval,
         increment_sampler,
         k_primitive,
-        None,
+        clipped_mean=clipped_mean,
     )
 
 
@@ -413,6 +503,21 @@ def _talbot(F: Callable, t: float, M: int) -> np.ndarray:
     return r / M * (0.5 * np.exp(r * t) * np.real(vals[0]) + np.sum(terms.real, axis=0))
 
 
+def _talbot_gated(F: Callable, t: float, tol: float) -> np.ndarray:
+    """Fixed-Talbot inverse of F at t, order 24, gated by order 16.
+
+    Raises InversionInstabilityError unless the orders agree to tol; an
+    overflow on the contour gives inf or NaN, which fails the gate without
+    a RuntimeWarning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse, fine = (_talbot(F, t, M) for M in (16, 24))
+        gap = float(np.max(np.abs(fine - coarse), initial=0.0))
+    if not gap <= tol:
+        raise InversionInstabilityError(f"Talbot orders 16/24 disagree by {gap:.3g} at t = {t:.6g}")
+    return fine
+
+
 def _mixture_weights(
     spec: SubordinatorSpec, t: float, rates, integrated: bool = False
 ) -> np.ndarray:
@@ -423,10 +528,9 @@ def _mixture_weights(
     to sum_c w_c E e^{-r_c D(t)} with no tau-quadrature.  The t-transforms are
     K/(lambda^j (r + Phi)) = 1/lambda^{j+1} - r/(lambda^{j+1} (r + Phi)) with
     j = 0, 1, so the weights are t^j - r L^{-1}[1/(lambda^{j+1} (r + Phi))](t),
-    exact at r = 0.  The inverse is fixed Talbot at orders 16 and 24; order 24 is
-    returned, and r times their disagreement above 1e-8 (times t for W_t)
-    raises InversionInstabilityError.  A spec's laplace_closed_form replaces
-    the inversion of E e^{-r D(t)}.
+    exact at r = 0.  The inverse goes through _talbot_gated with tolerance
+    1e-8 (times t for W_t).  A spec's laplace_closed_form replaces the
+    inversion of E e^{-r D(t)}.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -438,31 +542,17 @@ def _mixture_weights(
 
     def F(lam):
         phi = np.asarray(spec.phi_eval(lam))[:, None]
-        return 1.0 / (lam[:, None] ** power * (rates + phi))
+        return rates / (lam[:, None] ** power * (rates + phi))
 
-    coarse, fine = (rates * _talbot(F, t, M) for M in (16, 24))
-    gap = float(np.max(np.abs(fine - coarse), initial=0.0))
-    if not gap <= 1e-8 * scale:
-        raise InversionInstabilityError(
-            f"Talbot orders 16/24 disagree by {gap:.3g} at t = {t:.6g}"
-        )
-    return scale - fine
+    return scale - _talbot_gated(F, t, 1e-8 * scale)
 
 
-def rho_density(
-    spec: SubordinatorSpec,
-    t: float,
-    tau: float,
-    method: str = "auto",
-    order: int = 24,
-    instability_tol: float = 0.01,
-) -> float:
+def rho_density(spec: SubordinatorSpec, t: float, tau: float, method: str = "auto") -> float:
     """Marginal density rho_t(tau) of the inverse subordinator.
 
-    Uses the closed form when the family has one, otherwise fixed-Talbot
-    inversion of lambda -> K(lambda) e^{-tau lambda K(lambda)} in t.  Two
-    inversion orders are compared; disagreement beyond instability_tol
-    raises instead of guessing.
+    Uses the closed form when the family has one, otherwise the inverse of
+    lambda -> K(lambda) e^{-tau lambda K(lambda)} in t through _talbot_gated,
+    which raises when the orders disagree by more than 1e-6.
     """
     if t <= 0 or tau < 0:
         raise ValueError("need t > 0 and tau >= 0")
@@ -477,14 +567,7 @@ def rho_density(
         K = np.asarray(spec.K_eval(s))
         return K * np.exp(-tau * s * K)
 
-    v1 = float(_talbot(F, t, order))
-    v2 = float(_talbot(F, t, 2 * order))
-    scale = max(abs(v2), 1e-12)
-    if not abs(v1 - v2) <= instability_tol * scale:  # a NaN from overflow fails too
-        raise InversionInstabilityError(
-            f"Talbot orders {order}/{2 * order} disagree: {v1:.6g} vs {v2:.6g}"
-        )
-    return max(v2, 0.0)
+    return max(float(_talbot_gated(F, t, 1e-6)), 0.0)
 
 
 def time_averaged_ratio(spec: SubordinatorSpec, tau: float, t: float):

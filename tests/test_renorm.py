@@ -1,9 +1,9 @@
 """Subordination formula and renormalized Green measure tests.
 
 Oracles for the 1/2-stable time change: N(T) = int_0^T k = 2 sqrt(T/pi),
-so N(pi) = 2 exactly; E[exp(-r D(t))] = erfcx(r sqrt(t)); and the
-occupation weight int_0^T rho_s(tau) ds has the closed form
-2 sqrt(T/pi) e^{-tau^2/(4T)} - tau erfc(tau/(2 sqrt(T))).
+so N(pi) = 2 exactly, and E[exp(-r D(t))] = erfcx(r sqrt(t)).  Before the
+periodic box is felt, the renormalized curve of any stable index matches
+the rate-class sum against W_T(r) = int_0^T E e^{-r D(s)} ds.
 """
 
 import dataclasses
@@ -14,7 +14,7 @@ from scipy import integrate, special
 
 from greenwalk.errors import ConfigError, DivergentGreenMeasureError
 from greenwalk.grids import FieldGrid, GridSpec
-from greenwalk.green import cl_from_grid, cl_from_kernel, potential
+from greenwalk.green import _RateClasses, cl_from_grid, cl_from_kernel, potential
 from greenwalk.kernels import convolve_power, make_gaussian_kernel
 from greenwalk.renorm import (
     RenormCurve,
@@ -27,7 +27,7 @@ from greenwalk.renorm import (
     unnormalized_potential_integral,
 )
 from greenwalk.simulate import BinSpec
-from greenwalk.subordinate import make_gamma_subordinator, make_stable_subordinator
+from greenwalk.subordinate import _mixture_weights, make_gamma_subordinator, make_stable_subordinator
 
 GRID1 = GridSpec(1, 1024, 40.0)
 GRID3 = GridSpec(3, 64, 16.0)
@@ -136,6 +136,45 @@ def test_curve_gap_decreases_and_n_matches(k3, stable):
     assert np.all(np.diff(gaps) < 0)
 
 
+CURVE_TS = 2.0 ** np.arange(9, 22, 2)
+
+
+@pytest.fixture(scope="module")
+def half_curve(k3, stable):
+    return renormalized_potential_curve(k3, stable, cl_from_kernel(k3), [0.0, 0.0, 0.0], CURVE_TS, GRID3)
+
+
+@pytest.mark.parametrize("alpha", [0.49, 0.51])
+def test_curve_is_continuous_in_the_stable_index(k3, half_curve, alpha):
+    # every stable index shares one curve route; a grid sum over W_T(r) felt
+    # the periodic box and read 51% (0.49) and 71% (0.51) high at T = 2^21
+    spec = make_stable_subordinator(alpha)
+    curve = renormalized_potential_curve(k3, spec, cl_from_kernel(k3), [0.0, 0.0, 0.0], CURVE_TS, GRID3)
+    np.testing.assert_allclose(curve.values, half_curve.values, rtol=0.02)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_curve_matches_rate_class_sum_before_the_box_is_felt(k3, alpha):
+    # at small T the box is not felt, so int u dC_T equals sum_c w_c W_T(r_c)
+    spec = make_stable_subordinator(alpha)
+    f = cl_from_kernel(k3)
+    u = _RateClasses.build(k3, f.samples_on(GRID3), [0.0, 0.0, 0.0])
+    for T in (2.0, 8.0):
+        ref = u.weights @ _mixture_weights(spec, T, u.rates, integrated=True)
+        got = unnormalized_potential_integral(k3, spec, f, [0.0, 0.0, 0.0], T, GRID3)
+        assert got == pytest.approx(ref, rel=1e-4)
+
+
+def test_limit_needs_a_clipped_mean(k3, stable):
+    bare = dataclasses.replace(stable, clipped_mean=None)
+    with pytest.raises(ConfigError):
+        renormalized_potential_curve(
+            k3, bare, cl_from_kernel(k3), [0.0, 0.0, 0.0], np.array([1.0, 2.0]), GRID3
+        )
+    with pytest.raises(ConfigError):
+        renormalized_green_histogram(k3, bare, [0.0, 0.0, 0.0], 10.0, BinSpec.cube(8.0, 4, 3), 10, seed=1)
+
+
 def test_unnormalized_integral_diverges(k3, stable):
     f = cl_from_kernel(k3)
     vals = [
@@ -195,13 +234,14 @@ def test_renorm_curve_csv(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_histogram_total_mass_identity(k3, stable):
+def test_histogram_total_mass_identity(k3, stable, gamma):
     # per replica the clipped occupation times sum to T, so the normalized
     # total is T/N(T) deterministically
     bins = BinSpec.cube(8.0, 4, 3)
     T = 1000.0
-    hist, _ = renormalized_green_histogram(k3, stable, [0.0, 0.0, 0.0], T, bins, 200, seed=2)
-    assert hist.total_mass() == pytest.approx(T / normalization_N(stable, T), rel=1e-9)
+    for spec in (stable, gamma):
+        hist, _ = renormalized_green_histogram(k3, spec, [0.0, 0.0, 0.0], T, bins, 200, seed=2)
+        assert hist.total_mass() == pytest.approx(T / normalization_N(spec, T), rel=1e-12)
 
 
 def test_histogram_converges_toward_green_measure(k3, stable):
@@ -240,13 +280,15 @@ def test_histogram_converges_toward_green_measure(k3, stable):
     assert gaps[1] < gaps[0]
 
 
-def test_histogram_methods_agree(k3, stable):
+@pytest.mark.parametrize("spec", ["stable", "gamma"])
+def test_histogram_methods_agree(k3, spec, request):
+    spec = request.getfixturevalue(spec)
     bins = BinSpec.cube(8.0, 4, 3)
     cond, cse = renormalized_green_histogram(
-        k3, stable, [0.0, 0.0, 0.0], 100.0, bins, 3000, seed=6, method="conditional"
+        k3, spec, [0.0, 0.0, 0.0], 100.0, bins, 3000, seed=6, method="conditional"
     )
     raw, rse = renormalized_green_histogram(
-        k3, stable, [0.0, 0.0, 0.0], 100.0, bins, 3000, seed=7, method="raw"
+        k3, spec, [0.0, 0.0, 0.0], 100.0, bins, 3000, seed=7, method="raw"
     )
     idx = (3, 2, 2)
     combined = np.hypot(cse[idx], rse[idx])

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from greenwalk.errors import InversionInstabilityError
+from greenwalk.renorm import _horizon
 from greenwalk.subordinate import (
     SubordinatorSpec,
     _mixture_weights,
+    _stable_clipped_mean,
     check_H,
     check_admissible,
     gfd_apply,
@@ -234,9 +236,23 @@ def test_rho_closed_form_unavailable_for_gamma(gamma):
 @pytest.mark.parametrize("t, tau", [(0.05, 5.0), (0.5, 8.0)])
 def test_rho_density_raises_when_the_transform_overflows(t, tau):
     # e^{-tau lambda K(lambda)} overflows on the contour for alpha = 0.7; the
-    # resulting NaN must fail the order gate instead of being returned
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InversionInstabilityError):
+    # resulting NaN must fail the order gate instead of being returned, and
+    # without a RuntimeWarning (the suite turns those into errors)
+    with pytest.raises(InversionInstabilityError):
         rho_density(make_stable_subordinator(0.7), t, tau, method="laplace")
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_rho_stable_kanter_matches_mpmath(alpha):
+    # the t-transform of rho_t(tau) is lambda^{alpha-1} e^{-tau lambda^alpha};
+    # rho_t(0) = k(t)
+    spec = make_stable_subordinator(alpha)
+    for t in (0.05, 1.0, 20.0):
+        assert rho_density(spec, t, 0.0) == pytest.approx(float(spec.k_eval(t)), rel=1e-14)
+        with mp.workdps(30):
+            for tau in (0.01, 0.5, 1.0, 3.0, 8.0):
+                ref = float(mp.invertlaplace(lambda s: s ** (alpha - 1) * mp.exp(-tau * s**alpha), t))
+                assert rho_density(spec, t, tau) == pytest.approx(ref, rel=1e-9, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +329,55 @@ def test_mixture_inversion_outside_talbot_validity_raises():
         for integrated in (False, True):
             with pytest.raises(InversionInstabilityError):
                 _mixture_weights(spec, 1.0, RATES, integrated=integrated)
+
+
+# ---------------------------------------------------------------------------
+# clipped mean C_T(tau) = E[S(tau) ^ T]
+# ---------------------------------------------------------------------------
+
+CLIPPED_SPECS = [
+    (make_gamma_subordinator(1.0, 1.0), None),
+    (make_stable_subordinator(0.3), lambda s: s**0.3),
+    (make_stable_subordinator(0.7), lambda s: s**0.7),
+]
+
+
+@pytest.mark.parametrize("spec, phi", CLIPPED_SPECS, ids=["gamma", "stable0.3", "stable0.7"])
+@pytest.mark.parametrize("T", [1e2, 2.0**21])
+def test_clipped_mean_matches_mpmath(spec, phi, T):
+    # C_T(tau) inverts (1 - e^{-tau Phi(lambda)})/lambda^2 at T.  For gamma,
+    # S(tau) ~ Gamma(tau, 1) is so sharply peaked near the horizon that
+    # mpmath's inversion loses digits there, so the oracle is mpmath's
+    # incomplete gammas: C_T = tau P(tau + 1, T) + T Q(tau, T).
+    taus = np.geomspace(1e-3, _horizon(spec.clipped_mean, T), 6)
+    with mp.workdps(30):
+        if phi is None:
+            ref = [tau * mp.gammainc(tau + 1, 0, T, regularized=True)
+                   + T * mp.gammainc(tau, T, mp.inf, regularized=True) for tau in taus]
+        else:
+            ref = [mp.invertlaplace(lambda s: (1 - mp.exp(-tau * phi(s))) / s**2, T) for tau in taus]
+    np.testing.assert_allclose(spec.clipped_mean(T, taus), np.array(ref, dtype=float), rtol=1e-9)
+
+
+def test_kanter_clipped_mean_matches_erf_form_at_one_half(stable):
+    for T in (1.0, 1e2, 1e4, 2.0**21):
+        taus = np.geomspace(1e-3, _horizon(stable.clipped_mean, T), 50)
+        np.testing.assert_allclose(
+            _stable_clipped_mean(0.5, T, taus), stable.clipped_mean(T, taus), rtol=1e-12
+        )
+
+
+@pytest.mark.parametrize("spec", [make_gamma_subordinator(1.0, 1.0)] + [
+    make_stable_subordinator(a) for a in (0.3, 0.5, 0.7)])
+def test_clipped_mean_small_tau_limit(spec):
+    # E[S(tau) ^ T] = tau int_0^T k(s) ds + O(tau^2): S(tau) makes one jump
+    # of Levy-tail mass tau k(s) beyond s, or none
+    for T in (1e2, 2.0**21):
+        N_T = float(spec.k_primitive(T))
+        for tau in (1e-4, 1e-6, 1e-8):
+            ratio = float(spec.clipped_mean(T, np.array([tau]))[0]) / (tau * N_T)
+            assert abs(ratio - 1.0) <= 0.2 * tau
+        assert spec.clipped_mean(T, np.array([0.0]))[0] == 0.0
 
 
 def test_time_averaged_ratio_near_one_at_large_t(stable):
