@@ -195,26 +195,21 @@ def check_green_existence(kernel: JumpKernel) -> GreenExistence:
     return GreenExistence.EXISTS if kernel.dim > alpha else GreenExistence.DIVERGENT
 
 
-def _decay_exponent(kernel: JumpKernel, alpha: Optional[float] = None) -> float:
+def _decay_exponent(kernel: JumpKernel) -> float:
     """d / alpha, the n^{-d/alpha} decay of a_n; the one Green-existence gate.
 
-    alpha defaults to the kernel's tail exponent.  Raises
-    DivergentGreenMeasureError when alpha is unknown, or when d <= alpha for
-    the given alpha or for the kernel's own.
+    Raises DivergentGreenMeasureError unless check_green_existence finds the
+    kernel's tail exponent alpha and d > alpha.
     """
-    own = None if kernel.tail_params is None else kernel.tail_params[1]
-    if alpha is None:
-        if own is None:
-            raise DivergentGreenMeasureError(
-                "the Green measure needs a known tail exponent alpha; "
-                "fit one with fit_small_k_expansion"
-            )
-        alpha = own
-    for a in (alpha, own):
-        if a is not None and kernel.dim <= a:
-            raise DivergentGreenMeasureError(
-                f"Green measure diverges: d = {kernel.dim} <= alpha = {a}"
-            )
+    existence = check_green_existence(kernel)
+    if existence is GreenExistence.UNKNOWN:
+        raise DivergentGreenMeasureError(
+            "the Green measure needs a known tail exponent alpha; set the kernel's "
+            "tail_params = (A, alpha), e.g. from fit_small_k_expansion"
+        )
+    alpha = kernel.tail_params[1]
+    if existence is GreenExistence.DIVERGENT:
+        raise DivergentGreenMeasureError(f"Green measure diverges: d = {kernel.dim} <= alpha = {alpha}")
     return kernel.dim / alpha
 
 
@@ -234,23 +229,18 @@ class ResolventKernel:
 
 
 def green_regular_series(
-    kernel: JumpKernel,
-    grid: GridSpec,
-    lam: float,
-    tol: float = 1e-10,
-    max_terms: int = 48,
-    alpha: Optional[float] = None,
+    kernel: JumpKernel, grid: GridSpec, lam: float, max_terms: int = 48
 ) -> ResolventKernel:
     """Partial sums of a_n / (1+lambda)^n with a power-law tail estimate.
 
-    Summed in Fourier space until the l1 bound on a term's sup is below tol,
+    Summed in Fourier space until the l1 bound on a term's sup is below 1e-10,
     then transformed back once.  For lambda = 0 the summation stops at
     max_terms (box periodization of a_n degrades beyond that) and the tail is
     estimated from the n^{-d/alpha} decay via a Hurwitz-zeta weight on the last term.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    p = _decay_exponent(kernel, alpha) if lam == 0 else None
+    p = _decay_exponent(kernel) if lam == 0 else None
     a_hat = spectral_density(kernel, grid)
     ratio = a_hat / (1.0 + lam)
     power = np.ones(grid.shape)
@@ -261,7 +251,7 @@ def green_regular_series(
         power = power * ratio
         acc += power
         # sup_x |a_n(x)| / (1+lambda)^n <= sum |power| / (N^d cell_volume), equal when power >= 0
-        if np.sum(np.abs(power)) / (power.size * grid.cell_volume) < tol:
+        if np.sum(np.abs(power)) / (power.size * grid.cell_volume) < 1e-10:
             break
     if lam == 0:
         # tail(x) ~ a_n(x) * sum_{m>n} (m/n)^{-p} = a_n(x) n^p zeta(p, n+1)
@@ -285,12 +275,7 @@ def _fourier_cutoff(kernel: JumpKernel, lam: float) -> float:
     return 1e6
 
 
-def green_regular_fourier(
-    kernel: JumpKernel,
-    x,
-    lam: float,
-    alpha: Optional[float] = None,
-) -> float:
+def green_regular_fourier(kernel: JumpKernel, x, lam: float) -> float:
     """Radial quadrature of (2 pi)^{-d} int e^{i(k,x)} a_hat/(1+lam-a_hat) dk.
 
     Supports d in {1, 2, 3}.  For lambda = 0 the integrand has an
@@ -302,21 +287,14 @@ def green_regular_fourier(
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     if lam == 0:
-        _decay_exponent(kernel, alpha)
+        _decay_exponent(kernel)
     d = kernel.dim
     if d not in (1, 2, 3):
         raise NotImplementedError("Fourier quadrature supports d in {1, 2, 3}")
     r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
     k_max = _fourier_cutoff(kernel, lam)
 
-    if kernel.tail_params is not None:
-        tail_A, tail_alpha = kernel.tail_params
-    elif alpha is not None:
-        from .kernels import fit_small_k_expansion
-
-        tail_A, tail_alpha, _ = fit_small_k_expansion(kernel)
-    else:
-        tail_A = tail_alpha = None
+    tail_A, tail_alpha = kernel.tail_params or (None, None)
     k_lo = 1e-4 if tail_A is not None else 0.0
 
     def phi(k):
@@ -365,37 +343,22 @@ def convolve_fields(a: FieldGrid, b: FieldGrid) -> FieldGrid:
     return FieldGrid(a.grid, _from_spectral(a.grid, _to_spectral(a) * _to_spectral(b)))
 
 
-def _green_convolution(kernel, f, grid, tol, max_terms, alpha) -> tuple[FieldGrid, FieldGrid]:
+def _green_convolution(kernel, f, grid) -> tuple[FieldGrid, FieldGrid]:
     """(f sampled on the grid, G_0 * f); the Green series gates before the norms check."""
-    g0 = green_regular_series(kernel, grid, 0.0, tol=tol, max_terms=max_terms, alpha=alpha)
+    g0 = green_regular_series(kernel, grid, 0.0)
     if f.sup_norm is None or f.l1_norm is None:
         cl_norm(f)  # raises unless samples provide finite norms
     fs = f.samples_on(grid)
     return fs, convolve_fields(g0.regular_part, fs)
 
 
-def potential_field(
-    kernel: JumpKernel,
-    f: CLFunction,
-    grid: GridSpec,
-    tol: float = 1e-10,
-    max_terms: int = 48,
-    alpha: Optional[float] = None,
-) -> FieldGrid:
+def potential_field(kernel: JumpKernel, f: CLFunction, grid: GridSpec) -> FieldGrid:
     """V(., f) = f + G_0 * f on the grid; the Green series gates existence."""
-    fs, conv = _green_convolution(kernel, f, grid, tol, max_terms, alpha)
+    fs, conv = _green_convolution(kernel, f, grid)
     return FieldGrid(grid, fs.values + conv.values)
 
 
-def potential(
-    kernel: JumpKernel,
-    f: CLFunction,
-    x,
-    grid: GridSpec,
-    tol: float = 1e-10,
-    max_terms: int = 48,
-    alpha: Optional[float] = None,
-) -> float:
+def potential(kernel: JumpKernel, f: CLFunction, x, grid: GridSpec) -> float:
     """V(x, f) = f(x) + (G_0 * f)(x), the delta part plus the regular convolution."""
-    _, conv = _green_convolution(kernel, f, grid, tol, max_terms, alpha)
+    _, conv = _green_convolution(kernel, f, grid)
     return float(f.value_at(x) + conv.value_at(x))

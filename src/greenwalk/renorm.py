@@ -149,8 +149,9 @@ class _PointSemigroup:
     """u(tau, x) evaluator with a power-law continuation past the box horizon.
 
     The grid representation of the semigroup is only trustworthy while the
-    process has not felt the periodic box; beyond tau0 we continue with
-    c (tau + s)^{-p}, p = d/alpha, fitted to the grid values at tau0/2, tau0.
+    process has not felt the periodic box; beyond tau0 = half_width^2 / 16
+    we continue with c (tau + s)^{-p}, p = d/alpha, fitted to the grid
+    values at tau0/2, tau0.
     """
 
     u: _RateClasses
@@ -160,10 +161,8 @@ class _PointSemigroup:
     shift: float
 
     @classmethod
-    def build(cls, kernel: JumpKernel, fs: FieldGrid, x, p: float, tau0: Optional[float] = None):
-        grid = fs.grid
-        if tau0 is None:
-            tau0 = grid.half_width**2 / 16.0
+    def build(cls, kernel: JumpKernel, fs: FieldGrid, x, p: float):
+        tau0 = fs.grid.half_width**2 / 16.0
         u = _RateClasses.build(kernel, fs, x)
         u_pair = u([tau0 / 2.0, tau0])
         if u_pair[0] <= 0 or u_pair[1] <= 0 or u_pair[1] >= u_pair[0]:
@@ -218,7 +217,7 @@ def _validate_limit_inputs(kernel: JumpKernel, spec: SubordinatorSpec) -> float:
     return p
 
 
-def _occupation_integrals(kernel, spec, f, x, T_grid, grid, tau0) -> np.ndarray:
+def _occupation_integrals(kernel, spec, f, x, T_grid, grid) -> np.ndarray:
     """int_0^T v(s, x) ds for each T in T_grid.
 
     D(s) sits at tau while s runs over [S(tau-), S(tau)], so the integral is
@@ -228,7 +227,7 @@ def _occupation_integrals(kernel, spec, f, x, T_grid, grid, tau0) -> np.ndarray:
     """
     p = _validate_limit_inputs(kernel, spec)
     clipped_mean = _clipped_mean(spec)
-    ps = _PointSemigroup.build(kernel, f.samples_on(grid), x, p, tau0)
+    ps = _PointSemigroup.build(kernel, f.samples_on(grid), x, p)
     out = []
     for T in T_grid:
         tau_hi = max(_horizon(clipped_mean, T), ps.tau0)
@@ -245,11 +244,10 @@ def renormalized_potential_curve(
     x,
     T_grid,
     grid: GridSpec,
-    tau0: Optional[float] = None,
 ) -> RenormCurve:
     """(1/N(T)) int_0^T v(s, x) ds along T_grid, with target V(x, f)."""
     T_grid = np.asarray(T_grid, dtype=float)
-    integrals = _occupation_integrals(kernel, spec, f, x, T_grid, grid, tau0)
+    integrals = _occupation_integrals(kernel, spec, f, x, T_grid, grid)
     target = potential(kernel, f, x, grid)
     N_vals = np.array([normalization_N(spec, T) for T in T_grid])
     return RenormCurve(T_grid, integrals / N_vals, target, N_vals)
@@ -262,10 +260,9 @@ def unnormalized_potential_integral(
     x,
     T: float,
     grid: GridSpec,
-    tau0: Optional[float] = None,
 ) -> float:
     """int_0^T v(s, x) ds without the 1/N(T) renormalization (diverges in T)."""
-    return float(_occupation_integrals(kernel, spec, f, x, [T], grid, tau0)[0])
+    return float(_occupation_integrals(kernel, spec, f, x, [T], grid)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -273,32 +270,11 @@ def unnormalized_potential_integral(
 # ---------------------------------------------------------------------------
 
 
-def _conditional_histogram(kernel, spec, x, T, bins, n, seed):
-    """Z-occupation with the S-randomness integrated out.
-
-    Conditional on the X path, the expected holding time of Z in the state
-    on [tau_i, tau_{i+1}) is C_T(tau_{i+1}) - C_T(tau_i), C_T(tau) = E[S(tau) ^ T];
-    replicas then differ only through the light-tailed X path, which slashes
-    the variance relative to sampling the Levy increments of S directly.
-    """
-    clipped_mean = _clipped_mean(spec)
-    rng = np.random.default_rng(seed)
-    N_T = normalization_N(spec, T)
-    tau_stop = _horizon(clipped_mean, T)
-    # beyond tau_stop the expected mass is below 1e-8 T; it counts as escaped
-    tail = (T - float(clipped_mean(T, np.array([tau_stop]))[0])) / N_T
-    acc = _Moments()
-    for c in _path_chunks(kernel, x, np.full(n, tau_stop), rng, int(np.prod(bins.shape))):
-        # tau at the end of each interval, measured from its path's start
-        knots = np.cumsum(c.durations)
-        knots -= (knots[c.first] - c.durations[c.first])[c.path]
-        clipped = clipped_mean(T, knots)
-        weights = np.diff(clipped, prepend=0.0)
-        weights[c.first] = clipped[c.first]
-        rows = _deposit(bins, c, weights / N_T)
-        rows[:, -1] += tail
-        acc.add(rows)
-    return _histogram(bins, acc, T)
+def _knots(chunk, steps):
+    """Per-path running sums of steps over a chunk's intervals, restarted at each path."""
+    knots = np.cumsum(steps)
+    knots -= (knots[chunk.first] - steps[chunk.first])[chunk.path]
+    return knots
 
 
 def renormalized_green_histogram(
@@ -314,13 +290,15 @@ def renormalized_green_histogram(
     """Monte Carlo occupation of Z = X(D(.)) over [0, T], divided by N(T).
 
     The holding time of Z in the i-th state of X is S(tau_{i+1}) - S(tau_i)
-    clipped at T, where tau_i are the jump times of X; the subordinator is
-    therefore sampled exactly at those times and the occupation measure has
-    no time-grid bias.  The default (method "conditional") integrates the
-    heavy-tailed S-increments out through the spec's clipped mean
-    E[S(tau) ^ T], and raises ConfigError for a spec without one; method
-    "raw" keeps them sampled, as an untruncated cross-check.  Returns (mean
-    histogram, per-bin standard error).
+    clipped at T, where tau_i are the jump times of X, so the occupation
+    measure has no time-grid bias.  Both methods draw X paths up to the
+    horizon tau* = min{tau : T - C_T(tau) <= 1e-8 T}, C_T(tau) = E[S(tau) ^ T],
+    and count the time a path has left after tau* as escaped; a spec without
+    a clipped mean gets a ConfigError.  The default (method "conditional")
+    integrates the heavy-tailed S-increments out, weighting each interval by
+    C_T(tau_{i+1}) - C_T(tau_i), so replicas differ only through the
+    light-tailed X path; method "raw" samples S at the tau_i instead, as a
+    cross-check.  Returns (mean histogram, per-bin standard error).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -329,36 +307,23 @@ def renormalized_green_histogram(
     if method not in ("auto", "conditional", "raw"):
         raise ValueError(f"unknown method {method!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if method != "raw":
-        return _conditional_histogram(kernel, spec, x, T, bins, n, seed)
+    clipped_mean = _clipped_mean(spec)
     rng = np.random.default_rng(seed)
     N_T = normalization_N(spec, T)
-    n_bins = int(np.prod(bins.shape))
+    tau_stop = _horizon(clipped_mean, T)
     acc = _Moments()
-    chunk = 1024
-    max_steps = 20_000_000 // max(chunk, 1)
-    done = 0
-    while done < n:
-        c = min(chunk, n - done)
-        s_level = np.zeros(c)
-        pos = np.tile(x, (c, 1))
-        repl = np.zeros((c, n_bins + 1))  # last column: mass outside the bins
-        rows = np.arange(c)
-        for _ in range(max_steps):
-            gaps = rng.exponential(size=c)
-            incs = np.asarray(spec.increment_sampler(gaps, rng, c), dtype=float)
-            dur = np.minimum(s_level + incs, T) - np.minimum(s_level, T)
-            idx = bins.flat_index(pos)
-            idx[idx < 0] = n_bins
-            repl[rows, idx] += dur  # one entry per row, so no index repeats
-            s_level += incs
-            if np.all(s_level >= T):
-                break
-            pos = pos + kernel.sampler(rng, c)
+    for c in _path_chunks(kernel, x, np.full(n, tau_stop), rng, int(np.prod(bins.shape))):
+        # clipped S at the end of each interval, with tau measured from its path's start
+        if method == "raw":
+            clipped = np.minimum(_knots(c, spec.increment_sampler(c.durations, rng, c.durations.size)), T)
         else:
-            raise TruncationError("Z-occupation failed to exhaust the horizon")
-        acc.add(repl / N_T)
-        done += c
+            clipped = clipped_mean(T, _knots(c, c.durations))
+        weights = np.diff(clipped, prepend=0.0)
+        weights[c.first] = clipped[c.first]
+        rows = _deposit(bins, c, weights / N_T)
+        # the time a path has left after tau* counts as escaped
+        rows[:, -1] += (T - clipped[np.append(c.first[1:], c.path.size) - 1]) / N_T
+        acc.add(rows)
     return _histogram(bins, acc, T)
 
 

@@ -282,6 +282,21 @@ def test_green_fourier_diverges_for_cauchy():
         green_regular_fourier(make_cauchy_kernel(), [0.0], 0.0)
 
 
+def test_unknown_tail_exponent_names_tail_params(k3):
+    # alpha lives only on the kernel: the gate asks for tail_params, and
+    # restoring them gives the built-in kernel's Green measure exactly
+    unknown = dataclasses.replace(k3, tail_params=None)
+    with pytest.raises(DivergentGreenMeasureError, match="tail_params"):
+        green_regular_series(unknown, SMALL_GRID3, 0.0)
+    with pytest.raises(DivergentGreenMeasureError, match="tail_params"):
+        green_regular_fourier(unknown, [0.0, 0.0, 0.0], 0.0)
+    restored = dataclasses.replace(unknown, tail_params=(1.0, 2.0))
+    np.testing.assert_array_equal(
+        green_regular_series(restored, SMALL_GRID3, 0.0).regular_part.values,
+        green_regular_series(k3, SMALL_GRID3, 0.0).regular_part.values,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Green kernel: series and Fourier
 # ---------------------------------------------------------------------------

@@ -171,8 +171,11 @@ def test_limit_needs_a_clipped_mean(k3, stable):
         renormalized_potential_curve(
             k3, bare, cl_from_kernel(k3), [0.0, 0.0, 0.0], np.array([1.0, 2.0]), GRID3
         )
-    with pytest.raises(ConfigError):
-        renormalized_green_histogram(k3, bare, [0.0, 0.0, 0.0], 10.0, BinSpec.cube(8.0, 4, 3), 10, seed=1)
+    for method in ("conditional", "raw"):
+        with pytest.raises(ConfigError):
+            renormalized_green_histogram(
+                k3, bare, [0.0, 0.0, 0.0], 10.0, BinSpec.cube(8.0, 4, 3), 10, seed=1, method=method
+            )
 
 
 def test_unnormalized_integral_diverges(k3, stable):
@@ -235,13 +238,38 @@ def test_renorm_curve_csv(tmp_path):
 
 
 def test_histogram_total_mass_identity(k3, stable, gamma):
-    # per replica the clipped occupation times sum to T, so the normalized
-    # total is T/N(T) deterministically
+    # per replica the clipped occupation times plus the time left after the
+    # horizon sum to T, so the normalized total is T/N(T) deterministically
     bins = BinSpec.cube(8.0, 4, 3)
     T = 1000.0
-    for spec in (stable, gamma):
-        hist, _ = renormalized_green_histogram(k3, spec, [0.0, 0.0, 0.0], T, bins, 200, seed=2)
+    cases = [(stable, "conditional"), (gamma, "conditional"), (stable, "raw"), (gamma, "raw")]
+    # conditional stable 0.7 evaluates the Kanter clipped mean at every knot, which is slow
+    cases.append((make_stable_subordinator(0.7), "raw"))
+    for spec, method in cases:
+        hist, _ = renormalized_green_histogram(
+            k3, spec, [0.0, 0.0, 0.0], T, bins, 200, seed=2, method=method
+        )
         assert hist.total_mass() == pytest.approx(T / normalization_N(spec, T), rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["conditional", "raw"])
+def test_histogram_methods_share_one_horizon(k3, stable, method, monkeypatch):
+    # both methods draw X paths up to tau* = min{tau : T - C_T(tau) <= 1e-8 T}
+    from greenwalk import renorm
+
+    seen = []
+    chunks = renorm._path_chunks
+
+    def recording(kernel, x, horizons, *args):
+        seen.append(horizons)
+        return chunks(kernel, x, horizons, *args)
+
+    monkeypatch.setattr(renorm, "_path_chunks", recording)
+    T = 100.0
+    bins = BinSpec.cube(8.0, 4, 3)
+    renormalized_green_histogram(k3, stable, [0.0, 0.0, 0.0], T, bins, 10, seed=1, method=method)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], np.full(10, renorm._horizon(stable.clipped_mean, T)))
 
 
 def test_histogram_converges_toward_green_measure(k3, stable):
