@@ -98,6 +98,8 @@ def load_config(path) -> dict:
             if not isinstance(cfg[section], dict):
                 raise ConfigError(f"{section} must be an object")
             _fail_unknown(section, cfg[section], allowed)
+    if "output" in cfg and not (isinstance(cfg["output"], str) and cfg["output"]):
+        raise ConfigError("output must be a non-empty string (the artifact file prefix)")
     name = cfg.get("experiment")
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; see `greenwalk list`")

@@ -82,8 +82,9 @@ def mc_time_changed_expectation(
 ) -> McEstimate:
     """Sample mean of f(Z(t)) with Z = X(D(t)).
 
-    D(t) is drawn by sample_inverse_many: exactly for every self-similar spec,
-    by grid first passage with step ds (default 1e-3 t) for the others.
+    D(t) is drawn by sample_inverse_many: exactly for a self-similar spec or
+    one with a passage_cdf (gamma), by grid first passage with step ds
+    (default 1e-3 t) for the others.
     """
     if n < 2:
         raise ValueError("need n >= 2 samples")

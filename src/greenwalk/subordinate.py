@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate, special
+from scipy.optimize import elementwise
 
 from .errors import InversionInstabilityError, TruncationError
 
@@ -44,9 +45,11 @@ class SubordinatorSpec:
     laplace_closed_form (t, rates) -> E e^{-r D(t)} is set for families whose
     mixture weights have a closed form, and replaces their Laplace inversion;
     self_similarity is the index alpha of a self-similar family, for which
-    S(c t) has the law of c^{1/alpha} S(t); clipped_mean (T, tau) ->
-    E[S(tau) ^ T] is the expected time s in [0, T] with D(s) <= tau, which
-    the renormalized occupation limit needs.
+    S(c t) has the law of c^{1/alpha} S(t); passage_cdf (t, tau) ->
+    P(D(t) <= tau) = P(S(tau) >= t) is set for families whose first-passage
+    law has a closed form, and lets sample_inverse_many draw D(t) exactly by
+    inversion; clipped_mean (T, tau) -> E[S(tau) ^ T] is the expected time s
+    in [0, T] with D(s) <= tau, which the renormalized occupation limit needs.
     """
 
     family: str
@@ -61,6 +64,7 @@ class SubordinatorSpec:
     self_similarity: Optional[float] = None
     laplace_closed_form: Optional[Callable] = None  # (t, rates) -> E e^{-r D(t)}
     clipped_mean: Optional[Callable] = None  # (T, tau) -> E[S(tau) ^ T]
+    passage_cdf: Optional[Callable] = None  # (t, tau) -> P(D(t) <= tau)
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "params": dict(self.params)}
@@ -263,6 +267,10 @@ def make_gamma_subordinator(a: float, b: float) -> SubordinatorSpec:
         shape = b * np.asarray(tau, dtype=float)
         return shape / a * special.gammainc(shape + 1.0, a * T) + T * special.gammaincc(shape, a * T)
 
+    def passage_cdf(t, tau):
+        # P(S(tau) >= t) for S(tau) ~ Gamma(b tau, rate a)
+        return special.gammaincc(b * np.asarray(tau, dtype=float), a * t)
+
     return SubordinatorSpec(
         "gamma",
         {"a": a, "b": b},
@@ -273,6 +281,7 @@ def make_gamma_subordinator(a: float, b: float) -> SubordinatorSpec:
         increment_sampler,
         k_primitive,
         clipped_mean=clipped_mean,
+        passage_cdf=passage_cdf,
     )
 
 
@@ -423,16 +432,37 @@ def sample_inverse_many(
     For a self-similar family with index alpha the draws are exact and do
     not depend on ds: D(t) has the law of (t / S(1))^alpha (Meerschaert and
     Straka, Math. Model. Nat. Phenom. 8 (2013)), with S(1) drawn by the
-    spec's own increment sampler.  Other families use first passage of S
-    simulated on the grid {0, ds, 2 ds, ...}, which has an O(ds) upward bias.
+    spec's own increment sampler.  A family with a passage_cdf F(tau) =
+    P(D(t) <= tau) is drawn exactly too, as the roots of F(tau) = U for n
+    uniforms U at once (bracketed, then Chandrupatla's method to full
+    precision), also independent of ds.  Other families use first passage
+    of S simulated on the grid {0, ds, 2 ds, ...}, which has an O(ds) upward bias.
     """
     if t <= 0 or ds <= 0:
         raise ValueError("t and ds must be positive")
     rng = np.random.default_rng(seed)
     if spec.self_similarity is not None:
         return (t / spec.increment_sampler(1.0, rng, n)) ** spec.self_similarity
+    if spec.passage_cdf is not None:
+        return _invert_passage_cdf(spec, t, rng.uniform(size=n))
     draws = [inverse_subordinator_curve(spec, [t], ds, rng, max_steps)[0] for _ in range(n)]
     return np.array(draws)
+
+
+def _invert_passage_cdf(spec: SubordinatorSpec, t: float, u: np.ndarray) -> np.ndarray:
+    """Roots tau >= 0 of spec.passage_cdf(t, tau) = u, elementwise; the root of u = 0 is 0."""
+    out, pos = np.zeros(u.shape), u > 0
+
+    def gap(tau, u):
+        return spec.passage_cdf(t, tau) - u
+
+    bracket = elementwise.bracket_root(gap, 1.0, xmin=0.0, args=(u[pos],))
+    root = elementwise.find_root(gap, bracket.bracket, args=(u[pos],))
+    failed = int(np.sum(~(bracket.success & root.success)))
+    if failed:
+        raise TruncationError(f"passage-law inversion failed for {failed} of {u.size} draws at t = {t:.6g}")
+    out[pos] = root.x
+    return out
 
 
 def sample_inverse_subordinator(

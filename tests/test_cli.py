@@ -106,6 +106,17 @@ def test_cli_errors_are_json(tmp_path, capsys):
     assert err["type"] == "DivergentGreenMeasureError"
 
 
+@pytest.mark.parametrize("output", [{"prefix": "h"}, "", 3])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_output_must_be_a_nonempty_string(tmp_path, capsys, command, output):
+    cfg = write_cfg(tmp_path, "out", experiment="fit-expansion",
+                    kernel={"family": "cauchy"}, output=output)
+    assert run_cli([command, cfg]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ConfigError"
+    assert "output" in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # experiment runs
 # ---------------------------------------------------------------------------

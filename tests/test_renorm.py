@@ -108,6 +108,16 @@ def test_subordinated_solution_stable07_matches_mc(k1):
     assert abs(est.mean - v) <= 5 * est.stderr
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.5)])
+def test_subordinated_solution_gamma_matches_mc(k1, a, b):
+    # gamma D(t) is drawn exactly, by inverting its passage law
+    spec = make_gamma_subordinator(a, b)
+    f = cl_from_kernel(k1)
+    v = subordinated_solution(k1, spec, f, [0.0], 1.0, grid=GRID1)
+    est = mc_time_changed_expectation(k1, spec, f, [0.0], 1.0, n=20_000, seed=29)
+    assert abs(est.mean - v) <= 5 * est.stderr
+
+
 def test_mc_time_changed_constant(k1, stable):
     est = mc_time_changed_expectation(k1, stable, const_cl(GRID1, 1.0), [0.0], 1.0, 64, seed=3)
     assert est.mean == pytest.approx(1.0)

@@ -8,6 +8,9 @@ D(t) =d= |N(0, sqrt(2t))| with mean 2 sqrt(t/pi).
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -201,6 +204,70 @@ def test_half_stable_inverse_draws_follow_half_normal(stable):
     # D(1) = |N(0, sqrt 2)| has CDF erf(x / 2)
     draws = sample_inverse_many(stable, 1.0, 1e-4, 2000, seed=10)
     assert stats.kstest(draws, lambda x: special.erf(x / 2.0)).pvalue > 1e-3
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs import time that nothing in greenwalk needs
+    code = "import sys, greenwalk; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# exact gamma draws by inversion of the passage law
+# ---------------------------------------------------------------------------
+
+# a != b, so a swapped shape or rate shows
+GAMMA_AB = (2.0, 0.5)
+
+
+def test_gamma_passage_cdf_is_the_upper_incomplete_gamma():
+    # P(D(t) <= tau) = P(S(tau) >= t) with S(tau) ~ Gamma(b tau, rate a)
+    a, b = GAMMA_AB
+    spec = make_gamma_subordinator(a, b)
+    for t, tau in ((1.0, 0.7), (0.3, 2.0)):
+        tail = mp.quad(lambda s: s ** (b * tau - 1) * mp.exp(-a * s), [t, mp.inf])
+        expected = float(a ** (b * tau) * tail / mp.gamma(b * tau))
+        assert float(spec.passage_cdf(t, tau)) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 2.5])
+def test_gamma_passage_cdf_differentiates_to_rho(tau):
+    spec = make_gamma_subordinator(*GAMMA_AB)
+    h = 1e-5
+    slope = (spec.passage_cdf(1.0, tau + h) - spec.passage_cdf(1.0, tau - h)) / (2.0 * h)
+    assert slope == pytest.approx(rho_density(spec, 1.0, tau), rel=1e-8)
+
+
+def test_gamma_inverse_draws_follow_passage_law():
+    spec = make_gamma_subordinator(*GAMMA_AB)
+    draws = sample_inverse_many(spec, 1.0, 1e-3, 20_000, seed=12)
+    assert stats.kstest(draws, lambda tau: spec.passage_cdf(1.0, tau)).pvalue > 1e-3
+
+
+def test_gamma_inverse_mean_matches_quadrature(gamma):
+    # E D(1) = int_0^inf P(D(1) > tau) dtau = int_0^inf P(b tau, a) dtau
+    exact = integrate.quad(lambda tau: special.gammainc(tau, 1.0), 0.0, np.inf)[0]
+    assert exact == pytest.approx(1.4812038045152895, rel=1e-10)
+    draws = sample_inverse_many(gamma, 1.0, 1e-3, 20_000, seed=13)
+    z = (draws.mean() - exact) / (draws.std(ddof=1) / np.sqrt(draws.size))
+    assert abs(z) < 4.0
+
+
+def test_gamma_inverse_draws_do_not_depend_on_ds(gamma):
+    coarse = sample_inverse_many(gamma, 1.0, 1e-2, 300, seed=6)
+    fine = sample_inverse_many(gamma, 1.0, 1e-4, 300, seed=6)
+    np.testing.assert_array_equal(coarse, fine)
+
+
+def test_grid_first_passage_without_passage_cdf(gamma):
+    # a spec with neither self_similarity nor passage_cdf keeps grid first passage
+    ds, exact = 1e-2, 1.4812038045152895
+    draws = sample_inverse_many(dataclasses.replace(gamma, passage_cdf=None), 1.0, ds, 400, seed=14)
+    np.testing.assert_allclose(draws / ds, np.round(draws / ds), rtol=0, atol=1e-9)
+    se = draws.std(ddof=1) / np.sqrt(draws.size)
+    assert abs(draws.mean() - exact) < ds + 5 * se
 
 
 # ---------------------------------------------------------------------------
