@@ -3,11 +3,11 @@
 The jump generator is Lf = a*f - f.  Its resolvent kernel splits into a
 singular delta part with weight 1/(1+lambda) and a regular part
 
-    G_lambda(x) = sum_{n>=1} a_n(x) / (1+lambda)^n,
+    G_lambda(x) = sum_{n>=1} a_n(x) / (1+lambda)^n
+                = (2 pi)^{-d} int e^{i(k,x)} a_hat / (1 + lambda - a_hat) dk,
 
-where a_n is the n-fold convolution of the jump kernel.  At lambda = 0 the
-series converges pointwise iff d > alpha; the same kernel has the Fourier
-representation (2 pi)^{-d} int e^{i(k,x)} a_hat / (1 + lambda - a_hat) dk.
+where a_n is the n-fold convolution of the jump kernel; at lambda = 0 it exists
+iff d > alpha.  On the grid it is summed in closed form, with no series terms.
 Potentials of integrable bounded functions are V(x,f) = f(x) + (G_0 * f)(x).
 """
 
@@ -220,47 +220,47 @@ class ResolventKernel:
     lam: float
     kernel_name: str
     regular_part: FieldGrid
-    n_terms: int
-    tail_exponent: Optional[float] = None
+    n_terms: int = 0  # series terms summed: none, the closed form has no series
 
     @property
     def singular_weight(self) -> float:
         return 1.0 / (1.0 + self.lam)
 
 
-def green_regular_series(
-    kernel: JumpKernel, grid: GridSpec, lam: float, max_terms: int = 48
-) -> ResolventKernel:
-    """Partial sums of a_n / (1+lambda)^n with a power-law tail estimate.
+def green_regular_series(kernel: JumpKernel, grid: GridSpec, lam: float) -> ResolventKernel:
+    """G_lambda = sum_{n>=1} a_n / (1+lambda)^n on the grid, in closed form.
 
-    Summed in Fourier space until the l1 bound on a term's sup is below 1e-10,
-    then transformed back once.  For lambda = 0 the summation stops at
-    max_terms (box periodization of a_n degrades beyond that) and the tail is
-    estimated from the n^{-d/alpha} decay via a Hurwitz-zeta weight on the last term.
+    lambda > 0: the one division a_hat / (1 + lambda - a_hat).  lambda = 0: the
+    bounded R = a_hat/(1 - a_hat) - e^{-|k|^2}/(A |k|^alpha), (A, alpha) = tail_params,
+    goes through the periodic FFT (R(0) extrapolated in k^2 from three small k),
+    plus s(r) = Gamma(b) 1F1(b; d/2; -r^2/4) / (A 2^d pi^{d/2} Gamma(d/2)), b = (d - alpha)/2.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    p = _decay_exponent(kernel) if lam == 0 else None
-    a_hat = spectral_density(kernel, grid)
-    ratio = a_hat / (1.0 + lam)
-    power = np.ones(grid.shape)
-    acc = np.zeros(grid.shape)
-    n = 0
-    while n < max_terms:
-        n += 1
-        power = power * ratio
-        acc += power
-        # sup_x |a_n(x)| / (1+lambda)^n <= sum |power| / (N^d cell_volume), equal when power >= 0
-        if np.sum(np.abs(power)) / (power.size * grid.cell_volume) < 1e-10:
-            break
-    if lam == 0:
-        # tail(x) ~ a_n(x) * sum_{m>n} (m/n)^{-p} = a_n(x) n^p zeta(p, n+1)
-        acc += power * (n**p) * special.zeta(p, n + 1)
-    vals = _from_spectral(grid, acc)
+    if lam > 0:
+        a_hat = spectral_density(kernel, grid)
+        vals = _from_spectral(grid, a_hat / (1.0 + lam - a_hat))
+    else:
+        _decay_exponent(kernel)  # gates before the density is sampled
+        (A, alpha), d = kernel.tail_params, grid.dim
+        regular = lambda a, k2: a / (1.0 - a) - np.exp(-k2) / (A * k2 ** (0.5 * alpha))
+        ks = np.array([0.025, 0.05, 0.1])
+        spec = np.empty(grid.shape)
+        spec.ravel()[0] = np.polyfit(ks**2, regular(kernel.fourier_radial(ks), ks**2), 2)[-1]
+        a_hat = spectral_density(kernel, grid).ravel()[1:]
+        spec.ravel()[1:] = regular(a_hat, grid.wavenumber_radius_squared().ravel()[1:])
+        j = np.arange(grid.points_per_axis) - grid.points_per_axis // 2
+        m2 = sum(np.ix_(*[j * j] * d))  # |x|^2 / h^2
+        # 1F1 once per integer 0..max m2, fewer values than grid points unless d = 1
+        r2 = np.arange(m2.max() + 1) if d > 1 else m2
+        b = 0.5 * (d - alpha)
+        s = special.gamma(b) * special.hyp1f1(b, 0.5 * d, -0.25 * grid.spacing**2 * r2)
+        s /= A * 2.0**d * np.pi ** (0.5 * d) * special.gamma(0.5 * d)
+        vals = _from_spectral(grid, spec) + (s[m2] if d > 1 else s)
     floor = float(vals.min())
     if floor < -1e-8:
         raise TruncationError(f"Green series produced negative values ({floor:.2e})")
-    return ResolventKernel(lam, kernel.name, FieldGrid(grid, np.maximum(vals, 0.0)), n, p)
+    return ResolventKernel(lam, kernel.name, FieldGrid(grid, np.maximum(vals, 0.0)))
 
 
 def _fourier_cutoff(kernel: JumpKernel, lam: float) -> float:

@@ -39,6 +39,7 @@ from greenwalk.green import (
 )
 from greenwalk.kernels import (
     JumpKernel,
+    fit_small_k_expansion,
     make_cauchy_kernel,
     make_gaussian_kernel,
     make_tabulated_kernel,
@@ -341,11 +342,11 @@ def test_resolvent_identity(k1):
         np.testing.assert_allclose(back, fs.values, atol=1e-3)
 
 
-def series_per_term_ifft(kernel, grid, lam, tol=1e-10, max_terms=48):
-    """Reference Green series that checks every term's sup by its own inverse FFT.
+def series_per_term_ifft(kernel, grid, lam, tol=1e-18, max_terms=1000):
+    """Reference Green series for lambda > 0, summed term by term.
 
-    Returns (n_terms, regular part); the zeta tail at lambda = 0 is added in
-    real space from a second inverse FFT of the last term.
+    Each term's sup is checked by its own inverse FFT; the loop stops once a
+    term is below tol.  Returns (n_terms, regular part).
     """
     ratio = spectral_density(kernel, grid) / (1.0 + lam)
     power, acc, n = np.ones(grid.shape), np.zeros(grid.shape), 0
@@ -355,38 +356,92 @@ def series_per_term_ifft(kernel, grid, lam, tol=1e-10, max_terms=48):
         acc += power
         if np.max(np.abs(np.fft.ifftn(power).real)) / grid.cell_volume < tol:
             break
-    to_real = lambda spec: np.fft.fftshift(np.fft.ifftn(spec).real) / grid.cell_volume
-    vals = to_real(acc)
-    if lam == 0:
-        p = kernel.dim / kernel.tail_params[1]
-        vals = vals + to_real(power) * n**p * special.zeta(p, n + 1)
+    vals = np.fft.fftshift(np.fft.ifftn(acc).real) / grid.cell_volume
     return n, np.maximum(vals, 0.0)
 
 
+def box_kernel():
+    return make_tabulated_kernel(field_from_function(GRID1, lambda x: (np.abs(x[:, 0]) <= 1.0) * 1.0))
+
+
 @pytest.mark.parametrize(
-    "dim, lam, n_terms",
-    [(3, 0.0, 48), (3, 0.5, 35), (1, 0.2, 48), (1, 1.0, 29)],
+    "make, grid, lam",
+    [
+        (lambda: make_gaussian_kernel(3), GRID3, 0.5),
+        (lambda: make_gaussian_kernel(1), GRID1, 0.2),
+        (lambda: make_gaussian_kernel(1), GRID1, 1.0),
+        (box_kernel, GRID1, 0.5),
+    ],
+    ids=["gaussian3d-0.5", "gaussian1d-0.2", "gaussian1d-1", "box1d-0.5"],
 )
-def test_series_stop_rule_matches_per_term_ifft(dim, lam, n_terms):
-    # for a_hat >= 0 the l1 bound equals the old per-term sup (attained at the origin)
-    kernel = make_gaussian_kernel(dim)
-    grid = GRID3 if dim == 3 else GRID1
-    ref_n, ref = series_per_term_ifft(kernel, grid, lam)
+def test_resolvent_division_matches_converged_series(make, grid, lam):
+    # a_hat / (1 + lambda - a_hat) is the whole geometric series; the box
+    # kernel's a_hat is a sinc with negative lobes, so its terms alternate in sign
+    kernel = make()
+    if kernel.name == "tabulated":
+        assert spectral_density(kernel, grid).min() < 0
+    n, ref = series_per_term_ifft(kernel, grid, lam)
+    assert n < 1000
     res = green_regular_series(kernel, grid, lam)
-    assert res.n_terms == ref_n == n_terms
-    # one inverse FFT instead of two moves the lambda = 0 field by roundoff only
-    assert np.max(np.abs(res.regular_part.values - ref)) <= 1e-15 * np.max(ref)
+    assert res.n_terms == 0
+    assert np.max(np.abs(res.regular_part.values - ref)) <= 1e-12 * np.max(ref)
 
 
-def test_series_stop_rule_never_stops_early_for_signed_symbol():
-    # the box kernel's a_hat is a sinc with negative lobes, where the l1 bound exceeds the sup
-    box = make_tabulated_kernel(field_from_function(GRID1, lambda x: (np.abs(x[:, 0]) <= 1.0) * 1.0))
-    assert spectral_density(box, GRID1).min() < 0
-    # max_terms above the 52 terms the rule needs, so the stop rule decides
-    ref_n, ref = series_per_term_ifft(box, GRID1, 0.5, max_terms=200)
-    res = green_regular_series(box, GRID1, 0.5, max_terms=200)
-    assert 200 > res.n_terms >= ref_n
-    np.testing.assert_allclose(res.regular_part.values, ref, rtol=0.0, atol=1e-9)
+def test_resolvent_identity_is_exact_for_positive_lambda(k1):
+    # (lambda - L)(f + G_lambda * f)/(1 + lambda) = f up to roundoff: in
+    # Fourier space it is (1 + lambda - a_hat) / (1 + lambda - a_hat)
+    fs = sample_density(k1, GRID1)
+    for lam in (0.5, 1.0, 2.0):
+        g = green_regular_series(k1, GRID1, lam)
+        r = FieldGrid(
+            GRID1, (fs.values + convolve_fields(g.regular_part, fs).values) / (1 + lam)
+        )
+        back = lam * r.values - apply_generator(k1, r).values
+        np.testing.assert_allclose(back, fs.values, rtol=0.0, atol=1e-12)
+
+
+def test_green_origin_and_potential_match_zeta_oracle_to_roundoff(g0_series_3d, k3):
+    assert g0_series_3d.regular_part.value_at([0.0, 0.0, 0.0]) == pytest.approx(
+        ZETA_ORACLE, rel=1e-12
+    )
+    v = potential(k3, cl_from_kernel(k3), [0.0, 0.0, 0.0], GRID3)
+    assert v == pytest.approx(ZETA_ORACLE, rel=1e-12)
+
+
+def test_green_origin_on_small_box_matches_zeta_oracle(k3):
+    # the k = 0 mode of the bounded part is all the box truncates
+    g0 = green_regular_series(k3, SMALL_GRID3, 0.0).regular_part
+    assert g0.value_at([0.0, 0.0, 0.0]) == pytest.approx(ZETA_ORACLE, rel=1e-8)
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 3.0])
+def test_green_off_origin_matches_fourier_quadrature(g0_series_3d, k3, x):
+    series = g0_series_3d.regular_part.value_at([x, 0.0, 0.0])
+    assert series == pytest.approx(green_regular_fourier(k3, [x, 0.0, 0.0], 0.0), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "dim, grid, tail, evals", [(3, GRID3, (1.0, 2.0), 3 * 32**2 + 1), (1, GRID1, (1.0, 0.5), 1024)]
+)
+def test_singular_part_evaluates_1f1_once_per_radius(dim, grid, tail, evals, monkeypatch):
+    # |x|^2/h^2 is an integer: a table over 0..max needs fewer 1F1 values than
+    # the 64^3 grid has points; in d = 1 it would need N^2/4, so each point gets one
+    # (the 1-D Gaussian has no Green measure: its tail_params only reach the branch)
+    sizes = []
+    hyp1f1 = special.hyp1f1
+    monkeypatch.setattr(special, "hyp1f1", lambda a, b, z: sizes.append(np.size(z)) or hyp1f1(a, b, z))
+    kernel = dataclasses.replace(make_gaussian_kernel(dim), tail_params=tail)
+    g = green_regular_series(kernel, grid, 0.0)
+    assert sizes == [evals]
+    assert np.all(np.isfinite(g.regular_part.values))
+
+
+def test_green_origin_with_fitted_tail_params(k3):
+    # the split reads (A, alpha) from tail_params; a small-k fit is close enough
+    A, alpha, _ = fit_small_k_expansion(k3)
+    fitted = dataclasses.replace(k3, tail_params=(A, alpha))
+    g0 = green_regular_series(fitted, GRID3, 0.0).regular_part
+    assert g0.value_at([0.0, 0.0, 0.0]) == pytest.approx(ZETA_ORACLE, rel=1e-4)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
