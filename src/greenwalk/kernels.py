@@ -26,7 +26,9 @@ class JumpKernel:
 
     density maps points (m, d) -> (m,), fourier maps radial frequencies to
     a_hat values (accepts arrays).  tail_params is (A, alpha) when known
-    analytically, else None.  sampler(rng, size) draws i.i.d. jumps (size, d).
+    analytically, else None.  sampler(rng, size) draws i.i.d. jumps (size, d);
+    it must draw only from rng, and it may be called from worker threads
+    (the path engine samples several chunks at once, each with its own rng).
     """
 
     dim: int
@@ -52,8 +54,8 @@ def make_gaussian_kernel(d: int) -> JumpKernel:
     norm = (4.0 * np.pi) ** (-d / 2.0)
 
     def density(x):
-        x = np.asarray(x, dtype=float)
-        r2 = np.sum(np.atleast_2d(x) ** 2, axis=-1)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        r2 = np.einsum("...i,...i->...", x, x)
         return norm * np.exp(-r2 / 4.0)
 
     def fourier(k):

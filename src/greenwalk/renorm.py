@@ -19,7 +19,7 @@ from .green import CLFunction, _decay_exponent, _RateClasses, potential
 from .grids import FieldGrid, GridSpec
 from .kernels import JumpKernel
 from .simulate import BinSpec, McEstimate, _Moments, _deposit, _end_values
-from .simulate import _histogram, _mc_reduce, _path_chunks
+from .simulate import _histogram, _map_paths, _mc_reduce
 from .subordinate import (
     SubordinatorSpec,
     _k_integral,
@@ -95,7 +95,7 @@ def mc_time_changed_expectation(
     rng = np.random.default_rng(seed)
     ds = 1e-3 * t if ds is None else ds
     d_draws = sample_inverse_many(spec, t, ds, n, seed=int(rng.integers(2**63)))
-    return _mc_reduce(_end_values(kernel, f, x, d_draws, rng), seed, time_change=spec.to_json_dict())
+    return _mc_reduce(*_end_values(kernel, f, x, d_draws, rng), seed, time_change=spec.to_json_dict())
 
 
 def normalization_N(spec: SubordinatorSpec, T: float) -> float:
@@ -312,11 +312,11 @@ def renormalized_green_histogram(
     rng = np.random.default_rng(seed)
     N_T = normalization_N(spec, T)
     tau_stop = _horizon(clipped_mean, T)
-    acc = _Moments()
-    for c in _path_chunks(kernel, x, np.full(n, tau_stop), rng, int(np.prod(bins.shape))):
+
+    def consume(c):
         # clipped S at the end of each interval, with tau measured from its path's start
         if method == "raw":
-            clipped = np.minimum(_knots(c, spec.increment_sampler(c.durations, rng, c.durations.size)), T)
+            clipped = np.minimum(_knots(c, spec.increment_sampler(c.durations, c.rng, c.durations.size)), T)
         else:
             clipped = clipped_mean(T, _knots(c, c.durations))
         weights = np.diff(clipped, prepend=0.0)
@@ -324,8 +324,10 @@ def renormalized_green_histogram(
         rows = _deposit(bins, c, weights / N_T)
         # the time a path has left after tau* counts as escaped
         rows[:, -1] += (T - clipped[np.append(c.first[1:], c.path.size) - 1]) / N_T
-        acc.add(rows)
-    return _histogram(bins, acc, T)
+        return _Moments.of(rows)
+
+    parts, _ = _map_paths(kernel, x, np.full(n, tau_stop), rng, consume, int(np.prod(bins.shape)))
+    return _histogram(bins, parts, T)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ that structure exactly, so the module has no time-discretization error.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -110,25 +114,61 @@ class _Moments:
 
     n, mean, m2 = 0, 0.0, 0.0
 
-    def add(self, rows: np.ndarray) -> None:
-        m, mean = rows.shape[0], rows.mean(axis=0)
-        delta, total = mean - self.mean, self.n + m
-        self.m2 = self.m2 + ((rows - mean) ** 2).sum(axis=0) + delta**2 * (self.n * m / total)
-        self.mean, self.n = self.mean + delta * (m / total), total
+    @classmethod
+    def of(cls, rows: np.ndarray) -> "_Moments":
+        part = cls()
+        part.n, part.mean = rows.shape[0], rows.mean(axis=0)
+        part.m2 = ((rows - part.mean) ** 2).sum(axis=0)
+        return part
+
+    def merge(self, other: "_Moments") -> None:
+        delta, total = other.mean - self.mean, self.n + other.n
+        self.m2 = self.m2 + other.m2 + delta**2 * (self.n * other.n / total)
+        self.mean, self.n = self.mean + delta * (other.n / total), total
 
     def stderr(self):
         return np.sqrt(self.m2 / ((self.n - 1) * self.n)) if self.n > 1 else 0.0 * self.m2
 
 
-def _mc_reduce(samples: np.ndarray, seed: int, **extra) -> McEstimate:
-    acc = _Moments()
-    acc.add(samples)
-    return McEstimate(float(acc.mean), float(acc.stderr()), acc.n, seed, dict(extra))
+def _mc_reduce(chunks: list, jumps: int, seed: int, **extra) -> McEstimate:
+    """Estimate from per-chunk sample arrays, with the chunk plan in extra."""
+    acc = _Moments.of(np.concatenate(chunks))
+    extra.update(chunks=len(chunks), jumps=jumps)
+    return McEstimate(float(acc.mean), float(acc.stderr()), acc.n, seed, extra)
 
 
 # float64 elements one chunk of paths may hold: interval states, durations
-# and path indices, plus one consumer row (e.g. histogram bins) per path
-_CHUNK_ELEMENTS = 1 << 20
+# and path indices, plus one consumer row (e.g. histogram bins) per path.
+# Fixed, so the chunk layout (and with it every seeded result) never
+# depends on the number of worker threads.  At 2^17 a chunk's arrays stay
+# near 1 MB each: they fit in a core's L2 cache, and the freed memory each
+# worker thread's malloc arena keeps after a call stays small.
+_CHUNK_ELEMENTS = 1 << 17
+
+# worker threads for path chunks, created on first use: numpy's generators,
+# ufuncs, cumsum and take release the interpreter lock
+_POOL: Optional[ThreadPoolExecutor] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            _POOL = ThreadPoolExecutor(cores or 1, thread_name_prefix="greenwalk-paths")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads, so
+    # work submitted to it would never run
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass
@@ -136,51 +176,72 @@ class _PathChunk:
     """Whole paths laid out interval by interval.
 
     Interval i of the chunk belongs to path[i], holds states[i] for
-    durations[i]; first[p] is the index of path p's first interval.
+    durations[i]; first[p] is the index of path p's first interval.  rng is
+    the chunk's own random stream, for consumers that draw more per interval.
     """
 
     states: np.ndarray
     durations: np.ndarray
     path: np.ndarray
     first: np.ndarray
+    rng: np.random.Generator
 
     @property
     def n_paths(self) -> int:
         return self.first.size
 
 
-def _path_chunks(kernel: JumpKernel, x, horizons, rng, row_width: int = 0):
-    """Exact compound Poisson paths on [0, horizons[p]], a chunk at a time.
+def _build_chunk(kernel: JumpKernel, x: np.ndarray, horizons, counts, rng) -> _PathChunk:
+    """Paths with the given jump counts on [0, horizons[p]], drawn from rng.
 
-    Given N ~ Poisson(h) jumps the N + 1 holding times are h Dirichlet(1..1),
-    the spacings of sorted uniforms, drawn as Exp(1) normalised per path;
-    the states are a segmented cumsum of one flat kernel.sampler call.
+    Given N jumps the N + 1 holding times are h Dirichlet(1..1), the spacings
+    of sorted uniforms, drawn as Exp(1) normalised per path; the states are a
+    segmented cumsum of one flat kernel.sampler call.
+    """
+    seg = counts + 1
+    path = np.repeat(np.arange(seg.size), seg)
+    first = np.cumsum(seg) - seg
+    e = rng.standard_exponential(path.size)
+    durations = np.repeat(horizons / np.add.reduceat(e, first), seg) * e
+    jumps = kernel.sampler(rng, path.size - seg.size)
+    cum = np.zeros((jumps.shape[0] + 1, x.size))
+    np.cumsum(jumps, axis=0, out=cum[1:])
+    # cum[k] sums the chunk's first k jumps and each path has one interval
+    # more than jumps, so interval i of path p holds
+    # x + cum[i - p] - cum[first[p] - p]
+    states = np.take(cum, np.arange(path.size) - path, axis=0)
+    states -= np.take(np.take(cum, first - np.arange(seg.size), axis=0), path, axis=0)
+    states += x
+    return _PathChunk(states, durations, path, first, rng)
+
+
+def _map_paths(kernel: JumpKernel, x, horizons, rng, consume, row_width: int = 0):
+    """consume(chunk) for exact compound Poisson paths on [0, horizons[p]].
+
+    The jump counts N ~ Poisson(h) are one draw from rng, and they fix the
+    chunk layout: a chunk holds at most _CHUNK_ELEMENTS, counting (d + 2)
+    per interval and row_width per path, unless a single path is larger.
+    Chunk i draws from rng.spawn(n_chunks)[i] and is built and consumed on
+    the worker pool, so results do not depend on the number of threads.
+    Returns (consume results in chunk order, total number of jumps).
     """
     if kernel.sampler is None:
         raise ValueError("kernel has no jump sampler")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     counts = rng.poisson(horizons)
     ends = np.cumsum((counts + 1) * (x.size + 2) + row_width)
-    start = 0
-    while start < counts.size:
+    bounds = [0]
+    while bounds[-1] < counts.size:
+        start = bounds[-1]
         base = ends[start - 1] if start else 0
-        stop = max(int(np.searchsorted(ends, base + _CHUNK_ELEMENTS, side="right")), start + 1)
-        seg = counts[start:stop] + 1
-        path = np.repeat(np.arange(seg.size), seg)
-        first = np.cumsum(seg) - seg
-        e = rng.standard_exponential(path.size)
-        durations = np.repeat(horizons[start:stop] / np.add.reduceat(e, first), seg) * e
-        jumps = kernel.sampler(rng, path.size - seg.size)
-        cum = np.zeros((jumps.shape[0] + 1, x.size))
-        np.cumsum(jumps, axis=0, out=cum[1:])
-        # cum[k] sums the chunk's first k jumps and each path has one interval
-        # more than jumps, so interval i of path p holds
-        # x + cum[i - p] - cum[first[p] - p]
-        states = np.take(cum, np.arange(path.size) - path, axis=0)
-        states -= np.take(np.take(cum, first - np.arange(seg.size), axis=0), path, axis=0)
-        states += x
-        yield _PathChunk(states, durations, path, first)
-        start = stop
+        bounds.append(max(int(np.searchsorted(ends, base + _CHUNK_ELEMENTS, side="right")), start + 1))
+    streams = rng.spawn(len(bounds) - 1)
+
+    def task(i):
+        part = slice(bounds[i], bounds[i + 1])
+        return consume(_build_chunk(kernel, x, horizons[part], counts[part], streams[i]))
+
+    return list(_pool().map(task, range(len(streams)))), int(counts.sum())
 
 
 def mc_expectation(
@@ -194,15 +255,15 @@ def mc_expectation(
     if t == 0:
         return McEstimate(f.value_at(x), 0.0, n, seed)
     rng = np.random.default_rng(seed)
-    return _mc_reduce(_end_values(kernel, f, x, np.full(n, float(t)), rng), seed)
+    return _mc_reduce(*_end_values(kernel, f, x, np.full(n, float(t)), rng), seed)
 
 
-def _end_values(kernel: JumpKernel, f: CLFunction, x, horizons, rng) -> np.ndarray:
-    """f at the end state of one path per horizon; exact in law."""
-    return np.concatenate([
-        f.values_at(c.states[np.append(c.first[1:], c.path.size) - 1])
-        for c in _path_chunks(kernel, x, horizons, rng)
-    ])
+def _end_values(kernel: JumpKernel, f: CLFunction, x, horizons, rng):
+    """f at the end state of one path per horizon, per chunk; exact in law."""
+    return _map_paths(
+        kernel, x, horizons, rng,
+        lambda c: f.values_at(c.states[np.append(c.first[1:], c.path.size) - 1]),
+    )
 
 
 def sample_random_potential(kernel: JumpKernel, f: CLFunction, x, T: float, rng) -> float:
@@ -220,10 +281,10 @@ def mc_truncated_potential(
     if n < 2:
         raise ValueError("need n >= 2 samples")
     rng = np.random.default_rng(seed)
-    return _mc_reduce(np.concatenate([
-        np.bincount(c.path, weights=f.values_at(c.states) * c.durations, minlength=c.n_paths)
-        for c in _path_chunks(kernel, x, np.full(n, float(T)), rng)
-    ]), seed)
+    return _mc_reduce(*_map_paths(
+        kernel, x, np.full(n, float(T)), rng,
+        lambda c: np.bincount(c.path, weights=f.values_at(c.states) * c.durations, minlength=c.n_paths),
+    ), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +360,11 @@ def _deposit(bins: BinSpec, chunk: _PathChunk, weights: np.ndarray) -> np.ndarra
     return flat.reshape(chunk.n_paths, n_cols)
 
 
-def _histogram(bins: BinSpec, acc: _Moments, horizon: float):
-    """(mean histogram, per-bin standard error) from replica rows laid out as by _deposit."""
+def _histogram(bins: BinSpec, parts: list, horizon: float):
+    """(mean histogram, per-bin standard error) from per-chunk _Moments of rows laid out as by _deposit."""
+    acc = _Moments()
+    for part in parts:
+        acc.merge(part)
     mean, stderr = acc.mean[:-1].reshape(bins.shape), acc.stderr()[:-1].reshape(bins.shape)
     return OccupationHistogram(bins, mean, float(acc.mean[-1]), horizon), stderr
 
@@ -319,7 +383,7 @@ def empirical_random_green_measure(
     path = sample_cpp_path(kernel, _start_in_box(bins, x), T, rng)
     states, durations = path.holding_intervals()
     zero = np.zeros(durations.size, dtype=np.int64)
-    row = _deposit(bins, _PathChunk(states, durations, zero, zero[:1]), durations)[0]
+    row = _deposit(bins, _PathChunk(states, durations, zero, zero[:1], rng), durations)[0]
     return OccupationHistogram(bins, row[:-1].reshape(bins.shape), float(row[-1]), T)
 
 
@@ -329,7 +393,8 @@ def average_random_green_measure(
     """Mean and standard error per bin over n single-path histograms."""
     x = _start_in_box(bins, x)
     rng = np.random.default_rng(seed)
-    acc = _Moments()
-    for c in _path_chunks(kernel, x, np.full(n, float(T)), rng, int(np.prod(bins.shape))):
-        acc.add(_deposit(bins, c, c.durations))
-    return _histogram(bins, acc, T)
+    parts, _ = _map_paths(
+        kernel, x, np.full(n, float(T)), rng,
+        lambda c: _Moments.of(_deposit(bins, c, c.durations)), int(np.prod(bins.shape)),
+    )
+    return _histogram(bins, parts, T)

@@ -268,13 +268,13 @@ def test_histogram_methods_share_one_horizon(k3, stable, method, monkeypatch):
     from greenwalk import renorm
 
     seen = []
-    chunks = renorm._path_chunks
+    map_paths = renorm._map_paths
 
     def recording(kernel, x, horizons, *args):
         seen.append(horizons)
-        return chunks(kernel, x, horizons, *args)
+        return map_paths(kernel, x, horizons, *args)
 
-    monkeypatch.setattr(renorm, "_path_chunks", recording)
+    monkeypatch.setattr(renorm, "_map_paths", recording)
     T = 100.0
     bins = BinSpec.cube(8.0, 4, 3)
     renormalized_green_histogram(k3, stable, [0.0, 0.0, 0.0], T, bins, 10, seed=1, method=method)

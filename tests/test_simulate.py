@@ -5,6 +5,10 @@ jumps have per-coordinate variance 2; f identically constant makes every
 path functional deterministic, so stderr must be exactly zero.
 """
 
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -18,6 +22,8 @@ import greenwalk.simulate as simulate
 from greenwalk.grids import FieldGrid, GridSpec
 from greenwalk.green import cl_from_grid, cl_from_kernel, evolve_semigroup
 from greenwalk.kernels import make_gaussian_kernel, sample_density
+from greenwalk.renorm import mc_time_changed_expectation, renormalized_green_histogram
+from greenwalk.subordinate import make_stable_subordinator
 from greenwalk.simulate import (
     BinSpec,
     average_random_green_measure,
@@ -27,7 +33,7 @@ from greenwalk.simulate import (
     sample_cpp_path,
     sample_random_potential,
     _Moments,
-    _path_chunks,
+    _map_paths,
 )
 
 GRID1 = GridSpec(1, 1024, 40.0)
@@ -102,9 +108,15 @@ def chunk_counts(chunk):
     return np.diff(np.append(chunk.first, chunk.path.size)) - 1
 
 
+def path_chunks(kernel, x, horizons, rng, row_width=0):
+    # the engine's chunks themselves, in chunk order
+    chunks, _ = _map_paths(kernel, x, horizons, rng, lambda c: c, row_width)
+    return chunks
+
+
 def test_engine_jump_counts_are_poisson(k1):
     h, n = 10.0, 20000
-    chunks = _path_chunks(k1, [0.0], np.full(n, h), np.random.default_rng(7))
+    chunks = path_chunks(k1, [0.0], np.full(n, h), np.random.default_rng(7))
     counts = np.concatenate([chunk_counts(c) for c in chunks])
     assert counts.size == n
     assert abs(counts.mean() - h) < 4 * counts.std(ddof=1) / np.sqrt(n)
@@ -122,7 +134,7 @@ def test_engine_jump_counts_are_poisson(k1):
 def test_engine_holding_times_cover_each_horizon(k3, h, n, cap, row_width, seed):
     x = np.array([0.5, 0.0, -1.0])
     with mock.patch.object(simulate, "_CHUNK_ELEMENTS", cap):
-        chunks = list(_path_chunks(k3, x, np.full(n, h), np.random.default_rng(seed), row_width))
+        chunks = path_chunks(k3, x, np.full(n, h), np.random.default_rng(seed), row_width)
     assert sum(c.n_paths for c in chunks) == n
     for c in chunks:
         assert np.all(c.durations >= 0.0)
@@ -134,11 +146,78 @@ def test_engine_holding_times_cover_each_horizon(k3, h, n, cap, row_width, seed)
         assert c.n_paths == 1 or cost <= cap
 
 
+def engine_outputs(k1, k3):
+    """Every chunk-map estimator once, on small chunks so each runs several."""
+    f, bins, half = cl_from_kernel(k1), BinSpec.cube(8.0, 4, 3), make_stable_subordinator(0.5)
+    ests = [
+        mc_truncated_potential(k1, f, [0.0], 20.0, 3000, seed=3),
+        mc_expectation(k1, f, [0.0], 1.0, 3000, seed=3),
+        mc_time_changed_expectation(k1, half, f, [0.0], 1.0, 3000, seed=3),
+    ]
+    hists = [average_random_green_measure(k3, (0.0, 0.0, 0.0), 50.0, bins, 300, seed=3)]
+    for method in ("conditional", "raw"):
+        hists.append(renormalized_green_histogram(k3, half, [0.0] * 3, 100.0, bins, 200, seed=3, method=method))
+    return [(e.mean, e.stderr, e.extra) for e in ests], [(h.masses, h.escaped, se) for h, se in hists]
+
+
+def test_engine_results_do_not_depend_on_the_pool_size(k1, k3, monkeypatch):
+    # chunk i draws from its own spawned stream, so the thread count that
+    # builds and consumes the chunks changes no bit of any estimate; three
+    # workers on a short switch interval interleave the chunks the most
+    monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", 4096)
+    runs, interval = [], sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for workers in (1, 2, 3):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(simulate, "_POOL", pool)
+                runs.append(engine_outputs(k1, k3))
+    finally:
+        sys.setswitchinterval(interval)
+    (ests, hists), others = runs[0], runs[1:]
+    assert all(e[2]["chunks"] > 1 for e in ests)
+    for other_ests, other_hists in others:
+        assert other_ests == ests
+        for a, b in zip(hists, other_hists):
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y, strict=True)
+
+
+def test_estimates_record_the_chunk_plan(k1):
+    f, n = cl_from_kernel(k1), 3000
+    with mock.patch.object(simulate, "_CHUNK_ELEMENTS", 4096):
+        for estimator, h in ((mc_truncated_potential, 20.0), (mc_expectation, 1.0)):
+            est = estimator(k1, f, [0.0], h, n, seed=5)
+            horizons = np.full(n, h)
+            # the chunk map's one up-front draw is the Poisson counts
+            assert est.extra["jumps"] == np.random.default_rng(5).poisson(horizons).sum()
+            assert est.extra["chunks"] == len(path_chunks(k1, [0.0], horizons, np.random.default_rng(5)))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_a_fresh_pool():
+    # the child inherits the parent's pool object but none of its threads
+    code = (
+        "import os, greenwalk as g\n"
+        "k = g.make_gaussian_kernel(1)\n"
+        "f = g.cl_from_kernel(k)\n"
+        "a = g.mc_expectation(k, f, [0.0], 1.0, 100, 1).mean\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    os._exit(0 if g.mc_expectation(k, f, [0.0], 1.0, 100, 1).mean == a else 1)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "0"
+
+
 def test_chunked_moments_match_two_pass():
     rows = np.random.default_rng(2).normal(3.0, 2.0, size=(1000, 5))
     acc = _Moments()
     for part in np.array_split(rows, [1, 7, 300, 301]):
-        acc.add(part)
+        acc.merge(_Moments.of(part))
     assert acc.n == 1000
     np.testing.assert_allclose(acc.mean, rows.mean(axis=0), rtol=1e-13)
     np.testing.assert_allclose(acc.stderr(), rows.std(axis=0, ddof=1) / np.sqrt(1000), rtol=1e-12)

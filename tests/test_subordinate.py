@@ -214,6 +214,14 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_import_starts_no_thread():
+    # the path engine's worker pool is created on first use, not at import
+    code = "import threading, greenwalk; print(threading.active_count(), greenwalk.simulate._POOL)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1", "None"]
+
+
 # ---------------------------------------------------------------------------
 # exact gamma draws by inversion of the passage law
 # ---------------------------------------------------------------------------
