@@ -21,7 +21,9 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import (
+    AliasingError,
     DivergentGreenMeasureError,
+    InvalidKernelError,
     MissingNormsError,
     TruncationError,
 )
@@ -52,7 +54,9 @@ class CLFunction:
     """Bounded continuous integrable function (member of CL(R^d)).
 
     Either an evaluator or grid samples must be present.  Declared norms
-    take precedence over sample-based estimates in cl_norm.
+    take precedence over sample-based estimates in cl_norm.  fourier, when
+    set, maps radial frequencies |k| to f_hat for a radial f; the renormalized
+    curve needs it (cl_from_kernel sets it, cl_from_grid does not).
     """
 
     evaluator: Optional[Callable] = None
@@ -60,6 +64,7 @@ class CLFunction:
     l1_norm: Optional[float] = None
     grid_samples: Optional[FieldGrid] = None
     name: str = "f"
+    fourier: Optional[Callable] = None
 
     def value_at(self, x) -> float:
         if self.evaluator is not None:
@@ -88,7 +93,8 @@ class CLFunction:
 def cl_from_kernel(kernel: JumpKernel) -> CLFunction:
     """The jump density itself as a CL function (sup = a(0), L1 mass 1)."""
     a0 = float(np.asarray(kernel.density(np.zeros((1, kernel.dim)))).ravel()[0])
-    return CLFunction(evaluator=kernel.density, sup_norm=a0, l1_norm=1.0, name="a")
+    return CLFunction(evaluator=kernel.density, sup_norm=a0, l1_norm=1.0, name="a",
+                      fourier=kernel.fourier_radial)
 
 
 def cl_from_grid(field: FieldGrid, name: str = "f") -> CLFunction:
@@ -131,6 +137,8 @@ def evolve_semigroup(kernel: JumpKernel, f: FieldGrid, t: float) -> FieldGrid:
 
 # width of a rate class: four ulps of 1, above the FFT roundoff of a_hat
 _RATE_QUANTUM = 2.0**-50
+# largest a_hat - 1 taken for roundoff; a sampled symbol further above 1 is aliased
+_SYMBOL_EXCESS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -138,22 +146,30 @@ class _RateClasses:
     """u(tau, x) = sum_c weights[c] e^{-tau rates[c]}, the grid semigroup at one point.
 
     Grid modes whose symbol a_hat rounds to one multiple of _RATE_QUANTUM form
-    a class; weights sums f's phased spectrum over it, rates = 1 - a_hat.
+    a class; weights sums f's phased spectrum over it, rates = 1 - a_hat.  An
+    aliased symbol above 1 + _SYMBOL_EXCESS raises AliasingError, unless
+    clip is set: then such rates are clipped at 0.
     """
 
     rates: np.ndarray
     weights: np.ndarray
 
     @classmethod
-    def build(cls, kernel: JumpKernel, f: FieldGrid, x) -> "_RateClasses":
+    def build(cls, kernel: JumpKernel, f: FieldGrid, x, clip: bool = False) -> "_RateClasses":
         grid = f.grid
         a_hat = spectral_density(kernel, grid)
+        excess = float(a_hat.max()) - 1.0
+        if not clip and excess > _SYMBOL_EXCESS:
+            raise AliasingError(
+                f"sampled symbol exceeds 1 by {excess:.3e} on this grid: the density is "
+                "undersampled, so 1 - a_hat would be a negative decay rate"
+            )
         x = np.atleast_1d(np.asarray(x, dtype=float))
         phase = sum(kmesh * x[ax] for ax, kmesh in enumerate(grid.wavenumbers()))
         w = _to_spectral(f) * np.exp(1j * phase) / (2.0 * grid.half_width) ** grid.dim
         keys, inverse = np.unique(np.rint(a_hat.ravel() / _RATE_QUANTUM), return_inverse=True)
         weights = np.bincount(inverse, weights=w.ravel().real, minlength=keys.size)
-        # decay rates 1 - a_hat >= 0 up to roundoff
+        # decay rates 1 - a_hat >= 0 up to roundoff, or clipped
         return cls(np.maximum(1.0 - keys * _RATE_QUANTUM, 0.0), weights)
 
     def __call__(self, taus) -> np.ndarray:
@@ -171,9 +187,10 @@ def semigroup_point_values(kernel: JumpKernel, f: FieldGrid, x, taus) -> np.ndar
     Moving each symbol to its class centre changes u by at most
     |du| <= tau (q/2) sum_k |w_k|, with w_k the phased spectrum of f.
     Subject to the same box-periodization error as evolve_semigroup at
-    large tau.
+    large tau.  Rates of modes whose aliased symbol exceeds 1 are clipped at
+    0, as in a per-mode sum of e^{-tau max(1 - a_hat, 0)}.
     """
-    return _RateClasses.build(kernel, f, x)(taus)
+    return _RateClasses.build(kernel, f, x, clip=True)(taus)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +230,10 @@ def _decay_exponent(kernel: JumpKernel) -> float:
     return kernel.dim / alpha
 
 
+# largest spread of R over k = 0.025 .. 0.1 taken as bounded (the Gaussian's own is 0.004)
+_TAIL_SPREAD = 1.0
+
+
 @dataclass
 class ResolventKernel:
     """Regular part G_lambda of the resolvent kernel, plus its delta weight."""
@@ -234,6 +255,8 @@ def green_regular_series(kernel: JumpKernel, grid: GridSpec, lam: float) -> Reso
     bounded R = a_hat/(1 - a_hat) - e^{-|k|^2}/(A |k|^alpha), (A, alpha) = tail_params,
     goes through the periodic FFT (R(0) extrapolated in k^2 from three small k),
     plus s(r) = Gamma(b) 1F1(b; d/2; -r^2/4) / (A 2^d pi^{d/2} Gamma(d/2)), b = (d - alpha)/2.
+    R is bounded only when (A, alpha) is the kernel's true tail, so an InvalidKernelError
+    names tail_params when R spreads by more than _TAIL_SPREAD over the three small k.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -245,8 +268,15 @@ def green_regular_series(kernel: JumpKernel, grid: GridSpec, lam: float) -> Reso
         (A, alpha), d = kernel.tail_params, grid.dim
         regular = lambda a, k2: a / (1.0 - a) - np.exp(-k2) / (A * k2 ** (0.5 * alpha))
         ks = np.array([0.025, 0.05, 0.1])
+        near_zero = regular(kernel.fourier_radial(ks), ks**2)
+        spread = float(np.ptp(near_zero))
+        if not spread <= _TAIL_SPREAD:
+            raise InvalidKernelError(
+                f"tail_params (A, alpha) = ({A:g}, {alpha:g}) do not fit the kernel's a_hat "
+                f"near 0: the regular part spreads by {spread:.3g} over k = 0.025 .. 0.1"
+            )
         spec = np.empty(grid.shape)
-        spec.ravel()[0] = np.polyfit(ks**2, regular(kernel.fourier_radial(ks), ks**2), 2)[-1]
+        spec.ravel()[0] = np.polyfit(ks**2, near_zero, 2)[-1]
         a_hat = spectral_density(kernel, grid).ravel()[1:]
         spec.ravel()[1:] = regular(a_hat, grid.wavenumber_radius_squared().ravel()[1:])
         j = np.arange(grid.points_per_axis) - grid.points_per_axis // 2
@@ -275,6 +305,24 @@ def _fourier_cutoff(kernel: JumpKernel, lam: float) -> float:
     return 1e6
 
 
+def _radial_measure(d: int, r: float) -> Callable:
+    """k -> m(k) with (2 pi)^{-d} int e^{i(k,x)} g(|k|) dk = int_0^inf g(k) m(k) dk at |x| = r.
+
+    m is k^{d-1} |S^{d-1}| (2 pi)^{-d} times the angular mean of e^{i(k,x)}:
+    cos(k r) in d = 1, J_0(k r) in d = 2 and sin(k r)/(k r) in d = 3.  The
+    quadratures call m once per node as well as on arrays, so it stays plain.
+    """
+    if d == 1:
+        return lambda k: np.cos(k * r) / np.pi
+    if d == 2:
+        return lambda k: k * special.j0(k * r) / (2.0 * np.pi)
+    if d == 3 and r == 0.0:
+        return lambda k: k * k / (2.0 * np.pi**2)
+    if d == 3:
+        return lambda k: k * np.sin(k * r) / (2.0 * np.pi**2 * r)
+    raise NotImplementedError("radial Fourier quadrature supports d in {1, 2, 3}")
+
+
 def green_regular_fourier(kernel: JumpKernel, x, lam: float) -> float:
     """Radial quadrature of (2 pi)^{-d} int e^{i(k,x)} a_hat/(1+lam-a_hat) dk.
 
@@ -288,10 +336,8 @@ def green_regular_fourier(kernel: JumpKernel, x, lam: float) -> float:
         raise ValueError("lambda must be >= 0")
     if lam == 0:
         _decay_exponent(kernel)
-    d = kernel.dim
-    if d not in (1, 2, 3):
-        raise NotImplementedError("Fourier quadrature supports d in {1, 2, 3}")
     r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    measure = _radial_measure(kernel.dim, r)
     k_max = _fourier_cutoff(kernel, lam)
 
     tail_A, tail_alpha = kernel.tail_params or (None, None)
@@ -305,14 +351,7 @@ def green_regular_fourier(kernel: JumpKernel, x, lam: float) -> float:
         a = kernel.fourier_radial(k)
         return a / (1.0 + lam - a)
 
-    if d == 1:
-        integrand = lambda k: np.cos(k * r) * phi(k) / np.pi
-    elif d == 2:
-        integrand = lambda k: k * special.j0(k * r) * phi(k) / (2.0 * np.pi)
-    elif r == 0.0:
-        integrand = lambda k: k * k * phi(k) / (2.0 * np.pi**2)
-    else:
-        integrand = lambda k: k * np.sin(k * r) * phi(k) / (2.0 * np.pi**2 * r)
+    integrand = lambda k: measure(k) * phi(k)
 
     # graded breakpoints toward the k=0 singularity
     val = 0.0

@@ -15,8 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, TruncationError
-from .green import CLFunction, _decay_exponent, _RateClasses, potential
-from .grids import FieldGrid, GridSpec
+from .green import CLFunction, _decay_exponent, _fourier_cutoff, _radial_measure, _RateClasses
+from .green import potential
+from .grids import GridSpec
 from .kernels import JumpKernel
 from .simulate import BinSpec, McEstimate, _Moments, _deposit, _end_values
 from .simulate import _histogram, _map_paths, _mc_reduce
@@ -120,6 +121,7 @@ class RenormCurve:
     values: np.ndarray
     target: float
     N_values: np.ndarray
+    quad_errors: Optional[np.ndarray] = None  # quadrature error estimate of each value
 
     def __post_init__(self):
         self.T_grid = np.asarray(self.T_grid, dtype=float)
@@ -145,48 +147,6 @@ class RenormCurve:
                             repr(float(self.target)), repr(float(g))])
 
 
-@dataclass
-class _PointSemigroup:
-    """u(tau, x) evaluator with a power-law continuation past the box horizon.
-
-    The grid representation of the semigroup is only trustworthy while the
-    process has not felt the periodic box; beyond tau0 = half_width^2 / 16
-    we continue with c (tau + s)^{-p}, p = d/alpha, fitted to the grid
-    values at tau0/2, tau0.
-    """
-
-    u: _RateClasses
-    tau0: float
-    p: float
-    c: float
-    shift: float
-
-    @classmethod
-    def build(cls, kernel: JumpKernel, fs: FieldGrid, x, p: float):
-        tau0 = fs.grid.half_width**2 / 16.0
-        u = _RateClasses.build(kernel, fs, x)
-        u_pair = u([tau0 / 2.0, tau0])
-        if u_pair[0] <= 0 or u_pair[1] <= 0 or u_pair[1] >= u_pair[0]:
-            raise TruncationError("semigroup values unusable for the tail fit")
-        r = (u_pair[0] / u_pair[1]) ** (1.0 / p)
-        shift = tau0 * (1.0 - r / 2.0) / (r - 1.0)
-        if shift <= -tau0 / 2.0:
-            raise TruncationError("tail fit produced an invalid shift")
-        c = float(u_pair[1] * (tau0 + shift) ** p)
-        return cls(u, tau0, p, c, shift)
-
-    def __call__(self, taus) -> np.ndarray:
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        out = np.empty(taus.shape)
-        near = taus <= self.tau0
-        if np.any(near):
-            out[near] = self.u(taus[near])
-        far = ~near
-        if np.any(far):
-            out[far] = self.c * (taus[far] + self.shift) ** (-self.p)
-        return out
-
-
 def _clipped_mean(spec: SubordinatorSpec):
     """The spec's (T, tau) -> C_T(tau) = E[S(tau) ^ T], the expected time in [0, T] with D <= tau."""
     if spec.clipped_mean is None:
@@ -208,34 +168,51 @@ def _horizon(clipped_mean, T: float) -> float:
     return hi
 
 
-def _validate_limit_inputs(kernel: JumpKernel, spec: SubordinatorSpec) -> float:
-    """Decay exponent d/alpha of the Green measure, once the limit's hypotheses hold."""
-    p = _decay_exponent(kernel)
+def _validate_limit_inputs(kernel: JumpKernel, spec: SubordinatorSpec) -> None:
+    """Raise unless the Green measure exists and the limit's hypotheses on the spec hold."""
+    _decay_exponent(kernel)
     if not check_H(spec).passed:
         raise ConfigError("the subordinator fails the kernel limits")
     if not check_admissible(spec, s0=1.0).passed:
         raise ConfigError("the subordinator fails admissibility")
-    return p
 
 
-def _occupation_integrals(kernel, spec, f, x, T_grid, grid) -> np.ndarray:
-    """int_0^T v(s, x) ds for each T in T_grid.
+# geometric Gauss-Legendre panels from 1e-8 to the Fourier cutoff, plus [0, 1e-8]; with 80,
+# the 3-D Gaussian's 1/2-stable curve moves by 2e-13 from 80 to 320 panels
+_PANELS = 80
 
-    D(s) sits at tau while s runs over [S(tau-), S(tau)], so the integral is
-    the Stieltjes integral of u(tau, x) against C_T(tau) = E[S(tau) ^ T], summed
-    by trapezoids up to the horizon tau*.  u is the grid semigroup with its
-    power-law continuation past the box horizon tau0.
+
+def _radial_rule(k_max: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of order-point Gauss-Legendre on each panel of [0, k_max]."""
+    edges = np.concatenate(([0.0], np.geomspace(1e-8, k_max, _PANELS + 1)))
+    t, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (1.0 + t)).ravel(), (half * w).ravel()
+
+
+def _occupation_integrals(kernel, spec, f, x, T_grid) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^T v(s, x) ds for each T in T_grid, and the quadrature error estimate of each.
+
+    It is (2 pi)^{-d} int f_hat(k) e^{i(k,x)} W_T(1 - a_hat(k)) dk with
+    W_T(r) = int_0^T E e^{-r D(s)} ds from _mixture_weights, which reads the spec's
+    Phi; for radial a and f, one radial integral up to the kernel's Fourier cutoff.
+    Order-16 Gauss-Legendre gives the value, its gap to order 8 the error estimate.
     """
-    p = _validate_limit_inputs(kernel, spec)
-    clipped_mean = _clipped_mean(spec)
-    ps = _PointSemigroup.build(kernel, f.samples_on(grid), x, p)
-    out = []
+    _validate_limit_inputs(kernel, spec)
+    if f.fourier is None:
+        raise ConfigError(f"the curve needs the radial Fourier transform of {f.name}")
+    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    (k16, w16), (k8, w8) = (_radial_rule(_fourier_cutoff(kernel, 0.0), n) for n in (16, 8))
+    k = np.concatenate((k16, k8))
+    prefactor = _radial_measure(kernel.dim, r)(k) * np.asarray(f.fourier(k), dtype=float)
+    rates = 1.0 - np.asarray(kernel.fourier_radial(k), dtype=float)
+    values, errors = [], []
     for T in T_grid:
-        tau_hi = max(_horizon(clipped_mean, T), ps.tau0)
-        taus = np.union1d(np.linspace(0.0, ps.tau0, 512), np.geomspace(ps.tau0, tau_hi, 4096))
-        u = ps(taus)
-        out.append(0.5 * (u[1:] + u[:-1]) @ np.diff(clipped_mean(T, taus)))
-    return np.array(out)
+        terms = prefactor * _mixture_weights(spec, T, rates, integrated=True)
+        fine, coarse = w16 @ terms[:k16.size], w8 @ terms[k16.size:]
+        values.append(fine)
+        errors.append(abs(fine - coarse))
+    return np.array(values), np.array(errors)
 
 
 def renormalized_potential_curve(
@@ -246,12 +223,18 @@ def renormalized_potential_curve(
     T_grid,
     grid: GridSpec,
 ) -> RenormCurve:
-    """(1/N(T)) int_0^T v(s, x) ds along T_grid, with target V(x, f)."""
+    """(1/N(T)) int_0^T v(s, x) ds along T_grid, with target V(x, f) from potential on grid.
+
+    The integrals are a radial quadrature in the continuum, with no box; they
+    read the spec's Phi, not its clipped mean, and need f.fourier (cl_from_kernel
+    sets it; an f without it gets a ConfigError).  quad_errors records the
+    quadrature error estimate of each value.
+    """
     T_grid = np.asarray(T_grid, dtype=float)
-    integrals = _occupation_integrals(kernel, spec, f, x, T_grid, grid)
+    integrals, errors = _occupation_integrals(kernel, spec, f, x, T_grid)
     target = potential(kernel, f, x, grid)
     N_vals = np.array([normalization_N(spec, T) for T in T_grid])
-    return RenormCurve(T_grid, integrals / N_vals, target, N_vals)
+    return RenormCurve(T_grid, integrals / N_vals, target, N_vals, errors / N_vals)
 
 
 def unnormalized_potential_integral(
@@ -262,8 +245,11 @@ def unnormalized_potential_integral(
     T: float,
     grid: GridSpec,
 ) -> float:
-    """int_0^T v(s, x) ds without the 1/N(T) renormalization (diverges in T)."""
-    return float(_occupation_integrals(kernel, spec, f, x, [T], grid)[0])
+    """int_0^T v(s, x) ds without the 1/N(T) renormalization (diverges in T).
+
+    The curve's continuum radial quadrature; grid is not used.
+    """
+    return float(_occupation_integrals(kernel, spec, f, x, [T])[0][0])
 
 
 # ---------------------------------------------------------------------------

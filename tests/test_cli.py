@@ -182,6 +182,25 @@ def test_manifest_rerun_reproduces_artifacts(tmp_path):
     assert a == b
 
 
+def test_renorm_curve_run_and_manifest_rerun(tmp_path):
+    cfg = write_cfg(tmp_path, "rc", experiment="renorm-curve",
+                    subordinator={"family": "stable", "params": {"alpha": 0.5}},
+                    output="rc")
+    assert run_cli(["run", cfg, "--out", tmp_path / "first"]) == 0
+    first = (tmp_path / "first" / "rc_renorm_curve.csv").read_bytes()
+    rows = first.decode().strip().splitlines()
+    assert rows[0] == "T,N,value,target,rel_gap"
+    gaps = [float(r.split(",")[4]) for r in rows[1:]]
+    assert len(gaps) == 7
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
+    m = json.loads((tmp_path / "first" / "rc_manifest.json").read_text())
+    m.pop("artifacts")
+    rerun_cfg = tmp_path / "rerun.json"
+    rerun_cfg.write_text(json.dumps(m))
+    assert run_cli(["run", rerun_cfg, "--out", tmp_path / "second"]) == 0
+    assert (tmp_path / "second" / "rc_renorm_curve.csv").read_bytes() == first
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, "mc", experiment="mc-potential",
                     kernel={"family": "gaussian", "dim": 3},

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from greenwalk.errors import DivergentGreenMeasureError
+from greenwalk import green
+from greenwalk.errors import DivergentGreenMeasureError, InvalidKernelError
 from greenwalk.grids import FieldGrid, GridSpec, field_from_function
 from greenwalk.green import (
     CLFunction,
@@ -426,10 +427,12 @@ def test_green_off_origin_matches_fourier_quadrature(g0_series_3d, k3, x):
 def test_singular_part_evaluates_1f1_once_per_radius(dim, grid, tail, evals, monkeypatch):
     # |x|^2/h^2 is an integer: a table over 0..max needs fewer 1F1 values than
     # the 64^3 grid has points; in d = 1 it would need N^2/4, so each point gets one
-    # (the 1-D Gaussian has no Green measure: its tail_params only reach the branch)
+    # (the 1-D Gaussian has no Green measure: its tail_params only reach the branch,
+    # so the check that they fit a_hat near 0 is switched off)
     sizes = []
     hyp1f1 = special.hyp1f1
     monkeypatch.setattr(special, "hyp1f1", lambda a, b, z: sizes.append(np.size(z)) or hyp1f1(a, b, z))
+    monkeypatch.setattr(green, "_TAIL_SPREAD", np.inf)
     kernel = dataclasses.replace(make_gaussian_kernel(dim), tail_params=tail)
     g = green_regular_series(kernel, grid, 0.0)
     assert sizes == [evals]
@@ -442,6 +445,16 @@ def test_green_origin_with_fitted_tail_params(k3):
     fitted = dataclasses.replace(k3, tail_params=(A, alpha))
     g0 = green_regular_series(fitted, GRID3, 0.0).regular_part
     assert g0.value_at([0.0, 0.0, 0.0]) == pytest.approx(ZETA_ORACLE, rel=1e-4)
+
+
+@pytest.mark.parametrize("tail", [(1.01, 2.0), (2.0, 2.0), (1.0, 1.9)])
+def test_green_origin_rejects_wrong_tail_params(k3, tail):
+    # R = a_hat/(1 - a_hat) - e^{-k^2}/(A k^alpha) spreads by 14.9, 750 and 473
+    # over k = 0.025 .. 0.1 (the true (1, 2): 0.004); (2, 2) used to return
+    # G_0(0) 49% high
+    wrong = dataclasses.replace(k3, tail_params=tail)
+    with pytest.raises(InvalidKernelError, match="tail_params"):
+        green_regular_series(wrong, GRID3, 0.0)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])

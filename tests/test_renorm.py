@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from greenwalk.errors import ConfigError, DivergentGreenMeasureError
+from greenwalk.errors import AliasingError, ConfigError, DivergentGreenMeasureError
 from greenwalk.grids import FieldGrid, GridSpec
 from greenwalk.green import _RateClasses, cl_from_grid, cl_from_kernel, potential
-from greenwalk.kernels import convolve_power, make_gaussian_kernel
+from greenwalk.kernels import convolve_power, make_cauchy_kernel, make_gaussian_kernel
 from greenwalk.renorm import (
     RenormCurve,
     fke_residual,
@@ -165,7 +165,8 @@ def test_curve_is_continuous_in_the_stable_index(k3, half_curve, alpha):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
 def test_curve_matches_rate_class_sum_before_the_box_is_felt(k3, alpha):
-    # at small T the box is not felt, so int u dC_T equals sum_c w_c W_T(r_c)
+    # at small T the grid's rate-class sum sum_c w_c W_T(r_c) does not feel the
+    # box, so it equals the continuum radial quadrature
     spec = make_stable_subordinator(alpha)
     f = cl_from_kernel(k3)
     u = _RateClasses.build(k3, f.samples_on(GRID3), [0.0, 0.0, 0.0])
@@ -176,16 +177,68 @@ def test_curve_matches_rate_class_sum_before_the_box_is_felt(k3, alpha):
 
 
 def test_limit_needs_a_clipped_mean(k3, stable):
+    # the curve reads Phi, not the clipped mean; the histogram needs the clipped mean
     bare = dataclasses.replace(stable, clipped_mean=None)
-    with pytest.raises(ConfigError):
-        renormalized_potential_curve(
-            k3, bare, cl_from_kernel(k3), [0.0, 0.0, 0.0], np.array([1.0, 2.0]), GRID3
-        )
+    T_grid = np.array([1.0, 2.0])
+    f = cl_from_kernel(k3)
+    with_mean = renormalized_potential_curve(k3, stable, f, [0.0, 0.0, 0.0], T_grid, GRID3)
+    without = renormalized_potential_curve(k3, bare, f, [0.0, 0.0, 0.0], T_grid, GRID3)
+    np.testing.assert_array_equal(without.values, with_mean.values)
+    assert without.target == with_mean.target
     for method in ("conditional", "raw"):
         with pytest.raises(ConfigError):
             renormalized_green_histogram(
                 k3, bare, [0.0, 0.0, 0.0], 10.0, BinSpec.cube(8.0, 4, 3), 10, seed=1, method=method
             )
+
+
+def half_stable_W(r, T):
+    """W_T(r) = int_0^T erfcx(r sqrt s) ds = (erfcx(x) + 2 x / sqrt(pi) - 1) / r^2, x = r sqrt T.
+
+    Below x = 0.05 the closed form cancels; there W_T / T = sum_m (-x)^m / Gamma(m/2 + 2).
+    """
+    x = r * np.sqrt(T)
+    if x < 0.05:
+        m = np.arange(16)
+        return T * float(np.sum((-x) ** m / special.gamma(0.5 * m + 2.0)))
+    return (special.erfcx(x) + 2.0 * x / np.sqrt(np.pi) - 1.0) / r**2
+
+
+def half_stable_occupation(T, r):
+    """int_0^T v(s, x) ds at |x| = r for the 3-D Gaussian and f = a, by adaptive quadrature."""
+
+    def integrand(k):
+        angular = 1.0 if r == 0.0 else np.sin(k * r) / (k * r)
+        return k * k * angular * np.exp(-k * k) * half_stable_W(-np.expm1(-k * k), T) / (2 * np.pi**2)
+
+    points = T**-0.25 * np.array([0.1, 1.0, 10.0])
+    val, _ = integrate.quad(integrand, 0.0, 12.0, points=points, limit=400, epsabs=0.0, epsrel=1e-13)
+    return val
+
+
+@pytest.mark.parametrize("x", [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
+def test_curve_matches_closed_form_W_and_records_its_quadrature_error(k3, stable, x):
+    T_grid = np.array([2.0**9, 2.0**21])
+    curve = renormalized_potential_curve(k3, stable, cl_from_kernel(k3), x, T_grid, GRID3)
+    exact = [half_stable_occupation(T, x[0]) / (2 * np.sqrt(T / np.pi)) for T in T_grid]
+    np.testing.assert_allclose(curve.values, exact, rtol=1e-10)
+    assert curve.quad_errors.shape == T_grid.shape
+    assert np.all(curve.quad_errors <= 1e-10 * curve.values)
+
+
+def test_curve_needs_the_fourier_transform_of_f(k3, stable):
+    f = cl_from_grid(cl_from_kernel(k3).samples_on(GRID3), name="a_table")
+    with pytest.raises(ConfigError, match="a_table"):
+        renormalized_potential_curve(k3, stable, f, [0.0, 0.0, 0.0], np.array([1.0, 2.0]), GRID3)
+
+
+def test_subordinated_solution_rejects_an_aliased_symbol(stable):
+    # on this box the sampled Cauchy symbol reaches 1.0083 near k = 0, so
+    # 1 - a_hat would be a negative rate; it used to be clipped at 0
+    kernel = make_cauchy_kernel()
+    grid = GridSpec(1, 2**20, 6e5)
+    with pytest.raises(AliasingError, match="exceeds 1"):
+        subordinated_solution(kernel, stable, cl_from_kernel(kernel), [0.0], 1.0, grid=grid)
 
 
 def test_unnormalized_integral_diverges(k3, stable):
