@@ -15,8 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, TruncationError
-from .green import CLFunction, _decay_exponent, _fourier_cutoff, _radial_measure, _RateClasses
-from .green import potential
+from .green import CLFunction, _decay_exponent, _radial_value, _RateClasses
 from .grids import GridSpec
 from .kernels import JumpKernel
 from .simulate import BinSpec, McEstimate, _Moments, _deposit, _end_values
@@ -177,42 +176,22 @@ def _validate_limit_inputs(kernel: JumpKernel, spec: SubordinatorSpec) -> None:
         raise ConfigError("the subordinator fails admissibility")
 
 
-# geometric Gauss-Legendre panels from 1e-8 to the Fourier cutoff, plus [0, 1e-8]; with 80,
-# the 3-D Gaussian's 1/2-stable curve moves by 2e-13 from 80 to 320 panels
-_PANELS = 80
-
-
-def _radial_rule(k_max: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of order-point Gauss-Legendre on each panel of [0, k_max]."""
-    edges = np.concatenate(([0.0], np.geomspace(1e-8, k_max, _PANELS + 1)))
-    t, w = np.polynomial.legendre.leggauss(order)
-    half = 0.5 * np.diff(edges)[:, None]
-    return (edges[:-1, None] + half * (1.0 + t)).ravel(), (half * w).ravel()
-
-
 def _occupation_integrals(kernel, spec, f, x, T_grid) -> tuple[np.ndarray, np.ndarray]:
     """int_0^T v(s, x) ds for each T in T_grid, and the quadrature error estimate of each.
 
     It is (2 pi)^{-d} int f_hat(k) e^{i(k,x)} W_T(1 - a_hat(k)) dk with
     W_T(r) = int_0^T E e^{-r D(s)} ds from _mixture_weights, which reads the spec's
-    Phi; for radial a and f, one radial integral up to the kernel's Fourier cutoff.
-    Order-16 Gauss-Legendre gives the value, its gap to order 8 the error estimate.
+    Phi; for radial a and f, one call of the radial rule green._radial_value.
     """
     _validate_limit_inputs(kernel, spec)
     if f.fourier is None:
         raise ConfigError(f"the curve needs the radial Fourier transform of {f.name}")
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    (k16, w16), (k8, w8) = (_radial_rule(_fourier_cutoff(kernel, 0.0), n) for n in (16, 8))
-    k = np.concatenate((k16, k8))
-    prefactor = _radial_measure(kernel.dim, r)(k) * np.asarray(f.fourier(k), dtype=float)
-    rates = 1.0 - np.asarray(kernel.fourier_radial(k), dtype=float)
-    values, errors = [], []
-    for T in T_grid:
-        terms = prefactor * _mixture_weights(spec, T, rates, integrated=True)
-        fine, coarse = w16 @ terms[:k16.size], w8 @ terms[k16.size:]
-        values.append(fine)
-        errors.append(abs(fine - coarse))
-    return np.array(values), np.array(errors)
+
+    def multiplier(k, a_hat, gap):
+        W = np.array([_mixture_weights(spec, T, gap, integrated=True) for T in T_grid])
+        return f.fourier(k) * W
+
+    return _radial_value(kernel, x, 0.0, multiplier)
 
 
 def renormalized_potential_curve(
@@ -223,16 +202,18 @@ def renormalized_potential_curve(
     T_grid,
     grid: GridSpec,
 ) -> RenormCurve:
-    """(1/N(T)) int_0^T v(s, x) ds along T_grid, with target V(x, f) from potential on grid.
+    """(1/N(T)) int_0^T v(s, x) ds along T_grid, with target V(x, f) = f(x) + (G_0 * f)(x).
 
-    The integrals are a radial quadrature in the continuum, with no box; they
-    read the spec's Phi, not its clipped mean, and need f.fourier (cl_from_kernel
-    sets it; an f without it gets a ConfigError).  quad_errors records the
+    The integrals and G_0 * f are radial quadratures in the continuum
+    (green._radial_value), with no box, so grid is not used; they read the
+    spec's Phi, not its clipped mean, and need f.fourier (cl_from_kernel sets
+    it; an f without it gets a ConfigError).  quad_errors records the
     quadrature error estimate of each value.
     """
     T_grid = np.asarray(T_grid, dtype=float)
     integrals, errors = _occupation_integrals(kernel, spec, f, x, T_grid)
-    target = potential(kernel, f, x, grid)
+    conv, _ = _radial_value(kernel, x, 0.0, lambda k, a_hat, gap: f.fourier(k) * a_hat / gap)
+    target = f.value_at(x) + float(conv)
     N_vals = np.array([normalization_N(spec, T) for T in T_grid])
     return RenormCurve(T_grid, integrals / N_vals, target, N_vals, errors / N_vals)
 

@@ -19,6 +19,7 @@ from scipy import integrate, special, stats
 from greenwalk.errors import DivergentGreenMeasureError
 from greenwalk.grids import GridSpec
 from greenwalk.green import (
+    _radial_value,
     cl_from_kernel,
     green_regular_fourier,
     green_regular_series,
@@ -141,6 +142,35 @@ def test_criterion_04_mc_consistency(k3, spectral_potential):
         f"mc {est.mean:.6f} +/- {est.stderr:.6f} vs spectral {spectral_potential:.6f}, "
         f"|gap| {gap:.6f} vs tol {tol:.6f} (T=200 truncation tail ~5% of V), {elapsed:.0f}s",
     )
+
+
+# int_0^200 E a(X_t) dt from 0 = sum_n P(Gamma(n+1) <= 200) a_{n+1}(0), computed by
+# truncated_potential(200.0) in perfbench/oracles.py (its trunc_potential_T200)
+TRUNC_POTENTIAL_T200 = 0.0554669472453732
+
+
+def test_criterion_04_companion_truncated_potential_plus_exact_tail(k3):
+    # criterion 4 leaves out int_200^infty u(t, 0) dt; here it is added exactly.
+    # With g = 1 - a_hat, head and tail are the radial integrals of
+    # a_hat (1 - e^{-T g})/g and a_hat e^{-T g}/g; they sum to that of
+    # a_hat/g = a_hat + a_hat^2/g, i.e. to V(0, a) = a(0) + (G_0 * a)(0)
+    T = 200.0
+    a = cl_from_kernel(k3)
+
+    def radial(multiplier):
+        return float(_radial_value(k3, ORIGIN3, 0.0, multiplier)[0])
+
+    head = radial(lambda k, a_hat, g: -a_hat * np.expm1(-T * g) / g)
+    tail = radial(lambda k, a_hat, g: a_hat * np.exp(-T * g) / g)
+    v = a.value_at(ORIGIN3) + radial(lambda k, a_hat, g: a_hat * a_hat / g)
+    assert head == pytest.approx(TRUNC_POTENTIAL_T200, abs=1e-12)
+    assert tail == pytest.approx(0.0031767, abs=1e-7)
+    assert abs(head + tail - v) < 1e-14
+    assert v == pytest.approx(ZETA_ORACLE, rel=1e-12)
+    est = mc_truncated_potential(k3, a, ORIGIN3, T, 20000, seed=2024)
+    z = abs(est.mean + tail - v) / est.stderr
+    print(f"criterion  4 companion: mc {est.mean:.6f} + tail {tail:.6f} vs V {v:.6f}, z = {z:.2f}")
+    assert z <= 5.0
 
 
 def test_criterion_05_random_green_measure(k3, g0_3d):

@@ -16,10 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 from greenwalk import green
-from greenwalk.errors import DivergentGreenMeasureError, InvalidKernelError
+from greenwalk.errors import (
+    AliasingError,
+    DivergentGreenMeasureError,
+    InvalidKernelError,
+    TruncationError,
+)
 from greenwalk.grids import FieldGrid, GridSpec, field_from_function
 from greenwalk.green import (
     CLFunction,
@@ -36,7 +41,6 @@ from greenwalk.green import (
     green_regular_series,
     potential,
     potential_field,
-    semigroup_point_values,
 )
 from greenwalk.kernels import (
     JumpKernel,
@@ -148,7 +152,7 @@ def test_semigroup_point_values_match_evolve(k1):
     fs = sample_density(k1, GRID1)
     taus = np.array([0.5, 1.0, 3.0])
     x = float(GRID1.axis[GRID1.nearest_index(np.array([0.7]))[0]])  # grid node
-    pointwise = semigroup_point_values(k1, fs, [x], taus)
+    pointwise = _RateClasses.build(k1, fs, [x])(taus)
     dense = [evolve_semigroup(k1, fs, t).value_at([x]) for t in taus]
     np.testing.assert_allclose(pointwise, dense, atol=1e-8)
 
@@ -197,20 +201,18 @@ def test_rate_classes_stay_few_on_gaussian_grid(k3):
 def test_grouped_semigroup_matches_per_mode_sum(k3, x):
     fs = sample_density(k3, GRID3)
     taus = np.linspace(0.0, GRID3.half_width**2 / 16.0, 33)  # up to the tail-fit tau0
-    got = semigroup_point_values(k3, fs, x, taus)
+    got = _RateClasses.build(k3, fs, x)(taus)
     np.testing.assert_allclose(got, per_mode_sum(k3, fs, x, taus), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("x", [(0.0,), (3.0,)])
-def test_grouped_semigroup_matches_per_mode_sum_cauchy(x):
-    # The aliasing gate needs a half width near 6e5 for the 1/(pi(1+x^2))
-    # tail, so tau0 = L^2/16 would be ~2e10, where one ulp of rate already
-    # moves u by ~4e-6; compare over the Gaussian's tau range instead.
+def test_rate_classes_reject_the_aliased_cauchy_symbol(x):
+    # the 1/(pi(1+x^2)) tail is undersampled even at half width 6e5: the sampled
+    # symbol reaches 1 + 8.3e-3 near k = 0, a negative decay rate
     kernel = make_cauchy_kernel()
     fs = sample_density(kernel, GridSpec(1, 2**20, 6e5))
-    taus = np.linspace(0.0, 16.0, 9)
-    got = semigroup_point_values(kernel, fs, x, taus)
-    np.testing.assert_allclose(got, per_mode_sum(kernel, fs, x, taus), rtol=1e-13, atol=0.0)
+    with pytest.raises(AliasingError, match="exceeds 1 by 8.28"):
+        _RateClasses.build(kernel, fs, x)
 
 
 PROPERTY_GRIDS = [GridSpec(1, 256, 20.0), GridSpec(2, 64, 12.0)]
@@ -236,7 +238,7 @@ def test_semigroup_is_a_contraction_at_grid_nodes(which, seed, scale, node, tau)
     grid = PROPERTY_GRIDS[which]
     kernel = make_gaussian_kernel(grid.dim)
     fs = random_field(grid, seed, scale)
-    u = semigroup_point_values(kernel, fs, grid_node(grid, node % fs.values.size), [tau])[0]
+    u = _RateClasses.build(kernel, fs, grid_node(grid, node % fs.values.size))([tau])[0]
     assert abs(u) <= np.max(np.abs(fs.values)) + 1e-12
 
 
@@ -252,7 +254,7 @@ def test_semigroup_at_time_zero_returns_f_at_grid_nodes(which, seed, scale, node
     kernel = make_gaussian_kernel(grid.dim)
     fs = random_field(grid, seed, scale)
     flat = node % fs.values.size
-    u0 = semigroup_point_values(kernel, fs, grid_node(grid, flat), [0.0])[0]
+    u0 = _RateClasses.build(kernel, fs, grid_node(grid, flat))([0.0])[0]
     assert u0 == pytest.approx(fs.values.ravel()[flat], abs=1e-12 * scale)
 
 
@@ -319,8 +321,23 @@ def test_green_series_lambda_one_mass(k1):
 
 def test_green_fourier_origin_matches_zeta_oracle(k3):
     assert green_regular_fourier(k3, [0.0, 0.0, 0.0], 0.0) == pytest.approx(
-        ZETA_ORACLE, rel=0.01
+        ZETA_ORACLE, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("r", [15.0, 30.0])
+def test_green_fourier_matches_far_field_at_large_x(k3, r):
+    # G_0 = sum_n (4 pi n)^{-3/2} e^{-r^2/(4n)} tends to erf(r/2)/(4 pi r), the
+    # Newton kernel 1/(4 pi r) smoothed by the kernel; the gap is e^{-r^2/4}-small
+    far = special.erf(r / 2.0) / (4.0 * np.pi * r)
+    assert abs(green_regular_fourier(k3, [0.0, r, 0.0], 0.0) - far) < 1e-10
+
+
+def test_green_fourier_raises_where_the_panels_miss_the_oscillation(k3):
+    # at |x| = 120 the geometric panels under-resolve sin(k |x|): orders 16 and 8
+    # differ by 2.2e-2 relative (8.0e-7 at |x| = 30)
+    with pytest.raises(TruncationError, match="orders 16 and 8"):
+        green_regular_fourier(k3, [120.0, 0.0, 0.0], 0.0)
 
 
 def test_green_methods_agree_pointwise(k1):
@@ -537,28 +554,17 @@ def test_potential_requires_existence():
 
 
 def test_potential_is_time_integral_of_semigroup(k3):
-    # V(0, a) = int_0^infty u(t, 0) dt; truncating at T leaves a t^{-1/2}
-    # tail, so the error decreases in T and is below 2% by T = 2000.
+    # V(0, a) = int_0^infty u(t, 0) dt: Simpson's rule on the grid semigroup over
+    # [0, tau0] plus the exact tail int_tau0^infty u dt, the radial integral of
+    # a_hat e^{-tau0 (1 - a_hat)} / (1 - a_hat) times a_hat.  tau0 = 8 keeps the
+    # head off the periodic box (at tau0 = 24 the box moves it by 4.5e-6)
     fs = cl_from_kernel(k3).samples_on(GRID3)
     target = potential(k3, cl_from_kernel(k3), [0.0, 0.0, 0.0], GRID3)
-    tau0 = 24.0
-    taus = np.linspace(0.0, tau0, 1537)
-    u = semigroup_point_values(k3, fs, [0.0, 0.0, 0.0], taus)
-    head = np.trapezoid(u, taus)
-    # continue with the fitted power tail u ~ c (t + s)^{-3/2} beyond tau0
-    p = 1.5
-    ratio = (u[-1] / semigroup_point_values(k3, fs, [0.0, 0.0, 0.0], [tau0 / 2])[0]) ** (
-        -1.0 / p
+    tau0 = 8.0
+    taus = np.linspace(0.0, tau0, 1025)
+    head = integrate.simpson(_RateClasses.build(k3, fs, [0.0, 0.0, 0.0])(taus), x=taus)
+    tail, _ = green._radial_value(
+        k3, [0.0, 0.0, 0.0], 0.0, lambda k, a_hat, gap: a_hat * np.exp(-tau0 * gap) / gap
     )
-    # solve (tau0 + s)/(tau0/2 + s) = ratio for the shift s
-    shift = (tau0 / 2.0 * ratio - tau0) / (1.0 - ratio)
-    c = u[-1] * (tau0 + shift) ** p
-
-    def integral_up_to(T):
-        tail = c / (p - 1) * ((tau0 + shift) ** (1 - p) - (T + shift) ** (1 - p))
-        return head + tail
-
-    err200 = abs(integral_up_to(200.0) / target - 1.0)
-    err2000 = abs(integral_up_to(2000.0) / target - 1.0)
-    assert err2000 < err200
-    assert err2000 < 0.02
+    assert tail > 0.25 * target  # the t^{-1/2} tail is not small
+    assert head + tail == pytest.approx(target, rel=1e-8)

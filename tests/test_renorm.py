@@ -140,6 +140,8 @@ def test_curve_gap_decreases_and_n_matches(k3, stable):
     f = cl_from_kernel(k3)
     T_grid = np.array([2.0**9, 2.0**13, 2.0**17])
     curve = renormalized_potential_curve(k3, stable, f, [0.0, 0.0, 0.0], T_grid, GRID3)
+    # the target is the continuum radial V(0, a); the 64^3 grid potential agrees
+    assert curve.target == pytest.approx((4 * np.pi) ** -1.5 * special.zeta(1.5), rel=1e-12)
     assert curve.target == pytest.approx(potential(k3, f, [0.0, 0.0, 0.0], GRID3))
     np.testing.assert_allclose(curve.N_values, 2 * np.sqrt(T_grid / np.pi), rtol=1e-12)
     gaps = curve.rel_gaps
