@@ -43,14 +43,12 @@ from .green import (
 )
 from .simulate import (
     BinSpec,
-    CppPath,
     McEstimate,
     OccupationHistogram,
     average_random_green_measure,
     empirical_random_green_measure,
     mc_expectation,
     mc_truncated_potential,
-    sample_cpp_path,
 )
 from .subordinate import (
     SubordinatorSpec,
@@ -60,7 +58,6 @@ from .subordinate import (
     make_gamma_subordinator,
     make_stable_subordinator,
     rho_density,
-    sample_inverse_subordinator,
     time_averaged_ratio,
 )
 from .renorm import (

@@ -67,11 +67,7 @@ class CLFunction:
     fourier: Optional[Callable] = None
 
     def value_at(self, x) -> float:
-        if self.evaluator is not None:
-            return float(np.asarray(self.evaluator(np.atleast_2d(np.asarray(x, float)))).ravel()[0])
-        if self.grid_samples is not None:
-            return self.grid_samples.value_at(x)
-        raise MissingNormsError("CL function has neither evaluator nor samples")
+        return float(self.values_at(x)[0])
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an (m, d) array of points."""

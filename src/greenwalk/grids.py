@@ -116,11 +116,16 @@ class FieldGrid:
     def values_at(self, points) -> np.ndarray:
         """Multilinear interpolation at an (m, d) array of points inside the box.
 
-        Indices wrap periodically, so points past the upper edge interpolate
+        Raises ValueError for a point outside [-L, L)^d.  Indices wrap
+        periodically, so points in the last cell [L - h, L) interpolate
         against the cells at the lower edge.
         """
         g = self.grid
-        pos = (np.asarray(points, dtype=float).reshape(-1, g.dim) + g.half_width) / g.spacing
+        points = np.asarray(points, dtype=float).reshape(-1, g.dim)
+        outside = np.any((points < -g.half_width) | (points >= g.half_width), axis=1)
+        if np.any(outside):
+            raise ValueError(f"{np.count_nonzero(outside)} of {outside.size} points outside the box [-L, L)^d")
+        pos = (points + g.half_width) / g.spacing
         lo = np.floor(pos).astype(int)
         frac = pos - lo
         out = np.zeros(pos.shape[0])

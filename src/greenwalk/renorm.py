@@ -78,13 +78,12 @@ def mc_time_changed_expectation(
     t: float,
     n: int,
     seed: int,
-    ds: Optional[float] = None,
 ) -> McEstimate:
     """Sample mean of f(Z(t)) with Z = X(D(t)).
 
     D(t) is drawn by sample_inverse_many: exactly for a self-similar spec or
-    one with a passage_cdf (gamma), by grid first passage with step ds
-    (default 1e-3 t) for the others.
+    one with a passage_cdf (gamma), by grid first passage with step 1e-3 t
+    for the others.
     """
     if n < 2:
         raise ValueError("need n >= 2 samples")
@@ -93,8 +92,7 @@ def mc_time_changed_expectation(
     if t == 0:
         return McEstimate(f.value_at(x), 0.0, n, seed)
     rng = np.random.default_rng(seed)
-    ds = 1e-3 * t if ds is None else ds
-    d_draws = sample_inverse_many(spec, t, ds, n, seed=int(rng.integers(2**63)))
+    d_draws = sample_inverse_many(spec, t, 1e-3 * t, n, seed=int(rng.integers(2**63)))
     return _mc_reduce(*_end_values(kernel, f, x, d_draws, rng), seed, time_change=spec.to_json_dict())
 
 

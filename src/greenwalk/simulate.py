@@ -19,49 +19,14 @@ from .green import CLFunction
 from .kernels import JumpKernel
 
 __all__ = [
-    "CppPath",
     "McEstimate",
     "BinSpec",
     "OccupationHistogram",
-    "sample_cpp_path",
     "mc_expectation",
     "mc_truncated_potential",
-    "sample_random_potential",
     "empirical_random_green_measure",
     "average_random_green_measure",
 ]
-
-
-@dataclass
-class CppPath:
-    """One compound Poisson trajectory on [0, T].
-
-    positions[i] is the state on [jump_times[i], jump_times[i+1]); the state
-    before the first jump is start.
-    """
-
-    start: np.ndarray
-    jump_times: np.ndarray
-    positions: np.ndarray
-    horizon: float
-
-    def state_at(self, t: float) -> np.ndarray:
-        if t < 0 or t > self.horizon:
-            raise ValueError("t outside [0, T]")
-        i = int(np.searchsorted(self.jump_times, t, side="right"))
-        return self.start if i == 0 else self.positions[i - 1]
-
-    def holding_intervals(self):
-        """(states, durations) covering [0, T] exactly."""
-        times = np.concatenate(([0.0], self.jump_times, [self.horizon]))
-        durations = np.diff(times)
-        states = np.vstack([self.start[None, :], self.positions])
-        return states, durations
-
-    def time_integral(self, fn) -> float:
-        """int_0^T fn(X(t)) dt, exact for the piecewise-constant path."""
-        states, durations = self.holding_intervals()
-        return float(np.dot(np.asarray(fn(states), dtype=float).ravel(), durations))
 
 
 @dataclass
@@ -75,34 +40,6 @@ class McEstimate:
     def __post_init__(self):
         if self.stderr < 0:
             raise ValueError("stderr must be >= 0")
-
-
-def sample_cpp_path(kernel: JumpKernel, x, T: float, rng: np.random.Generator) -> CppPath:
-    """Exact path: Exp(1) holding times, jumps i.i.d. with density a.
-
-    The generator Lf = a*f - f has unit jump intensity because the kernel
-    integrates to one.
-    """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if kernel.sampler is None:
-        raise ValueError("kernel has no jump sampler")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    times = []
-    t = 0.0
-    block = max(int(T) + 1, 16)
-    while True:
-        gaps = rng.exponential(size=block)
-        cum = t + np.cumsum(gaps)
-        inside = cum[cum < T]
-        times.append(inside)
-        if inside.size < block:
-            break
-        t = cum[-1]
-    jump_times = np.concatenate(times)
-    jumps = kernel.sampler(rng, jump_times.size)
-    positions = x[None, :] + np.cumsum(jumps, axis=0) if jump_times.size else np.empty((0, x.size))
-    return CppPath(x, jump_times, positions, T)
 
 
 class _Moments:
@@ -266,12 +203,6 @@ def _end_values(kernel: JumpKernel, f: CLFunction, x, horizons, rng):
     )
 
 
-def sample_random_potential(kernel: JumpKernel, f: CLFunction, x, T: float, rng) -> float:
-    """One draw of the random potential Y^x(f) truncated at horizon T."""
-    path = sample_cpp_path(kernel, x, T, rng)
-    return path.time_integral(f.values_at)
-
-
 def mc_truncated_potential(
     kernel: JumpKernel, f: CLFunction, x, T: float, n: int, seed: int
 ) -> McEstimate:
@@ -380,10 +311,10 @@ def empirical_random_green_measure(
     kernel: JumpKernel, x, T: float, bins: BinSpec, rng
 ) -> OccupationHistogram:
     """Occupation measure of a single path: durations deposited per bin."""
-    path = sample_cpp_path(kernel, _start_in_box(bins, x), T, rng)
-    states, durations = path.holding_intervals()
-    zero = np.zeros(durations.size, dtype=np.int64)
-    row = _deposit(bins, _PathChunk(states, durations, zero, zero[:1], rng), durations)[0]
+    (row,), _ = _map_paths(
+        kernel, _start_in_box(bins, x), np.array([float(T)]), rng,
+        lambda c: _deposit(bins, c, c.durations)[0], int(np.prod(bins.shape)),
+    )
     return OccupationHistogram(bins, row[:-1].reshape(bins.shape), float(row[-1]), T)
 
 

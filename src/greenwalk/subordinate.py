@@ -21,14 +21,11 @@ from .errors import InversionInstabilityError, TruncationError
 
 __all__ = [
     "SubordinatorSpec",
-    "InverseSubSample",
     "make_stable_subordinator",
     "make_gamma_subordinator",
     "check_H",
     "check_admissible",
-    "sample_inverse_subordinator",
     "sample_inverse_many",
-    "inverse_subordinator_curve",
     "rho_density",
     "time_averaged_ratio",
     "gfd_apply",
@@ -41,15 +38,19 @@ class SubordinatorSpec:
     """Driftless subordinator with derived kernels and an increment sampler.
 
     k_primitive is the exact primitive int_0^t k(s) ds where available;
-    rho_closed_form is set for families with a known inverse-process density;
+    rho_closed_form is set for families with a known inverse-process density,
+    and replaces the Talbot inversion in rho_density (replace it by None to
+    force the inversion);
     laplace_closed_form (t, rates) -> E e^{-r D(t)} is set for families whose
     mixture weights have a closed form, and replaces their Laplace inversion;
     self_similarity is the index alpha of a self-similar family, for which
     S(c t) has the law of c^{1/alpha} S(t); passage_cdf (t, tau) ->
     P(D(t) <= tau) = P(S(tau) >= t) is set for families whose first-passage
     law has a closed form, and lets sample_inverse_many draw D(t) exactly by
-    inversion; clipped_mean (T, tau) -> E[S(tau) ^ T] is the expected time s
-    in [0, T] with D(s) <= tau, which the renormalized occupation limit needs.
+    inversion (a spec with neither self_similarity nor passage_cdf is drawn
+    by grid first passage); clipped_mean (T, tau) -> E[S(tau) ^ T] is the
+    expected time s in [0, T] with D(s) <= tau, which the renormalized
+    occupation limit needs.
     """
 
     family: str
@@ -68,17 +69,6 @@ class SubordinatorSpec:
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "params": dict(self.params)}
-
-
-@dataclass
-class InverseSubSample:
-    t: float
-    value: float
-    path_resolution: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("inverse subordinator value must be >= 0")
 
 
 def _kanter_A(alpha: float, u, eps):
@@ -419,14 +409,12 @@ def check_admissible(spec: SubordinatorSpec, s0: float) -> AdmissibilityReport:
 # ---------------------------------------------------------------------------
 
 
-def sample_inverse_many(
-    spec: SubordinatorSpec,
-    t: float,
-    ds: float,
-    n: int,
-    seed: int,
-    max_steps: int = 50_000_000,
-) -> np.ndarray:
+# increments drawn per block, and the step cap, of grid first passage
+_PASSAGE_BLOCK = 4096
+_MAX_STEPS = 50_000_000
+
+
+def sample_inverse_many(spec: SubordinatorSpec, t: float, ds: float, n: int, seed: int) -> np.ndarray:
     """n independent draws of D(t) = inf{s : S(s) >= t}.
 
     For a self-similar family with index alpha the draws are exact and do
@@ -435,8 +423,10 @@ def sample_inverse_many(
     spec's own increment sampler.  A family with a passage_cdf F(tau) =
     P(D(t) <= tau) is drawn exactly too, as the roots of F(tau) = U for n
     uniforms U at once (bracketed, then Chandrupatla's method to full
-    precision), also independent of ds.  Other families use first passage
-    of S simulated on the grid {0, ds, 2 ds, ...}, which has an O(ds) upward bias.
+    precision), also independent of ds.  A spec with neither capability
+    falls back to grid first passage of S on {0, ds, 2 ds, ...}, one draw
+    at a time, with an O(ds) upward bias; it raises TruncationError when S
+    has not reached t after _MAX_STEPS steps.
     """
     if t <= 0 or ds <= 0:
         raise ValueError("t and ds must be positive")
@@ -445,8 +435,19 @@ def sample_inverse_many(
         return (t / spec.increment_sampler(1.0, rng, n)) ** spec.self_similarity
     if spec.passage_cdf is not None:
         return _invert_passage_cdf(spec, t, rng.uniform(size=n))
-    draws = [inverse_subordinator_curve(spec, [t], ds, rng, max_steps)[0] for _ in range(n)]
-    return np.array(draws)
+    return np.array([_grid_first_passage(spec, t, ds, rng) for _ in range(n)])
+
+
+def _grid_first_passage(spec: SubordinatorSpec, t: float, ds: float, rng) -> float:
+    """The first grid time k ds at which S, simulated with step ds, reaches t."""
+    s, steps = 0.0, 0
+    while steps <= _MAX_STEPS:
+        cum = s + np.cumsum(spec.increment_sampler(ds, rng, _PASSAGE_BLOCK))
+        j = int(np.searchsorted(cum, t))
+        if j < _PASSAGE_BLOCK:
+            return (steps + j + 1) * ds
+        s, steps = cum[-1], steps + _PASSAGE_BLOCK
+    raise TruncationError("inverse subordinator failed to cross within step cap")
 
 
 def _invert_passage_cdf(spec: SubordinatorSpec, t: float, u: np.ndarray) -> np.ndarray:
@@ -462,52 +463,6 @@ def _invert_passage_cdf(spec: SubordinatorSpec, t: float, u: np.ndarray) -> np.n
     if failed:
         raise TruncationError(f"passage-law inversion failed for {failed} of {u.size} draws at t = {t:.6g}")
     out[pos] = root.x
-    return out
-
-
-def sample_inverse_subordinator(
-    spec: SubordinatorSpec,
-    t: float,
-    ds: float,
-    rng: np.random.Generator,
-    max_steps: int = 50_000_000,
-) -> InverseSubSample:
-    """One draw of D(t) by grid first passage; bias is O(ds) upward."""
-    if t <= 0 or ds <= 0:
-        raise ValueError("t and ds must be positive")
-    value = float(inverse_subordinator_curve(spec, [t], ds, rng, max_steps)[0])
-    return InverseSubSample(t, value, ds)
-
-
-def inverse_subordinator_curve(
-    spec: SubordinatorSpec, t_values, ds: float, rng, max_steps: int = 50_000_000
-) -> np.ndarray:
-    """D(t) for sorted levels t_values along one shared S path (monotone).
-
-    S is simulated on the grid {0, ds, 2 ds, ...}; each D(t) is the first
-    grid time where S reaches t, an O(ds) upward bias.
-    """
-    t_values = np.asarray(t_values, dtype=float)
-    if np.any(np.diff(t_values) < 0):
-        raise ValueError("t_values must be sorted")
-    out = np.empty(t_values.size)
-    s = 0.0
-    steps = 0
-    i = 0
-    block = 4096
-    while i < t_values.size:
-        if steps > max_steps:
-            raise TruncationError("inverse subordinator failed to cross within step cap")
-        inc = spec.increment_sampler(ds, rng, block)
-        cum = s + np.cumsum(inc)
-        while i < t_values.size:
-            j = int(np.searchsorted(cum, t_values[i]))
-            if j == block:
-                break
-            out[i] = (steps + j + 1) * ds
-            i += 1
-        s = cum[-1]
-        steps += block
     return out
 
 
@@ -577,21 +532,19 @@ def _mixture_weights(
     return scale - _talbot_gated(F, t, 1e-8 * scale)
 
 
-def rho_density(spec: SubordinatorSpec, t: float, tau: float, method: str = "auto") -> float:
+def rho_density(spec: SubordinatorSpec, t: float, tau: float) -> float:
     """Marginal density rho_t(tau) of the inverse subordinator.
 
-    Uses the closed form when the family has one, otherwise the inverse of
-    lambda -> K(lambda) e^{-tau lambda K(lambda)} in t through _talbot_gated,
-    which raises when the orders disagree by more than 1e-6.
+    Uses the spec's rho_closed_form when it has one, otherwise the inverse
+    of lambda -> K(lambda) e^{-tau lambda K(lambda)} in t through
+    _talbot_gated, which raises InversionInstabilityError when the orders
+    disagree by more than 1e-6.  To force the inversion for a family with a
+    closed form, pass dataclasses.replace(spec, rho_closed_form=None).
     """
     if t <= 0 or tau < 0:
         raise ValueError("need t > 0 and tau >= 0")
-    if method not in ("auto", "closed_form", "laplace"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "closed_form") and spec.rho_closed_form is not None:
+    if spec.rho_closed_form is not None:
         return float(spec.rho_closed_form(t, tau))
-    if method == "closed_form":
-        raise ValueError(f"no closed-form density for family {spec.family!r}")
 
     def F(s):
         K = np.asarray(spec.K_eval(s))

@@ -1,0 +1,57 @@
+"""The public names of the package and of its modules."""
+
+import inspect
+
+import pytest
+
+import greenwalk
+from greenwalk import kernels, renorm, simulate, subordinate
+
+PUBLIC = [
+    "AliasingError", "BinSpec", "CLFunction", "ConfigError", "DivergentGreenMeasureError",
+    "FieldGrid", "GreenExistence", "GreenwalkError", "GridMismatchError", "GridSpec",
+    "InvalidKernelError", "InversionInstabilityError", "JumpKernel", "McEstimate",
+    "MissingNormsError", "OccupationHistogram", "RenormCurve", "ResolventKernel",
+    "SubordinatorSpec", "TruncationError", "average_random_green_measure", "check_H",
+    "check_admissible", "check_green_existence", "cl_from_grid", "cl_from_kernel",
+    "empirical_random_green_measure", "errors", "evolve_semigroup", "fit_small_k_expansion",
+    "fke_residual", "gfd_apply", "green", "green_regular_fourier", "green_regular_series",
+    "grids", "kernels", "make_cauchy_kernel", "make_gamma_subordinator", "make_gaussian_kernel",
+    "make_stable_subordinator", "make_tabulated_kernel", "mc_expectation",
+    "mc_time_changed_expectation", "mc_truncated_potential", "normalization_N", "potential",
+    "potential_field", "renorm", "renormalized_green_histogram", "renormalized_potential_curve",
+    "rho_density", "simulate", "subordinate", "subordinated_solution", "time_averaged_ratio",
+    "validate_kernel",
+]
+
+
+def test_package_exports_are_pinned():
+    assert sorted(greenwalk.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("module, name", [
+    (simulate, "CppPath"),
+    (simulate, "sample_cpp_path"),
+    (simulate, "sample_random_potential"),
+    (subordinate, "InverseSubSample"),
+    (subordinate, "sample_inverse_subordinator"),
+    (subordinate, "inverse_subordinator_curve"),
+])
+def test_single_path_and_single_draw_helpers_are_gone(module, name):
+    assert name not in module.__all__
+    with pytest.raises(AttributeError):
+        getattr(module, name)
+    with pytest.raises(AttributeError):
+        getattr(greenwalk, name)
+
+
+@pytest.mark.parametrize("fn, option", [
+    (subordinate.rho_density, "method"),
+    (subordinate.sample_inverse_many, "max_steps"),
+    (renorm.mc_time_changed_expectation, "ds"),
+    (kernels.check_aliasing, "threshold"),
+    (kernels.validate_kernel, "decay_cutoff"),
+    (kernels.fit_small_k_expansion, "n_probe"),
+])
+def test_options_no_caller_sets_are_gone(fn, option):
+    assert option not in inspect.signature(fn).parameters

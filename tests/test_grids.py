@@ -53,6 +53,17 @@ def test_value_at_reproduces_nodes_and_interpolates():
     )
 
 
+@pytest.mark.parametrize("x", [8.5, 4.0, -4.0 - 1e-12, 40.0])
+def test_values_at_raises_outside_the_box(x):
+    # the box is [-4, 4); with periodic indices 8.5 would read f(0.5)
+    g = GridSpec(2, 16, 4.0)
+    f = field_from_function(g, lambda p: np.atleast_2d(p)[:, 0])
+    with pytest.raises(ValueError, match="outside the box"):
+        f.values_at([[0.0, 0.0], [0.5, x]])
+    with pytest.raises(ValueError, match="outside the box"):
+        f.value_at([x, 0.0])
+
+
 def test_save_load_roundtrip(tmp_path):
     g = GridSpec(2, 16, 4.0)
     f = field_from_function(g, lambda x: np.exp(-np.sum(np.atleast_2d(x) ** 2, axis=-1)))

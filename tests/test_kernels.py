@@ -108,6 +108,15 @@ def test_tabulated_renormalizes_mass():
     np.testing.assert_allclose(k1.density(pts), k2.density(pts), rtol=1e-10)
 
 
+def test_tabulated_density_is_zero_outside_the_table():
+    g = GridSpec(1, 256, 20.0)
+    k = make_tabulated_kernel(field_from_function(g, lambda x: gaussian_n(x, 1, 1)))
+    pts = np.array([[0.0], [19.9], [-20.0], [20.0], [45.0], [-1e3]])
+    dens = k.density(pts)
+    assert dens[0] > 0.0
+    np.testing.assert_array_equal(dens[1:], 0.0)
+
+
 # ---------------------------------------------------------------------------
 # small-frequency expansion fits
 # ---------------------------------------------------------------------------

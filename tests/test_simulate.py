@@ -21,7 +21,7 @@ import greenwalk.simulate as simulate
 
 from greenwalk.grids import FieldGrid, GridSpec
 from greenwalk.green import cl_from_grid, cl_from_kernel, evolve_semigroup
-from greenwalk.kernels import make_gaussian_kernel, sample_density
+from greenwalk.kernels import JumpKernel, make_gaussian_kernel, sample_density
 from greenwalk.renorm import mc_time_changed_expectation, renormalized_green_histogram
 from greenwalk.subordinate import make_stable_subordinator
 from greenwalk.simulate import (
@@ -30,8 +30,6 @@ from greenwalk.simulate import (
     empirical_random_green_measure,
     mc_expectation,
     mc_truncated_potential,
-    sample_cpp_path,
-    sample_random_potential,
     _Moments,
     _map_paths,
 )
@@ -54,49 +52,15 @@ def const_cl(grid, value):
     return cl_from_grid(FieldGrid(grid, np.full(grid.shape, float(value))))
 
 
-def zero_jump_path(kernel, x, T=0.01):
-    # with T = 0.01 the first Exp(1) holding time exceeds T for this seed
-    path = sample_cpp_path(kernel, x, T, np.random.default_rng(0))
-    assert path.jump_times.size == 0
-    return path
-
-
 # ---------------------------------------------------------------------------
 # paths
 # ---------------------------------------------------------------------------
-
-
-def test_jump_count_is_poisson(k1):
-    rng = np.random.default_rng(7)
-    T, n = 10.0, 20000
-    counts = np.array([sample_cpp_path(k1, [0.0], T, rng).jump_times.size for _ in range(n)])
-    stderr = counts.std(ddof=1) / np.sqrt(n)
-    assert abs(counts.mean() - T) < 3 * stderr
-    # Poisson variance equals the mean
-    assert counts.var(ddof=1) == pytest.approx(T, rel=0.05)
 
 
 def test_gaussian_jump_variance(k1):
     rng = np.random.default_rng(3)
     jumps = k1.sampler(rng, 100000)
     assert jumps.var(ddof=1) == pytest.approx(2.0, rel=0.03)
-
-
-def test_zero_jump_path_is_constant(k1):
-    path = zero_jump_path(k1, [1.5])
-    assert np.array_equal(path.state_at(0.0), [1.5])
-    assert np.array_equal(path.state_at(path.horizon), [1.5])
-    assert path.time_integral(lambda s: np.atleast_2d(s)[:, 0]) == pytest.approx(
-        1.5 * path.horizon
-    )
-
-
-def test_path_state_lookup_consistent(k1):
-    path = sample_cpp_path(k1, [0.0], 20.0, np.random.default_rng(11))
-    states, durations = path.holding_intervals()
-    assert durations.sum() == pytest.approx(path.horizon, abs=1e-12)
-    for i, t in enumerate(path.jump_times):
-        np.testing.assert_array_equal(path.state_at(t + 1e-9), path.positions[i])
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +85,19 @@ def test_engine_jump_counts_are_poisson(k1):
     assert counts.size == n
     assert abs(counts.mean() - h) < 4 * counts.std(ddof=1) / np.sqrt(n)
     assert counts.var(ddof=1) == pytest.approx(h, rel=0.05)
+
+
+@pytest.mark.parametrize("cap", [1, 64, 4096, simulate._CHUNK_ELEMENTS])
+def test_engine_states_are_exact_partial_sums(cap):
+    # with unit jumps, interval i of path p holds x + (i - first[p]) exactly
+    unit = JumpKernel(1, lambda x: np.zeros(len(x)), np.ones_like, None, lambda rng, size: np.ones((size, 1)))
+    x = 0.25
+    with mock.patch.object(simulate, "_CHUNK_ELEMENTS", cap):
+        chunks = path_chunks(unit, [x], np.linspace(0.5, 30.0, 200), np.random.default_rng(8))
+    assert sum(c.n_paths for c in chunks) == 200
+    for c in chunks:
+        i = np.arange(c.path.size)
+        np.testing.assert_array_equal(c.states[:, 0], x + (i - c.first[c.path]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -224,13 +201,15 @@ def test_chunked_moments_match_two_pass():
 
 
 def test_batched_truncated_potential_matches_path_loop(k1):
-    f = cl_from_kernel(k1)
+    # E int_0^T a(X_t) dt = sum_n P(n + 1, T) a^{*(n+1)}(0): the time spent
+    # before jump n + 1 is P(n + 1, T), the regularized lower incomplete
+    # gamma, and the 1-D Gaussian a^{*m}(0) is (4 pi m)^{-1/2}
     T, n = 10.0, 4000
-    batched = mc_truncated_potential(k1, f, [0.0], T, n, seed=31)
-    rng = np.random.default_rng(32)
-    loop = np.array([sample_random_potential(k1, f, [0.0], T, rng) for _ in range(n)])
-    se = np.hypot(batched.stderr, loop.std(ddof=1) / np.sqrt(n))
-    assert abs(batched.mean - loop.mean()) < 5 * se
+    m = np.arange(1, 200)
+    exact = np.sum(special.gammainc(m, T) / np.sqrt(4.0 * np.pi * m))
+    assert exact == pytest.approx(1.394825084470967, rel=1e-15)
+    est = mc_truncated_potential(k1, cl_from_kernel(k1), [0.0], T, n, seed=31)
+    assert abs(est.mean - exact) <= 5.0 * est.stderr
 
 
 def test_tiny_chunk_cap_keeps_law_and_mass(k1, k3):
@@ -296,18 +275,6 @@ def test_truncated_potential_of_constant(k1):
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
 
-def test_random_potential_single_draws(k1):
-    T = 4.0
-    assert sample_random_potential(
-        k1, const_cl(GRID1, 1.0), [0.0], T, np.random.default_rng(0)
-    ) == pytest.approx(T)
-    path = zero_jump_path(k1, [0.5])
-    f = cl_from_kernel(k1)
-    assert sample_random_potential(
-        k1, f, [0.5], path.horizon, np.random.default_rng(0)
-    ) == pytest.approx(f.value_at([0.5]) * path.horizon)
-
-
 def test_random_potential_has_positive_variance(k1):
     est = mc_truncated_potential(k1, cl_from_kernel(k1), [0.0], 10.0, 1000, seed=4)
     assert est.stderr > 0.0
@@ -328,13 +295,14 @@ def test_histogram_mass_identity_is_exact(k3):
 
 def test_zero_jump_histogram_hits_one_bin(k1):
     bins = BinSpec.cube(8.0, 16, 1)
-    path = zero_jump_path(k1, [1.5])
-    hist = empirical_random_green_measure(
-        k1, [1.5], path.horizon, bins, np.random.default_rng(0)
-    )
+    # with T = 0.01 the one path drawn from this seed makes no jump
+    T = 0.01
+    (chunk,) = path_chunks(k1, [1.5], np.array([T]), np.random.default_rng(0))
+    assert chunk_counts(chunk).tolist() == [0]
+    hist = empirical_random_green_measure(k1, [1.5], T, bins, np.random.default_rng(0))
     assert hist.escaped == 0.0
     idx = bins.flat_index(np.array([[1.5]]))[0]
-    assert hist.masses.ravel()[idx] == pytest.approx(path.horizon)
+    assert hist.masses.ravel()[idx] == pytest.approx(T)
     assert np.count_nonzero(hist.masses) == 1
 
 

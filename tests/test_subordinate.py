@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from greenwalk.errors import InversionInstabilityError
+import greenwalk.subordinate as subordinate
+from greenwalk.errors import InversionInstabilityError, TruncationError
 from greenwalk.renorm import _horizon
 from greenwalk.subordinate import (
     SubordinatorSpec,
@@ -28,13 +29,11 @@ from greenwalk.subordinate import (
     check_H,
     check_admissible,
     gfd_apply,
-    inverse_subordinator_curve,
     kernel_cell_masses,
     make_gamma_subordinator,
     make_stable_subordinator,
     rho_density,
     sample_inverse_many,
-    sample_inverse_subordinator,
     time_averaged_ratio,
 )
 
@@ -145,22 +144,6 @@ def test_gamma_increment_laplace_transform(gamma):
     vals = np.exp(-inc)
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - 2.0 ** (-dt)) < 3 * se
-
-
-def test_inverse_sample_basics(stable):
-    ds = 1e-3
-    sample = sample_inverse_subordinator(stable, 1.0, ds, np.random.default_rng(0))
-    assert sample.t == 1.0
-    assert sample.value > 0
-    assert sample.path_resolution == ds
-    # grid first passage reports an integer number of steps
-    assert sample.value / ds == pytest.approx(round(sample.value / ds))
-
-
-def test_inverse_curve_is_monotone(stable):
-    ts = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
-    curve = inverse_subordinator_curve(stable, ts, 1e-3, np.random.default_rng(1))
-    assert np.all(np.diff(curve) >= 0)
 
 
 def test_inverse_mean_matches_half_normal(stable):
@@ -274,8 +257,16 @@ def test_grid_first_passage_without_passage_cdf(gamma):
     ds, exact = 1e-2, 1.4812038045152895
     draws = sample_inverse_many(dataclasses.replace(gamma, passage_cdf=None), 1.0, ds, 400, seed=14)
     np.testing.assert_allclose(draws / ds, np.round(draws / ds), rtol=0, atol=1e-9)
+    assert np.all(draws >= ds)
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - exact) < ds + 5 * se
+
+
+def test_grid_first_passage_raises_past_the_step_cap(gamma, monkeypatch):
+    # past the cap S has run about 8192 steps of 1e-3, mean 8.2, far below t = 1e3
+    monkeypatch.setattr(subordinate, "_MAX_STEPS", 4096)
+    with pytest.raises(TruncationError):
+        sample_inverse_many(dataclasses.replace(gamma, passage_cdf=None), 1e3, 1e-3, 2, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +282,8 @@ def test_rho_closed_form_half_normal(stable):
 
 def test_rho_laplace_matches_closed_form(stable):
     for t, tau in [(1.0, 0.5), (1.0, 1.0), (4.0, 2.0)]:
-        closed = rho_density(stable, t, tau, method="closed_form")
-        talbot = rho_density(stable, t, tau, method="laplace")
+        closed = rho_density(stable, t, tau)
+        talbot = rho_density(dataclasses.replace(stable, rho_closed_form=None), t, tau)
         assert talbot == pytest.approx(closed, rel=1e-6)
 
 
@@ -303,18 +294,13 @@ def test_rho_gamma_integrates_to_one(gamma):
     assert mass == pytest.approx(1.0, abs=1e-3)
 
 
-def test_rho_closed_form_unavailable_for_gamma(gamma):
-    with pytest.raises(ValueError):
-        rho_density(gamma, 1.0, 1.0, method="closed_form")
-
-
 @pytest.mark.parametrize("t, tau", [(0.05, 5.0), (0.5, 8.0)])
 def test_rho_density_raises_when_the_transform_overflows(t, tau):
     # e^{-tau lambda K(lambda)} overflows on the contour for alpha = 0.7; the
     # resulting NaN must fail the order gate instead of being returned, and
     # without a RuntimeWarning (the suite turns those into errors)
     with pytest.raises(InversionInstabilityError):
-        rho_density(make_stable_subordinator(0.7), t, tau, method="laplace")
+        rho_density(dataclasses.replace(make_stable_subordinator(0.7), rho_closed_form=None), t, tau)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
