@@ -28,20 +28,8 @@ from .errors import (
     TruncationError,
 )
 from .grids import FieldGrid, GridSpec, field_from_function, require_same_grid
+from .grids import _from_spectral, _half, _to_spectral
 from .kernels import JumpKernel, sample_density, spectral_density
-
-# ---------------------------------------------------------------------------
-# spectral helpers
-# ---------------------------------------------------------------------------
-
-
-def _to_spectral(field: FieldGrid) -> np.ndarray:
-    """Continuous-FT approximation of a field (fftn layout)."""
-    return np.fft.fftn(np.fft.ifftshift(field.values)) * field.grid.cell_volume
-
-
-def _from_spectral(grid: GridSpec, spec_vals: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.ifftn(spec_vals).real) / grid.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +104,7 @@ def cl_norm(f: CLFunction) -> float:
 
 def apply_generator(kernel: JumpKernel, f: FieldGrid) -> FieldGrid:
     """Lf = a*f - f via FFT convolution on the field's grid."""
-    a_hat = spectral_density(kernel, f.grid)
+    a_hat = _half(spectral_density(kernel, f.grid))
     conv = _from_spectral(f.grid, a_hat * _to_spectral(f))
     return FieldGrid(f.grid, conv - f.values)
 
@@ -127,7 +115,7 @@ def evolve_semigroup(kernel: JumpKernel, f: FieldGrid, t: float) -> FieldGrid:
         raise ValueError("t must be >= 0")
     if t == 0:
         return FieldGrid(f.grid, f.values.copy())
-    a_hat = spectral_density(kernel, f.grid)
+    a_hat = _half(spectral_density(kernel, f.grid))
     return FieldGrid(f.grid, _from_spectral(f.grid, np.exp(t * (a_hat - 1.0)) * _to_spectral(f)))
 
 
@@ -143,7 +131,9 @@ class _RateClasses:
 
     Grid modes whose symbol a_hat rounds to one multiple of _RATE_QUANTUM form
     a class; weights sums f's phased spectrum over it, rates = 1 - a_hat.  An
-    aliased symbol above 1 + _SYMBOL_EXCESS raises AliasingError.
+    aliased symbol above 1 + _SYMBOL_EXCESS raises AliasingError.  The sum runs over
+    the rfftn half: a mode strictly inside it also stands for its conjugate (same a_hat,
+    conjugate weight) and counts twice; the planes k_last = 0 and N/2 count once.
     """
 
     rates: np.ndarray
@@ -159,11 +149,17 @@ class _RateClasses:
                 f"sampled symbol exceeds 1 by {excess:.3e} on this grid: the density is "
                 "undersampled, so 1 - a_hat would be a negative decay rate"
             )
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        phase = sum(kmesh * x[ax] for ax, kmesh in enumerate(grid.wavenumbers()))
-        w = _to_spectral(f) * np.exp(1j * phase) / (2.0 * grid.half_width) ** grid.dim
-        keys, inverse = np.unique(np.rint(a_hat.ravel() / _RATE_QUANTUM), return_inverse=True)
-        weights = np.bincount(inverse, weights=w.ravel().real, minlength=keys.size)
+        n, x = grid.points_per_axis, np.atleast_1d(np.asarray(x, dtype=float))
+        k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+        # the Nyquist index stands for both signs of pi/h, so its phase factor
+        # e^{-i pi x/h} becomes cos(pi x/h), the real sum over the full layout
+        nyquist = np.where(np.arange(n) == n // 2, k1, 0.0)
+        phase = _half(sum(np.ix_(*((k1 - nyquist) * xi for xi in x))))
+        cos = np.cos(_half(sum(np.ix_(*(nyquist * xi for xi in x)))))
+        w = (_to_spectral(f) * np.exp(1j * phase)).real * cos / (2.0 * grid.half_width) ** grid.dim
+        w[..., 1 : n // 2] *= 2.0
+        keys, inverse = np.unique(np.rint(_half(a_hat).ravel() / _RATE_QUANTUM), return_inverse=True)
+        weights = np.bincount(inverse, weights=w.ravel(), minlength=keys.size)
         # decay rates 1 - a_hat >= 0 up to roundoff
         return cls(np.maximum(1.0 - keys * _RATE_QUANTUM, 0.0), weights)
 
@@ -240,7 +236,7 @@ def green_regular_series(kernel: JumpKernel, grid: GridSpec, lam: float) -> Reso
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     if lam > 0:
-        a_hat = spectral_density(kernel, grid)
+        a_hat = _half(spectral_density(kernel, grid))
         vals = _from_spectral(grid, a_hat / (1.0 + lam - a_hat))
     else:
         _decay_exponent(kernel)  # gates before the density is sampled
@@ -254,10 +250,10 @@ def green_regular_series(kernel: JumpKernel, grid: GridSpec, lam: float) -> Reso
                 f"tail_params (A, alpha) = ({A:g}, {alpha:g}) do not fit the kernel's a_hat "
                 f"near 0: the regular part spreads by {spread:.3g} over k = 0.025 .. 0.1"
             )
-        spec = np.empty(grid.shape)
+        a_hat = _half(spectral_density(kernel, grid))
+        spec = np.empty(a_hat.shape)
         spec.ravel()[0] = np.polyfit(ks**2, near_zero, 2)[-1]
-        a_hat = spectral_density(kernel, grid).ravel()[1:]
-        spec.ravel()[1:] = regular(a_hat, grid.wavenumber_radius_squared().ravel()[1:])
+        spec.ravel()[1:] = regular(a_hat.ravel()[1:], _half(grid.wavenumber_radius_squared()).ravel()[1:])
         j = np.arange(grid.points_per_axis) - grid.points_per_axis // 2
         m2 = sum(np.ix_(*[j * j] * d))  # |x|^2 / h^2
         # 1F1 once per integer 0..max m2, fewer values than grid points unless d = 1
@@ -304,7 +300,8 @@ def _radial_measure(d: int, r: float, k: np.ndarray) -> np.ndarray:
 # geometric Gauss-Legendre panels from 1e-8 to the Fourier cutoff, plus [0, 1e-8]; with 80,
 # the 3-D Gaussian's 1/2-stable curve moves by 2e-13 from 80 to 320 panels
 _PANELS = 80
-# below this |k| the gap 1 - a_hat is the tail form A |k|^alpha, which does not cancel
+# without a symbol_gap, below this |k| the gap 1 - a_hat is the tail form A |k|^alpha,
+# which does not cancel
 _TAIL_FORM_K = 1e-4
 # largest |order 16 - order 8| / |order 16| accepted from the radial rule.  For G_0 of
 # the 3-D Gaussian it is 8.0e-7 at |x| = 30 and 2.2e-2 at |x| = 120, where the panels
@@ -312,10 +309,14 @@ _TAIL_FORM_K = 1e-4
 _RADIAL_TOL = 1e-4
 
 
+# Gauss-Legendre nodes and weights on [-1, 1]: order 16 gives a radial value, order 8 its error
+_LEGENDRE = {n: np.polynomial.legendre.leggauss(n) for n in (16, 8)}
+
+
 def _radial_rule(k_max: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of order-point Gauss-Legendre on each panel of [0, k_max]."""
     edges = np.concatenate(([0.0], np.geomspace(1e-8, k_max, _PANELS + 1)))
-    t, w = np.polynomial.legendre.leggauss(order)
+    t, w = _LEGENDRE[order]
     half = 0.5 * np.diff(edges)[:, None]
     return (edges[:-1, None] + half * (1.0 + t)).ravel(), (half * w).ravel()
 
@@ -324,7 +325,8 @@ def _radial_value(kernel: JumpKernel, x, lam: float, multiplier) -> tuple[np.nda
     """(2 pi)^{-d} int e^{i(k,x)} g(k) dk for g = multiplier(k, a_hat, 1 - a_hat), and its error.
 
     One radial integral up to _fourier_cutoff(kernel, lam).  The gap 1 - a_hat
-    is A |k|^alpha below _TAIL_FORM_K when the kernel's tail_params are known.
+    is the kernel's symbol_gap when it has one; otherwise it is A |k|^alpha
+    below _TAIL_FORM_K when the kernel's tail_params are known.
     multiplier may return (..., nodes), one integral per row.  Order-16
     Gauss-Legendre gives the value, its gap to order 8 the error estimate;
     TruncationError when that gap exceeds _RADIAL_TOL of the value.
@@ -334,7 +336,9 @@ def _radial_value(kernel: JumpKernel, x, lam: float, multiplier) -> tuple[np.nda
     k = np.concatenate((k16, k8))
     a_hat = np.asarray(kernel.fourier_radial(k), dtype=float)
     gap = 1.0 - a_hat
-    if kernel.tail_params is not None:
+    if kernel.symbol_gap is not None:
+        gap = np.asarray(kernel.symbol_gap(k), dtype=float)
+    elif kernel.tail_params is not None:
         A, alpha = kernel.tail_params
         gap = np.where(k < _TAIL_FORM_K, A * k**alpha, gap)
     terms = np.asarray(multiplier(k, a_hat, gap), dtype=float) * _radial_measure(kernel.dim, r, k)
@@ -353,9 +357,10 @@ def green_regular_fourier(kernel: JumpKernel, x, lam: float) -> float:
 
     Supports d in {1, 2, 3}.  For lambda = 0 the integrand has an integrable
     |k|^{-alpha} singularity at the origin, which the geometric panels grade
-    toward; below k = _TAIL_FORM_K the gap 1 - a_hat is A |k|^alpha, free of
-    cancellation.  Raises TruncationError when orders 16 and 8 disagree by more
-    than _RADIAL_TOL, as they do for the 3-D Gaussian beyond |x| of about 30.
+    toward; the gap 1 - a_hat is the kernel's symbol_gap, or A |k|^alpha below
+    k = _TAIL_FORM_K, free of cancellation either way.  Raises TruncationError
+    when orders 16 and 8 disagree by more than _RADIAL_TOL, as they do for the
+    3-D Gaussian beyond |x| of about 30.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")

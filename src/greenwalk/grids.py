@@ -4,6 +4,8 @@ All spatial discretization in greenwalk happens on a uniform grid over the
 periodic box [-L, L)^d with N (a power of two) points per axis.  Fields are
 stored as d-dimensional arrays in natural coordinate order (index 0 is
 x = -L); FFT-based routines shift the origin to index 0 internally.
+Fields are real, so the spectral pair _to_spectral/_from_spectral uses numpy's
+rfftn half layout: fftn layout on every axis but the last, which keeps 0..N/2.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ class GridSpec:
     def meshgrid(self) -> list[np.ndarray]:
         return list(np.meshgrid(*([self.axis] * self.dim), indexing="ij"))
 
+    def points(self) -> np.ndarray:
+        """(N^d, d) coordinates of every grid point, in C order of the field array."""
+        pts = np.empty(self.shape + (self.dim,))
+        for ax, c in enumerate(np.ix_(*[self.axis] * self.dim)):
+            pts[..., ax] = c
+        return pts.reshape(-1, self.dim)
+
     def radius_squared(self) -> np.ndarray:
         """|x|^2 at every grid point."""
         r2 = np.zeros(self.shape)
@@ -71,19 +80,18 @@ class GridSpec:
         return list(np.meshgrid(*([k1] * self.dim), indexing="ij"))
 
     def wavenumber_radius_squared(self) -> np.ndarray:
-        k2 = np.zeros(self.shape)
-        for k in self.wavenumbers():
-            k2 += k * k
-        return k2
+        """|k|^2 on the fftn-layout mesh, summed by broadcast from one axis."""
+        k1 = 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
+        return sum(np.ix_(*[k1 * k1] * self.dim))
 
     def nearest_index(self, x) -> tuple[int, ...]:
-        """Index of the grid point closest to x (x inside the box)."""
+        """Index of the node nearest x in the box [-L, L)^d; (L - h/2, L) wraps to -L."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dim,):
             raise ValueError(f"point has wrong dimension {x.shape} for d={self.dim}")
-        idx = np.rint((x + self.half_width) / self.spacing).astype(int)
-        if np.any(idx < 0) or np.any(idx >= self.points_per_axis):
+        if np.any(x < -self.half_width) or np.any(x >= self.half_width):
             raise ValueError(f"point {x} outside the box [-L, L)^d")
+        idx = np.rint((x + self.half_width) / self.spacing).astype(int) % self.points_per_axis
         return tuple(idx)
 
 
@@ -150,9 +158,23 @@ def require_same_grid(a: FieldGrid, b: FieldGrid) -> None:
 
 def field_from_function(grid: GridSpec, fn) -> FieldGrid:
     """Sample a callable fn(points (m, d)) -> (m,) on the grid."""
-    pts = np.stack([c.ravel() for c in grid.meshgrid()], axis=-1)
-    vals = np.asarray(fn(pts), dtype=float).reshape(grid.shape)
+    vals = np.asarray(fn(grid.points()), dtype=float).reshape(grid.shape)
     return FieldGrid(grid, vals)
+
+
+def _half(full: np.ndarray) -> np.ndarray:
+    """View of a full fftn-layout array in rfftn half layout (last axis 0..N/2)."""
+    return full[..., : full.shape[-1] // 2 + 1]
+
+
+def _to_spectral(field: FieldGrid) -> np.ndarray:
+    """Continuous-FT approximation of a real field, in rfftn half layout."""
+    return np.fft.rfftn(np.fft.ifftshift(field.values)) * field.grid.cell_volume
+
+
+def _from_spectral(grid: GridSpec, spec_vals: np.ndarray) -> np.ndarray:
+    """Real field on grid whose half-layout spectrum is spec_vals; inverts _to_spectral."""
+    return np.fft.fftshift(np.fft.irfftn(spec_vals, s=grid.shape, axes=range(grid.dim))) / grid.cell_volume
 
 
 def save_field(path, field_grid: FieldGrid) -> None:
@@ -176,9 +198,8 @@ def load_field(path) -> FieldGrid:
 def field_to_csv(path, field_grid: FieldGrid) -> None:
     """CSV export: one row per grid point, coordinate columns then value."""
     g = field_grid.grid
-    coords = [c.ravel() for c in g.meshgrid()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(g.dim)] + ["value"])
-        for row in zip(*coords, field_grid.values.ravel(order="C")):
+        for row in zip(*g.points().T, field_grid.values.ravel(order="C")):
             writer.writerow([repr(float(v)) for v in row])

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AliasingError, InvalidKernelError
-from .grids import FieldGrid, GridSpec, field_from_function
+from .grids import FieldGrid, GridSpec, _from_spectral, _half, field_from_function
 
 ALIASING_THRESHOLD = 1e-12
 
@@ -29,6 +29,7 @@ class JumpKernel:
     analytically, else None.  sampler(rng, size) draws i.i.d. jumps (size, d);
     it must draw only from rng, and it may be called from worker threads
     (the path engine samples several chunks at once, each with its own rng).
+    symbol_gap, when set, maps |k| to 1 - a_hat free of cancellation, e.g. -expm1(-k^2).
     """
 
     dim: int
@@ -37,6 +38,7 @@ class JumpKernel:
     tail_params: Optional[tuple[float, float]]
     sampler: Optional[Callable] = None
     name: str = "custom"
+    symbol_gap: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def fourier_radial(self, k_radius):
         """a_hat at |k| = k_radius (all built-in kernels are radial)."""
@@ -62,10 +64,13 @@ def make_gaussian_kernel(d: int) -> JumpKernel:
         k = np.asarray(k, dtype=float)
         return np.exp(-(k**2))
 
+    def symbol_gap(k):
+        return -np.expm1(-np.asarray(k, dtype=float) ** 2)
+
     def sampler(rng, size):
         return rng.normal(0.0, np.sqrt(2.0), size=(size, d))
 
-    return JumpKernel(d, density, fourier, (1.0, 2.0), sampler, name=f"gaussian{d}d")
+    return JumpKernel(d, density, fourier, (1.0, 2.0), sampler, f"gaussian{d}d", symbol_gap)
 
 
 def make_cauchy_kernel() -> JumpKernel:
@@ -84,10 +89,13 @@ def make_cauchy_kernel() -> JumpKernel:
         k = np.asarray(k, dtype=float)
         return np.exp(-np.abs(k))
 
+    def symbol_gap(k):
+        return -np.expm1(-np.abs(np.asarray(k, dtype=float)))
+
     def sampler(rng, size):
         return rng.standard_cauchy(size=(size, 1))
 
-    return JumpKernel(1, density, fourier, (1.0, 1.0), sampler, name="cauchy1d")
+    return JumpKernel(1, density, fourier, (1.0, 1.0), sampler, "cauchy1d", symbol_gap)
 
 
 def _table_fourier_radial(samples: FieldGrid):
@@ -97,7 +105,7 @@ def _table_fourier_radial(samples: FieldGrid):
     radial direction for d > 1.
     """
     g = samples.grid
-    pts = np.stack([c.ravel() for c in g.meshgrid()], axis=-1)
+    pts = g.points()
     vals = samples.values.ravel()
     vol = g.cell_volume
 
@@ -140,7 +148,7 @@ def make_tabulated_kernel(samples: FieldGrid) -> JumpKernel:
 
     # alias sampler over grid cells plus uniform jitter within a cell
     probs = (table.values / table.values.sum()).ravel()
-    centers = np.stack([c.ravel() for c in g.meshgrid()], axis=-1)
+    centers = g.points()
 
     def sampler(rng, size):
         cells = rng.choice(probs.size, size=size, p=probs)
@@ -201,7 +209,9 @@ _SPECTRAL_CACHE: "weakref.WeakKeyDictionary[JumpKernel, dict]" = weakref.WeakKey
 def spectral_density(kernel: JumpKernel, grid: GridSpec) -> np.ndarray:
     """Discrete Fourier transform of the sampled density (approximates a_hat).
 
-    Returned in numpy fftn frequency layout; real for symmetric kernels.
+    Returned in the full numpy fftn frequency layout; real for symmetric kernels.  It stays
+    a full fftn: callers compare it with a_hat on the full wavenumber mesh, its roundoff
+    sets green._RateClasses' keys, and the half-layout FFTs read the view grids._half.
     Sampled and alias-checked once per (kernel, grid) while the kernel lives:
     later calls return the same read-only array; AliasingError is never cached.
     """
@@ -219,9 +229,7 @@ def convolve_power(kernel: JumpKernel, n: int, grid: GridSpec) -> FieldGrid:
         raise ValueError("n must be >= 1 (the 0-fold convolution is a delta)")
     if n == 1:
         return sample_density(kernel, grid)
-    a_hat = spectral_density(kernel, grid)
-    out = np.fft.ifftn(a_hat**n).real / grid.cell_volume
-    return FieldGrid(grid, np.fft.fftshift(out))
+    return FieldGrid(grid, _from_spectral(grid, _half(spectral_density(kernel, grid)) ** n))
 
 
 @dataclass

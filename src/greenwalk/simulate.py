@@ -321,7 +321,11 @@ def empirical_random_green_measure(
 def average_random_green_measure(
     kernel: JumpKernel, x, T: float, bins: BinSpec, n: int, seed: int
 ):
-    """Mean and standard error per bin over n single-path histograms."""
+    """Mean and standard error per bin over n >= 2 single-path histograms."""
+    if T <= 0:
+        raise ValueError("T must be positive")
+    if n < 2:
+        raise ValueError("need n >= 2 samples")
     x = _start_in_box(bins, x)
     rng = np.random.default_rng(seed)
     parts, _ = _map_paths(

@@ -44,6 +44,7 @@ from greenwalk.green import (
 )
 from greenwalk.kernels import (
     JumpKernel,
+    convolve_power,
     fit_small_k_expansion,
     make_cauchy_kernel,
     make_gaussian_kernel,
@@ -215,6 +216,52 @@ def test_rate_classes_reject_the_aliased_cauchy_symbol(x):
         _RateClasses.build(kernel, fs, x)
 
 
+# ---------------------------------------------------------------------------
+# half-layout spectral pair against a full complex fftn reference
+# ---------------------------------------------------------------------------
+
+REFERENCE_GRIDS = [GridSpec(1, 64, 12.0), GridSpec(2, 32, 12.0), GridSpec(3, 32, 12.0)]
+
+
+def full_to_spectral(field):
+    return np.fft.fftn(np.fft.ifftshift(field.values)) * field.grid.cell_volume
+
+
+def full_from_spectral(grid, spec):
+    return np.fft.fftshift(np.fft.ifftn(spec).real) / grid.cell_volume
+
+
+def off_centre_field(grid, seed):
+    """A bump centred off the origin plus noise: neither even nor band-limited."""
+    pts = grid.points()
+    bump = np.exp(-np.sum((pts - 1.3) ** 2, axis=-1))
+    noise = 0.1 * np.random.default_rng(seed).uniform(-1.0, 1.0, pts.shape[0])
+    return FieldGrid(grid, bump + noise)
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=lambda g: f"d{g.dim}")
+def test_half_layout_matches_full_fftn_reference(grid):
+    kernel = make_gaussian_kernel(grid.dim)
+    f, g = off_centre_field(grid, 1), off_centre_field(grid, 2)
+    a_hat = spectral_density(kernel, grid)
+    f_hat = full_to_spectral(f)
+    tol = 1e-13 * np.max(np.abs(f.values))
+    cases = [
+        (convolve_fields(f, g), full_from_spectral(grid, f_hat * full_to_spectral(g))),
+        (evolve_semigroup(kernel, f, 0.7), full_from_spectral(grid, np.exp(0.7 * (a_hat - 1.0)) * f_hat)),
+        (apply_generator(kernel, f), full_from_spectral(grid, a_hat * f_hat) - f.values),
+    ]
+    for got, want in cases:
+        np.testing.assert_allclose(got.values, want, rtol=0.0, atol=tol)
+    a3 = full_from_spectral(grid, a_hat**3)
+    np.testing.assert_allclose(convolve_power(kernel, 3, grid).values, a3, rtol=0.0,
+                               atol=1e-13 * np.max(a3))
+    # an off-node x and tau = 0 keep the Nyquist plane's share of f(x) in the sum
+    x, taus = (0.37, -1.21, 0.55)[: grid.dim], np.array([0.0, 0.3, 2.0])
+    np.testing.assert_allclose(_RateClasses.build(kernel, f, x)(taus), per_mode_sum(kernel, f, x, taus),
+                               rtol=0.0, atol=tol)
+
+
 PROPERTY_GRIDS = [GridSpec(1, 256, 20.0), GridSpec(2, 64, 12.0)]
 
 
@@ -323,6 +370,19 @@ def test_green_fourier_origin_matches_zeta_oracle(k3):
     assert green_regular_fourier(k3, [0.0, 0.0, 0.0], 0.0) == pytest.approx(
         ZETA_ORACLE, rel=1e-12
     )
+
+
+def test_green_fourier_origin_equals_zeta_oracle_with_symbol_gap(k3):
+    # -expm1(-k^2) keeps 1 - a_hat exact near k = 0; the tail form A k^alpha is off
+    # by k^2/2 relative there, 2.4e-13 in G_0(0)
+    assert abs(green_regular_fourier(k3, [0.0, 0.0, 0.0], 0.0) - ZETA_ORACLE) <= 1e-14
+
+
+@pytest.mark.parametrize("lam", [0.5, 1e-3])
+def test_cauchy_resolvent_at_origin_matches_closed_form(lam):
+    # (1/pi) int_0^inf e^{-k} / (1 + lam - e^{-k}) dk = log(1 + 1/lam) / pi
+    value = green_regular_fourier(make_cauchy_kernel(), [0.0], lam)
+    assert value == pytest.approx(np.log1p(1.0 / lam) / np.pi, rel=1e-13)
 
 
 @pytest.mark.parametrize("r", [15.0, 30.0])
@@ -476,11 +536,16 @@ def test_green_origin_rejects_wrong_tail_params(k3, tail):
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_green_series_makes_one_inverse_fft(k3, lam, monkeypatch):
+    # one real inverse transform in half layout, never a complex one; it names the
+    # output shape, which the half layout cannot tell for an odd N
     calls = []
-    ifftn = np.fft.ifftn
-    monkeypatch.setattr(np.fft, "ifftn", lambda a, *args, **kw: calls.append(1) or ifftn(a, *args, **kw))
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(
+        np.fft, "irfftn", lambda a, *args, **kw: calls.append(kw.get("s")) or irfftn(a, *args, **kw)
+    )
+    monkeypatch.setattr(np.fft, "ifftn", lambda *args, **kw: pytest.fail("complex ifftn called"))
     green_regular_series(k3, GRID3, lam)
-    assert len(calls) == 1
+    assert calls == [GRID3.shape]
 
 
 def test_density_is_sampled_once_per_kernel_and_grid():

@@ -53,6 +53,32 @@ def test_value_at_reproduces_nodes_and_interpolates():
     )
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_broadcast_grid_arrays_match_meshgrid_references_bitwise(dim):
+    g = GridSpec(dim, 8, 3.0)
+    weights = 10.0 ** np.arange(dim)  # tells the axes apart
+    reference = np.stack([c.ravel() for c in g.meshgrid()], axis=-1)
+    np.testing.assert_array_equal(g.points(), reference)
+    f = field_from_function(g, lambda p: np.sin(p @ weights))
+    np.testing.assert_array_equal(f.values, np.sin(reference @ weights).reshape(g.shape))
+    k2 = np.zeros(g.shape)
+    for k in g.wavenumbers():
+        k2 += k * k
+    np.testing.assert_array_equal(g.wavenumber_radius_squared(), k2)
+
+
+def test_nearest_index_accepts_the_box_and_wraps():
+    # the box is [-4, 4) with h = 0.5: 3.8 rounds to the node at 4.0 = -4.0
+    g = GridSpec(1, 16, 4.0)
+    assert g.nearest_index([3.8]) == (0,)
+    assert g.nearest_index([-4.0]) == (0,)
+    assert g.nearest_index([3.6]) == (15,)
+    with pytest.raises(ValueError, match="outside the box"):
+        g.nearest_index([-4.2])
+    with pytest.raises(ValueError, match="outside the box"):
+        g.nearest_index([4.0])
+
+
 @pytest.mark.parametrize("x", [8.5, 4.0, -4.0 - 1e-12, 40.0])
 def test_values_at_raises_outside_the_box(x):
     # the box is [-4, 4); with periodic indices 8.5 would read f(0.5)

@@ -62,6 +62,16 @@ def test_cauchy_pointwise_values():
     assert float(k.fourier_radial(2.0)) == pytest.approx(np.exp(-2.0))
 
 
+@pytest.mark.parametrize("kernel", [make_gaussian_kernel(3), make_cauchy_kernel()], ids=lambda k: k.name)
+def test_symbol_gap_is_one_minus_fourier_without_cancellation(kernel):
+    ks = np.geomspace(0.1, 10.0, 9)
+    np.testing.assert_allclose(kernel.symbol_gap(ks), 1.0 - kernel.fourier_radial(ks), rtol=1e-14)
+    # 1 - a_hat rounds to 0 at k = 1e-9 for the Gaussian; the gap keeps its k^alpha leading term
+    A, alpha = kernel.tail_params
+    np.testing.assert_allclose(kernel.symbol_gap(np.array([1e-9, 1e-6])), A * np.array([1e-9, 1e-6]) ** alpha,
+                               rtol=1e-6)
+
+
 def test_fourier_is_cosine_transform_of_density():
     # independent check of the analytic pairs: trapezoidal cosine transform
     # of the sampled density against the declared a_hat on |k| <= 5

@@ -306,6 +306,15 @@ def test_zero_jump_histogram_hits_one_bin(k1):
     assert np.count_nonzero(hist.masses) == 1
 
 
+@pytest.mark.parametrize("T, n, match", [(5.0, 0, "n >= 2"), (5.0, 1, "n >= 2"), (-1.0, 20, "positive"),
+                                         (0.0, 20, "positive")])
+def test_average_histogram_rejects_bad_inputs(k1, T, n, match):
+    # n < 2 leaves no standard error and T <= 0 no path to run: both are named
+    # errors, not numpy's TypeError, a zero stderr or its "lam < 0"
+    with pytest.raises(ValueError, match=match):
+        average_random_green_measure(k1, [0.0], T, BinSpec.cube(8.0, 16, 1), n, seed=1)
+
+
 def test_average_histogram_matches_delta_plus_green(k3):
     # E[occupation of bin B] -> |B| (delta_0 + G_0) as T grows; at T = 2000
     # the t^{-1/2} truncation tail is ~2% on near bins, below the tolerance
