@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, special
-from scipy.optimize import elementwise
+from scipy import special
 
 from .errors import InversionInstabilityError, TruncationError
 
@@ -47,8 +46,10 @@ class SubordinatorSpec:
     S(c t) has the law of c^{1/alpha} S(t); passage_cdf (t, tau) ->
     P(D(t) <= tau) = P(S(tau) >= t) is set for families whose first-passage
     law has a closed form, and lets sample_inverse_many draw D(t) exactly by
-    inversion (a spec with neither self_similarity nor passage_cdf is drawn
-    by grid first passage); clipped_mean (T, tau) -> E[S(tau) ^ T] is the
+    inversion, bracketing every draw of a batch from one table of the law
+    (a spec with neither self_similarity nor passage_cdf is drawn by grid
+    first passage); it must be nondecreasing in tau, vectorised over tau,
+    and 0 at tau = 0; clipped_mean (T, tau) -> E[S(tau) ^ T] is the
     expected time s in [0, T] with D(s) <= tau, which the renormalized
     occupation limit needs.
     """
@@ -89,6 +90,8 @@ def _standard_stable(alpha: float, rng, size) -> np.ndarray:
 
 # rows x nodes of the Kanter quadrature held at once
 _KANTER_BLOCK = 1 << 18
+# Gauss-Legendre nodes and weights of one Kanter panel on [-1, 1]
+_KANTER_RULE = np.polynomial.legendre.leggauss(12)
 
 
 def _kanter_average(alpha: float, s, h: Callable, h_inf: float) -> np.ndarray:
@@ -104,7 +107,7 @@ def _kanter_average(alpha: float, s, h: Callable, h_inf: float) -> np.ndarray:
     out, pos = np.zeros(s.shape), s > 0
     Y = np.log(np.pi / (np.sin(alpha * np.pi) * np.min(s[pos], initial=1.0))) + 8.0
     edges = np.linspace(0.0, Y, int(np.ceil(Y / min(1.0, 2.0 * (1.0 - alpha)))) + 1)
-    x, w = np.polynomial.legendre.leggauss(12)
+    x, w = _KANTER_RULE
     half = 0.5 * np.diff(edges)[:, None]
     y = (edges[:-1, None] + half * (1.0 + x)).ravel()
     A = _kanter_A(alpha, -np.pi * np.expm1(-y), np.pi * np.exp(-y))
@@ -355,6 +358,8 @@ def _k_integral(spec: SubordinatorSpec, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if spec.k_primitive is not None:
         return np.asarray(spec.k_primitive(t), dtype=float)
+    from scipy import integrate
+
     out = np.empty(t.shape if t.ndim else ())
     flat = np.atleast_1d(t)
     res = np.empty(flat.shape)
@@ -412,6 +417,9 @@ def check_admissible(spec: SubordinatorSpec, s0: float) -> AdmissibilityReport:
 # increments drawn per block, and the step cap, of grid first passage
 _PASSAGE_BLOCK = 4096
 _MAX_STEPS = 50_000_000
+# nodes of the passage-law table, and the cap on its range
+_PASSAGE_NODES = 129
+_PASSAGE_TAU_MAX = 2.0**63
 
 
 def sample_inverse_many(spec: SubordinatorSpec, t: float, ds: float, n: int, seed: int) -> np.ndarray:
@@ -422,8 +430,11 @@ def sample_inverse_many(spec: SubordinatorSpec, t: float, ds: float, n: int, see
     Straka, Math. Model. Nat. Phenom. 8 (2013)), with S(1) drawn by the
     spec's own increment sampler.  A family with a passage_cdf F(tau) =
     P(D(t) <= tau) is drawn exactly too, as the roots of F(tau) = U for n
-    uniforms U at once (bracketed, then Chandrupatla's method to full
-    precision), also independent of ds.  A spec with neither capability
+    uniforms U at once, also independent of ds: one 129-node table of F on
+    [0, tau_hi], with tau_hi doubled from 1 until it covers max U, brackets
+    each U in a table cell, and Chandrupatla's method solves every cell to
+    full precision; it raises TruncationError when the table cannot cover
+    max U or a root search fails.  A spec with neither capability
     falls back to grid first passage of S on {0, ds, 2 ds, ...}, one draw
     at a time, with an O(ds) upward bias; it raises TruncationError when S
     has not reached t after _MAX_STEPS steps.
@@ -451,15 +462,38 @@ def _grid_first_passage(spec: SubordinatorSpec, t: float, ds: float, rng) -> flo
 
 
 def _invert_passage_cdf(spec: SubordinatorSpec, t: float, u: np.ndarray) -> np.ndarray:
-    """Roots tau >= 0 of spec.passage_cdf(t, tau) = u, elementwise; the root of u = 0 is 0."""
+    """Roots tau >= 0 of spec.passage_cdf(t, tau) = u, elementwise; the root of u = 0 is 0.
+
+    F(tau) = passage_cdf(t, tau) is tabulated once, on _PASSAGE_NODES nodes
+    of [0, tau_hi], with tau_hi doubled from 1 until F(tau_hi) >= max u.
+    Each u falls in the table cell where F crosses it, and Chandrupatla's
+    method finds the root inside that cell to full precision.  Raises
+    TruncationError when F stays below max u up to _PASSAGE_TAU_MAX, when
+    the table is not finite, or when a root search fails.
+    """
+    from scipy.optimize import elementwise
+
     out, pos = np.zeros(u.shape), u > 0
+    target = u[pos]
+    if not target.size:
+        return out
+    tau_hi, top = 1.0, target.max()
+    while not spec.passage_cdf(t, tau_hi) >= top:
+        if tau_hi >= _PASSAGE_TAU_MAX:
+            raise TruncationError(f"passage law stays below {top:.17g} up to tau = {tau_hi:.6g} at t = {t:.6g}")
+        tau_hi *= 2.0
+    nodes = np.linspace(0.0, tau_hi, _PASSAGE_NODES)
+    table = np.asarray(spec.passage_cdf(t, nodes), dtype=float)
+    if not np.all(np.isfinite(table)):
+        raise TruncationError(f"passage law is not finite on [0, {tau_hi:.6g}] at t = {t:.6g}")
+    # table[cell - 1] < u <= table[cell] by bisection, so F - u changes sign on the cell
+    cell = np.clip(np.searchsorted(table, target), 1, _PASSAGE_NODES - 1)
 
     def gap(tau, u):
         return spec.passage_cdf(t, tau) - u
 
-    bracket = elementwise.bracket_root(gap, 1.0, xmin=0.0, args=(u[pos],))
-    root = elementwise.find_root(gap, bracket.bracket, args=(u[pos],))
-    failed = int(np.sum(~(bracket.success & root.success)))
+    root = elementwise.find_root(gap, (nodes[cell - 1], nodes[cell]), args=(target,))
+    failed = int(np.sum(~root.success))
     if failed:
         raise TruncationError(f"passage-law inversion failed for {failed} of {u.size} draws at t = {t:.6g}")
     out[pos] = root.x
@@ -558,6 +592,8 @@ def time_averaged_ratio(spec: SubordinatorSpec, tau: float, t: float):
 
     The ratio tends to 1 as t grows for admissible kernels.
     """
+    from scipy import integrate
+
     pts = np.geomspace(max(t * 1e-8, 1e-10), t, 24).tolist()
     m_rho = (
         integrate.quad(

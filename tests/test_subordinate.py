@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
+from scipy.optimize import elementwise
 
 import greenwalk.subordinate as subordinate
 from greenwalk.errors import InversionInstabilityError, TruncationError
@@ -197,6 +198,34 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_import_does_not_load_scipy_solvers():
+    # scipy.optimize and scipy.integrate are imported by the three callers
+    # that need them, on first use; each must still run from a cold import
+    code = """if True:
+        import dataclasses, sys
+        import greenwalk
+        print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
+        from greenwalk.renorm import normalization_N
+        from greenwalk.subordinate import (
+            make_gamma_subordinator, make_stable_subordinator, sample_inverse_many, time_averaged_ratio)
+        gamma = make_gamma_subordinator(2.0, 0.5)
+        draws = sample_inverse_many(gamma, 1.0, 1e-3, 50, seed=3)
+        print(draws.size, bool((draws > 0).all()))
+        print(repr(time_averaged_ratio(make_stable_subordinator(0.5), 1.0, 10.0)[0]))
+        print(repr(normalization_N(dataclasses.replace(gamma, k_primitive=None), 2.0)), repr(float(gamma.k_primitive(2.0))))
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded, draws, m_rho, prims = out.stdout.strip().splitlines()
+    assert loaded == "[]"
+    assert draws == "50 True"
+    # M_rho = (1/t) int_0^t rho_s(1) ds with the half-normal rho_s(1) = e^{-1/(4s)}/sqrt(pi s)
+    exact = mp.quad(lambda s: mp.exp(-1 / (4 * s)) / mp.sqrt(mp.pi * s), [0, 1, 10]) / 10
+    assert float(m_rho) == pytest.approx(float(exact), rel=1e-8)
+    quad, exact = map(float, prims.split())
+    assert quad == pytest.approx(exact, rel=1e-10)
+
+
 def test_import_starts_no_thread():
     # the path engine's worker pool is created on first use, not at import
     code = "import threading, greenwalk; print(threading.active_count(), greenwalk.simulate._POOL)"
@@ -269,6 +298,77 @@ def test_grid_first_passage_raises_past_the_step_cap(gamma, monkeypatch):
         sample_inverse_many(dataclasses.replace(gamma, passage_cdf=None), 1e3, 1e-3, 2, seed=1)
 
 
+def _searched_roots(spec, t, u):
+    """The roots of passage_cdf(t, tau) = u, each bracket searched outward from tau = 1."""
+    def gap(tau, u):
+        return spec.passage_cdf(t, tau) - u
+
+    bracket = elementwise.bracket_root(gap, 1.0, xmin=0.0, args=(u,))
+    root = elementwise.find_root(gap, bracket.bracket, args=(u,))
+    assert bracket.success.all() and root.success.all()
+    return root.x
+
+
+@pytest.mark.parametrize("ab", [GAMMA_AB, (1.0, 1.0)])
+@pytest.mark.parametrize("t", [1e-2, 1.0, 30.0])
+def test_table_bracketed_inversion_matches_searched_brackets(ab, t):
+    spec = make_gamma_subordinator(*ab)
+    u = np.array([1e-12, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12])
+    ref = _searched_roots(spec, t, u)
+    got = subordinate._invert_passage_cdf(spec, t, u)
+    # F rounds to u on a tau-interval of width about spacing(u) / F'(tau):
+    # below 1e-15 tau except near u = 1, where F is flat to rounding
+    # (about 1e-6 relative at u = 1 - 1e-12) and any root in it is as good
+    h = 1e-3 * ref
+    slope = (spec.passage_cdf(t, ref + h) - spec.passage_cdf(t, ref - h)) / (2.0 * h)
+    np.testing.assert_array_less(np.abs(got - ref), 1e-13 * ref + 4.0 * np.spacing(u) / slope)
+    np.testing.assert_allclose(got[u < 0.99], ref[u < 0.99], rtol=1e-13, atol=0.0)
+
+
+def test_table_bracketed_inversion_maps_zero_to_zero(gamma):
+    got = subordinate._invert_passage_cdf(gamma, 1.0, np.array([0.0, 0.5, 0.0]))
+    assert got[0] == got[2] == 0.0 and got[1] > 0.0
+    np.testing.assert_array_equal(subordinate._invert_passage_cdf(gamma, 1.0, np.zeros(3)), 0.0)
+
+
+def _nan_between(spec, lo, hi):
+    def passage_cdf(t, tau):
+        tau = np.asarray(tau, dtype=float)
+        return np.where((tau > lo) & (tau < hi), np.nan, spec.passage_cdf(t, tau))
+
+    return dataclasses.replace(spec, passage_cdf=passage_cdf)
+
+
+@pytest.mark.parametrize("lo, hi", [(2.0, np.inf), (0.5, 1.0)], ids=["beyond-2", "on-table"])
+def test_table_bracketed_inversion_raises_on_nan(gamma, lo, hi):
+    # NaN beyond tau = 2 keeps the table range from covering max u; NaN on
+    # (0.5, 1) falls on table nodes
+    with pytest.raises(TruncationError):
+        subordinate._invert_passage_cdf(_nan_between(gamma, lo, hi), 1.0, np.array([0.1, 0.5, 0.99]))
+
+
+def test_table_bracketed_inversion_raises_when_the_root_search_meets_nan(gamma):
+    # NaN on a window around the root that holds no table node: only
+    # Chandrupatla's iterates see it
+    root = float(_searched_roots(gamma, 1.0, np.array([0.5]))[0])
+    nodes = np.linspace(0.0, 2.0, subordinate._PASSAGE_NODES)  # F(1) < 0.5 <= F(2)
+    assert np.min(np.abs(nodes - root)) > 2e-4
+    with pytest.raises(TruncationError):
+        subordinate._invert_passage_cdf(_nan_between(gamma, root - 1e-4, root + 1e-4), 1.0, np.array([0.5]))
+
+
+def test_table_bracketed_inversion_raises_when_the_law_never_reaches_u(gamma):
+    # a passage law capped at 0.5 never covers u = 0.9; the doubling of the
+    # table range stops at its cap and raises
+    capped = dataclasses.replace(gamma, passage_cdf=lambda t, tau: np.minimum(gamma.passage_cdf(t, tau), 0.5))
+    with pytest.raises(TruncationError):
+        subordinate._invert_passage_cdf(capped, 1.0, np.array([0.2, 0.9]))
+    np.testing.assert_array_equal(
+        subordinate._invert_passage_cdf(capped, 1.0, np.array([0.2, 0.4])),
+        subordinate._invert_passage_cdf(gamma, 1.0, np.array([0.2, 0.4])),
+    )
+
+
 # ---------------------------------------------------------------------------
 # marginal density of the inverse process
 # ---------------------------------------------------------------------------
@@ -314,6 +414,28 @@ def test_rho_stable_kanter_matches_mpmath(alpha):
             for tau in (0.01, 0.5, 1.0, 3.0, 8.0):
                 ref = float(mp.invertlaplace(lambda s: s ** (alpha - 1) * mp.exp(-tau * s**alpha), t))
                 assert rho_density(spec, t, tau) == pytest.approx(ref, rel=1e-9, abs=1e-13)
+
+
+def test_kanter_rule_is_built_once(monkeypatch):
+    # the 12-node rule is a module constant, equal to leggauss(12); with
+    # leggauss broken, rho and clipped_mean return the same bits
+    np.testing.assert_array_equal(subordinate._KANTER_RULE, np.polynomial.legendre.leggauss(12))
+    specs = [make_stable_subordinator(alpha) for alpha in (0.7, 0.3)]
+    taus = np.array([0.0, 1e-3, 0.5, 3.0])
+
+    def values():
+        rho = [rho_density(spec, t, float(tau)) for spec in specs for t in (0.05, 1.0) for tau in taus]
+        return np.array(rho), np.array([spec.clipped_mean(T, taus) for spec in specs for T in (1e2, 2.0**21)])
+
+    before = values()
+
+    def broken(deg):
+        raise AssertionError("leggauss called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", broken)
+    after = values()
+    for b, a in zip(before, after):
+        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
