@@ -12,7 +12,9 @@ import csv
 import json
 import os
 import sys
+from functools import cached_property
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,29 +52,30 @@ from .subordinate import (
 
 SCHEMA_VERSION = 1
 
-_TOP_KEYS = {
-    "schema_version",
-    "experiment",
-    "kernel",
-    "grid",
-    "subordinator",
-    "f",
-    "mc",
-    "horizons",
-    "tolerances",
-    "output",
-    "point",
-    "bins",
-    "artifacts",
-}
+# the keys of each section and the JSON type of each value; an integer key
+# takes no fraction, since truncating it would run another config than the one given
 _SECTION_KEYS = {
-    "kernel": {"family", "params", "dim"},
-    "grid": {"N", "L"},
-    "subordinator": {"family", "params"},
-    "f": {"family", "params"},
-    "mc": {"n", "seed"},
-    "horizons": {"T", "T_grid", "dt"},
-    "bins": {"half_width", "per_axis"},
+    "kernel": {"family": "string", "params": "object", "dim": "integer"},
+    "grid": {"N": "integer", "L": "number"},
+    "subordinator": {"family": "string", "params": "object"},
+    "f": {"family": "string", "params": "object"},
+    "mc": {"n": "integer", "seed": "integer"},
+    "horizons": {"T": "number", "T_grid": "array", "dt": "number"},
+    "bins": {"half_width": "number", "per_axis": "integer"},
+    # every tolerance some experiment reads; see the README's experiment table
+    "tolerances": {
+        **dict.fromkeys(("lam", "radius", "k_min", "k_max", "s0", "tau_max", "power", "t_min"), "number"),
+        "n_tau": "integer",
+        "levels": "integer",
+    },
+}
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "object": dict, "array": list}
+_TOP_KEYS = {"schema_version", "experiment", "output", "point", "artifacts", *_SECTION_KEYS}
+# the params each family reads; any other key would be recorded but ignored
+_FAMILY_PARAMS = {
+    "kernel": {"gaussian": set(), "cauchy": set()},
+    "subordinator": {"stable": {"alpha"}, "gamma": {"a", "b"}},
+    "f": {"kernel": set()},
 }
 
 
@@ -80,6 +83,15 @@ def _fail_unknown(section: str, given: dict, allowed: set) -> None:
     unknown = sorted(set(given) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(unknown)}")
+
+
+def _check_family(section: str, body: dict) -> None:
+    family = body.get("family", "kernel" if section == "f" else None)
+    if family not in _FAMILY_PARAMS[section]:
+        raise ConfigError(f"unknown {section} family {family!r}")
+    _fail_unknown(f"{section}.params of family {family!r}", body.get("params", {}), _FAMILY_PARAMS[section][family])
+    if family == "cauchy" and body.get("dim", 1) != 1:
+        raise ConfigError("the cauchy kernel is one-dimensional; kernel.dim must be 1")
 
 
 def load_config(path) -> dict:
@@ -93,26 +105,27 @@ def load_config(path) -> dict:
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     _fail_unknown("config", cfg, _TOP_KEYS)
-    for section, allowed in _SECTION_KEYS.items():
-        if section in cfg:
-            if not isinstance(cfg[section], dict):
-                raise ConfigError(f"{section} must be an object")
-            _fail_unknown(section, cfg[section], allowed)
+    for section, types in _SECTION_KEYS.items():
+        body = cfg.get(section, {})
+        if not isinstance(body, dict):
+            raise ConfigError(f"{section} must be an object")
+        _fail_unknown(section, body, set(types))
+        for key, val in body.items():
+            if isinstance(val, bool) or not isinstance(val, _JSON_TYPES[types[key]]):
+                raise ConfigError(f"{section}.{key} must be a JSON {types[key]}")
+        if section in _FAMILY_PARAMS and section in cfg:
+            _check_family(section, body)
     if "output" in cfg and not (isinstance(cfg["output"], str) and cfg["output"]):
         raise ConfigError("output must be a non-empty string (the artifact file prefix)")
     name = cfg.get("experiment")
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; see `greenwalk list`")
-    tols = cfg.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ConfigError("tolerances must be an object")
-    for key, val in tols.items():
+    for key, val in cfg.get("tolerances", {}).items():
         # lambda = 0 is the Green measure itself; every other tolerance is a size
-        if not isinstance(val, (int, float)) or val < 0 or (val == 0 and key != "lam"):
+        if not (val > 0 or (val == 0 and key == "lam")):
             raise ConfigError(f"tolerance {key!r} must be a positive number")
-    if EXPERIMENTS[name].stochastic:
-        if "mc" not in cfg or "seed" not in cfg["mc"]:
-            raise ConfigError(f"experiment {name!r} is stochastic and needs mc.seed")
+    if EXPERIMENTS[name].stochastic and not {"n", "seed"} <= set(cfg.get("mc", {})):
+        raise ConfigError(f"experiment {name!r} is stochastic and needs mc.n and mc.seed")
     return cfg
 
 
@@ -123,197 +136,168 @@ def _resolve_seed(cfg: dict) -> dict:
             seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"GREENWALK_SEED must be an integer, got {env!r}") from exc
-        cfg = dict(cfg)
-        cfg["mc"] = dict(cfg.get("mc", {}))
-        cfg["mc"]["seed"] = seed
+        cfg = {**cfg, "mc": {**cfg.get("mc", {}), "seed": seed}}
     return cfg
 
 
-def _build_kernel(cfg: dict):
-    spec = cfg.get("kernel", {"family": "gaussian", "dim": 3})
-    family = spec.get("family")
-    if family == "gaussian":
-        return make_gaussian_kernel(int(spec.get("dim", 3)))
-    if family == "cauchy":
-        return make_cauchy_kernel()
-    raise ConfigError(f"unknown kernel family {family!r}")
+class _Inputs:
+    """One run's validated config; each section is built on first use and then kept."""
 
+    def __init__(self, cfg: dict, prefix: str):
+        self.cfg = cfg
+        self.prefix = prefix
+        self.tol = cfg.get("tolerances", {})
+        self.horizons = cfg.get("horizons", {})
 
-def _build_grid(cfg: dict, kernel) -> GridSpec:
-    g = cfg.get("grid")
-    if g is None:
-        defaults = {1: (1024, 40.0), 2: (256, 24.0), 3: (64, 16.0)}
-        n, half = defaults.get(kernel.dim, (64, 16.0))
-        return GridSpec(kernel.dim, n, half)
-    return GridSpec(kernel.dim, int(g["N"]), float(g["L"]))
+    @cached_property
+    def kernel(self):
+        body = self.cfg.get("kernel", {"family": "gaussian", "dim": 3})
+        if body["family"] == "cauchy":
+            return make_cauchy_kernel()
+        return make_gaussian_kernel(body.get("dim", 3))
 
+    @cached_property
+    def grid(self) -> GridSpec:
+        g = self.cfg.get("grid")
+        if g is None:
+            defaults = {1: (1024, 40.0), 2: (256, 24.0), 3: (64, 16.0)}
+            n, half = defaults.get(self.kernel.dim, (64, 16.0))
+            return GridSpec(self.kernel.dim, n, half)
+        if set(g) != {"N", "L"}:
+            raise ConfigError("grid needs both N and L")
+        return GridSpec(self.kernel.dim, g["N"], float(g["L"]))
 
-def _build_subordinator(cfg: dict):
-    spec = cfg.get("subordinator")
-    if spec is None:
-        raise ConfigError("this experiment needs a subordinator section")
-    family = spec.get("family")
-    params = spec.get("params", {})
-    if family == "stable":
-        return make_stable_subordinator(float(params.get("alpha", 0.5)))
-    if family == "gamma":
+    @cached_property
+    def spec(self):
+        sub = self.cfg.get("subordinator")
+        if sub is None:
+            raise ConfigError("this experiment needs a subordinator section")
+        params = sub.get("params", {})
+        if sub["family"] == "stable":
+            return make_stable_subordinator(float(params.get("alpha", 0.5)))
         return make_gamma_subordinator(float(params.get("a", 1.0)), float(params.get("b", 1.0)))
-    raise ConfigError(f"unknown subordinator family {family!r}")
+
+    @cached_property
+    def f(self):
+        return cl_from_kernel(self.kernel)
+
+    @cached_property
+    def x(self) -> tuple:
+        pt = self.cfg.get("point", [0.0] * self.kernel.dim)
+        if not isinstance(pt, list) or len(pt) != self.kernel.dim:
+            raise ConfigError(f"point must be a list of {self.kernel.dim} coordinates (the kernel dim)")
+        return tuple(float(v) for v in pt)
+
+    @cached_property
+    def bins(self) -> BinSpec:
+        b = self.cfg.get("bins", {})
+        return BinSpec.cube(float(b.get("half_width", 8.0)), b.get("per_axis", 8), self.kernel.dim)
+
+    @cached_property
+    def mc(self) -> tuple:
+        """(n, seed); load_config makes a stochastic experiment carry both."""
+        return self.cfg["mc"]["n"], self.cfg["mc"]["seed"]
+
+    def write_csv(self, name: str, header, rows) -> list:
+        """Write {prefix}_{name}.csv, numbers as repr(float); returns the artifact list."""
+        path = Path(f"{self.prefix}_{name}.csv")
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([repr(float(v)) if isinstance(v, (int, float, np.floating)) else v for v in row])
+        return [path]
+
+    def write_json(self, name: str, payload: dict) -> list:
+        """Write {prefix}_{name}.json with sorted keys; returns the artifact list."""
+        path = Path(f"{self.prefix}_{name}.json")
+        path.write_text(json.dumps(payload, sort_keys=True, default=float))
+        return [path]
 
 
-def _build_f(cfg: dict, kernel):
-    spec = cfg.get("f", {"family": "kernel"})
-    family = spec.get("family", "kernel")
-    if family == "kernel":
-        return cl_from_kernel(kernel)
-    raise ConfigError(f"unknown test-function family {family!r}")
-
-
-def _point(cfg: dict, kernel) -> tuple:
-    pt = cfg.get("point")
-    if pt is None:
-        return tuple(0.0 for _ in range(kernel.dim))
-    pt = tuple(float(v) for v in pt)
-    if len(pt) != kernel.dim:
-        raise ConfigError(f"point has {len(pt)} coordinates, kernel dim is {kernel.dim}")
-    return pt
-
-
-def _bins(cfg: dict, kernel) -> BinSpec:
-    b = cfg.get("bins", {})
-    return BinSpec.cube(float(b.get("half_width", 8.0)), int(b.get("per_axis", 8)), kernel.dim)
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (int, float, np.floating)) else v for v in row])
-
-
-def _axis_points(grid: GridSpec, kernel, radius: float):
-    xs = grid.axis
-    xs = xs[np.abs(xs) <= radius]
-    pts = np.zeros((xs.size, kernel.dim))
+def _axis_profile(inp: _Inputs, *methods: str) -> list:
+    """Columns x, then G_lam by each method ("series", "fourier"), at the grid
+    nodes on the first axis with |x| <= tolerances.radius."""
+    lam = inp.tol.get("lam", 0.0)
+    xs = inp.grid.axis
+    xs = xs[np.abs(xs) <= inp.tol.get("radius", 3.0)]
+    pts = np.zeros((xs.size, inp.kernel.dim))
     pts[:, 0] = xs
-    return xs, pts
+    values = {
+        "series": lambda: green_regular_series(inp.kernel, inp.grid, lam).regular_part.values_at(pts),
+        "fourier": lambda: [green_regular_fourier(inp.kernel, p, lam) for p in pts],
+    }
+    return [xs, *(values[m]() for m in methods)]
+
+
+def _histogram_rows(bins: BinSpec, hist, stderr) -> tuple:
+    """(header, rows) of a histogram CSV: bin center coordinates, mass, stderr."""
+    centers = bins.centers()
+    header = [*(f"c{i}" for i in range(bins.dim)), "mass", "stderr"]
+    rows = [
+        [*(centers[ax][idx[ax]] for ax in range(bins.dim)), hist.masses[idx], stderr[idx]]
+        for idx in np.ndindex(*bins.shape)
+    ]
+    return header, rows
 
 
 # ---------------------------------------------------------------------------
-# experiment implementations: each returns a list of (artifact name, rows meta)
+# experiment implementations: each writes its artifacts and returns their paths
 # ---------------------------------------------------------------------------
 
 
-def _exp_validate_kernel(cfg, prefix):
-    kernel = _build_kernel(cfg)
-    grid = _build_grid(cfg, kernel)
-    report = validate_kernel(kernel, grid)
-    out = Path(f"{prefix}_report.json")
-    out.write_text(json.dumps({"passed": report.passed, **report.__dict__}, sort_keys=True, default=float))
-    return [out]
+def _exp_validate_kernel(inp):
+    report = validate_kernel(inp.kernel, inp.grid)
+    return inp.write_json("report", {"passed": report.passed, **report.__dict__})
 
 
-def _exp_fit_expansion(cfg, prefix):
-    kernel = _build_kernel(cfg)
-    tol = cfg.get("tolerances", {})
+def _exp_fit_expansion(inp):
     A, alpha, resid = fit_small_k_expansion(
-        kernel, k_min=tol.get("k_min", 1e-3), k_max=tol.get("k_max", 1e-2)
+        inp.kernel, k_min=inp.tol.get("k_min", 1e-3), k_max=inp.tol.get("k_max", 1e-2)
     )
-    out = Path(f"{prefix}_fit.csv")
-    _write_csv(out, ["A", "alpha", "max_log_residual"], [[A, alpha, resid]])
-    return [out]
+    return inp.write_csv("fit", ["A", "alpha", "max_log_residual"], [[A, alpha, resid]])
 
 
-def _green_series_profile(cfg, kernel, grid):
-    lam = cfg.get("tolerances", {}).get("lam", 0.0)
-    res = green_regular_series(kernel, grid, lam)
-    radius = cfg.get("tolerances", {}).get("radius", 3.0)
-    xs, pts = _axis_points(grid, kernel, radius)
-    return lam, xs, pts, res.regular_part.values_at(pts)
+def _exp_green_series(inp):
+    return inp.write_csv("green_series", ["x", "G_series"], zip(*_axis_profile(inp, "series")))
 
 
-def _exp_green_series(cfg, prefix):
-    kernel = _build_kernel(cfg)
-    grid = _build_grid(cfg, kernel)
-    _, xs, _, vals = _green_series_profile(cfg, kernel, grid)
-    out = Path(f"{prefix}_green_series.csv")
-    _write_csv(out, ["x", "G_series"], zip(xs, vals))
-    return [out]
+def _exp_green_fourier(inp):
+    return inp.write_csv("green_fourier", ["x", "G_fourier"], zip(*_axis_profile(inp, "fourier")))
 
 
-def _exp_green_fourier(cfg, prefix):
-    kernel = _build_kernel(cfg)
-    grid = _build_grid(cfg, kernel)
-    tol = cfg.get("tolerances", {})
-    lam = tol.get("lam", 0.0)
-    xs, pts = _axis_points(grid, kernel, tol.get("radius", 3.0))
-    vals = [green_regular_fourier(kernel, p, lam) for p in pts]
-    out = Path(f"{prefix}_green_fourier.csv")
-    _write_csv(out, ["x", "G_fourier"], zip(xs, vals))
-    return [out]
-
-
-def _exp_green_compare(cfg, prefix):
-    kernel = _build_kernel(cfg)
-    grid = _build_grid(cfg, kernel)
-    lam, xs, pts, series = _green_series_profile(cfg, kernel, grid)
-    fourier = [green_regular_fourier(kernel, p, lam) for p in pts]
+def _exp_green_compare(inp):
     rows = [
         [x, s, f, abs(s / f - 1.0) if f != 0 else float("nan")]
-        for x, s, f in zip(xs, series, fourier)
+        for x, s, f in zip(*_axis_profile(inp, "series", "fourier"))
     ]
-    out = Path(f"{prefix}_green_compare.csv")
-    _write_csv(out, ["x", "G0_series", "G0_fourier", "rel_diff"], rows)
-    return [out]
+    return inp.write_csv("green_compare", ["x", "G0_series", "G0_fourier", "rel_diff"], rows)
 
 
-def _exp_potential(cfg, prefix):
-    kernel = _build_kernel(cfg)
-    grid = _build_grid(cfg, kernel)
-    f = _build_f(cfg, kernel)
-    x = _point(cfg, kernel)
-    val = potential(kernel, f, x, grid)
-    out = Path(f"{prefix}_potential.csv")
-    _write_csv(out, [*(f"x{i}" for i in range(kernel.dim)), "V"], [[*x, val]])
-    return [out]
+def _exp_potential(inp):
+    val = potential(inp.kernel, inp.f, inp.x, inp.grid)
+    return inp.write_csv("potential", [*(f"x{i}" for i in range(inp.kernel.dim)), "V"], [[*inp.x, val]])
 
 
-def _exp_mc_potential(cfg, prefix):
-    kernel = _build_kernel(cfg)
-    f = _build_f(cfg, kernel)
-    x = _point(cfg, kernel)
-    mc = cfg["mc"]
-    T = float(cfg.get("horizons", {}).get("T", 200.0))
-    est = mc_truncated_potential(kernel, f, x, T, int(mc["n"]), int(mc["seed"]))
-    out = Path(f"{prefix}_mc_potential.csv")
-    _write_csv(out, ["mean", "stderr", "n", "seed", "T"], [[est.mean, est.stderr, est.n_samples, est.seed, T]])
-    return [out]
+def _exp_mc_potential(inp):
+    T = float(inp.horizons.get("T", 200.0))
+    est = mc_truncated_potential(inp.kernel, inp.f, inp.x, T, *inp.mc)
+    return inp.write_csv("mc_potential", ["mean", "stderr", "n", "seed", "T"],
+                         [[est.mean, est.stderr, est.n_samples, est.seed, T]])
 
 
-def _exp_random_green(cfg, prefix):
-    kernel = _build_kernel(cfg)
-    x = _point(cfg, kernel)
-    bins = _bins(cfg, kernel)
-    mc = cfg["mc"]
-    T = float(cfg.get("horizons", {}).get("T", 200.0))
-    hist, stderr = average_random_green_measure(kernel, x, T, bins, int(mc["n"]), int(mc["seed"]))
-    centers = bins.centers()
-    rows = []
-    for idx in np.ndindex(*bins.shape):
-        rows.append([*(centers[ax][idx[ax]] for ax in range(bins.dim)), hist.masses[idx], stderr[idx]])
-    out = Path(f"{prefix}_random_green.csv")
-    _write_csv(out, [*(f"c{i}" for i in range(bins.dim)), "mass", "stderr"], rows)
-    return [out]
+def _exp_random_green(inp):
+    T = float(inp.horizons.get("T", 200.0))
+    hist, stderr = average_random_green_measure(inp.kernel, inp.x, T, inp.bins, *inp.mc)
+    return inp.write_csv("random_green", *_histogram_rows(inp.bins, hist, stderr))
 
 
-def _exp_subordinator_check(cfg, prefix):
-    spec = _build_subordinator(cfg)
-    h = check_H(spec)
-    adm = check_admissible(spec, s0=cfg.get("tolerances", {}).get("s0", 1.0))
-    payload = {
-        "family": spec.family,
-        "params": spec.params,
+def _exp_subordinator_check(inp):
+    h = check_H(inp.spec)
+    adm = check_admissible(inp.spec, s0=inp.tol.get("s0", 1.0))
+    return inp.write_json("subordinator", {
+        "family": inp.spec.family,
+        "params": inp.spec.params,
         "H": {k: v for k, v in h.__dict__.items() if k != "details"},
         "H_passed": h.passed,
         "admissible": {
@@ -321,113 +305,69 @@ def _exp_subordinator_check(cfg, prefix):
             "a2_max_deviation": adm.a2_max_deviation,
             "passed": adm.passed,
         },
-    }
-    out = Path(f"{prefix}_subordinator.json")
-    out.write_text(json.dumps(payload, sort_keys=True, default=float))
-    return [out]
+    })
 
 
-def _exp_rho(cfg, prefix):
-    spec = _build_subordinator(cfg)
-    tol = cfg.get("tolerances", {})
-    ts = cfg.get("horizons", {}).get("T_grid", [1.0])
-    tau_max = tol.get("tau_max", 10.0)
-    n_tau = int(tol.get("n_tau", 101))
-    taus = np.linspace(0.0, tau_max, n_tau)
-    rows = []
-    for t in ts:
-        for tau in taus:
-            rows.append([t, tau, rho_density(spec, float(t), float(tau))])
-    out = Path(f"{prefix}_rho.csv")
-    _write_csv(out, ["t", "tau", "rho"], rows)
-    return [out]
+def _exp_rho(inp):
+    taus = np.linspace(0.0, inp.tol.get("tau_max", 10.0), inp.tol.get("n_tau", 101))
+    rows = [
+        [t, tau, rho_density(inp.spec, float(t), float(tau))]
+        for t in inp.horizons.get("T_grid", [1.0])
+        for tau in taus
+    ]
+    return inp.write_csv("rho", ["t", "tau", "rho"], rows)
 
 
-def _exp_gfd(cfg, prefix):
-    spec = _build_subordinator(cfg)
-    hz = cfg.get("horizons", {})
-    T = float(hz.get("T", 2.0))
-    dt = float(hz.get("dt", 1e-3))
-    q = cfg.get("tolerances", {}).get("power", 1.0)
+def _exp_gfd(inp):
+    T = float(inp.horizons.get("T", 2.0))
+    dt = float(inp.horizons.get("dt", 1e-3))
     m = int(round(T / dt))
     t_grid = dt * np.arange(m + 1)
-    masses = kernel_cell_masses(spec, dt, m)
-    k_vals = np.concatenate(([0.0], np.asarray(spec.k_eval(t_grid[1:]), dtype=float)))
-    vals = gfd_apply(k_vals, t_grid**q, dt, cell_masses=masses)
-    out = Path(f"{prefix}_gfd.csv")
-    _write_csv(out, ["t", "gfd"], zip(t_grid[1:m], vals))
-    return [out]
+    masses = kernel_cell_masses(inp.spec, dt, m)
+    k_vals = np.concatenate(([0.0], np.asarray(inp.spec.k_eval(t_grid[1:]), dtype=float)))
+    vals = gfd_apply(k_vals, t_grid ** inp.tol.get("power", 1.0), dt, cell_masses=masses)
+    return inp.write_csv("gfd", ["t", "gfd"], zip(t_grid[1:m], vals))
 
 
-def _exp_subordinate_solve(cfg, prefix):
-    kernel = _build_kernel(cfg)
-    grid = _build_grid(cfg, kernel)
-    spec = _build_subordinator(cfg)
-    f = _build_f(cfg, kernel)
-    x = _point(cfg, kernel)
-    ts = cfg.get("horizons", {}).get("T_grid", [0.5, 1.0, 2.0])
-    rows = [[t, subordinated_solution(kernel, spec, f, x, float(t), grid=grid)] for t in ts]
-    out = Path(f"{prefix}_subordinate_solve.csv")
-    _write_csv(out, ["t", "v"], rows)
-    return [out]
+def _exp_subordinate_solve(inp):
+    rows = [
+        [t, subordinated_solution(inp.kernel, inp.spec, inp.f, inp.x, float(t), grid=inp.grid)]
+        for t in inp.horizons.get("T_grid", [0.5, 1.0, 2.0])
+    ]
+    return inp.write_csv("subordinate_solve", ["t", "v"], rows)
 
 
-def _exp_renorm_curve(cfg, prefix):
-    kernel = _build_kernel(cfg)
-    grid = _build_grid(cfg, kernel)
-    spec = _build_subordinator(cfg)
-    f = _build_f(cfg, kernel)
-    x = _point(cfg, kernel)
-    T_grid = cfg.get("horizons", {}).get("T_grid", [2.0**j for j in range(9, 22, 2)])
-    curve = renormalized_potential_curve(kernel, spec, f, x, np.asarray(T_grid, float), grid)
-    out = Path(f"{prefix}_renorm_curve.csv")
-    curve.write_csv(out)
-    return [out]
+def _exp_renorm_curve(inp):
+    T_grid = inp.horizons.get("T_grid", [2.0**j for j in range(9, 22, 2)])
+    curve = renormalized_potential_curve(inp.kernel, inp.spec, inp.f, inp.x, np.asarray(T_grid, float), inp.grid)
+    path = Path(f"{inp.prefix}_renorm_curve.csv")
+    curve.write_csv(path)
+    return [path]
 
 
-def _exp_renorm_histogram(cfg, prefix):
-    kernel = _build_kernel(cfg)
-    spec = _build_subordinator(cfg)
-    x = _point(cfg, kernel)
-    bins = _bins(cfg, kernel)
-    mc = cfg["mc"]
-    T = float(cfg.get("horizons", {}).get("T", 1e4))
-    hist, stderr = renormalized_green_histogram(kernel, spec, x, T, bins, int(mc["n"]), int(mc["seed"]))
-    centers = bins.centers()
+def _exp_renorm_histogram(inp):
+    T = float(inp.horizons.get("T", 1e4))
+    hist, stderr = renormalized_green_histogram(inp.kernel, inp.spec, inp.x, T, inp.bins, *inp.mc)
+    return inp.write_csv("renorm_histogram", *_histogram_rows(inp.bins, hist, stderr))
+
+
+def _exp_fke_residual(inp):
+    T = float(inp.horizons.get("T", 2.0))
+    dt = float(inp.horizons.get("dt", 0.01))
     rows = []
-    for idx in np.ndindex(*bins.shape):
-        rows.append([*(centers[ax][idx[ax]] for ax in range(bins.dim)), hist.masses[idx], stderr[idx]])
-    out = Path(f"{prefix}_renorm_histogram.csv")
-    _write_csv(out, [*(f"c{i}" for i in range(bins.dim)), "mass", "stderr"], rows)
-    return [out]
-
-
-def _exp_fke_residual(cfg, prefix):
-    kernel = _build_kernel(cfg)
-    grid = _build_grid(cfg, kernel)
-    spec = _build_subordinator(cfg)
-    f = _build_f(cfg, kernel)
-    x = _point(cfg, kernel)
-    hz = cfg.get("horizons", {})
-    T = float(hz.get("T", 2.0))
-    dt = float(hz.get("dt", 0.01))
-    levels = int(cfg.get("tolerances", {}).get("levels", 2))
-    t_min = cfg.get("tolerances", {}).get("t_min", 0.1)
-    rows = []
-    for lev in range(levels):
+    for lev in range(inp.tol.get("levels", 2)):
         step = dt / 2**lev
         t_grid = step * np.arange(int(round(T / step)) + 1)
-        rows.append([step, fke_residual(kernel, spec, f, x, t_grid, grid=grid, t_min=t_min)])
-    out = Path(f"{prefix}_fke_residual.csv")
-    _write_csv(out, ["dt", "residual"], rows)
-    return [out]
+        residual = fke_residual(inp.kernel, inp.spec, inp.f, inp.x, t_grid, grid=inp.grid,
+                                t_min=inp.tol.get("t_min", 0.1))
+        rows.append([step, residual])
+    return inp.write_csv("fke_residual", ["dt", "residual"], rows)
 
 
-class _Experiment:
-    def __init__(self, fn, doc, stochastic=False):
-        self.fn = fn
-        self.doc = doc
-        self.stochastic = stochastic
+class _Experiment(NamedTuple):
+    fn: Callable[[_Inputs], list]
+    doc: str
+    stochastic: bool = False
 
 
 EXPERIMENTS = {
@@ -462,9 +402,8 @@ def run(config_path, out_dir=None) -> int:
     if out_dir is not None:
         prefix = str(Path(out_dir) / Path(prefix).name)
     Path(prefix).parent.mkdir(parents=True, exist_ok=True)
-    artifacts = EXPERIMENTS[cfg["experiment"]].fn(cfg, prefix)
-    manifest = dict(cfg)
-    manifest["artifacts"] = [str(a) for a in artifacts]
+    artifacts = EXPERIMENTS[cfg["experiment"]].fn(_Inputs(cfg, prefix))
+    manifest = {**cfg, "artifacts": [str(a) for a in artifacts]}
     manifest_path = Path(f"{prefix}_manifest.json")
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2, default=float))
     print(json.dumps({"manifest": str(manifest_path), "artifacts": manifest["artifacts"]}, sort_keys=True))
@@ -491,10 +430,7 @@ def main(argv=None) -> int:
             print(json.dumps({"valid": True, "config": str(args.config)}, sort_keys=True))
             return 0
         return run(args.config, out_dir=args.out)
-    except GreenwalkError as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, sort_keys=True))
-        return 1
-    except (ValueError, OSError) as exc:
+    except (GreenwalkError, ValueError, OSError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, sort_keys=True))
         return 1
 

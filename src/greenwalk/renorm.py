@@ -251,7 +251,7 @@ def renormalized_green_histogram(
     bins: BinSpec,
     n: int,
     seed: int,
-    method: str = "auto",
+    method: str = "conditional",
 ):
     """Monte Carlo occupation of Z = X(D(.)) over [0, T], divided by N(T).
 
@@ -270,7 +270,7 @@ def renormalized_green_histogram(
         raise ValueError("T must be positive")
     if n < 2:
         raise ValueError("need n >= 2 replicas")
-    if method not in ("auto", "conditional", "raw"):
+    if method not in ("conditional", "raw"):
         raise ValueError(f"unknown method {method!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     clipped_mean = _clipped_mean(spec)

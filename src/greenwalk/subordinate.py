@@ -590,17 +590,17 @@ def rho_density(spec: SubordinatorSpec, t: float, tau: float) -> float:
 def time_averaged_ratio(spec: SubordinatorSpec, tau: float, t: float):
     """(M_rho, M_k, ratio) with M_rho = (1/t) int_0^t rho_s(tau) ds etc.
 
+    int_0^t rho_s(tau) ds is the inverse at t of K(lambda) e^{-tau Phi(lambda)} / lambda
+    through _talbot_gated, gated at 1e-6 t like rho_density's 1e-6 per unit time.
     The ratio tends to 1 as t grows for admissible kernels.
     """
-    from scipy import integrate
+    if t <= 0 or tau < 0:
+        raise ValueError("need t > 0 and tau >= 0")
 
-    pts = np.geomspace(max(t * 1e-8, 1e-10), t, 24).tolist()
-    m_rho = (
-        integrate.quad(
-            lambda s: rho_density(spec, s, tau), 0.0, t, points=pts, limit=400
-        )[0]
-        / t
-    )
+    def F(lam):
+        return np.asarray(spec.K_eval(lam)) * np.exp(-tau * np.asarray(spec.phi_eval(lam))) / lam
+
+    m_rho = max(float(_talbot_gated(F, t, 1e-6 * t)), 0.0) / t
     m_k = float(_k_integral(spec, np.array([t]))[0]) / t
     return m_rho, m_k, m_rho / m_k
 

@@ -224,3 +224,128 @@ def test_subordinator_check_run(tmp_path):
     assert run_cli(["run", cfg, "--out", tmp_path]) == 0
     report = json.loads((tmp_path / "sub_subordinator.json").read_text())
     assert report["H_passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# the schema reads every key a run uses, and only those
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("experiment, body", [
+    ("green-compare", {"tolerances": {"radus": 1.0}}),
+    ("rho", {"subordinator": {"family": "gamma", "params": {"alpha": 0.7}}}),
+    ("potential", {"f": {"family": "kernel", "params": {"scale": 2}}}),
+], ids=["misspelt-tolerance", "gamma-with-alpha", "kernel-f-with-params"])
+def test_keys_no_run_reads_are_rejected(tmp_path, capsys, experiment, body):
+    cfg = write_cfg(tmp_path, "bad", experiment=experiment, **body)
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+    assert run_cli(["validate", cfg]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
+
+
+def test_cauchy_kernel_in_three_dimensions_is_rejected(tmp_path):
+    # make_cauchy_kernel is one-dimensional, so dim 3 would run a 1-D kernel
+    cfg = write_cfg(tmp_path, "bad", experiment="fit-expansion", kernel={"family": "cauchy", "dim": 3})
+    with pytest.raises(ConfigError, match="dim"):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("experiment, body", [
+    ("mc-potential", {"mc": {"n": 100.5, "seed": 1}}),
+    ("mc-potential", {"mc": {"n": 100, "seed": 1.5}}),
+    ("mc-potential", {"mc": {"n": 100, "seed": True}}),
+    ("potential", {"grid": {"N": 32.0, "L": 8.0}}),
+    ("random-green", {"mc": {"n": 10, "seed": 1}, "bins": {"per_axis": 4.5}}),
+    ("fke-residual", {"tolerances": {"levels": 0.5}}),
+    ("rho", {"tolerances": {"n_tau": 10.5}}),
+], ids=["mc.n", "mc.seed", "mc.seed-bool", "grid.N", "bins.per_axis", "levels", "n_tau"])
+def test_integer_keys_must_be_json_integers(tmp_path, experiment, body):
+    cfg = write_cfg(tmp_path, "bad", experiment=experiment, **body)
+    with pytest.raises(ConfigError, match="integer"):
+        load_config(cfg)
+
+
+def test_fractional_levels_write_no_artifact(tmp_path, capsys):
+    # int(0.5) = 0 levels used to write a header-only CSV and exit 0
+    cfg = write_cfg(tmp_path, "fke", experiment="fke-residual",
+                    kernel={"family": "gaussian", "dim": 1},
+                    subordinator={"family": "stable", "params": {"alpha": 0.5}},
+                    tolerances={"levels": 0.5}, output="fke")
+    assert run_cli(["run", cfg, "--out", tmp_path]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
+    assert not (tmp_path / "fke_fke_residual.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# every experiment through the runner
+# ---------------------------------------------------------------------------
+
+GAUSS1 = {"family": "gaussian", "dim": 1}
+HALF_STABLE = {"family": "stable", "params": {"alpha": 0.5}}
+
+# experiment -> (small config body, artifact suffix, CSV header or sorted JSON keys)
+RUNS = {
+    "validate-kernel": ({"kernel": GAUSS1, "grid": {"N": 256, "L": 20.0}}, "report.json",
+                        ["fourier_at_cutoff", "fourier_bounded", "fourier_decays", "mass",
+                         "max_abs_fourier_away_from_zero", "min_density", "nonnegative", "normalized",
+                         "passed", "symmetric", "symmetry_error"]),
+    "fit-expansion": ({"kernel": {"family": "cauchy"}}, "fit.csv", "A,alpha,max_log_residual"),
+    "green-series": ({"kernel": GAUSS1, "tolerances": {"lam": 0.5, "radius": 2.0}},
+                     "green_series.csv", "x,G_series"),
+    "green-fourier": ({"kernel": GAUSS1, "tolerances": {"lam": 0.5, "radius": 1.0}},
+                      "green_fourier.csv", "x,G_fourier"),
+    "green-compare": ({"kernel": GAUSS1, "grid": {"N": 512, "L": 30.0}, "tolerances": {"lam": 1.0, "radius": 1.0}},
+                      "green_compare.csv", "x,G0_series,G0_fourier,rel_diff"),
+    "potential": ({"grid": {"N": 32, "L": 12.0}, "point": [0.5, 0.0, 0.0]}, "potential.csv", "x0,x1,x2,V"),
+    "mc-potential": ({"kernel": GAUSS1, "mc": {"n": 20, "seed": 1}, "horizons": {"T": 5.0}},
+                     "mc_potential.csv", "mean,stderr,n,seed,T"),
+    "random-green": ({"kernel": GAUSS1, "mc": {"n": 10, "seed": 2}, "horizons": {"T": 5.0},
+                      "bins": {"half_width": 4.0, "per_axis": 4}}, "random_green.csv", "c0,mass,stderr"),
+    "subordinator-check": ({"subordinator": {"family": "gamma", "params": {"a": 2.0, "b": 0.5}}},
+                           "subordinator.json", ["H", "H_passed", "admissible", "family", "params"]),
+    "rho": ({"subordinator": {"family": "gamma", "params": {"a": 1.0, "b": 1.0}},
+             "tolerances": {"tau_max": 2.0, "n_tau": 5}}, "rho.csv", "t,tau,rho"),
+    "gfd": ({"subordinator": HALF_STABLE, "horizons": {"T": 0.1, "dt": 0.01}}, "gfd.csv", "t,gfd"),
+    "subordinate-solve": ({"kernel": GAUSS1, "subordinator": HALF_STABLE, "horizons": {"T_grid": [0.5]}},
+                          "subordinate_solve.csv", "t,v"),
+    "renorm-curve": ({"subordinator": HALF_STABLE, "horizons": {"T_grid": [512.0, 2048.0]}},
+                     "renorm_curve.csv", "T,N,value,target,rel_gap"),
+    "renorm-histogram": ({"subordinator": HALF_STABLE, "mc": {"n": 4, "seed": 3}, "horizons": {"T": 50.0},
+                          "bins": {"half_width": 4.0, "per_axis": 2}},
+                         "renorm_histogram.csv", "c0,c1,c2,mass,stderr"),
+    "fke-residual": ({"kernel": GAUSS1, "subordinator": HALF_STABLE, "horizons": {"T": 0.5, "dt": 0.05},
+                      "tolerances": {"t_min": 0.2}}, "fke_residual.csv", "dt,residual"),
+}
+
+
+def test_every_experiment_has_a_run_case():
+    assert sorted(RUNS) == sorted(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_every_experiment_runs_and_its_manifest_reruns(tmp_path, capsys, name):
+    body, artifact, header = RUNS[name]
+    cfg = write_cfg(tmp_path, "cfg", experiment=name, output="run", **body)
+    assert run_cli(["run", cfg, "--out", tmp_path / "first"]) == 0
+    first = tmp_path / "first" / f"run_{artifact}"
+    assert json.loads(capsys.readouterr().out)["artifacts"] == [str(first)]
+    assert sorted(p.name for p in (tmp_path / "first").iterdir()) == sorted([first.name, "run_manifest.json"])
+    if artifact.endswith(".csv"):
+        assert first.read_text().splitlines()[0] == header
+    else:
+        assert sorted(json.loads(first.read_text())) == header
+    manifest = json.loads((tmp_path / "first" / "run_manifest.json").read_text())
+    manifest.pop("artifacts")
+    rerun = tmp_path / "rerun.json"
+    rerun.write_text(json.dumps(manifest))
+    assert run_cli(["run", rerun, "--out", tmp_path / "second"]) == 0
+    assert (tmp_path / "second" / first.name).read_bytes() == first.read_bytes()
+
+
+def test_readme_table_lists_every_experiment_and_its_artifact():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {line.split("|")[1].strip(" `"): line for line in readme.splitlines() if line.startswith("| `")}
+    for name, (_, artifact, _) in RUNS.items():
+        assert name in rows, f"{name} is missing from the README's experiment table"
+        assert f"_{artifact}" in rows[name]

@@ -7,6 +7,7 @@ the rate-class sum against W_T(r) = int_0^T E e^{-r D(s)} ds.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -315,6 +316,14 @@ def test_histogram_total_mass_identity(k3, stable, gamma):
             k3, spec, [0.0, 0.0, 0.0], T, bins, 200, seed=2, method=method
         )
         assert hist.total_mass() == pytest.approx(T / normalization_N(spec, T), rel=1e-12)
+
+
+def test_histogram_methods_are_conditional_and_raw(k3, stable):
+    # "auto" was an alias of "conditional", which is now the default
+    default = inspect.signature(renormalized_green_histogram).parameters["method"].default
+    assert default == "conditional"
+    with pytest.raises(ValueError, match="auto"):
+        renormalized_green_histogram(k3, stable, [0.0, 0.0, 0.0], 10.0, BinSpec.cube(4.0, 2, 3), 2, 1, method="auto")
 
 
 @pytest.mark.parametrize("method", ["conditional", "raw"])

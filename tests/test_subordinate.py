@@ -199,7 +199,7 @@ def test_import_does_not_load_scipy_stats():
 
 
 def test_import_does_not_load_scipy_solvers():
-    # scipy.optimize and scipy.integrate are imported by the three callers
+    # scipy.optimize and scipy.integrate are imported by the two callers
     # that need them, on first use; each must still run from a cold import
     code = """if True:
         import dataclasses, sys
@@ -566,6 +566,24 @@ def test_clipped_mean_small_tau_limit(spec):
 def test_time_averaged_ratio_near_one_at_large_t(stable):
     _, _, ratio = time_averaged_ratio(stable, 1.0, 1e3)
     assert abs(ratio - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("t", [1.0, 1e2, 1e4])
+def test_time_averaged_ratio_gamma_matches_mpmath(t):
+    # int_0^t rho_s(tau) ds = d/dtau E[S(tau) ^ t], and for gamma (a, b)
+    # E[S(tau) ^ t] = (b tau / a) P(b tau + 1, a t) + t Q(b tau, a t)
+    a, b = GAMMA_AB
+    tau = 1.0
+
+    def clipped(x):
+        return (b * x / a) * mp.gammainc(b * x + 1, 0, a * t, regularized=True) + t * mp.gammainc(
+            b * x, a * t, mp.inf, regularized=True
+        )
+
+    with mp.workdps(30):
+        exact = float(mp.diff(clipped, tau)) / t
+    m_rho, _, _ = time_averaged_ratio(make_gamma_subordinator(a, b), tau, t)
+    assert m_rho == pytest.approx(exact, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
