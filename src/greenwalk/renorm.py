@@ -83,7 +83,8 @@ def mc_time_changed_expectation(
 
     D(t) is drawn by sample_inverse_many: exactly for a self-similar spec or
     one with a passage_cdf (gamma), by grid first passage with step 1e-3 t
-    for the others.
+    for the others.  Z(t) is then x plus the sum of N ~ Poisson(D) jumps down
+    its own column, with paths ordered by N and no holding time drawn.
     """
     if n < 2:
         raise ValueError("need n >= 2 samples")
@@ -236,13 +237,6 @@ def unnormalized_potential_integral(
 # ---------------------------------------------------------------------------
 
 
-def _knots(chunk, steps):
-    """Per-path running sums of steps over a chunk's intervals, restarted at each path."""
-    knots = np.cumsum(steps)
-    knots -= (knots[chunk.first] - steps[chunk.first])[chunk.path]
-    return knots
-
-
 def renormalized_green_histogram(
     kernel: JumpKernel,
     spec: SubordinatorSpec,
@@ -279,19 +273,19 @@ def renormalized_green_histogram(
     tau_stop = _horizon(clipped_mean, T)
 
     def consume(c):
-        # clipped S at the end of each interval, with tau measured from its path's start
+        # clipped S at the end of each interval, summed down each path's column;
+        # the increments drawn for padded rows (duration 0) must add exactly 0
         if method == "raw":
-            clipped = np.minimum(_knots(c, spec.increment_sampler(c.durations, c.rng, c.durations.size)), T)
+            steps = spec.increment_sampler(c.durations, c.rng, c.durations.shape)
+            clipped = np.minimum(np.cumsum(np.where(c.durations > 0, steps, 0.0), axis=0), T)
         else:
-            clipped = clipped_mean(T, _knots(c, c.durations))
-        weights = np.diff(clipped, prepend=0.0)
-        weights[c.first] = clipped[c.first]
-        rows = _deposit(bins, c, weights / N_T)
+            clipped = clipped_mean(T, np.cumsum(c.durations, axis=0))
+        rows = _deposit(bins, c, np.diff(clipped, axis=0, prepend=0.0) / N_T)
         # the time a path has left after tau* counts as escaped
-        rows[:, -1] += (T - clipped[np.append(c.first[1:], c.path.size) - 1]) / N_T
+        rows[:, -1] += (T - clipped[-1]) / N_T
         return _Moments.of(rows)
 
-    parts, _ = _map_paths(kernel, x, np.full(n, tau_stop), rng, consume, int(np.prod(bins.shape)))
+    parts, _ = _map_paths(kernel, x, tau_stop, n, rng, consume, int(np.prod(bins.shape)))
     return _histogram(bins, parts, T)
 
 

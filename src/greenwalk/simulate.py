@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import InvalidKernelError
 from .green import CLFunction
 from .kernels import JumpKernel
 
@@ -67,23 +68,19 @@ class _Moments:
         return np.sqrt(self.m2 / ((self.n - 1) * self.n)) if self.n > 1 else 0.0 * self.m2
 
 
-def _mc_reduce(chunks: list, jumps: int, seed: int, **extra) -> McEstimate:
+def _mc_reduce(chunks: list, plan: dict, seed: int, **extra) -> McEstimate:
     """Estimate from per-chunk sample arrays, with the chunk plan in extra."""
     acc = _Moments.of(np.concatenate(chunks))
-    extra.update(chunks=len(chunks), jumps=jumps)
-    return McEstimate(float(acc.mean), float(acc.stderr()), acc.n, seed, extra)
+    return McEstimate(float(acc.mean), float(acc.stderr()), acc.n, seed, {**extra, **plan})
 
 
-# float64 elements one chunk of paths may hold: interval states, durations
-# and path indices, plus one consumer row (e.g. histogram bins) per path.
-# Fixed, so the chunk layout (and with it every seeded result) never
-# depends on the number of worker threads.  At 2^17 a chunk's arrays stay
-# near 1 MB each: they fit in a core's L2 cache, and the freed memory each
-# worker thread's malloc arena keeps after a call stays small.
-_CHUNK_ELEMENTS = 1 << 17
+# float64 elements a chunk may hold (see _map_chunks); fixed, so no seeded result
+# depends on the thread count.  Row ops run across a chunk's paths, so wider chunks
+# pay less per-op overhead; 2^19 gained a little more speed but 6% more peak RSS.
+_CHUNK_ELEMENTS = 1 << 18
 
 # worker threads for path chunks, created on first use: numpy's generators,
-# ufuncs, cumsum and take release the interpreter lock
+# ufuncs and cumsum release the interpreter lock
 _POOL: Optional[ThreadPoolExecutor] = None
 _POOL_LOCK = threading.Lock()
 
@@ -110,75 +107,93 @@ if hasattr(os, "register_at_fork"):
 
 @dataclass
 class _PathChunk:
-    """Whole paths laid out interval by interval.
+    """Paths by increasing jump count, time-major: after j jumps path p holds states[j, p] for durations[j, p].
 
-    Interval i of the chunk belongs to path[i], holds states[i] for
-    durations[i]; first[p] is the index of path p's first interval.  rng is
-    the chunk's own random stream, for consumers that draw more per interval.
+    Rows past a path's count repeat its last state for a duration of exactly
+    0.  rng is the chunk's own stream, for consumers that draw more per row.
     """
 
-    states: np.ndarray
-    durations: np.ndarray
-    path: np.ndarray
-    first: np.ndarray
+    states: np.ndarray  # (rows, n_paths, d)
+    durations: np.ndarray  # (rows, n_paths)
     rng: np.random.Generator
 
     @property
     def n_paths(self) -> int:
-        return self.first.size
+        return self.durations.shape[1]
 
 
-def _build_chunk(kernel: JumpKernel, x: np.ndarray, horizons, counts, rng) -> _PathChunk:
-    """Paths with the given jump counts on [0, horizons[p]], drawn from rng.
+def _by_row(values, counts, out) -> np.ndarray:
+    """Lay values row by row into the zeroed out: row j gets one per path with count > j."""
+    m = counts[0] * counts.size  # the rows every path reaches are one block, as counts are sorted
+    out[:counts[0]] = values[:m].reshape(out[:counts[0]].shape)
+    out[counts[0]:][np.arange(counts[0], counts[-1])[:, None] < counts] = values[m:]
+    return out
 
-    Given N jumps the N + 1 holding times are h Dirichlet(1..1), the spacings
-    of sorted uniforms, drawn as Exp(1) normalised per path; the states are a
-    segmented cumsum of one flat kernel.sampler call.
+
+def _steps(kernel: JumpKernel, x: np.ndarray, counts, rng) -> np.ndarray:
+    """x, then each path's own jumps (one kernel.sampler call) down its column, then zeros."""
+    steps = np.zeros((counts[-1] + 1, counts.size, x.size))
+    steps[0] = x
+    _by_row(kernel.sampler(rng, int(counts.sum())), counts, steps[1:])
+    return steps
+
+
+def _finite(ends: np.ndarray) -> np.ndarray:
+    if not np.isfinite(ends).all():  # a non-finite jump leaves its path's end non-finite
+        raise InvalidKernelError("the jump sampler returned a non-finite jump")
+    return ends
+
+
+def _build_chunk(kernel: JumpKernel, x: np.ndarray, h: float, counts, rng) -> _PathChunk:
+    """Paths on [0, h] with the given sorted jump counts, drawn from rng, one column each.
+
+    Given N jumps the N + 1 holding times are h Dirichlet(1..1), drawn as
+    Exp(1) normalised per column.  The states are one cumsum down axis 0:
+    each is the exact partial sum of x and its own path's jumps.
     """
-    seg = counts + 1
-    path = np.repeat(np.arange(seg.size), seg)
-    first = np.cumsum(seg) - seg
-    e = rng.standard_exponential(path.size)
-    durations = np.repeat(horizons / np.add.reduceat(e, first), seg) * e
-    jumps = kernel.sampler(rng, path.size - seg.size)
-    cum = np.zeros((jumps.shape[0] + 1, x.size))
-    np.cumsum(jumps, axis=0, out=cum[1:])
-    # cum[k] sums the chunk's first k jumps and each path has one interval
-    # more than jumps, so interval i of path p holds
-    # x + cum[i - p] - cum[first[p] - p]
-    states = np.take(cum, np.arange(path.size) - path, axis=0)
-    states -= np.take(np.take(cum, first - np.arange(seg.size), axis=0), path, axis=0)
-    states += x
-    return _PathChunk(states, durations, path, first, rng)
+    e = np.zeros((counts[-1] + 1, counts.size))
+    _by_row(rng.standard_exponential(int(counts.sum()) + counts.size), counts + 1, e)
+    e *= h / e.sum(axis=0)
+    states = _steps(kernel, x, counts, rng)
+    _finite(np.cumsum(states, axis=0, out=states)[-1])
+    return _PathChunk(states, e, rng)
 
 
-def _map_paths(kernel: JumpKernel, x, horizons, rng, consume, row_width: int = 0):
-    """consume(chunk) for exact compound Poisson paths on [0, horizons[p]].
+def _map_chunks(kernel: JumpKernel, counts, d: int, row_width: int, rng, task):
+    """task(counts, stream) per chunk of the sorted jump counts, and the chunk plan.
 
-    The jump counts N ~ Poisson(h) are one draw from rng, and they fix the
-    chunk layout: a chunk holds at most _CHUNK_ELEMENTS, counting (d + 2)
-    per interval and row_width per path, unless a single path is larger.
-    Chunk i draws from rng.spawn(n_chunks)[i] and is built and consumed on
+    A chunk of m paths whose largest count is N holds (N + 1) m (d + 2) +
+    m row_width float64 elements: at most _CHUNK_ELEMENTS, unless it holds
+    a single path.  Chunk i draws from rng.spawn(n_chunks)[i] and runs on
     the worker pool, so results do not depend on the number of threads.
-    Returns (consume results in chunk order, total number of jumps).
+    The plan records chunks, paths, jumps and padded_share (padded rows / rows).
     """
     if kernel.sampler is None:
         raise ValueError("kernel has no jump sampler")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    counts = rng.poisson(horizons)
-    ends = np.cumsum((counts + 1) * (x.size + 2) + row_width)
+    counts = np.sort(counts)
     bounds = [0]
     while bounds[-1] < counts.size:
-        start = bounds[-1]
-        base = ends[start - 1] if start else 0
-        bounds.append(max(int(np.searchsorted(ends, base + _CHUNK_ELEMENTS, side="right")), start + 1))
-    streams = rng.spawn(len(bounds) - 1)
+        part = counts[bounds[-1]:bounds[-1] + _CHUNK_ELEMENTS // (d + 2) + 1]
+        cost = np.arange(1, part.size + 1) * ((part + 1) * (d + 2) + row_width)
+        bounds.append(bounds[-1] + max(int(np.searchsorted(cost, _CHUNK_ELEMENTS, side="right")), 1))
+    parts = [counts[a:b] for a, b in zip(bounds, bounds[1:])]
+    jumps, rows = int(counts.sum()), sum(int(p[-1] + 1) * p.size for p in parts)
+    return list(_pool().map(task, parts, rng.spawn(len(parts)))), dict(
+        chunks=len(parts), paths=counts.size, jumps=jumps, padded_share=1.0 - (jumps + counts.size) / rows)
 
-    def task(i):
-        part = slice(bounds[i], bounds[i + 1])
-        return consume(_build_chunk(kernel, x, horizons[part], counts[part], streams[i]))
 
-    return list(_pool().map(task, range(len(streams)))), int(counts.sum())
+def _map_paths(kernel: JumpKernel, x, h: float, n: int, rng, consume, row_width: int = 0):
+    """(consume(chunk) per chunk, the chunk plan) for n exact compound Poisson paths on [0, h].
+
+    The counts N ~ Poisson(h) are one draw from rng, then sorted: paths of
+    one horizon are exchangeable, so the order does not change the law, and
+    a chunk of nearly equal counts pads almost no rows.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _map_chunks(
+        kernel, rng.poisson(h, n), x.size, row_width, rng,
+        lambda counts, stream: consume(_build_chunk(kernel, x, h, counts, stream)),
+    )
 
 
 def mc_expectation(
@@ -196,10 +211,14 @@ def mc_expectation(
 
 
 def _end_values(kernel: JumpKernel, f: CLFunction, x, horizons, rng):
-    """f at the end state of one path per horizon, per chunk; exact in law."""
-    return _map_paths(
-        kernel, x, horizons, rng,
-        lambda c: f.values_at(c.states[np.append(c.first[1:], c.path.size) - 1]),
+    """f(X(h)) for one path per horizon h, per chunk: x plus its N ~ Poisson(h) jumps.
+
+    No holding time is drawn: each path's jumps are summed down its column.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _map_chunks(
+        kernel, rng.poisson(horizons), x.size, 0, rng,
+        lambda counts, stream: f.values_at(_finite(_steps(kernel, x, counts, stream).sum(axis=0))),
     )
 
 
@@ -212,10 +231,12 @@ def mc_truncated_potential(
     if n < 2:
         raise ValueError("need n >= 2 samples")
     rng = np.random.default_rng(seed)
-    return _mc_reduce(*_map_paths(
-        kernel, x, np.full(n, float(T)), rng,
-        lambda c: np.bincount(c.path, weights=f.values_at(c.states) * c.durations, minlength=c.n_paths),
-    ), seed)
+
+    def consume(c):
+        values = f.values_at(c.states.reshape(-1, c.states.shape[2])).reshape(c.durations.shape)
+        return np.einsum("ij,ij->j", values, c.durations)
+
+    return _mc_reduce(*_map_paths(kernel, x, float(T), n, rng, consume), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +304,12 @@ class OccupationHistogram:
 
 
 def _deposit(bins: BinSpec, chunk: _PathChunk, weights: np.ndarray) -> np.ndarray:
-    """Per-path bin masses, (n_paths, n_bins + 1); the last column is the mass outside."""
-    n_cols = int(np.prod(bins.shape)) + 1
-    idx = bins.flat_index(chunk.states)
+    """Per-path bin masses of weights laid out as the durations, (n_paths, n_bins + 1); the last is outside."""
+    n_cols, n = int(np.prod(bins.shape)) + 1, chunk.n_paths
+    idx = bins.flat_index(chunk.states.reshape(-1, bins.dim)).reshape(-1, n)
     idx[idx < 0] = n_cols - 1
-    flat = np.bincount(chunk.path * n_cols + idx, weights, minlength=chunk.n_paths * n_cols)
-    return flat.reshape(chunk.n_paths, n_cols)
+    idx += np.arange(n) * n_cols
+    return np.bincount(idx.ravel(), weights.ravel(), minlength=n * n_cols).reshape(n, n_cols)
 
 
 def _histogram(bins: BinSpec, parts: list, horizon: float):
@@ -312,7 +333,7 @@ def empirical_random_green_measure(
 ) -> OccupationHistogram:
     """Occupation measure of a single path: durations deposited per bin."""
     (row,), _ = _map_paths(
-        kernel, _start_in_box(bins, x), np.array([float(T)]), rng,
+        kernel, _start_in_box(bins, x), float(T), 1, rng,
         lambda c: _deposit(bins, c, c.durations)[0], int(np.prod(bins.shape)),
     )
     return OccupationHistogram(bins, row[:-1].reshape(bins.shape), float(row[-1]), T)
@@ -329,7 +350,7 @@ def average_random_green_measure(
     x = _start_in_box(bins, x)
     rng = np.random.default_rng(seed)
     parts, _ = _map_paths(
-        kernel, x, np.full(n, float(T)), rng,
+        kernel, x, float(T), n, rng,
         lambda c: _Moments.of(_deposit(bins, c, c.durations)), int(np.prod(bins.shape)),
     )
     return _histogram(bins, parts, T)

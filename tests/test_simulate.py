@@ -9,21 +9,23 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 import greenwalk.simulate as simulate
 
+from greenwalk.errors import InvalidKernelError
 from greenwalk.grids import FieldGrid, GridSpec
 from greenwalk.green import cl_from_grid, cl_from_kernel, evolve_semigroup
 from greenwalk.kernels import JumpKernel, make_gaussian_kernel, sample_density
-from greenwalk.renorm import mc_time_changed_expectation, renormalized_green_histogram
-from greenwalk.subordinate import make_stable_subordinator
+from greenwalk.renorm import _horizon, mc_time_changed_expectation, normalization_N, renormalized_green_histogram
+from greenwalk.subordinate import _standard_stable, make_stable_subordinator
 from greenwalk.simulate import (
     BinSpec,
     average_random_green_measure,
@@ -69,35 +71,40 @@ def test_gaussian_jump_variance(k1):
 
 
 def chunk_counts(chunk):
-    return np.diff(np.append(chunk.first, chunk.path.size)) - 1
+    # rows past a path's count have duration exactly 0, the others a positive one
+    return np.count_nonzero(chunk.durations, axis=0) - 1
 
 
-def path_chunks(kernel, x, horizons, rng, row_width=0):
+def path_chunks(kernel, x, h, n, rng, row_width=0):
     # the engine's chunks themselves, in chunk order
-    chunks, _ = _map_paths(kernel, x, horizons, rng, lambda c: c, row_width)
+    chunks, _ = _map_paths(kernel, x, h, n, rng, lambda c: c, row_width)
     return chunks
 
 
 def test_engine_jump_counts_are_poisson(k1):
     h, n = 10.0, 20000
-    chunks = path_chunks(k1, [0.0], np.full(n, h), np.random.default_rng(7))
+    chunks = path_chunks(k1, [0.0], h, n, np.random.default_rng(7))
     counts = np.concatenate([chunk_counts(c) for c in chunks])
     assert counts.size == n
+    # the paths run in order of their jump count, and each chunk's layout
+    # has exactly one row more than its largest count
+    assert np.all(np.diff(counts) >= 0)
+    assert all(c.durations.shape[0] == chunk_counts(c)[-1] + 1 for c in chunks)
     assert abs(counts.mean() - h) < 4 * counts.std(ddof=1) / np.sqrt(n)
     assert counts.var(ddof=1) == pytest.approx(h, rel=0.05)
 
 
 @pytest.mark.parametrize("cap", [1, 64, 4096, simulate._CHUNK_ELEMENTS])
 def test_engine_states_are_exact_partial_sums(cap):
-    # with unit jumps, interval i of path p holds x + (i - first[p]) exactly
+    # with unit jumps, row j of a path with N jumps holds x + min(j, N) exactly
     unit = JumpKernel(1, lambda x: np.zeros(len(x)), np.ones_like, None, lambda rng, size: np.ones((size, 1)))
     x = 0.25
     with mock.patch.object(simulate, "_CHUNK_ELEMENTS", cap):
-        chunks = path_chunks(unit, [x], np.linspace(0.5, 30.0, 200), np.random.default_rng(8))
+        chunks = path_chunks(unit, [x], 15.0, 200, np.random.default_rng(8))
     assert sum(c.n_paths for c in chunks) == 200
     for c in chunks:
-        i = np.arange(c.path.size)
-        np.testing.assert_array_equal(c.states[:, 0], x + (i - c.first[c.path]))
+        rows = np.arange(c.durations.shape[0])[:, None]
+        np.testing.assert_array_equal(c.states[:, :, 0], x + np.minimum(rows, chunk_counts(c)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -111,16 +118,70 @@ def test_engine_states_are_exact_partial_sums(cap):
 def test_engine_holding_times_cover_each_horizon(k3, h, n, cap, row_width, seed):
     x = np.array([0.5, 0.0, -1.0])
     with mock.patch.object(simulate, "_CHUNK_ELEMENTS", cap):
-        chunks = path_chunks(k3, x, np.full(n, h), np.random.default_rng(seed), row_width)
+        chunks = path_chunks(k3, x, h, n, np.random.default_rng(seed), row_width)
     assert sum(c.n_paths for c in chunks) == n
     for c in chunks:
         assert np.all(c.durations >= 0.0)
-        totals = np.bincount(c.path, weights=c.durations, minlength=c.n_paths)
-        np.testing.assert_allclose(totals, h, rtol=1e-12)
-        np.testing.assert_array_equal(c.states[c.first], np.tile(x, (c.n_paths, 1)))
-        # a chunk stays under the cap unless it holds a single path
-        cost = c.path.size * (x.size + 2) + c.n_paths * row_width
+        np.testing.assert_allclose(c.durations.sum(axis=0), h, rtol=1e-12)
+        np.testing.assert_array_equal(c.states[0], np.tile(x, (c.n_paths, 1)))
+        # a chunk's padded layout stays under the cap unless it holds a single path
+        cost = c.durations.size * (x.size + 2) + c.n_paths * row_width
         assert c.n_paths == 1 or cost <= cap
+
+
+def heavy_tailed_kernel():
+    """alpha = 0.3 in d = 1: sqrt(2A) Z with A one-sided 0.15-stable, so a_hat(k) = e^{-|k|^0.3}."""
+
+    def sampler(rng, size):
+        return (np.sqrt(2.0 * _standard_stable(0.15, rng, size)) * rng.standard_normal(size))[:, None]
+
+    def gap(k):
+        return -np.expm1(-np.abs(k) ** 0.3)
+
+    return JumpKernel(1, None, lambda k: 1.0 - gap(k), None, sampler, "stable0.3", gap)
+
+
+class Recorder:
+    """A kernel's sampler that keeps every array it returns."""
+
+    def __init__(self, kernel):
+        self.calls = []
+        self.kernel = replace(kernel, sampler=self.sample)
+        self._sampler = kernel.sampler
+
+    def sample(self, rng, size):
+        self.calls.append(self._sampler(rng, size))
+        return self.calls[-1]
+
+
+@pytest.mark.parametrize("kernel", [make_gaussian_kernel(3), heavy_tailed_kernel()], ids=["gaussian3", "stable0.3"])
+def test_each_column_is_the_cumsum_of_its_own_jumps(kernel):
+    # one sampler call per chunk, laid out row by row: row j holds the j-th
+    # jump of every path with at least j jumps, in column order
+    rec, x = Recorder(kernel), np.linspace(-0.5, 0.5, kernel.dim)
+    counts = np.sort(np.random.default_rng(4).poisson(6.0, 40))
+    c = simulate._build_chunk(rec.kernel, x, 6.0, counts, np.random.default_rng(5))
+    (jumps,) = rec.calls
+    owner = [p for j in range(1, counts[-1] + 1) for p in range(counts.size) if counts[p] >= j]
+    assert len(owner) == jumps.shape[0]
+    for p, N in enumerate(counts):
+        own = jumps[[i for i, q in enumerate(owner) if q == p]]
+        np.testing.assert_array_equal(c.states[:N + 1, p], np.cumsum(np.concatenate(([x], own)), axis=0), strict=True)
+        np.testing.assert_array_equal(c.states[N + 1:, p], np.broadcast_to(c.states[N, p], c.states[N + 1:, p].shape))
+        assert np.all(c.durations[:N + 1, p] > 0.0)
+        assert np.all(c.durations[N + 1:, p] == 0.0)
+
+
+def test_raw_histogram_padded_rows_add_nothing(k1):
+    # an increment sampler that ignores dt gives every interval of Z length 1:
+    # inside a box that holds every path, a path with N < T jumps deposits
+    # N + 1 and its padded rows, drawn with dt = 0, deposit nothing
+    spec = replace(make_stable_subordinator(0.5), increment_sampler=lambda dt, rng, size: np.ones(size))
+    T, n, seed = 1e3, 300, 4
+    hist, _ = renormalized_green_histogram(k1, spec, [0.0], T, BinSpec.cube(1e4, 4, 1), n, seed, method="raw")
+    counts = np.random.default_rng(seed).poisson(_horizon(spec.clipped_mean, T), n)
+    assert counts.max() + 1 < T
+    assert hist.masses.sum() * normalization_N(spec, T) == pytest.approx(np.mean(counts + 1.0), rel=1e-12)
 
 
 def engine_outputs(k1, k3):
@@ -165,10 +226,57 @@ def test_estimates_record_the_chunk_plan(k1):
     with mock.patch.object(simulate, "_CHUNK_ELEMENTS", 4096):
         for estimator, h in ((mc_truncated_potential, 20.0), (mc_expectation, 1.0)):
             est = estimator(k1, f, [0.0], h, n, seed=5)
-            horizons = np.full(n, h)
-            # the chunk map's one up-front draw is the Poisson counts
-            assert est.extra["jumps"] == np.random.default_rng(5).poisson(horizons).sum()
-            assert est.extra["chunks"] == len(path_chunks(k1, [0.0], horizons, np.random.default_rng(5)))
+            # the chunk map's one up-front draw is the Poisson counts, and the
+            # end values plan their chunks as the paths do
+            counts = np.random.default_rng(5).poisson(h, n)
+            chunks = path_chunks(k1, [0.0], h, n, np.random.default_rng(5))
+            rows = sum(c.durations.size for c in chunks)
+            assert est.extra["jumps"] == counts.sum()
+            assert est.extra["chunks"] == len(chunks) > 1
+            assert est.extra["paths"] == n
+            assert est.extra["padded_share"] == 1.0 - (counts.sum() + n) / rows
+            assert 0.0 <= est.extra["padded_share"] < 1.0
+
+
+def test_time_changed_estimate_records_the_chunk_plan(k1):
+    est = mc_time_changed_expectation(k1, make_stable_subordinator(0.5), cl_from_kernel(k1), [0.0], 1.0, 500, seed=2)
+    assert {"chunks", "paths", "jumps", "padded_share", "time_change"} <= est.extra.keys()
+    assert est.extra["paths"] == 500
+    assert 0.0 <= est.extra["padded_share"] < 1.0
+
+
+def test_heavy_tailed_truncated_potential_is_exact():
+    # alpha = 0.3: a path's running sum meets jumps of 1e17 and more, so a
+    # state must sum its own path's jumps only, or it loses every digit.
+    # E int_0^T f(X_t) dt = (1/pi) int_0^inf e^{-k^2} (1 - e^{-T gap}) / gap dk
+    # for f = cl_from_kernel of the 1-D Gaussian, f_hat(k) = e^{-k^2}
+    kernel, T = heavy_tailed_kernel(), 50.0
+    gap = kernel.symbol_gap
+    exact = integrate.quad(lambda k: np.exp(-k * k) * -np.expm1(-T * gap(k)) / gap(k), 0.0, np.inf)[0] / np.pi
+    assert exact == pytest.approx(0.5642697, abs=1e-7)
+    est = mc_truncated_potential(kernel, cl_from_kernel(make_gaussian_kernel(1)), [0.0], T, 20000, seed=7)
+    assert abs(est.mean - exact) <= 5.0 * est.stderr
+
+
+def broken_kernel(value):
+    # one jump of each sampler call is value
+    def sampler(rng, size):
+        jumps = rng.normal(0.0, np.sqrt(2.0), size=(size, 1))
+        jumps[size // 2:size // 2 + 1] = value
+        return jumps
+
+    return JumpKernel(1, None, None, None, sampler)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("estimator", [mc_truncated_potential, mc_expectation])
+def test_non_finite_jumps_raise(k1, estimator, value):
+    # the sampler's contract is finite jumps; a broken one is named, not
+    # returned as a NaN mean and a NaN stderr
+    with pytest.raises(InvalidKernelError, match="non-finite"):
+        estimator(broken_kernel(value), cl_from_kernel(k1), [0.0], 5.0, 200, seed=1)
+    with pytest.raises(InvalidKernelError, match="non-finite"):
+        average_random_green_measure(broken_kernel(value), [0.0], 5.0, BinSpec.cube(8.0, 4, 1), 200, seed=1)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -297,7 +405,7 @@ def test_zero_jump_histogram_hits_one_bin(k1):
     bins = BinSpec.cube(8.0, 16, 1)
     # with T = 0.01 the one path drawn from this seed makes no jump
     T = 0.01
-    (chunk,) = path_chunks(k1, [1.5], np.array([T]), np.random.default_rng(0))
+    (chunk,) = path_chunks(k1, [1.5], T, 1, np.random.default_rng(0))
     assert chunk_counts(chunk).tolist() == [0]
     hist = empirical_random_green_measure(k1, [1.5], T, bins, np.random.default_rng(0))
     assert hist.escaped == 0.0
