@@ -94,7 +94,7 @@ def test_engine_jump_counts_are_poisson(k1):
     assert counts.var(ddof=1) == pytest.approx(h, rel=0.05)
 
 
-@pytest.mark.parametrize("cap", [1, 64, 4096, simulate._CHUNK_ELEMENTS])
+@pytest.mark.parametrize("cap", [1, 64, 4096, 1 << 17, simulate._CHUNK_ELEMENTS])
 def test_engine_states_are_exact_partial_sums(cap):
     # with unit jumps, row j of a path with N jumps holds x + min(j, N) exactly
     unit = JumpKernel(1, lambda x: np.zeros(len(x)), np.ones_like, None, lambda rng, size: np.ones((size, 1)))
