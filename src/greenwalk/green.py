@@ -43,8 +43,8 @@ class CLFunction:
 
     Either an evaluator or grid samples must be present.  Declared norms
     take precedence over sample-based estimates in cl_norm.  fourier, when
-    set, maps radial frequencies |k| to f_hat for a radial f; the renormalized
-    curve needs it (cl_from_kernel sets it, cl_from_grid does not).
+    set, maps radial frequencies |k| to f_hat for a radial f; potential and the
+    renormalized curve read it (cl_from_kernel sets it, cl_from_grid does not).
     """
 
     evaluator: Optional[Callable] = None
@@ -381,22 +381,24 @@ def convolve_fields(a: FieldGrid, b: FieldGrid) -> FieldGrid:
     return FieldGrid(a.grid, _from_spectral(a.grid, _to_spectral(a) * _to_spectral(b)))
 
 
-def _green_convolution(kernel, f, grid) -> tuple[FieldGrid, FieldGrid]:
-    """(f sampled on the grid, G_0 * f); the Green series gates before the norms check."""
-    g0 = green_regular_series(kernel, grid, 0.0)
+def potential_field(kernel: JumpKernel, f: CLFunction, grid: GridSpec) -> FieldGrid:
+    """V(., f) = f + G_0 * f on the periodic grid for any f; potential's route for a tabulated f."""
+    g0 = green_regular_series(kernel, grid, 0.0)  # gates existence before the norms check
     if f.sup_norm is None or f.l1_norm is None:
         cl_norm(f)  # raises unless samples provide finite norms
     fs = f.samples_on(grid)
-    return fs, convolve_fields(g0.regular_part, fs)
-
-
-def potential_field(kernel: JumpKernel, f: CLFunction, grid: GridSpec) -> FieldGrid:
-    """V(., f) = f + G_0 * f on the grid; the Green series gates existence."""
-    fs, conv = _green_convolution(kernel, f, grid)
-    return FieldGrid(grid, fs.values + conv.values)
+    return FieldGrid(grid, fs.values + convolve_fields(g0.regular_part, fs).values)
 
 
 def potential(kernel: JumpKernel, f: CLFunction, x, grid: GridSpec) -> float:
-    """V(x, f) = f(x) + (G_0 * f)(x), the delta part plus the regular convolution."""
-    _, conv = _green_convolution(kernel, f, grid)
-    return float(f.value_at(x) + conv.value_at(x))
+    """V(x, f) = f(x) + (G_0 * f)(x), the delta part plus the regular convolution.
+
+    With f.fourier (cl_from_kernel): one radial rule of _radial_value, no FFT, grid
+    unused, exact off centre; TruncationError where the rule fails (|x| of about 70
+    for the 3-D Gaussian).  A tabulated f (cl_from_grid) takes potential_field, which wraps.
+    """
+    if f.fourier is None:
+        return float(potential_field(kernel, f, grid).value_at(x))
+    _decay_exponent(kernel)
+    conv, _ = _radial_value(kernel, x, 0.0, lambda k, a_hat, gap: f.fourier(k) * a_hat / gap)
+    return f.value_at(x) + float(conv)

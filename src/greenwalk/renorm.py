@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, TruncationError
-from .green import CLFunction, _decay_exponent, _radial_value, _RateClasses
+from .green import CLFunction, _decay_exponent, _radial_value, _RateClasses, potential
 from .grids import GridSpec
 from .kernels import JumpKernel
 from .simulate import BinSpec, McEstimate, _Moments, _deposit, _end_values
@@ -203,16 +203,14 @@ def renormalized_potential_curve(
 ) -> RenormCurve:
     """(1/N(T)) int_0^T v(s, x) ds along T_grid, with target V(x, f) = f(x) + (G_0 * f)(x).
 
-    The integrals and G_0 * f are radial quadratures in the continuum
-    (green._radial_value), with no box, so grid is not used; they read the
-    spec's Phi, not its clipped mean, and need f.fourier (cl_from_kernel sets
-    it; an f without it gets a ConfigError).  quad_errors records the
-    quadrature error estimate of each value.
+    The integrals are one radial quadrature in the continuum (green._radial_value) and
+    the target is potential's radial route, so grid is not used.  The integrals read the
+    spec's Phi, not its clipped mean, and need f.fourier (an f without it gets a
+    ConfigError).  quad_errors records the quadrature error estimate of each value.
     """
     T_grid = np.asarray(T_grid, dtype=float)
     integrals, errors = _occupation_integrals(kernel, spec, f, x, T_grid)
-    conv, _ = _radial_value(kernel, x, 0.0, lambda k, a_hat, gap: f.fourier(k) * a_hat / gap)
-    target = f.value_at(x) + float(conv)
+    target = potential(kernel, f, x, grid)
     N_vals = np.array([normalization_N(spec, T) for T in T_grid])
     return RenormCurve(T_grid, integrals / N_vals, target, N_vals, errors / N_vals)
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from green_oracles import ZETA_ORACLE
 from greenwalk.errors import DivergentGreenMeasureError
 from greenwalk.grids import GridSpec
 from greenwalk.green import (
@@ -54,7 +55,6 @@ from greenwalk.subordinate import (
 
 GRID1 = GridSpec(1, 1024, 40.0)
 GRID3 = GridSpec(3, 64, 16.0)
-ZETA_ORACLE = (4 * np.pi) ** -1.5 * special.zeta(1.5)
 ORIGIN3 = (0.0, 0.0, 0.0)
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from green_oracles import ZETA_ORACLE, gaussian_g0
 from greenwalk import green
 from greenwalk.errors import (
     AliasingError,
@@ -56,9 +57,6 @@ from greenwalk.kernels import (
 GRID1 = GridSpec(1, 1024, 40.0)
 GRID3 = GridSpec(3, 64, 16.0)
 SMALL_GRID3 = GridSpec(3, 32, 12.0)
-
-# zeta-series oracle for the Gaussian d=3 Green kernel at the origin
-ZETA_ORACLE = (4 * np.pi) ** -1.5 * special.zeta(1.5)
 
 
 def gaussian_n(x, n, d):
@@ -483,7 +481,7 @@ def test_green_origin_and_potential_match_zeta_oracle_to_roundoff(g0_series_3d, 
         ZETA_ORACLE, rel=1e-12
     )
     v = potential(k3, cl_from_kernel(k3), [0.0, 0.0, 0.0], GRID3)
-    assert v == pytest.approx(ZETA_ORACLE, rel=1e-12)
+    assert abs(v - ZETA_ORACLE) <= 1e-15
 
 
 def test_green_origin_on_small_box_matches_zeta_oracle(k3):
@@ -568,6 +566,38 @@ def test_density_is_sampled_once_per_kernel_and_grid():
 def test_potential_of_kernel_matches_zeta_oracle(k3):
     f = cl_from_kernel(k3)
     assert potential(k3, f, [0.0, 0.0, 0.0], GRID3) == pytest.approx(ZETA_ORACLE, rel=0.01)
+
+
+@pytest.mark.parametrize("r", [0.5, 3.0, 5.0, 12.0, 15.0, 25.0, 40.0])
+def test_potential_of_kernel_matches_g0_oracle_off_centre(k3, r):
+    # V(x, a) = sum_{n>=1} a_n(x) = G_0(x); the periodic 64^3 box wraps, 8.0e-5 off
+    # at r = 12 and 2.3e-2 at r = 15, and ends at r = 16
+    v = potential(k3, cl_from_kernel(k3), [r, 0.0, 0.0], GRID3)
+    assert v == pytest.approx(gaussian_g0(r), rel=1e-13)
+
+
+def test_potential_raises_where_the_radial_rule_fails(k3):
+    with pytest.raises(TruncationError, match="orders 16 and 8"):
+        potential(k3, cl_from_kernel(k3), [80.0, 0.0, 0.0], GRID3)
+
+
+def test_potential_with_fourier_makes_no_fft_and_samples_no_grid(k3, monkeypatch):
+    # f.fourier routes to the radial rule: the kernel's density is never sampled
+    # (f evaluates its own copy at x alone) and no FFT runs
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, lambda *args, **kw: pytest.fail("FFT called"))
+    kernel = dataclasses.replace(k3, density=lambda x: pytest.fail("density sampled"))
+    v = potential(kernel, cl_from_kernel(k3), [3.0, 0.0, 0.0], GRID3)
+    assert v == pytest.approx(gaussian_g0(3.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [3.0, 0.0, 0.0], [1.0, 2.0, -2.0]])
+def test_potential_of_tabulated_f_matches_radial_route(k3, x):
+    # a tabulated f has no fourier and takes the grid route; at grid nodes with
+    # |x| <= 3 it stays within 6.3e-13 of the radial route
+    a = cl_from_kernel(k3)
+    tabulated = cl_from_grid(a.samples_on(GRID3))
+    assert potential(k3, tabulated, x, GRID3) == pytest.approx(potential(k3, a, x, GRID3), rel=1e-10)
 
 
 def test_potential_of_zero_is_zero(k3):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from green_oracles import ZETA_ORACLE
 from greenwalk.errors import AliasingError, ConfigError, DivergentGreenMeasureError
 from greenwalk.grids import FieldGrid, GridSpec
 from greenwalk.green import _RateClasses, cl_from_grid, cl_from_kernel, potential
@@ -141,9 +142,9 @@ def test_curve_gap_decreases_and_n_matches(k3, stable):
     f = cl_from_kernel(k3)
     T_grid = np.array([2.0**9, 2.0**13, 2.0**17])
     curve = renormalized_potential_curve(k3, stable, f, [0.0, 0.0, 0.0], T_grid, GRID3)
-    # the target is the continuum radial V(0, a); the 64^3 grid potential agrees
-    assert curve.target == pytest.approx((4 * np.pi) ** -1.5 * special.zeta(1.5), rel=1e-12)
-    assert curve.target == pytest.approx(potential(k3, f, [0.0, 0.0, 0.0], GRID3))
+    # the target is V(0, a) from potential itself, the continuum radial rule
+    assert curve.target == pytest.approx(ZETA_ORACLE, rel=1e-12)
+    assert curve.target == potential(k3, f, [0.0, 0.0, 0.0], GRID3)
     np.testing.assert_allclose(curve.N_values, 2 * np.sqrt(T_grid / np.pi), rtol=1e-12)
     gaps = curve.rel_gaps
     assert np.all(np.diff(gaps) < 0)
