@@ -378,7 +378,7 @@ EXPERIMENTS = {
     "green-compare": _Experiment(_exp_green_compare, "series vs Fourier Green kernel cross-validation"),
     "potential": _Experiment(_exp_potential, "potential V(x, f) = f(x) + (G_0 * f)(x)"),
     "mc-potential": _Experiment(_exp_mc_potential, "Monte Carlo truncated random potential", stochastic=True),
-    "random-green": _Experiment(_exp_random_green, "averaged single-path occupation histograms", stochastic=True),
+    "random-green": _Experiment(_exp_random_green, "conditional mean occupation histograms of paths", stochastic=True),
     "subordinator-check": _Experiment(_exp_subordinator_check, "kernel limit and admissibility diagnostics"),
     "rho": _Experiment(_exp_rho, "inverse-subordinator density table (t, tau, rho)"),
     "gfd": _Experiment(_exp_gfd, "generalized fractional derivative of t^q on a grid"),

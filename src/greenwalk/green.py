@@ -76,9 +76,11 @@ class CLFunction:
 
 def cl_from_kernel(kernel: JumpKernel) -> CLFunction:
     """The jump density itself as a CL function (sup = a(0), L1 mass 1)."""
+    # a table's transform is periodic in k, which the radial rule cannot integrate:
+    # without fourier, potential takes the grid route
     a0 = float(np.asarray(kernel.density(np.zeros((1, kernel.dim)))).ravel()[0])
     return CLFunction(evaluator=kernel.density, sup_norm=a0, l1_norm=1.0, name="a",
-                      fourier=kernel.fourier_radial)
+                      fourier=None if kernel.name == "tabulated" else kernel.fourier_radial)
 
 
 def cl_from_grid(field: FieldGrid, name: str = "f") -> CLFunction:

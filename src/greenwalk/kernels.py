@@ -58,7 +58,8 @@ def make_gaussian_kernel(d: int) -> JumpKernel:
     def density(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r2 = np.einsum("...i,...i->...", x, x)
-        return norm * np.exp(-r2 / 4.0)
+        r2 *= -0.25
+        return np.multiply(np.exp(r2, out=r2), norm, out=r2)
 
     def fourier(k):
         k = np.asarray(k, dtype=float)
@@ -68,7 +69,7 @@ def make_gaussian_kernel(d: int) -> JumpKernel:
         return -np.expm1(-np.asarray(k, dtype=float) ** 2)
 
     def sampler(rng, size):
-        return rng.normal(0.0, np.sqrt(2.0), size=(size, d))
+        return np.multiply(jumps := rng.standard_normal((size, d)), np.sqrt(2.0), out=jumps)
 
     return JumpKernel(d, density, fourier, (1.0, 2.0), sampler, f"gaussian{d}d", symbol_gap)
 

@@ -3,6 +3,8 @@
 Paths are piecewise constant: unit-rate exponential holding times, i.i.d.
 jumps drawn from the jump kernel.  All path functionals are computed from
 that structure exactly, so the module has no time-discretization error.
+Functionals linear in the holding times take their conditional mean given
+the path's states, and draw no holding time.
 """
 
 from __future__ import annotations
@@ -107,35 +109,50 @@ if hasattr(os, "register_at_fork"):
 
 @dataclass
 class _PathChunk:
-    """Paths by increasing jump count, time-major: after j jumps path p holds states[j, p] for durations[j, p].
+    """Paths by increasing jump count, axis-major: after j jumps path p is at states[:, j, p].
 
-    Rows past a path's count repeat its last state for a duration of exactly
-    0.  rng is the chunk's own stream, for consumers that draw more per row.
+    Rows past a path's count repeat its last state.  rng is the chunk's own stream, for
+    consumers that draw more per row; durations draws from it on its first read.
     """
 
-    states: np.ndarray  # (rows, n_paths, d)
-    durations: np.ndarray  # (rows, n_paths)
+    states: np.ndarray  # (d, rows, n_paths)
+    counts: np.ndarray  # (n_paths,), sorted
+    h: float
     rng: np.random.Generator
+    _durations: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
     def n_paths(self) -> int:
-        return self.durations.shape[1]
+        return self.counts.size
+
+    def points(self) -> np.ndarray:
+        """The states as a (rows * n_paths, d) view, row by row; each coordinate is contiguous."""
+        return self.states.reshape(self.states.shape[0], -1).T
+
+    def live(self) -> np.ndarray:
+        """(rows, n_paths) mask of each path's N + 1 states."""
+        return np.arange(self.states.shape[1])[:, None] <= self.counts
+
+    def mean_durations(self) -> np.ndarray:
+        """E[durations | states]: h / (N + 1) on each of a path's N + 1 rows, then 0."""
+        return np.where(self.live(), self.h / (self.counts + 1), 0.0)
+
+    @property
+    def durations(self) -> np.ndarray:
+        """Holding times, 0 past a path's count: given N jumps h Dirichlet(1..1), Exp(1) normalised per column."""
+        if self._durations is None:  # not functools.cached_property: before Python 3.12 one lock serves every chunk
+            e = self._durations = np.zeros(self.states.shape[1:])
+            _by_row(self.rng.standard_exponential(int(self.counts.sum()) + self.n_paths), self.counts + 1, e)
+            e *= self.h / e.sum(axis=0)
+        return self._durations
 
 
 def _by_row(values, counts, out) -> np.ndarray:
-    """Lay values row by row into the zeroed out: row j gets one per path with count > j."""
-    m = counts[0] * counts.size  # the rows every path reaches are one block, as counts are sorted
-    out[:counts[0]] = values[:m].reshape(out[:counts[0]].shape)
-    out[counts[0]:][np.arange(counts[0], counts[-1])[:, None] < counts] = values[m:]
+    """Lay values (..., m) row by row into the zeroed out (..., rows, n): row j gets one per path with count > j."""
+    k, m = counts[0], counts[0] * counts.size  # the rows every path reaches are one block, as counts are sorted
+    out[..., :k, :] = values[..., :m].reshape(out[..., :k, :].shape)
+    out[..., k:, :][..., np.arange(k, counts[-1])[:, None] < counts] = values[..., m:]
     return out
-
-
-def _steps(kernel: JumpKernel, x: np.ndarray, counts, rng) -> np.ndarray:
-    """x, then each path's own jumps (one kernel.sampler call) down its column, then zeros."""
-    steps = np.zeros((counts[-1] + 1, counts.size, x.size))
-    steps[0] = x
-    _by_row(kernel.sampler(rng, int(counts.sum())), counts, steps[1:])
-    return steps
 
 
 def _finite(ends: np.ndarray) -> np.ndarray:
@@ -147,26 +164,24 @@ def _finite(ends: np.ndarray) -> np.ndarray:
 def _build_chunk(kernel: JumpKernel, x: np.ndarray, h: float, counts, rng) -> _PathChunk:
     """Paths on [0, h] with the given sorted jump counts, drawn from rng, one column each.
 
-    Given N jumps the N + 1 holding times are h Dirichlet(1..1), drawn as
-    Exp(1) normalised per column.  The states are one cumsum down axis 0:
-    each is the exact partial sum of x and its own path's jumps.
+    The jumps are one kernel.sampler call, laid out by _by_row; one cumsum along axis 1
+    makes each state the exact partial sum of x and its own path's jumps.
     """
-    e = np.zeros((counts[-1] + 1, counts.size))
-    _by_row(rng.standard_exponential(int(counts.sum()) + counts.size), counts + 1, e)
-    e *= h / e.sum(axis=0)
-    states = _steps(kernel, x, counts, rng)
-    _finite(np.cumsum(states, axis=0, out=states)[-1])
-    return _PathChunk(states, e, rng)
+    states = np.zeros((x.size, counts[-1] + 1, counts.size))
+    states[:, 0] = x[:, None]
+    _by_row(kernel.sampler(rng, int(counts.sum())).T, counts, states[:, 1:])
+    _finite(np.cumsum(states, axis=1, out=states)[:, -1])
+    return _PathChunk(states, counts, h, rng)
 
 
-def _map_chunks(kernel: JumpKernel, counts, d: int, row_width: int, rng, task):
+def _map_chunks(kernel: JumpKernel, counts, d: int, row_width: int, rng, task, padded: bool = True):
     """task(counts, stream) per chunk of the sorted jump counts, and the chunk plan.
 
     A chunk of m paths whose largest count is N holds (N + 1) m (d + 2) +
-    m row_width float64 elements: at most _CHUNK_ELEMENTS, unless it holds
-    a single path.  Chunk i draws from rng.spawn(n_chunks)[i] and runs on
-    the worker pool, so results do not depend on the number of threads.
-    The plan records chunks, paths, jumps and padded_share (padded rows / rows).
+    m row_width float64 elements: at most _CHUNK_ELEMENTS, unless it holds a single path.
+    Chunk i draws from SFC64(rng.bit_generator.seed_seq.spawn(n_chunks)[i]) on the worker
+    pool, so results do not depend on the number of threads.  The plan records chunks,
+    paths, jumps and padded_share (padded rows / rows, 0 for a task that pads none).
     """
     if kernel.sampler is None:
         raise ValueError("kernel has no jump sampler")
@@ -177,8 +192,10 @@ def _map_chunks(kernel: JumpKernel, counts, d: int, row_width: int, rng, task):
         cost = np.arange(1, part.size + 1) * ((part + 1) * (d + 2) + row_width)
         bounds.append(bounds[-1] + max(int(np.searchsorted(cost, _CHUNK_ELEMENTS, side="right")), 1))
     parts = [counts[a:b] for a, b in zip(bounds, bounds[1:])]
-    jumps, rows = int(counts.sum()), sum(int(p[-1] + 1) * p.size for p in parts)
-    return list(_pool().map(task, parts, rng.spawn(len(parts)))), dict(
+    streams = [np.random.Generator(np.random.SFC64(s)) for s in rng.bit_generator.seed_seq.spawn(len(parts))]
+    jumps = int(counts.sum())
+    rows = sum(int(p[-1] + 1) * p.size for p in parts) if padded else jumps + counts.size
+    return list(_pool().map(task, parts, streams)), dict(
         chunks=len(parts), paths=counts.size, jumps=jumps, padded_share=1.0 - (jumps + counts.size) / rows)
 
 
@@ -213,19 +230,26 @@ def mc_expectation(
 def _end_values(kernel: JumpKernel, f: CLFunction, x, horizons, rng):
     """f(X(h)) for one path per horizon h, per chunk: x plus its N ~ Poisson(h) jumps.
 
-    No holding time is drawn: each path's jumps are summed down its column.
+    No holding time is drawn and no row is padded: np.add.reduceat sums each path's own jumps.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _map_chunks(
-        kernel, rng.poisson(horizons), x.size, 0, rng,
-        lambda counts, stream: f.values_at(_finite(_steps(kernel, x, counts, stream).sum(axis=0))),
-    )
+
+    def ends(counts, stream):
+        out, moved = np.tile(x, (counts.size, 1)), np.searchsorted(counts, 1)  # zero-count paths lead and stay at x
+        out[moved:] += np.add.reduceat(kernel.sampler(stream, int(counts.sum())), (np.cumsum(counts) - counts)[moved:])
+        return f.values_at(_finite(out))
+
+    return _map_chunks(kernel, rng.poisson(horizons), x.size, 0, rng, ends, padded=False)
 
 
 def mc_truncated_potential(
     kernel: JumpKernel, f: CLFunction, x, T: float, n: int, seed: int
 ) -> McEstimate:
-    """Mean/stderr of int_0^T f(X(t)) dt over n paths (exact per path)."""
+    """Mean/stderr of int_0^T f(X(t)) dt over n paths, each the conditional mean given the path's states.
+
+    Given N jumps each holding time has mean T / (N + 1), independent of the jumps, so
+    states Y_0 = x, ..., Y_N give T / (N + 1) sum_j f(Y_j): same mean, less variance.
+    """
     if T <= 0:
         raise ValueError("T must be positive")
     if n < 2:
@@ -233,8 +257,8 @@ def mc_truncated_potential(
     rng = np.random.default_rng(seed)
 
     def consume(c):
-        values = f.values_at(c.states.reshape(-1, c.states.shape[2])).reshape(c.durations.shape)
-        return np.einsum("ij,ij->j", values, c.durations)
+        values = f.values_at(c.points()).reshape(c.states.shape[1:])
+        return c.h / (c.counts + 1) * np.sum(values, axis=0, where=c.live())
 
     return _mc_reduce(*_map_paths(kernel, x, float(T), n, rng, consume), seed)
 
@@ -306,7 +330,7 @@ class OccupationHistogram:
 def _deposit(bins: BinSpec, chunk: _PathChunk, weights: np.ndarray) -> np.ndarray:
     """Per-path bin masses of weights laid out as the durations, (n_paths, n_bins + 1); the last is outside."""
     n_cols, n = int(np.prod(bins.shape)) + 1, chunk.n_paths
-    idx = bins.flat_index(chunk.states.reshape(-1, bins.dim)).reshape(-1, n)
+    idx = bins.flat_index(chunk.points()).reshape(-1, n)
     idx[idx < 0] = n_cols - 1
     idx += np.arange(n) * n_cols
     return np.bincount(idx.ravel(), weights.ravel(), minlength=n * n_cols).reshape(n, n_cols)
@@ -342,7 +366,10 @@ def empirical_random_green_measure(
 def average_random_green_measure(
     kernel: JumpKernel, x, T: float, bins: BinSpec, n: int, seed: int
 ):
-    """Mean and standard error per bin over n >= 2 single-path histograms."""
+    """Mean and standard error per bin over n >= 2 path histograms, each the conditional mean given its states.
+
+    A path deposits T / (N + 1) at each of its N + 1 states and draws no holding time.
+    """
     if T <= 0:
         raise ValueError("T must be positive")
     if n < 2:
@@ -351,6 +378,6 @@ def average_random_green_measure(
     rng = np.random.default_rng(seed)
     parts, _ = _map_paths(
         kernel, x, float(T), n, rng,
-        lambda c: _Moments.of(_deposit(bins, c, c.durations)), int(np.prod(bins.shape)),
+        lambda c: _Moments.of(_deposit(bins, c, c.mean_durations())), int(np.prod(bins.shape)),
     )
     return _histogram(bins, parts, T)

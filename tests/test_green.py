@@ -591,6 +591,16 @@ def test_potential_with_fourier_makes_no_fft_and_samples_no_grid(k3, monkeypatch
     assert v == pytest.approx(gaussian_g0(3.0), rel=1e-13)
 
 
+def test_potential_of_a_tabulated_kernel_takes_the_grid_route(k3):
+    # a table's transform is a cosine sum periodic in k, so the radial rule
+    # raised TruncationError on it after about 1.7 s; the grid route is exact
+    grid = GridSpec(3, 32, 12.0)
+    kt = dataclasses.replace(make_tabulated_kernel(sample_density(k3, grid)), tail_params=(1.0, 2.0))
+    f = cl_from_kernel(kt)
+    assert potential(kt, f, [0.0, 0.0, 0.0], grid) == pytest.approx(ZETA_ORACLE, rel=1e-10)
+    assert f.fourier is None
+
+
 @pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [3.0, 0.0, 0.0], [1.0, 2.0, -2.0]])
 def test_potential_of_tabulated_f_matches_radial_route(k3, x):
     # a tabulated f has no fourier and takes the grid route; at grid nodes with

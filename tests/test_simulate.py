@@ -22,7 +22,7 @@ import greenwalk.simulate as simulate
 
 from greenwalk.errors import InvalidKernelError
 from greenwalk.grids import FieldGrid, GridSpec
-from greenwalk.green import cl_from_grid, cl_from_kernel, evolve_semigroup
+from greenwalk.green import CLFunction, cl_from_grid, cl_from_kernel, evolve_semigroup
 from greenwalk.kernels import JumpKernel, make_gaussian_kernel, sample_density
 from greenwalk.renorm import _horizon, mc_time_changed_expectation, normalization_N, renormalized_green_histogram
 from greenwalk.subordinate import _standard_stable, make_stable_subordinator
@@ -65,6 +65,18 @@ def test_gaussian_jump_variance(k1):
     assert jumps.var(ddof=1) == pytest.approx(2.0, rel=0.03)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_sampler_and_density_match_their_formulas_bit_for_bit(d):
+    # the sampler scales standard normals in place and the density runs its
+    # exp and scale in place: neither moves a bit from the plain formulas
+    kernel, n = make_gaussian_kernel(d), 100_000
+    jumps = kernel.sampler(np.random.default_rng(d), n)
+    np.testing.assert_array_equal(jumps, np.random.default_rng(d).normal(0.0, np.sqrt(2.0), (n, d)), strict=True)
+    x = np.random.default_rng(10 + d).normal(0.0, 3.0, (n, d))
+    exact = (4.0 * np.pi) ** (-d / 2.0) * np.exp(-np.einsum("ij,ij->i", x, x) / 4.0)
+    np.testing.assert_array_equal(kernel.density(x), exact, strict=True)
+
+
 # ---------------------------------------------------------------------------
 # batched path engine
 # ---------------------------------------------------------------------------
@@ -79,6 +91,10 @@ def path_chunks(kernel, x, h, n, rng, row_width=0):
     # the engine's chunks themselves, in chunk order
     chunks, _ = _map_paths(kernel, x, h, n, rng, lambda c: c, row_width)
     return chunks
+
+
+def unit_jump_kernel():
+    return JumpKernel(1, lambda x: np.zeros(len(x)), np.ones_like, None, lambda rng, size: np.ones((size, 1)))
 
 
 def test_engine_jump_counts_are_poisson(k1):
@@ -96,15 +112,16 @@ def test_engine_jump_counts_are_poisson(k1):
 
 @pytest.mark.parametrize("cap", [1, 64, 4096, 1 << 17, simulate._CHUNK_ELEMENTS])
 def test_engine_states_are_exact_partial_sums(cap):
-    # with unit jumps, row j of a path with N jumps holds x + min(j, N) exactly
-    unit = JumpKernel(1, lambda x: np.zeros(len(x)), np.ones_like, None, lambda rng, size: np.ones((size, 1)))
-    x = 0.25
+    # with unit jumps, row j of a path with N jumps holds x + min(j, N) exactly;
+    # the states are (d, rows, n_paths), one contiguous block per coordinate
+    unit, x = unit_jump_kernel(), 0.25
     with mock.patch.object(simulate, "_CHUNK_ELEMENTS", cap):
         chunks = path_chunks(unit, [x], 15.0, 200, np.random.default_rng(8))
     assert sum(c.n_paths for c in chunks) == 200
     for c in chunks:
         rows = np.arange(c.durations.shape[0])[:, None]
-        np.testing.assert_array_equal(c.states[:, :, 0], x + np.minimum(rows, chunk_counts(c)))
+        assert c.states.shape == (1, *c.durations.shape)
+        np.testing.assert_array_equal(c.states[0], x + np.minimum(rows, chunk_counts(c)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,7 +140,7 @@ def test_engine_holding_times_cover_each_horizon(k3, h, n, cap, row_width, seed)
     for c in chunks:
         assert np.all(c.durations >= 0.0)
         np.testing.assert_allclose(c.durations.sum(axis=0), h, rtol=1e-12)
-        np.testing.assert_array_equal(c.states[0], np.tile(x, (c.n_paths, 1)))
+        np.testing.assert_array_equal(c.states[:, 0], np.tile(x[:, None], (1, c.n_paths)))
         # a chunk's padded layout stays under the cap unless it holds a single path
         cost = c.durations.size * (x.size + 2) + c.n_paths * row_width
         assert c.n_paths == 1 or cost <= cap
@@ -157,7 +174,8 @@ class Recorder:
 @pytest.mark.parametrize("kernel", [make_gaussian_kernel(3), heavy_tailed_kernel()], ids=["gaussian3", "stable0.3"])
 def test_each_column_is_the_cumsum_of_its_own_jumps(kernel):
     # one sampler call per chunk, laid out row by row: row j holds the j-th
-    # jump of every path with at least j jumps, in column order
+    # jump of every path with at least j jumps, in column order; path p's
+    # states are the column states[:, :, p]
     rec, x = Recorder(kernel), np.linspace(-0.5, 0.5, kernel.dim)
     counts = np.sort(np.random.default_rng(4).poisson(6.0, 40))
     c = simulate._build_chunk(rec.kernel, x, 6.0, counts, np.random.default_rng(5))
@@ -166,10 +184,59 @@ def test_each_column_is_the_cumsum_of_its_own_jumps(kernel):
     assert len(owner) == jumps.shape[0]
     for p, N in enumerate(counts):
         own = jumps[[i for i, q in enumerate(owner) if q == p]]
-        np.testing.assert_array_equal(c.states[:N + 1, p], np.cumsum(np.concatenate(([x], own)), axis=0), strict=True)
-        np.testing.assert_array_equal(c.states[N + 1:, p], np.broadcast_to(c.states[N, p], c.states[N + 1:, p].shape))
+        path = c.states[:, :, p].T
+        np.testing.assert_array_equal(path[:N + 1], np.cumsum(np.concatenate(([x], own)), axis=0), strict=True)
+        np.testing.assert_array_equal(path[N + 1:], np.broadcast_to(path[N], path[N + 1:].shape))
         assert np.all(c.durations[:N + 1, p] > 0.0)
         assert np.all(c.durations[N + 1:, p] == 0.0)
+
+
+def test_truncated_potential_is_the_conditional_mean_of_each_path():
+    # with unit jumps a path with N jumps visits x, x + 1, ..., x + N, and
+    # given N each holding time has mean h / (N + 1): the path contributes
+    # h / (N + 1) sum_{j <= N} f(x + j).  f(y) = y^2 at y = 0.25 + j is a
+    # multiple of 1/16, so every partial sum is exact in any order
+    f = CLFunction(evaluator=lambda p: p[:, 0] * p[:, 0])
+    x, h, n, seed, values = 0.25, 15.0, 300, 8, []
+    with mock.patch.object(simulate, "_CHUNK_ELEMENTS", 256), \
+            mock.patch.object(simulate, "_mc_reduce", lambda chunks, plan, seed: values.extend(chunks)):
+        mc_truncated_potential(unit_jump_kernel(), f, [x], h, n, seed)
+    exact = []
+    for N in np.sort(np.random.default_rng(seed).poisson(h, n)):
+        total = 0.0
+        for j in range(N + 1):
+            total += (x + j) * (x + j)
+        exact.append(h / (N + 1) * total)
+    assert len(values) > 1
+    np.testing.assert_array_equal(np.concatenate(values), exact)
+
+
+def test_linear_estimators_draw_no_holding_times(k1, k3):
+    # the holding times are drawn only when a consumer reads them; the
+    # single-path histogram is a sample of one path and still reads them
+    def no_durations(chunk):
+        raise AssertionError("durations read")
+
+    bins = BinSpec.cube(8.0, 4, 3)
+    with mock.patch.object(simulate._PathChunk, "durations", property(no_durations)):
+        mc_truncated_potential(k1, cl_from_kernel(k1), [0.0], 20.0, 500, seed=1)
+        average_random_green_measure(k3, (0.0, 0.0, 0.0), 50.0, bins, 200, seed=1)
+        with pytest.raises(AssertionError, match="durations read"):
+            empirical_random_green_measure(k3, (0.0, 0.0, 0.0), 50.0, bins, np.random.default_rng(1))
+
+
+def test_conditional_holding_times_cut_the_truncated_potential_stderr(k3):
+    # the same paths (same seed) with Dirichlet holding times drawn: their
+    # integral along each path has the same mean and a larger variance
+    f, x, T, n, seed = cl_from_kernel(k3), [0.0, 0.0, 0.0], 200.0, 20_000, 24
+    est = mc_truncated_potential(k3, f, x, T, n, seed)
+
+    def along_path(c):
+        return np.einsum("ij,ij->j", f.values_at(c.points()).reshape(c.durations.shape), c.durations)
+
+    drawn = simulate._mc_reduce(*_map_paths(k3, x, T, n, np.random.default_rng(seed), along_path), seed)
+    assert est.stderr <= 0.85 * drawn.stderr
+    assert abs(est.mean - drawn.mean) <= 5.0 * drawn.stderr
 
 
 def test_raw_histogram_padded_rows_add_nothing(k1):
@@ -227,14 +294,16 @@ def test_estimates_record_the_chunk_plan(k1):
         for estimator, h in ((mc_truncated_potential, 20.0), (mc_expectation, 1.0)):
             est = estimator(k1, f, [0.0], h, n, seed=5)
             # the chunk map's one up-front draw is the Poisson counts, and the
-            # end values plan their chunks as the paths do
+            # end values plan their chunks as the paths do, but sum each path's
+            # own segment of jumps and so lay out no padded row
             counts = np.random.default_rng(5).poisson(h, n)
             chunks = path_chunks(k1, [0.0], h, n, np.random.default_rng(5))
             rows = sum(c.durations.size for c in chunks)
             assert est.extra["jumps"] == counts.sum()
             assert est.extra["chunks"] == len(chunks) > 1
             assert est.extra["paths"] == n
-            assert est.extra["padded_share"] == 1.0 - (counts.sum() + n) / rows
+            padded = 1.0 - (counts.sum() + n) / rows if estimator is mc_truncated_potential else 0.0
+            assert est.extra["padded_share"] == padded
             assert 0.0 <= est.extra["padded_share"] < 1.0
 
 
