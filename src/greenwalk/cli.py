@@ -311,9 +311,9 @@ def _exp_subordinator_check(inp):
 def _exp_rho(inp):
     taus = np.linspace(0.0, inp.tol.get("tau_max", 10.0), inp.tol.get("n_tau", 101))
     rows = [
-        [t, tau, rho_density(inp.spec, float(t), float(tau))]
+        [t, tau, rho]
         for t in inp.horizons.get("T_grid", [1.0])
-        for tau in taus
+        for tau, rho in zip(taus, rho_density(inp.spec, float(t), taus))
     ]
     return inp.write_csv("rho", ["t", "tau", "rho"], rows)
 
@@ -330,11 +330,9 @@ def _exp_gfd(inp):
 
 
 def _exp_subordinate_solve(inp):
-    rows = [
-        [t, subordinated_solution(inp.kernel, inp.spec, inp.f, inp.x, float(t), grid=inp.grid)]
-        for t in inp.horizons.get("T_grid", [0.5, 1.0, 2.0])
-    ]
-    return inp.write_csv("subordinate_solve", ["t", "v"], rows)
+    ts = inp.horizons.get("T_grid", [0.5, 1.0, 2.0])
+    v = subordinated_solution(inp.kernel, inp.spec, inp.f, inp.x, np.asarray(ts, dtype=float), grid=inp.grid)
+    return inp.write_csv("subordinate_solve", ["t", "v"], zip(ts, v))
 
 
 def _exp_renorm_curve(inp):

@@ -48,26 +48,31 @@ def subordinated_solution(
     spec: SubordinatorSpec,
     f: CLFunction,
     x,
-    t: float,
+    t,
     grid: Optional[GridSpec] = None,
-) -> float:
+):
     """v(t, x) = int_0^infty u(tau, x) rho_t(tau) dtau, summed in closed form.
 
     u is the semigroup of X applied to f, a sum of exponentials
     sum_c w_c e^{-tau r_c} over the grid's rate classes, so the tau-integral
     is exactly sum_c w_c E e^{-r_c D(t)}: no tau cutoff and no quadrature.
-    The weights come from subordinate._mixture_weights (fixed-Talbot
-    inversion, or the spec's laplace_closed_form), which raises
-    InversionInstabilityError rather than return an unstable value.
+    t is a scalar (the result is a float) or a 1-D array of times (the
+    result is an array): the rate classes are built once, and one
+    subordinate._mixture_weights call (fixed-Talbot inversion, or the spec's
+    laplace_closed_form) gives the weights of every time.  It raises
+    InversionInstabilityError, naming the worst time, rather than return an
+    unstable value.
     """
-    if t <= 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
         raise ValueError("t must be positive")
     if grid is None:
         if f.grid_samples is None:
             raise ValueError("pass a grid or use an f with grid samples")
         grid = f.grid_samples.grid
     u = _RateClasses.build(kernel, f.samples_on(grid), x)
-    return float(u.weights @ _mixture_weights(spec, t, u.rates))
+    v = _mixture_weights(spec, t, u.rates) @ u.weights
+    return float(v) if v.ndim == 0 else v
 
 
 def mc_time_changed_expectation(
@@ -180,15 +185,15 @@ def _occupation_integrals(kernel, spec, f, x, T_grid) -> tuple[np.ndarray, np.nd
 
     It is (2 pi)^{-d} int f_hat(k) e^{i(k,x)} W_T(1 - a_hat(k)) dk with
     W_T(r) = int_0^T E e^{-r D(s)} ds from _mixture_weights, which reads the spec's
-    Phi; for radial a and f, one call of the radial rule green._radial_value.
+    Phi, one call for every T; for radial a and f, one call of the radial rule
+    green._radial_value.
     """
     _validate_limit_inputs(kernel, spec)
     if f.fourier is None:
         raise ConfigError(f"the curve needs the radial Fourier transform of {f.name}")
 
     def multiplier(k, a_hat, gap):
-        W = np.array([_mixture_weights(spec, T, gap, integrated=True) for T in T_grid])
-        return f.fourier(k) * W
+        return f.fourier(k) * _mixture_weights(spec, T_grid, gap, integrated=True)
 
     return _radial_value(kernel, x, 0.0, multiplier)
 
@@ -303,13 +308,15 @@ def fke_residual(
 ) -> float:
     """max_t |D_t^{(k)} v(t, x) - (L v)(t, x)| over the interior of t_grid.
 
-    v and Lv are evaluated from the exact spectral mixture: the rate-class
-    weights times E e^{-r D(t)} from subordinate._mixture_weights, so the
-    residual isolates the time discretization of the fractional derivative.  The
-    first interior node is always excluded (the memory kernel is singular at
-    0); v itself has a sqrt-type cusp there, so convergence studies should
-    also pass a fixed burn-in window t_min to keep the measured region away
-    from the shrinking boundary layer.
+    v and Lv are evaluated from the exact spectral mixture: one
+    subordinate._mixture_weights call gives E e^{-r D(t)} at every node and
+    rate class, and two matrix-vector products with the class weights give
+    v and Lv at every node, so the residual isolates the time
+    discretization of the fractional derivative.  The first interior node
+    is always excluded (the memory kernel is singular at 0); v itself has a
+    sqrt-type cusp there, so convergence studies should also pass a fixed
+    burn-in window t_min to keep the measured region away from the
+    shrinking boundary layer.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 4:
@@ -327,14 +334,11 @@ def fke_residual(
     rates, w_class = classes.rates, classes.weights
 
     m = t_grid.size - 1
-    v = np.empty(m + 1)
-    lv = np.empty(m + 1)
-    v[0] = float(np.sum(w_class))
-    lv[0] = float(np.sum(-rates * w_class))
-    for j in range(1, m + 1):
-        ml = _mixture_weights(spec, t_grid[j], rates)
-        v[j] = float(np.sum(ml * w_class))
-        lv[j] = float(np.sum(-rates * ml * w_class))
+    weights = _mixture_weights(spec, t_grid[1:], rates)
+    lw_class = -rates * w_class
+    # einsum, not BLAS: a threaded matrix-vector product this small waits for its second thread
+    v = np.concatenate(([np.sum(w_class)], np.einsum("ij,j->i", weights, w_class)))
+    lv = np.concatenate(([np.sum(lw_class)], np.einsum("ij,j->i", weights, lw_class)))
     masses = kernel_cell_masses(spec, dt, m)
     k_vals = np.concatenate(([0.0], np.asarray(spec.k_eval(t_grid[1:]), dtype=float)))
     dv = gfd_apply(k_vals, v, dt, cell_masses=masses)  # values at t_1 .. t_{m-1}

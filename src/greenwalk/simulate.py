@@ -297,16 +297,26 @@ class BinSpec:
         return float(np.prod(widths))
 
     def flat_index(self, points: np.ndarray):
-        """Raveled bin index per point; -1 for points outside the box."""
+        """Raveled bin index per point; -1 for points outside the box, however far (or NaN).
+
+        The bin coordinate floor((p - lo) / w) is range-tested and clipped in
+        float before the cast to int64, so a point beyond about 9.2e18 w is
+        outside rather than an undefined cast; one float buffer per axis is
+        reused in place.
+        """
         points = np.atleast_2d(points)
         idx = np.zeros(points.shape[0], dtype=np.int64)
-        outside = np.zeros(points.shape[0], dtype=bool)
-        for ax in range(self.dim):
-            w = (self.hi[ax] - self.lo[ax]) / self.shape[ax]
-            j = np.floor((points[:, ax] - self.lo[ax]) / w).astype(np.int64)
-            outside |= (j < 0) | (j >= self.shape[ax])
-            idx = idx * self.shape[ax] + np.clip(j, 0, self.shape[ax] - 1)
-        idx[outside] = -1
+        inside = np.ones(points.shape[0], dtype=bool)
+        for lo, hi, n, coord in zip(self.lo, self.hi, self.shape, points.T):
+            j = np.subtract(coord, lo)
+            j /= (hi - lo) / n
+            np.floor(j, out=j)
+            inside &= j >= 0
+            inside &= j < n
+            np.fmin(np.fmax(j, 0, out=j), n - 1, out=j)  # fmax takes NaN to 0
+            idx *= n
+            idx += j.astype(np.int64)
+        idx[~inside] = -1
         return idx
 
 

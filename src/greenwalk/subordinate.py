@@ -49,7 +49,10 @@ class SubordinatorSpec:
     inversion, bracketing every draw of a batch from one table of the law
     (a spec with neither self_similarity nor passage_cdf is drawn by grid
     first passage); it must be nondecreasing in tau, vectorised over tau,
-    and 0 at tau = 0; clipped_mean (T, tau) -> E[S(tau) ^ T] is the
+    and 0 at tau = 0; passage_sf (t, tau) -> P(D(t) > tau), where set, is
+    its complement, which sample_inverse_many solves for draws in the upper
+    half of the law so that their tail keeps full relative precision;
+    clipped_mean (T, tau) -> E[S(tau) ^ T] is the
     expected time s in [0, T] with D(s) <= tau, which the renormalized
     occupation limit needs.
     """
@@ -67,6 +70,7 @@ class SubordinatorSpec:
     laplace_closed_form: Optional[Callable] = None  # (t, rates) -> E e^{-r D(t)}
     clipped_mean: Optional[Callable] = None  # (T, tau) -> E[S(tau) ^ T]
     passage_cdf: Optional[Callable] = None  # (t, tau) -> P(D(t) <= tau)
+    passage_sf: Optional[Callable] = None  # (t, tau) -> P(D(t) > tau)
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "params": dict(self.params)}
@@ -264,6 +268,10 @@ def make_gamma_subordinator(a: float, b: float) -> SubordinatorSpec:
         # P(S(tau) >= t) for S(tau) ~ Gamma(b tau, rate a)
         return special.gammaincc(b * np.asarray(tau, dtype=float), a * t)
 
+    def passage_sf(t, tau):
+        # P(S(tau) < t), without the cancellation of 1 - passage_cdf
+        return special.gammainc(b * np.asarray(tau, dtype=float), a * t)
+
     return SubordinatorSpec(
         "gamma",
         {"a": a, "b": b},
@@ -275,6 +283,7 @@ def make_gamma_subordinator(a: float, b: float) -> SubordinatorSpec:
         k_primitive,
         clipped_mean=clipped_mean,
         passage_cdf=passage_cdf,
+        passage_sf=passage_sf,
     )
 
 
@@ -433,8 +442,9 @@ def sample_inverse_many(spec: SubordinatorSpec, t: float, ds: float, n: int, see
     uniforms U at once, also independent of ds: one 129-node table of F on
     [0, tau_hi], with tau_hi doubled from 1 until it covers max U, brackets
     each U in a table cell, and Chandrupatla's method solves every cell to
-    full precision; it raises TruncationError when the table cannot cover
-    max U or a root search fails.  A spec with neither capability
+    full precision (a U above 1/2 is solved on the spec's passage_sf, as
+    1 - U, where it has one); it raises TruncationError when the table
+    cannot cover max U or a root search fails.  A spec with neither capability
     falls back to grid first passage of S on {0, ds, 2 ds, ...}, one draw
     at a time, with an O(ds) upward bias; it raises TruncationError when S
     has not reached t after _MAX_STEPS steps.
@@ -464,39 +474,50 @@ def _grid_first_passage(spec: SubordinatorSpec, t: float, ds: float, rng) -> flo
 def _invert_passage_cdf(spec: SubordinatorSpec, t: float, u: np.ndarray) -> np.ndarray:
     """Roots tau >= 0 of spec.passage_cdf(t, tau) = u, elementwise; the root of u = 0 is 0.
 
-    F(tau) = passage_cdf(t, tau) is tabulated once, on _PASSAGE_NODES nodes
-    of [0, tau_hi], with tau_hi doubled from 1 until F(tau_hi) >= max u.
-    Each u falls in the table cell where F crosses it, and Chandrupatla's
+    Where the spec has a passage_sf, a u above 1/2 is solved as
+    passage_sf(t, tau) = 1 - u instead: 1 - u is exact there, while the cdf
+    is flat to rounding as u -> 1.  Both sides share one set of
+    _PASSAGE_NODES nodes on [0, tau_hi], with tau_hi doubled from 1 until
+    passage_cdf(tau_hi) >= max u (and passage_sf(tau_hi) <= 1 - max u when
+    the sf is used).  Each side's law is tabulated once on the nodes, each
+    u falls in the table cell where its law crosses it, and Chandrupatla's
     method finds the root inside that cell to full precision.  Raises
-    TruncationError when F stays below max u up to _PASSAGE_TAU_MAX, when
-    the table is not finite, or when a root search fails.
+    TruncationError when the range cannot cover max u up to
+    _PASSAGE_TAU_MAX, when a table is not finite, or when a root search fails.
     """
     from scipy.optimize import elementwise
 
     out, pos = np.zeros(u.shape), u > 0
-    target = u[pos]
-    if not target.size:
+    if not pos.any():
         return out
-    tau_hi, top = 1.0, target.max()
-    while not spec.passage_cdf(t, tau_hi) >= top:
+    upper = pos & (u > 0.5) if spec.passage_sf is not None else np.zeros(u.shape, dtype=bool)
+    # each side as a law increasing in tau and its targets: the cdf against u,
+    # minus the sf against u - 1, which is exact for u > 1/2
+    sides = [(pos & ~upper, spec.passage_cdf, u)]
+    if upper.any():
+        sides.append((upper, lambda t, tau: -spec.passage_sf(t, tau), u - 1.0))
+    tau_hi, top = 1.0, u[pos].max()
+    while not all(law(t, tau_hi) >= y[pos].max() for _, law, y in sides):
         if tau_hi >= _PASSAGE_TAU_MAX:
             raise TruncationError(f"passage law stays below {top:.17g} up to tau = {tau_hi:.6g} at t = {t:.6g}")
         tau_hi *= 2.0
     nodes = np.linspace(0.0, tau_hi, _PASSAGE_NODES)
-    table = np.asarray(spec.passage_cdf(t, nodes), dtype=float)
-    if not np.all(np.isfinite(table)):
-        raise TruncationError(f"passage law is not finite on [0, {tau_hi:.6g}] at t = {t:.6g}")
-    # table[cell - 1] < u <= table[cell] by bisection, so F - u changes sign on the cell
-    cell = np.clip(np.searchsorted(table, target), 1, _PASSAGE_NODES - 1)
-
-    def gap(tau, u):
-        return spec.passage_cdf(t, tau) - u
-
-    root = elementwise.find_root(gap, (nodes[cell - 1], nodes[cell]), args=(target,))
-    failed = int(np.sum(~root.success))
-    if failed:
-        raise TruncationError(f"passage-law inversion failed for {failed} of {u.size} draws at t = {t:.6g}")
-    out[pos] = root.x
+    for mask, law, y in sides:
+        table = np.asarray(law(t, nodes), dtype=float)
+        if not np.all(np.isfinite(table)):
+            raise TruncationError(f"passage law is not finite on [0, {tau_hi:.6g}] at t = {t:.6g}")
+        if not mask.any():
+            continue
+        target = y[mask]
+        # table[cell - 1] < target <= table[cell] by bisection: law - target changes sign on the cell
+        cell = np.clip(np.searchsorted(table, target), 1, _PASSAGE_NODES - 1)
+        root = elementwise.find_root(
+            lambda tau, y: law(t, tau) - y, (nodes[cell - 1], nodes[cell]), args=(target,)
+        )
+        failed = int(np.sum(~root.success))
+        if failed:
+            raise TruncationError(f"passage-law inversion failed for {failed} of {u.size} draws at t = {t:.6g}")
+        out[mask] = root.x
     return out
 
 
@@ -505,86 +526,172 @@ def _invert_passage_cdf(spec: SubordinatorSpec, t: float, u: np.ndarray) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _talbot(F: Callable, t: float, M: int) -> np.ndarray:
-    """Fixed-Talbot inversion at time t of a Laplace transform F (Abate and Valko).
+def _talbot_contour(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z and weights c of the order-M fixed-Talbot rule (Abate and Valko 2004).
 
-    F maps the M contour nodes, an (M,) complex array, to values of shape
-    (M, ...); the result has the trailing shape.
+    The contour radius is r = 2M/(5t), so the nodes s_k = z_k / t and the
+    weights do not depend on t: z_0 = 2M/5, z_k = (2M/5) theta_k (cot theta_k + i)
+    with theta_k = k pi / M, c_0 = e^{z_0}/5 and c_k = (2/5) e^{z_k} (1 + i sigma_k),
+    sigma_k = theta_k + (theta_k cot theta_k - 1) cot theta_k.  The inverse of F
+    at t is then Re sum_k c_k F(z_k / t) / t.
     """
-    r = 2.0 * M / (5.0 * t)
     theta = np.pi * np.arange(1, M) / M
     cot = 1.0 / np.tan(theta)
-    s = r * theta * (cot + 1j)
+    z = 0.4 * M * np.concatenate(([1.0], theta * (cot + 1j)))
     sigma = theta + (theta * cot - 1.0) * cot
-    vals = F(np.concatenate(([r + 0j], s)))
-    col = (-1,) + (1,) * (vals.ndim - 1)
-    terms = np.exp(t * s).reshape(col) * vals[1:] * (1.0 + 1j * sigma).reshape(col)
-    return r / M * (0.5 * np.exp(r * t) * np.real(vals[0]) + np.sum(terms.real, axis=0))
+    return z, 0.4 * np.exp(z) * np.concatenate(([0.5], 1.0 + 1j * sigma))
 
 
-def _talbot_gated(F: Callable, t: float, tol: float) -> np.ndarray:
-    """Fixed-Talbot inverse of F at t, order 24, gated by order 16.
+# the rules of orders 16 and 24, built once, their nodes and weights side by side
+_TALBOT_ORDERS = (16, 24)
+_TALBOT_Z, _TALBOT_C = (np.concatenate(part) for part in zip(*map(_talbot_contour, _TALBOT_ORDERS)))
+# real terms held at once per tile of _mixture_weights (256 KiB)
+_TALBOT_BLOCK = 1 << 15
 
-    Raises InversionInstabilityError unless the orders agree to tol; an
-    overflow on the contour gives inf or NaN, which fails the gate without
-    a RuntimeWarning.
+
+def _talbot_nodes(t) -> tuple[np.ndarray, np.ndarray]:
+    """The Laplace variables z_k / t of both orders at times t, and their weights c_k / t.
+
+    Each has shape (40,) + t.shape: rows 0-15 are order 16, rows 16-39 order 24.
     """
+    t = np.asarray(t, dtype=float)
+    col = (-1,) + (1,) * t.ndim
+    return _TALBOT_Z.reshape(col) / t, _TALBOT_C.reshape(col) / t
+
+
+def _talbot_orders(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order-16, order-24) inverses from the weighted terms c_k F(z_k / t) / t.
+
+    terms (complex, or already their real parts) has the 40 nodes on its
+    first axis; each inverse is the real part of one order's sum over that
+    axis.  No BLAS call is made: a threaded matrix-vector product waits for
+    its second thread on every call.
+    """
+    n = _TALBOT_ORDERS[0]
+    return terms[:n].real.sum(axis=0), terms[n:].real.sum(axis=0)
+
+
+def _talbot_gate(coarse: np.ndarray, fine: np.ndarray, t, tol) -> None:
+    """Raise InversionInstabilityError unless the two orders agree to tol at every time.
+
+    The gap at a time is the largest |fine - coarse| over the trailing axes;
+    tol is a scalar or one bound per time.  The message names the time whose
+    gap exceeds its bound by the largest factor (a NaN gap counts as the worst).
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    gap = np.abs(fine - coarse).reshape(t.size, -1).max(axis=1, initial=0.0)
+    tol = np.broadcast_to(tol, t.shape)
+    bad = ~(gap <= tol)
+    if bad.any():
+        worst = int(np.argmax(np.where(bad, np.nan_to_num(gap / tol, nan=np.inf), -1.0)))
+        extra = f" ({int(bad.sum())} of {t.size} times fail)" if t.size > 1 else ""
+        raise InversionInstabilityError(
+            f"Talbot orders 16/24 disagree by {gap[worst]:.3g} at t = {t[worst]:.6g}{extra}"
+        )
+
+
+def _talbot_gated(F: Callable, t, tol) -> np.ndarray:
+    """Fixed-Talbot inverse of F at the times t, order 24, gated by order 16.
+
+    t is a scalar or a 1-D array.  F maps the nodes of _talbot_nodes(t), of
+    shape (40,) + t.shape, to values of that shape plus trailing axes, in
+    one call for every time and both orders; the result has shape t.shape +
+    trailing.  Raises InversionInstabilityError unless the orders agree to
+    tol (a scalar or one bound per time) at every time; an overflow on the
+    contour gives inf or NaN, which fails the gate without a RuntimeWarning.
+    """
+    lam, c = _talbot_nodes(t)
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse, fine = (_talbot(F, t, M) for M in (16, 24))
-        gap = float(np.max(np.abs(fine - coarse), initial=0.0))
-    if not gap <= tol:
-        raise InversionInstabilityError(f"Talbot orders 16/24 disagree by {gap:.3g} at t = {t:.6g}")
+        vals = np.asarray(F(lam))
+        coarse, fine = _talbot_orders(vals * c.reshape(c.shape + (1,) * (vals.ndim - c.ndim)))
+        _talbot_gate(coarse, fine, t, tol)
     return fine
 
 
-def _mixture_weights(
-    spec: SubordinatorSpec, t: float, rates, integrated: bool = False
-) -> np.ndarray:
-    """Weights of the subordination mixture per rate r >= 0.
+def _mixture_weights(spec: SubordinatorSpec, t, rates, integrated: bool = False) -> np.ndarray:
+    """Weights of the subordination mixture per time and rate r >= 0.
 
-    Returns E e^{-r D(t)}, or with integrated=True W_t(r) = int_0^t E e^{-r D(s)} ds.
+    Returns E e^{-r D(t)}, or with integrated=True W_t(r) = int_0^t E e^{-r D(s)} ds,
+    of shape t.shape + rates.shape: t is a scalar or a 1-D array of times.
     A sum of exponentials u(tau) = sum_c w_c e^{-tau r_c} then subordinates
-    to sum_c w_c E e^{-r_c D(t)} with no tau-quadrature.  The t-transforms are
-    K/(lambda^j (r + Phi)) = 1/lambda^{j+1} - r/(lambda^{j+1} (r + Phi)) with
-    j = 0, 1, so the weights are t^j - r L^{-1}[1/(lambda^{j+1} (r + Phi))](t),
-    exact at r = 0.  The inverse goes through _talbot_gated with tolerance
-    1e-8 (times t for W_t).  A spec's laplace_closed_form replaces the
-    inversion of E e^{-r D(t)}.
+    to sum_c w_c E e^{-r_c D(t)} with no tau-quadrature.
+
+    The t-transform of E e^{-r D(t)} is K/(r + Phi) = 1/lambda - r/(lambda (r + Phi)),
+    so the weight is 1 - r L^{-1}[1/(lambda (r + Phi))](t), free of the noise
+    a direct inversion leaves near r = 0.  W_t is the inverse of
+    Phi/(lambda^2 (r + Phi)) itself, which keeps full relative precision
+    where W_t << t (the form t - r L^{-1}[1/(lambda^2 (r + Phi))] cancels
+    digits there).  The rate-0 weights are set exactly, to 1 and to t.
+
+    Phi is evaluated once, on the nodes of every time and both Talbot
+    orders; the terms are formed in real arithmetic and summed in tiles of
+    times x rates of at most _TALBOT_BLOCK terms, which stay in cache and
+    keep numpy's inner loops long.  The 16/24 gate is applied per time with
+    tolerance 1e-8 (times t for W_t), and InversionInstabilityError names
+    the worst time.  A spec's laplace_closed_form replaces the inversion of
+    E e^{-r D(t)}, broadcast as (t[:, None], rates).
     """
-    if t <= 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
         raise ValueError("t must be positive")
     rates = np.asarray(rates, dtype=float)
     if not integrated and spec.laplace_closed_form is not None:
-        return np.asarray(spec.laplace_closed_form(t, rates), dtype=float)
-    power = 2 if integrated else 1
-    scale = t if integrated else 1.0
+        return np.asarray(spec.laplace_closed_form(t.reshape(t.shape + (1,) * rates.ndim), rates), dtype=float)
+    times, flat = t.reshape(-1), rates.reshape(-1)
+    lam, c = _talbot_nodes(times)
+    n_nodes, (m, n) = lam.shape[0], (times.size, flat.size)
+    # tiles of times x rates with at most _TALBOT_BLOCK terms, as many whole time rows as fit
+    m_tile = max(1, _TALBOT_BLOCK // (n_nodes * max(n, 1)))
+    n_tile = max(1, _TALBOT_BLOCK // (n_nodes * m_tile))
+    coarse, fine = np.empty((m, n)), np.empty((m, n))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phi = np.asarray(spec.phi_eval(lam))
+        numer = c * phi / lam**2 if integrated else c / lam
+        # Re(numer / (r + Phi)) = (numer_re d + numer_im Phi_im) / (d^2 + Phi_im^2), d = r + Phi_re,
+        # in real arithmetic: half the memory of complex terms and no complex division
+        num_re, num_im_phi_im, phi_re, phi_im2 = (
+            v[..., None] for v in (numer.real, numer.imag * phi.imag, phi.real, phi.imag**2)
+        )
+        for i in range(0, m, m_tile):
+            rows = slice(i, i + m_tile)
+            for j in range(0, n, n_tile):
+                cols = slice(j, j + n_tile)
+                d = flat[cols] + phi_re[:, rows]
+                term = num_re[:, rows] * d
+                term += num_im_phi_im[:, rows]
+                d *= d
+                d += phi_im2[:, rows]
+                term /= d
+                coarse[rows, cols], fine[rows, cols] = _talbot_orders(term)
+        if not integrated:
+            coarse, fine = 1.0 - flat * coarse, 1.0 - flat * fine
+        _talbot_gate(coarse, fine, times, 1e-8 * (times if integrated else 1.0))
+    # the rate-0 weights are exact: E e^{-0 D(t)} = 1 and W_t(0) = t
+    return np.where(flat == 0.0, times[:, None] if integrated else 1.0, fine).reshape(t.shape + rates.shape)
 
-    def F(lam):
-        phi = np.asarray(spec.phi_eval(lam))[:, None]
-        return rates / (lam[:, None] ** power * (rates + phi))
 
-    return scale - _talbot_gated(F, t, 1e-8 * scale)
+def rho_density(spec: SubordinatorSpec, t: float, tau):
+    """Marginal density rho_t(tau) of the inverse subordinator at one time t.
 
-
-def rho_density(spec: SubordinatorSpec, t: float, tau: float) -> float:
-    """Marginal density rho_t(tau) of the inverse subordinator.
-
-    Uses the spec's rho_closed_form when it has one, otherwise the inverse
-    of lambda -> K(lambda) e^{-tau lambda K(lambda)} in t through
-    _talbot_gated, which raises InversionInstabilityError when the orders
-    disagree by more than 1e-6.  To force the inversion for a family with a
-    closed form, pass dataclasses.replace(spec, rho_closed_form=None).
+    tau is a scalar (the result is a float) or an array (the result has its
+    shape).  Uses the spec's rho_closed_form when it has one, otherwise one
+    inverse, for every tau at once, of lambda -> K(lambda) e^{-tau lambda K(lambda)}
+    in t through _talbot_gated, which raises InversionInstabilityError when
+    the orders disagree by more than 1e-6 at any tau.  To force the inversion
+    for a family with a closed form, pass dataclasses.replace(spec, rho_closed_form=None).
     """
-    if t <= 0 or tau < 0:
+    tau = np.asarray(tau, dtype=float)
+    if t <= 0 or np.any(tau < 0):
         raise ValueError("need t > 0 and tau >= 0")
     if spec.rho_closed_form is not None:
-        return float(spec.rho_closed_form(t, tau))
+        out = np.asarray(spec.rho_closed_form(t, tau), dtype=float)
+    else:
+        def F(s):
+            K = np.asarray(spec.K_eval(s)).reshape(s.shape + (1,) * tau.ndim)
+            return K * np.exp(-tau * s.reshape(K.shape) * K)
 
-    def F(s):
-        K = np.asarray(spec.K_eval(s))
-        return K * np.exp(-tau * s * K)
-
-    return max(float(_talbot_gated(F, t, 1e-6)), 0.0)
+        out = np.maximum(_talbot_gated(F, t, 1e-6), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def time_averaged_ratio(spec: SubordinatorSpec, tau: float, t: float):

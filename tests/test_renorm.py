@@ -429,3 +429,60 @@ def test_fke_residual_small_on_fine_grid(k1, stable):
     t_grid = 0.02 * np.arange(101)
     res = fke_residual(k1, stable, f, [0.0], t_grid, grid=GRID1, t_min=0.1)
     assert res < 2e-3
+
+
+# residuals of the parent code (one _mixture_weights call per node), 1-D
+# Gaussian, f = a, x = 0, t in [0, 2], t_min = 0.1; the batched weights move
+# them at roundoff only
+FKE_PARENT = {
+    "stable": {0.02: 0.0010804941348019903, 0.01: 0.00035693692549199074},
+    "gamma": {0.02: 0.0014877728529253675, 0.01: 0.0006177687485509203},
+    "stable07": {0.02: 0.00121682104379571, 0.01: 0.0004448846693135555},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FKE_PARENT))
+def test_fke_residual_matches_the_per_node_weights(k1, name, request):
+    spec = make_stable_subordinator(0.7) if name == "stable07" else request.getfixturevalue(name)
+    f = cl_from_kernel(k1)
+    for dt, parent in FKE_PARENT[name].items():
+        t_grid = dt * np.arange(int(round(2.0 / dt)) + 1)
+        res = fke_residual(k1, spec, f, [0.0], t_grid, grid=GRID1, t_min=0.1)
+        assert res == pytest.approx(parent, rel=1e-10, abs=0.0)
+
+
+def _counting(spec, name):
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return getattr(spec, name)(*args)
+
+    return dataclasses.replace(spec, **{name: wrapped}), calls
+
+
+@pytest.mark.parametrize("name", ["stable", "gamma", "stable07", "stable_talbot"])
+def test_fke_residual_inverts_every_node_in_one_call(k1, stable, gamma, name):
+    # 200 nodes: one Phi evaluation on the contour nodes of every time (at
+    # most two), or one closed-form call
+    spec = {"stable": stable, "gamma": gamma, "stable07": make_stable_subordinator(0.7),
+            "stable_talbot": dataclasses.replace(stable, laplace_closed_form=None)}[name]
+    capability = "laplace_closed_form" if spec.laplace_closed_form is not None else "phi_eval"
+    counted, calls = _counting(spec, capability)
+    t_grid = 0.01 * np.arange(201)
+    res = fke_residual(k1, counted, cl_from_kernel(k1), [0.0], t_grid, grid=GRID1, t_min=0.1)
+    assert res == fke_residual(k1, spec, cl_from_kernel(k1), [0.0], t_grid, grid=GRID1, t_min=0.1)
+    assert 1 <= len(calls) <= (1 if capability == "laplace_closed_form" else 2)
+
+
+def test_subordinated_solution_array_of_t_equals_the_scalar_calls(k1, stable, gamma):
+    f = cl_from_kernel(k1)
+    ts = np.array([0.05, 0.5, 1.0, 4.0])
+    for spec in (stable, gamma, make_stable_subordinator(0.7)):
+        got = subordinated_solution(k1, spec, f, [0.0], ts, grid=GRID1)
+        assert got.shape == ts.shape
+        single = [subordinated_solution(k1, spec, f, [0.0], float(t), grid=GRID1) for t in ts]
+        np.testing.assert_allclose(got, single, rtol=1e-13, atol=0.0)
+        assert isinstance(single[0], float)
+    with pytest.raises(ValueError):
+        subordinated_solution(k1, stable, f, [0.0], np.array([1.0, 0.0]), grid=GRID1)

@@ -6,6 +6,7 @@ path functional deterministic, so stderr must be exactly zero.
 """
 
 import os
+import warnings
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -527,3 +528,37 @@ def test_seeded_estimates_are_reproducible(k1):
     ta = mc_truncated_potential(k1, f, [0.0], 5.0, 200, seed=42)
     tb = mc_truncated_potential(k1, f, [0.0], 5.0, 200, seed=42)
     assert (ta.mean, ta.stderr) == (tb.mean, tb.stderr)
+
+
+def _flat_index_reference(bins, point) -> int:
+    idx = 0
+    for p, lo, hi, n in zip(point, bins.lo, bins.hi, bins.shape):
+        q = (p - lo) / ((hi - lo) / n)
+        if not 0 <= q < n:  # also NaN
+            return -1
+        idx = idx * n + int(np.floor(q))
+    return idx
+
+
+@pytest.mark.parametrize("bins", [
+    BinSpec((-8.0,), (8.0,), (16,)),
+    BinSpec((-3.0, 0.5), (5.0, 2.0), (7, 3)),
+    BinSpec.cube(8.0, 8, 3),
+])
+def test_flat_index_of_far_points_and_bin_edges(bins):
+    # every bin edge, a hair to either side, and points far beyond the box:
+    # floor((p - lo) / w) of 1e300 is far outside int64, and casting it
+    # first warned and gave an undefined index
+    rng = np.random.default_rng(7)
+    coords = []
+    for e in bins.edges():
+        near = np.concatenate((e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)))
+        coords.append(np.concatenate((near, [1e300, -1e300, 9.3e18, -9.3e18, np.inf, -np.inf, np.nan])))
+    points = np.stack([rng.choice(c, size=4000) for c in coords], axis=1)
+    points[: coords[0].size, 0] = coords[0]  # each first-axis value at least once
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bins.flat_index(points)
+    ref = [_flat_index_reference(bins, p) for p in points]
+    np.testing.assert_array_equal(got, ref)
+    assert got.dtype == np.int64 and (got == -1).any() and (got >= 0).any()

@@ -298,6 +298,32 @@ def test_grid_first_passage_raises_past_the_step_cap(gamma, monkeypatch):
         sample_inverse_many(dataclasses.replace(gamma, passage_cdf=None), 1e3, 1e-3, 2, seed=1)
 
 
+@pytest.mark.parametrize("ab", [(2.0, 0.5), (1.0, 1.0)])
+@pytest.mark.parametrize("t", [0.01, 1.0, 30.0])
+def test_upper_tail_draws_solve_the_complement(t, ab):
+    # at u = 1 - 1e-12 the cdf is flat to rounding; P(D(t) > tau) = 1 - u,
+    # with 1 - u exact, pins the root to full relative precision
+    a, b = ab
+    spec = make_gamma_subordinator(a, b)
+    u = 1.0 - 1e-12
+    got = float(subordinate._invert_passage_cdf(spec, t, np.array([0.3, u]))[1])
+    with mp.workdps(40):
+        q = 1 - mp.mpf(u)
+        ref = mp.findroot(lambda tau: mp.gammainc(b * tau, 0, a * t, regularized=True) - q, mp.mpf(got))
+    assert abs(got / float(ref) - 1.0) <= 1e-12
+
+
+def test_gamma_draws_are_the_roots_of_the_seeded_uniforms(gamma):
+    # one uniform per draw from the seed's stream, in order, whichever side solves it
+    u = np.random.default_rng(17).uniform(size=500)
+    np.testing.assert_array_equal(sample_inverse_many(gamma, 2.0, 1e-3, 500, seed=17),
+                                  subordinate._invert_passage_cdf(gamma, 2.0, u))
+    lower = dataclasses.replace(gamma, passage_sf=None)
+    low = u <= 0.5
+    np.testing.assert_array_equal(subordinate._invert_passage_cdf(lower, 2.0, u)[low],
+                                  subordinate._invert_passage_cdf(gamma, 2.0, u)[low])
+
+
 def _searched_roots(spec, t, u):
     """The roots of passage_cdf(t, tau) = u, each bracket searched outward from tau = 1."""
     def gap(tau, u):
@@ -512,6 +538,96 @@ def test_mixture_inversion_outside_talbot_validity_raises():
         for integrated in (False, True):
             with pytest.raises(InversionInstabilityError):
                 _mixture_weights(spec, 1.0, RATES, integrated=integrated)
+
+
+def test_occupation_weights_keep_relative_precision_where_W_is_small(stable):
+    # W_T << T for r sqrt(T) >> 1, where T - r L^{-1}[1/(lambda^2 (r + Phi))]
+    # cancelled about three digits (1.2e-10 relative at T = 2^21, r = 2)
+    rates = np.array([1e-3, 0.05, 0.5, 2.0])
+    for T in (512.0, 2.0**21):
+        got = _mixture_weights(stable, T, rates, integrated=True)
+        with mp.workdps(60):
+            exact = [
+                float((mp.exp(x**2) * mp.erfc(x) + 2 * x / mp.sqrt(mp.pi) - 1) / r**2)
+                for r, x in ((mp.mpf(r), mp.mpf(r) * mp.sqrt(T)) for r in rates)
+            ]
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the batched fixed-Talbot core
+# ---------------------------------------------------------------------------
+
+TIMES = np.array([0.003, 0.1, 1.0, 4.0, 60.0, 2.0**21])
+
+
+@pytest.mark.parametrize("integrated", [False, True])
+def test_mixture_weights_batch_equals_the_per_time_calls(stable, gamma, integrated):
+    rates = np.linspace(0.0, 2.0, 77)
+    talbot = [gamma, make_stable_subordinator(0.7), dataclasses.replace(stable, laplace_closed_form=None)]
+    for spec in talbot + [stable]:
+        batch = _mixture_weights(spec, TIMES, rates, integrated=integrated)
+        single = np.array([_mixture_weights(spec, t, rates, integrated=integrated) for t in TIMES])
+        assert batch.shape == (TIMES.size, rates.size)
+        if spec is stable and not integrated:
+            np.testing.assert_array_equal(batch, single)  # the closed form, broadcast
+        else:
+            np.testing.assert_allclose(batch / (TIMES[:, None] if integrated else 1.0),
+                                       single / (TIMES[:, None] if integrated else 1.0), rtol=0, atol=1e-13)
+
+
+def test_mixture_weights_batch_raises_when_one_time_fails(gamma):
+    # Phi is NaN far out on the contour, which only the nodes z/t of small t reach
+    spec = dataclasses.replace(
+        gamma, phi_eval=lambda lam: np.where(np.abs(lam) > 1e4, np.nan, gamma.phi_eval(lam))
+    )
+    for t in (0.5, 2.0):
+        _mixture_weights(spec, t, RATES)
+    with pytest.raises(InversionInstabilityError, match=r"t = 0\.001 \(1 of 3 times fail\)"):
+        _mixture_weights(spec, np.array([0.5, 1e-3, 2.0]), RATES)
+
+
+def test_rho_density_array_of_tau_equals_the_scalar_calls(stable, gamma):
+    # tau up to 3.5: beyond, the 0.7-stable inversion fails its gate at t = 1
+    taus = np.linspace(0.0, 3.5, 36)
+    talbot07 = dataclasses.replace(make_stable_subordinator(0.7), rho_closed_form=None)
+    for spec in (gamma, talbot07, stable, make_stable_subordinator(0.3)):
+        for t in (1.0, 3.0):
+            got = rho_density(spec, t, taus)
+            assert got.shape == taus.shape
+            # the node sums run in another order for a column of tau than for
+            # one tau, which moves the Talbot roundoff (up to 1.4e-13 here)
+            np.testing.assert_allclose(got, [rho_density(spec, t, float(tau)) for tau in taus], rtol=0, atol=5e-13)
+            assert isinstance(rho_density(spec, t, 1.5), float)
+    with pytest.raises(ValueError):
+        rho_density(gamma, 1.0, np.array([0.5, -1.0]))
+
+
+def test_talbot_contour_is_built_once(monkeypatch, gamma, stable):
+    # the nodes and weights of orders 16 and 24 are module constants; with
+    # np.tan broken after import, every inversion returns the same bits
+    for M, z_c in zip((16, 24), np.split(np.stack([subordinate._TALBOT_Z, subordinate._TALBOT_C]), [16], axis=1)):
+        np.testing.assert_array_equal(z_c, np.stack(subordinate._talbot_contour(M)))
+    st07 = make_stable_subordinator(0.7)
+    talbot07 = dataclasses.replace(st07, rho_closed_form=None)
+
+    def values():
+        return (
+            rho_density(gamma, 1.0, np.array([0.0, 0.5, 3.0])),
+            rho_density(talbot07, 0.5, 1.0),
+            _mixture_weights(st07, TIMES, RATES),
+            _mixture_weights(gamma, 2.0, RATES, integrated=True),
+            np.array(time_averaged_ratio(stable, 1.0, 100.0)),
+        )
+
+    before = values()
+
+    def broken(x):
+        raise AssertionError("np.tan called")
+
+    monkeypatch.setattr(np, "tan", broken)
+    for b, a in zip(before, values()):
+        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
