@@ -30,7 +30,7 @@ class InversionInstabilityError(GreenwalkError):
 
 
 class MissingNormsError(GreenwalkError):
-    """A CL-function has neither grid samples nor declared norms."""
+    """A CL function has neither an evaluator nor grid samples, or has only samples on another grid."""
 
 
 class ConfigError(GreenwalkError):

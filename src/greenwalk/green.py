@@ -41,15 +41,13 @@ from .kernels import JumpKernel, sample_density, spectral_density
 class CLFunction:
     """Bounded continuous integrable function (member of CL(R^d)).
 
-    Either an evaluator or grid samples must be present.  Declared norms
-    take precedence over sample-based estimates in cl_norm.  fourier, when
-    set, maps radial frequencies |k| to f_hat for a radial f; potential and the
+    An evaluator or grid samples must be present: values_at and samples_on
+    raise MissingNormsError for an f with neither.  fourier, when set, maps
+    radial frequencies |k| to f_hat for a radial f; potential and the
     renormalized curve read it (cl_from_kernel sets it, cl_from_grid does not).
     """
 
     evaluator: Optional[Callable] = None
-    sup_norm: Optional[float] = None
-    l1_norm: Optional[float] = None
     grid_samples: Optional[FieldGrid] = None
     name: str = "f"
     fourier: Optional[Callable] = None
@@ -75,28 +73,15 @@ class CLFunction:
 
 
 def cl_from_kernel(kernel: JumpKernel) -> CLFunction:
-    """The jump density itself as a CL function (sup = a(0), L1 mass 1)."""
+    """The jump density itself as a CL function."""
     # a table's transform is periodic in k, which the radial rule cannot integrate:
     # without fourier, potential takes the grid route
-    a0 = float(np.asarray(kernel.density(np.zeros((1, kernel.dim)))).ravel()[0])
-    return CLFunction(evaluator=kernel.density, sup_norm=a0, l1_norm=1.0, name="a",
+    return CLFunction(evaluator=kernel.density, name="a",
                       fourier=None if kernel.name == "tabulated" else kernel.fourier_radial)
 
 
 def cl_from_grid(field: FieldGrid, name: str = "f") -> CLFunction:
-    sup = float(np.max(np.abs(field.values)))
-    l1 = float(np.sum(np.abs(field.values)) * field.grid.cell_volume)
-    return CLFunction(grid_samples=field, sup_norm=sup, l1_norm=l1, name=name)
-
-
-def cl_norm(f: CLFunction) -> float:
-    """CL norm = sup norm + L1 norm."""
-    if f.sup_norm is not None and f.l1_norm is not None:
-        return float(f.sup_norm + f.l1_norm)
-    if f.grid_samples is not None:
-        g = f.grid_samples
-        return float(np.max(np.abs(g.values)) + np.sum(np.abs(g.values)) * g.grid.cell_volume)
-    raise MissingNormsError("CL function has no samples and no declared norms")
+    return CLFunction(grid_samples=field, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +370,7 @@ def convolve_fields(a: FieldGrid, b: FieldGrid) -> FieldGrid:
 
 def potential_field(kernel: JumpKernel, f: CLFunction, grid: GridSpec) -> FieldGrid:
     """V(., f) = f + G_0 * f on the periodic grid for any f; potential's route for a tabulated f."""
-    g0 = green_regular_series(kernel, grid, 0.0)  # gates existence before the norms check
-    if f.sup_norm is None or f.l1_norm is None:
-        cl_norm(f)  # raises unless samples provide finite norms
+    g0 = green_regular_series(kernel, grid, 0.0)  # gates existence before f is sampled
     fs = f.samples_on(grid)
     return FieldGrid(grid, fs.values + convolve_fields(g0.regular_part, fs).values)
 

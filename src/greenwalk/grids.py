@@ -10,15 +10,11 @@ rfftn half layout: fftn layout on every axis but the last, which keeps 0..N/2.
 
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridMismatchError
-
-_HEADER = struct.Struct("<IId")  # dim, points per axis, half width
 
 
 @dataclass(frozen=True)
@@ -176,30 +172,3 @@ def _from_spectral(grid: GridSpec, spec_vals: np.ndarray) -> np.ndarray:
     """Real field on grid whose half-layout spectrum is spec_vals; inverts _to_spectral."""
     return np.fft.fftshift(np.fft.irfftn(spec_vals, s=grid.shape, axes=range(grid.dim))) / grid.cell_volume
 
-
-def save_field(path, field_grid: FieldGrid) -> None:
-    """Binary layout: little-endian (u32 d, u32 N, f64 L) then N^d f64 values."""
-    g = field_grid.grid
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(g.dim, g.points_per_axis, g.half_width))
-        fh.write(field_grid.values.ravel(order="C").astype("<f8").tobytes())
-
-
-def load_field(path) -> FieldGrid:
-    with open(path, "rb") as fh:
-        dim, n, half_width = _HEADER.unpack(fh.read(_HEADER.size))
-        grid = GridSpec(dim, n, half_width)
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size != n**dim:
-        raise ValueError(f"expected {n**dim} values, found {raw.size}")
-    return FieldGrid(grid, raw.reshape(grid.shape).copy())
-
-
-def field_to_csv(path, field_grid: FieldGrid) -> None:
-    """CSV export: one row per grid point, coordinate columns then value."""
-    g = field_grid.grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(g.dim)] + ["value"])
-        for row in zip(*g.points().T, field_grid.values.ravel(order="C")):
-            writer.writerow([repr(float(v)) for v in row])

@@ -64,7 +64,7 @@ def subordinated_solution(
     unstable value.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):
         raise ValueError("t must be positive")
     if grid is None:
         if f.grid_samples is None:
@@ -93,7 +93,7 @@ def mc_time_changed_expectation(
     """
     if n < 2:
         raise ValueError("need n >= 2 samples")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be >= 0")
     if t == 0:
         return McEstimate(f.value_at(x), 0.0, n, seed)
@@ -103,8 +103,8 @@ def mc_time_changed_expectation(
 
 
 def normalization_N(spec: SubordinatorSpec, T: float) -> float:
-    """N(T) = int_0^T k(s) ds, analytic when the family has a primitive."""
-    if T < 0:
+    """N(T) = int_0^T k(s) ds: the spec's k_primitive, else the gated Talbot inversion of Phi/lambda^2."""
+    if not T >= 0:
         raise ValueError("T must be >= 0")
     if T == 0:
         return 0.0
@@ -148,13 +148,6 @@ class RenormCurve:
             for T, N, v, g in zip(self.T_grid, self.N_values, self.values, self.rel_gaps):
                 w.writerow([repr(float(T)), repr(float(N)), repr(float(v)),
                             repr(float(self.target)), repr(float(g))])
-
-
-def _clipped_mean(spec: SubordinatorSpec):
-    """The spec's (T, tau) -> C_T(tau) = E[S(tau) ^ T], the expected time in [0, T] with D <= tau."""
-    if spec.clipped_mean is None:
-        raise ConfigError("the subordinator has no clipped mean E[S(tau) ^ T]")
-    return spec.clipped_mean
 
 
 def _horizon(clipped_mean, T: float) -> float:
@@ -270,7 +263,9 @@ def renormalized_green_histogram(
     if method not in ("conditional", "raw"):
         raise ValueError(f"unknown method {method!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    clipped_mean = _clipped_mean(spec)
+    if spec.clipped_mean is None:
+        raise ConfigError("the subordinator has no clipped mean E[S(tau) ^ T]")
+    clipped_mean = spec.clipped_mean
     rng = np.random.default_rng(seed)
     N_T = normalization_N(spec, T)
     tau_stop = _horizon(clipped_mean, T)

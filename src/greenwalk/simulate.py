@@ -332,10 +332,6 @@ class OccupationHistogram:
     def total_mass(self) -> float:
         return float(self.masses.sum() + self.escaped)
 
-    def integrate(self, bin_values: np.ndarray) -> float:
-        """Integral of a bin-constant function against the histogram."""
-        return float(np.sum(self.masses * bin_values))
-
 
 def _deposit(bins: BinSpec, chunk: _PathChunk, weights: np.ndarray) -> np.ndarray:
     """Per-path bin masses of weights laid out as the durations, (n_paths, n_bins + 1); the last is outside."""

@@ -36,7 +36,7 @@ __all__ = [
 class SubordinatorSpec:
     """Driftless subordinator with derived kernels and an increment sampler.
 
-    k_primitive is the exact primitive int_0^t k(s) ds where available;
+    k_primitive is the exact primitive int_0^t k(s) ds, or None to invert Phi(lambda)/lambda^2;
     rho_closed_form is set for families with a known inverse-process density,
     and replaces the Talbot inversion in rho_density (replace it by None to
     force the inversion);
@@ -232,8 +232,9 @@ def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
 
 def make_gamma_subordinator(a: float, b: float) -> SubordinatorSpec:
     """Gamma subordinator: Levy density b e^{-a tau}/tau, Phi = b log(1 + lambda/a)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("gamma subordinator needs a > 0 and b > 0")
+    for name, value in (("a", a), ("b", b)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"gamma subordinator needs a finite {name} > 0, got {value}")
 
     def levy_density(tau):
         tau = np.asarray(tau, dtype=float)
@@ -363,22 +364,21 @@ def check_H(spec: SubordinatorSpec) -> HReport:
 
 
 def _k_integral(spec: SubordinatorSpec, t) -> np.ndarray:
-    """int_0^t k(s) ds, analytic when a primitive is available."""
+    """N(t) = int_0^t k(s) ds at times t >= 0: the spec's k_primitive, else a Talbot inversion.
+
+    The fallback inverts Phi(lambda)/lambda^2 at every t > 0 at once, its orders 16 and
+    24 gated to agree within 1e-7 N(t) (InversionInstabilityError otherwise); N(0) = 0.
+    """
     t = np.asarray(t, dtype=float)
     if spec.k_primitive is not None:
         return np.asarray(spec.k_primitive(t), dtype=float)
-    from scipy import integrate
-
-    out = np.empty(t.shape if t.ndim else ())
-    flat = np.atleast_1d(t)
-    res = np.empty(flat.shape)
-    for i, ti in enumerate(flat):
-        # graded split controls the integrable singularity of k at 0
-        pts = np.geomspace(max(ti * 1e-10, 1e-300), ti, 12).tolist()
-        res[i] = integrate.quad(
-            lambda s: float(spec.k_eval(s)), 0.0, ti, points=pts, limit=200
-        )[0]
-    out[...] = res.reshape(t.shape) if t.ndim else res[0]
+    out, pos = np.zeros(t.shape), t > 0
+    if pos.any():
+        lam, c = _talbot_nodes(t[pos])
+        with np.errstate(over="ignore", invalid="ignore"):
+            coarse, fine = _talbot_orders(c * np.asarray(spec.phi_eval(lam)) / lam**2)
+            _talbot_gate(coarse, fine, t[pos], 1e-7 * np.abs(fine))
+        out[pos] = fine
     return out
 
 
@@ -394,14 +394,12 @@ class AdmissibilityReport:
 
     @property
     def passed(self) -> bool:
-        spread = np.max(self.a1_values) - np.min(self.a1_values)
-        stable = spread < 0.2 * max(self.a1_estimate, 1e-12) or self.a1_estimate > 0
-        return bool(self.a1_estimate > 0 and stable and self.a2_max_deviation < 0.15)
+        return bool(self.a1_estimate > 0 and self.a2_max_deviation < 0.15)
 
 
 def check_admissible(spec: SubordinatorSpec, s0: float) -> AdmissibilityReport:
     """Estimate liminf (1/K(lambda)) int_0^{s0/lambda} k and the t/r -> 1 ratio limit."""
-    if s0 <= 0:
+    if not s0 > 0:
         raise ValueError("s0 must be positive")
     lams = np.geomspace(1e-2, 1e-6, 9)
     a1_vals = _k_integral(spec, s0 / lams) / np.asarray(spec.K_eval(lams), dtype=float)
@@ -449,7 +447,7 @@ def sample_inverse_many(spec: SubordinatorSpec, t: float, ds: float, n: int, see
     at a time, with an O(ds) upward bias; it raises TruncationError when S
     has not reached t after _MAX_STEPS steps.
     """
-    if t <= 0 or ds <= 0:
+    if not (t > 0 and ds > 0):
         raise ValueError("t and ds must be positive")
     rng = np.random.default_rng(seed)
     if spec.self_similarity is not None:
@@ -632,7 +630,7 @@ def _mixture_weights(spec: SubordinatorSpec, t, rates, integrated: bool = False)
     E e^{-r D(t)}, broadcast as (t[:, None], rates).
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):
         raise ValueError("t must be positive")
     rates = np.asarray(rates, dtype=float)
     if not integrated and spec.laplace_closed_form is not None:
@@ -681,7 +679,7 @@ def rho_density(spec: SubordinatorSpec, t: float, tau):
     for a family with a closed form, pass dataclasses.replace(spec, rho_closed_form=None).
     """
     tau = np.asarray(tau, dtype=float)
-    if t <= 0 or np.any(tau < 0):
+    if not (t > 0 and np.all(tau >= 0)):
         raise ValueError("need t > 0 and tau >= 0")
     if spec.rho_closed_form is not None:
         out = np.asarray(spec.rho_closed_form(t, tau), dtype=float)
@@ -701,7 +699,7 @@ def time_averaged_ratio(spec: SubordinatorSpec, tau: float, t: float):
     through _talbot_gated, gated at 1e-6 t like rho_density's 1e-6 per unit time.
     The ratio tends to 1 as t grows for admissible kernels.
     """
-    if t <= 0 or tau < 0:
+    if not (t > 0 and tau >= 0):
         raise ValueError("need t > 0 and tau >= 0")
 
     def F(lam):

@@ -1,11 +1,12 @@
 """The public names of the package and of its modules."""
 
+import dataclasses
 import inspect
 
 import pytest
 
 import greenwalk
-from greenwalk import kernels, renorm, simulate, subordinate
+from greenwalk import green, grids, kernels, renorm, simulate, subordinate
 
 PUBLIC = [
     "AliasingError", "BinSpec", "CLFunction", "ConfigError", "DivergentGreenMeasureError",
@@ -43,6 +44,22 @@ def test_single_path_and_single_draw_helpers_are_gone(module, name):
         getattr(module, name)
     with pytest.raises(AttributeError):
         getattr(greenwalk, name)
+
+
+@pytest.mark.parametrize("owner, name", [
+    (grids, "save_field"),
+    (grids, "load_field"),
+    (grids, "field_to_csv"),
+    (green, "cl_norm"),
+    (simulate.OccupationHistogram, "integrate"),
+])
+def test_field_io_declared_norms_and_histogram_integral_are_gone(owner, name):
+    with pytest.raises(AttributeError):
+        getattr(owner, name)
+
+
+def test_cl_function_has_no_declared_norms():
+    assert [f.name for f in dataclasses.fields(green.CLFunction)] == ["evaluator", "grid_samples", "name", "fourier"]
 
 
 @pytest.mark.parametrize("fn, option", [

@@ -24,6 +24,7 @@ from greenwalk.errors import (
     AliasingError,
     DivergentGreenMeasureError,
     InvalidKernelError,
+    MissingNormsError,
     TruncationError,
 )
 from greenwalk.grids import FieldGrid, GridSpec, field_from_function
@@ -35,7 +36,6 @@ from greenwalk.green import (
     check_green_existence,
     cl_from_grid,
     cl_from_kernel,
-    cl_norm,
     convolve_fields,
     evolve_semigroup,
     green_regular_fourier,
@@ -85,18 +85,20 @@ def g0_series_3d(k3):
 # ---------------------------------------------------------------------------
 
 
-def test_cl_norm_of_gaussian_kernel(k1):
-    # sup norm (4 pi)^{-1/2} plus unit L1 mass
-    assert cl_norm(cl_from_kernel(k1)) == pytest.approx((4 * np.pi) ** -0.5 + 1.0, abs=1e-9)
+def test_cl_function_with_neither_evaluator_nor_samples_raises(k3):
+    f = CLFunction()
+    with pytest.raises(MissingNormsError, match="neither evaluator nor samples"):
+        f.values_at(np.zeros((1, 3)))
+    with pytest.raises(MissingNormsError):
+        f.samples_on(SMALL_GRID3)
+    with pytest.raises(MissingNormsError):
+        potential_field(k3, f, SMALL_GRID3)
 
 
-def test_cl_norm_zero_and_homogeneity(k1):
-    zero = cl_from_grid(FieldGrid(GRID1, np.zeros(GRID1.shape)))
-    assert cl_norm(zero) == 0.0
-    f = sample_density(k1, GRID1)
-    assert cl_norm(cl_from_grid(FieldGrid(GRID1, 3.0 * f.values))) == pytest.approx(
-        3.0 * cl_norm(cl_from_grid(f)), rel=1e-12
-    )
+def test_potential_field_of_a_bare_evaluator_equals_the_kernel_cl_function(k3):
+    # an f with an evaluator is sampled on the grid, whatever else it carries
+    bare = potential_field(k3, CLFunction(evaluator=k3.density), SMALL_GRID3)
+    np.testing.assert_array_equal(bare.values, potential_field(k3, cl_from_kernel(k3), SMALL_GRID3).values)
 
 
 # ---------------------------------------------------------------------------

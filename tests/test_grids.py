@@ -1,4 +1,4 @@
-"""Grid container tests: construction, interpolation, persistence."""
+"""Grid container tests: construction and interpolation."""
 
 import itertools
 
@@ -9,10 +9,7 @@ from greenwalk.grids import (
     FieldGrid,
     GridSpec,
     field_from_function,
-    field_to_csv,
-    load_field,
     require_same_grid,
-    save_field,
 )
 from greenwalk.errors import GridMismatchError
 
@@ -88,25 +85,6 @@ def test_values_at_raises_outside_the_box(x):
         f.values_at([[0.0, 0.0], [0.5, x]])
     with pytest.raises(ValueError, match="outside the box"):
         f.value_at([x, 0.0])
-
-
-def test_save_load_roundtrip(tmp_path):
-    g = GridSpec(2, 16, 4.0)
-    f = field_from_function(g, lambda x: np.exp(-np.sum(np.atleast_2d(x) ** 2, axis=-1)))
-    p = tmp_path / "field.npz"
-    save_field(p, f)
-    back = load_field(p)
-    assert back.grid == f.grid
-    np.testing.assert_array_equal(back.values, f.values)
-
-
-def test_csv_export_is_deterministic(tmp_path):
-    g = GridSpec(1, 32, 4.0)
-    f = field_from_function(g, lambda x: np.cos(np.atleast_2d(x)[:, 0]))
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    field_to_csv(p1, f)
-    field_to_csv(p2, f)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_require_same_grid_raises():

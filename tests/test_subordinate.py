@@ -22,9 +22,13 @@ from scipy.optimize import elementwise
 
 import greenwalk.subordinate as subordinate
 from greenwalk.errors import InversionInstabilityError, TruncationError
-from greenwalk.renorm import _horizon
+from greenwalk.green import cl_from_kernel
+from greenwalk.grids import GridSpec
+from greenwalk.kernels import make_gaussian_kernel
+from greenwalk.renorm import _horizon, mc_time_changed_expectation, normalization_N, subordinated_solution
 from greenwalk.subordinate import (
     SubordinatorSpec,
+    _k_integral,
     _mixture_weights,
     _stable_clipped_mean,
     check_H,
@@ -76,6 +80,29 @@ def test_spec_json_dict(stable):
     d = stable.to_json_dict()
     assert d["family"] == "stable"
     assert d["params"]["alpha"] == 0.5
+
+
+_K1 = make_gaussian_kernel(1)
+_HALF = make_stable_subordinator(0.5)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: make_gamma_subordinator(np.nan, 1.0), "a"),
+    (lambda: make_gamma_subordinator(np.inf, 1.0), "a"),
+    (lambda: normalization_N(_HALF, np.nan), "T"),
+    (lambda: rho_density(_HALF, np.nan, 1.0), "t"),
+    (lambda: rho_density(_HALF, 1.0, np.nan), "tau"),
+    (lambda: subordinated_solution(_K1, _HALF, cl_from_kernel(_K1), [0.0], np.nan, grid=GridSpec(1, 64, 8.0)), "t"),
+    (lambda: time_averaged_ratio(_HALF, np.nan, 1.0), "tau"),
+    (lambda: time_averaged_ratio(_HALF, 1.0, np.nan), "t"),
+    (lambda: check_admissible(_HALF, s0=np.nan), "s0"),
+    (lambda: sample_inverse_many(_HALF, np.nan, 1e-3, 5, seed=0), "t"),
+    (lambda: mc_time_changed_expectation(_K1, _HALF, cl_from_kernel(_K1), [0.0], np.nan, 10, seed=0), "t"),
+], ids=["gamma-a-nan", "gamma-a-inf", "N-T-nan", "rho-t-nan", "rho-tau-nan", "subsol-t-nan", "ratio-tau-nan",
+        "ratio-t-nan", "admissible-s0-nan", "inverse-t-nan", "mc-t-nan"])
+def test_nan_and_inf_inputs_raise_value_error(call, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +226,9 @@ def test_import_does_not_load_scipy_stats():
 
 
 def test_import_does_not_load_scipy_solvers():
-    # scipy.optimize and scipy.integrate are imported by the two callers
-    # that need them, on first use; each must still run from a cold import
+    # scipy.optimize is imported by the passage-law inversion on first use, and
+    # must still run from a cold import; scipy.integrate is never imported, not
+    # even by N(T) of a spec without k_primitive, which is a Talbot inversion
     code = """if True:
         import dataclasses, sys
         import greenwalk
@@ -213,11 +241,13 @@ def test_import_does_not_load_scipy_solvers():
         print(draws.size, bool((draws > 0).all()))
         print(repr(time_averaged_ratio(make_stable_subordinator(0.5), 1.0, 10.0)[0]))
         print(repr(normalization_N(dataclasses.replace(gamma, k_primitive=None), 2.0)), repr(float(gamma.k_primitive(2.0))))
+        print("scipy.integrate" in sys.modules)
     """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded, draws, m_rho, prims = out.stdout.strip().splitlines()
+    loaded, draws, m_rho, prims, integrate_loaded = out.stdout.strip().splitlines()
     assert loaded == "[]"
+    assert integrate_loaded == "False"
     assert draws == "50 True"
     # M_rho = (1/t) int_0^t rho_s(1) ds with the half-normal rho_s(1) = e^{-1/(4s)}/sqrt(pi s)
     exact = mp.quad(lambda s: mp.exp(-1 / (4 * s)) / mp.sqrt(mp.pi * s), [0, 1, 10]) / 10
@@ -770,6 +800,60 @@ def test_gamma_k_primitive_is_zero_at_zero(gamma):
     assert gamma.k_primitive(0.0) == 0.0
     prims = gamma.k_primitive(np.array([0.0, 0.5]))
     assert prims[0] == 0.0 and prims[1] == pytest.approx(integrate.quad(gamma.k_eval, 0.0, 0.5)[0])
+
+
+# ---------------------------------------------------------------------------
+# N(T) of a spec without k_primitive: the Talbot inverse of Phi / lambda^2
+# ---------------------------------------------------------------------------
+
+
+def _no_primitive(spec):
+    return dataclasses.replace(spec, k_primitive=None)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+def test_k_integral_inversion_matches_the_stable_primitive(alpha):
+    spec, ts = make_stable_subordinator(alpha), np.geomspace(1e-6, 1e8, 29)
+    np.testing.assert_allclose(_k_integral(_no_primitive(spec), ts), spec.k_primitive(ts), rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.5)])
+def test_k_integral_inversion_matches_the_gamma_primitive(a, b):
+    spec, ts = make_gamma_subordinator(a, b), np.geomspace(1e-6, 1e3, 19)
+    np.testing.assert_allclose(_k_integral(_no_primitive(spec), ts), spec.k_primitive(ts), rtol=1e-10, atol=0)
+
+
+def test_k_integral_inversion_is_exactly_zero_at_zero(gamma):
+    spec = _no_primitive(gamma)
+    assert _k_integral(spec, 0.0) == 0.0
+    prims = _k_integral(spec, np.array([0.0, 1.0]))
+    assert prims[0] == 0.0 and prims[1] == pytest.approx(float(gamma.k_primitive(1.0)), rel=1e-10)
+
+
+@pytest.mark.parametrize("spec", [make_gamma_subordinator(1.0, 1.0), make_gamma_subordinator(2.0, 0.5),
+                                  make_stable_subordinator(0.5), make_stable_subordinator(0.7)],
+                         ids=["gamma1-1", "gamma2-0.5", "stable0.5", "stable0.7"])
+@pytest.mark.parametrize("dt, m", [(0.02, 25), (0.01, 200)])
+def test_cell_masses_without_a_primitive_match_the_closed_form(spec, dt, m):
+    # each mass is a difference of two N values, so it keeps fewer digits than N
+    np.testing.assert_allclose(kernel_cell_masses(_no_primitive(spec), dt, m), kernel_cell_masses(spec, dt, m),
+                               rtol=1e-8, atol=0)
+
+
+def test_k_integral_inversion_raises_where_the_orders_disagree():
+    # for gamma (2, 0.5) at t = 1e8 the orders 16 and 24 differ by 6.5e-7 of N
+    with pytest.raises(InversionInstabilityError, match=r"t = 1e\+08 \(1 of 2 times fail\)"):
+        _k_integral(_no_primitive(make_gamma_subordinator(2.0, 0.5)), np.array([1.0, 1e8]))
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.5)])
+def test_admissibility_without_a_primitive_matches_the_closed_form(a, b):
+    # the probes reach t = 1.1e6, where the gamma inversion keeps about 8 digits
+    spec = make_gamma_subordinator(a, b)
+    ref, inv = check_admissible(spec, s0=1.0), check_admissible(_no_primitive(spec), s0=1.0)
+    assert inv.passed and ref.passed
+    assert inv.a1_estimate == pytest.approx(ref.a1_estimate, abs=1e-7)
+    assert inv.a2_max_deviation == pytest.approx(ref.a2_max_deviation, abs=1e-7)
 
 
 def test_gfd_gamma_of_t_is_the_primitive(gamma):
