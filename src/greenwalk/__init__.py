@@ -57,6 +57,7 @@ from .subordinate import (
     gfd_apply,
     make_gamma_subordinator,
     make_stable_subordinator,
+    normalization_N,
     rho_density,
     time_averaged_ratio,
 )
@@ -64,7 +65,6 @@ from .renorm import (
     RenormCurve,
     fke_residual,
     mc_time_changed_expectation,
-    normalization_N,
     renormalized_green_histogram,
     renormalized_potential_curve,
     subordinated_solution,

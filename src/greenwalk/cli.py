@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -126,17 +125,6 @@ def load_config(path) -> dict:
             raise ConfigError(f"tolerance {key!r} must be a positive number")
     if EXPERIMENTS[name].stochastic and not {"n", "seed"} <= set(cfg.get("mc", {})):
         raise ConfigError(f"experiment {name!r} is stochastic and needs mc.n and mc.seed")
-    return cfg
-
-
-def _resolve_seed(cfg: dict) -> dict:
-    env = os.environ.get("GREENWALK_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"GREENWALK_SEED must be an integer, got {env!r}") from exc
-        cfg = {**cfg, "mc": {**cfg.get("mc", {}), "seed": seed}}
     return cfg
 
 
@@ -395,7 +383,6 @@ def list_experiments() -> str:
 
 def run(config_path, out_dir=None) -> int:
     cfg = load_config(config_path)
-    cfg = _resolve_seed(cfg)
     prefix = cfg.get("output", "greenwalk")
     if out_dir is not None:
         prefix = str(Path(out_dir) / Path(prefix).name)

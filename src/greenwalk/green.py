@@ -42,7 +42,8 @@ class CLFunction:
     """Bounded continuous integrable function (member of CL(R^d)).
 
     An evaluator or grid samples must be present: values_at and samples_on
-    raise MissingNormsError for an f with neither.  fourier, when set, maps
+    raise MissingNormsError for an f with neither, and samples_on for one
+    with samples on another grid and no evaluator.  fourier, when set, maps
     radial frequencies |k| to f_hat for a radial f; potential and the
     renormalized curve read it (cl_from_kernel sets it, cl_from_grid does not).
     """
@@ -67,9 +68,11 @@ class CLFunction:
     def samples_on(self, grid: GridSpec) -> FieldGrid:
         if self.grid_samples is not None and self.grid_samples.grid == grid:
             return self.grid_samples
-        if self.evaluator is None:
-            raise MissingNormsError("cannot resample a table-only CL function")
-        return field_from_function(grid, self.evaluator)
+        if self.evaluator is not None:
+            return field_from_function(grid, self.evaluator)
+        if self.grid_samples is None:
+            raise MissingNormsError("CL function has neither evaluator nor samples")
+        raise MissingNormsError("CL function has samples on another grid and no evaluator to resample them")
 
 
 def cl_from_kernel(kernel: JumpKernel) -> CLFunction:
@@ -98,8 +101,8 @@ def apply_generator(kernel: JumpKernel, f: FieldGrid) -> FieldGrid:
 
 def evolve_semigroup(kernel: JumpKernel, f: FieldGrid, t: float) -> FieldGrid:
     """u(t,.) = e^{-t} sum_n (t^n/n!) a_n * f, summed exactly as e^{t (a_hat - 1)} f."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError("t must be finite and >= 0")
     if t == 0:
         return FieldGrid(f.grid, f.values.copy())
     a_hat = _half(spectral_density(kernel, f.grid))
@@ -220,7 +223,7 @@ def green_regular_series(kernel: JumpKernel, grid: GridSpec, lam: float) -> Reso
     R is bounded only when (A, alpha) is the kernel's true tail, so an InvalidKernelError
     names tail_params when R spreads by more than _TAIL_SPREAD over the three small k.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda must be >= 0")
     if lam > 0:
         a_hat = _half(spectral_density(kernel, grid))
@@ -316,9 +319,12 @@ def _radial_value(kernel: JumpKernel, x, lam: float, multiplier) -> tuple[np.nda
     below _TAIL_FORM_K when the kernel's tail_params are known.
     multiplier may return (..., nodes), one integral per row.  Order-16
     Gauss-Legendre gives the value, its gap to order 8 the error estimate;
-    TruncationError when that gap exceeds _RADIAL_TOL of the value.
+    TruncationError when that gap exceeds _RADIAL_TOL of the value; ValueError for a non-finite x.
     """
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
+    r = float(np.linalg.norm(x))
     (k16, w16), (k8, w8) = (_radial_rule(_fourier_cutoff(kernel, lam), n) for n in (16, 8))
     k = np.concatenate((k16, k8))
     a_hat = np.asarray(kernel.fourier_radial(k), dtype=float)
@@ -349,7 +355,7 @@ def green_regular_fourier(kernel: JumpKernel, x, lam: float) -> float:
     when orders 16 and 8 disagree by more than _RADIAL_TOL, as they do for the
     3-D Gaussian beyond |x| of about 30.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda must be >= 0")
     if lam == 0:
         _decay_exponent(kernel)

@@ -22,11 +22,11 @@ from .simulate import BinSpec, McEstimate, _Moments, _deposit, _end_values
 from .simulate import _histogram, _map_paths, _mc_reduce
 from .subordinate import (
     SubordinatorSpec,
-    _k_integral,
     _mixture_weights,
     check_H,
     check_admissible,
     kernel_cell_masses,
+    normalization_N,
     sample_inverse_many,
 )
 from .subordinate import gfd_apply
@@ -35,7 +35,6 @@ __all__ = [
     "RenormCurve",
     "subordinated_solution",
     "mc_time_changed_expectation",
-    "normalization_N",
     "renormalized_potential_curve",
     "unnormalized_potential_integral",
     "renormalized_green_histogram",
@@ -86,29 +85,20 @@ def mc_time_changed_expectation(
 ) -> McEstimate:
     """Sample mean of f(Z(t)) with Z = X(D(t)).
 
-    D(t) is drawn by sample_inverse_many: exactly for a self-similar spec or
-    one with a passage_cdf (gamma), by grid first passage with step 1e-3 t
-    for the others.  Z(t) is then x plus the sum of N ~ Poisson(D) jumps down
-    its own column, with paths ordered by N and no holding time drawn.
+    D(t) is drawn exactly by sample_inverse_many, which needs a self-similar
+    spec or one with a passage_cdf (gamma): any other gets a ConfigError.
+    Z(t) is then x plus the sum of N ~ Poisson(D) jumps down its own column,
+    with paths ordered by N and no holding time drawn.
     """
     if n < 2:
         raise ValueError("need n >= 2 samples")
-    if not t >= 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError("t must be finite and >= 0")
     if t == 0:
         return McEstimate(f.value_at(x), 0.0, n, seed)
     rng = np.random.default_rng(seed)
-    d_draws = sample_inverse_many(spec, t, 1e-3 * t, n, seed=int(rng.integers(2**63)))
+    d_draws = sample_inverse_many(spec, t, None, n, seed=int(rng.integers(2**63)))
     return _mc_reduce(*_end_values(kernel, f, x, d_draws, rng), seed, time_change=spec.to_json_dict())
-
-
-def normalization_N(spec: SubordinatorSpec, T: float) -> float:
-    """N(T) = int_0^T k(s) ds: the spec's k_primitive, else the gated Talbot inversion of Phi/lambda^2."""
-    if not T >= 0:
-        raise ValueError("T must be >= 0")
-    if T == 0:
-        return 0.0
-    return float(_k_integral(spec, np.array([T]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +199,7 @@ def renormalized_potential_curve(
     T_grid = np.asarray(T_grid, dtype=float)
     integrals, errors = _occupation_integrals(kernel, spec, f, x, T_grid)
     target = potential(kernel, f, x, grid)
-    N_vals = np.array([normalization_N(spec, T) for T in T_grid])
+    N_vals = normalization_N(spec, T_grid)
     return RenormCurve(T_grid, integrals / N_vals, target, N_vals, errors / N_vals)
 
 
@@ -256,8 +246,8 @@ def renormalized_green_histogram(
     light-tailed X path; method "raw" samples S at the tau_i instead, as a
     cross-check.  Returns (mean histogram, per-bin standard error).
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < np.inf:
+        raise ValueError("T must be finite and positive")
     if n < 2:
         raise ValueError("need n >= 2 replicas")
     if method not in ("conditional", "raw"):

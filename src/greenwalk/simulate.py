@@ -217,8 +217,8 @@ def mc_expectation(
     kernel: JumpKernel, f: CLFunction, x, t: float, n: int, seed: int
 ) -> McEstimate:
     """Sample mean of f(X(t)) over n independent paths."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError("t must be finite and >= 0")
     if n < 2:
         raise ValueError("need n >= 2 samples")
     if t == 0:
@@ -250,8 +250,8 @@ def mc_truncated_potential(
     Given N jumps each holding time has mean T / (N + 1), independent of the jumps, so
     states Y_0 = x, ..., Y_N give T / (N + 1) sum_j f(Y_j): same mean, less variance.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < np.inf:
+        raise ValueError("T must be finite and positive")
     if n < 2:
         raise ValueError("need n >= 2 samples")
     rng = np.random.default_rng(seed)
@@ -362,6 +362,8 @@ def empirical_random_green_measure(
     kernel: JumpKernel, x, T: float, bins: BinSpec, rng
 ) -> OccupationHistogram:
     """Occupation measure of a single path: durations deposited per bin."""
+    if not 0 < T < np.inf:
+        raise ValueError("T must be finite and positive")
     (row,), _ = _map_paths(
         kernel, _start_in_box(bins, x), float(T), 1, rng,
         lambda c: _deposit(bins, c, c.durations)[0], int(np.prod(bins.shape)),
@@ -376,8 +378,8 @@ def average_random_green_measure(
 
     A path deposits T / (N + 1) at each of its N + 1 states and draws no holding time.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < np.inf:
+        raise ValueError("T must be finite and positive")
     if n < 2:
         raise ValueError("need n >= 2 samples")
     x = _start_in_box(bins, x)

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from .errors import InversionInstabilityError, TruncationError
+from .errors import ConfigError, InversionInstabilityError, TruncationError
 
 __all__ = [
     "SubordinatorSpec",
@@ -24,6 +24,7 @@ __all__ = [
     "make_gamma_subordinator",
     "check_H",
     "check_admissible",
+    "normalization_N",
     "sample_inverse_many",
     "rho_density",
     "time_averaged_ratio",
@@ -47,11 +48,11 @@ class SubordinatorSpec:
     P(D(t) <= tau) = P(S(tau) >= t) is set for families whose first-passage
     law has a closed form, and lets sample_inverse_many draw D(t) exactly by
     inversion, bracketing every draw of a batch from one table of the law
-    (a spec with neither self_similarity nor passage_cdf is drawn by grid
-    first passage); it must be nondecreasing in tau, vectorised over tau,
-    and 0 at tau = 0; passage_sf (t, tau) -> P(D(t) > tau), where set, is
-    its complement, which sample_inverse_many solves for draws in the upper
-    half of the law so that their tail keeps full relative precision;
+    (sample_inverse_many needs self_similarity or passage_cdf); it must be
+    nondecreasing in tau, vectorised over tau, and 0 at tau = 0;
+    passage_sf (t, tau) -> P(D(t) > tau), where set, is its complement,
+    which sample_inverse_many solves for draws in the upper half of the law
+    so that their tail keeps full relative precision;
     clipped_mean (T, tau) -> E[S(tau) ^ T] is the
     expected time s in [0, T] with D(s) <= tau, which the renormalized
     occupation limit needs.
@@ -363,23 +364,27 @@ def check_H(spec: SubordinatorSpec) -> HReport:
     )
 
 
-def _k_integral(spec: SubordinatorSpec, t) -> np.ndarray:
-    """N(t) = int_0^t k(s) ds at times t >= 0: the spec's k_primitive, else a Talbot inversion.
+def normalization_N(spec: SubordinatorSpec, T):
+    """N(T) = int_0^T k(s) ds at times T >= 0: the spec's k_primitive, else a Talbot inversion.
 
-    The fallback inverts Phi(lambda)/lambda^2 at every t > 0 at once, its orders 16 and
-    24 gated to agree within 1e-7 N(t) (InversionInstabilityError otherwise); N(0) = 0.
+    T is a scalar (the result is a float) or an array (the result has its shape).
+    The fallback inverts Phi(lambda)/lambda^2 at every T > 0 at once, its orders 16 and
+    24 gated to agree within 1e-7 N(T) (InversionInstabilityError otherwise); N(0) = 0.
     """
-    t = np.asarray(t, dtype=float)
+    T = np.asarray(T, dtype=float)
+    if not np.all(T >= 0):
+        raise ValueError("T must be >= 0")
     if spec.k_primitive is not None:
-        return np.asarray(spec.k_primitive(t), dtype=float)
-    out, pos = np.zeros(t.shape), t > 0
-    if pos.any():
-        lam, c = _talbot_nodes(t[pos])
-        with np.errstate(over="ignore", invalid="ignore"):
-            coarse, fine = _talbot_orders(c * np.asarray(spec.phi_eval(lam)) / lam**2)
-            _talbot_gate(coarse, fine, t[pos], 1e-7 * np.abs(fine))
-        out[pos] = fine
-    return out
+        out = np.asarray(spec.k_primitive(T), dtype=float)
+    else:
+        out, pos = np.zeros(T.shape), T > 0
+        if pos.any():
+            lam, c = _talbot_nodes(T[pos])
+            with np.errstate(over="ignore", invalid="ignore"):
+                coarse, fine = _talbot_orders(c * np.asarray(spec.phi_eval(lam)) / lam**2)
+                _talbot_gate(coarse, fine, T[pos], 1e-7 * np.abs(fine))
+            out[pos] = fine
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -402,11 +407,11 @@ def check_admissible(spec: SubordinatorSpec, s0: float) -> AdmissibilityReport:
     if not s0 > 0:
         raise ValueError("s0 must be positive")
     lams = np.geomspace(1e-2, 1e-6, 9)
-    a1_vals = _k_integral(spec, s0 / lams) / np.asarray(spec.K_eval(lams), dtype=float)
+    a1_vals = normalization_N(spec, s0 / lams) / np.asarray(spec.K_eval(lams), dtype=float)
     base_t = 1e6
     ratios_t = np.linspace(0.9, 1.1, 9)
-    base = float(_k_integral(spec, np.array([base_t]))[0])
-    a2 = _k_integral(spec, ratios_t * base_t) / base
+    base = normalization_N(spec, base_t)
+    a2 = normalization_N(spec, ratios_t * base_t) / base
     return AdmissibilityReport(
         a1_estimate=float(np.min(a1_vals)),
         a1_values=np.asarray(a1_vals),
@@ -421,52 +426,35 @@ def check_admissible(spec: SubordinatorSpec, s0: float) -> AdmissibilityReport:
 # ---------------------------------------------------------------------------
 
 
-# increments drawn per block, and the step cap, of grid first passage
-_PASSAGE_BLOCK = 4096
-_MAX_STEPS = 50_000_000
 # nodes of the passage-law table, and the cap on its range
 _PASSAGE_NODES = 129
 _PASSAGE_TAU_MAX = 2.0**63
 
 
-def sample_inverse_many(spec: SubordinatorSpec, t: float, ds: float, n: int, seed: int) -> np.ndarray:
-    """n independent draws of D(t) = inf{s : S(s) >= t}.
+def sample_inverse_many(spec: SubordinatorSpec, t: float, ds, n: int, seed: int) -> np.ndarray:
+    """n independent exact draws of D(t) = inf{s : S(s) >= t}.
 
-    For a self-similar family with index alpha the draws are exact and do
-    not depend on ds: D(t) has the law of (t / S(1))^alpha (Meerschaert and
-    Straka, Math. Model. Nat. Phenom. 8 (2013)), with S(1) drawn by the
-    spec's own increment sampler.  A family with a passage_cdf F(tau) =
-    P(D(t) <= tau) is drawn exactly too, as the roots of F(tau) = U for n
-    uniforms U at once, also independent of ds: one 129-node table of F on
+    For a self-similar family with index alpha, D(t) has the law of
+    (t / S(1))^alpha (Meerschaert and Straka, Math. Model. Nat. Phenom. 8
+    (2013)), with S(1) drawn by the spec's own increment sampler.  A family
+    with a passage_cdf F(tau) = P(D(t) <= tau) is drawn as the roots of
+    F(tau) = U for n uniforms U at once: one 129-node table of F on
     [0, tau_hi], with tau_hi doubled from 1 until it covers max U, brackets
     each U in a table cell, and Chandrupatla's method solves every cell to
     full precision (a U above 1/2 is solved on the spec's passage_sf, as
     1 - U, where it has one); it raises TruncationError when the table
-    cannot cover max U or a root search fails.  A spec with neither capability
-    falls back to grid first passage of S on {0, ds, 2 ds, ...}, one draw
-    at a time, with an O(ds) upward bias; it raises TruncationError when S
-    has not reached t after _MAX_STEPS steps.
+    cannot cover max U or a root search fails.  A spec with neither
+    capability gets a ConfigError.  ds is not read: it stays only because
+    callers, the benchmark among them, pass it positionally.
     """
-    if not (t > 0 and ds > 0):
-        raise ValueError("t and ds must be positive")
+    if not t > 0:
+        raise ValueError("t must be positive")
     rng = np.random.default_rng(seed)
     if spec.self_similarity is not None:
         return (t / spec.increment_sampler(1.0, rng, n)) ** spec.self_similarity
     if spec.passage_cdf is not None:
         return _invert_passage_cdf(spec, t, rng.uniform(size=n))
-    return np.array([_grid_first_passage(spec, t, ds, rng) for _ in range(n)])
-
-
-def _grid_first_passage(spec: SubordinatorSpec, t: float, ds: float, rng) -> float:
-    """The first grid time k ds at which S, simulated with step ds, reaches t."""
-    s, steps = 0.0, 0
-    while steps <= _MAX_STEPS:
-        cum = s + np.cumsum(spec.increment_sampler(ds, rng, _PASSAGE_BLOCK))
-        j = int(np.searchsorted(cum, t))
-        if j < _PASSAGE_BLOCK:
-            return (steps + j + 1) * ds
-        s, steps = cum[-1], steps + _PASSAGE_BLOCK
-    raise TruncationError("inverse subordinator failed to cross within step cap")
+    raise ConfigError("exact draws of D(t) need the subordinator's self_similarity or passage_cdf")
 
 
 def _invert_passage_cdf(spec: SubordinatorSpec, t: float, u: np.ndarray) -> np.ndarray:
@@ -706,7 +694,7 @@ def time_averaged_ratio(spec: SubordinatorSpec, tau: float, t: float):
         return np.asarray(spec.K_eval(lam)) * np.exp(-tau * np.asarray(spec.phi_eval(lam))) / lam
 
     m_rho = max(float(_talbot_gated(F, t, 1e-6 * t)), 0.0) / t
-    m_k = float(_k_integral(spec, np.array([t]))[0]) / t
+    m_k = normalization_N(spec, t) / t
     return m_rho, m_k, m_rho / m_k
 
 
@@ -720,7 +708,7 @@ def kernel_cell_masses(spec: SubordinatorSpec, dt: float, m: int) -> np.ndarray:
 
     Product integration over the first cell absorbs the k(0+) singularity.
     """
-    prims = _k_integral(spec, dt * np.arange(m + 1))
+    prims = normalization_N(spec, dt * np.arange(m + 1))
     return np.diff(prims)
 
 

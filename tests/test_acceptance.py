@@ -207,7 +207,7 @@ def test_criterion_06_inverse_subordinator(stable):
     mean_target = 2.0 / np.sqrt(np.pi)
     se = draws.std(ddof=1) / np.sqrt(n)
     mean_gap = abs(draws.mean() - mean_target)
-    mean_ok = mean_gap < 3 * se + ds  # O(ds) grid first-passage bias
+    mean_ok = mean_gap < 3 * se + ds  # the draws are exact; the ds slack is kept as written
     # closed-form CDF of D(1) = |N(0, sqrt 2)|
     ks = stats.kstest(draws, lambda x: special.erf(x / 2.0)).statistic
     ok = mean_ok and ks < 0.02

@@ -52,6 +52,10 @@ def test_single_path_and_single_draw_helpers_are_gone(module, name):
     (grids, "field_to_csv"),
     (green, "cl_norm"),
     (simulate.OccupationHistogram, "integrate"),
+    (subordinate, "_grid_first_passage"),
+    (subordinate, "_MAX_STEPS"),
+    (subordinate, "_PASSAGE_BLOCK"),
+    (subordinate, "_k_integral"),
 ])
 def test_field_io_declared_norms_and_histogram_integral_are_gone(owner, name):
     with pytest.raises(AttributeError):

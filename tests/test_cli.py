@@ -201,22 +201,6 @@ def test_renorm_curve_run_and_manifest_rerun(tmp_path):
     assert (tmp_path / "second" / "rc_renorm_curve.csv").read_bytes() == first
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, "mc", experiment="mc-potential",
-                    kernel={"family": "gaussian", "dim": 3},
-                    mc={"n": 100, "seed": 1},
-                    horizons={"T": 5.0},
-                    output="ov")
-    assert run_cli(["run", cfg, "--out", tmp_path / "base"]) == 0
-    monkeypatch.setenv("GREENWALK_SEED", "2")
-    assert run_cli(["run", cfg, "--out", tmp_path / "env"]) == 0
-    base = (tmp_path / "base" / "ov_mc_potential.csv").read_text()
-    env = (tmp_path / "env" / "ov_mc_potential.csv").read_text()
-    assert base != env
-    manifest = json.loads((tmp_path / "env" / "ov_manifest.json").read_text())
-    assert manifest["mc"]["seed"] == 2
-
-
 def test_subordinator_check_run(tmp_path):
     cfg = write_cfg(tmp_path, "sub", experiment="subordinator-check",
                     subordinator={"family": "stable", "params": {"alpha": 0.5}},

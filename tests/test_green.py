@@ -89,10 +89,17 @@ def test_cl_function_with_neither_evaluator_nor_samples_raises(k3):
     f = CLFunction()
     with pytest.raises(MissingNormsError, match="neither evaluator nor samples"):
         f.values_at(np.zeros((1, 3)))
-    with pytest.raises(MissingNormsError):
+    with pytest.raises(MissingNormsError, match="neither evaluator nor samples"):
         f.samples_on(SMALL_GRID3)
     with pytest.raises(MissingNormsError):
         potential_field(k3, f, SMALL_GRID3)
+
+
+def test_cl_function_with_samples_on_another_grid_and_no_evaluator_raises(k3):
+    f = cl_from_grid(cl_from_kernel(k3).samples_on(SMALL_GRID3))
+    assert f.samples_on(SMALL_GRID3) is f.grid_samples
+    with pytest.raises(MissingNormsError, match="samples on another grid and no evaluator"):
+        f.samples_on(GridSpec(3, 8, 4.0))
 
 
 def test_potential_field_of_a_bare_evaluator_equals_the_kernel_cl_function(k3):

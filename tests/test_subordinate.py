@@ -21,14 +21,16 @@ from scipy import integrate, special, stats
 from scipy.optimize import elementwise
 
 import greenwalk.subordinate as subordinate
-from greenwalk.errors import InversionInstabilityError, TruncationError
-from greenwalk.green import cl_from_kernel
+from greenwalk.errors import ConfigError, InversionInstabilityError, TruncationError
+from greenwalk.green import cl_from_kernel, evolve_semigroup, green_regular_fourier, green_regular_series, potential
 from greenwalk.grids import GridSpec
 from greenwalk.kernels import make_gaussian_kernel
 from greenwalk.renorm import _horizon, mc_time_changed_expectation, normalization_N, subordinated_solution
+from greenwalk.renorm import renormalized_green_histogram
+from greenwalk.simulate import BinSpec, average_random_green_measure, empirical_random_green_measure
+from greenwalk.simulate import mc_expectation, mc_truncated_potential
 from greenwalk.subordinate import (
     SubordinatorSpec,
-    _k_integral,
     _mixture_weights,
     _stable_clipped_mean,
     check_H,
@@ -83,7 +85,9 @@ def test_spec_json_dict(stable):
 
 
 _K1 = make_gaussian_kernel(1)
+_K3 = make_gaussian_kernel(3)
 _HALF = make_stable_subordinator(0.5)
+_BINS1 = BinSpec.cube(4.0, 8, 1)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -98,8 +102,24 @@ _HALF = make_stable_subordinator(0.5)
     (lambda: check_admissible(_HALF, s0=np.nan), "s0"),
     (lambda: sample_inverse_many(_HALF, np.nan, 1e-3, 5, seed=0), "t"),
     (lambda: mc_time_changed_expectation(_K1, _HALF, cl_from_kernel(_K1), [0.0], np.nan, 10, seed=0), "t"),
+    (lambda: mc_time_changed_expectation(_K1, _HALF, cl_from_kernel(_K1), [0.0], np.inf, 10, seed=0), "t"),
+    (lambda: green_regular_series(_K3, GridSpec(3, 64, 16.0), np.nan), "lambda"),
+    (lambda: green_regular_fourier(_K3, 0.0, np.nan), "lambda"),
+    (lambda: green_regular_fourier(_K3, [np.nan, 0.0, 0.0], 0.0), "x"),
+    (lambda: potential(_K3, cl_from_kernel(_K3), [np.nan, 0.0, 0.0], GridSpec(3, 16, 8.0)), "x"),
+    (lambda: mc_truncated_potential(_K1, cl_from_kernel(_K1), [0.0], np.nan, 10, seed=0), "T"),
+    (lambda: mc_truncated_potential(_K1, cl_from_kernel(_K1), [0.0], np.inf, 10, seed=0), "T"),
+    (lambda: average_random_green_measure(_K1, [0.0], np.nan, _BINS1, 10, seed=0), "T"),
+    (lambda: empirical_random_green_measure(_K1, [0.0], np.nan, _BINS1, np.random.default_rng(0)), "T"),
+    (lambda: empirical_random_green_measure(_K1, [0.0], np.inf, _BINS1, np.random.default_rng(0)), "T"),
+    (lambda: renormalized_green_histogram(_K1, _HALF, [0.0], np.inf, _BINS1, 10, seed=0), "T"),
+    (lambda: mc_expectation(_K1, cl_from_kernel(_K1), [0.0], np.nan, 10, seed=0), "t"),
+    (lambda: evolve_semigroup(_K1, cl_from_kernel(_K1).samples_on(GridSpec(1, 64, 8.0)), np.nan), "t"),
 ], ids=["gamma-a-nan", "gamma-a-inf", "N-T-nan", "rho-t-nan", "rho-tau-nan", "subsol-t-nan", "ratio-tau-nan",
-        "ratio-t-nan", "admissible-s0-nan", "inverse-t-nan", "mc-t-nan"])
+        "ratio-t-nan", "admissible-s0-nan", "inverse-t-nan", "mc-t-nan", "mc-t-inf", "series-lam-nan",
+        "fourier-lam-nan", "fourier-x-nan", "potential-x-nan", "truncated-T-nan", "truncated-T-inf",
+        "average-T-nan", "empirical-T-nan", "empirical-T-inf", "histogram-T-inf", "expectation-t-nan",
+        "semigroup-t-nan"])
 def test_nan_and_inf_inputs_raise_value_error(call, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call()
@@ -311,21 +331,19 @@ def test_gamma_inverse_draws_do_not_depend_on_ds(gamma):
     np.testing.assert_array_equal(coarse, fine)
 
 
-def test_grid_first_passage_without_passage_cdf(gamma):
-    # a spec with neither self_similarity nor passage_cdf keeps grid first passage
-    ds, exact = 1e-2, 1.4812038045152895
-    draws = sample_inverse_many(dataclasses.replace(gamma, passage_cdf=None), 1.0, ds, 400, seed=14)
-    np.testing.assert_allclose(draws / ds, np.round(draws / ds), rtol=0, atol=1e-9)
-    assert np.all(draws >= ds)
-    se = draws.std(ddof=1) / np.sqrt(draws.size)
-    assert abs(draws.mean() - exact) < ds + 5 * se
+def test_a_spec_without_an_exact_draw_is_refused(gamma):
+    # neither self_similarity nor passage_cdf: no exact route to D(t), and no inexact one
+    bare = dataclasses.replace(gamma, passage_cdf=None, passage_sf=None)
+    with pytest.raises(ConfigError, match="self_similarity or passage_cdf"):
+        sample_inverse_many(bare, 1.0, 1e-3, 10, seed=14)
+    with pytest.raises(ConfigError, match="self_similarity or passage_cdf"):
+        mc_time_changed_expectation(_K1, bare, cl_from_kernel(_K1), [0.0], 1.0, 10, seed=14)
 
 
-def test_grid_first_passage_raises_past_the_step_cap(gamma, monkeypatch):
-    # past the cap S has run about 8192 steps of 1e-3, mean 8.2, far below t = 1e3
-    monkeypatch.setattr(subordinate, "_MAX_STEPS", 4096)
-    with pytest.raises(TruncationError):
-        sample_inverse_many(dataclasses.replace(gamma, passage_cdf=None), 1e3, 1e-3, 2, seed=1)
+def test_inverse_draws_ignore_ds(gamma):
+    # ds is kept for positional callers only and is neither read nor checked
+    np.testing.assert_array_equal(sample_inverse_many(gamma, 1.0, None, 50, seed=15),
+                                  sample_inverse_many(gamma, 1.0, -1.0, 50, seed=15))
 
 
 @pytest.mark.parametrize("ab", [(2.0, 0.5), (1.0, 1.0)])
@@ -814,19 +832,19 @@ def _no_primitive(spec):
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
 def test_k_integral_inversion_matches_the_stable_primitive(alpha):
     spec, ts = make_stable_subordinator(alpha), np.geomspace(1e-6, 1e8, 29)
-    np.testing.assert_allclose(_k_integral(_no_primitive(spec), ts), spec.k_primitive(ts), rtol=1e-11, atol=0)
+    np.testing.assert_allclose(normalization_N(_no_primitive(spec), ts), spec.k_primitive(ts), rtol=1e-11, atol=0)
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.5)])
 def test_k_integral_inversion_matches_the_gamma_primitive(a, b):
     spec, ts = make_gamma_subordinator(a, b), np.geomspace(1e-6, 1e3, 19)
-    np.testing.assert_allclose(_k_integral(_no_primitive(spec), ts), spec.k_primitive(ts), rtol=1e-10, atol=0)
+    np.testing.assert_allclose(normalization_N(_no_primitive(spec), ts), spec.k_primitive(ts), rtol=1e-10, atol=0)
 
 
 def test_k_integral_inversion_is_exactly_zero_at_zero(gamma):
     spec = _no_primitive(gamma)
-    assert _k_integral(spec, 0.0) == 0.0
-    prims = _k_integral(spec, np.array([0.0, 1.0]))
+    assert normalization_N(spec, 0.0) == 0.0
+    prims = normalization_N(spec, np.array([0.0, 1.0]))
     assert prims[0] == 0.0 and prims[1] == pytest.approx(float(gamma.k_primitive(1.0)), rel=1e-10)
 
 
@@ -843,7 +861,21 @@ def test_cell_masses_without_a_primitive_match_the_closed_form(spec, dt, m):
 def test_k_integral_inversion_raises_where_the_orders_disagree():
     # for gamma (2, 0.5) at t = 1e8 the orders 16 and 24 differ by 6.5e-7 of N
     with pytest.raises(InversionInstabilityError, match=r"t = 1e\+08 \(1 of 2 times fail\)"):
-        _k_integral(_no_primitive(make_gamma_subordinator(2.0, 0.5)), np.array([1.0, 1e8]))
+        normalization_N(_no_primitive(make_gamma_subordinator(2.0, 0.5)), np.array([1.0, 1e8]))
+
+
+@pytest.mark.parametrize("spec", [make_stable_subordinator(0.3), make_stable_subordinator(0.5),
+                                  make_stable_subordinator(0.7), make_gamma_subordinator(1.0, 1.0)],
+                         ids=["stable0.3", "stable0.5", "stable0.7", "gamma1-1"])
+def test_normalization_of_an_array_equals_its_scalar_calls(spec):
+    # one call for the curve's seven T, and 1,000 random T, give the per-T values bit for bit
+    for ts in (np.array([1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]), np.random.default_rng(16).uniform(0.0, 50.0, 1000)):
+        one = [normalization_N(spec, t) for t in ts]
+        assert all(type(v) is float for v in one)
+        np.testing.assert_array_equal(normalization_N(spec, ts), one)
+    assert normalization_N(spec, 0.0) == 0.0 and type(normalization_N(spec, 0.0)) is float
+    with pytest.raises(ValueError, match=r"\bT\b"):
+        normalization_N(spec, np.array([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.5)])
