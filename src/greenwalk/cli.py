@@ -312,8 +312,7 @@ def _exp_gfd(inp):
     m = int(round(T / dt))
     t_grid = dt * np.arange(m + 1)
     masses = kernel_cell_masses(inp.spec, dt, m)
-    k_vals = np.concatenate(([0.0], np.asarray(inp.spec.k_eval(t_grid[1:]), dtype=float)))
-    vals = gfd_apply(k_vals, t_grid ** inp.tol.get("power", 1.0), dt, cell_masses=masses)
+    vals = gfd_apply(None, t_grid ** inp.tol.get("power", 1.0), dt, cell_masses=masses)
     return inp.write_csv("gfd", ["t", "gfd"], zip(t_grid[1:m], vals))
 
 
@@ -326,9 +325,8 @@ def _exp_subordinate_solve(inp):
 def _exp_renorm_curve(inp):
     T_grid = inp.horizons.get("T_grid", [2.0**j for j in range(9, 22, 2)])
     curve = renormalized_potential_curve(inp.kernel, inp.spec, inp.f, inp.x, np.asarray(T_grid, float), inp.grid)
-    path = Path(f"{inp.prefix}_renorm_curve.csv")
-    curve.write_csv(path)
-    return [path]
+    rows = zip(curve.T_grid, curve.N_values, curve.values, [curve.target] * curve.values.size, curve.rel_gaps)
+    return inp.write_csv("renorm_curve", ["T", "N", "value", "target", "rel_gap"], rows)
 
 
 def _exp_renorm_histogram(inp):

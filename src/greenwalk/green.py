@@ -121,7 +121,8 @@ class _RateClasses:
 
     Grid modes whose symbol a_hat rounds to one multiple of _RATE_QUANTUM form
     a class; weights sums f's phased spectrum over it, rates = 1 - a_hat.  An
-    aliased symbol above 1 + _SYMBOL_EXCESS raises AliasingError.  The sum runs over
+    aliased symbol above 1 + _SYMBOL_EXCESS raises AliasingError, and an x that is not
+    finite or not in [-L, L)^d a ValueError, as the periodic sum would wrap it.  The sum runs over
     the rfftn half: a mode strictly inside it also stands for its conjugate (same a_hat,
     conjugate weight) and counts twice; the planes k_last = 0 and N/2 count once.
     """
@@ -131,7 +132,9 @@ class _RateClasses:
 
     @classmethod
     def build(cls, kernel: JumpKernel, f: FieldGrid, x) -> "_RateClasses":
-        grid = f.grid
+        grid, x = f.grid, np.atleast_1d(np.asarray(x, dtype=float))
+        if not np.all((x >= -grid.half_width) & (x < grid.half_width)):
+            raise ValueError(f"x = {x} must be finite and inside the box [-L, L)^d")
         a_hat = spectral_density(kernel, grid)
         excess = float(a_hat.max()) - 1.0
         if excess > _SYMBOL_EXCESS:
@@ -139,7 +142,7 @@ class _RateClasses:
                 f"sampled symbol exceeds 1 by {excess:.3e} on this grid: the density is "
                 "undersampled, so 1 - a_hat would be a negative decay rate"
             )
-        n, x = grid.points_per_axis, np.atleast_1d(np.asarray(x, dtype=float))
+        n = grid.points_per_axis
         k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
         # the Nyquist index stands for both signs of pi/h, so its phase factor
         # e^{-i pi x/h} becomes cos(pi x/h), the real sum over the full layout

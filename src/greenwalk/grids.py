@@ -85,7 +85,7 @@ class GridSpec:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dim,):
             raise ValueError(f"point has wrong dimension {x.shape} for d={self.dim}")
-        if np.any(x < -self.half_width) or np.any(x >= self.half_width):
+        if not np.all((x >= -self.half_width) & (x < self.half_width)):
             raise ValueError(f"point {x} outside the box [-L, L)^d")
         idx = np.rint((x + self.half_width) / self.spacing).astype(int) % self.points_per_axis
         return tuple(idx)
@@ -120,13 +120,13 @@ class FieldGrid:
     def values_at(self, points) -> np.ndarray:
         """Multilinear interpolation at an (m, d) array of points inside the box.
 
-        Raises ValueError for a point outside [-L, L)^d.  Indices wrap
+        Raises ValueError for a point outside [-L, L)^d, NaN included.  Indices wrap
         periodically, so points in the last cell [L - h, L) interpolate
         against the cells at the lower edge.
         """
         g = self.grid
         points = np.asarray(points, dtype=float).reshape(-1, g.dim)
-        outside = np.any((points < -g.half_width) | (points >= g.half_width), axis=1)
+        outside = ~np.all((points >= -g.half_width) & (points < g.half_width), axis=1)
         if np.any(outside):
             raise ValueError(f"{np.count_nonzero(outside)} of {outside.size} points outside the box [-L, L)^d")
         pos = (points + g.half_width) / g.spacing

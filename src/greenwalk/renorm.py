@@ -8,8 +8,8 @@ dividing by N(T) = int_0^T k(s) ds it recovers the Green measure of X.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -18,8 +18,7 @@ from .errors import ConfigError, TruncationError
 from .green import CLFunction, _decay_exponent, _radial_value, _RateClasses, potential
 from .grids import GridSpec
 from .kernels import JumpKernel
-from .simulate import BinSpec, McEstimate, _Moments, _deposit, _end_values
-from .simulate import _histogram, _map_paths, _mc_reduce
+from .simulate import BinSpec, McEstimate, _mc_end_values, _mc_occupation
 from .subordinate import (
     SubordinatorSpec,
     _mixture_weights,
@@ -90,15 +89,13 @@ def mc_time_changed_expectation(
     Z(t) is then x plus the sum of N ~ Poisson(D) jumps down its own column,
     with paths ordered by N and no holding time drawn.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 samples")
+    if not (isinstance(n, Integral) and n >= 2):
+        raise ValueError("need an integer n >= 2 samples")
     if not 0 <= t < np.inf:
         raise ValueError("t must be finite and >= 0")
-    if t == 0:
-        return McEstimate(f.value_at(x), 0.0, n, seed)
     rng = np.random.default_rng(seed)
-    d_draws = sample_inverse_many(spec, t, None, n, seed=int(rng.integers(2**63)))
-    return _mc_reduce(*_end_values(kernel, f, x, d_draws, rng), seed, time_change=spec.to_json_dict())
+    d_draws = sample_inverse_many(spec, t, None, n, seed=int(rng.integers(2**63))) if t > 0 else np.zeros(n)
+    return _mc_end_values(kernel, f, x, d_draws, rng, seed, time_change=spec.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +127,6 @@ class RenormCurve:
     @property
     def rel_gaps(self) -> np.ndarray:
         return np.abs(self.values / self.target - 1.0)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["T", "N", "value", "target", "rel_gap"])
-            for T, N, v, g in zip(self.T_grid, self.N_values, self.values, self.rel_gaps):
-                w.writerow([repr(float(T)), repr(float(N)), repr(float(v)),
-                            repr(float(self.target)), repr(float(g))])
 
 
 def _horizon(clipped_mean, T: float) -> float:
@@ -248,11 +237,10 @@ def renormalized_green_histogram(
     """
     if not 0 < T < np.inf:
         raise ValueError("T must be finite and positive")
-    if n < 2:
-        raise ValueError("need n >= 2 replicas")
+    if not (isinstance(n, Integral) and n >= 2):
+        raise ValueError("need an integer n >= 2 replicas")
     if method not in ("conditional", "raw"):
         raise ValueError(f"unknown method {method!r}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     if spec.clipped_mean is None:
         raise ConfigError("the subordinator has no clipped mean E[S(tau) ^ T]")
     clipped_mean = spec.clipped_mean
@@ -260,7 +248,7 @@ def renormalized_green_histogram(
     N_T = normalization_N(spec, T)
     tau_stop = _horizon(clipped_mean, T)
 
-    def consume(c):
+    def weights(c):
         # clipped S at the end of each interval, summed down each path's column;
         # the increments drawn for padded rows (duration 0) must add exactly 0
         if method == "raw":
@@ -268,13 +256,10 @@ def renormalized_green_histogram(
             clipped = np.minimum(np.cumsum(np.where(c.durations > 0, steps, 0.0), axis=0), T)
         else:
             clipped = clipped_mean(T, np.cumsum(c.durations, axis=0))
-        rows = _deposit(bins, c, np.diff(clipped, axis=0, prepend=0.0) / N_T)
         # the time a path has left after tau* counts as escaped
-        rows[:, -1] += (T - clipped[-1]) / N_T
-        return _Moments.of(rows)
+        return np.diff(clipped, axis=0, prepend=0.0) / N_T, (T - clipped[-1]) / N_T
 
-    parts, _ = _map_paths(kernel, x, tau_stop, n, rng, consume, int(np.prod(bins.shape)))
-    return _histogram(bins, parts, T)
+    return _mc_occupation(kernel, x, tau_stop, bins, n, rng, weights, T)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +310,7 @@ def fke_residual(
     v = np.concatenate(([np.sum(w_class)], np.einsum("ij,j->i", weights, w_class)))
     lv = np.concatenate(([np.sum(lw_class)], np.einsum("ij,j->i", weights, lw_class)))
     masses = kernel_cell_masses(spec, dt, m)
-    k_vals = np.concatenate(([0.0], np.asarray(spec.k_eval(t_grid[1:]), dtype=float)))
-    dv = gfd_apply(k_vals, v, dt, cell_masses=masses)  # values at t_1 .. t_{m-1}
+    dv = gfd_apply(None, v, dt, cell_masses=masses)  # values at t_1 .. t_{m-1}
     resid = np.abs(dv - lv[1:m])
     keep = t_grid[1:m] >= max(t_min, t_grid[2])
     return float(np.max(resid[keep]))

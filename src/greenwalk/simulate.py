@@ -13,6 +13,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -207,6 +208,8 @@ def _map_paths(kernel: JumpKernel, x, h: float, n: int, rng, consume, row_width:
     a chunk of nearly equal counts pads almost no rows.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x = {x} must be finite")
     return _map_chunks(
         kernel, rng.poisson(h, n), x.size, row_width, rng,
         lambda counts, stream: consume(_build_chunk(kernel, x, h, counts, stream)),
@@ -219,27 +222,31 @@ def mc_expectation(
     """Sample mean of f(X(t)) over n independent paths."""
     if not 0 <= t < np.inf:
         raise ValueError("t must be finite and >= 0")
-    if n < 2:
-        raise ValueError("need n >= 2 samples")
-    if t == 0:
-        return McEstimate(f.value_at(x), 0.0, n, seed)
+    if not (isinstance(n, Integral) and n >= 2):
+        raise ValueError("need an integer n >= 2 samples")
     rng = np.random.default_rng(seed)
-    return _mc_reduce(*_end_values(kernel, f, x, np.full(n, float(t)), rng), seed)
+    return _mc_end_values(kernel, f, x, np.full(n, float(t)), rng, seed)
 
 
-def _end_values(kernel: JumpKernel, f: CLFunction, x, horizons, rng):
-    """f(X(h)) for one path per horizon h, per chunk: x plus its N ~ Poisson(h) jumps.
+def _mc_end_values(kernel: JumpKernel, f: CLFunction, x, horizons, rng, seed: int, **extra) -> McEstimate:
+    """Mean of f(X(h)) over one path per horizon h: x plus its N ~ Poisson(h) jumps.
 
-    No holding time is drawn and no row is padded: np.add.reduceat sums each path's own jumps.
+    No holding time is drawn and no row is padded: np.add.reduceat sums each
+    path's own jumps.  extra and the chunk plan go to McEstimate.extra; when
+    every horizon is 0 the estimate is f(x) exactly, with no chunk plan.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x = {x} must be finite")
+    if not np.any(horizons):
+        return McEstimate(f.value_at(x), 0.0, horizons.size, seed, extra)
 
     def ends(counts, stream):
         out, moved = np.tile(x, (counts.size, 1)), np.searchsorted(counts, 1)  # zero-count paths lead and stay at x
         out[moved:] += np.add.reduceat(kernel.sampler(stream, int(counts.sum())), (np.cumsum(counts) - counts)[moved:])
         return f.values_at(_finite(out))
 
-    return _map_chunks(kernel, rng.poisson(horizons), x.size, 0, rng, ends, padded=False)
+    return _mc_reduce(*_map_chunks(kernel, rng.poisson(horizons), x.size, 0, rng, ends, padded=False), seed, **extra)
 
 
 def mc_truncated_potential(
@@ -252,8 +259,8 @@ def mc_truncated_potential(
     """
     if not 0 < T < np.inf:
         raise ValueError("T must be finite and positive")
-    if n < 2:
-        raise ValueError("need n >= 2 samples")
+    if not (isinstance(n, Integral) and n >= 2):
+        raise ValueError("need an integer n >= 2 samples")
     rng = np.random.default_rng(seed)
 
     def consume(c):
@@ -333,19 +340,27 @@ class OccupationHistogram:
         return float(self.masses.sum() + self.escaped)
 
 
-def _deposit(bins: BinSpec, chunk: _PathChunk, weights: np.ndarray) -> np.ndarray:
-    """Per-path bin masses of weights laid out as the durations, (n_paths, n_bins + 1); the last is outside."""
-    n_cols, n = int(np.prod(bins.shape)) + 1, chunk.n_paths
-    idx = bins.flat_index(chunk.points()).reshape(-1, n)
-    idx[idx < 0] = n_cols - 1
-    idx += np.arange(n) * n_cols
-    return np.bincount(idx.ravel(), weights.ravel(), minlength=n * n_cols).reshape(n, n_cols)
+def _mc_occupation(kernel: JumpKernel, x, h: float, bins: BinSpec, n: int, rng, weights, horizon: float):
+    """(mean histogram, per-bin standard error) of the occupation of n paths on [0, h].
 
+    weights(chunk) gives (deposit, escaped): each state's deposit, laid out as the
+    chunk's durations, and each path's mass that escaped after h.  A path's row
+    holds its deposit per bin and, last, its deposit outside the box plus its
+    escaped mass; the rows of a chunk are reduced to _Moments and merged.
+    """
+    n_cols = int(np.prod(bins.shape)) + 1
 
-def _histogram(bins: BinSpec, parts: list, horizon: float):
-    """(mean histogram, per-bin standard error) from per-chunk _Moments of rows laid out as by _deposit."""
+    def consume(c):
+        deposit, escaped = weights(c)
+        idx = bins.flat_index(c.points()).reshape(-1, c.n_paths)
+        idx[idx < 0] = n_cols - 1
+        idx += np.arange(c.n_paths) * n_cols
+        rows = np.bincount(idx.ravel(), deposit.ravel(), minlength=c.n_paths * n_cols).reshape(c.n_paths, n_cols)
+        rows[:, -1] += escaped
+        return _Moments.of(rows)
+
     acc = _Moments()
-    for part in parts:
+    for part in _map_paths(kernel, x, h, n, rng, consume, n_cols - 1)[0]:
         acc.merge(part)
     mean, stderr = acc.mean[:-1].reshape(bins.shape), acc.stderr()[:-1].reshape(bins.shape)
     return OccupationHistogram(bins, mean, float(acc.mean[-1]), horizon), stderr
@@ -364,11 +379,7 @@ def empirical_random_green_measure(
     """Occupation measure of a single path: durations deposited per bin."""
     if not 0 < T < np.inf:
         raise ValueError("T must be finite and positive")
-    (row,), _ = _map_paths(
-        kernel, _start_in_box(bins, x), float(T), 1, rng,
-        lambda c: _deposit(bins, c, c.durations)[0], int(np.prod(bins.shape)),
-    )
-    return OccupationHistogram(bins, row[:-1].reshape(bins.shape), float(row[-1]), T)
+    return _mc_occupation(kernel, _start_in_box(bins, x), float(T), bins, 1, rng, lambda c: (c.durations, 0.0), T)[0]
 
 
 def average_random_green_measure(
@@ -380,12 +391,8 @@ def average_random_green_measure(
     """
     if not 0 < T < np.inf:
         raise ValueError("T must be finite and positive")
-    if n < 2:
-        raise ValueError("need n >= 2 samples")
+    if not (isinstance(n, Integral) and n >= 2):
+        raise ValueError("need an integer n >= 2 samples")
     x = _start_in_box(bins, x)
     rng = np.random.default_rng(seed)
-    parts, _ = _map_paths(
-        kernel, x, float(T), n, rng,
-        lambda c: _Moments.of(_deposit(bins, c, c.mean_durations())), int(np.prod(bins.shape)),
-    )
-    return _histogram(bins, parts, T)
+    return _mc_occupation(kernel, x, float(T), bins, n, rng, lambda c: (c.mean_durations(), 0.0), T)

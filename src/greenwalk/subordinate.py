@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -447,8 +448,10 @@ def sample_inverse_many(spec: SubordinatorSpec, t: float, ds, n: int, seed: int)
     capability gets a ConfigError.  ds is not read: it stays only because
     callers, the benchmark among them, pass it positionally.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError("t must be finite and positive")
+    if not (isinstance(n, Integral) and n >= 0):
+        raise ValueError("need an integer n >= 0 draws")
     rng = np.random.default_rng(seed)
     if spec.self_similarity is not None:
         return (t / spec.increment_sampler(1.0, rng, n)) ** spec.self_similarity
@@ -687,8 +690,8 @@ def time_averaged_ratio(spec: SubordinatorSpec, tau: float, t: float):
     through _talbot_gated, gated at 1e-6 t like rho_density's 1e-6 per unit time.
     The ratio tends to 1 as t grows for admissible kernels.
     """
-    if not (t > 0 and tau >= 0):
-        raise ValueError("need t > 0 and tau >= 0")
+    if not (0 < t < np.inf and tau >= 0):
+        raise ValueError("need a finite t > 0 and tau >= 0")
 
     def F(lam):
         return np.asarray(spec.K_eval(lam)) * np.exp(-tau * np.asarray(spec.phi_eval(lam))) / lam
@@ -708,36 +711,29 @@ def kernel_cell_masses(spec: SubordinatorSpec, dt: float, m: int) -> np.ndarray:
 
     Product integration over the first cell absorbs the k(0+) singularity.
     """
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be finite and positive")
     prims = normalization_N(spec, dt * np.arange(m + 1))
     return np.diff(prims)
 
 
-def gfd_apply(
-    k_samples: np.ndarray,
-    f_samples: np.ndarray,
-    dt: float,
-    cell_masses: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def gfd_apply(k_samples, f_samples: np.ndarray, dt: float, *, cell_masses: np.ndarray) -> np.ndarray:
     """Generalized fractional derivative d/dt (k*f) - k(t) f(0) on a uniform grid.
 
-    k_samples holds k(t_i) for i = 0..m (only used to form trapezoid cell
-    masses when exact cell_masses are absent); f_samples holds f(t_i).
+    f_samples holds f(t_i) for i = 0..m and cell_masses the m exact cell
+    integrals of k (kernel_cell_masses).  k_samples is not read: it stays only
+    because callers, the benchmark among them, pass it positionally.
     Working with g = f - f(0) folds the boundary term into the convolution,
     so constants map to exactly zero.  The convolution uses midpoint product
     integration with per-cell masses; returns values at t_1 .. t_{m-1} with
     first-order convergence or better as dt shrinks.
     """
-    k_samples = np.asarray(k_samples, dtype=float)
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be finite and positive")
     f_samples = np.asarray(f_samples, dtype=float)
-    if k_samples.shape != f_samples.shape:
-        raise ValueError("k_samples and f_samples must share the uniform grid")
     m = f_samples.size - 1
     if m < 2:
         raise ValueError("need at least three grid points")
-    if cell_masses is None:
-        if not np.all(np.isfinite(k_samples)):
-            raise ValueError("k_samples has non-finite entries; supply cell_masses")
-        cell_masses = 0.5 * dt * (k_samples[:-1] + k_samples[1:])
     cell_masses = np.asarray(cell_masses, dtype=float)
     if cell_masses.shape != (m,):
         raise ValueError(f"cell_masses must have length {m}")

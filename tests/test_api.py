@@ -1,5 +1,6 @@
 """The public names of the package and of its modules."""
 
+import ast
 import dataclasses
 import inspect
 
@@ -76,3 +77,29 @@ def test_cl_function_has_no_declared_norms():
 ])
 def test_options_no_caller_sets_are_gone(fn, option):
     assert option not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize("owner, name", [
+    (renorm.RenormCurve, "write_csv"),
+    (simulate, "_histogram"),
+    (simulate, "_end_values"),
+    (simulate, "_deposit"),
+])
+def test_second_copies_of_the_engine_and_the_csv_writer_are_gone(owner, name):
+    with pytest.raises(AttributeError):
+        getattr(owner, name)
+
+
+def test_renorm_imports_only_the_two_engine_drivers():
+    # renorm reaches the path engine through simulate's end-value and occupation
+    # drivers, never through its chunk map, deposit or moment accumulator
+    tree = ast.parse(inspect.getsource(renorm))
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "simulate"
+             for a in node.names}
+    assert names == {"BinSpec", "McEstimate", "_mc_end_values", "_mc_occupation"}
+
+
+def test_gfd_needs_the_cell_masses():
+    params = inspect.signature(subordinate.gfd_apply).parameters
+    assert params["cell_masses"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert params["cell_masses"].default is inspect.Parameter.empty

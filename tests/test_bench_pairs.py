@@ -47,10 +47,10 @@ def _checkout(root: Path, side: str, wall_ref: float, success: float = 1.0, corr
     return d
 
 
-def _run(tmp_path, parent, change, pairs=3):
+def _run(tmp_path, parent, change, pairs=3, workload="timechange"):
     log = tmp_path / "calls.log"
     proc = subprocess.run(
-        [sys.executable, str(TOOL), str(parent), str(change), "--workload", "timechange",
+        [sys.executable, str(TOOL), str(parent), str(change), "--workload", workload,
          "--pairs", str(pairs), "--seed", "31", "--seconds", "0.5"],
         capture_output=True, text=True, env={"STUB_LOG": str(log), "PATH": "/usr/bin:/bin"},
     )
@@ -75,6 +75,22 @@ def test_pairs_alternate_and_summarize(tmp_path):
     assert "-37.88%" in rows["wall_ref"] and rows["wall_ref"].endswith("3/3")
     # higher is better for the success rate, which fell
     assert "-10.00%" in rows["op_success_rate"] and rows["op_success_rate"].endswith("0/3")
+
+
+def test_listed_workloads_run_in_each_pair_and_get_one_table_each(tmp_path):
+    parent = _checkout(tmp_path, "parent", 1.0)
+    change = _checkout(tmp_path, "change", 0.5)
+    proc, calls = _run(tmp_path, parent, change, pairs=2, workload="grid,paths")
+    assert proc.returncode == 0, proc.stderr
+    # each pair runs every workload in the order listed, each in that pair's side order
+    assert calls == [
+        "parent grid 31 0.5", "change grid 31 0.5", "parent paths 31 0.5", "change paths 31 0.5",
+        "change grid 32 0.5", "parent grid 32 0.5", "change paths 32 0.5", "parent paths 32 0.5",
+    ]
+    titles = [line.split(":")[0] for line in proc.stdout.splitlines() if "pair(s)" in line]
+    assert titles == ["grid", "paths"]
+    rows = [line for line in proc.stdout.splitlines() if line.startswith("wall_ref")]
+    assert len(rows) == 2 and all(r.endswith("2/2") for r in rows)
 
 
 def test_incorrect_run_fails(tmp_path):

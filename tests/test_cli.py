@@ -3,10 +3,16 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from greenwalk.cli import EXPERIMENTS, list_experiments, load_config, main
 from greenwalk.errors import ConfigError
+from greenwalk.green import cl_from_kernel
+from greenwalk.grids import GridSpec
+from greenwalk.kernels import make_gaussian_kernel
+from greenwalk.renorm import renormalized_potential_curve
+from greenwalk.subordinate import make_stable_subordinator
 
 
 def write_cfg(tmp_path, name, **body):
@@ -199,6 +205,20 @@ def test_renorm_curve_run_and_manifest_rerun(tmp_path):
     rerun_cfg.write_text(json.dumps(m))
     assert run_cli(["run", rerun_cfg, "--out", tmp_path / "second"]) == 0
     assert (tmp_path / "second" / "rc_renorm_curve.csv").read_bytes() == first
+
+
+def test_renorm_curve_csv(tmp_path):
+    # the curve goes through the one CSV writer: its header, then each T's
+    # row with every number as repr(float), as renormalized_potential_curve gives it
+    cfg = write_cfg(tmp_path, "rc", experiment="renorm-curve", subordinator={"family": "stable"},
+                    horizons={"T_grid": [512.0, 2048.0]}, output="rc")
+    assert run_cli(["run", cfg, "--out", tmp_path]) == 0
+    k3 = make_gaussian_kernel(3)
+    curve = renormalized_potential_curve(k3, make_stable_subordinator(0.5), cl_from_kernel(k3), (0.0, 0.0, 0.0),
+                                         np.array([512.0, 2048.0]), GridSpec(3, 64, 16.0))
+    rows = [",".join(repr(float(v)) for v in (T, N, value, curve.target, gap))
+            for T, N, value, gap in zip(curve.T_grid, curve.N_values, curve.values, curve.rel_gaps)]
+    assert (tmp_path / "rc_renorm_curve.csv").read_text().splitlines() == ["T,N,value,target,rel_gap", *rows]
 
 
 def test_subordinator_check_run(tmp_path):

@@ -74,9 +74,11 @@ def test_nearest_index_accepts_the_box_and_wraps():
         g.nearest_index([-4.2])
     with pytest.raises(ValueError, match="outside the box"):
         g.nearest_index([4.0])
+    with pytest.raises(ValueError, match="outside the box"):
+        g.nearest_index([np.nan])
 
 
-@pytest.mark.parametrize("x", [8.5, 4.0, -4.0 - 1e-12, 40.0])
+@pytest.mark.parametrize("x", [8.5, 4.0, -4.0 - 1e-12, 40.0, np.nan, np.inf])
 def test_values_at_raises_outside_the_box(x):
     # the box is [-4, 4); with periodic indices 8.5 would read f(0.5)
     g = GridSpec(2, 16, 4.0)

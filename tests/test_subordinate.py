@@ -25,7 +25,7 @@ from greenwalk.errors import ConfigError, InversionInstabilityError, TruncationE
 from greenwalk.green import cl_from_kernel, evolve_semigroup, green_regular_fourier, green_regular_series, potential
 from greenwalk.grids import GridSpec
 from greenwalk.kernels import make_gaussian_kernel
-from greenwalk.renorm import _horizon, mc_time_changed_expectation, normalization_N, subordinated_solution
+from greenwalk.renorm import _horizon, fke_residual, mc_time_changed_expectation, normalization_N, subordinated_solution
 from greenwalk.renorm import renormalized_green_histogram
 from greenwalk.simulate import BinSpec, average_random_green_measure, empirical_random_green_measure
 from greenwalk.simulate import mc_expectation, mc_truncated_potential
@@ -88,6 +88,7 @@ _K1 = make_gaussian_kernel(1)
 _K3 = make_gaussian_kernel(3)
 _HALF = make_stable_subordinator(0.5)
 _BINS1 = BinSpec.cube(4.0, 8, 1)
+_GRID1 = GridSpec(1, 256, 20.0)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -115,11 +116,32 @@ _BINS1 = BinSpec.cube(4.0, 8, 1)
     (lambda: renormalized_green_histogram(_K1, _HALF, [0.0], np.inf, _BINS1, 10, seed=0), "T"),
     (lambda: mc_expectation(_K1, cl_from_kernel(_K1), [0.0], np.nan, 10, seed=0), "t"),
     (lambda: evolve_semigroup(_K1, cl_from_kernel(_K1).samples_on(GridSpec(1, 64, 8.0)), np.nan), "t"),
+    (lambda: subordinated_solution(_K1, _HALF, cl_from_kernel(_K1), [1e3], 1.0, grid=_GRID1), "x"),
+    (lambda: subordinated_solution(_K1, _HALF, cl_from_kernel(_K1), [np.nan], 1.0, grid=_GRID1), "x"),
+    (lambda: subordinated_solution(_K1, _HALF, cl_from_kernel(_K1), [np.inf], 1.0, grid=_GRID1), "x"),
+    (lambda: fke_residual(_K1, _HALF, cl_from_kernel(_K1), [np.nan], np.linspace(0.0, 1.0, 11), grid=_GRID1), "x"),
+    (lambda: sample_inverse_many(_HALF, np.inf, None, 5, 1), "t"),
+    (lambda: sample_inverse_many(_HALF, 1.0, None, -1, 1), "n"),
+    (lambda: sample_inverse_many(_HALF, 1.0, None, 2.5, 1), "n"),
+    (lambda: mc_expectation(_K1, cl_from_kernel(_K1), [0.0], 1.0, 2.5, seed=0), "n"),
+    (lambda: mc_time_changed_expectation(_K1, _HALF, cl_from_kernel(_K1), [0.0], 1.0, 2.5, seed=0), "n"),
+    (lambda: mc_expectation(_K1, cl_from_kernel(_K1), [np.nan], 1.0, 10, seed=0), "x"),
+    (lambda: mc_time_changed_expectation(_K1, _HALF, cl_from_kernel(_K1), [np.nan], 1.0, 10, seed=0), "x"),
+    (lambda: gfd_apply(None, [1.0, 2.0, 3.0, 4.0], -1.0, cell_masses=np.ones(3)), "dt"),
+    (lambda: gfd_apply(None, [1.0, 2.0, 3.0, 4.0], np.nan, cell_masses=np.ones(3)), "dt"),
+    (lambda: time_averaged_ratio(_HALF, 1.0, np.inf), "t"),
+    (lambda: kernel_cell_masses(_HALF, np.nan, 5), "dt"),
+    (lambda: mc_truncated_potential(_K1, cl_from_kernel(_K1), [np.nan], 5.0, 10, seed=0), "x"),
+    (lambda: mc_expectation(_K1, cl_from_kernel(_K1), [np.nan], 0.0, 10, seed=0), "x"),
 ], ids=["gamma-a-nan", "gamma-a-inf", "N-T-nan", "rho-t-nan", "rho-tau-nan", "subsol-t-nan", "ratio-tau-nan",
         "ratio-t-nan", "admissible-s0-nan", "inverse-t-nan", "mc-t-nan", "mc-t-inf", "series-lam-nan",
         "fourier-lam-nan", "fourier-x-nan", "potential-x-nan", "truncated-T-nan", "truncated-T-inf",
         "average-T-nan", "empirical-T-nan", "empirical-T-inf", "histogram-T-inf", "expectation-t-nan",
-        "semigroup-t-nan"])
+        "semigroup-t-nan", "subsol-x-outside", "subsol-x-nan", "subsol-x-inf", "fke-x-nan", "inverse-t-inf",
+        "inverse-n-negative", "inverse-n-fraction", "expectation-n-fraction", "mc-n-fraction", "expectation-x-nan",
+        "mc-x-nan", "gfd-dt-negative", "gfd-dt-nan", "ratio-t-inf", "cell-masses-dt-nan",
+        "truncated-x-nan", "expectation-x-nan-t0"])
+@pytest.mark.filterwarnings("error")
 def test_nan_and_inf_inputs_raise_value_error(call, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call()
@@ -768,6 +790,14 @@ def grid_and_kernel(spec, dt, T):
     with np.errstate(divide="ignore"):
         ks = np.asarray(spec.k_eval(np.maximum(ts, 1e-300)), dtype=float)
     return ts, ks, kernel_cell_masses(spec, dt, m)
+
+
+def test_gfd_reads_only_the_cell_masses(stable, gamma):
+    # k_samples is not read: None gives the same bits as k on the grid
+    for spec in (stable, gamma):
+        ts, ks, masses = grid_and_kernel(spec, 0.01, 1.0)
+        np.testing.assert_array_equal(gfd_apply(None, np.sqrt(ts), 0.01, cell_masses=masses),
+                                      gfd_apply(ks, np.sqrt(ts), 0.01, cell_masses=masses), strict=True)
 
 
 def test_gfd_of_constant_is_exactly_zero(stable):

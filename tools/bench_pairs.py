@@ -1,13 +1,15 @@
 """Paired benchmark runs of two checkouts, in alternating order.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload timechange --pairs 5 --seed 31 --seconds 12
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload grid,timechange,paths,generic-family
 
 Pair i (from 1) runs ``python3 perfbench/run.py --workload W --seed S+i-1
---seconds X`` once in each checkout: the parent first on odd pairs, the
-change first on even ones, so a drift of the machine's speed falls on both
-sides alike.  Only the last line of each run's standard output is read, as
-JSON.  For every end-to-end metric (the ``end_to_end`` list of the change's
-BENCHMARK.json, or every reported metric if it has none) the script prints
+--seconds X`` once in each checkout for every listed workload W, in the
+order given: the parent first on odd pairs, the change first on even ones,
+so a drift of the machine's speed falls on both sides alike.  Only the last
+line of each run's standard output is read, as JSON.  For every end-to-end
+metric (the ``end_to_end`` list of the change's BENCHMARK.json, or every
+reported metric if it has none) the script prints one table per workload:
 each side's median and quartiles, the relative change of the medians, and
 in how many pairs the change was better.  It exits 1 when a run fails
 (non-zero exit or no JSON last line) or reports ``"correct": false``.
@@ -79,38 +81,43 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="one workload, or several separated by commas")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i uses seed + i - 1")
     parser.add_argument("--seconds", type=float, default=12.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    workloads = [w for w in args.workload.split(",") if w]
+    if not workloads:
+        parser.error("--workload names no workload")
 
     dirs = {"parent": args.parent, "change": args.change}
-    runs = {side: [] for side in SIDES}
+    runs = {w: {side: [] for side in SIDES} for w in workloads}
     incorrect = []
     for i in range(1, args.pairs + 1):
         seed = args.seed + i - 1
-        for side in SIDES if i % 2 else SIDES[::-1]:
-            try:
-                result = run_once(dirs[side], args.workload, seed, args.seconds)
-            except RuntimeError as exc:
-                print(f"bench_pairs: {exc}", file=sys.stderr)
-                return 1
-            if result.get("correct") is not True:
-                incorrect.append(f"{side} (seed {seed})")
-            runs[side].append(result)
-            print(f"pair {i} seed {seed} {side}: "
-                  + ", ".join(f"{k}={v['value']:.6g}" for k, v in result.get("metrics", {}).items()))
+        for workload in workloads:
+            for side in SIDES if i % 2 else SIDES[::-1]:
+                try:
+                    result = run_once(dirs[side], workload, seed, args.seconds)
+                except RuntimeError as exc:
+                    print(f"bench_pairs: {exc}", file=sys.stderr)
+                    return 1
+                if result.get("correct") is not True:
+                    incorrect.append(f"{workload} {side} (seed {seed})")
+                runs[workload][side].append(result)
+                print(f"pair {i} seed {seed} {workload} {side}: "
+                      + ", ".join(f"{k}={v['value']:.6g}" for k, v in result.get("metrics", {}).items()))
 
-    print(f"\n{args.workload}: {args.pairs} pair(s), seeds {args.seed}-{args.seed + args.pairs - 1}, "
-          f"run_seconds {args.seconds:g}; median [q1-q3]")
-    print(f"{'metric':<18}{'parent':>34}{'change':>34}{'rel':>10}  better in")
-    better = directions(args.change, runs["change"][0].get("metrics", {}))
-    for name, pm, p1, p3, cm, c1, c3, rel, wins in summarize(runs, better):
-        print(f"{name:<18}{f'{pm:.6g} [{p1:.6g}-{p3:.6g}]':>34}{f'{cm:.6g} [{c1:.6g}-{c3:.6g}]':>34}"
-              f"{rel:>+10.2%}  {wins}/{args.pairs}")
+    for workload in workloads:
+        print(f"\n{workload}: {args.pairs} pair(s), seeds {args.seed}-{args.seed + args.pairs - 1}, "
+              f"run_seconds {args.seconds:g}; median [q1-q3]")
+        print(f"{'metric':<18}{'parent':>34}{'change':>34}{'rel':>10}  better in")
+        better = directions(args.change, runs[workload]["change"][0].get("metrics", {}))
+        for name, pm, p1, p3, cm, c1, c3, rel, wins in summarize(runs[workload], better):
+            print(f"{name:<18}{f'{pm:.6g} [{p1:.6g}-{p3:.6g}]':>34}{f'{cm:.6g} [{c1:.6g}-{c3:.6g}]':>34}"
+                  f"{rel:>+10.2%}  {wins}/{args.pairs}")
     if incorrect:
         print(f"bench_pairs: runs reported \"correct\": false: {', '.join(incorrect)}", file=sys.stderr)
         return 1
