@@ -14,6 +14,7 @@ from .errors import (
     DivergentGreenMeasureError,
     GreenwalkError,
     GridMismatchError,
+    InvalidInputError,
     InvalidKernelError,
     InversionInstabilityError,
     MissingNormsError,

@@ -1,8 +1,16 @@
-"""Exception hierarchy shared by all greenwalk modules."""
+"""Exception hierarchy shared by all greenwalk modules, and the one input gate that raises InvalidInputError."""
+
+from numbers import Integral
+
+import numpy as np
 
 
 class GreenwalkError(Exception):
     """Base class for all errors raised by greenwalk."""
+
+
+class InvalidInputError(GreenwalkError, ValueError):
+    """An argument lies outside the domain on which the quantity is defined."""
 
 
 class InvalidKernelError(GreenwalkError):
@@ -35,3 +43,15 @@ class MissingNormsError(GreenwalkError):
 
 class ConfigError(GreenwalkError):
     """An experiment configuration failed validation."""
+
+
+def _require(ok, name: str, requirement: str) -> None:
+    """Raise InvalidInputError("<name> must be <requirement>") unless ok holds everywhere; NaN must fail ok."""
+    if ok is not True and not np.all(ok):
+        raise InvalidInputError(f"{name} must be {requirement}")
+
+
+def _require_count(n, name: str, least: int) -> None:
+    """Raise InvalidInputError unless n is an integer >= least."""
+    if not (isinstance(n, Integral) and n >= least):
+        raise InvalidInputError(f"{name} must be an integer with {name} >= {least}")

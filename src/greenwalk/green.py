@@ -26,9 +26,10 @@ from .errors import (
     InvalidKernelError,
     MissingNormsError,
     TruncationError,
+    _require,
 )
 from .grids import FieldGrid, GridSpec, field_from_function, require_same_grid
-from .grids import _from_spectral, _half, _to_spectral
+from .grids import _finite_point, _from_spectral, _half, _to_spectral
 from .kernels import JumpKernel, sample_density, spectral_density
 
 
@@ -101,8 +102,7 @@ def apply_generator(kernel: JumpKernel, f: FieldGrid) -> FieldGrid:
 
 def evolve_semigroup(kernel: JumpKernel, f: FieldGrid, t: float) -> FieldGrid:
     """u(t,.) = e^{-t} sum_n (t^n/n!) a_n * f, summed exactly as e^{t (a_hat - 1)} f."""
-    if not 0 <= t < np.inf:
-        raise ValueError("t must be finite and >= 0")
+    _require(0 <= t < np.inf, "t", "finite and >= 0")
     if t == 0:
         return FieldGrid(f.grid, f.values.copy())
     a_hat = _half(spectral_density(kernel, f.grid))
@@ -122,7 +122,8 @@ class _RateClasses:
     Grid modes whose symbol a_hat rounds to one multiple of _RATE_QUANTUM form
     a class; weights sums f's phased spectrum over it, rates = 1 - a_hat.  An
     aliased symbol above 1 + _SYMBOL_EXCESS raises AliasingError, and an x that is not
-    finite or not in [-L, L)^d a ValueError, as the periodic sum would wrap it.  The sum runs over
+    finite or not in [-L, L)^d an InvalidInputError, as the periodic sum would wrap it.  f is
+    sampled on grid, or on its own samples' grid when grid is None.  The sum runs over
     the rfftn half: a mode strictly inside it also stands for its conjugate (same a_hat,
     conjugate weight) and counts twice; the planes k_last = 0 and N/2 count once.
     """
@@ -131,10 +132,11 @@ class _RateClasses:
     weights: np.ndarray
 
     @classmethod
-    def build(cls, kernel: JumpKernel, f: FieldGrid, x) -> "_RateClasses":
+    def build(cls, kernel: JumpKernel, f: CLFunction, x, grid: Optional[GridSpec] = None) -> "_RateClasses":
+        _require(grid is not None or f.grid_samples is not None, "grid", "given for an f without grid samples")
+        f = f.samples_on(f.grid_samples.grid if grid is None else grid)
         grid, x = f.grid, np.atleast_1d(np.asarray(x, dtype=float))
-        if not np.all((x >= -grid.half_width) & (x < grid.half_width)):
-            raise ValueError(f"x = {x} must be finite and inside the box [-L, L)^d")
+        _require((x >= -grid.half_width) & (x < grid.half_width), "x", "finite and inside the box [-L, L)^d")
         a_hat = spectral_density(kernel, grid)
         excess = float(a_hat.max()) - 1.0
         if excess > _SYMBOL_EXCESS:
@@ -226,8 +228,7 @@ def green_regular_series(kernel: JumpKernel, grid: GridSpec, lam: float) -> Reso
     R is bounded only when (A, alpha) is the kernel's true tail, so an InvalidKernelError
     names tail_params when R spreads by more than _TAIL_SPREAD over the three small k.
     """
-    if not lam >= 0:
-        raise ValueError("lambda must be >= 0")
+    _require(0 <= lam < np.inf, "lam", "finite and >= 0")
     if lam > 0:
         a_hat = _half(spectral_density(kernel, grid))
         vals = _from_spectral(grid, a_hat / (1.0 + lam - a_hat))
@@ -322,12 +323,11 @@ def _radial_value(kernel: JumpKernel, x, lam: float, multiplier) -> tuple[np.nda
     below _TAIL_FORM_K when the kernel's tail_params are known.
     multiplier may return (..., nodes), one integral per row.  Order-16
     Gauss-Legendre gives the value, its gap to order 8 the error estimate;
-    TruncationError when that gap exceeds _RADIAL_TOL of the value; ValueError for a non-finite x.
+    TruncationError when that gap exceeds _RADIAL_TOL of the value; InvalidInputError for a non-finite x.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    r = float(np.linalg.norm(x))
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(_finite_point(x)))
+    _require(r < np.inf, "x", "of finite length |x|")
     (k16, w16), (k8, w8) = (_radial_rule(_fourier_cutoff(kernel, lam), n) for n in (16, 8))
     k = np.concatenate((k16, k8))
     a_hat = np.asarray(kernel.fourier_radial(k), dtype=float)
@@ -358,8 +358,7 @@ def green_regular_fourier(kernel: JumpKernel, x, lam: float) -> float:
     when orders 16 and 8 disagree by more than _RADIAL_TOL, as they do for the
     3-D Gaussian beyond |x| of about 30.
     """
-    if not lam >= 0:
-        raise ValueError("lambda must be >= 0")
+    _require(0 <= lam < np.inf, "lam", "finite and >= 0")
     if lam == 0:
         _decay_exponent(kernel)
     value, _ = _radial_value(kernel, x, lam, lambda k, a_hat, gap: a_hat / (lam + gap))

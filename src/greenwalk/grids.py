@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, InvalidInputError, _require, _require_count
 
 
 @dataclass(frozen=True)
@@ -26,15 +26,12 @@ class GridSpec:
     half_width: float
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        _require_count(self.dim, "dim", 1)
         n = self.points_per_axis
-        if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError(f"points_per_axis must be a power of two >= 8, got {n}")
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
-        if n**self.dim > 64**3 * 8:
-            raise ValueError("grid exceeds the configured memory budget")
+        _require_count(n, "points_per_axis", 8)
+        _require(n & (n - 1) == 0, "points_per_axis", "a power of two")
+        _require(0 < self.half_width < np.inf, "half_width", "finite and positive")
+        _require(n**self.dim <= 64**3 * 8, "points_per_axis**dim", "at most 64**3 * 8, the memory budget")
 
     @property
     def spacing(self) -> float:
@@ -83,10 +80,8 @@ class GridSpec:
     def nearest_index(self, x) -> tuple[int, ...]:
         """Index of the node nearest x in the box [-L, L)^d; (L - h/2, L) wraps to -L."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            raise ValueError(f"point has wrong dimension {x.shape} for d={self.dim}")
-        if not np.all((x >= -self.half_width) & (x < self.half_width)):
-            raise ValueError(f"point {x} outside the box [-L, L)^d")
+        _require(x.shape == (self.dim,), "x", "a point with dim coordinates")
+        _require((x >= -self.half_width) & (x < self.half_width), "x", "inside the box [-L, L)^d")
         idx = np.rint((x + self.half_width) / self.spacing).astype(int) % self.points_per_axis
         return tuple(idx)
 
@@ -103,11 +98,8 @@ class FieldGrid:
         if self.values.shape == (self.grid.points_per_axis**self.grid.dim,):
             self.values = self.values.reshape(self.grid.shape)
         if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite values")
+            raise InvalidInputError(f"values shape {self.values.shape} does not match grid {self.grid.shape}")
+        _require(np.isfinite(self.values), "values", "finite")
 
     def integral(self) -> float:
         """Periodic trapezoidal integral (= cell volume times sum)."""
@@ -120,15 +112,13 @@ class FieldGrid:
     def values_at(self, points) -> np.ndarray:
         """Multilinear interpolation at an (m, d) array of points inside the box.
 
-        Raises ValueError for a point outside [-L, L)^d, NaN included.  Indices wrap
+        Raises InvalidInputError for a point outside [-L, L)^d, NaN included.  Indices wrap
         periodically, so points in the last cell [L - h, L) interpolate
         against the cells at the lower edge.
         """
         g = self.grid
         points = np.asarray(points, dtype=float).reshape(-1, g.dim)
-        outside = ~np.all((points >= -g.half_width) & (points < g.half_width), axis=1)
-        if np.any(outside):
-            raise ValueError(f"{np.count_nonzero(outside)} of {outside.size} points outside the box [-L, L)^d")
+        _require((points >= -g.half_width) & (points < g.half_width), "points", "inside the box [-L, L)^d")
         pos = (points + g.half_width) / g.spacing
         lo = np.floor(pos).astype(int)
         frac = pos - lo
@@ -145,6 +135,13 @@ class FieldGrid:
                     idx.append(lo[:, ax] % g.points_per_axis)
             out += w * self.values[tuple(idx)]
         return out
+
+
+def _finite_point(x) -> np.ndarray:
+    """x as a 1-d float array; InvalidInputError unless every coordinate is finite."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _require(np.isfinite(x), "x", "finite")
+    return x
 
 
 def require_same_grid(a: FieldGrid, b: FieldGrid) -> None:

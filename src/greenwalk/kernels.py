@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AliasingError, InvalidKernelError
+from .errors import AliasingError, InvalidKernelError, _require, _require_count
 from .grids import FieldGrid, GridSpec, _from_spectral, _half, field_from_function
 
 ALIASING_THRESHOLD = 1e-12
@@ -63,7 +63,8 @@ def make_gaussian_kernel(d: int) -> JumpKernel:
 
     def fourier(k):
         k = np.asarray(k, dtype=float)
-        return np.exp(-(k**2))
+        with np.errstate(over="ignore"):  # k^2 overflows beyond |k| ~ 1e154, where a_hat is 0
+            return np.exp(-(k**2))
 
     def symbol_gap(k):
         return -np.expm1(-np.asarray(k, dtype=float) ** 2)
@@ -170,8 +171,7 @@ def fit_small_k_expansion(
 
     Returns (A, alpha, max relative residual of the fit in log space).
     """
-    if not (0 < k_min < k_max):
-        raise ValueError("need 0 < k_min < k_max")
+    _require(0 < k_min < k_max < np.inf, "k_min, k_max", "finite with 0 < k_min < k_max")
     ks = np.geomspace(k_min, k_max, 64)
     drop = 1.0 - np.asarray(kernel.fourier_radial(ks), dtype=float)
     if np.any(drop <= 0):
@@ -226,8 +226,7 @@ def spectral_density(kernel: JumpKernel, grid: GridSpec) -> np.ndarray:
 
 def convolve_power(kernel: JumpKernel, n: int, grid: GridSpec) -> FieldGrid:
     """n-fold self-convolution a^{*n} sampled on the grid, via FFT."""
-    if n < 1:
-        raise ValueError("n must be >= 1 (the 0-fold convolution is a delta)")
+    _require_count(n, "n", 1)  # the 0-fold convolution is a delta
     if n == 1:
         return sample_density(kernel, grid)
     return FieldGrid(grid, _from_spectral(grid, _half(spectral_density(kernel, grid)) ** n))

@@ -9,14 +9,13 @@ dividing by N(T) = int_0^T k(s) ds it recovers the Green measure of X.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, TruncationError
+from .errors import ConfigError, InvalidInputError, TruncationError, _require, _require_count
 from .green import CLFunction, _decay_exponent, _radial_value, _RateClasses, potential
-from .grids import GridSpec
+from .grids import GridSpec, _finite_point
 from .kernels import JumpKernel
 from .simulate import BinSpec, McEstimate, _mc_end_values, _mc_occupation
 from .subordinate import (
@@ -62,13 +61,8 @@ def subordinated_solution(
     unstable value.
     """
     t = np.asarray(t, dtype=float)
-    if not np.all(t > 0):
-        raise ValueError("t must be positive")
-    if grid is None:
-        if f.grid_samples is None:
-            raise ValueError("pass a grid or use an f with grid samples")
-        grid = f.grid_samples.grid
-    u = _RateClasses.build(kernel, f.samples_on(grid), x)
+    _require((t > 0) & (t < np.inf), "t", "finite and positive")
+    u = _RateClasses.build(kernel, f, x, grid)
     v = _mixture_weights(spec, t, u.rates) @ u.weights
     return float(v) if v.ndim == 0 else v
 
@@ -89,10 +83,9 @@ def mc_time_changed_expectation(
     Z(t) is then x plus the sum of N ~ Poisson(D) jumps down its own column,
     with paths ordered by N and no holding time drawn.
     """
-    if not (isinstance(n, Integral) and n >= 2):
-        raise ValueError("need an integer n >= 2 samples")
-    if not 0 <= t < np.inf:
-        raise ValueError("t must be finite and >= 0")
+    _require(0 <= t < np.inf, "t", "finite and >= 0")
+    _require_count(n, "n", 2)
+    _require_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     d_draws = sample_inverse_many(spec, t, None, n, seed=int(rng.integers(2**63))) if t > 0 else np.zeros(n)
     return _mc_end_values(kernel, f, x, d_draws, rng, seed, time_change=spec.to_json_dict())
@@ -117,12 +110,9 @@ class RenormCurve:
         self.T_grid = np.asarray(self.T_grid, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         self.N_values = np.asarray(self.N_values, dtype=float)
-        if np.any(np.diff(self.T_grid) <= 0):
-            raise ValueError("T_grid must be strictly increasing")
-        if np.any(np.diff(self.N_values) <= 0):
-            raise ValueError("N must be strictly increasing along the curve")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("curve values must be finite")
+        _require(np.diff(self.T_grid) > 0, "T_grid", "strictly increasing")
+        _require(np.diff(self.N_values) > 0, "N_values", "strictly increasing")
+        _require(np.isfinite(self.values), "values", "finite")
 
     @property
     def rel_gaps(self) -> np.ndarray:
@@ -186,6 +176,8 @@ def renormalized_potential_curve(
     ConfigError).  quad_errors records the quadrature error estimate of each value.
     """
     T_grid = np.asarray(T_grid, dtype=float)
+    _require(T_grid.ndim == 1 and np.all((T_grid > 0) & (T_grid < np.inf)), "T_grid",
+             "a 1-d array of finite positive times")
     integrals, errors = _occupation_integrals(kernel, spec, f, x, T_grid)
     target = potential(kernel, f, x, grid)
     N_vals = normalization_N(spec, T_grid)
@@ -204,6 +196,7 @@ def unnormalized_potential_integral(
 
     The curve's continuum radial quadrature; grid is not used.
     """
+    _require(0 < T < np.inf, "T", "finite and positive")
     return float(_occupation_integrals(kernel, spec, f, x, [T])[0][0])
 
 
@@ -235,12 +228,12 @@ def renormalized_green_histogram(
     light-tailed X path; method "raw" samples S at the tau_i instead, as a
     cross-check.  Returns (mean histogram, per-bin standard error).
     """
-    if not 0 < T < np.inf:
-        raise ValueError("T must be finite and positive")
-    if not (isinstance(n, Integral) and n >= 2):
-        raise ValueError("need an integer n >= 2 replicas")
+    _require(0 < T < np.inf, "T", "finite and positive")
+    x = _finite_point(x)
     if method not in ("conditional", "raw"):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidInputError(f"method must be 'conditional' or 'raw', not {method!r}")
+    _require_count(n, "n", 2)
+    _require_count(seed, "seed", 0)
     if spec.clipped_mean is None:
         raise ConfigError("the subordinator has no clipped mean E[S(tau) ^ T]")
     clipped_mean = spec.clipped_mean
@@ -289,18 +282,13 @@ def fke_residual(
     shrinking boundary layer.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size < 4:
-        raise ValueError("need at least four time grid points")
+    _require(t_grid.ndim == 1 and t_grid.size >= 4, "t_grid", "a 1-d grid of at least four times")
     dts = np.diff(t_grid)
     dt = dts[0]
-    if t_grid[0] != 0.0 or np.max(np.abs(dts - dt)) > 1e-9 * dt:
-        raise ValueError("t_grid must be uniform and start at 0")
-    if grid is None:
-        if f.grid_samples is None:
-            raise ValueError("pass a grid or use an f with grid samples")
-        grid = f.grid_samples.grid
-    fs = f.samples_on(grid)
-    classes = _RateClasses.build(kernel, fs, x)
+    _require(t_grid[0] == 0.0 and 0 < dt < np.inf and np.all(np.abs(dts - dt) <= 1e-9 * dt), "t_grid",
+             "finite and uniform from 0")
+    _require(-np.inf < t_min <= t_grid[-2], "t_min", "finite and at most the last interior time")
+    classes = _RateClasses.build(kernel, f, x, grid)
     rates, w_class = classes.rates, classes.weights
 
     m = t_grid.size - 1

@@ -13,13 +13,13 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidKernelError
+from .errors import InvalidKernelError, _require, _require_count
 from .green import CLFunction
+from .grids import _finite_point
 from .kernels import JumpKernel
 
 __all__ = [
@@ -42,8 +42,7 @@ class McEstimate:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.stderr < 0:
-            raise ValueError("stderr must be >= 0")
+        _require(self.stderr >= 0, "stderr", ">= 0")
 
 
 class _Moments:
@@ -76,6 +75,10 @@ def _mc_reduce(chunks: list, plan: dict, seed: int, **extra) -> McEstimate:
     acc = _Moments.of(np.concatenate(chunks))
     return McEstimate(float(acc.mean), float(acc.stderr()), acc.n, seed, {**extra, **plan})
 
+
+# largest horizon h of a path: its jump count N ~ Poisson(h) must fit an int64
+_MAX_HORIZON = 2.0**62
+_HORIZON_BOUND = "below 2**62, so that the jump count fits an int64"
 
 # float64 elements a chunk may hold (see _map_chunks); fixed, so no seeded result
 # depends on the thread count.  Row ops run across a chunk's paths, so wider chunks
@@ -184,8 +187,7 @@ def _map_chunks(kernel: JumpKernel, counts, d: int, row_width: int, rng, task, p
     pool, so results do not depend on the number of threads.  The plan records chunks,
     paths, jumps and padded_share (padded rows / rows, 0 for a task that pads none).
     """
-    if kernel.sampler is None:
-        raise ValueError("kernel has no jump sampler")
+    _require(kernel.sampler is not None, "kernel.sampler", "set to draw paths")
     counts = np.sort(counts)
     bounds = [0]
     while bounds[-1] < counts.size:
@@ -205,11 +207,11 @@ def _map_paths(kernel: JumpKernel, x, h: float, n: int, rng, consume, row_width:
 
     The counts N ~ Poisson(h) are one draw from rng, then sorted: paths of
     one horizon are exchangeable, so the order does not change the law, and
-    a chunk of nearly equal counts pads almost no rows.
+    a chunk of nearly equal counts pads almost no rows.  The public callers
+    check that x is finite.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"x = {x} must be finite")
+    _require(h < _MAX_HORIZON, "T", _HORIZON_BOUND)
     return _map_chunks(
         kernel, rng.poisson(h, n), x.size, row_width, rng,
         lambda counts, stream: consume(_build_chunk(kernel, x, h, counts, stream)),
@@ -220,10 +222,9 @@ def mc_expectation(
     kernel: JumpKernel, f: CLFunction, x, t: float, n: int, seed: int
 ) -> McEstimate:
     """Sample mean of f(X(t)) over n independent paths."""
-    if not 0 <= t < np.inf:
-        raise ValueError("t must be finite and >= 0")
-    if not (isinstance(n, Integral) and n >= 2):
-        raise ValueError("need an integer n >= 2 samples")
+    _require(0 <= t < np.inf, "t", "finite and >= 0")
+    _require_count(n, "n", 2)
+    _require_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     return _mc_end_values(kernel, f, x, np.full(n, float(t)), rng, seed)
 
@@ -235,9 +236,8 @@ def _mc_end_values(kernel: JumpKernel, f: CLFunction, x, horizons, rng, seed: in
     path's own jumps.  extra and the chunk plan go to McEstimate.extra; when
     every horizon is 0 the estimate is f(x) exactly, with no chunk plan.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"x = {x} must be finite")
+    x = _finite_point(x)
+    _require(horizons < _MAX_HORIZON, "t", _HORIZON_BOUND)
     if not np.any(horizons):
         return McEstimate(f.value_at(x), 0.0, horizons.size, seed, extra)
 
@@ -257,17 +257,16 @@ def mc_truncated_potential(
     Given N jumps each holding time has mean T / (N + 1), independent of the jumps, so
     states Y_0 = x, ..., Y_N give T / (N + 1) sum_j f(Y_j): same mean, less variance.
     """
-    if not 0 < T < np.inf:
-        raise ValueError("T must be finite and positive")
-    if not (isinstance(n, Integral) and n >= 2):
-        raise ValueError("need an integer n >= 2 samples")
+    _require(0 < T < np.inf, "T", "finite and positive")
+    _require_count(n, "n", 2)
+    _require_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
 
     def consume(c):
         values = f.values_at(c.points()).reshape(c.states.shape[1:])
         return c.h / (c.counts + 1) * np.sum(values, axis=0, where=c.live())
 
-    return _mc_reduce(*_map_paths(kernel, x, float(T), n, rng, consume), seed)
+    return _mc_reduce(*_map_paths(kernel, _finite_point(x), float(T), n, rng, consume), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +284,7 @@ class BinSpec:
 
     @classmethod
     def cube(cls, half_width: float, bins_per_axis: int, dim: int) -> "BinSpec":
+        _require(0 < half_width < np.inf, "half_width", "finite and positive")
         return cls((-half_width,) * dim, (half_width,) * dim, (bins_per_axis,) * dim)
 
     @property
@@ -368,8 +368,7 @@ def _mc_occupation(kernel: JumpKernel, x, h: float, bins: BinSpec, n: int, rng, 
 
 def _start_in_box(bins: BinSpec, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < np.asarray(bins.lo)) or np.any(x >= np.asarray(bins.hi)):
-        raise ValueError("start point outside the binned box")
+    _require((x >= np.asarray(bins.lo)) & (x < np.asarray(bins.hi)), "x", "inside the binned box")
     return x
 
 
@@ -377,8 +376,7 @@ def empirical_random_green_measure(
     kernel: JumpKernel, x, T: float, bins: BinSpec, rng
 ) -> OccupationHistogram:
     """Occupation measure of a single path: durations deposited per bin."""
-    if not 0 < T < np.inf:
-        raise ValueError("T must be finite and positive")
+    _require(0 < T < np.inf, "T", "finite and positive")
     return _mc_occupation(kernel, _start_in_box(bins, x), float(T), bins, 1, rng, lambda c: (c.durations, 0.0), T)[0]
 
 
@@ -389,10 +387,9 @@ def average_random_green_measure(
 
     A path deposits T / (N + 1) at each of its N + 1 states and draws no holding time.
     """
-    if not 0 < T < np.inf:
-        raise ValueError("T must be finite and positive")
-    if not (isinstance(n, Integral) and n >= 2):
-        raise ValueError("need an integer n >= 2 samples")
+    _require(0 < T < np.inf, "T", "finite and positive")
+    _require_count(n, "n", 2)
+    _require_count(seed, "seed", 0)
     x = _start_in_box(bins, x)
     rng = np.random.default_rng(seed)
     return _mc_occupation(kernel, x, float(T), bins, n, rng, lambda c: (c.mean_durations(), 0.0), T)

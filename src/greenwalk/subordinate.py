@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
 
-from .errors import ConfigError, InversionInstabilityError, TruncationError
+from .errors import ConfigError, InversionInstabilityError, TruncationError, _require, _require_count
 
 __all__ = [
     "SubordinatorSpec",
@@ -100,27 +99,33 @@ _KANTER_BLOCK = 1 << 18
 _KANTER_RULE = np.polynomial.legendre.leggauss(12)
 
 
-def _kanter_average(alpha: float, s, h: Callable, h_inf: float) -> np.ndarray:
-    """E h(A(U) s^{1/(1-alpha)}) over U uniform on (0, pi); 0 where s = 0.
+def _kanter_average(alpha: float, tau, t: float, h: Callable, h_inf: float) -> np.ndarray:
+    """E h(A(U) s^{1/(1-alpha)}) over U uniform on (0, pi), s = tau t^{-alpha}; 0 where s = 0.
 
     For small s the integrand piles up at the pole u -> pi.  In y, with
     pi - u = pi e^{-y}, it is smooth: 12-node Gauss-Legendre panels of width
     min(1, 2 (1 - alpha)) cover [0, Y], where Y lies 8 e-folds beyond the
     scale pi - u = sin(alpha pi) min(s, 1) at which A s^{1/(1-alpha)} ~ 1.
-    Beyond Y, h equals h_inf to roundoff, and that part is added exactly.
+    Beyond Y, h equals h_inf to roundoff, and that part is added exactly.  Raises
+    TruncationError where s is so small or so large that the rule over- or underflows.
     """
-    s = np.asarray(s, dtype=float)
-    out, pos = np.zeros(s.shape), s > 0
-    Y = np.log(np.pi / (np.sin(alpha * np.pi) * np.min(s[pos], initial=1.0))) + 8.0
-    edges = np.linspace(0.0, Y, int(np.ceil(Y / min(1.0, 2.0 * (1.0 - alpha)))) + 1)
-    x, w = _KANTER_RULE
-    half = 0.5 * np.diff(edges)[:, None]
-    y = (edges[:-1, None] + half * (1.0 + x)).ravel()
-    A = _kanter_A(alpha, -np.pi * np.expm1(-y), np.pi * np.exp(-y))
-    weights = np.exp(-y) * (half * w).ravel()
-    scaled = s[pos] ** (1.0 / (1.0 - alpha))
-    blocks = np.array_split(scaled, 1 + scaled.size * y.size // _KANTER_BLOCK)
-    out[pos] = np.concatenate([h(b[:, None] * A) @ weights for b in blocks]) + h_inf * np.exp(-Y)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = np.asarray(tau, dtype=float) * t**-alpha
+        out, pos = np.zeros(s.shape), s > 0
+        Y = np.log(np.pi / (np.sin(alpha * np.pi) * np.min(s[pos], initial=1.0))) + 8.0
+        if np.isfinite(Y):
+            edges = np.linspace(0.0, Y, int(np.ceil(Y / min(1.0, 2.0 * (1.0 - alpha)))) + 1)
+            x, w = _KANTER_RULE
+            half = 0.5 * np.diff(edges)[:, None]
+            y = (edges[:-1, None] + half * (1.0 + x)).ravel()
+            A = _kanter_A(alpha, -np.pi * np.expm1(-y), np.pi * np.exp(-y))
+            weights = np.exp(-y) * (half * w).ravel()
+            scaled = s[pos] ** (1.0 / (1.0 - alpha))
+            blocks = np.array_split(scaled, 1 + scaled.size * y.size // _KANTER_BLOCK)
+            out[pos] = np.concatenate([h(b[:, None] * A) @ weights for b in blocks]) + h_inf * np.exp(-Y)
+    if not (np.isfinite(Y) and np.all(np.isfinite(out))):
+        raise TruncationError(f"the Kanter quadrature over- or underflows for tau t^-alpha in "
+                              f"[{s.min():.3g}, {s.max():.3g}]")
     return out
 
 
@@ -148,14 +153,12 @@ def _stable_clipped_mean(alpha: float, T: float, tau) -> np.ndarray:
     no cancellation as tau -> 0.
     """
     p = (1.0 - alpha) / alpha
-    s = np.asarray(tau, dtype=float) * T**-alpha
-    return T * _kanter_average(alpha, s, lambda w: _w_expint(p, w) - np.expm1(-w), 1.0)
+    return T * _kanter_average(alpha, tau, T, lambda w: _w_expint(p, w) - np.expm1(-w), 1.0)
 
 
 def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
     """alpha-stable subordinator: Phi = lambda^alpha, k(t) = t^{-alpha}/Gamma(1-alpha)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"stable index must lie in (0, 1), got {alpha}")
+    _require(0.0 < alpha < 1.0, "alpha", "in (0, 1)")
     c_levy = alpha / special.gamma(1.0 - alpha)
     g1a = special.gamma(1.0 - alpha)
     g2a = special.gamma(2.0 - alpha)
@@ -187,7 +190,8 @@ def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
             return 0.5 * dt * dt / (z * z)
 
         def rho_closed_form(t, tau):
-            return np.exp(-(np.asarray(tau, float) ** 2) / (4.0 * t)) / np.sqrt(np.pi * t)
+            with np.errstate(over="ignore"):  # tau^2 overflows beyond tau ~ 1e154, where rho is 0
+                return np.exp(-(np.asarray(tau, float) ** 2 / 4.0) / t) / np.sqrt(np.pi * t)
 
         def laplace_closed_form(t, rates):
             # E_{1/2}(-r sqrt(t)) = e^{r^2 t} erfc(r sqrt(t)), computed stably
@@ -210,7 +214,7 @@ def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
             # P(D(t) <= tau) = P(S(1) >= t tau^{-1/alpha}) = E[1 - e^{-w}] with
             # w = A(U) (tau t^{-alpha})^{1/(1-alpha)}; differentiate in tau.  rho_t(0) = k(t)
             tau = np.asarray(tau, dtype=float)
-            mean = _kanter_average(alpha, tau * t**-alpha, lambda w: w * np.exp(-w), 0.0)
+            mean = _kanter_average(alpha, tau, t, lambda w: w * np.exp(-w), 0.0)
             return np.divide(mean, (1.0 - alpha) * tau, out=np.full(tau.shape, k_eval(t)), where=tau > 0)
 
         clipped_mean = functools.partial(_stable_clipped_mean, alpha)
@@ -234,9 +238,8 @@ def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
 
 def make_gamma_subordinator(a: float, b: float) -> SubordinatorSpec:
     """Gamma subordinator: Levy density b e^{-a tau}/tau, Phi = b log(1 + lambda/a)."""
-    for name, value in (("a", a), ("b", b)):
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"gamma subordinator needs a finite {name} > 0, got {value}")
+    _require(0.0 < a < np.inf, "a", "finite and positive")
+    _require(0.0 < b < np.inf, "b", "finite and positive")
 
     def levy_density(tau):
         tau = np.asarray(tau, dtype=float)
@@ -373,8 +376,7 @@ def normalization_N(spec: SubordinatorSpec, T):
     24 gated to agree within 1e-7 N(T) (InversionInstabilityError otherwise); N(0) = 0.
     """
     T = np.asarray(T, dtype=float)
-    if not np.all(T >= 0):
-        raise ValueError("T must be >= 0")
+    _require((T >= 0) & (T < np.inf), "T", "finite and >= 0")
     if spec.k_primitive is not None:
         out = np.asarray(spec.k_primitive(T), dtype=float)
     else:
@@ -405,9 +407,8 @@ class AdmissibilityReport:
 
 def check_admissible(spec: SubordinatorSpec, s0: float) -> AdmissibilityReport:
     """Estimate liminf (1/K(lambda)) int_0^{s0/lambda} k and the t/r -> 1 ratio limit."""
-    if not s0 > 0:
-        raise ValueError("s0 must be positive")
     lams = np.geomspace(1e-2, 1e-6, 9)
+    _require(0 < s0 < np.finfo(float).max * lams[-1], "s0", "positive, with s0 / 1e-6 a finite float")
     a1_vals = normalization_N(spec, s0 / lams) / np.asarray(spec.K_eval(lams), dtype=float)
     base_t = 1e6
     ratios_t = np.linspace(0.9, 1.1, 9)
@@ -448,10 +449,9 @@ def sample_inverse_many(spec: SubordinatorSpec, t: float, ds, n: int, seed: int)
     capability gets a ConfigError.  ds is not read: it stays only because
     callers, the benchmark among them, pass it positionally.
     """
-    if not 0 < t < np.inf:
-        raise ValueError("t must be finite and positive")
-    if not (isinstance(n, Integral) and n >= 0):
-        raise ValueError("need an integer n >= 0 draws")
+    _require(0 < t < np.inf, "t", "finite and positive")
+    _require_count(n, "n", 0)
+    _require_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     if spec.self_similarity is not None:
         return (t / spec.increment_sampler(1.0, rng, n)) ** spec.self_similarity
@@ -621,8 +621,6 @@ def _mixture_weights(spec: SubordinatorSpec, t, rates, integrated: bool = False)
     E e^{-r D(t)}, broadcast as (t[:, None], rates).
     """
     t = np.asarray(t, dtype=float)
-    if not np.all(t > 0):
-        raise ValueError("t must be positive")
     rates = np.asarray(rates, dtype=float)
     if not integrated and spec.laplace_closed_form is not None:
         return np.asarray(spec.laplace_closed_form(t.reshape(t.shape + (1,) * rates.ndim), rates), dtype=float)
@@ -669,9 +667,9 @@ def rho_density(spec: SubordinatorSpec, t: float, tau):
     the orders disagree by more than 1e-6 at any tau.  To force the inversion
     for a family with a closed form, pass dataclasses.replace(spec, rho_closed_form=None).
     """
+    _require(0 < t < np.inf, "t", "finite and positive")
     tau = np.asarray(tau, dtype=float)
-    if not (t > 0 and np.all(tau >= 0)):
-        raise ValueError("need t > 0 and tau >= 0")
+    _require((tau >= 0) & (tau < np.inf), "tau", "finite and >= 0")
     if spec.rho_closed_form is not None:
         out = np.asarray(spec.rho_closed_form(t, tau), dtype=float)
     else:
@@ -690,8 +688,8 @@ def time_averaged_ratio(spec: SubordinatorSpec, tau: float, t: float):
     through _talbot_gated, gated at 1e-6 t like rho_density's 1e-6 per unit time.
     The ratio tends to 1 as t grows for admissible kernels.
     """
-    if not (0 < t < np.inf and tau >= 0):
-        raise ValueError("need a finite t > 0 and tau >= 0")
+    _require(0 < t < np.inf, "t", "finite and positive")
+    _require(0 <= tau < np.inf, "tau", "finite and >= 0")
 
     def F(lam):
         return np.asarray(spec.K_eval(lam)) * np.exp(-tau * np.asarray(spec.phi_eval(lam))) / lam
@@ -711,8 +709,8 @@ def kernel_cell_masses(spec: SubordinatorSpec, dt: float, m: int) -> np.ndarray:
 
     Product integration over the first cell absorbs the k(0+) singularity.
     """
-    if not 0 < dt < np.inf:
-        raise ValueError("dt must be finite and positive")
+    _require(0 < dt < np.inf, "dt", "finite and positive")
+    _require_count(m, "m", 0)
     prims = normalization_N(spec, dt * np.arange(m + 1))
     return np.diff(prims)
 
@@ -728,15 +726,12 @@ def gfd_apply(k_samples, f_samples: np.ndarray, dt: float, *, cell_masses: np.nd
     integration with per-cell masses; returns values at t_1 .. t_{m-1} with
     first-order convergence or better as dt shrinks.
     """
-    if not 0 < dt < np.inf:
-        raise ValueError("dt must be finite and positive")
+    _require(0 < dt < np.inf, "dt", "finite and positive")
     f_samples = np.asarray(f_samples, dtype=float)
     m = f_samples.size - 1
-    if m < 2:
-        raise ValueError("need at least three grid points")
+    _require(m >= 2, "f_samples", "at least three samples")
     cell_masses = np.asarray(cell_masses, dtype=float)
-    if cell_masses.shape != (m,):
-        raise ValueError(f"cell_masses must have length {m}")
+    _require(cell_masses.shape == (m,), "cell_masses", "one mass per cell of f_samples")
     g = f_samples - f_samples[0]
     midpoints = 0.5 * (g[:-1] + g[1:])
     # (k*g)(t_i) = sum_{j<i} I_j * g(t_i - (j+1/2) dt); then d/dt (k*g) = D f

@@ -12,7 +12,7 @@ from greenwalk import green, grids, kernels, renorm, simulate, subordinate
 PUBLIC = [
     "AliasingError", "BinSpec", "CLFunction", "ConfigError", "DivergentGreenMeasureError",
     "FieldGrid", "GreenExistence", "GreenwalkError", "GridMismatchError", "GridSpec",
-    "InvalidKernelError", "InversionInstabilityError", "JumpKernel", "McEstimate",
+    "InvalidInputError", "InvalidKernelError", "InversionInstabilityError", "JumpKernel", "McEstimate",
     "MissingNormsError", "OccupationHistogram", "RenormCurve", "ResolventKernel",
     "SubordinatorSpec", "TruncationError", "average_random_green_measure", "check_H",
     "check_admissible", "check_green_existence", "cl_from_grid", "cl_from_kernel",

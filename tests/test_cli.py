@@ -112,6 +112,14 @@ def test_cli_errors_are_json(tmp_path, capsys):
     assert err["type"] == "DivergentGreenMeasureError"
 
 
+def test_cli_bad_inputs_report_the_typed_error(tmp_path, capsys):
+    # a negative seed passes the config schema and is refused by the library's input gate
+    cfg = write_cfg(tmp_path, "seed", experiment="mc-potential", mc={"n": 10, "seed": -1})
+    assert run_cli(["run", cfg, "--out", tmp_path]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "InvalidInputError", "message": "seed must be an integer with seed >= 0"}
+
+
 @pytest.mark.parametrize("output", [{"prefix": "h"}, "", 3])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_output_must_be_a_nonempty_string(tmp_path, capsys, command, output):

@@ -160,7 +160,7 @@ def test_semigroup_point_values_match_evolve(k1):
     fs = sample_density(k1, GRID1)
     taus = np.array([0.5, 1.0, 3.0])
     x = float(GRID1.axis[GRID1.nearest_index(np.array([0.7]))[0]])  # grid node
-    pointwise = _RateClasses.build(k1, fs, [x])(taus)
+    pointwise = _RateClasses.build(k1, cl_from_grid(fs), [x])(taus)
     dense = [evolve_semigroup(k1, fs, t).value_at([x]) for t in taus]
     np.testing.assert_allclose(pointwise, dense, atol=1e-8)
 
@@ -201,7 +201,7 @@ def per_mode_sum(kernel, fs, x, taus):
 
 
 def test_rate_classes_stay_few_on_gaussian_grid(k3):
-    classes = _RateClasses.build(k3, sample_density(k3, GRID3), (0.0, 0.0, 0.0))
+    classes = _RateClasses.build(k3, cl_from_grid(sample_density(k3, GRID3)), (0.0, 0.0, 0.0))
     assert classes.rates.size <= RATE_CLASS_CEILING
 
 
@@ -209,7 +209,7 @@ def test_rate_classes_stay_few_on_gaussian_grid(k3):
 def test_grouped_semigroup_matches_per_mode_sum(k3, x):
     fs = sample_density(k3, GRID3)
     taus = np.linspace(0.0, GRID3.half_width**2 / 16.0, 33)  # up to the tail-fit tau0
-    got = _RateClasses.build(k3, fs, x)(taus)
+    got = _RateClasses.build(k3, cl_from_grid(fs), x)(taus)
     np.testing.assert_allclose(got, per_mode_sum(k3, fs, x, taus), rtol=1e-13, atol=0.0)
 
 
@@ -220,7 +220,7 @@ def test_rate_classes_reject_the_aliased_cauchy_symbol(x):
     kernel = make_cauchy_kernel()
     fs = sample_density(kernel, GridSpec(1, 2**20, 6e5))
     with pytest.raises(AliasingError, match="exceeds 1 by 8.28"):
-        _RateClasses.build(kernel, fs, x)
+        _RateClasses.build(kernel, cl_from_grid(fs), x)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def test_half_layout_matches_full_fftn_reference(grid):
                                atol=1e-13 * np.max(a3))
     # an off-node x and tau = 0 keep the Nyquist plane's share of f(x) in the sum
     x, taus = (0.37, -1.21, 0.55)[: grid.dim], np.array([0.0, 0.3, 2.0])
-    np.testing.assert_allclose(_RateClasses.build(kernel, f, x)(taus), per_mode_sum(kernel, f, x, taus),
+    np.testing.assert_allclose(_RateClasses.build(kernel, cl_from_grid(f), x)(taus), per_mode_sum(kernel, f, x, taus),
                                rtol=0.0, atol=tol)
 
 
@@ -280,7 +280,7 @@ def grid_node(grid, flat):
     return np.array([c.ravel()[flat] for c in grid.meshgrid()])
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     which=st.integers(0, len(PROPERTY_GRIDS) - 1),
     seed=st.integers(0, 2**32 - 1),
@@ -292,11 +292,11 @@ def test_semigroup_is_a_contraction_at_grid_nodes(which, seed, scale, node, tau)
     grid = PROPERTY_GRIDS[which]
     kernel = make_gaussian_kernel(grid.dim)
     fs = random_field(grid, seed, scale)
-    u = _RateClasses.build(kernel, fs, grid_node(grid, node % fs.values.size))([tau])[0]
+    u = _RateClasses.build(kernel, cl_from_grid(fs), grid_node(grid, node % fs.values.size))([tau])[0]
     assert abs(u) <= np.max(np.abs(fs.values)) + 1e-12
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     which=st.integers(0, len(PROPERTY_GRIDS) - 1),
     seed=st.integers(0, 2**32 - 1),
@@ -308,7 +308,7 @@ def test_semigroup_at_time_zero_returns_f_at_grid_nodes(which, seed, scale, node
     kernel = make_gaussian_kernel(grid.dim)
     fs = random_field(grid, seed, scale)
     flat = node % fs.values.size
-    u0 = _RateClasses.build(kernel, fs, grid_node(grid, flat))([0.0])[0]
+    u0 = _RateClasses.build(kernel, cl_from_grid(fs), grid_node(grid, flat))([0.0])[0]
     assert u0 == pytest.approx(fs.values.ravel()[flat], abs=1e-12 * scale)
 
 
@@ -635,7 +635,7 @@ def test_potential_is_linear(k3):
     np.testing.assert_allclose(vc.values, 2.0 * vf.values + vg.values, atol=1e-8)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(
     c1=st.floats(-1e3, 1e3),
     c2=st.floats(-1e3, 1e3),
@@ -676,7 +676,7 @@ def test_potential_is_time_integral_of_semigroup(k3):
     target = potential(k3, cl_from_kernel(k3), [0.0, 0.0, 0.0], GRID3)
     tau0 = 8.0
     taus = np.linspace(0.0, tau0, 1025)
-    head = integrate.simpson(_RateClasses.build(k3, fs, [0.0, 0.0, 0.0])(taus), x=taus)
+    head = integrate.simpson(_RateClasses.build(k3, cl_from_grid(fs), [0.0, 0.0, 0.0])(taus), x=taus)
     tail, _ = green._radial_value(
         k3, [0.0, 0.0, 0.0], 0.0, lambda k, a_hat, gap: a_hat * np.exp(-tau0 * gap) / gap
     )

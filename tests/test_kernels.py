@@ -224,7 +224,7 @@ def test_validate_flags_asymmetric_density():
     assert not report.passed
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     dim=st.sampled_from([1, 2]),
     log_n=st.integers(5, 7),

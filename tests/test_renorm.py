@@ -173,7 +173,7 @@ def test_curve_matches_rate_class_sum_before_the_box_is_felt(k3, alpha):
     # box, so it equals the continuum radial quadrature
     spec = make_stable_subordinator(alpha)
     f = cl_from_kernel(k3)
-    u = _RateClasses.build(k3, f.samples_on(GRID3), [0.0, 0.0, 0.0])
+    u = _RateClasses.build(k3, f, [0.0, 0.0, 0.0], GRID3)
     for T in (2.0, 8.0):
         ref = u.weights @ _mixture_weights(spec, T, u.rates, integrated=True)
         got = unnormalized_potential_integral(k3, spec, f, [0.0, 0.0, 0.0], T, GRID3)

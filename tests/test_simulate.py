@@ -125,7 +125,7 @@ def test_engine_states_are_exact_partial_sums(cap):
         np.testing.assert_array_equal(c.states[0], x + np.minimum(rows, chunk_counts(c)))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     h=st.floats(1e-3, 40.0),
     n=st.integers(1, 50),

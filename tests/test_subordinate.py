@@ -21,12 +21,12 @@ from scipy import integrate, special, stats
 from scipy.optimize import elementwise
 
 import greenwalk.subordinate as subordinate
-from greenwalk.errors import ConfigError, InversionInstabilityError, TruncationError
+from greenwalk.errors import ConfigError, InvalidInputError, InversionInstabilityError, TruncationError
 from greenwalk.green import cl_from_kernel, evolve_semigroup, green_regular_fourier, green_regular_series, potential
 from greenwalk.grids import GridSpec
-from greenwalk.kernels import make_gaussian_kernel
+from greenwalk.kernels import fit_small_k_expansion, make_gaussian_kernel
 from greenwalk.renorm import _horizon, fke_residual, mc_time_changed_expectation, normalization_N, subordinated_solution
-from greenwalk.renorm import renormalized_green_histogram
+from greenwalk.renorm import renormalized_green_histogram, renormalized_potential_curve
 from greenwalk.simulate import BinSpec, average_random_green_measure, empirical_random_green_measure
 from greenwalk.simulate import mc_expectation, mc_truncated_potential
 from greenwalk.subordinate import (
@@ -104,8 +104,8 @@ _GRID1 = GridSpec(1, 256, 20.0)
     (lambda: sample_inverse_many(_HALF, np.nan, 1e-3, 5, seed=0), "t"),
     (lambda: mc_time_changed_expectation(_K1, _HALF, cl_from_kernel(_K1), [0.0], np.nan, 10, seed=0), "t"),
     (lambda: mc_time_changed_expectation(_K1, _HALF, cl_from_kernel(_K1), [0.0], np.inf, 10, seed=0), "t"),
-    (lambda: green_regular_series(_K3, GridSpec(3, 64, 16.0), np.nan), "lambda"),
-    (lambda: green_regular_fourier(_K3, 0.0, np.nan), "lambda"),
+    (lambda: green_regular_series(_K3, GridSpec(3, 64, 16.0), np.nan), "lam"),
+    (lambda: green_regular_fourier(_K3, 0.0, np.nan), "lam"),
     (lambda: green_regular_fourier(_K3, [np.nan, 0.0, 0.0], 0.0), "x"),
     (lambda: potential(_K3, cl_from_kernel(_K3), [np.nan, 0.0, 0.0], GridSpec(3, 16, 8.0)), "x"),
     (lambda: mc_truncated_potential(_K1, cl_from_kernel(_K1), [0.0], np.nan, 10, seed=0), "T"),
@@ -133,6 +133,34 @@ _GRID1 = GridSpec(1, 256, 20.0)
     (lambda: kernel_cell_masses(_HALF, np.nan, 5), "dt"),
     (lambda: mc_truncated_potential(_K1, cl_from_kernel(_K1), [np.nan], 5.0, 10, seed=0), "x"),
     (lambda: mc_expectation(_K1, cl_from_kernel(_K1), [np.nan], 0.0, 10, seed=0), "x"),
+    (lambda: rho_density(_HALF, np.inf, 1.0), "t"),
+    (lambda: rho_density(make_stable_subordinator(0.7), np.inf, 1.0), "t"),
+    (lambda: rho_density(_HALF, 1.0, np.inf), "tau"),
+    (lambda: kernel_cell_masses(_HALF, 0.1, 2.5), "m"),
+    (lambda: kernel_cell_masses(_HALF, 0.1, -1), "m"),
+    (lambda: normalization_N(_HALF, np.inf), "T"),
+    (lambda: time_averaged_ratio(_HALF, np.inf, 1.0), "tau"),
+    (lambda: check_admissible(_HALF, s0=np.inf), "s0"),
+    (lambda: GridSpec(1, 64, np.inf), "half_width"),
+    (lambda: BinSpec.cube(np.nan, 4, 1), "half_width"),
+    (lambda: green_regular_series(_K1, _GRID1, np.inf), "lam"),
+    (lambda: green_regular_fourier(_K3, 0.0, np.inf), "lam"),
+    (lambda: normalization_N(make_gamma_subordinator(1.0, 1.0), np.inf), "T"),
+    (lambda: subordinated_solution(_K1, _HALF, cl_from_kernel(_K1), [0.0], np.inf, grid=_GRID1), "t"),
+    (lambda: fit_small_k_expansion(_K1, 1e-3, np.inf), "k_max"),
+    (lambda: mc_expectation(_K1, cl_from_kernel(_K1), [0.0], 1e308, 10, seed=0), "t"),
+    (lambda: mc_truncated_potential(_K1, cl_from_kernel(_K1), [0.0], 1e308, 10, seed=0), "T"),
+    (lambda: mc_expectation(_K1, cl_from_kernel(_K1), [0.0], 1.0, 10, seed=-1), "seed"),
+    (lambda: GridSpec(1, 64.0, 8.0), "points_per_axis"),
+    (lambda: fke_residual(_K1, _HALF, cl_from_kernel(_K1), [0.0], np.linspace(0.0, 1.0, 11), grid=_GRID1,
+                          t_min=np.nan), "t_min"),
+    (lambda: renormalized_potential_curve(_K3, _HALF, cl_from_kernel(_K3), [0.0, 0.0, 0.0], [np.nan],
+                                          GridSpec(3, 16, 8.0)), "T_grid"),
+    (lambda: fke_residual(_K1, _HALF, cl_from_kernel(_K1), [0.0], [0.0, np.nan, 0.2, 0.3, 0.4], grid=_GRID1),
+     "t_grid"),
+    (lambda: renormalized_potential_curve(_K3, _HALF, cl_from_kernel(_K3), [0.0, 0.0, 0.0], 5.0, GridSpec(3, 16, 8.0)),
+     "T_grid"),
+    (lambda: subordinated_solution(_K1, _HALF, cl_from_kernel(_K1), [0.0], 1.0), "grid"),
 ], ids=["gamma-a-nan", "gamma-a-inf", "N-T-nan", "rho-t-nan", "rho-tau-nan", "subsol-t-nan", "ratio-tau-nan",
         "ratio-t-nan", "admissible-s0-nan", "inverse-t-nan", "mc-t-nan", "mc-t-inf", "series-lam-nan",
         "fourier-lam-nan", "fourier-x-nan", "potential-x-nan", "truncated-T-nan", "truncated-T-inf",
@@ -140,10 +168,16 @@ _GRID1 = GridSpec(1, 256, 20.0)
         "semigroup-t-nan", "subsol-x-outside", "subsol-x-nan", "subsol-x-inf", "fke-x-nan", "inverse-t-inf",
         "inverse-n-negative", "inverse-n-fraction", "expectation-n-fraction", "mc-n-fraction", "expectation-x-nan",
         "mc-x-nan", "gfd-dt-negative", "gfd-dt-nan", "ratio-t-inf", "cell-masses-dt-nan",
-        "truncated-x-nan", "expectation-x-nan-t0"])
+        "truncated-x-nan", "expectation-x-nan-t0", "rho-t-inf", "rho-t-inf-stable07", "rho-tau-inf",
+        "cell-masses-m-fraction", "cell-masses-m-negative", "N-T-inf", "ratio-tau-inf", "admissible-s0-inf",
+        "gridspec-half-width-inf", "binspec-half-width-nan", "series-lam-inf", "fourier-lam-inf", "N-gamma-T-inf",
+        "subsol-t-inf", "fit-k-max-inf", "expectation-t-huge", "truncated-T-huge", "expectation-seed-negative",
+        "gridspec-n-float", "fke-t-min-nan", "curve-T-grid-nan", "fke-t-grid-nan",
+        "curve-T-grid-scalar", "subsol-grid-missing"])
 @pytest.mark.filterwarnings("error")
 def test_nan_and_inf_inputs_raise_value_error(call, name):
-    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+    # InvalidInputError is also a ValueError; the message names the argument
+    with pytest.raises(InvalidInputError, match=rf"\b{name}\b"):
         call()
 
 
@@ -806,7 +840,7 @@ def test_gfd_of_constant_is_exactly_zero(stable):
     assert np.max(np.abs(out)) == 0.0
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     family=st.sampled_from(["stable", "gamma"]),
     c=st.floats(-1e6, 1e6),
