@@ -324,7 +324,7 @@ def _exp_subordinate_solve(inp):
 
 def _exp_renorm_curve(inp):
     T_grid = inp.horizons.get("T_grid", [2.0**j for j in range(9, 22, 2)])
-    curve = renormalized_potential_curve(inp.kernel, inp.spec, inp.f, inp.x, np.asarray(T_grid, float), inp.grid)
+    curve = renormalized_potential_curve(inp.kernel, inp.spec, inp.f, inp.x, np.asarray(T_grid, float))
     rows = zip(curve.T_grid, curve.N_values, curve.values, [curve.target] * curve.values.size, curve.rel_gaps)
     return inp.write_csv("renorm_curve", ["T", "N", "value", "target", "rel_gap"], rows)
 

@@ -31,6 +31,9 @@ class GridSpec:
         _require_count(n, "points_per_axis", 8)
         _require(n & (n - 1) == 0, "points_per_axis", "a power of two")
         _require(0 < self.half_width < np.inf, "half_width", "finite and positive")
+        with np.errstate(over="ignore"):
+            volume = np.float64(self.spacing) ** self.dim
+        _require(np.isfinite(volume), "half_width", "small enough for a finite spacing and cell volume")
         _require(n**self.dim <= 64**3 * 8, "points_per_axis**dim", "at most 64**3 * 8, the memory budget")
 
     @property

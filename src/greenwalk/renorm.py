@@ -166,14 +166,15 @@ def renormalized_potential_curve(
     f: CLFunction,
     x,
     T_grid,
-    grid: GridSpec,
+    grid: Optional[GridSpec] = None,
 ) -> RenormCurve:
     """(1/N(T)) int_0^T v(s, x) ds along T_grid, with target V(x, f) = f(x) + (G_0 * f)(x).
 
     The integrals are one radial quadrature in the continuum (green._radial_value) and
-    the target is potential's radial route, so grid is not used.  The integrals read the
-    spec's Phi, not its clipped mean, and need f.fourier (an f without it gets a
-    ConfigError).  quad_errors records the quadrature error estimate of each value.
+    the target is potential's radial route, so grid is optional and not read.  The
+    integrals read the spec's Phi, not its clipped mean, and need f.fourier (an f
+    without it gets a ConfigError).  quad_errors records the quadrature error
+    estimate of each value.
     """
     T_grid = np.asarray(T_grid, dtype=float)
     _require(T_grid.ndim == 1 and np.all((T_grid > 0) & (T_grid < np.inf)), "T_grid",
@@ -190,11 +191,11 @@ def unnormalized_potential_integral(
     f: CLFunction,
     x,
     T: float,
-    grid: GridSpec,
+    grid: Optional[GridSpec] = None,
 ) -> float:
     """int_0^T v(s, x) ds without the 1/N(T) renormalization (diverges in T).
 
-    The curve's continuum radial quadrature; grid is not used.
+    The curve's continuum radial quadrature; grid is optional and not read.
     """
     _require(0 < T < np.inf, "T", "finite and positive")
     return float(_occupation_integrals(kernel, spec, f, x, [T])[0][0])

@@ -190,8 +190,9 @@ def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
             return 0.5 * dt * dt / (z * z)
 
         def rho_closed_form(t, tau):
+            # sqrt(pi t) = 2 sqrt(pi t / 4) to the bit, without pi t overflowing for t near 1e308
             with np.errstate(over="ignore"):  # tau^2 overflows beyond tau ~ 1e154, where rho is 0
-                return np.exp(-(np.asarray(tau, float) ** 2 / 4.0) / t) / np.sqrt(np.pi * t)
+                return np.exp(-(np.asarray(tau, float) ** 2 / 4.0) / t) / (2.0 * np.sqrt(np.pi * (t / 4.0)))
 
         def laplace_closed_form(t, rates):
             # E_{1/2}(-r sqrt(t)) = e^{r^2 t} erfc(r sqrt(t)), computed stably
@@ -236,6 +237,29 @@ def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
     )
 
 
+def _gamma_q(s, x):
+    """Q(s, x) = Gamma(s, x) / Gamma(s), the regularized upper incomplete gamma, for s, x >= 0.
+
+    SciPy's gammaincc takes microseconds per value for s < 1 and x near 1, about ten
+    times its cost at s + 1.  For s < 1 this takes the recurrence
+    Q(s, x) = Q(s + 1, x) - x^s e^{-x} / Gamma(s + 1) (DiDonato and Morris,
+    ACM TOMS 12 (1986) 377) wherever the difference keeps at least 1/8 of
+    Q(s + 1, x), so that its cancellation costs at most three bits: within
+    5e-14 relative of Q for x in [1e-3, 100].  Elsewhere (s >= 1, or s small
+    against x, where the difference cancels) it is gammaincc itself.
+    Scalars give a scalar.
+    """
+    s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
+    q, rec = np.empty(s.shape), np.array(s < 1.0)
+    s1, x1 = s[rec], x[rec]
+    with np.errstate(invalid="ignore"):  # x = inf gives inf * 0 = nan, which fails the guard
+        up = special.gammaincc(s1 + 1.0, x1)
+        q[rec] = up - x1**s1 * np.exp(-x1) * special.rgamma(s1 + 1.0)
+    rec[rec] = q[rec] >= up / 8.0
+    q[~rec] = special.gammaincc(s[~rec], x[~rec])
+    return q[()]
+
+
 def make_gamma_subordinator(a: float, b: float) -> SubordinatorSpec:
     """Gamma subordinator: Levy density b e^{-a tau}/tau, Phi = b log(1 + lambda/a)."""
     _require(0.0 < a < np.inf, "a", "finite and positive")
@@ -268,11 +292,11 @@ def make_gamma_subordinator(a: float, b: float) -> SubordinatorSpec:
     def clipped_mean(T, tau):
         # S(tau) ~ Gamma(b tau, rate a): E[S; S < T] + T P(S >= T)
         shape = b * np.asarray(tau, dtype=float)
-        return shape / a * special.gammainc(shape + 1.0, a * T) + T * special.gammaincc(shape, a * T)
+        return shape / a * special.gammainc(shape + 1.0, a * T) + T * _gamma_q(shape, a * T)
 
     def passage_cdf(t, tau):
         # P(S(tau) >= t) for S(tau) ~ Gamma(b tau, rate a)
-        return special.gammaincc(b * np.asarray(tau, dtype=float), a * t)
+        return _gamma_q(b * np.asarray(tau, dtype=float), a * t)
 
     def passage_sf(t, tau):
         # P(S(tau) < t), without the cancellation of 1 - passage_cdf
@@ -442,12 +466,13 @@ def sample_inverse_many(spec: SubordinatorSpec, t: float, ds, n: int, seed: int)
     with a passage_cdf F(tau) = P(D(t) <= tau) is drawn as the roots of
     F(tau) = U for n uniforms U at once: one 129-node table of F on
     [0, tau_hi], with tau_hi doubled from 1 until it covers max U, brackets
-    each U in a table cell, and Chandrupatla's method solves every cell to
-    full precision (a U above 1/2 is solved on the spec's passage_sf, as
-    1 - U, where it has one); it raises TruncationError when the table
-    cannot cover max U or a root search fails.  A spec with neither
-    capability gets a ConfigError.  ds is not read: it stays only because
-    callers, the benchmark among them, pass it positionally.
+    each U in a table cell, and one Chandrupatla search solves every cell
+    to full precision (a U above 1/2 is solved on the spec's passage_sf,
+    as 1 - U, where it has one, in the same search); it raises
+    TruncationError when the table cannot cover max U or a root search
+    fails.  A spec with neither capability gets a ConfigError.  ds is not
+    read: it stays only because callers, the benchmark among them, pass it
+    positionally.
     """
     _require(0 < t < np.inf, "t", "finite and positive")
     _require_count(n, "n", 0)
@@ -468,10 +493,12 @@ def _invert_passage_cdf(spec: SubordinatorSpec, t: float, u: np.ndarray) -> np.n
     is flat to rounding as u -> 1.  Both sides share one set of
     _PASSAGE_NODES nodes on [0, tau_hi], with tau_hi doubled from 1 until
     passage_cdf(tau_hi) >= max u (and passage_sf(tau_hi) <= 1 - max u when
-    the sf is used).  Each side's law is tabulated once on the nodes, each
-    u falls in the table cell where its law crosses it, and Chandrupatla's
-    method finds the root inside that cell to full precision.  Raises
-    TruncationError when the range cannot cover max u up to
+    the sf is used).  Each side's law is tabulated once on the nodes, and
+    each u falls in the table cell where its law crosses it.  One
+    Chandrupatla search then solves every cell to full precision, each
+    element on its own side's law, so a root does not depend on which other
+    draws share the batch, or on whether the spec has a passage_sf if u <= 1/2.
+    Raises TruncationError when the range cannot cover max u up to
     _PASSAGE_TAU_MAX, when a table is not finite, or when a root search fails.
     """
     from scipy.optimize import elementwise
@@ -491,22 +518,28 @@ def _invert_passage_cdf(spec: SubordinatorSpec, t: float, u: np.ndarray) -> np.n
             raise TruncationError(f"passage law stays below {top:.17g} up to tau = {tau_hi:.6g} at t = {t:.6g}")
         tau_hi *= 2.0
     nodes = np.linspace(0.0, tau_hi, _PASSAGE_NODES)
+    cell, target = np.zeros(u.shape, dtype=int), np.zeros(u.shape)
     for mask, law, y in sides:
         table = np.asarray(law(t, nodes), dtype=float)
         if not np.all(np.isfinite(table)):
             raise TruncationError(f"passage law is not finite on [0, {tau_hi:.6g}] at t = {t:.6g}")
-        if not mask.any():
-            continue
-        target = y[mask]
-        # table[cell - 1] < target <= table[cell] by bisection: law - target changes sign on the cell
-        cell = np.clip(np.searchsorted(table, target), 1, _PASSAGE_NODES - 1)
-        root = elementwise.find_root(
-            lambda tau, y: law(t, tau) - y, (nodes[cell - 1], nodes[cell]), args=(target,)
-        )
-        failed = int(np.sum(~root.success))
-        if failed:
-            raise TruncationError(f"passage-law inversion failed for {failed} of {u.size} draws at t = {t:.6g}")
-        out[mask] = root.x
+        # table[cell - 1] < y <= table[cell] by bisection: law - y changes sign on the cell
+        cell[mask] = np.clip(np.searchsorted(table, y[mask]), 1, _PASSAGE_NODES - 1)
+        target[mask] = y[mask]
+
+    def gap(tau, y, side):
+        value = np.empty(tau.shape)
+        for k, (_, law, _) in enumerate(sides):
+            on = side == k
+            value[on] = law(t, tau[on])
+        return value - y
+
+    cell = cell[pos]
+    root = elementwise.find_root(gap, (nodes[cell - 1], nodes[cell]), args=(target[pos], upper[pos].astype(int)))
+    failed = int(np.sum(~root.success))
+    if failed:
+        raise TruncationError(f"passage-law inversion failed for {failed} of {u.size} draws at t = {t:.6g}")
+    out[pos] = root.x
     return out
 
 

@@ -34,16 +34,17 @@ print(json.dumps({
 
 
 def _checkout(root: Path, side: str, wall_ref: float, success: float = 1.0, correct: bool = True,
-              crash: bool = False) -> Path:
+              crash: bool = False, bounds: dict = None) -> Path:
     d = root / side
     (d / "perfbench").mkdir(parents=True)
     (d / "perfbench" / "run.py").write_text(STUB)
     (d / "stub.json").write_text(json.dumps(
         {"side": side, "wall_ref": wall_ref, "success": success, "correct": correct, "crash": crash}))
-    (d / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "wall_ref", "better": "lower"},
-        {"name": "op_success_rate", "better": "higher"},
-    ]}))
+    listed = [{"name": "wall_ref", "better": "lower"}, {"name": "op_success_rate", "better": "higher"}]
+    for metric in listed:
+        if bounds and metric["name"] in bounds:
+            metric["bound"] = bounds[metric["name"]]
+    (d / "BENCHMARK.json").write_text(json.dumps({"end_to_end": listed}))
     return d
 
 
@@ -91,6 +92,53 @@ def test_listed_workloads_run_in_each_pair_and_get_one_table_each(tmp_path):
     assert titles == ["grid", "paths"]
     rows = [line for line in proc.stdout.splitlines() if line.startswith("wall_ref")]
     assert len(rows) == 2 and all(r.endswith("2/2") for r in rows)
+
+
+BOUNDS = {"wall_ref": 0.25, "op_success_rate": 0.05}
+
+
+def _verdicts(proc):
+    """Metric name -> its row's verdict, the text between the relative change and the wins."""
+    rows = [line for line in proc.stdout.splitlines() if line.startswith(("wall_ref", "op_"))]
+    return {row.split()[0]: row.split("%", 1)[1].rsplit(None, 1)[0].strip() for row in rows}
+
+
+def test_verdict_shows_a_gain_beyond_the_parents_spread(tmp_path):
+    # the change wins 3/3 pairs, and its median gap 0.5 exceeds the parent's q3 - q1 = 0.01
+    parent = _checkout(tmp_path, "parent", 1.0, bounds=BOUNDS)
+    change = _checkout(tmp_path, "change", 0.5, bounds=BOUNDS)
+    proc, _ = _run(tmp_path, parent, change, pairs=3)
+    assert proc.returncode == 0, proc.stderr
+    assert _verdicts(proc) == {"wall_ref": "gain shown", "op_success_rate": "within bound"}
+
+
+def test_verdict_needs_the_gap_to_exceed_the_parents_spread(tmp_path):
+    # 3/3 pairs won, but the gap 0.005 lies inside the parent's q3 - q1 = 0.01
+    parent = _checkout(tmp_path, "parent", 1.0, bounds=BOUNDS)
+    change = _checkout(tmp_path, "change", 0.995, bounds=BOUNDS)
+    proc, _ = _run(tmp_path, parent, change, pairs=3)
+    row = next(line for line in proc.stdout.splitlines() if line.startswith("wall_ref"))
+    assert row.endswith("3/3") and _verdicts(proc)["wall_ref"] == "within bound"
+
+
+def test_verdict_flags_a_metric_worse_beyond_its_bound(tmp_path):
+    # wall_ref 1.82 against 1.32 is 38% worse (bound 25%); the success rate
+    # 0.9 against 1 is 10% worse (bound 5%)
+    parent = _checkout(tmp_path, "parent", 1.0, bounds=BOUNDS)
+    change = _checkout(tmp_path, "change", 1.5, success=0.9, bounds=BOUNDS)
+    proc, _ = _run(tmp_path, parent, change, pairs=3)
+    assert proc.returncode == 0, proc.stderr
+    assert _verdicts(proc) == {"wall_ref": "worse beyond bound", "op_success_rate": "worse beyond bound"}
+    # inside the bound: 1.52 against 1.32 is 15% worse
+    parent = _checkout(tmp_path / "b", "parent", 1.0, bounds=BOUNDS)
+    change = _checkout(tmp_path / "b", "change", 1.2, bounds=BOUNDS)
+    assert _verdicts(_run(tmp_path, parent, change, pairs=3)[0])["wall_ref"] == "within bound"
+
+
+def test_verdict_without_a_bound(tmp_path):
+    parent = _checkout(tmp_path, "parent", 1.0)
+    change = _checkout(tmp_path, "change", 1.5)
+    assert _verdicts(_run(tmp_path, parent, change, pairs=2)[0])["wall_ref"] == "no bound"
 
 
 def test_incorrect_run_fails(tmp_path):

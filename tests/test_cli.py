@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from greenwalk import cli
 from greenwalk.cli import EXPERIMENTS, list_experiments, load_config, main
 from greenwalk.errors import ConfigError
 from greenwalk.green import cl_from_kernel
@@ -227,6 +228,18 @@ def test_renorm_curve_csv(tmp_path):
     rows = [",".join(repr(float(v)) for v in (T, N, value, curve.target, gap))
             for T, N, value, gap in zip(curve.T_grid, curve.N_values, curve.values, curve.rel_gaps)]
     assert (tmp_path / "rc_renorm_curve.csv").read_text().splitlines() == ["T,N,value,target,rel_gap", *rows]
+
+
+def test_renorm_curve_builds_no_grid(tmp_path, monkeypatch):
+    # the curve never reads a box, so the experiment never builds the GridSpec
+    def refuse(*args):
+        raise AssertionError("renorm-curve built a GridSpec")
+
+    monkeypatch.setattr(cli, "GridSpec", refuse)
+    cfg = write_cfg(tmp_path, "rc", experiment="renorm-curve", subordinator={"family": "stable"},
+                    horizons={"T_grid": [512.0]}, output="rc")
+    assert run_cli(["run", cfg, "--out", tmp_path]) == 0
+    assert len((tmp_path / "rc_renorm_curve.csv").read_text().splitlines()) == 2
 
 
 def test_subordinator_check_run(tmp_path):

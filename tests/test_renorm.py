@@ -180,6 +180,16 @@ def test_curve_matches_rate_class_sum_before_the_box_is_felt(k3, alpha):
         assert got == pytest.approx(ref, rel=1e-4)
 
 
+def test_curve_and_integral_need_no_grid(k3, stable, half_curve):
+    # grid is optional and unread: the same bits with and without it
+    f = cl_from_kernel(k3)
+    curve = renormalized_potential_curve(k3, stable, f, [0.0, 0.0, 0.0], CURVE_TS)
+    np.testing.assert_array_equal(curve.values, half_curve.values)
+    assert curve.target == half_curve.target
+    assert unnormalized_potential_integral(k3, stable, f, [0.0, 0.0, 0.0], 8.0) == \
+        unnormalized_potential_integral(k3, stable, f, [0.0, 0.0, 0.0], 8.0, GRID3)
+
+
 def test_limit_needs_a_clipped_mean(k3, stable):
     # the curve reads Phi, not the clipped mean; the histogram needs the clipped mean
     bare = dataclasses.replace(stable, clipped_mean=None)

@@ -161,6 +161,8 @@ _GRID1 = GridSpec(1, 256, 20.0)
     (lambda: renormalized_potential_curve(_K3, _HALF, cl_from_kernel(_K3), [0.0, 0.0, 0.0], 5.0, GridSpec(3, 16, 8.0)),
      "T_grid"),
     (lambda: subordinated_solution(_K1, _HALF, cl_from_kernel(_K1), [0.0], 1.0), "grid"),
+    (lambda: GridSpec(1, 64, 1e308), "half_width"),
+    (lambda: GridSpec(3, 64, 1e150), "half_width"),
 ], ids=["gamma-a-nan", "gamma-a-inf", "N-T-nan", "rho-t-nan", "rho-tau-nan", "subsol-t-nan", "ratio-tau-nan",
         "ratio-t-nan", "admissible-s0-nan", "inverse-t-nan", "mc-t-nan", "mc-t-inf", "series-lam-nan",
         "fourier-lam-nan", "fourier-x-nan", "potential-x-nan", "truncated-T-nan", "truncated-T-inf",
@@ -173,7 +175,7 @@ _GRID1 = GridSpec(1, 256, 20.0)
         "gridspec-half-width-inf", "binspec-half-width-nan", "series-lam-inf", "fourier-lam-inf", "N-gamma-T-inf",
         "subsol-t-inf", "fit-k-max-inf", "expectation-t-huge", "truncated-T-huge", "expectation-seed-negative",
         "gridspec-n-float", "fke-t-min-nan", "curve-T-grid-nan", "fke-t-grid-nan",
-        "curve-T-grid-scalar", "subsol-grid-missing"])
+        "curve-T-grid-scalar", "subsol-grid-missing", "gridspec-spacing-overflow", "gridspec-cell-volume-overflow"])
 @pytest.mark.filterwarnings("error")
 def test_nan_and_inf_inputs_raise_value_error(call, name):
     # InvalidInputError is also a ValueError; the message names the argument
@@ -358,6 +360,36 @@ def test_gamma_passage_cdf_is_the_upper_incomplete_gamma():
         assert float(spec.passage_cdf(t, tau)) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("x", [1e-3, 0.01, 0.1, 1.0, 3.0, 10.0, 30.0, 100.0])
+def test_gamma_q_matches_mpmath(x):
+    # s in [1e-6, 1) covers both sides of the switch between the recurrence
+    # and scipy's gammaincc at every x up to 3; from x = 10 on, Q(s, x) < Q(s + 1, x) / 8
+    # and only gammaincc runs
+    s = np.concatenate([np.geomspace(1e-6, 1.0 - 1e-6, 120), np.linspace(0.005, 0.995, 100)])
+    up = special.gammaincc(s + 1.0, x)
+    rec = up - x**s * np.exp(-x) / special.gamma(s + 1.0)
+    if x <= 3.0:
+        assert np.any(rec >= up / 8.0) and np.any(rec < up / 8.0)
+    with mp.workdps(40):
+        ref = np.array([float(mp.gammainc(mp.mpf(v), mp.mpf(x), mp.inf, regularized=True)) for v in s])
+    np.testing.assert_allclose(subordinate._gamma_q(s, x), ref, rtol=5e-14, atol=0.0)
+
+
+def test_gamma_q_handles_the_edges():
+    s = np.array([0.0, 0.5, 0.5, 0.5, 1.0, 2.5, np.nan])
+    x = np.array([1.0, 0.0, np.inf, 1e-300, 1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(subordinate._gamma_q(s, x), special.gammaincc(s, x))
+    assert subordinate._gamma_q(np.zeros((2, 3)), 1.0).shape == (2, 3)
+
+
+def test_gamma_passage_law_and_clipped_mean_keep_scalars_scalar():
+    spec = make_gamma_subordinator(*GAMMA_AB)
+    for value in (spec.passage_cdf(1.0, 0.3), spec.passage_sf(1.0, 0.3), spec.clipped_mean(5.0, 0.3)):
+        assert np.ndim(value) == 0 and isinstance(value, float)
+    assert spec.passage_cdf(1.0, np.array([0.3])).shape == (1,)
+    assert spec.clipped_mean(5.0, np.array([[0.3]])).shape == (1, 1)
+
+
 @pytest.mark.parametrize("tau", [0.3, 1.0, 2.5])
 def test_gamma_passage_cdf_differentiates_to_rho(tau):
     spec = make_gamma_subordinator(*GAMMA_AB)
@@ -508,6 +540,15 @@ def test_rho_closed_form_half_normal(stable):
     t, tau = 2.0, 1.0
     expected = np.exp(-(tau**2) / (4 * t)) / np.sqrt(np.pi * t)
     assert rho_density(stable, t, tau) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e300, 1e308])
+def test_rho_closed_form_half_normal_at_huge_t(stable, t):
+    # at t = 1e308 the product pi t overflows; e^{-tau^2/4t}/sqrt(pi t) is about 5.6e-155
+    tau = 2.5
+    with mp.workdps(30):
+        expected = mp.exp(-mp.mpf(tau) ** 2 / (4 * mp.mpf(t))) / mp.sqrt(mp.pi * mp.mpf(t))
+    assert rho_density(stable, t, tau) == pytest.approx(float(expected), rel=1e-14)
 
 
 def test_rho_laplace_matches_closed_form(stable):

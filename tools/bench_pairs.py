@@ -10,9 +10,14 @@ so a drift of the machine's speed falls on both sides alike.  Only the last
 line of each run's standard output is read, as JSON.  For every end-to-end
 metric (the ``end_to_end`` list of the change's BENCHMARK.json, or every
 reported metric if it has none) the script prints one table per workload:
-each side's median and quartiles, the relative change of the medians, and
-in how many pairs the change was better.  It exits 1 when a run fails
-(non-zero exit or no JSON last line) or reports ``"correct": false``.
+each side's median and quartiles, the relative change of the medians, a
+verdict, and in how many pairs the change was better.  The verdict is
+"gain shown" when the change was better in at least 9 of 10 pairs and its
+median beats the parent's by more than the parent's q3 - q1; "worse beyond
+bound" when its median is worse than the parent's by more than the metric's
+BENCHMARK.json ``bound``, a fraction of the parent's median; "within bound"
+otherwise, or "no bound" for a metric without one.  It exits 1 when a run
+fails (non-zero exit or no JSON last line) or reports ``"correct": false``.
 """
 
 from __future__ import annotations
@@ -44,13 +49,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def directions(change: Path, reported: dict) -> dict:
-    """Metric name -> "lower" or "higher" is better, for the end-to-end metrics."""
+    """Metric name -> ("lower" or "higher" is better, bound or None), for the end-to-end metrics."""
     bench = change / "BENCHMARK.json"
     if bench.is_file():
         listed = json.loads(bench.read_text()).get("end_to_end", [])
         if listed:
-            return {m["name"]: m.get("better", "lower") for m in listed}
-    return dict.fromkeys(reported, "lower")
+            return {m["name"]: (m.get("better", "lower"), m.get("bound")) for m in listed}
+    return dict.fromkeys(reported, ("lower", None))
 
 
 def quartiles(values: list) -> tuple:
@@ -60,10 +65,20 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
+def verdict(p_med: float, p_q1: float, p_q3: float, c_med: float, sign: float, wins: int, pairs: int,
+            bound) -> str:
+    """The metric's verdict; sign is 1 where lower is better and -1 where higher is."""
+    if 10 * wins >= 9 * pairs and sign * (p_med - c_med) > p_q3 - p_q1:
+        return "gain shown"
+    if bound is None:
+        return "no bound"
+    return "worse beyond bound" if sign * (c_med - p_med) > bound * abs(p_med) else "within bound"
+
+
 def summarize(runs: dict, better: dict) -> list:
-    """One row per metric: (name, parent median, q1, q3, change median, q1, q3, relative change, wins)."""
+    """One row per metric: (name, parent median, q1, q3, change median, q1, q3, relative change, verdict, wins)."""
     rows = []
-    for name, way in better.items():
+    for name, (way, bound) in better.items():
         vals = {side: [r["metrics"][name]["value"] for r in runs[side] if name in r.get("metrics", {})]
                 for side in SIDES}
         if not all(vals.values()) or len(vals["parent"]) != len(vals["change"]):
@@ -72,8 +87,9 @@ def summarize(runs: dict, better: dict) -> list:
         wins = sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"]))
         med = {side: statistics.median(v) for side, v in vals.items()}
         rel = med["change"] / med["parent"] - 1.0 if med["parent"] else float("nan")
-        rows.append((name, med["parent"], *quartiles(vals["parent"]),
-                     med["change"], *quartiles(vals["change"]), rel, wins))
+        p_q = quartiles(vals["parent"])
+        rows.append((name, med["parent"], *p_q, med["change"], *quartiles(vals["change"]), rel,
+                     verdict(med["parent"], *p_q, med["change"], sign, wins, len(vals["parent"]), bound), wins))
     return rows
 
 
@@ -113,11 +129,11 @@ def main(argv=None) -> int:
     for workload in workloads:
         print(f"\n{workload}: {args.pairs} pair(s), seeds {args.seed}-{args.seed + args.pairs - 1}, "
               f"run_seconds {args.seconds:g}; median [q1-q3]")
-        print(f"{'metric':<18}{'parent':>34}{'change':>34}{'rel':>10}  better in")
+        print(f"{'metric':<18}{'parent':>34}{'change':>34}{'rel':>10}  {'verdict':<20}better in")
         better = directions(args.change, runs[workload]["change"][0].get("metrics", {}))
-        for name, pm, p1, p3, cm, c1, c3, rel, wins in summarize(runs[workload], better):
+        for name, pm, p1, p3, cm, c1, c3, rel, verdict_, wins in summarize(runs[workload], better):
             print(f"{name:<18}{f'{pm:.6g} [{p1:.6g}-{p3:.6g}]':>34}{f'{cm:.6g} [{c1:.6g}-{c3:.6g}]':>34}"
-                  f"{rel:>+10.2%}  {wins}/{args.pairs}")
+                  f"{rel:>+10.2%}  {verdict_:<20}{wins}/{args.pairs}")
     if incorrect:
         print(f"bench_pairs: runs reported \"correct\": false: {', '.join(incorrect)}", file=sys.stderr)
         return 1
