@@ -17,7 +17,6 @@ from .errors import (
     InvalidInputError,
     InvalidKernelError,
     InversionInstabilityError,
-    MissingNormsError,
     TruncationError,
 )
 from .grids import FieldGrid, GridSpec
@@ -26,7 +25,6 @@ from .kernels import (
     fit_small_k_expansion,
     make_cauchy_kernel,
     make_gaussian_kernel,
-    make_tabulated_kernel,
     validate_kernel,
 )
 from .green import (
@@ -34,7 +32,6 @@ from .green import (
     GreenExistence,
     ResolventKernel,
     check_green_existence,
-    cl_from_grid,
     cl_from_kernel,
     evolve_semigroup,
     green_regular_fourier,

@@ -37,10 +37,6 @@ class InversionInstabilityError(GreenwalkError):
     """Two Laplace-inversion orders disagree beyond the instability threshold."""
 
 
-class MissingNormsError(GreenwalkError):
-    """A CL function has neither an evaluator nor grid samples, or has only samples on another grid."""
-
-
 class ConfigError(GreenwalkError):
     """An experiment configuration failed validation."""
 

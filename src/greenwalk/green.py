@@ -24,13 +24,12 @@ from .errors import (
     AliasingError,
     DivergentGreenMeasureError,
     InvalidKernelError,
-    MissingNormsError,
     TruncationError,
     _require,
 )
 from .grids import FieldGrid, GridSpec, field_from_function, require_same_grid
 from .grids import _finite_point, _from_spectral, _half, _to_spectral
-from .kernels import JumpKernel, sample_density, spectral_density
+from .kernels import JumpKernel, spectral_density
 
 
 # ---------------------------------------------------------------------------
@@ -42,17 +41,18 @@ from .kernels import JumpKernel, sample_density, spectral_density
 class CLFunction:
     """Bounded continuous integrable function (member of CL(R^d)).
 
-    An evaluator or grid samples must be present: values_at and samples_on
-    raise MissingNormsError for an f with neither, and samples_on for one
-    with samples on another grid and no evaluator.  fourier, when set, maps
-    radial frequencies |k| to f_hat for a radial f; potential and the
-    renormalized curve read it (cl_from_kernel sets it, cl_from_grid does not).
+    evaluator maps an (m, d) array of points to m values and must be callable;
+    a grid table f is CLFunction(f.values_at).  fourier, when set, maps radial
+    frequencies |k| to f_hat for a radial f; potential and the renormalized
+    curve read it (cl_from_kernel sets it).
     """
 
-    evaluator: Optional[Callable] = None
-    grid_samples: Optional[FieldGrid] = None
+    evaluator: Callable
     name: str = "f"
     fourier: Optional[Callable] = None
+
+    def __post_init__(self):
+        _require(callable(self.evaluator), "evaluator", "callable")
 
     def value_at(self, x) -> float:
         return float(self.values_at(x)[0])
@@ -60,32 +60,15 @@ class CLFunction:
     def values_at(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an (m, d) array of points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.evaluator is not None:
-            return np.asarray(self.evaluator(points), dtype=float).ravel()
-        if self.grid_samples is not None:
-            return self.grid_samples.values_at(points)
-        raise MissingNormsError("CL function has neither evaluator nor samples")
+        return np.asarray(self.evaluator(points), dtype=float).ravel()
 
     def samples_on(self, grid: GridSpec) -> FieldGrid:
-        if self.grid_samples is not None and self.grid_samples.grid == grid:
-            return self.grid_samples
-        if self.evaluator is not None:
-            return field_from_function(grid, self.evaluator)
-        if self.grid_samples is None:
-            raise MissingNormsError("CL function has neither evaluator nor samples")
-        raise MissingNormsError("CL function has samples on another grid and no evaluator to resample them")
+        return field_from_function(grid, self.evaluator)
 
 
 def cl_from_kernel(kernel: JumpKernel) -> CLFunction:
     """The jump density itself as a CL function."""
-    # a table's transform is periodic in k, which the radial rule cannot integrate:
-    # without fourier, potential takes the grid route
-    return CLFunction(evaluator=kernel.density, name="a",
-                      fourier=None if kernel.name == "tabulated" else kernel.fourier_radial)
-
-
-def cl_from_grid(field: FieldGrid, name: str = "f") -> CLFunction:
-    return CLFunction(grid_samples=field, name=name)
+    return CLFunction(evaluator=kernel.density, name="a", fourier=kernel.fourier_radial)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +106,7 @@ class _RateClasses:
     a class; weights sums f's phased spectrum over it, rates = 1 - a_hat.  An
     aliased symbol above 1 + _SYMBOL_EXCESS raises AliasingError, and an x that is not
     finite or not in [-L, L)^d an InvalidInputError, as the periodic sum would wrap it.  f is
-    sampled on grid, or on its own samples' grid when grid is None.  The sum runs over
+    sampled on grid; a grid of None is an InvalidInputError.  The sum runs over
     the rfftn half: a mode strictly inside it also stands for its conjugate (same a_hat,
     conjugate weight) and counts twice; the planes k_last = 0 and N/2 count once.
     """
@@ -132,10 +115,9 @@ class _RateClasses:
     weights: np.ndarray
 
     @classmethod
-    def build(cls, kernel: JumpKernel, f: CLFunction, x, grid: Optional[GridSpec] = None) -> "_RateClasses":
-        _require(grid is not None or f.grid_samples is not None, "grid", "given for an f without grid samples")
-        f = f.samples_on(f.grid_samples.grid if grid is None else grid)
-        grid, x = f.grid, np.atleast_1d(np.asarray(x, dtype=float))
+    def build(cls, kernel: JumpKernel, f: CLFunction, x, grid: Optional[GridSpec]) -> "_RateClasses":
+        _require(grid is not None, "grid", "given for the grid semigroup")
+        f, x = f.samples_on(grid), np.atleast_1d(np.asarray(x, dtype=float))
         _require((x >= -grid.half_width) & (x < grid.half_width), "x", "finite and inside the box [-L, L)^d")
         a_hat = spectral_density(kernel, grid)
         excess = float(a_hat.max()) - 1.0
@@ -209,7 +191,6 @@ class ResolventKernel:
     """Regular part G_lambda of the resolvent kernel, plus its delta weight."""
 
     lam: float
-    kernel_name: str
     regular_part: FieldGrid
     n_terms: int = 0  # series terms summed: none, the closed form has no series
 
@@ -259,7 +240,7 @@ def green_regular_series(kernel: JumpKernel, grid: GridSpec, lam: float) -> Reso
     floor = float(vals.min())
     if floor < -1e-8:
         raise TruncationError(f"Green series produced negative values ({floor:.2e})")
-    return ResolventKernel(lam, kernel.name, FieldGrid(grid, np.maximum(vals, 0.0)))
+    return ResolventKernel(lam, FieldGrid(grid, np.maximum(vals, 0.0)))
 
 
 def _fourier_cutoff(kernel: JumpKernel, lam: float) -> float:
@@ -278,17 +259,16 @@ def _radial_measure(d: int, r: float, k: np.ndarray) -> np.ndarray:
     """m(k) with (2 pi)^{-d} int e^{i(k,x)} g(|k|) dk = int_0^inf g(k) m(k) dk at |x| = r.
 
     m is k^{d-1} |S^{d-1}| (2 pi)^{-d} times the angular mean of e^{i(k,x)}:
-    cos(k r) in d = 1, J_0(k r) in d = 2 and sin(k r)/(k r) in d = 3.
+    cos(k r) in d = 1, J_0(k r) in d = 2 and sin(k r)/(k r) in d = 3, the dimensions
+    _radial_value admits.
     """
     if d == 1:
         return np.cos(k * r) / np.pi
     if d == 2:
         return k * special.j0(k * r) / (2.0 * np.pi)
-    if d == 3 and r == 0.0:
+    if r == 0.0:
         return k * k / (2.0 * np.pi**2)
-    if d == 3:
-        return k * np.sin(k * r) / (2.0 * np.pi**2 * r)
-    raise NotImplementedError("radial Fourier quadrature supports d in {1, 2, 3}")
+    return k * np.sin(k * r) / (2.0 * np.pi**2 * r)
 
 
 # geometric Gauss-Legendre panels from 1e-8 to the Fourier cutoff, plus [0, 1e-8]; with 80,
@@ -323,8 +303,10 @@ def _radial_value(kernel: JumpKernel, x, lam: float, multiplier) -> tuple[np.nda
     below _TAIL_FORM_K when the kernel's tail_params are known.
     multiplier may return (..., nodes), one integral per row.  Order-16
     Gauss-Legendre gives the value, its gap to order 8 the error estimate;
-    TruncationError when that gap exceeds _RADIAL_TOL of the value; InvalidInputError for a non-finite x.
+    TruncationError when that gap exceeds _RADIAL_TOL of the value; InvalidInputError for a non-finite x
+    or a kernel dimension outside {1, 2, 3}.
     """
+    _require(kernel.dim in (1, 2, 3), "kernel.dim", f"1, 2 or 3 for the radial Fourier rule, not {kernel.dim}")
     with np.errstate(over="ignore"):
         r = float(np.linalg.norm(_finite_point(x)))
     _require(r < np.inf, "x", "of finite length |x|")
@@ -377,7 +359,7 @@ def convolve_fields(a: FieldGrid, b: FieldGrid) -> FieldGrid:
 
 
 def potential_field(kernel: JumpKernel, f: CLFunction, grid: GridSpec) -> FieldGrid:
-    """V(., f) = f + G_0 * f on the periodic grid for any f; potential's route for a tabulated f."""
+    """V(., f) = f + G_0 * f on the periodic grid for any f; potential's route for an f without fourier."""
     g0 = green_regular_series(kernel, grid, 0.0)  # gates existence before f is sampled
     fs = f.samples_on(grid)
     return FieldGrid(grid, fs.values + convolve_fields(g0.regular_part, fs).values)
@@ -388,7 +370,7 @@ def potential(kernel: JumpKernel, f: CLFunction, x, grid: GridSpec) -> float:
 
     With f.fourier (cl_from_kernel): one radial rule of _radial_value, no FFT, grid
     unused, exact off centre; TruncationError where the rule fails (|x| of about 70
-    for the 3-D Gaussian).  A tabulated f (cl_from_grid) takes potential_field, which wraps.
+    for the 3-D Gaussian).  An f without fourier takes potential_field, which wraps.
     """
     if f.fourier is None:
         return float(potential_field(kernel, f, grid).value_at(x))

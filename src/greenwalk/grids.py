@@ -80,14 +80,6 @@ class GridSpec:
         k1 = 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
         return sum(np.ix_(*[k1 * k1] * self.dim))
 
-    def nearest_index(self, x) -> tuple[int, ...]:
-        """Index of the node nearest x in the box [-L, L)^d; (L - h/2, L) wraps to -L."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        _require(x.shape == (self.dim,), "x", "a point with dim coordinates")
-        _require((x >= -self.half_width) & (x < self.half_width), "x", "inside the box [-L, L)^d")
-        idx = np.rint((x + self.half_width) / self.spacing).astype(int) % self.points_per_axis
-        return tuple(idx)
-
 
 @dataclass
 class FieldGrid:

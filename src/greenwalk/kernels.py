@@ -100,68 +100,6 @@ def make_cauchy_kernel() -> JumpKernel:
     return JumpKernel(1, density, fourier, (1.0, 1.0), sampler, "cauchy1d", symbol_gap)
 
 
-def _table_fourier_radial(samples: FieldGrid):
-    """Trapezoidal cosine transform of a grid table, evaluated radially.
-
-    Valid for symmetric tables; uses the first coordinate axis as the
-    radial direction for d > 1.
-    """
-    g = samples.grid
-    pts = g.points()
-    vals = samples.values.ravel()
-    vol = g.cell_volume
-
-    def fourier(k):
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        out = np.array([np.sum(np.cos(kk * pts[:, 0]) * vals) * vol for kk in k])
-        return out if out.size > 1 else out[0]
-
-    return fourier
-
-
-def make_tabulated_kernel(samples: FieldGrid) -> JumpKernel:
-    """Kernel from a nonnegative, even grid table, renormalized to unit mass.
-
-    The density evaluator is multilinear interpolation of the renormalized
-    table (zero outside the box); the Fourier evaluator is the discrete
-    cosine transform of the table.  tail_params is absent: callers must fit
-    alpha explicitly before Green-measure existence checks.
-    """
-    g = samples.grid
-    vals = samples.values
-    if np.any(vals < 0):
-        raise InvalidKernelError("tabulated kernel has a negative sample")
-    # even symmetry on the periodic grid: index i -> -i mod N per axis
-    flipped = vals[tuple(np.ix_(*[(-np.arange(g.points_per_axis)) % g.points_per_axis] * g.dim))]
-    scale = max(float(np.max(np.abs(vals))), np.finfo(float).tiny)
-    if np.max(np.abs(vals - flipped)) > 1e-9 * scale:
-        raise InvalidKernelError("tabulated kernel is asymmetric beyond 1e-9")
-    mass = vals.sum() * g.cell_volume
-    if mass <= 0:
-        raise InvalidKernelError("tabulated kernel has zero total mass")
-    table = FieldGrid(g, vals / mass)
-
-    def density(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape[0])
-        inside = np.all(np.abs(x) < g.half_width - g.spacing, axis=1)
-        out[inside] = table.values_at(x[inside])
-        return out
-
-    # alias sampler over grid cells plus uniform jitter within a cell
-    probs = (table.values / table.values.sum()).ravel()
-    centers = g.points()
-
-    def sampler(rng, size):
-        cells = rng.choice(probs.size, size=size, p=probs)
-        jitter = rng.uniform(-0.5, 0.5, size=(size, g.dim)) * g.spacing
-        return centers[cells] + jitter
-
-    return JumpKernel(
-        g.dim, density, _table_fourier_radial(table), None, sampler, name="tabulated"
-    )
-
-
 def fit_small_k_expansion(
     kernel: JumpKernel,
     k_min: float = 1e-3,

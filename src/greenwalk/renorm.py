@@ -177,8 +177,8 @@ def renormalized_potential_curve(
     estimate of each value.
     """
     T_grid = np.asarray(T_grid, dtype=float)
-    _require(T_grid.ndim == 1 and np.all((T_grid > 0) & (T_grid < np.inf)), "T_grid",
-             "a 1-d array of finite positive times")
+    _require(T_grid.ndim == 1 and T_grid.size >= 1 and np.all((T_grid > 0) & (T_grid < np.inf)), "T_grid",
+             "a 1-d array of at least one finite positive time")
     integrals, errors = _occupation_integrals(kernel, spec, f, x, T_grid)
     target = potential(kernel, f, x, grid)
     N_vals = normalization_N(spec, T_grid)

@@ -282,6 +282,12 @@ class BinSpec:
     hi: tuple
     shape: tuple
 
+    def __post_init__(self):
+        for n in self.shape:
+            _require_count(n, "shape", 1)
+        lo, hi = np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
+        _require((-np.inf < lo) & (lo < hi) & (hi < np.inf), "lo, hi", "finite with lo < hi on every axis")
+
     @classmethod
     def cube(cls, half_width: float, bins_per_axis: int, dim: int) -> "BinSpec":
         _require(0 < half_width < np.inf, "half_width", "finite and positive")

@@ -493,7 +493,7 @@ def _invert_passage_cdf(spec: SubordinatorSpec, t: float, u: np.ndarray) -> np.n
     is flat to rounding as u -> 1.  Both sides share one set of
     _PASSAGE_NODES nodes on [0, tau_hi], with tau_hi doubled from 1 until
     passage_cdf(tau_hi) >= max u (and passage_sf(tau_hi) <= 1 - max u when
-    the sf is used).  Each side's law is tabulated once on the nodes, and
+    the sf is used).  Each side's law is evaluated once on the nodes, and
     each u falls in the table cell where its law crosses it.  One
     Chandrupatla search then solves every cell to full precision, each
     element on its own side's law, so a root does not depend on which other

@@ -7,19 +7,19 @@ import inspect
 import pytest
 
 import greenwalk
-from greenwalk import green, grids, kernels, renorm, simulate, subordinate
+from greenwalk import errors, green, grids, kernels, renorm, simulate, subordinate
 
 PUBLIC = [
     "AliasingError", "BinSpec", "CLFunction", "ConfigError", "DivergentGreenMeasureError",
     "FieldGrid", "GreenExistence", "GreenwalkError", "GridMismatchError", "GridSpec",
     "InvalidInputError", "InvalidKernelError", "InversionInstabilityError", "JumpKernel", "McEstimate",
-    "MissingNormsError", "OccupationHistogram", "RenormCurve", "ResolventKernel",
+    "OccupationHistogram", "RenormCurve", "ResolventKernel",
     "SubordinatorSpec", "TruncationError", "average_random_green_measure", "check_H",
-    "check_admissible", "check_green_existence", "cl_from_grid", "cl_from_kernel",
+    "check_admissible", "check_green_existence", "cl_from_kernel",
     "empirical_random_green_measure", "errors", "evolve_semigroup", "fit_small_k_expansion",
     "fke_residual", "gfd_apply", "green", "green_regular_fourier", "green_regular_series",
     "grids", "kernels", "make_cauchy_kernel", "make_gamma_subordinator", "make_gaussian_kernel",
-    "make_stable_subordinator", "make_tabulated_kernel", "mc_expectation",
+    "make_stable_subordinator", "mc_expectation",
     "mc_time_changed_expectation", "mc_truncated_potential", "normalization_N", "potential",
     "potential_field", "renorm", "renormalized_green_histogram", "renormalized_potential_curve",
     "rho_density", "simulate", "subordinate", "subordinated_solution", "time_averaged_ratio",
@@ -57,6 +57,10 @@ def test_single_path_and_single_draw_helpers_are_gone(module, name):
     (subordinate, "_MAX_STEPS"),
     (subordinate, "_PASSAGE_BLOCK"),
     (subordinate, "_k_integral"),
+    (kernels, "make_tabulated_kernel"),
+    (green, "cl_from_grid"),
+    (errors, "MissingNormsError"),
+    (grids.GridSpec, "nearest_index"),
 ])
 def test_field_io_declared_norms_and_histogram_integral_are_gone(owner, name):
     with pytest.raises(AttributeError):
@@ -64,7 +68,7 @@ def test_field_io_declared_norms_and_histogram_integral_are_gone(owner, name):
 
 
 def test_cl_function_has_no_declared_norms():
-    assert [f.name for f in dataclasses.fields(green.CLFunction)] == ["evaluator", "grid_samples", "name", "fourier"]
+    assert [f.name for f in dataclasses.fields(green.CLFunction)] == ["evaluator", "name", "fourier"]
 
 
 @pytest.mark.parametrize("fn, option", [

@@ -121,6 +121,24 @@ def test_cli_bad_inputs_report_the_typed_error(tmp_path, capsys):
     assert err == {"type": "InvalidInputError", "message": "seed must be an integer with seed >= 0"}
 
 
+DIM4 = {"kernel": {"family": "gaussian", "dim": 4}}
+
+
+@pytest.mark.parametrize("body, message", [
+    ({"experiment": "random-green", "bins": {"per_axis": 0}, "mc": {"n": 10, "seed": 1}},
+     "shape must be an integer with shape >= 1"),
+    ({"experiment": "renorm-curve", "subordinator": {"family": "stable"}, **DIM4},
+     "kernel.dim must be 1, 2 or 3 for the radial Fourier rule, not 4"),
+    ({"experiment": "green-fourier", "grid": {"N": 8, "L": 4.0}, **DIM4},
+     "kernel.dim must be 1, 2 or 3 for the radial Fourier rule, not 4"),
+], ids=["bins-per-axis-zero", "renorm-curve-dim-4", "green-fourier-dim-4"])
+def test_cli_inputs_the_library_refuses_print_the_error_line(tmp_path, capsys, body, message):
+    # each used to end in a traceback (ZeroDivisionError, NotImplementedError)
+    cfg = write_cfg(tmp_path, "refused", **body)
+    assert run_cli(["run", cfg, "--out", tmp_path]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {"type": "InvalidInputError", "message": message}
+
+
 @pytest.mark.parametrize("output", [{"prefix": "h"}, "", 3])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_output_must_be_a_nonempty_string(tmp_path, capsys, command, output):

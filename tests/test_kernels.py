@@ -15,14 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenwalk.errors import AliasingError, InvalidKernelError
-from greenwalk.grids import FieldGrid, GridSpec, field_from_function
+from greenwalk.grids import FieldGrid, GridSpec
 from greenwalk.kernels import (
     JumpKernel,
     convolve_power,
     fit_small_k_expansion,
     make_cauchy_kernel,
     make_gaussian_kernel,
-    make_tabulated_kernel,
     sample_density,
     spectral_density,
     validate_kernel,
@@ -83,48 +82,6 @@ def test_fourier_is_cosine_transform_of_density():
         [np.sum(np.cos(kk * xs) * samples.values) * GRID1.spacing for kk in ks]
     )
     np.testing.assert_allclose(numeric, k.fourier_radial(ks), atol=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# tabulated kernels
-# ---------------------------------------------------------------------------
-
-
-def test_tabulated_gaussian_matches_analytic():
-    g = GridSpec(1, 256, 20.0)
-    table = field_from_function(g, lambda x: gaussian_n(x, 1, 1))
-    k = make_tabulated_kernel(table)
-    assert float(k.fourier_radial(0.0)) == pytest.approx(1.0, abs=1e-9)
-    A, alpha, _ = fit_small_k_expansion(k)
-    assert A == pytest.approx(1.0, rel=0.05)
-    assert alpha == pytest.approx(2.0, rel=0.05)
-
-
-def test_tabulated_rejects_negative_entries():
-    g = GridSpec(1, 256, 20.0)
-    table = field_from_function(g, lambda x: gaussian_n(x, 1, 1))
-    table.values[3] = -1e-3
-    with pytest.raises(InvalidKernelError):
-        make_tabulated_kernel(table)
-
-
-def test_tabulated_renormalizes_mass():
-    g = GridSpec(1, 256, 20.0)
-    table = field_from_function(g, lambda x: gaussian_n(x, 1, 1))
-    scaled = field_from_function(g, lambda x: 3.0 * gaussian_n(x, 1, 1))
-    k1 = make_tabulated_kernel(table)
-    k2 = make_tabulated_kernel(scaled)
-    pts = np.linspace(-3, 3, 13)[:, None]
-    np.testing.assert_allclose(k1.density(pts), k2.density(pts), rtol=1e-10)
-
-
-def test_tabulated_density_is_zero_outside_the_table():
-    g = GridSpec(1, 256, 20.0)
-    k = make_tabulated_kernel(field_from_function(g, lambda x: gaussian_n(x, 1, 1)))
-    pts = np.array([[0.0], [19.9], [-20.0], [20.0], [45.0], [-1e3]])
-    dens = k.density(pts)
-    assert dens[0] > 0.0
-    np.testing.assert_array_equal(dens[1:], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +186,23 @@ def test_validate_flags_asymmetric_density():
     dim=st.sampled_from([1, 2]),
     log_n=st.integers(5, 7),
     half_width=st.floats(12.0, 20.0),
-    tabulated=st.booleans(),
+    table=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_kernel_has_unit_mass_and_even_symmetry(dim, log_n, half_width, tabulated, seed):
+def test_kernel_has_unit_mass_and_even_symmetry(dim, log_n, half_width, table, seed):
     grid = GridSpec(dim, 2**log_n, half_width)
     n = grid.points_per_axis
     flip = lambda v: v[np.ix_(*[(-np.arange(n)) % n] * dim)]
-    if tabulated:
-        # random even table, zero where the interpolated density is cut off
+    if table:
+        # the interpolant of a random even table at unit mass, zero next to the box boundary;
+        # its transform is the table's cosine sum along the first axis
         raw = np.random.default_rng(seed).uniform(0.0, 1.0, grid.shape)
         inside = np.all([np.abs(c) < half_width - 1.5 * grid.spacing for c in grid.meshgrid()], axis=0)
-        kernel = make_tabulated_kernel(FieldGrid(grid, (raw + flip(raw)) * inside))
+        even = FieldGrid(grid, (raw + flip(raw)) * inside)
+        density = FieldGrid(grid, even.values / even.integral())
+        x0, mass = grid.points()[:, 0], density.values.ravel() * grid.cell_volume
+        fourier = lambda k: np.cos(np.multiply.outer(np.atleast_1d(k), x0)) @ mass
+        kernel = JumpKernel(dim, density.values_at, fourier, None, name="table")
     else:
         kernel = make_gaussian_kernel(dim)
     report = validate_kernel(kernel, grid)

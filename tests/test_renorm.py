@@ -15,8 +15,8 @@ from scipy import integrate, special
 
 from green_oracles import ZETA_ORACLE
 from greenwalk.errors import AliasingError, ConfigError, DivergentGreenMeasureError
-from greenwalk.grids import FieldGrid, GridSpec
-from greenwalk.green import _RateClasses, cl_from_grid, cl_from_kernel, potential
+from greenwalk.grids import GridSpec
+from greenwalk.green import CLFunction, _RateClasses, cl_from_kernel, potential
 from greenwalk.kernels import convolve_power, make_cauchy_kernel, make_gaussian_kernel
 from greenwalk.renorm import (
     RenormCurve,
@@ -55,8 +55,8 @@ def k3():
     return make_gaussian_kernel(3)
 
 
-def const_cl(grid, value):
-    return cl_from_grid(FieldGrid(grid, np.full(grid.shape, float(value))))
+def const_cl(value):
+    return CLFunction(lambda p: np.full(len(p), float(value)))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_normalization_gamma_closed_form(gamma):
 
 
 def test_subordinated_constant_is_preserved(k1, stable, gamma):
-    f = const_cl(GRID1, 1.0)
+    f = const_cl(1.0)
     for spec in (stable, gamma):
         assert subordinated_solution(k1, spec, f, [0.0], 1.0, grid=GRID1) == pytest.approx(
             1.0, abs=1e-6
@@ -97,7 +97,7 @@ def test_subordinated_solution_matches_mc(k1, stable):
 def test_subordinated_solution_small_time_limit(k1, stable):
     # v(t, x) -> f(x) as t -> 0; with f = a*a the relative gap at t = 1e-3
     # is ~0.7% (E[D(t)] = 2 sqrt(t/pi) times the logarithmic derivative of f)
-    f = cl_from_grid(convolve_power(k1, 2, GRID1), name="a2")
+    f = CLFunction(convolve_power(k1, 2, GRID1).values_at, name="a2")
     v = subordinated_solution(k1, stable, f, [0.0], 1e-3, grid=GRID1)
     assert v == pytest.approx(f.value_at([0.0]), rel=0.01)
 
@@ -121,7 +121,7 @@ def test_subordinated_solution_gamma_matches_mc(k1, a, b):
 
 
 def test_mc_time_changed_constant(k1, stable):
-    est = mc_time_changed_expectation(k1, stable, const_cl(GRID1, 1.0), [0.0], 1.0, 64, seed=3)
+    est = mc_time_changed_expectation(k1, stable, const_cl(1.0), [0.0], 1.0, 64, seed=3)
     assert est.mean == pytest.approx(1.0)
     assert est.stderr == 0.0
 
@@ -241,7 +241,7 @@ def test_curve_matches_closed_form_W_and_records_its_quadrature_error(k3, stable
 
 
 def test_curve_needs_the_fourier_transform_of_f(k3, stable):
-    f = cl_from_grid(cl_from_kernel(k3).samples_on(GRID3), name="a_table")
+    f = CLFunction(cl_from_kernel(k3).samples_on(GRID3).values_at, name="a_table")
     with pytest.raises(ConfigError, match="a_table"):
         renormalized_potential_curve(k3, stable, f, [0.0, 0.0, 0.0], np.array([1.0, 2.0]), GRID3)
 
@@ -410,7 +410,7 @@ def test_histogram_reproducible(k3, stable):
 
 
 def test_fke_residual_zero_for_constant(k1, stable):
-    f = const_cl(GRID1, 2.0)
+    f = const_cl(2.0)
     t_grid = 0.02 * np.arange(51)
     assert fke_residual(k1, stable, f, [0.0], t_grid, grid=GRID1) < 1e-12
 

@@ -22,8 +22,8 @@ from scipy import integrate, special
 import greenwalk.simulate as simulate
 
 from greenwalk.errors import InvalidKernelError
-from greenwalk.grids import FieldGrid, GridSpec
-from greenwalk.green import CLFunction, cl_from_grid, cl_from_kernel, evolve_semigroup
+from greenwalk.grids import GridSpec
+from greenwalk.green import CLFunction, cl_from_kernel, evolve_semigroup
 from greenwalk.kernels import JumpKernel, make_gaussian_kernel, sample_density
 from greenwalk.renorm import _horizon, mc_time_changed_expectation, normalization_N, renormalized_green_histogram
 from greenwalk.subordinate import _standard_stable, make_stable_subordinator
@@ -51,8 +51,8 @@ def k3():
     return make_gaussian_kernel(3)
 
 
-def const_cl(grid, value):
-    return cl_from_grid(FieldGrid(grid, np.full(grid.shape, float(value))))
+def const_cl(value):
+    return CLFunction(lambda p: np.full(len(p), float(value)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +423,7 @@ def test_mc_expectation_at_time_zero_is_exact(k1):
 
 
 def test_mc_expectation_of_constant(k1):
-    est = mc_expectation(k1, const_cl(GRID1, 1.0), [0.0], 1.0, 64, seed=1)
+    est = mc_expectation(k1, const_cl(1.0), [0.0], 1.0, 64, seed=1)
     assert est.mean == pytest.approx(1.0)
     assert est.stderr == 0.0
 
@@ -441,14 +441,14 @@ def test_mc_expectation_matches_semigroup(k1):
 
 
 def test_truncated_potential_of_zero(k1):
-    est = mc_truncated_potential(k1, const_cl(GRID1, 0.0), [0.0], 5.0, 16, seed=2)
+    est = mc_truncated_potential(k1, const_cl(0.0), [0.0], 5.0, 16, seed=2)
     assert est.mean == 0.0
     assert est.stderr == 0.0
 
 
 def test_truncated_potential_of_constant(k1):
     T, c = 7.0, 2.5
-    est = mc_truncated_potential(k1, const_cl(GRID1, c), [0.0], T, 16, seed=2)
+    est = mc_truncated_potential(k1, const_cl(c), [0.0], T, 16, seed=2)
     assert est.mean == pytest.approx(c * T, rel=1e-12)
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
 

@@ -86,6 +86,7 @@ def test_spec_json_dict(stable):
 
 _K1 = make_gaussian_kernel(1)
 _K3 = make_gaussian_kernel(3)
+_K4 = make_gaussian_kernel(4)  # beyond the radial rule's dimensions
 _HALF = make_stable_subordinator(0.5)
 _BINS1 = BinSpec.cube(4.0, 8, 1)
 _GRID1 = GridSpec(1, 256, 20.0)
@@ -163,6 +164,14 @@ _GRID1 = GridSpec(1, 256, 20.0)
     (lambda: subordinated_solution(_K1, _HALF, cl_from_kernel(_K1), [0.0], 1.0), "grid"),
     (lambda: GridSpec(1, 64, 1e308), "half_width"),
     (lambda: GridSpec(3, 64, 1e150), "half_width"),
+    (lambda: BinSpec.cube(8.0, 0, 3), "shape"),
+    (lambda: BinSpec.cube(8.0, -2, 3), "shape"),
+    (lambda: BinSpec.cube(8.0, 2.5, 3), "shape"),
+    (lambda: BinSpec((1.0, -1.0), (1.0, 1.0), (4, 4)), "lo, hi"),
+    (lambda: green_regular_fourier(_K4, [0.0] * 4, 0.0), "kernel.dim"),
+    (lambda: potential(_K4, cl_from_kernel(_K4), [0.0] * 4, GridSpec(4, 8, 4.0)), "kernel.dim"),
+    (lambda: renormalized_potential_curve(_K4, _HALF, cl_from_kernel(_K4), [0.0] * 4, [1.0, 2.0]), "kernel.dim"),
+    (lambda: renormalized_potential_curve(_K3, _HALF, cl_from_kernel(_K3), [0.0, 0.0, 0.0], []), "T_grid"),
 ], ids=["gamma-a-nan", "gamma-a-inf", "N-T-nan", "rho-t-nan", "rho-tau-nan", "subsol-t-nan", "ratio-tau-nan",
         "ratio-t-nan", "admissible-s0-nan", "inverse-t-nan", "mc-t-nan", "mc-t-inf", "series-lam-nan",
         "fourier-lam-nan", "fourier-x-nan", "potential-x-nan", "truncated-T-nan", "truncated-T-inf",
@@ -175,7 +184,9 @@ _GRID1 = GridSpec(1, 256, 20.0)
         "gridspec-half-width-inf", "binspec-half-width-nan", "series-lam-inf", "fourier-lam-inf", "N-gamma-T-inf",
         "subsol-t-inf", "fit-k-max-inf", "expectation-t-huge", "truncated-T-huge", "expectation-seed-negative",
         "gridspec-n-float", "fke-t-min-nan", "curve-T-grid-nan", "fke-t-grid-nan",
-        "curve-T-grid-scalar", "subsol-grid-missing", "gridspec-spacing-overflow", "gridspec-cell-volume-overflow"])
+        "curve-T-grid-scalar", "subsol-grid-missing", "gridspec-spacing-overflow", "gridspec-cell-volume-overflow",
+        "binspec-shape-zero", "binspec-shape-negative", "binspec-shape-fraction", "binspec-lo-not-below-hi",
+        "fourier-dim-4", "potential-dim-4", "curve-dim-4", "curve-T-grid-empty"])
 @pytest.mark.filterwarnings("error")
 def test_nan_and_inf_inputs_raise_value_error(call, name):
     # InvalidInputError is also a ValueError; the message names the argument
