@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, GreenwalkError
+from .errors import ConfigError, GreenwalkError, _require
 from .green import (
     cl_from_kernel,
     green_regular_fourier,
@@ -148,9 +148,11 @@ class _Inputs:
     def grid(self) -> GridSpec:
         g = self.cfg.get("grid")
         if g is None:
+            # a default grid exists where the radial rule does; beyond, a run fails on the rule's own error
             defaults = {1: (1024, 40.0), 2: (256, 24.0), 3: (64, 16.0)}
-            n, half = defaults.get(self.kernel.dim, (64, 16.0))
-            return GridSpec(self.kernel.dim, n, half)
+            d = self.kernel.dim
+            _require(d in defaults, "kernel.dim", f"1, 2 or 3 for the radial Fourier rule, not {d}")
+            return GridSpec(d, *defaults[d])
         if set(g) != {"N", "L"}:
             raise ConfigError("grid needs both N and L")
         return GridSpec(self.kernel.dim, g["N"], float(g["L"]))

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
-from .errors import ConfigError, InvalidInputError, TruncationError, _require, _require_count
+from .errors import ConfigError, InvalidInputError, InversionInstabilityError, TruncationError, _require, _require_count
 from .green import CLFunction, _decay_exponent, _radial_value, _RateClasses, potential
 from .grids import GridSpec, _finite_point
 from .kernels import JumpKernel
@@ -21,6 +22,9 @@ from .simulate import BinSpec, McEstimate, _mc_end_values, _mc_occupation
 from .subordinate import (
     SubordinatorSpec,
     _mixture_weights,
+    _talbot_gate,
+    _talbot_nodes,
+    _talbot_orders,
     check_H,
     check_admissible,
     kernel_cell_masses,
@@ -120,16 +124,29 @@ class RenormCurve:
 
 
 def _horizon(clipped_mean, T: float) -> float:
-    """tau* = min{tau : T - C_T(tau) <= 1e-8 T}, bracketed on powers of 2, then bisected."""
-    brackets = np.concatenate(([0.0], 2.0 ** np.arange(-40, 200)))
-    done = T - clipped_mean(T, brackets) <= 1e-8 * T
-    if not done.any():
-        raise TruncationError(f"E[S(tau) ^ T] does not reach T = {T:.6g}")
-    i = int(np.argmax(done))
-    lo, hi = brackets[max(i - 1, 0)], brackets[i]
+    """tau* = min{tau : T - C_T(tau) <= 1e-8 T}, bracketed on powers of 2, then bisected.
+
+    The bracket is found by doubling or halving from tau = 1, one tau per clipped-mean
+    call, so no call reaches the powers far from tau* where the Kanter rule of a stable
+    alpha near 1 over- or underflows.  Powers run from 2^-40 (below which the bracket
+    starts at 0) to 2^199.
+    """
+    def done(tau):
+        return T - clipped_mean(T, np.array([tau]))[0] <= 1e-8 * T
+
+    hi = 1.0
+    if done(hi):
+        while hi > 2.0**-40 and done(0.5 * hi):
+            hi *= 0.5
+    else:
+        while not done(hi):
+            if hi >= 2.0**199:
+                raise TruncationError(f"E[S(tau) ^ T] does not reach T = {T:.6g}")
+            hi *= 2.0
+    lo = 0.5 * hi if hi > 2.0**-40 else 0.0
     while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if T - clipped_mean(T, np.array([mid]))[0] <= 1e-8 * T else (mid, hi)
+        lo, hi = (lo, mid) if done(mid) else (mid, hi)
     return hi
 
 
@@ -206,6 +223,87 @@ def unnormalized_potential_integral(
 # ---------------------------------------------------------------------------
 
 
+# states the Talbot weight table adds per block, and the most it may hold
+_STATE_BLOCK = 1024
+_MAX_STATES = 1 << 20
+# Gauss-Legendre nodes and weights of one panel in s = sqrt(tau) of the quadrature weights
+_GAMMA_RULE = np.polynomial.legendre.leggauss(12)
+
+
+def _state_weights(spec: SubordinatorSpec, T: float) -> np.ndarray:
+    """w_n = E[S(G_{n+1}) ^ T - S(G_n) ^ T] for n = 0 .. n_max: the mean Z-time in the walk's n-th state.
+
+    G_n ~ Gamma(n, 1) is the n-th jump time of X, independent of S, and
+    E e^{-lambda S(G_n)} = (1 + Phi(lambda))^{-n} (Bertoin, Subordinators: examples
+    and applications, LNM 1717), so w_n = L^{-1}[Phi / (lambda^2 (1 + Phi)^{n+1})](T)
+    and the w_n sum to T.  n_max is the least n with T - (w_0 + ... + w_n) <= 1e-8 T.
+    The table is _talbot_weights, gated at 1e-8 T; where that gate raises, it is
+    _quadrature_weights, the same w_n from the spec's clipped mean.
+    """
+    try:
+        return _talbot_weights(spec, T)
+    except InversionInstabilityError:
+        return _quadrature_weights(spec, T)
+
+
+def _talbot_weights(spec: SubordinatorSpec, T: float) -> np.ndarray:
+    """The weight table of _state_weights by fixed Talbot, in blocks of _STATE_BLOCK states.
+
+    Phi is evaluated once on the 40 nodes at T; each block is one array of terms.
+    Orders 16 and 24 must agree within 1e-8 T at every n <= n_max
+    (InversionInstabilityError otherwise); the states past n_max in the last block
+    are neither kept nor gated.  Raises TruncationError when n_max would exceed
+    _MAX_STATES.
+    """
+    lam, c = _talbot_nodes(T)
+    tol, table, left = 1e-8 * T, [], T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phi = np.asarray(spec.phi_eval(lam))
+        head, log_q = (c * phi / lam**2)[:, None], -np.log1p(phi)[:, None]
+        for start in range(0, _MAX_STATES, _STATE_BLOCK):
+            coarse, fine = _talbot_orders(head * np.exp(log_q * np.arange(start + 1.0, start + _STATE_BLOCK + 1.0)))
+            rest = left - np.cumsum(fine)
+            done = np.flatnonzero(rest <= tol)
+            keep = done[0] + 1 if done.size else _STATE_BLOCK
+            _talbot_gate(coarse[:keep], fine[:keep], T, tol)
+            table.append(fine[:keep])
+            if done.size:
+                return np.concatenate(table)
+            left = rest[-1]
+    raise TruncationError(f"the state weights do not reach T = {T:.6g} within {_MAX_STATES} states")
+
+
+def _quadrature_weights(spec: SubordinatorSpec, T: float) -> np.ndarray:
+    """The weight table of _state_weights from the clipped mean: w_n = R_{n-1} - R_n, R_{-1} = T.
+
+    R_n = E[T - C_T(G_{n+1})] integrates T - C_T against the Gamma(n + 1) density,
+    which in s = sqrt(tau) is 2 s^{2n+1} e^{-s^2} / n!, a bump of width about 0.7
+    at sqrt(n + 1/2).  12-node Gauss-Legendre panels of width 1/2 in s sum it
+    (unit panels left 1e-10 T at stable alpha = 0.9, T = 10, where T - C_T falls
+    like exp(-c s^20)), each row over the nodes within 8 of its bump, so C_T is
+    evaluated once per node.  The rows run to n = tau* + 10 sqrt(tau*) + 10, where G_{n+1} falls
+    short of tau* with probability below 1e-20; TruncationError if R_n still
+    exceeds 1e-8 T there.
+    """
+    tau_stop = _horizon(spec.clipped_mean, T)
+    n = np.arange(int(np.ceil(tau_stop + 10.0 * np.sqrt(tau_stop) + 10.0)) + 1)
+    centre = np.sqrt(n + 0.5)
+    x, w = _GAMMA_RULE
+    s = (0.5 * np.arange(np.ceil(2.0 * centre[-1] + 16.0))[:, None] + 0.25 * (1.0 + x)).ravel()
+    mass = np.tile(0.25 * w, s.size // w.size) * (T - spec.clipped_mean(T, s * s))
+    lo, hi = np.searchsorted(s, centre - 8.0), np.searchsorted(s, centre + 8.0)
+    R = np.empty(n.size)
+    for i in range(0, n.size, 256):  # rows in blocks, each over the columns its bumps reach
+        k = n[i:i + 256, None]
+        cols = slice(lo[k[0, 0]], hi[k[-1, 0]])
+        log_density = np.log(2.0) + (2.0 * k + 1.0) * np.log(s[cols]) - s[cols] ** 2 - special.gammaln(k + 1.0)
+        R[i:i + 256] = np.exp(log_density) @ mass[cols]
+    done = np.flatnonzero(R <= 1e-8 * T)
+    if not done.size:
+        raise TruncationError(f"the state weights do not reach T = {T:.6g} by n = {n[-1]}")
+    return -np.diff(R[:done[0] + 1], prepend=T)
+
+
 def renormalized_green_histogram(
     kernel: JumpKernel,
     spec: SubordinatorSpec,
@@ -218,16 +316,20 @@ def renormalized_green_histogram(
 ):
     """Monte Carlo occupation of Z = X(D(.)) over [0, T], divided by N(T).
 
-    The holding time of Z in the i-th state of X is S(tau_{i+1}) - S(tau_i)
-    clipped at T, where tau_i are the jump times of X, so the occupation
-    measure has no time-grid bias.  Both methods draw X paths up to the
-    horizon tau* = min{tau : T - C_T(tau) <= 1e-8 T}, C_T(tau) = E[S(tau) ^ T],
-    and count the time a path has left after tau* as escaped; a spec without
-    a clipped mean gets a ConfigError.  The default (method "conditional")
-    integrates the heavy-tailed S-increments out, weighting each interval by
-    C_T(tau_{i+1}) - C_T(tau_i), so replicas differ only through the
-    light-tailed X path; method "raw" samples S at the tau_i instead, as a
-    cross-check.  Returns (mean histogram, per-bin standard error).
+    Z holds the n-th state Y_n of X (x plus X's first n jumps) during
+    [S(G_n), S(G_{n+1})) clipped at T, where G_n is the n-th jump time of X, so
+    the occupation measure has no time-grid bias.  The default (method
+    "conditional") integrates the clock out: every replica is a walk
+    Y_0 .. Y_{n_max} that deposits the deterministic weight
+    w_n = E[S(G_{n+1}) ^ T - S(G_n) ^ T] (_state_weights) at Y_n, and counts
+    T - (w_0 + ... + w_{n_max}) <= 1e-8 T as escaped; it draws no jump time and
+    no S-increment, so replicas differ only through the light-tailed walk.
+    Method "raw" is the cross-check: it draws X paths with their jump times up
+    to the horizon tau* = min{tau : T - C_T(tau) <= 1e-8 T},
+    C_T(tau) = E[S(tau) ^ T], samples S at the jump times, and counts the time
+    a path has left after tau* as escaped.  A spec without a clipped mean gets
+    a ConfigError (raw needs it, and so does the weight table where its Talbot
+    gate fails).  Returns (mean histogram, per-bin standard error).
     """
     _require(0 < T < np.inf, "T", "finite and positive")
     x = _finite_point(x)
@@ -237,23 +339,23 @@ def renormalized_green_histogram(
     _require_count(seed, "seed", 0)
     if spec.clipped_mean is None:
         raise ConfigError("the subordinator has no clipped mean E[S(tau) ^ T]")
-    clipped_mean = spec.clipped_mean
     rng = np.random.default_rng(seed)
     N_T = normalization_N(spec, T)
-    tau_stop = _horizon(clipped_mean, T)
+    if method == "conditional":
+        w = _state_weights(spec, T)
+        deposit, escaped = w[:, None] / N_T, (T - w.sum()) / N_T
+        return _mc_occupation(kernel, x, None, bins, n, rng,
+                              lambda c: (np.broadcast_to(deposit, c.states.shape[1:]), escaped), T, jumps=w.size - 1)
 
     def weights(c):
         # clipped S at the end of each interval, summed down each path's column;
         # the increments drawn for padded rows (duration 0) must add exactly 0
-        if method == "raw":
-            steps = spec.increment_sampler(c.durations, c.rng, c.durations.shape)
-            clipped = np.minimum(np.cumsum(np.where(c.durations > 0, steps, 0.0), axis=0), T)
-        else:
-            clipped = clipped_mean(T, np.cumsum(c.durations, axis=0))
+        steps = spec.increment_sampler(c.durations, c.rng, c.durations.shape)
+        clipped = np.minimum(np.cumsum(np.where(c.durations > 0, steps, 0.0), axis=0), T)
         # the time a path has left after tau* counts as escaped
         return np.diff(clipped, axis=0, prepend=0.0) / N_T, (T - clipped[-1]) / N_T
 
-    return _mc_occupation(kernel, x, tau_stop, bins, n, rng, weights, T)
+    return _mc_occupation(kernel, x, _horizon(spec.clipped_mean, T), bins, n, rng, weights, T)
 
 
 # ---------------------------------------------------------------------------

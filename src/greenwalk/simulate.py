@@ -121,7 +121,7 @@ class _PathChunk:
 
     states: np.ndarray  # (d, rows, n_paths)
     counts: np.ndarray  # (n_paths,), sorted
-    h: float
+    h: Optional[float]  # None for walks, which have no clock and so no holding times
     rng: np.random.Generator
     _durations: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
@@ -165,7 +165,7 @@ def _finite(ends: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _build_chunk(kernel: JumpKernel, x: np.ndarray, h: float, counts, rng) -> _PathChunk:
+def _build_chunk(kernel: JumpKernel, x: np.ndarray, h: Optional[float], counts, rng) -> _PathChunk:
     """Paths on [0, h] with the given sorted jump counts, drawn from rng, one column each.
 
     The jumps are one kernel.sampler call, laid out by _by_row; one cumsum along axis 1
@@ -202,18 +202,25 @@ def _map_chunks(kernel: JumpKernel, counts, d: int, row_width: int, rng, task, p
         chunks=len(parts), paths=counts.size, jumps=jumps, padded_share=1.0 - (jumps + counts.size) / rows)
 
 
-def _map_paths(kernel: JumpKernel, x, h: float, n: int, rng, consume, row_width: int = 0):
+def _map_paths(kernel: JumpKernel, x, h: Optional[float], n: int, rng, consume, row_width: int = 0,
+               jumps: Optional[int] = None):
     """(consume(chunk) per chunk, the chunk plan) for n exact compound Poisson paths on [0, h].
 
     The counts N ~ Poisson(h) are one draw from rng, then sorted: paths of
     one horizon are exchangeable, so the order does not change the law, and
-    a chunk of nearly equal counts pads almost no rows.  The public callers
-    check that x is finite.
+    a chunk of nearly equal counts pads almost no rows.  Given jumps (and h
+    None), every path is instead a walk of exactly that many jumps with no
+    clock: no count is drawn, no row is padded, and its chunks hold no
+    holding times.  The public callers check that x is finite.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _require(h < _MAX_HORIZON, "T", _HORIZON_BOUND)
+    if jumps is None:
+        _require(h < _MAX_HORIZON, "T", _HORIZON_BOUND)
+        counts = rng.poisson(h, n)
+    else:
+        counts = np.full(n, jumps)
     return _map_chunks(
-        kernel, rng.poisson(h, n), x.size, row_width, rng,
+        kernel, counts, x.size, row_width, rng,
         lambda counts, stream: consume(_build_chunk(kernel, x, h, counts, stream)),
     )
 
@@ -346,13 +353,16 @@ class OccupationHistogram:
         return float(self.masses.sum() + self.escaped)
 
 
-def _mc_occupation(kernel: JumpKernel, x, h: float, bins: BinSpec, n: int, rng, weights, horizon: float):
+def _mc_occupation(kernel: JumpKernel, x, h: Optional[float], bins: BinSpec, n: int, rng, weights, horizon: float,
+                   jumps: Optional[int] = None):
     """(mean histogram, per-bin standard error) of the occupation of n paths on [0, h].
 
     weights(chunk) gives (deposit, escaped): each state's deposit, laid out as the
-    chunk's durations, and each path's mass that escaped after h.  A path's row
-    holds its deposit per bin and, last, its deposit outside the box plus its
-    escaped mass; the rows of a chunk are reduced to _Moments and merged.
+    chunk's states (rows x paths), and each path's mass that escaped after h.  A
+    path's row holds its deposit per bin and, last, its deposit outside the box
+    plus its escaped mass; the rows of a chunk are reduced to _Moments and merged.
+    Given jumps (and h None), the paths are walks of exactly that many jumps
+    (see _map_paths).
     """
     n_cols = int(np.prod(bins.shape)) + 1
 
@@ -366,7 +376,7 @@ def _mc_occupation(kernel: JumpKernel, x, h: float, bins: BinSpec, n: int, rng, 
         return _Moments.of(rows)
 
     acc = _Moments()
-    for part in _map_paths(kernel, x, h, n, rng, consume, n_cols - 1)[0]:
+    for part in _map_paths(kernel, x, h, n, rng, consume, n_cols - 1, jumps)[0]:
         acc.merge(part)
     mean, stderr = acc.mean[:-1].reshape(bins.shape), acc.stderr()[:-1].reshape(bins.shape)
     return OccupationHistogram(bins, mean, float(acc.mean[-1]), horizon), stderr

@@ -131,7 +131,13 @@ DIM4 = {"kernel": {"family": "gaussian", "dim": 4}}
      "kernel.dim must be 1, 2 or 3 for the radial Fourier rule, not 4"),
     ({"experiment": "green-fourier", "grid": {"N": 8, "L": 4.0}, **DIM4},
      "kernel.dim must be 1, 2 or 3 for the radial Fourier rule, not 4"),
-], ids=["bins-per-axis-zero", "renorm-curve-dim-4", "green-fourier-dim-4"])
+    # with no grid section, the same error, not one about a default grid the config never set
+    ({"experiment": "green-fourier", **DIM4},
+     "kernel.dim must be 1, 2 or 3 for the radial Fourier rule, not 4"),
+    ({"experiment": "potential", **DIM4},
+     "kernel.dim must be 1, 2 or 3 for the radial Fourier rule, not 4"),
+], ids=["bins-per-axis-zero", "renorm-curve-dim-4", "green-fourier-dim-4", "green-fourier-dim-4-no-grid",
+        "potential-dim-4-no-grid"])
 def test_cli_inputs_the_library_refuses_print_the_error_line(tmp_path, capsys, body, message):
     # each used to end in a traceback (ZeroDivisionError, NotImplementedError)
     cfg = write_cfg(tmp_path, "refused", **body)

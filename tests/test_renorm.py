@@ -9,17 +9,22 @@ the rate-class sum against W_T(r) = int_0^T E e^{-r D(s)} ds.
 import dataclasses
 import inspect
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from green_oracles import ZETA_ORACLE
-from greenwalk.errors import AliasingError, ConfigError, DivergentGreenMeasureError
+from greenwalk import renorm, simulate
+from greenwalk.errors import AliasingError, ConfigError, DivergentGreenMeasureError, InversionInstabilityError
 from greenwalk.grids import GridSpec
 from greenwalk.green import CLFunction, _RateClasses, cl_from_kernel, potential
 from greenwalk.kernels import convolve_power, make_cauchy_kernel, make_gaussian_kernel
 from greenwalk.renorm import (
     RenormCurve,
+    _quadrature_weights,
+    _state_weights,
+    _talbot_weights,
     fke_residual,
     mc_time_changed_expectation,
     normalization_N,
@@ -308,12 +313,23 @@ def test_histogram_total_mass_identity(k3, stable, gamma):
     # horizon sum to T, so the normalized total is T/N(T) deterministically
     bins = BinSpec.cube(8.0, 4, 3)
     T = 1000.0
-    cases = [(stable, "conditional"), (gamma, "conditional"), (stable, "raw"), (gamma, "raw")]
-    # conditional stable 0.7 evaluates the Kanter clipped mean at every knot, which is slow
-    cases.append((make_stable_subordinator(0.7), "raw"))
-    for spec, method in cases:
+    for spec in (stable, gamma, make_stable_subordinator(0.7)):
+        for method in ("conditional", "raw"):
+            hist, _ = renormalized_green_histogram(
+                k3, spec, [0.0, 0.0, 0.0], T, bins, 200, seed=2, method=method
+            )
+            assert hist.total_mass() == pytest.approx(T / normalization_N(spec, T), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.8, 0.9])
+@pytest.mark.parametrize("T", [10.0, 1e3, 1e4])
+def test_histogram_runs_for_stable_index_near_one(k3, alpha, T):
+    # the horizon used to evaluate the Kanter clipped mean at every power of 2
+    # from 2^-40 to 2^199 at once, where tau T^-alpha over- or underflows
+    spec = make_stable_subordinator(alpha)
+    for method in ("conditional", "raw"):
         hist, _ = renormalized_green_histogram(
-            k3, spec, [0.0, 0.0, 0.0], T, bins, 200, seed=2, method=method
+            k3, spec, [0.0, 0.0, 0.0], T, BinSpec.cube(8.0, 4, 3), 4, seed=3, method=method
         )
         assert hist.total_mass() == pytest.approx(T / normalization_N(spec, T), rel=1e-12)
 
@@ -327,22 +343,108 @@ def test_histogram_methods_are_conditional_and_raw(k3, stable):
 
 
 @pytest.mark.parametrize("method", ["conditional", "raw"])
-def test_histogram_methods_share_one_horizon(k3, stable, method, monkeypatch):
-    # both methods draw X paths up to tau* = min{tau : T - C_T(tau) <= 1e-8 T}
-    from greenwalk import renorm
-
+def test_histogram_path_length(k3, stable, method, monkeypatch):
+    # raw draws X paths up to tau* = min{tau : T - C_T(tau) <= 1e-8 T}; the
+    # conditional walks have no clock and take exactly the weight table's n_max jumps
     seen = []
     occupation = renorm._mc_occupation
 
-    def recording(kernel, x, h, *args):
-        seen.append(h)
-        return occupation(kernel, x, h, *args)
+    def recording(kernel, x, h, *args, jumps=None):
+        seen.append((h, jumps))
+        return occupation(kernel, x, h, *args, jumps=jumps)
 
     monkeypatch.setattr(renorm, "_mc_occupation", recording)
     T = 100.0
     bins = BinSpec.cube(8.0, 4, 3)
     renormalized_green_histogram(k3, stable, [0.0, 0.0, 0.0], T, bins, 10, seed=1, method=method)
-    assert seen == [renorm._horizon(stable.clipped_mean, T)]
+    if method == "raw":
+        assert seen == [(renorm._horizon(stable.clipped_mean, T), None)]
+    else:
+        assert seen == [(None, _state_weights(stable, T).size - 1)]
+
+
+def test_conditional_histogram_reads_no_clipped_mean_and_no_clock(k3, stable, monkeypatch):
+    # where the Talbot gate passes (1/2- and 0.7-stable at T = 1e3), the weights
+    # come from Phi alone and the walks draw no holding time and no S-increment
+    calls = []
+
+    def no_draw(*args):
+        raise AssertionError("drawn")
+
+    monkeypatch.setattr(simulate._PathChunk, "durations", property(no_draw))
+    for base in (stable, make_stable_subordinator(0.7)):
+        def counting(T, tau, base=base):
+            calls.append(tau)
+            return base.clipped_mean(T, tau)
+
+        spec = dataclasses.replace(base, clipped_mean=counting, increment_sampler=no_draw)
+        renormalized_green_histogram(k3, spec, [0.0, 0.0, 0.0], 1e3, BinSpec.cube(8.0, 4, 3), 20, seed=1)
+    assert calls == []
+
+
+def box_probability(lo, hi, x, n):
+    """P(Y_n in [lo, hi)) for Y_n = x + n jumps of the Gaussian kernel, N(x, 2n I); Y_0 = x."""
+    if n == 0:
+        return float(np.all((lo <= x) & (x < hi)))
+    scale = 2.0 * np.sqrt(n)
+    return float(np.prod(0.5 * (special.erf((hi - x) / scale) - special.erf((lo - x) / scale))))
+
+
+@pytest.mark.parametrize("spec", [make_stable_subordinator(0.5), make_stable_subordinator(0.7),
+                                  make_stable_subordinator(0.9), make_gamma_subordinator(1.0, 1.0)],
+                         ids=["stable0.5", "stable0.7", "stable0.9", "gamma"])
+@pytest.mark.parametrize("method", ["conditional", "raw"])
+def test_histogram_matches_the_per_bin_mean(k3, spec, method):
+    # the exact mean of bin B is sum_n w_n P(Y_n in B) / N(T), with Y_n ~ N(x, 2n I);
+    # raw never reads w, so it checks the weight table independently.  At T = 100
+    # stable 0.5 and 0.7 take the Talbot weights, stable 0.9 and gamma the quadrature
+    T, x, bins = 100.0, np.zeros(3), BinSpec.cube(8.0, 4, 3)
+    w = _state_weights(spec, T)
+    hist, se = renormalized_green_histogram(k3, spec, x, T, bins, 4000, seed=21, method=method)
+    edges = bins.edges()
+    for idx in np.ndindex(bins.shape):
+        lo = np.array([edges[i][j] for i, j in enumerate(idx)])
+        hi = np.array([edges[i][j + 1] for i, j in enumerate(idx)])
+        mean = sum(w_n * box_probability(lo, hi, x, n) for n, w_n in enumerate(w)) / normalization_N(spec, T)
+        assert abs(hist.masses[idx] - mean) <= 5.0 * se[idx], idx
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 100, 700])
+def test_half_stable_weights_match_mpmath(stable, n):
+    # w_n = int Poisson(n; tau) c_T(tau) dtau with c_T = dC_T/dtau = 2 sqrt(T) ierfc(tau / (2 sqrt T))
+    T = 1e4
+    a = 2.0 * np.sqrt(T)
+    with mp.workdps(30):
+        def integrand(tau):
+            z = tau / a
+            ierfc = mp.exp(-z * z) / mp.sqrt(mp.pi) - z * mp.erfc(z)
+            return mp.exp(-tau + n * mp.log(tau) - mp.loggamma(n + 1)) * a * ierfc
+
+        sd = np.sqrt(n + 1.0)
+        points = [0] + [p for p in (n - 10 * sd, n, n + 10 * sd) if p > 0] + [mp.inf]
+        ref = float(mp.quad(integrand, points))
+    assert _state_weights(stable, T)[n] == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha, T", [(a, T) for a in (0.3, 0.5, 0.7) for T in (10.0, 1e3, 1e4)]
+                         + [(0.8, 10.0), (0.9, 10.0)])
+def test_talbot_weights_match_the_quadrature(alpha, T):
+    # at alpha = 0.9, T = 10, T - C_T falls like exp(-c s^20) in s = sqrt(tau): unit panels in s left 1.2e-10 T
+    spec = make_stable_subordinator(alpha)
+    talbot, quad = _talbot_weights(spec, T), _quadrature_weights(spec, T)
+    assert talbot.size == quad.size
+    np.testing.assert_allclose(talbot, quad, rtol=0, atol=1e-11 * T)
+
+
+@pytest.mark.parametrize("spec, T", [(make_gamma_subordinator(1.0, 1.0), 100.0), (make_stable_subordinator(0.9), 1e3)],
+                         ids=["gamma", "stable0.9"])
+def test_weights_fall_back_to_the_quadrature_where_the_gate_fails(spec, T):
+    # gamma's (1 + Phi)^-(n+1) acts like a delay of about n b / a, which fixed Talbot cannot invert
+    with pytest.raises(InversionInstabilityError):
+        _talbot_weights(spec, T)
+    w = _state_weights(spec, T)
+    np.testing.assert_array_equal(w, _quadrature_weights(spec, T))
+    assert w.sum() == pytest.approx(T, rel=1e-8)
 
 
 def test_histogram_converges_toward_green_measure(k3, stable):
