@@ -68,4 +68,5 @@ from .renorm import (
     subordinated_solution,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# laplace is the internal inversion module of subordinate and renorm, not part of the API
+__all__ = [name for name in dir() if not name.startswith("_") and name != "laplace"]

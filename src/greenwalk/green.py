@@ -164,22 +164,16 @@ def check_green_existence(kernel: JumpKernel) -> GreenExistence:
     return GreenExistence.EXISTS if kernel.dim > alpha else GreenExistence.DIVERGENT
 
 
-def _decay_exponent(kernel: JumpKernel) -> float:
-    """d / alpha, the n^{-d/alpha} decay of a_n; the one Green-existence gate.
-
-    Raises DivergentGreenMeasureError unless check_green_existence finds the
-    kernel's tail exponent alpha and d > alpha.
-    """
+def _require_green_measure(kernel: JumpKernel) -> None:
+    """The one Green-existence gate: DivergentGreenMeasureError unless tail_params gives alpha < d."""
     existence = check_green_existence(kernel)
     if existence is GreenExistence.UNKNOWN:
         raise DivergentGreenMeasureError(
             "the Green measure needs a known tail exponent alpha; set the kernel's "
             "tail_params = (A, alpha), e.g. from fit_small_k_expansion"
         )
-    alpha = kernel.tail_params[1]
     if existence is GreenExistence.DIVERGENT:
-        raise DivergentGreenMeasureError(f"Green measure diverges: d = {kernel.dim} <= alpha = {alpha}")
-    return kernel.dim / alpha
+        raise DivergentGreenMeasureError(f"Green measure diverges: d = {kernel.dim} <= alpha = {kernel.tail_params[1]}")
 
 
 # largest spread of R over k = 0.025 .. 0.1 taken as bounded (the Gaussian's own is 0.004)
@@ -214,7 +208,7 @@ def green_regular_series(kernel: JumpKernel, grid: GridSpec, lam: float) -> Reso
         a_hat = _half(spectral_density(kernel, grid))
         vals = _from_spectral(grid, a_hat / (1.0 + lam - a_hat))
     else:
-        _decay_exponent(kernel)  # gates before the density is sampled
+        _require_green_measure(kernel)  # gates before the density is sampled
         (A, alpha), d = kernel.tail_params, grid.dim
         regular = lambda a, k2: a / (1.0 - a) - np.exp(-k2) / (A * k2 ** (0.5 * alpha))
         ks = np.array([0.025, 0.05, 0.1])
@@ -342,7 +336,7 @@ def green_regular_fourier(kernel: JumpKernel, x, lam: float) -> float:
     """
     _require(0 <= lam < np.inf, "lam", "finite and >= 0")
     if lam == 0:
-        _decay_exponent(kernel)
+        _require_green_measure(kernel)
     value, _ = _radial_value(kernel, x, lam, lambda k, a_hat, gap: a_hat / (lam + gap))
     return float(value)
 
@@ -374,6 +368,6 @@ def potential(kernel: JumpKernel, f: CLFunction, x, grid: GridSpec) -> float:
     """
     if f.fourier is None:
         return float(potential_field(kernel, f, grid).value_at(x))
-    _decay_exponent(kernel)
+    _require_green_measure(kernel)
     conv, _ = _radial_value(kernel, x, 0.0, lambda k, a_hat, gap: f.fourier(k) * a_hat / gap)
     return f.value_at(x) + float(conv)

@@ -14,17 +14,15 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
+from . import laplace
 from .errors import ConfigError, InvalidInputError, InversionInstabilityError, TruncationError, _require, _require_count
-from .green import CLFunction, _decay_exponent, _radial_value, _RateClasses, potential
+from .green import CLFunction, _radial_value, _RateClasses, _require_green_measure, potential
 from .grids import GridSpec, _finite_point
 from .kernels import JumpKernel
 from .simulate import BinSpec, McEstimate, _mc_end_values, _mc_occupation
 from .subordinate import (
     SubordinatorSpec,
     _mixture_weights,
-    _talbot_gate,
-    _talbot_nodes,
-    _talbot_orders,
     check_H,
     check_admissible,
     kernel_cell_masses,
@@ -59,7 +57,7 @@ def subordinated_solution(
     is exactly sum_c w_c E e^{-r_c D(t)}: no tau cutoff and no quadrature.
     t is a scalar (the result is a float) or a 1-D array of times (the
     result is an array): the rate classes are built once, and one
-    subordinate._mixture_weights call (fixed-Talbot inversion, or the spec's
+    subordinate._mixture_weights call (Laplace inversion, or the spec's
     laplace_closed_form) gives the weights of every time.  It raises
     InversionInstabilityError, naming the worst time, rather than return an
     unstable value.
@@ -150,24 +148,19 @@ def _horizon(clipped_mean, T: float) -> float:
     return hi
 
 
-def _validate_limit_inputs(kernel: JumpKernel, spec: SubordinatorSpec) -> None:
-    """Raise unless the Green measure exists and the limit's hypotheses on the spec hold."""
-    _decay_exponent(kernel)
+def _occupation_integrals(kernel, spec, f, x, T_grid) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^T v(s, x) ds for each T in T_grid, and the quadrature error estimate of each.
+
+    It is (2 pi)^{-d} int f_hat(k) e^{i(k,x)} W_T(1 - a_hat(k)) dk with W_T(r) =
+    int_0^T E e^{-r D(s)} ds from _mixture_weights, one call for every T, and one call of
+    the radial rule green._radial_value.  Raises unless the Green measure exists and the
+    limit's hypotheses on the spec hold.
+    """
+    _require_green_measure(kernel)
     if not check_H(spec).passed:
         raise ConfigError("the subordinator fails the kernel limits")
     if not check_admissible(spec, s0=1.0).passed:
         raise ConfigError("the subordinator fails admissibility")
-
-
-def _occupation_integrals(kernel, spec, f, x, T_grid) -> tuple[np.ndarray, np.ndarray]:
-    """int_0^T v(s, x) ds for each T in T_grid, and the quadrature error estimate of each.
-
-    It is (2 pi)^{-d} int f_hat(k) e^{i(k,x)} W_T(1 - a_hat(k)) dk with
-    W_T(r) = int_0^T E e^{-r D(s)} ds from _mixture_weights, which reads the spec's
-    Phi, one call for every T; for radial a and f, one call of the radial rule
-    green._radial_value.
-    """
-    _validate_limit_inputs(kernel, spec)
     if f.fourier is None:
         raise ConfigError(f"the curve needs the radial Fourier transform of {f.name}")
 
@@ -223,9 +216,6 @@ def unnormalized_potential_integral(
 # ---------------------------------------------------------------------------
 
 
-# states the Talbot weight table adds per block, and the most it may hold
-_STATE_BLOCK = 1024
-_MAX_STATES = 1 << 20
 # Gauss-Legendre nodes and weights of one panel in s = sqrt(tau) of the quadrature weights
 _GAMMA_RULE = np.polynomial.legendre.leggauss(12)
 
@@ -237,40 +227,13 @@ def _state_weights(spec: SubordinatorSpec, T: float) -> np.ndarray:
     E e^{-lambda S(G_n)} = (1 + Phi(lambda))^{-n} (Bertoin, Subordinators: examples
     and applications, LNM 1717), so w_n = L^{-1}[Phi / (lambda^2 (1 + Phi)^{n+1})](T)
     and the w_n sum to T.  n_max is the least n with T - (w_0 + ... + w_n) <= 1e-8 T.
-    The table is _talbot_weights, gated at 1e-8 T; where that gate raises, it is
+    The table is laplace.state_weights of the spec's Phi; where its gate raises, it is
     _quadrature_weights, the same w_n from the spec's clipped mean.
     """
     try:
-        return _talbot_weights(spec, T)
+        return laplace.state_weights(spec.phi_eval, T)
     except InversionInstabilityError:
         return _quadrature_weights(spec, T)
-
-
-def _talbot_weights(spec: SubordinatorSpec, T: float) -> np.ndarray:
-    """The weight table of _state_weights by fixed Talbot, in blocks of _STATE_BLOCK states.
-
-    Phi is evaluated once on the 40 nodes at T; each block is one array of terms.
-    Orders 16 and 24 must agree within 1e-8 T at every n <= n_max
-    (InversionInstabilityError otherwise); the states past n_max in the last block
-    are neither kept nor gated.  Raises TruncationError when n_max would exceed
-    _MAX_STATES.
-    """
-    lam, c = _talbot_nodes(T)
-    tol, table, left = 1e-8 * T, [], T
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        phi = np.asarray(spec.phi_eval(lam))
-        head, log_q = (c * phi / lam**2)[:, None], -np.log1p(phi)[:, None]
-        for start in range(0, _MAX_STATES, _STATE_BLOCK):
-            coarse, fine = _talbot_orders(head * np.exp(log_q * np.arange(start + 1.0, start + _STATE_BLOCK + 1.0)))
-            rest = left - np.cumsum(fine)
-            done = np.flatnonzero(rest <= tol)
-            keep = done[0] + 1 if done.size else _STATE_BLOCK
-            _talbot_gate(coarse[:keep], fine[:keep], T, tol)
-            table.append(fine[:keep])
-            if done.size:
-                return np.concatenate(table)
-            left = rest[-1]
-    raise TruncationError(f"the state weights do not reach T = {T:.6g} within {_MAX_STATES} states")
 
 
 def _quadrature_weights(spec: SubordinatorSpec, T: float) -> np.ndarray:
@@ -328,7 +291,7 @@ def renormalized_green_histogram(
     to the horizon tau* = min{tau : T - C_T(tau) <= 1e-8 T},
     C_T(tau) = E[S(tau) ^ T], samples S at the jump times, and counts the time
     a path has left after tau* as escaped.  A spec without a clipped mean gets
-    a ConfigError (raw needs it, and so does the weight table where its Talbot
+    a ConfigError (raw needs it, and so does the weight table where its inversion
     gate fails).  Returns (mean histogram, per-bin standard error).
     """
     _require(0 < T < np.inf, "T", "finite and positive")
@@ -345,7 +308,7 @@ def renormalized_green_histogram(
         w = _state_weights(spec, T)
         deposit, escaped = w[:, None] / N_T, (T - w.sum()) / N_T
         return _mc_occupation(kernel, x, None, bins, n, rng,
-                              lambda c: (np.broadcast_to(deposit, c.states.shape[1:]), escaped), T, jumps=w.size - 1)
+                              lambda c: (np.broadcast_to(deposit, c.states.shape[1:]), escaped), jumps=w.size - 1)
 
     def weights(c):
         # clipped S at the end of each interval, summed down each path's column;
@@ -355,7 +318,7 @@ def renormalized_green_histogram(
         # the time a path has left after tau* counts as escaped
         return np.diff(clipped, axis=0, prepend=0.0) / N_T, (T - clipped[-1]) / N_T
 
-    return _mc_occupation(kernel, x, _horizon(spec.clipped_mean, T), bins, n, rng, weights, T)
+    return _mc_occupation(kernel, x, _horizon(spec.clipped_mean, T), bins, n, rng, weights)
 
 
 # ---------------------------------------------------------------------------

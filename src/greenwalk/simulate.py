@@ -347,13 +347,12 @@ class OccupationHistogram:
     bins: BinSpec
     masses: np.ndarray
     escaped: float
-    horizon: float
 
     def total_mass(self) -> float:
         return float(self.masses.sum() + self.escaped)
 
 
-def _mc_occupation(kernel: JumpKernel, x, h: Optional[float], bins: BinSpec, n: int, rng, weights, horizon: float,
+def _mc_occupation(kernel: JumpKernel, x, h: Optional[float], bins: BinSpec, n: int, rng, weights,
                    jumps: Optional[int] = None):
     """(mean histogram, per-bin standard error) of the occupation of n paths on [0, h].
 
@@ -379,7 +378,7 @@ def _mc_occupation(kernel: JumpKernel, x, h: Optional[float], bins: BinSpec, n: 
     for part in _map_paths(kernel, x, h, n, rng, consume, n_cols - 1, jumps)[0]:
         acc.merge(part)
     mean, stderr = acc.mean[:-1].reshape(bins.shape), acc.stderr()[:-1].reshape(bins.shape)
-    return OccupationHistogram(bins, mean, float(acc.mean[-1]), horizon), stderr
+    return OccupationHistogram(bins, mean, float(acc.mean[-1])), stderr
 
 
 def _start_in_box(bins: BinSpec, x) -> np.ndarray:
@@ -393,7 +392,7 @@ def empirical_random_green_measure(
 ) -> OccupationHistogram:
     """Occupation measure of a single path: durations deposited per bin."""
     _require(0 < T < np.inf, "T", "finite and positive")
-    return _mc_occupation(kernel, _start_in_box(bins, x), float(T), bins, 1, rng, lambda c: (c.durations, 0.0), T)[0]
+    return _mc_occupation(kernel, _start_in_box(bins, x), float(T), bins, 1, rng, lambda c: (c.durations, 0.0))[0]
 
 
 def average_random_green_measure(
@@ -408,4 +407,4 @@ def average_random_green_measure(
     _require_count(seed, "seed", 0)
     x = _start_in_box(bins, x)
     rng = np.random.default_rng(seed)
-    return _mc_occupation(kernel, x, float(T), bins, n, rng, lambda c: (c.mean_durations(), 0.0), T)
+    return _mc_occupation(kernel, x, float(T), bins, n, rng, lambda c: (c.mean_durations(), 0.0))

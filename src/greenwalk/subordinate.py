@@ -16,7 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from .errors import ConfigError, InversionInstabilityError, TruncationError, _require, _require_count
+from . import laplace
+from .errors import ConfigError, TruncationError, _require, _require_count
 
 __all__ = [
     "SubordinatorSpec",
@@ -39,7 +40,7 @@ class SubordinatorSpec:
 
     k_primitive is the exact primitive int_0^t k(s) ds, or None to invert Phi(lambda)/lambda^2;
     rho_closed_form is set for families with a known inverse-process density,
-    and replaces the Talbot inversion in rho_density (replace it by None to
+    and replaces the Laplace inversion in rho_density (replace it by None to
     force the inversion);
     laplace_closed_form (t, rates) -> E e^{-r D(t)} is set for families whose
     mixture weights have a closed form, and replaces their Laplace inversion;
@@ -393,11 +394,11 @@ def check_H(spec: SubordinatorSpec) -> HReport:
 
 
 def normalization_N(spec: SubordinatorSpec, T):
-    """N(T) = int_0^T k(s) ds at times T >= 0: the spec's k_primitive, else a Talbot inversion.
+    """N(T) = int_0^T k(s) ds at times T >= 0: the spec's k_primitive, else a Laplace inversion.
 
     T is a scalar (the result is a float) or an array (the result has its shape).
-    The fallback inverts Phi(lambda)/lambda^2 at every T > 0 at once, its orders 16 and
-    24 gated to agree within 1e-7 N(T) (InversionInstabilityError otherwise); N(0) = 0.
+    The fallback inverts Phi(lambda)/lambda^2 at every T > 0 at once, gated at 1e-7 N(T)
+    (InversionInstabilityError otherwise); N(0) = 0.
     """
     T = np.asarray(T, dtype=float)
     _require((T >= 0) & (T < np.inf), "T", "finite and >= 0")
@@ -406,11 +407,8 @@ def normalization_N(spec: SubordinatorSpec, T):
     else:
         out, pos = np.zeros(T.shape), T > 0
         if pos.any():
-            lam, c = _talbot_nodes(T[pos])
-            with np.errstate(over="ignore", invalid="ignore"):
-                coarse, fine = _talbot_orders(c * np.asarray(spec.phi_eval(lam)) / lam**2)
-                _talbot_gate(coarse, fine, T[pos], 1e-7 * np.abs(fine))
-            out[pos] = fine
+            out[pos] = laplace.invert(lambda lam: np.asarray(spec.phi_eval(lam)) / lam**2, T[pos],
+                                      lambda fine: 1e-7 * np.abs(fine))
     return float(out) if out.ndim == 0 else out
 
 
@@ -548,146 +546,17 @@ def _invert_passage_cdf(spec: SubordinatorSpec, t: float, u: np.ndarray) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _talbot_contour(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes z and weights c of the order-M fixed-Talbot rule (Abate and Valko 2004).
-
-    The contour radius is r = 2M/(5t), so the nodes s_k = z_k / t and the
-    weights do not depend on t: z_0 = 2M/5, z_k = (2M/5) theta_k (cot theta_k + i)
-    with theta_k = k pi / M, c_0 = e^{z_0}/5 and c_k = (2/5) e^{z_k} (1 + i sigma_k),
-    sigma_k = theta_k + (theta_k cot theta_k - 1) cot theta_k.  The inverse of F
-    at t is then Re sum_k c_k F(z_k / t) / t.
-    """
-    theta = np.pi * np.arange(1, M) / M
-    cot = 1.0 / np.tan(theta)
-    z = 0.4 * M * np.concatenate(([1.0], theta * (cot + 1j)))
-    sigma = theta + (theta * cot - 1.0) * cot
-    return z, 0.4 * np.exp(z) * np.concatenate(([0.5], 1.0 + 1j * sigma))
-
-
-# the rules of orders 16 and 24, built once, their nodes and weights side by side
-_TALBOT_ORDERS = (16, 24)
-_TALBOT_Z, _TALBOT_C = (np.concatenate(part) for part in zip(*map(_talbot_contour, _TALBOT_ORDERS)))
-# real terms held at once per tile of _mixture_weights (256 KiB)
-_TALBOT_BLOCK = 1 << 15
-
-
-def _talbot_nodes(t) -> tuple[np.ndarray, np.ndarray]:
-    """The Laplace variables z_k / t of both orders at times t, and their weights c_k / t.
-
-    Each has shape (40,) + t.shape: rows 0-15 are order 16, rows 16-39 order 24.
-    """
-    t = np.asarray(t, dtype=float)
-    col = (-1,) + (1,) * t.ndim
-    return _TALBOT_Z.reshape(col) / t, _TALBOT_C.reshape(col) / t
-
-
-def _talbot_orders(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order-16, order-24) inverses from the weighted terms c_k F(z_k / t) / t.
-
-    terms (complex, or already their real parts) has the 40 nodes on its
-    first axis; each inverse is the real part of one order's sum over that
-    axis.  No BLAS call is made: a threaded matrix-vector product waits for
-    its second thread on every call.
-    """
-    n = _TALBOT_ORDERS[0]
-    return terms[:n].real.sum(axis=0), terms[n:].real.sum(axis=0)
-
-
-def _talbot_gate(coarse: np.ndarray, fine: np.ndarray, t, tol) -> None:
-    """Raise InversionInstabilityError unless the two orders agree to tol at every time.
-
-    The gap at a time is the largest |fine - coarse| over the trailing axes;
-    tol is a scalar or one bound per time.  The message names the time whose
-    gap exceeds its bound by the largest factor (a NaN gap counts as the worst).
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    gap = np.abs(fine - coarse).reshape(t.size, -1).max(axis=1, initial=0.0)
-    tol = np.broadcast_to(tol, t.shape)
-    bad = ~(gap <= tol)
-    if bad.any():
-        worst = int(np.argmax(np.where(bad, np.nan_to_num(gap / tol, nan=np.inf), -1.0)))
-        extra = f" ({int(bad.sum())} of {t.size} times fail)" if t.size > 1 else ""
-        raise InversionInstabilityError(
-            f"Talbot orders 16/24 disagree by {gap[worst]:.3g} at t = {t[worst]:.6g}{extra}"
-        )
-
-
-def _talbot_gated(F: Callable, t, tol) -> np.ndarray:
-    """Fixed-Talbot inverse of F at the times t, order 24, gated by order 16.
-
-    t is a scalar or a 1-D array.  F maps the nodes of _talbot_nodes(t), of
-    shape (40,) + t.shape, to values of that shape plus trailing axes, in
-    one call for every time and both orders; the result has shape t.shape +
-    trailing.  Raises InversionInstabilityError unless the orders agree to
-    tol (a scalar or one bound per time) at every time; an overflow on the
-    contour gives inf or NaN, which fails the gate without a RuntimeWarning.
-    """
-    lam, c = _talbot_nodes(t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(F(lam))
-        coarse, fine = _talbot_orders(vals * c.reshape(c.shape + (1,) * (vals.ndim - c.ndim)))
-        _talbot_gate(coarse, fine, t, tol)
-    return fine
-
-
 def _mixture_weights(spec: SubordinatorSpec, t, rates, integrated: bool = False) -> np.ndarray:
-    """Weights of the subordination mixture per time and rate r >= 0.
+    """E e^{-r D(t)}, or with integrated=True W_t(r) = int_0^t E e^{-r D(s)} ds: see laplace.mixture_weights.
 
-    Returns E e^{-r D(t)}, or with integrated=True W_t(r) = int_0^t E e^{-r D(s)} ds,
-    of shape t.shape + rates.shape: t is a scalar or a 1-D array of times.
-    A sum of exponentials u(tau) = sum_c w_c e^{-tau r_c} then subordinates
-    to sum_c w_c E e^{-r_c D(t)} with no tau-quadrature.
-
-    The t-transform of E e^{-r D(t)} is K/(r + Phi) = 1/lambda - r/(lambda (r + Phi)),
-    so the weight is 1 - r L^{-1}[1/(lambda (r + Phi))](t), free of the noise
-    a direct inversion leaves near r = 0.  W_t is the inverse of
-    Phi/(lambda^2 (r + Phi)) itself, which keeps full relative precision
-    where W_t << t (the form t - r L^{-1}[1/(lambda^2 (r + Phi))] cancels
-    digits there).  The rate-0 weights are set exactly, to 1 and to t.
-
-    Phi is evaluated once, on the nodes of every time and both Talbot
-    orders; the terms are formed in real arithmetic and summed in tiles of
-    times x rates of at most _TALBOT_BLOCK terms, which stay in cache and
-    keep numpy's inner loops long.  The 16/24 gate is applied per time with
-    tolerance 1e-8 (times t for W_t), and InversionInstabilityError names
-    the worst time.  A spec's laplace_closed_form replaces the inversion of
-    E e^{-r D(t)}, broadcast as (t[:, None], rates).
+    A sum of exponentials sum_c w_c e^{-tau r_c} subordinates to sum_c w_c E e^{-r_c D(t)} with no
+    tau-quadrature.  A spec's laplace_closed_form gives E e^{-r D(t)}, broadcast as (t[:, None], rates).
     """
     t = np.asarray(t, dtype=float)
     rates = np.asarray(rates, dtype=float)
     if not integrated and spec.laplace_closed_form is not None:
         return np.asarray(spec.laplace_closed_form(t.reshape(t.shape + (1,) * rates.ndim), rates), dtype=float)
-    times, flat = t.reshape(-1), rates.reshape(-1)
-    lam, c = _talbot_nodes(times)
-    n_nodes, (m, n) = lam.shape[0], (times.size, flat.size)
-    # tiles of times x rates with at most _TALBOT_BLOCK terms, as many whole time rows as fit
-    m_tile = max(1, _TALBOT_BLOCK // (n_nodes * max(n, 1)))
-    n_tile = max(1, _TALBOT_BLOCK // (n_nodes * m_tile))
-    coarse, fine = np.empty((m, n)), np.empty((m, n))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        phi = np.asarray(spec.phi_eval(lam))
-        numer = c * phi / lam**2 if integrated else c / lam
-        # Re(numer / (r + Phi)) = (numer_re d + numer_im Phi_im) / (d^2 + Phi_im^2), d = r + Phi_re,
-        # in real arithmetic: half the memory of complex terms and no complex division
-        num_re, num_im_phi_im, phi_re, phi_im2 = (
-            v[..., None] for v in (numer.real, numer.imag * phi.imag, phi.real, phi.imag**2)
-        )
-        for i in range(0, m, m_tile):
-            rows = slice(i, i + m_tile)
-            for j in range(0, n, n_tile):
-                cols = slice(j, j + n_tile)
-                d = flat[cols] + phi_re[:, rows]
-                term = num_re[:, rows] * d
-                term += num_im_phi_im[:, rows]
-                d *= d
-                d += phi_im2[:, rows]
-                term /= d
-                coarse[rows, cols], fine[rows, cols] = _talbot_orders(term)
-        if not integrated:
-            coarse, fine = 1.0 - flat * coarse, 1.0 - flat * fine
-        _talbot_gate(coarse, fine, times, 1e-8 * (times if integrated else 1.0))
-    # the rate-0 weights are exact: E e^{-0 D(t)} = 1 and W_t(0) = t
-    return np.where(flat == 0.0, times[:, None] if integrated else 1.0, fine).reshape(t.shape + rates.shape)
+    return laplace.mixture_weights(spec.phi_eval, t, rates, integrated)
 
 
 def rho_density(spec: SubordinatorSpec, t: float, tau):
@@ -696,9 +565,8 @@ def rho_density(spec: SubordinatorSpec, t: float, tau):
     tau is a scalar (the result is a float) or an array (the result has its
     shape).  Uses the spec's rho_closed_form when it has one, otherwise one
     inverse, for every tau at once, of lambda -> K(lambda) e^{-tau lambda K(lambda)}
-    in t through _talbot_gated, which raises InversionInstabilityError when
-    the orders disagree by more than 1e-6 at any tau.  To force the inversion
-    for a family with a closed form, pass dataclasses.replace(spec, rho_closed_form=None).
+    in t by laplace.invert, gated at 1e-6 (InversionInstabilityError).  To force the
+    inversion for a family with a closed form, pass dataclasses.replace(spec, rho_closed_form=None).
     """
     _require(0 < t < np.inf, "t", "finite and positive")
     tau = np.asarray(tau, dtype=float)
@@ -710,7 +578,7 @@ def rho_density(spec: SubordinatorSpec, t: float, tau):
             K = np.asarray(spec.K_eval(s)).reshape(s.shape + (1,) * tau.ndim)
             return K * np.exp(-tau * s.reshape(K.shape) * K)
 
-        out = np.maximum(_talbot_gated(F, t, 1e-6), 0.0)
+        out = np.maximum(laplace.invert(F, t, 1e-6), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -718,7 +586,7 @@ def time_averaged_ratio(spec: SubordinatorSpec, tau: float, t: float):
     """(M_rho, M_k, ratio) with M_rho = (1/t) int_0^t rho_s(tau) ds etc.
 
     int_0^t rho_s(tau) ds is the inverse at t of K(lambda) e^{-tau Phi(lambda)} / lambda
-    through _talbot_gated, gated at 1e-6 t like rho_density's 1e-6 per unit time.
+    through laplace.invert, gated at 1e-6 t like rho_density's 1e-6 per unit time.
     The ratio tends to 1 as t grows for admissible kernels.
     """
     _require(0 < t < np.inf, "t", "finite and positive")
@@ -727,7 +595,7 @@ def time_averaged_ratio(spec: SubordinatorSpec, tau: float, t: float):
     def F(lam):
         return np.asarray(spec.K_eval(lam)) * np.exp(-tau * np.asarray(spec.phi_eval(lam))) / lam
 
-    m_rho = max(float(_talbot_gated(F, t, 1e-6 * t)), 0.0) / t
+    m_rho = max(float(laplace.invert(F, t, 1e-6 * t)), 0.0) / t
     m_k = normalization_N(spec, t) / t
     return m_rho, m_k, m_rho / m_k
 

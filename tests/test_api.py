@@ -3,11 +3,12 @@
 import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
 import greenwalk
-from greenwalk import errors, green, grids, kernels, renorm, simulate, subordinate
+from greenwalk import errors, green, grids, kernels, laplace, renorm, simulate, subordinate
 
 PUBLIC = [
     "AliasingError", "BinSpec", "CLFunction", "ConfigError", "DivergentGreenMeasureError",
@@ -101,6 +102,16 @@ def test_renorm_imports_only_the_two_engine_drivers():
     names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "simulate"
              for a in node.names}
     assert names == {"BinSpec", "McEstimate", "_mc_end_values", "_mc_occupation"}
+
+
+def test_only_laplace_knows_the_talbot_rule():
+    # the contour, its two orders and their gate live behind greenwalk.laplace,
+    # which takes Phi as a callable and imports nothing but the errors
+    for path in Path(greenwalk.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        assert path.name == "laplace.py" or ("_talbot_" not in source and "_TALBOT_" not in source), path.name
+    tree = ast.parse(inspect.getsource(laplace))
+    assert {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level} == {"errors"}
 
 
 def test_gfd_needs_the_cell_masses():

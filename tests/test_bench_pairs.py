@@ -104,21 +104,30 @@ def _verdicts(proc):
 
 
 def test_verdict_shows_a_gain_beyond_the_parents_spread(tmp_path):
-    # the change wins 3/3 pairs, and its median gap 0.5 exceeds the parent's q3 - q1 = 0.01
+    # the change wins 10/10 pairs, and its median gap 0.5 exceeds the parent's q3 - q1 = 0.045
     parent = _checkout(tmp_path, "parent", 1.0, bounds=BOUNDS)
     change = _checkout(tmp_path, "change", 0.5, bounds=BOUNDS)
-    proc, _ = _run(tmp_path, parent, change, pairs=3)
+    proc, _ = _run(tmp_path, parent, change, pairs=10)
     assert proc.returncode == 0, proc.stderr
     assert _verdicts(proc) == {"wall_ref": "gain shown", "op_success_rate": "within bound"}
 
 
+def test_verdict_needs_ten_pairs_for_a_gain(tmp_path):
+    # 4/4 pairs won by far more than the parent's spread are still too few to show a gain
+    parent = _checkout(tmp_path, "parent", 1.0, bounds=BOUNDS)
+    change = _checkout(tmp_path, "change", 0.5, bounds=BOUNDS)
+    proc, _ = _run(tmp_path, parent, change, pairs=4)
+    row = next(line for line in proc.stdout.splitlines() if line.startswith("wall_ref"))
+    assert row.endswith("4/4") and _verdicts(proc)["wall_ref"] == "within bound"
+
+
 def test_verdict_needs_the_gap_to_exceed_the_parents_spread(tmp_path):
-    # 3/3 pairs won, but the gap 0.005 lies inside the parent's q3 - q1 = 0.01
+    # 10/10 pairs won, but the gap 0.005 lies inside the parent's q3 - q1 = 0.045
     parent = _checkout(tmp_path, "parent", 1.0, bounds=BOUNDS)
     change = _checkout(tmp_path, "change", 0.995, bounds=BOUNDS)
-    proc, _ = _run(tmp_path, parent, change, pairs=3)
+    proc, _ = _run(tmp_path, parent, change, pairs=10)
     row = next(line for line in proc.stdout.splitlines() if line.startswith("wall_ref"))
-    assert row.endswith("3/3") and _verdicts(proc)["wall_ref"] == "within bound"
+    assert row.endswith("10/10") and _verdicts(proc)["wall_ref"] == "within bound"
 
 
 def test_verdict_flags_a_metric_worse_beyond_its_bound(tmp_path):

@@ -24,7 +24,6 @@ from greenwalk.renorm import (
     RenormCurve,
     _quadrature_weights,
     _state_weights,
-    _talbot_weights,
     fke_residual,
     mc_time_changed_expectation,
     normalization_N,
@@ -33,6 +32,7 @@ from greenwalk.renorm import (
     subordinated_solution,
     unnormalized_potential_integral,
 )
+from greenwalk.laplace import state_weights
 from greenwalk.simulate import BinSpec
 from greenwalk.subordinate import _mixture_weights, make_gamma_subordinator, make_stable_subordinator
 
@@ -431,7 +431,7 @@ def test_half_stable_weights_match_mpmath(stable, n):
 def test_talbot_weights_match_the_quadrature(alpha, T):
     # at alpha = 0.9, T = 10, T - C_T falls like exp(-c s^20) in s = sqrt(tau): unit panels in s left 1.2e-10 T
     spec = make_stable_subordinator(alpha)
-    talbot, quad = _talbot_weights(spec, T), _quadrature_weights(spec, T)
+    talbot, quad = state_weights(spec.phi_eval, T), _quadrature_weights(spec, T)
     assert talbot.size == quad.size
     np.testing.assert_allclose(talbot, quad, rtol=0, atol=1e-11 * T)
 
@@ -441,7 +441,7 @@ def test_talbot_weights_match_the_quadrature(alpha, T):
 def test_weights_fall_back_to_the_quadrature_where_the_gate_fails(spec, T):
     # gamma's (1 + Phi)^-(n+1) acts like a delay of about n b / a, which fixed Talbot cannot invert
     with pytest.raises(InversionInstabilityError):
-        _talbot_weights(spec, T)
+        state_weights(spec.phi_eval, T)
     w = _state_weights(spec, T)
     np.testing.assert_array_equal(w, _quadrature_weights(spec, T))
     assert w.sum() == pytest.approx(T, rel=1e-8)

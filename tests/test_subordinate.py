@@ -21,6 +21,7 @@ from scipy import integrate, special, stats
 from scipy.optimize import elementwise
 
 import greenwalk.subordinate as subordinate
+from greenwalk import laplace
 from greenwalk.errors import ConfigError, InvalidInputError, InversionInstabilityError, TruncationError
 from greenwalk.green import cl_from_kernel, evolve_semigroup, green_regular_fourier, green_regular_series, potential
 from greenwalk.grids import GridSpec
@@ -762,8 +763,8 @@ def test_rho_density_array_of_tau_equals_the_scalar_calls(stable, gamma):
 def test_talbot_contour_is_built_once(monkeypatch, gamma, stable):
     # the nodes and weights of orders 16 and 24 are module constants; with
     # np.tan broken after import, every inversion returns the same bits
-    for M, z_c in zip((16, 24), np.split(np.stack([subordinate._TALBOT_Z, subordinate._TALBOT_C]), [16], axis=1)):
-        np.testing.assert_array_equal(z_c, np.stack(subordinate._talbot_contour(M)))
+    for M, z_c in zip((16, 24), np.split(np.stack([laplace._TALBOT_Z, laplace._TALBOT_C]), [16], axis=1)):
+        np.testing.assert_array_equal(z_c, np.stack(laplace._talbot_contour(M)))
     st07 = make_stable_subordinator(0.7)
     talbot07 = dataclasses.replace(st07, rho_closed_form=None)
 
@@ -992,6 +993,19 @@ def test_normalization_of_an_array_equals_its_scalar_calls(spec):
     assert normalization_N(spec, 0.0) == 0.0 and type(normalization_N(spec, 0.0)) is float
     with pytest.raises(ValueError, match=r"\bT\b"):
         normalization_N(spec, np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("spec", [make_stable_subordinator(0.3), make_stable_subordinator(0.5),
+                                  make_stable_subordinator(0.7), make_gamma_subordinator(1.0, 1.0),
+                                  make_gamma_subordinator(2.0, 0.5)],
+                         ids=["stable0.3", "stable0.5", "stable0.7", "gamma1-1", "gamma2-0.5"])
+def test_normalization_inversion_of_an_array_matches_its_scalar_calls(spec):
+    # the batch contract of greenwalk.laplace: numpy rounds the terms and their
+    # sums differently for one T than for many (up to 2e-13 relative here)
+    spec, ts = _no_primitive(spec), np.random.default_rng(16).uniform(0.0, 50.0, 1000)
+    one = [normalization_N(spec, t) for t in ts]
+    assert all(type(v) is float for v in one)
+    np.testing.assert_allclose(normalization_N(spec, ts), one, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.5)])

@@ -12,8 +12,9 @@ metric (the ``end_to_end`` list of the change's BENCHMARK.json, or every
 reported metric if it has none) the script prints one table per workload:
 each side's median and quartiles, the relative change of the medians, a
 verdict, and in how many pairs the change was better.  The verdict is
-"gain shown" when the change was better in at least 9 of 10 pairs and its
-median beats the parent's by more than the parent's q3 - q1; "worse beyond
+"gain shown" when at least ten pairs ran, the change was better in at least
+nine tenths of them, and its median beats the parent's by more than the
+parent's q3 - q1; "worse beyond
 bound" when its median is worse than the parent's by more than the metric's
 BENCHMARK.json ``bound``, a fraction of the parent's median; "within bound"
 otherwise, or "no bound" for a metric without one.  It exits 1 when a run
@@ -68,7 +69,7 @@ def quartiles(values: list) -> tuple:
 def verdict(p_med: float, p_q1: float, p_q3: float, c_med: float, sign: float, wins: int, pairs: int,
             bound) -> str:
     """The metric's verdict; sign is 1 where lower is better and -1 where higher is."""
-    if 10 * wins >= 9 * pairs and sign * (p_med - c_med) > p_q3 - p_q1:
+    if pairs >= 10 and 10 * wins >= 9 * pairs and sign * (p_med - c_med) > p_q3 - p_q1:
         return "gain shown"
     if bound is None:
         return "no bound"
