@@ -8,6 +8,8 @@ for the time-changed process.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AliasingError,
     ConfigError,
@@ -68,5 +70,7 @@ from .renorm import (
     subordinated_solution,
 )
 
-# laplace is the internal inversion module of subordinate and renorm, not part of the API
-__all__ = [name for name in dir() if not name.startswith("_") and name != "laplace"]
+# every public name but the modules other than these seven: laplace and cli are internal
+_MODULES = {"errors", "grids", "kernels", "green", "simulate", "subordinate", "renorm"}
+__all__ = [name for name, value in dict(globals()).items() if not name.startswith("_")
+           and (name in _MODULES or not isinstance(value, _ModuleType))]

@@ -70,11 +70,14 @@ _SECTION_KEYS = {
 }
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "object": dict, "array": list}
 _TOP_KEYS = {"schema_version", "experiment", "output", "point", "artifacts", *_SECTION_KEYS}
-# the params each family reads; any other key would be recorded but ignored
-_FAMILY_PARAMS = {
-    "kernel": {"gaussian": set(), "cauchy": set()},
-    "subordinator": {"stable": {"alpha"}, "gamma": {"a", "b"}},
-    "f": {"kernel": set()},
+# each section's families as (factory, the params it reads with their defaults, the kernel.dim
+# values a kernel family accepts, () for any); the factory takes the section's own arguments
+# (a kernel's dim, f's kernel), then each param.  Any other params key would be recorded but ignored
+_FAMILIES = {
+    "kernel": {"gaussian": (make_gaussian_kernel, {}, ()), "cauchy": (lambda dim: make_cauchy_kernel(), {}, (1,))},
+    "subordinator": {"stable": (make_stable_subordinator, {"alpha": 0.5}, ()),
+                     "gamma": (make_gamma_subordinator, {"a": 1.0, "b": 1.0}, ())},
+    "f": {"kernel": (cl_from_kernel, {}, ())},
 }
 
 
@@ -84,13 +87,18 @@ def _fail_unknown(section: str, given: dict, allowed: set) -> None:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(unknown)}")
 
 
-def _check_family(section: str, body: dict) -> None:
-    family = body.get("family", "kernel" if section == "f" else None)
-    if family not in _FAMILY_PARAMS[section]:
-        raise ConfigError(f"unknown {section} family {family!r}")
-    _fail_unknown(f"{section}.params of family {family!r}", body.get("params", {}), _FAMILY_PARAMS[section][family])
-    if family == "cauchy" and body.get("dim", 1) != 1:
-        raise ConfigError("the cauchy kernel is one-dimensional; kernel.dim must be 1")
+def _family(section: str, body: dict) -> Callable:
+    """The family of a section's body, its params and dim checked, as a factory of the section's
+    own arguments; f's family defaults to the kernel, and an unset param to its default."""
+    name = body.get("family", "kernel" if section == "f" else None)
+    if name not in _FAMILIES[section]:
+        raise ConfigError(f"unknown {section} family {name!r}")
+    (make, defaults, dims), given = _FAMILIES[section][name], body.get("params", {})
+    _fail_unknown(f"{section}.params of family {name!r}", given, set(defaults))
+    if dims and body.get("dim", dims[0]) not in dims:
+        raise ConfigError(f"the {name} kernel is {' or '.join(('one', 'two', 'three')[d - 1] for d in dims)}"
+                          f"-dimensional; kernel.dim must be {' or '.join(map(str, dims))}")
+    return lambda *args: make(*args, *(float(given.get(key, val)) for key, val in defaults.items()))
 
 
 def load_config(path) -> dict:
@@ -112,8 +120,8 @@ def load_config(path) -> dict:
         for key, val in body.items():
             if isinstance(val, bool) or not isinstance(val, _JSON_TYPES[types[key]]):
                 raise ConfigError(f"{section}.{key} must be a JSON {types[key]}")
-        if section in _FAMILY_PARAMS and section in cfg:
-            _check_family(section, body)
+        if section in _FAMILIES and section in cfg:
+            _family(section, body)
     if "output" in cfg and not (isinstance(cfg["output"], str) and cfg["output"]):
         raise ConfigError("output must be a non-empty string (the artifact file prefix)")
     name = cfg.get("experiment")
@@ -139,10 +147,8 @@ class _Inputs:
 
     @cached_property
     def kernel(self):
-        body = self.cfg.get("kernel", {"family": "gaussian", "dim": 3})
-        if body["family"] == "cauchy":
-            return make_cauchy_kernel()
-        return make_gaussian_kernel(body.get("dim", 3))
+        body = self.cfg.get("kernel", {"family": "gaussian"})
+        return _family("kernel", body)(body.get("dim", 3))
 
     @cached_property
     def grid(self) -> GridSpec:
@@ -159,17 +165,13 @@ class _Inputs:
 
     @cached_property
     def spec(self):
-        sub = self.cfg.get("subordinator")
-        if sub is None:
+        if "subordinator" not in self.cfg:
             raise ConfigError("this experiment needs a subordinator section")
-        params = sub.get("params", {})
-        if sub["family"] == "stable":
-            return make_stable_subordinator(float(params.get("alpha", 0.5)))
-        return make_gamma_subordinator(float(params.get("a", 1.0)), float(params.get("b", 1.0)))
+        return _family("subordinator", self.cfg["subordinator"])()
 
     @cached_property
     def f(self):
-        return cl_from_kernel(self.kernel)
+        return _family("f", self.cfg.get("f", {}))(self.kernel)
 
     @cached_property
     def x(self) -> tuple:
@@ -265,7 +267,7 @@ def _exp_green_compare(inp):
 
 
 def _exp_potential(inp):
-    val = potential(inp.kernel, inp.f, inp.x, inp.grid)
+    val = potential(inp.kernel, inp.f, inp.x)
     return inp.write_csv("potential", [*(f"x{i}" for i in range(inp.kernel.dim)), "V"], [[*inp.x, val]])
 
 

@@ -68,7 +68,7 @@ class CLFunction:
 
 def cl_from_kernel(kernel: JumpKernel) -> CLFunction:
     """The jump density itself as a CL function."""
-    return CLFunction(evaluator=kernel.density, name="a", fourier=kernel.fourier_radial)
+    return CLFunction(evaluator=kernel.density, name="a", fourier=kernel.fourier)
 
 
 # ---------------------------------------------------------------------------
@@ -105,18 +105,17 @@ class _RateClasses:
     Grid modes whose symbol a_hat rounds to one multiple of _RATE_QUANTUM form
     a class; weights sums f's phased spectrum over it, rates = 1 - a_hat.  An
     aliased symbol above 1 + _SYMBOL_EXCESS raises AliasingError, and an x that is not
-    finite or not in [-L, L)^d an InvalidInputError, as the periodic sum would wrap it.  f is
-    sampled on grid; a grid of None is an InvalidInputError.  The sum runs over
-    the rfftn half: a mode strictly inside it also stands for its conjugate (same a_hat,
-    conjugate weight) and counts twice; the planes k_last = 0 and N/2 count once.
+    finite or not in [-L, L)^d an InvalidInputError, as the periodic sum would wrap it.
+    f is sampled on grid.  The sum runs over the rfftn half: a mode strictly inside it also
+    stands for its conjugate (same a_hat, conjugate weight) and counts twice; the planes
+    k_last = 0 and N/2 count once.
     """
 
     rates: np.ndarray
     weights: np.ndarray
 
     @classmethod
-    def build(cls, kernel: JumpKernel, f: CLFunction, x, grid: Optional[GridSpec]) -> "_RateClasses":
-        _require(grid is not None, "grid", "given for the grid semigroup")
+    def build(cls, kernel: JumpKernel, f: CLFunction, x, grid: GridSpec) -> "_RateClasses":
         f, x = f.samples_on(grid), np.atleast_1d(np.asarray(x, dtype=float))
         _require((x >= -grid.half_width) & (x < grid.half_width), "x", "finite and inside the box [-L, L)^d")
         a_hat = spectral_density(kernel, grid)
@@ -212,7 +211,7 @@ def green_regular_series(kernel: JumpKernel, grid: GridSpec, lam: float) -> Reso
         (A, alpha), d = kernel.tail_params, grid.dim
         regular = lambda a, k2: a / (1.0 - a) - np.exp(-k2) / (A * k2 ** (0.5 * alpha))
         ks = np.array([0.025, 0.05, 0.1])
-        near_zero = regular(kernel.fourier_radial(ks), ks**2)
+        near_zero = regular(kernel.fourier(ks), ks**2)
         spread = float(np.ptp(near_zero))
         if not spread <= _TAIL_SPREAD:
             raise InvalidKernelError(
@@ -240,13 +239,9 @@ def green_regular_series(kernel: JumpKernel, grid: GridSpec, lam: float) -> Reso
 def _fourier_cutoff(kernel: JumpKernel, lam: float) -> float:
     """Frequency beyond which a_hat/(1+lam-a_hat) is negligible."""
     k = 1.0
-    while k < 1e6:
-        if abs(float(np.asarray(kernel.fourier_radial(np.array([k]))).ravel()[0])) < 1e-14 * (
-            1.0 + lam
-        ):
-            return k
+    while k < 1e6 and not abs(float(np.ravel(kernel.fourier(np.array([k])))[0])) < 1e-14 * (1.0 + lam):
         k *= 2.0
-    return 1e6
+    return min(k, 1e6)
 
 
 def _radial_measure(d: int, r: float, k: np.ndarray) -> np.ndarray:
@@ -306,7 +301,7 @@ def _radial_value(kernel: JumpKernel, x, lam: float, multiplier) -> tuple[np.nda
     _require(r < np.inf, "x", "of finite length |x|")
     (k16, w16), (k8, w8) = (_radial_rule(_fourier_cutoff(kernel, lam), n) for n in (16, 8))
     k = np.concatenate((k16, k8))
-    a_hat = np.asarray(kernel.fourier_radial(k), dtype=float)
+    a_hat = np.asarray(kernel.fourier(k), dtype=float)
     gap = 1.0 - a_hat
     if kernel.symbol_gap is not None:
         gap = np.asarray(kernel.symbol_gap(k), dtype=float)
@@ -359,14 +354,15 @@ def potential_field(kernel: JumpKernel, f: CLFunction, grid: GridSpec) -> FieldG
     return FieldGrid(grid, fs.values + convolve_fields(g0.regular_part, fs).values)
 
 
-def potential(kernel: JumpKernel, f: CLFunction, x, grid: GridSpec) -> float:
+def potential(kernel: JumpKernel, f: CLFunction, x, grid: Optional[GridSpec] = None) -> float:
     """V(x, f) = f(x) + (G_0 * f)(x), the delta part plus the regular convolution.
 
-    With f.fourier (cl_from_kernel): one radial rule of _radial_value, no FFT, grid
-    unused, exact off centre; TruncationError where the rule fails (|x| of about 70
-    for the 3-D Gaussian).  An f without fourier takes potential_field, which wraps.
+    With f.fourier (cl_from_kernel): one radial rule of _radial_value, no FFT and no grid,
+    exact off centre; TruncationError where the rule fails (|x| of about 70 for the 3-D
+    Gaussian).  An f without fourier takes potential_field on grid, which wraps.
     """
     if f.fourier is None:
+        _require(grid is not None, "grid", "given for an f without fourier")
         return float(potential_field(kernel, f, grid).value_at(x))
     _require_green_measure(kernel)
     conv, _ = _radial_value(kernel, x, 0.0, lambda k, a_hat, gap: f.fourier(k) * a_hat / gap)

@@ -40,13 +40,20 @@ class JumpKernel:
     name: str = "custom"
     symbol_gap: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def fourier_radial(self, k_radius):
-        """a_hat at |k| = k_radius (all built-in kernels are radial)."""
-        return self.fourier(np.asarray(k_radius, dtype=float))
+
+def _stable_kernel(alpha: float, dim: int, density, sampler, name: str) -> JumpKernel:
+    """Rotationally symmetric alpha-stable kernel: a_hat(k) = e^{-|k|^alpha}, tail (A, alpha) = (1, alpha)."""
+
+    def power(k):
+        with np.errstate(over="ignore"):  # |k|^alpha overflows far out, where a_hat is 0 and the gap 1
+            return np.abs(np.asarray(k, dtype=float)) ** alpha
+
+    return JumpKernel(dim, density, lambda k: np.exp(-power(k)), (1.0, alpha), sampler, name,
+                      lambda k: -np.expm1(-power(k)))
 
 
 def make_gaussian_kernel(d: int) -> JumpKernel:
-    """Gaussian kernel a(x) = (4 pi)^{-d/2} e^{-|x|^2/4}, a_hat(k) = e^{-|k|^2}.
+    """Gaussian kernel a(x) = (4 pi)^{-d/2} e^{-|x|^2/4}, a_hat(k) = e^{-|k|^2}: stable, alpha = 2.
 
     The prefactor makes a a probability density (a_hat(0) = 1); jumps are
     N(0, 2 I_d).
@@ -61,22 +68,14 @@ def make_gaussian_kernel(d: int) -> JumpKernel:
         r2 *= -0.25
         return np.multiply(np.exp(r2, out=r2), norm, out=r2)
 
-    def fourier(k):
-        k = np.asarray(k, dtype=float)
-        with np.errstate(over="ignore"):  # k^2 overflows beyond |k| ~ 1e154, where a_hat is 0
-            return np.exp(-(k**2))
-
-    def symbol_gap(k):
-        return -np.expm1(-np.asarray(k, dtype=float) ** 2)
-
     def sampler(rng, size):
         return np.multiply(jumps := rng.standard_normal((size, d)), np.sqrt(2.0), out=jumps)
 
-    return JumpKernel(d, density, fourier, (1.0, 2.0), sampler, f"gaussian{d}d", symbol_gap)
+    return _stable_kernel(2.0, d, density, sampler, f"gaussian{d}d")
 
 
 def make_cauchy_kernel() -> JumpKernel:
-    """Cauchy kernel a(x) = 1/(pi (1 + x^2)) on R, a_hat(k) = e^{-|k|}.
+    """Cauchy kernel a(x) = 1/(pi (1 + x^2)) on R, a_hat(k) = e^{-|k|}: stable, alpha = 1.
 
     The 1/pi factor makes a a probability density.  No second moment;
     tail parameters A = alpha = 1.
@@ -87,17 +86,10 @@ def make_cauchy_kernel() -> JumpKernel:
         r2 = np.sum(np.atleast_2d(x) ** 2, axis=-1)
         return 1.0 / (np.pi * (1.0 + r2))
 
-    def fourier(k):
-        k = np.asarray(k, dtype=float)
-        return np.exp(-np.abs(k))
-
-    def symbol_gap(k):
-        return -np.expm1(-np.abs(np.asarray(k, dtype=float)))
-
     def sampler(rng, size):
         return rng.standard_cauchy(size=(size, 1))
 
-    return JumpKernel(1, density, fourier, (1.0, 1.0), sampler, "cauchy1d", symbol_gap)
+    return _stable_kernel(1.0, 1, density, sampler, "cauchy1d")
 
 
 def fit_small_k_expansion(
@@ -111,7 +103,7 @@ def fit_small_k_expansion(
     """
     _require(0 < k_min < k_max < np.inf, "k_min, k_max", "finite with 0 < k_min < k_max")
     ks = np.geomspace(k_min, k_max, 64)
-    drop = 1.0 - np.asarray(kernel.fourier_radial(ks), dtype=float)
+    drop = 1.0 - np.asarray(kernel.fourier(ks), dtype=float)
     if np.any(drop <= 0):
         raise InvalidKernelError("1 - a_hat(k) <= 0 at a probe; fit window unusable")
     logk, logd = np.log(ks), np.log(drop)
@@ -209,8 +201,8 @@ def validate_kernel(kernel: JumpKernel, grid: GridSpec) -> KernelReport:
     sym_err = float(np.max(np.abs(vals - flipped)))
     mass = samples.integral()
     ks = np.geomspace(1e-3, 50.0, 256)
-    a_hat = np.asarray(kernel.fourier_radial(ks), dtype=float)
-    at_zero = float(np.asarray(kernel.fourier_radial(np.array([0.0]))).ravel()[0])
+    a_hat = np.asarray(kernel.fourier(ks), dtype=float)
+    at_zero = float(np.asarray(kernel.fourier(np.array([0.0]))).ravel()[0])
     return KernelReport(
         symmetric=sym_err <= 1e-12 * max(float(vals.max()), 1.0),
         nonnegative=bool(np.all(vals >= 0)),

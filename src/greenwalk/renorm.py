@@ -48,7 +48,7 @@ def subordinated_solution(
     f: CLFunction,
     x,
     t,
-    grid: Optional[GridSpec] = None,
+    grid: GridSpec,
 ):
     """v(t, x) = int_0^infty u(tau, x) rho_t(tau) dtau, summed in closed form.
 
@@ -332,7 +332,7 @@ def fke_residual(
     f: CLFunction,
     x,
     t_grid,
-    grid: Optional[GridSpec] = None,
+    grid: GridSpec,
     t_min: float = 0.0,
 ) -> float:
     """max_t |D_t^{(k)} v(t, x) - (L v)(t, x)| over the interior of t_grid.

@@ -2,7 +2,9 @@
 
 import ast
 import dataclasses
+import importlib
 import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,19 @@ PUBLIC = [
 
 
 def test_package_exports_are_pinned():
+    assert sorted(greenwalk.__all__) == PUBLIC
+
+
+def test_no_internal_module_is_exported():
+    # laplace and cli are submodules that imports load; rebuilt with both in the package
+    # namespace, __all__ still holds only the seven public modules
+    import greenwalk.cli  # noqa: F401
+
+    importlib.reload(greenwalk)
+    modules = {name for name in dir(greenwalk) if isinstance(getattr(greenwalk, name), types.ModuleType)}
+    assert {"laplace", "cli"} <= modules
+    public = {"errors", "grids", "kernels", "green", "simulate", "subordinate", "renorm"}
+    assert modules & set(greenwalk.__all__) == public
     assert sorted(greenwalk.__all__) == PUBLIC
 
 
@@ -112,6 +127,16 @@ def test_only_laplace_knows_the_talbot_rule():
         assert path.name == "laplace.py" or ("_talbot_" not in source and "_TALBOT_" not in source), path.name
     tree = ast.parse(inspect.getsource(laplace))
     assert {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level} == {"errors"}
+
+
+@pytest.mark.parametrize("fn, default", [
+    (green.potential, None),
+    (renorm.subordinated_solution, inspect.Parameter.empty),
+    (renorm.fke_residual, inspect.Parameter.empty),
+])
+def test_grid_is_required_exactly_where_it_is_always_read(fn, default):
+    # potential reads a grid only for an f without fourier; the rate classes always read one
+    assert inspect.signature(fn).parameters["grid"].default is default
 
 
 def test_gfd_needs_the_cell_masses():

@@ -266,6 +266,17 @@ def test_renorm_curve_builds_no_grid(tmp_path, monkeypatch):
     assert len((tmp_path / "rc_renorm_curve.csv").read_text().splitlines()) == 2
 
 
+def test_potential_builds_no_grid(tmp_path, monkeypatch):
+    # f is the kernel, which carries its Fourier transform, so potential takes the radial rule
+    def refuse(*args):
+        raise AssertionError("potential built a GridSpec")
+
+    monkeypatch.setattr(cli, "GridSpec", refuse)
+    cfg = write_cfg(tmp_path, "pot", experiment="potential", output="pot")
+    assert run_cli(["run", cfg, "--out", tmp_path]) == 0
+    assert len((tmp_path / "pot_potential.csv").read_text().splitlines()) == 2
+
+
 def test_subordinator_check_run(tmp_path):
     cfg = write_cfg(tmp_path, "sub", experiment="subordinator-check",
                     subordinator={"family": "stable", "params": {"alpha": 0.5}},
@@ -296,8 +307,30 @@ def test_keys_no_run_reads_are_rejected(tmp_path, capsys, experiment, body):
 def test_cauchy_kernel_in_three_dimensions_is_rejected(tmp_path):
     # make_cauchy_kernel is one-dimensional, so dim 3 would run a 1-D kernel
     cfg = write_cfg(tmp_path, "bad", experiment="fit-expansion", kernel={"family": "cauchy", "dim": 3})
-    with pytest.raises(ConfigError, match="dim"):
+    with pytest.raises(ConfigError, match="^the cauchy kernel is one-dimensional; kernel.dim must be 1$"):
         load_config(cfg)
+
+
+def test_families_are_read_from_one_table():
+    # load_config's check and the run's kernel, subordinator and f all go through cli._family
+    source = Path(cli.__file__).read_text()
+    assert "family ==" not in source and "_FAMILY_PARAMS" not in source
+    assert {section: set(families) for section, families in cli._FAMILIES.items()} == {
+        "kernel": {"gaussian", "cauchy"}, "subordinator": {"stable", "gamma"}, "f": {"kernel"}}
+
+
+@pytest.mark.parametrize("body, built", [
+    ({}, ("gaussian3d", "stable", {"alpha": 0.5})),
+    ({"kernel": {"family": "gaussian", "dim": 2}, "subordinator": {"family": "gamma", "params": {"b": 3}}},
+     ("gaussian2d", "gamma", {"a": 1.0, "b": 3.0})),
+    ({"kernel": {"family": "cauchy"}, "subordinator": {"family": "stable", "params": {"alpha": 0.7}}},
+     ("cauchy1d", "stable", {"alpha": 0.7})),
+], ids=["defaults", "gaussian2-gamma", "cauchy-stable07"])
+def test_table_builds_each_family_with_its_param_defaults(tmp_path, body, built):
+    body = {"subordinator": {"family": "stable"}, **body}
+    inp = cli._Inputs(load_config(write_cfg(tmp_path, "families", experiment="rho", **body)), str(tmp_path / "x"))
+    assert (inp.kernel.name, inp.spec.family, inp.spec.params) == built
+    assert inp.f.evaluator is inp.kernel.density and inp.f.fourier is inp.kernel.fourier
 
 
 @pytest.mark.parametrize("experiment, body", [
@@ -390,6 +423,16 @@ def test_every_experiment_runs_and_its_manifest_reruns(tmp_path, capsys, name):
     rerun.write_text(json.dumps(manifest))
     assert run_cli(["run", rerun, "--out", tmp_path / "second"]) == 0
     assert (tmp_path / "second" / first.name).read_bytes() == first.read_bytes()
+
+
+def test_readme_family_table_lists_every_family_and_its_params():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {tuple(cell.split("`")[1] for cell in line.split("|")[1:3]): line
+            for line in readme.splitlines() if line.startswith("| `") and line.split("`")[1] in cli._FAMILIES}
+    for section, families in cli._FAMILIES.items():
+        for name, (_, defaults, _) in families.items():
+            assert (section, name) in rows, f"{section} family {name} is missing from the README's family table"
+            assert all(f"`{key}` ({default:g})" in rows[section, name] for key, default in defaults.items())
 
 
 def test_readme_table_lists_every_experiment_and_its_artifact():

@@ -374,6 +374,31 @@ def test_green_fourier_origin_equals_zeta_oracle_with_symbol_gap(k3):
     assert abs(green_regular_fourier(k3, [0.0, 0.0, 0.0], 0.0) - ZETA_ORACLE) <= 1e-14
 
 
+def test_green_fourier_without_symbol_gap_takes_the_tail_form(k3):
+    # with no symbol_gap the gap is A k^alpha below k = 1e-4 and 1 - a_hat above;
+    # G_0(0) then lies 2.4e-13 relative from the zeta oracle
+    bare = dataclasses.replace(k3, symbol_gap=None)
+    value = green_regular_fourier(bare, [0.0, 0.0, 0.0], 0.0)
+    assert value == pytest.approx(ZETA_ORACLE, rel=3e-13)
+    assert value != green_regular_fourier(k3, [0.0, 0.0, 0.0], 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.5, 2.0])
+def test_green_fourier_in_two_dimensions_matches_closed_form_at_origin(lam):
+    # a_n(0) = 1/(4 pi n) in d = 2, so G_lam(0) = sum_n (1 + lam)^{-n} / (4 pi n) = log((1 + lam)/lam) / (4 pi)
+    value = green_regular_fourier(make_gaussian_kernel(2), [0.0, 0.0], lam)
+    assert value == pytest.approx(np.log((1.0 + lam) / lam) / (4.0 * np.pi), rel=1e-15)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_green_fourier_in_two_dimensions_matches_the_series_off_origin(lam):
+    # the J_0 measure against the grid's closed form at |x| = 1.5: 1.6e-13 relative at
+    # lam = 0.5; at lam = 0.1 the box's own error, 5.6e-7, would dominate
+    k2 = make_gaussian_kernel(2)
+    series = green_regular_series(k2, GridSpec(2, 256, 24.0), lam).regular_part.values_at(np.array([[1.5, 0.0]]))
+    assert green_regular_fourier(k2, [1.5, 0.0], lam) == pytest.approx(series[0], rel=1e-12)
+
+
 @pytest.mark.parametrize("lam", [0.5, 1e-3])
 def test_cauchy_resolvent_at_origin_matches_closed_form(lam):
     # (1/pi) int_0^inf e^{-k} / (1 + lam - e^{-k}) dk = log(1 + 1/lam) / pi

@@ -44,31 +44,52 @@ def gaussian_n(x, n, d):
 
 def test_fourier_at_zero_is_one():
     for kernel in (make_gaussian_kernel(1), make_gaussian_kernel(3), make_cauchy_kernel()):
-        assert float(kernel.fourier_radial(0.0)) == pytest.approx(1.0, abs=1e-12)
+        assert float(kernel.fourier(0.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gaussian_pointwise_values():
     k = make_gaussian_kernel(1)
     assert k.tail_params == (1.0, 2.0)
     assert float(k.density(np.array([[0.0]]))[0]) == pytest.approx((4 * np.pi) ** -0.5)
-    assert float(k.fourier_radial(1.0)) == pytest.approx(np.exp(-1.0))
+    assert float(k.fourier(1.0)) == pytest.approx(np.exp(-1.0))
 
 
 def test_cauchy_pointwise_values():
     k = make_cauchy_kernel()
     assert k.tail_params == (1.0, 1.0)
     assert float(k.density(np.array([[1.0]]))[0]) == pytest.approx(1.0 / (2 * np.pi))
-    assert float(k.fourier_radial(2.0)) == pytest.approx(np.exp(-2.0))
+    assert float(k.fourier(2.0)) == pytest.approx(np.exp(-2.0))
 
 
 @pytest.mark.parametrize("kernel", [make_gaussian_kernel(3), make_cauchy_kernel()], ids=lambda k: k.name)
 def test_symbol_gap_is_one_minus_fourier_without_cancellation(kernel):
     ks = np.geomspace(0.1, 10.0, 9)
-    np.testing.assert_allclose(kernel.symbol_gap(ks), 1.0 - kernel.fourier_radial(ks), rtol=1e-14)
+    np.testing.assert_allclose(kernel.symbol_gap(ks), 1.0 - kernel.fourier(ks), rtol=1e-14)
     # 1 - a_hat rounds to 0 at k = 1e-9 for the Gaussian; the gap keeps its k^alpha leading term
     A, alpha = kernel.tail_params
     np.testing.assert_allclose(kernel.symbol_gap(np.array([1e-9, 1e-6])), A * np.array([1e-9, 1e-6]) ** alpha,
                                rtol=1e-6)
+
+
+# each built-in's a_hat and gap as its own factory wrote them before one stable builder served both
+EXPLICIT_SYMBOLS = {
+    "gaussian3d": (lambda k: np.exp(-(k**2)), lambda k: -np.expm1(-k**2)),
+    "cauchy1d": (lambda k: np.exp(-np.abs(k)), lambda k: -np.expm1(-np.abs(k))),
+}
+
+
+@pytest.mark.parametrize("kernel", [make_gaussian_kernel(3), make_cauchy_kernel()], ids=lambda k: k.name)
+def test_stable_builder_gives_each_built_in_symbol_bit_for_bit(kernel):
+    # one np.abs(k) ** alpha serves both: numpy squares for alpha = 2.0 and copies for 1.0
+    rng = np.random.default_rng(34)
+    tiny_to_huge = np.geomspace(1e-300, 1e300, 1001)
+    draws = rng.standard_normal(100_000) * 10.0 ** rng.uniform(-5.0, 5.0, 100_000)
+    ks = np.concatenate(([0.0], tiny_to_huge, -tiny_to_huge, draws))
+    fourier, gap = EXPLICIT_SYMBOLS[kernel.name]
+    with np.errstate(over="ignore"):
+        assert kernel.fourier(ks).tobytes() == fourier(ks).tobytes()
+        assert kernel.symbol_gap(ks).tobytes() == gap(ks).tobytes()
+    assert kernel.tail_params == (1.0, {"gaussian3d": 2.0, "cauchy1d": 1.0}[kernel.name])
 
 
 def test_fourier_is_cosine_transform_of_density():
@@ -81,7 +102,7 @@ def test_fourier_is_cosine_transform_of_density():
     numeric = np.array(
         [np.sum(np.cos(kk * xs) * samples.values) * GRID1.spacing for kk in ks]
     )
-    np.testing.assert_allclose(numeric, k.fourier_radial(ks), atol=1e-6)
+    np.testing.assert_allclose(numeric, k.fourier(ks), atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

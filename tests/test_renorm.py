@@ -342,6 +342,18 @@ def test_histogram_methods_are_conditional_and_raw(k3, stable):
         renormalized_green_histogram(k3, stable, [0.0, 0.0, 0.0], 10.0, BinSpec.cube(4.0, 2, 3), 2, 1, method="auto")
 
 
+@pytest.mark.parametrize("T", [1e-6, 1e-3])
+@pytest.mark.parametrize("spec", [make_stable_subordinator(0.5), make_stable_subordinator(0.9),
+                                  make_gamma_subordinator(1.0, 1.0)], ids=["stable0.5", "stable0.9", "gamma"])
+def test_horizon_is_the_least_tau_whose_tail_is_below_1e_8_T(spec, T):
+    # at small T both stable horizons lie below tau = 1, so the bracket is found by halving;
+    # gamma's lies above 1 at both T and is found by doubling
+    tau = renorm._horizon(spec.clipped_mean, T)
+    tail = lambda s: T - spec.clipped_mean(T, np.array([s]))[0]
+    assert (tau < 1.0) == (spec.family == "stable")
+    assert tail(tau) <= 1e-8 * T < tail(tau * (1.0 - 2e-6))
+
+
 @pytest.mark.parametrize("method", ["conditional", "raw"])
 def test_histogram_path_length(k3, stable, method, monkeypatch):
     # raw draws X paths up to tau* = min{tau : T - C_T(tau) <= 1e-8 T}; the

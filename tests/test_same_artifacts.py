@@ -51,7 +51,7 @@ def _checkout(root: Path, side: str, **stub) -> Path:
 
 
 def _run(tool, monkeypatch, capsys, tmp_path, change_stub=None):
-    # three of the 21 runs: each stub run starts a Python process
+    # three of the 26 runs: each stub run starts a Python process
     monkeypatch.setattr(tool, "RUNS", [r for r in tool.RUNS if r[0] in ("potential", "gfd", "rho-gamma")])
     code = tool.main([str(_checkout(tmp_path, "parent")), str(_checkout(tmp_path, "change", **(change_stub or {})))])
     calls = [tuple(json.loads(line)) for line in (tmp_path / "calls.log").read_text().splitlines()]
@@ -61,13 +61,19 @@ def _run(tool, monkeypatch, capsys, tmp_path, change_stub=None):
 def test_every_experiment_has_a_run(tool):
     assert {experiment for _, experiment, _ in tool.RUNS} == set(EXPERIMENTS)
     cfgs = {run_id: sections for run_id, _, sections in tool.RUNS}
-    assert len(cfgs) == len(tool.RUNS) == 21
+    assert len(cfgs) == len(tool.RUNS) == 26
     assert {run_id for run_id, cfg in cfgs.items() if "mc" in cfg} == {
-        "mc-potential", "random-green", "renorm-histogram", "renorm-histogram-gamma"}
+        "mc-potential", "random-green", "renorm-histogram", "renorm-histogram-gamma",
+        "mc-potential-cauchy", "random-green-cauchy"}
     assert all(cfg["mc"] == {"n": 200, "seed": 11} for cfg in cfgs.values() if "mc" in cfg)
     gamma = {run_id for run_id, cfg in cfgs.items() if cfg.get("subordinator", {}).get("family") == "gamma"}
     assert gamma == {f"{name}-gamma" for name in ("subordinator-check", "rho", "gfd", "subordinate-solve",
                                                    "fke-residual", "renorm-histogram")}
+    # the Cauchy kernel runs where it can: its 1-D Green measure diverges, so only at lam > 0
+    cauchy = {run_id: cfg for run_id, cfg in cfgs.items() if cfg.get("kernel", {}).get("family") == "cauchy"}
+    assert set(cauchy) == {f"{name}-cauchy" for name in ("validate-kernel", "fit-expansion", "green-fourier",
+                                                          "mc-potential", "random-green")}
+    assert cauchy["green-fourier-cauchy"]["tolerances"] == {"lam": 0.5}
 
 
 def test_identical_checkouts_pass(tool, monkeypatch, capsys, tmp_path):

@@ -24,7 +24,7 @@ import greenwalk.simulate as simulate
 from greenwalk.errors import InvalidKernelError
 from greenwalk.grids import GridSpec
 from greenwalk.green import CLFunction, cl_from_kernel, evolve_semigroup
-from greenwalk.kernels import JumpKernel, make_gaussian_kernel, sample_density
+from greenwalk.kernels import JumpKernel, make_cauchy_kernel, make_gaussian_kernel, sample_density
 from greenwalk.renorm import _horizon, mc_time_changed_expectation, normalization_N, renormalized_green_histogram
 from greenwalk.subordinate import _standard_stable, make_stable_subordinator
 from greenwalk.simulate import (
@@ -433,6 +433,14 @@ def test_mc_expectation_matches_semigroup(k1):
     est = mc_expectation(k1, f, [0.0], 1.0, 100000, seed=5)
     target = evolve_semigroup(k1, sample_density(k1, GRID1), 1.0).value_at([0.0])
     assert abs(est.mean - target) < 3 * est.stderr
+
+
+def test_mc_expectation_draws_cauchy_jumps():
+    # a_n is the Cauchy density of scale n, a_n(0) = 1/(pi n), so the density seen at
+    # time t from 0 is E a(X_t) = sum_n e^{-t} t^n/n! / (pi (n + 1)) = (1 - e^{-t})/(pi t)
+    cauchy = make_cauchy_kernel()
+    est = mc_expectation(cauchy, CLFunction(cauchy.density), [0.0], 1.0, 200_000, seed=5)
+    assert abs(est.mean - (1.0 - np.exp(-1.0)) / np.pi) < 3 * est.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from scipy.optimize import elementwise
 import greenwalk.subordinate as subordinate
 from greenwalk import laplace
 from greenwalk.errors import ConfigError, InvalidInputError, InversionInstabilityError, TruncationError
-from greenwalk.green import cl_from_kernel, evolve_semigroup, green_regular_fourier, green_regular_series, potential
+from greenwalk.green import CLFunction, cl_from_kernel, evolve_semigroup, green_regular_fourier, green_regular_series, potential
 from greenwalk.grids import GridSpec
 from greenwalk.kernels import fit_small_k_expansion, make_gaussian_kernel
 from greenwalk.renorm import _horizon, fke_residual, mc_time_changed_expectation, normalization_N, subordinated_solution
@@ -162,7 +162,7 @@ _GRID1 = GridSpec(1, 256, 20.0)
      "t_grid"),
     (lambda: renormalized_potential_curve(_K3, _HALF, cl_from_kernel(_K3), [0.0, 0.0, 0.0], 5.0, GridSpec(3, 16, 8.0)),
      "T_grid"),
-    (lambda: subordinated_solution(_K1, _HALF, cl_from_kernel(_K1), [0.0], 1.0), "grid"),
+    (lambda: potential(_K3, CLFunction(_K3.density), [0.0, 0.0, 0.0]), "grid"),
     (lambda: GridSpec(1, 64, 1e308), "half_width"),
     (lambda: GridSpec(3, 64, 1e150), "half_width"),
     (lambda: BinSpec.cube(8.0, 0, 3), "shape"),
@@ -185,7 +185,7 @@ _GRID1 = GridSpec(1, 256, 20.0)
         "gridspec-half-width-inf", "binspec-half-width-nan", "series-lam-inf", "fourier-lam-inf", "N-gamma-T-inf",
         "subsol-t-inf", "fit-k-max-inf", "expectation-t-huge", "truncated-T-huge", "expectation-seed-negative",
         "gridspec-n-float", "fke-t-min-nan", "curve-T-grid-nan", "fke-t-grid-nan",
-        "curve-T-grid-scalar", "subsol-grid-missing", "gridspec-spacing-overflow", "gridspec-cell-volume-overflow",
+        "curve-T-grid-scalar", "potential-grid-missing", "gridspec-spacing-overflow", "gridspec-cell-volume-overflow",
         "binspec-shape-zero", "binspec-shape-negative", "binspec-shape-fraction", "binspec-lo-not-below-hi",
         "fourier-dim-4", "potential-dim-4", "curve-dim-4", "curve-T-grid-empty"])
 @pytest.mark.filterwarnings("error")

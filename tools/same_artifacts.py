@@ -6,7 +6,9 @@ Runs every ``greenwalk run`` experiment at its default config once in each
 checkout, as ``python3 -m greenwalk.cli run CONFIG --out DIR`` with
 ``PYTHONPATH=<checkout>/src``, the two checkouts at once.  The stochastic experiments get ``mc`` n = 200
 and seed 11, and the experiments that take a subordinator run once more with
-the gamma family.  Each run writes its artifact and its manifest into a
+the gamma family.  The five experiments that run with the Cauchy kernel run
+once more with it, green-fourier at ``lam`` 0.5 since the 1-D Green measure
+diverges.  Each run writes its artifact and its manifest into a
 directory of its own; the artifacts are compared byte for byte, the manifests
 after the output directory is replaced by one placeholder.  The script prints
 every file that differs or exists on one side only, and exits 1 on such a
@@ -28,6 +30,7 @@ SIDES = ("parent", "change")
 MC = {"n": 200, "seed": 11}
 GAMMA = {"family": "gamma"}
 STABLE = {"family": "stable"}
+CAUCHY = {"family": "cauchy"}
 # (run id, experiment, config sections besides schema_version, experiment and output)
 RUNS = [
     ("validate-kernel", "validate-kernel", {}),
@@ -42,6 +45,11 @@ RUNS = [
     *((f"{name}{suffix}", name, {"subordinator": sub, **({"mc": MC} if name == "renorm-histogram" else {})})
       for name in ("subordinator-check", "rho", "gfd", "subordinate-solve", "fke-residual", "renorm-histogram")
       for suffix, sub in (("", STABLE), ("-gamma", GAMMA))),
+    ("validate-kernel-cauchy", "validate-kernel", {"kernel": CAUCHY}),
+    ("fit-expansion-cauchy", "fit-expansion", {"kernel": CAUCHY}),
+    ("green-fourier-cauchy", "green-fourier", {"kernel": CAUCHY, "tolerances": {"lam": 0.5}}),
+    ("mc-potential-cauchy", "mc-potential", {"kernel": CAUCHY, "mc": MC}),
+    ("random-green-cauchy", "random-green", {"kernel": CAUCHY, "mc": MC}),
 ]
 PLACEHOLDER = "<out>"
 
