@@ -52,24 +52,18 @@ from .subordinate import (
 SCHEMA_VERSION = 1
 
 # the keys of each section and the JSON type of each value; an integer key
-# takes no fraction, since truncating it would run another config than the one given
+# takes no fraction, since truncating it would run another config than the one given.
+# The tolerances and horizons are each experiment's own (EXPERIMENTS), typed by their defaults
 _SECTION_KEYS = {
     "kernel": {"family": "string", "params": "object", "dim": "integer"},
     "grid": {"N": "integer", "L": "number"},
     "subordinator": {"family": "string", "params": "object"},
     "f": {"family": "string", "params": "object"},
     "mc": {"n": "integer", "seed": "integer"},
-    "horizons": {"T": "number", "T_grid": "array", "dt": "number"},
     "bins": {"half_width": "number", "per_axis": "integer"},
-    # every tolerance some experiment reads; see the README's experiment table
-    "tolerances": {
-        **dict.fromkeys(("lam", "radius", "k_min", "k_max", "s0", "tau_max", "power", "t_min"), "number"),
-        "n_tau": "integer",
-        "levels": "integer",
-    },
 }
-_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "object": dict, "array": list}
-_TOP_KEYS = {"schema_version", "experiment", "output", "point", "artifacts", *_SECTION_KEYS}
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "object": dict, "array of numbers": list}
+_DEFAULT_TYPES = {float: "number", int: "integer", list: "array of numbers"}
 # each section's families as (factory, the params it reads with their defaults, the kernel.dim
 # values a kernel family accepts, () for any); the factory takes the section's own arguments
 # (a kernel's dim, f's kernel), then each param.  Any other params key would be recorded but ignored
@@ -81,10 +75,16 @@ _FAMILIES = {
 }
 
 
-def _fail_unknown(section: str, given: dict, allowed: set) -> None:
-    unknown = sorted(set(given) - allowed)
+def _is(val, kind: str) -> bool:
+    """Whether val is a JSON value of kind; a boolean is no number, and an array holds only numbers."""
+    elements = val if kind == "array of numbers" and isinstance(val, list) else ()
+    return not isinstance(val, bool) and isinstance(val, _JSON_TYPES[kind]) and all(_is(v, "number") for v in elements)
+
+
+def _fail_unknown(reader: str, given: dict, allowed, prefix: str = "") -> None:
+    unknown = sorted(set(given) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {', '.join(unknown)}")
+        raise ConfigError(f"{reader} reads no {', '.join(prefix + key for key in unknown)}")
 
 
 def _family(section: str, body: dict) -> Callable:
@@ -94,7 +94,7 @@ def _family(section: str, body: dict) -> Callable:
     if name not in _FAMILIES[section]:
         raise ConfigError(f"unknown {section} family {name!r}")
     (make, defaults, dims), given = _FAMILIES[section][name], body.get("params", {})
-    _fail_unknown(f"{section}.params of family {name!r}", given, set(defaults))
+    _fail_unknown(f"{section} family {name!r}", given, defaults, "params.")
     if dims and body.get("dim", dims[0]) not in dims:
         raise ConfigError(f"the {name} kernel is {' or '.join(('one', 'two', 'three')[d - 1] for d in dims)}"
                           f"-dimensional; kernel.dim must be {' or '.join(map(str, dims))}")
@@ -102,6 +102,10 @@ def _family(section: str, body: dict) -> Callable:
 
 
 def load_config(path) -> dict:
+    """The config at path, refused with a ConfigError on every check a run of it would make:
+    a section, tolerance or horizon its experiment does not read, a value of the wrong JSON
+    type, a family or param outside _FAMILIES, a kernel its factory refuses, a missing
+    subordinator or mc, a grid without both N and L, and a point without kernel.dim numbers."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -111,39 +115,50 @@ def load_config(path) -> dict:
         raise ConfigError("config root must be a JSON object")
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
-    _fail_unknown("config", cfg, _TOP_KEYS)
-    for section, types in _SECTION_KEYS.items():
-        body = cfg.get(section, {})
-        if not isinstance(body, dict):
+    name = cfg.get("experiment")
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}; see `greenwalk list`")
+    exp, reader = EXPERIMENTS[name], f"experiment {name!r}"
+    _fail_unknown(reader, cfg, {"schema_version", "experiment", "output", "artifacts", *exp.sections})
+    keys = {**_SECTION_KEYS, **{section: {key: _DEFAULT_TYPES[type(val)] for key, val in defaults.items()}
+                                for section, defaults in (("tolerances", exp.tolerances), ("horizons", exp.horizons))}}
+    for section in (s for s in keys if s in cfg):
+        if not isinstance(body := cfg[section], dict):
             raise ConfigError(f"{section} must be an object")
-        _fail_unknown(section, body, set(types))
+        _fail_unknown(reader, body, keys[section], f"{section}.")
         for key, val in body.items():
-            if isinstance(val, bool) or not isinstance(val, _JSON_TYPES[types[key]]):
-                raise ConfigError(f"{section}.{key} must be a JSON {types[key]}")
-        if section in _FAMILIES and section in cfg:
+            if not _is(val, keys[section][key]):
+                raise ConfigError(f"{section}.{key} must be a JSON {keys[section][key]}")
+        if section in _FAMILIES:
             _family(section, body)
     if "output" in cfg and not (isinstance(cfg["output"], str) and cfg["output"]):
         raise ConfigError("output must be a non-empty string (the artifact file prefix)")
-    name = cfg.get("experiment")
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; see `greenwalk list`")
     for key, val in cfg.get("tolerances", {}).items():
         # lambda = 0 is the Green measure itself; every other tolerance is a size
         if not (val > 0 or (val == 0 and key == "lam")):
             raise ConfigError(f"tolerance {key!r} must be a positive number")
-    if EXPERIMENTS[name].stochastic and not {"n", "seed"} <= set(cfg.get("mc", {})):
+    if "mc" in exp.reads and not {"n", "seed"} <= set(cfg.get("mc", {})):
         raise ConfigError(f"experiment {name!r} is stochastic and needs mc.n and mc.seed")
+    if "subordinator" in exp.reads and "subordinator" not in cfg:
+        raise ConfigError("this experiment needs a subordinator section")
+    if "grid" in cfg and set(cfg["grid"]) != {"N", "L"}:
+        raise ConfigError("grid needs both N and L")
+    if "kernel" in exp.reads:  # the run's own kernel: its factory checks dim, and point needs dim numbers
+        dim = _Inputs(cfg, "").kernel.dim
+        if "point" in cfg and not (_is(cfg["point"], "array of numbers") and len(cfg["point"]) == dim):
+            raise ConfigError(f"point must be a list of {dim} coordinates (the kernel dim)")
     return cfg
 
 
 class _Inputs:
-    """One run's validated config; each section is built on first use and then kept."""
+    """One run's validated config; each section is built on first use and then kept.
+    tol and horizons hold every tolerance and horizon the experiment reads, unset ones at their defaults."""
 
     def __init__(self, cfg: dict, prefix: str):
-        self.cfg = cfg
-        self.prefix = prefix
-        self.tol = cfg.get("tolerances", {})
-        self.horizons = cfg.get("horizons", {})
+        self.cfg, self.prefix = cfg, prefix
+        exp = EXPERIMENTS[cfg["experiment"]]
+        self.tol = {**exp.tolerances, **cfg.get("tolerances", {})}
+        self.horizons = {**exp.horizons, **cfg.get("horizons", {})}
 
     @cached_property
     def kernel(self):
@@ -159,14 +174,10 @@ class _Inputs:
             d = self.kernel.dim
             _require(d in defaults, "kernel.dim", f"1, 2 or 3 for the radial Fourier rule, not {d}")
             return GridSpec(d, *defaults[d])
-        if set(g) != {"N", "L"}:
-            raise ConfigError("grid needs both N and L")
         return GridSpec(self.kernel.dim, g["N"], float(g["L"]))
 
     @cached_property
     def spec(self):
-        if "subordinator" not in self.cfg:
-            raise ConfigError("this experiment needs a subordinator section")
         return _family("subordinator", self.cfg["subordinator"])()
 
     @cached_property
@@ -175,10 +186,7 @@ class _Inputs:
 
     @cached_property
     def x(self) -> tuple:
-        pt = self.cfg.get("point", [0.0] * self.kernel.dim)
-        if not isinstance(pt, list) or len(pt) != self.kernel.dim:
-            raise ConfigError(f"point must be a list of {self.kernel.dim} coordinates (the kernel dim)")
-        return tuple(float(v) for v in pt)
+        return tuple(float(v) for v in self.cfg.get("point", [0.0] * self.kernel.dim))
 
     @cached_property
     def bins(self) -> BinSpec:
@@ -187,7 +195,7 @@ class _Inputs:
 
     @cached_property
     def mc(self) -> tuple:
-        """(n, seed); load_config makes a stochastic experiment carry both."""
+        """(n, seed); load_config makes an experiment that reads mc carry both."""
         return self.cfg["mc"]["n"], self.cfg["mc"]["seed"]
 
     def write_csv(self, name: str, header, rows) -> list:
@@ -210,9 +218,9 @@ class _Inputs:
 def _axis_profile(inp: _Inputs, *methods: str) -> list:
     """Columns x, then G_lam by each method ("series", "fourier"), at the grid
     nodes on the first axis with |x| <= tolerances.radius."""
-    lam = inp.tol.get("lam", 0.0)
+    lam = inp.tol["lam"]
     xs = inp.grid.axis
-    xs = xs[np.abs(xs) <= inp.tol.get("radius", 3.0)]
+    xs = xs[np.abs(xs) <= inp.tol["radius"]]
     pts = np.zeros((xs.size, inp.kernel.dim))
     pts[:, 0] = xs
     values = {
@@ -244,9 +252,7 @@ def _exp_validate_kernel(inp):
 
 
 def _exp_fit_expansion(inp):
-    A, alpha, resid = fit_small_k_expansion(
-        inp.kernel, k_min=inp.tol.get("k_min", 1e-3), k_max=inp.tol.get("k_max", 1e-2)
-    )
+    A, alpha, resid = fit_small_k_expansion(inp.kernel, k_min=inp.tol["k_min"], k_max=inp.tol["k_max"])
     return inp.write_csv("fit", ["A", "alpha", "max_log_residual"], [[A, alpha, resid]])
 
 
@@ -272,21 +278,21 @@ def _exp_potential(inp):
 
 
 def _exp_mc_potential(inp):
-    T = float(inp.horizons.get("T", 200.0))
+    T = float(inp.horizons["T"])
     est = mc_truncated_potential(inp.kernel, inp.f, inp.x, T, *inp.mc)
     return inp.write_csv("mc_potential", ["mean", "stderr", "n", "seed", "T"],
                          [[est.mean, est.stderr, est.n_samples, est.seed, T]])
 
 
 def _exp_random_green(inp):
-    T = float(inp.horizons.get("T", 200.0))
+    T = float(inp.horizons["T"])
     hist, stderr = average_random_green_measure(inp.kernel, inp.x, T, inp.bins, *inp.mc)
     return inp.write_csv("random_green", *_histogram_rows(inp.bins, hist, stderr))
 
 
 def _exp_subordinator_check(inp):
     h = check_H(inp.spec)
-    adm = check_admissible(inp.spec, s0=inp.tol.get("s0", 1.0))
+    adm = check_admissible(inp.spec, s0=inp.tol["s0"])
     return inp.write_json("subordinator", {
         "family": inp.spec.family,
         "params": inp.spec.params,
@@ -301,79 +307,104 @@ def _exp_subordinator_check(inp):
 
 
 def _exp_rho(inp):
-    taus = np.linspace(0.0, inp.tol.get("tau_max", 10.0), inp.tol.get("n_tau", 101))
+    taus = np.linspace(0.0, inp.tol["tau_max"], inp.tol["n_tau"])
     rows = [
         [t, tau, rho]
-        for t in inp.horizons.get("T_grid", [1.0])
+        for t in inp.horizons["T_grid"]
         for tau, rho in zip(taus, rho_density(inp.spec, float(t), taus))
     ]
     return inp.write_csv("rho", ["t", "tau", "rho"], rows)
 
 
 def _exp_gfd(inp):
-    T = float(inp.horizons.get("T", 2.0))
-    dt = float(inp.horizons.get("dt", 1e-3))
+    T = float(inp.horizons["T"])
+    dt = float(inp.horizons["dt"])
     m = int(round(T / dt))
     t_grid = dt * np.arange(m + 1)
     masses = kernel_cell_masses(inp.spec, dt, m)
-    vals = gfd_apply(None, t_grid ** inp.tol.get("power", 1.0), dt, cell_masses=masses)
+    vals = gfd_apply(None, t_grid ** inp.tol["power"], dt, cell_masses=masses)
     return inp.write_csv("gfd", ["t", "gfd"], zip(t_grid[1:m], vals))
 
 
 def _exp_subordinate_solve(inp):
-    ts = inp.horizons.get("T_grid", [0.5, 1.0, 2.0])
+    ts = inp.horizons["T_grid"]
     v = subordinated_solution(inp.kernel, inp.spec, inp.f, inp.x, np.asarray(ts, dtype=float), grid=inp.grid)
     return inp.write_csv("subordinate_solve", ["t", "v"], zip(ts, v))
 
 
 def _exp_renorm_curve(inp):
-    T_grid = inp.horizons.get("T_grid", [2.0**j for j in range(9, 22, 2)])
+    T_grid = inp.horizons["T_grid"]
     curve = renormalized_potential_curve(inp.kernel, inp.spec, inp.f, inp.x, np.asarray(T_grid, float))
     rows = zip(curve.T_grid, curve.N_values, curve.values, [curve.target] * curve.values.size, curve.rel_gaps)
     return inp.write_csv("renorm_curve", ["T", "N", "value", "target", "rel_gap"], rows)
 
 
 def _exp_renorm_histogram(inp):
-    T = float(inp.horizons.get("T", 1e4))
+    T = float(inp.horizons["T"])
     hist, stderr = renormalized_green_histogram(inp.kernel, inp.spec, inp.x, T, inp.bins, *inp.mc)
     return inp.write_csv("renorm_histogram", *_histogram_rows(inp.bins, hist, stderr))
 
 
 def _exp_fke_residual(inp):
-    T = float(inp.horizons.get("T", 2.0))
-    dt = float(inp.horizons.get("dt", 0.01))
+    T = float(inp.horizons["T"])
+    dt = float(inp.horizons["dt"])
     rows = []
-    for lev in range(inp.tol.get("levels", 2)):
+    for lev in range(inp.tol["levels"]):
         step = dt / 2**lev
         t_grid = step * np.arange(int(round(T / step)) + 1)
         residual = fke_residual(inp.kernel, inp.spec, inp.f, inp.x, t_grid, grid=inp.grid,
-                                t_min=inp.tol.get("t_min", 0.1))
+                                t_min=inp.tol["t_min"])
         rows.append([step, residual])
     return inp.write_csv("fke_residual", ["dt", "residual"], rows)
 
 
 class _Experiment(NamedTuple):
+    """A run: its function, its line in `greenwalk list`, the sections it reads besides
+    tolerances and horizons ("point" among them), and the tolerances and horizons it reads
+    with their defaults.  load_config refuses any other; each value's JSON type is its default's."""
+
     fn: Callable[[_Inputs], list]
     doc: str
-    stochastic: bool = False
+    reads: tuple
+    tolerances: dict = {}
+    horizons: dict = {}
+
+    @property
+    def sections(self) -> tuple:
+        return (*self.reads, *(s for s in ("tolerances", "horizons") if getattr(self, s)))
 
 
+_GREEN = (("kernel", "grid"), {"lam": 0.0, "radius": 3.0})
+_SUBORDINATED = ("kernel", "grid", "subordinator", "f", "point")
 EXPERIMENTS = {
-    "validate-kernel": _Experiment(_exp_validate_kernel, "kernel symmetry/mass/Fourier checks on a grid"),
-    "fit-expansion": _Experiment(_exp_fit_expansion, "fit the small-frequency tail expansion (A, alpha)"),
-    "green-series": _Experiment(_exp_green_series, "regular Green kernel by the convolution-power series"),
-    "green-fourier": _Experiment(_exp_green_fourier, "regular Green kernel by radial Fourier quadrature"),
-    "green-compare": _Experiment(_exp_green_compare, "series vs Fourier Green kernel cross-validation"),
-    "potential": _Experiment(_exp_potential, "potential V(x, f) = f(x) + (G_0 * f)(x)"),
-    "mc-potential": _Experiment(_exp_mc_potential, "Monte Carlo truncated random potential", stochastic=True),
-    "random-green": _Experiment(_exp_random_green, "conditional mean occupation histograms of paths", stochastic=True),
-    "subordinator-check": _Experiment(_exp_subordinator_check, "kernel limit and admissibility diagnostics"),
-    "rho": _Experiment(_exp_rho, "inverse-subordinator density table (t, tau, rho)"),
-    "gfd": _Experiment(_exp_gfd, "generalized fractional derivative of t^q on a grid"),
-    "subordinate-solve": _Experiment(_exp_subordinate_solve, "subordination formula v(t, x)", ),
-    "renorm-curve": _Experiment(_exp_renorm_curve, "renormalized Green measure curve vs potential"),
-    "renorm-histogram": _Experiment(_exp_renorm_histogram, "normalized occupation histogram of the time-changed process", stochastic=True),
-    "fke-residual": _Experiment(_exp_fke_residual, "fractional Kolmogorov equation residual vs step size"),
+    "validate-kernel": _Experiment(_exp_validate_kernel, "kernel symmetry/mass/Fourier checks on a grid",
+                                   ("kernel", "grid")),
+    "fit-expansion": _Experiment(_exp_fit_expansion, "fit the small-frequency tail expansion (A, alpha)", ("kernel",),
+                                 {"k_min": 1e-3, "k_max": 1e-2}),
+    "green-series": _Experiment(_exp_green_series, "regular Green kernel by the convolution-power series", *_GREEN),
+    "green-fourier": _Experiment(_exp_green_fourier, "regular Green kernel by radial Fourier quadrature", *_GREEN),
+    "green-compare": _Experiment(_exp_green_compare, "series vs Fourier Green kernel cross-validation", *_GREEN),
+    "potential": _Experiment(_exp_potential, "potential V(x, f) = f(x) + (G_0 * f)(x)", ("kernel", "f", "point")),
+    "mc-potential": _Experiment(_exp_mc_potential, "Monte Carlo truncated random potential",
+                                ("kernel", "f", "point", "mc"), horizons={"T": 200.0}),
+    "random-green": _Experiment(_exp_random_green, "conditional mean occupation histograms of paths",
+                                ("kernel", "point", "bins", "mc"), horizons={"T": 200.0}),
+    "subordinator-check": _Experiment(_exp_subordinator_check, "kernel limit and admissibility diagnostics",
+                                      ("subordinator",), {"s0": 1.0}),
+    "rho": _Experiment(_exp_rho, "inverse-subordinator density table (t, tau, rho)", ("subordinator",),
+                       {"tau_max": 10.0, "n_tau": 101}, {"T_grid": [1.0]}),
+    "gfd": _Experiment(_exp_gfd, "generalized fractional derivative of t^q on a grid", ("subordinator",),
+                       {"power": 1.0}, {"T": 2.0, "dt": 1e-3}),
+    "subordinate-solve": _Experiment(_exp_subordinate_solve, "subordination formula v(t, x)", _SUBORDINATED,
+                                     horizons={"T_grid": [0.5, 1.0, 2.0]}),
+    "renorm-curve": _Experiment(_exp_renorm_curve, "renormalized Green measure curve vs potential",
+                                ("kernel", "subordinator", "f", "point"),
+                                horizons={"T_grid": [2.0**j for j in range(9, 22, 2)]}),
+    "renorm-histogram": _Experiment(_exp_renorm_histogram,
+                                    "normalized occupation histogram of the time-changed process",
+                                    ("kernel", "subordinator", "point", "bins", "mc"), horizons={"T": 1e4}),
+    "fke-residual": _Experiment(_exp_fke_residual, "fractional Kolmogorov equation residual vs step size",
+                                _SUBORDINATED, {"levels": 2, "t_min": 0.1}, {"T": 2.0, "dt": 0.01}),
 }
 
 

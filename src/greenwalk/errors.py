@@ -48,6 +48,6 @@ def _require(ok, name: str, requirement: str) -> None:
 
 
 def _require_count(n, name: str, least: int) -> None:
-    """Raise InvalidInputError unless n is an integer >= least."""
-    if not (isinstance(n, Integral) and n >= least):
+    """Raise InvalidInputError unless n is an integer >= least; a bool is no integer."""
+    if not (isinstance(n, Integral) and not isinstance(n, bool) and n >= least):
         raise InvalidInputError(f"{name} must be an integer with {name} >= {least}")

@@ -116,7 +116,7 @@ class _RateClasses:
 
     @classmethod
     def build(cls, kernel: JumpKernel, f: CLFunction, x, grid: GridSpec) -> "_RateClasses":
-        f, x = f.samples_on(grid), np.atleast_1d(np.asarray(x, dtype=float))
+        f, x = f.samples_on(grid), _finite_point(x, kernel.dim)
         _require((x >= -grid.half_width) & (x < grid.half_width), "x", "finite and inside the box [-L, L)^d")
         a_hat = spectral_density(kernel, grid)
         excess = float(a_hat.max()) - 1.0
@@ -297,7 +297,7 @@ def _radial_value(kernel: JumpKernel, x, lam: float, multiplier) -> tuple[np.nda
     """
     _require(kernel.dim in (1, 2, 3), "kernel.dim", f"1, 2 or 3 for the radial Fourier rule, not {kernel.dim}")
     with np.errstate(over="ignore"):
-        r = float(np.linalg.norm(_finite_point(x)))
+        r = float(np.linalg.norm(_finite_point(x, kernel.dim)))
     _require(r < np.inf, "x", "of finite length |x|")
     (k16, w16), (k8, w8) = (_radial_rule(_fourier_cutoff(kernel, lam), n) for n in (16, 8))
     k = np.concatenate((k16, k8))
@@ -363,6 +363,7 @@ def potential(kernel: JumpKernel, f: CLFunction, x, grid: Optional[GridSpec] = N
     """
     if f.fourier is None:
         _require(grid is not None, "grid", "given for an f without fourier")
+        x = _finite_point(x, kernel.dim)
         return float(potential_field(kernel, f, grid).value_at(x))
     _require_green_measure(kernel)
     conv, _ = _radial_value(kernel, x, 0.0, lambda k, a_hat, gap: f.fourier(k) * a_hat / gap)

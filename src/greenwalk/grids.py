@@ -132,9 +132,10 @@ class FieldGrid:
         return out
 
 
-def _finite_point(x) -> np.ndarray:
-    """x as a 1-d float array; InvalidInputError unless every coordinate is finite."""
+def _finite_point(x, dim: int) -> np.ndarray:
+    """x as a 1-d float array; InvalidInputError unless it has dim coordinates, each finite."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    _require(x.shape == (dim,), "x", f"a point of kernel.dim = {dim} coordinates")
     _require(np.isfinite(x), "x", "finite")
     return x
 

@@ -58,8 +58,7 @@ def make_gaussian_kernel(d: int) -> JumpKernel:
     The prefactor makes a a probability density (a_hat(0) = 1); jumps are
     N(0, 2 I_d).
     """
-    if d < 1:
-        raise InvalidKernelError(f"dimension must be >= 1, got {d}")
+    _require_count(d, "d", 1)
     norm = (4.0 * np.pi) ** (-d / 2.0)
 
     def density(x):

@@ -201,11 +201,10 @@ def unnormalized_potential_integral(
     f: CLFunction,
     x,
     T: float,
-    grid: Optional[GridSpec] = None,
 ) -> float:
     """int_0^T v(s, x) ds without the 1/N(T) renormalization (diverges in T).
 
-    The curve's continuum radial quadrature; grid is optional and not read.
+    The curve's continuum radial quadrature; it reads no grid.
     """
     _require(0 < T < np.inf, "T", "finite and positive")
     return float(_occupation_integrals(kernel, spec, f, x, [T])[0][0])
@@ -295,7 +294,8 @@ def renormalized_green_histogram(
     gate fails).  Returns (mean histogram, per-bin standard error).
     """
     _require(0 < T < np.inf, "T", "finite and positive")
-    x = _finite_point(x)
+    x = _finite_point(x, kernel.dim)
+    _require(bins.dim == kernel.dim, "bins", f"a BinSpec of kernel.dim = {kernel.dim} axes")
     if method not in ("conditional", "raw"):
         raise InvalidInputError(f"method must be 'conditional' or 'raw', not {method!r}")
     _require_count(n, "n", 2)

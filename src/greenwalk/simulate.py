@@ -211,9 +211,9 @@ def _map_paths(kernel: JumpKernel, x, h: Optional[float], n: int, rng, consume, 
     a chunk of nearly equal counts pads almost no rows.  Given jumps (and h
     None), every path is instead a walk of exactly that many jumps with no
     clock: no count is drawn, no row is padded, and its chunks hold no
-    holding times.  The public callers check that x is finite.
+    holding times.  InvalidInputError unless x is a finite point of kernel.dim coordinates.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _finite_point(x, kernel.dim)
     if jumps is None:
         _require(h < _MAX_HORIZON, "T", _HORIZON_BOUND)
         counts = rng.poisson(h, n)
@@ -243,7 +243,7 @@ def _mc_end_values(kernel: JumpKernel, f: CLFunction, x, horizons, rng, seed: in
     path's own jumps.  extra and the chunk plan go to McEstimate.extra; when
     every horizon is 0 the estimate is f(x) exactly, with no chunk plan.
     """
-    x = _finite_point(x)
+    x = _finite_point(x, kernel.dim)
     _require(horizons < _MAX_HORIZON, "t", _HORIZON_BOUND)
     if not np.any(horizons):
         return McEstimate(f.value_at(x), 0.0, horizons.size, seed, extra)
@@ -273,7 +273,7 @@ def mc_truncated_potential(
         values = f.values_at(c.points()).reshape(c.states.shape[1:])
         return c.h / (c.counts + 1) * np.sum(values, axis=0, where=c.live())
 
-    return _mc_reduce(*_map_paths(kernel, _finite_point(x), float(T), n, rng, consume), seed)
+    return _mc_reduce(*_map_paths(kernel, x, float(T), n, rng, consume), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +290,7 @@ class BinSpec:
     shape: tuple
 
     def __post_init__(self):
+        _require(len(self.lo) == len(self.hi) == self.dim >= 1, "lo, hi, shape", "of one common length >= 1")
         for n in self.shape:
             _require_count(n, "shape", 1)
         lo, hi = np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
@@ -381,8 +382,10 @@ def _mc_occupation(kernel: JumpKernel, x, h: Optional[float], bins: BinSpec, n: 
     return OccupationHistogram(bins, mean, float(acc.mean[-1])), stderr
 
 
-def _start_in_box(bins: BinSpec, x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _start_in_box(kernel: JumpKernel, bins: BinSpec, x) -> np.ndarray:
+    """x, a finite point of kernel.dim coordinates inside bins, which must have kernel.dim axes."""
+    _require(bins.dim == kernel.dim, "bins", f"a BinSpec of kernel.dim = {kernel.dim} axes")
+    x = _finite_point(x, kernel.dim)
     _require((x >= np.asarray(bins.lo)) & (x < np.asarray(bins.hi)), "x", "inside the binned box")
     return x
 
@@ -392,7 +395,8 @@ def empirical_random_green_measure(
 ) -> OccupationHistogram:
     """Occupation measure of a single path: durations deposited per bin."""
     _require(0 < T < np.inf, "T", "finite and positive")
-    return _mc_occupation(kernel, _start_in_box(bins, x), float(T), bins, 1, rng, lambda c: (c.durations, 0.0))[0]
+    x = _start_in_box(kernel, bins, x)
+    return _mc_occupation(kernel, x, float(T), bins, 1, rng, lambda c: (c.durations, 0.0))[0]
 
 
 def average_random_green_measure(
@@ -405,6 +409,6 @@ def average_random_green_measure(
     _require(0 < T < np.inf, "T", "finite and positive")
     _require_count(n, "n", 2)
     _require_count(seed, "seed", 0)
-    x = _start_in_box(bins, x)
+    x = _start_in_box(kernel, bins, x)
     rng = np.random.default_rng(seed)
     return _mc_occupation(kernel, x, float(T), bins, n, rng, lambda c: (c.mean_durations(), 0.0))

@@ -288,8 +288,8 @@ def test_criterion_10_renormalized_limit(k3, stable):
     gaps = curve.rel_gaps
     monotone = bool(np.all(np.diff(gaps) < 0))
     growth = unnormalized_potential_integral(
-        k3, stable, f, ORIGIN3, 1.0, GRID3
-    ) / unnormalized_potential_integral(k3, stable, f, ORIGIN3, 0.5, GRID3)
+        k3, stable, f, ORIGIN3, 1.0
+    ) / unnormalized_potential_integral(k3, stable, f, ORIGIN3, 0.5)
     elapsed = time.time() - t0
     ok = monotone and gaps[-1] < 0.05 and growth >= 1.8 and elapsed < 600.0
     report(

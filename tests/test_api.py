@@ -133,10 +133,13 @@ def test_only_laplace_knows_the_talbot_rule():
     (green.potential, None),
     (renorm.subordinated_solution, inspect.Parameter.empty),
     (renorm.fke_residual, inspect.Parameter.empty),
+    (renorm.unnormalized_potential_integral, "no grid parameter"),
 ])
 def test_grid_is_required_exactly_where_it_is_always_read(fn, default):
-    # potential reads a grid only for an f without fourier; the rate classes always read one
-    assert inspect.signature(fn).parameters["grid"].default is default
+    # potential reads a grid only for an f without fourier; the rate classes always read one;
+    # the unnormalized integral is a radial quadrature and takes none
+    grid = inspect.signature(fn).parameters.get("grid")
+    assert (grid.default if grid else "no grid parameter") is default
 
 
 def test_gfd_needs_the_cell_masses():

@@ -1,6 +1,7 @@
 """Command-line runner tests: strict configs, artifacts, reproducibility."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -77,8 +78,8 @@ def test_stochastic_experiment_requires_seed(tmp_path):
 
 
 def test_nonpositive_tolerance_rejected(tmp_path):
-    p = write_cfg(tmp_path, "bad", experiment="potential", tolerances={"lam": -1.0})
-    with pytest.raises(ConfigError):
+    p = write_cfg(tmp_path, "bad", experiment="green-compare", tolerances={"lam": -1.0})
+    with pytest.raises(ConfigError, match="^tolerance 'lam' must be a positive number$"):
         load_config(p)
 
 
@@ -327,8 +328,10 @@ def test_families_are_read_from_one_table():
      ("cauchy1d", "stable", {"alpha": 0.7})),
 ], ids=["defaults", "gaussian2-gamma", "cauchy-stable07"])
 def test_table_builds_each_family_with_its_param_defaults(tmp_path, body, built):
+    # renorm-curve reads the kernel, the subordinator and f
     body = {"subordinator": {"family": "stable"}, **body}
-    inp = cli._Inputs(load_config(write_cfg(tmp_path, "families", experiment="rho", **body)), str(tmp_path / "x"))
+    inp = cli._Inputs(load_config(write_cfg(tmp_path, "families", experiment="renorm-curve", **body)),
+                      str(tmp_path / "x"))
     assert (inp.kernel.name, inp.spec.family, inp.spec.params) == built
     assert inp.f.evaluator is inp.kernel.density and inp.f.fourier is inp.kernel.fourier
 
@@ -337,7 +340,7 @@ def test_table_builds_each_family_with_its_param_defaults(tmp_path, body, built)
     ("mc-potential", {"mc": {"n": 100.5, "seed": 1}}),
     ("mc-potential", {"mc": {"n": 100, "seed": 1.5}}),
     ("mc-potential", {"mc": {"n": 100, "seed": True}}),
-    ("potential", {"grid": {"N": 32.0, "L": 8.0}}),
+    ("validate-kernel", {"grid": {"N": 32.0, "L": 8.0}}),
     ("random-green", {"mc": {"n": 10, "seed": 1}, "bins": {"per_axis": 4.5}}),
     ("fke-residual", {"tolerances": {"levels": 0.5}}),
     ("rho", {"tolerances": {"n_tau": 10.5}}),
@@ -379,7 +382,7 @@ RUNS = {
                       "green_fourier.csv", "x,G_fourier"),
     "green-compare": ({"kernel": GAUSS1, "grid": {"N": 512, "L": 30.0}, "tolerances": {"lam": 1.0, "radius": 1.0}},
                       "green_compare.csv", "x,G0_series,G0_fourier,rel_diff"),
-    "potential": ({"grid": {"N": 32, "L": 12.0}, "point": [0.5, 0.0, 0.0]}, "potential.csv", "x0,x1,x2,V"),
+    "potential": ({"point": [0.5, 0.0, 0.0]}, "potential.csv", "x0,x1,x2,V"),
     "mc-potential": ({"kernel": GAUSS1, "mc": {"n": 20, "seed": 1}, "horizons": {"T": 5.0}},
                      "mc_potential.csv", "mean,stderr,n,seed,T"),
     "random-green": ({"kernel": GAUSS1, "mc": {"n": 10, "seed": 2}, "horizons": {"T": 5.0},
@@ -436,8 +439,92 @@ def test_readme_family_table_lists_every_family_and_its_params():
 
 
 def test_readme_table_lists_every_experiment_and_its_artifact():
+    # each row states the experiment's sections, and its tolerance and horizon keys with their defaults
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    rows = {line.split("|")[1].strip(" `"): line for line in readme.splitlines() if line.startswith("| `")}
+    rows = {line.split("|")[1].strip(" `"): line.split("|") for line in readme.splitlines() if line.startswith("| `")}
     for name, (_, artifact, _) in RUNS.items():
         assert name in rows, f"{name} is missing from the README's experiment table"
-        assert f"_{artifact}" in rows[name]
+        _, _, artifact_cell, reads, *cells = rows[name]
+        assert f"_{artifact}" in artifact_cell
+        exp = EXPERIMENTS[name]
+        assert set(re.findall(r"`(\w+)`", reads)) == set(exp.reads), name
+        for cell, defaults in zip(cells, (exp.tolerances, exp.horizons)):
+            assert set(re.findall(r"`(\w+)`", cell)) == set(defaults), (name, cell)
+            written = dict(re.findall(r"`(\w+)` (\[[^\]]*\]|[^,]+)", cell))
+            for key, default in defaults.items():
+                if written[key].startswith("["):
+                    assert json.loads(written[key]) == default, (name, key)
+                elif not isinstance(default, list):
+                    assert float(written[key]) == default, (name, key)
+
+
+# ---------------------------------------------------------------------------
+# the experiment table is the schema: a run accepts only what it reads, and
+# validate makes every config check run makes
+# ---------------------------------------------------------------------------
+
+# a value of each section that load_config accepts where it is read
+SAMPLES = {
+    "kernel": {"family": "gaussian"}, "grid": {"N": 32, "L": 8.0}, "subordinator": {"family": "stable"},
+    "f": {"family": "kernel"}, "mc": {"n": 10, "seed": 1}, "bins": {"per_axis": 4}, "point": [0.0],
+    "tolerances": {"lam": 0.5}, "horizons": {"T": 1.0},
+}
+PAIRS = [(name, section) for name in sorted(EXPERIMENTS) for section in SAMPLES]
+UNREAD = [(name, section) for name, section in PAIRS if section not in EXPERIMENTS[name].sections]
+READ = [(name, section) for name, section in PAIRS if section in EXPERIMENTS[name].sections]
+
+
+def test_the_table_reads_58_sections_and_128_values():
+    # every (experiment, section) pair and settable value load_config accepts, out of 15 x 9 and 15 x 28
+    assert set(SAMPLES) == {*cli._SECTION_KEYS, "point", "tolerances", "horizons"}
+    assert (len(READ), len(UNREAD)) == (58, 77)
+    sizes = {**{section: len(keys) for section, keys in cli._SECTION_KEYS.items()}, "point": 1}
+
+    def settable(exp):  # output, then each key of each section it reads
+        return 1 + sum(sizes[s] if s in sizes else len(getattr(exp, s)) for s in exp.sections)
+
+    assert sum(map(settable, EXPERIMENTS.values())) == 128
+
+
+@pytest.mark.parametrize("name, section", UNREAD, ids=[f"{name}-{section}" for name, section in UNREAD])
+def test_validate_refuses_a_section_the_run_does_not_read(tmp_path, capsys, name, section):
+    cfg = write_cfg(tmp_path, "unread", experiment=name, **{section: SAMPLES[section], **RUNS[name][0]})
+    assert run_cli(["validate", cfg]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "ConfigError", "message": f"experiment {name!r} reads no {section}"}
+
+
+@pytest.mark.parametrize("name, section", READ, ids=[f"{name}-{section}" for name, section in READ])
+def test_validate_accepts_each_section_the_run_reads(tmp_path, name, section):
+    body = RUNS[name][0]
+    exp = EXPERIMENTS[name]
+    sample = {"point": [0.0] * body.get("kernel", {}).get("dim", 3),
+              "tolerances": dict(list(exp.tolerances.items())[:1]),
+              "horizons": dict(list(exp.horizons.items())[:1])}.get(section, SAMPLES[section])
+    assert run_cli(["validate", write_cfg(tmp_path, "read", experiment=name, **{section: sample, **body})]) == 0
+
+
+@pytest.mark.parametrize("body, message", [
+    ({"experiment": "rho"}, "this experiment needs a subordinator section"),
+    ({"experiment": "fit-expansion", "kernel": {"family": "gaussian", "dim": 0}},
+     ("InvalidInputError", "d must be an integer with d >= 1")),
+    ({"experiment": "validate-kernel", "grid": {"N": 64}}, "grid needs both N and L"),
+    ({"experiment": "potential", "point": [0.0]}, "point must be a list of 3 coordinates (the kernel dim)"),
+    ({"experiment": "potential", "point": ["0.5", True, 0]}, "point must be a list of 3 coordinates (the kernel dim)"),
+    ({"experiment": "potential", "kernel": {"family": "cauchy"}, "point": [0.0, 0.0, 0.0]},
+     "point must be a list of 1 coordinates (the kernel dim)"),
+    ({"experiment": "rho", "subordinator": {"family": "stable"}, "horizons": {"T_grid": [True, "2"]}},
+     "horizons.T_grid must be a JSON array of numbers"),
+    ({"experiment": "subordinate-solve", "subordinator": {"family": "stable"}, "horizons": {"T_grid": [0.5, "2"]}},
+     "horizons.T_grid must be a JSON array of numbers"),
+    ({"experiment": "gfd", "subordinator": {"family": "stable"}, "horizons": {"T": [2.0]}},
+     "horizons.T must be a JSON number"),
+], ids=["rho-no-subordinator", "kernel-dim-0", "grid-without-L", "point-of-one", "point-not-numbers",
+        "cauchy-point-of-three", "T_grid-bool-and-string", "T_grid-string", "T-array"])
+def test_validate_gives_the_verdict_run_gives(tmp_path, capsys, body, message):
+    cfg = write_cfg(tmp_path, "bad", output="bad", **body)
+    kind, message = message if isinstance(message, tuple) else ("ConfigError", message)
+    for command in (["validate", cfg], ["run", cfg, "--out", tmp_path]):
+        assert run_cli(command) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == {"type": kind, "message": message}
+    assert list(tmp_path.glob("bad_*")) == []

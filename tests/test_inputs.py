@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import greenwalk
 from greenwalk import (
     BinSpec,
+    CLFunction,
     GreenwalkError,
     GridSpec,
     InvalidInputError,
@@ -48,6 +49,7 @@ from greenwalk import (
     subordinated_solution,
     time_averaged_ratio,
 )
+from greenwalk.renorm import unnormalized_potential_integral
 
 BAD = [np.nan, np.inf, -np.inf, -1.0, 0.0, 1e308]
 
@@ -149,3 +151,57 @@ def test_every_input_check_goes_through_the_one_gate():
         assert "raise ValueError" not in source, path.name
         assert "raise NotImplementedError" not in source, path.name
         assert path.name == "errors.py" or "Integral" not in source, path.name
+
+
+# ---------------------------------------------------------------------------
+# one dimension gate: x has kernel.dim coordinates, bins kernel.dim axes
+# ---------------------------------------------------------------------------
+
+X2 = [0.0, 0.0]
+BINS2 = BinSpec.cube(8.0, 4, 2)
+GRID_ONLY_F3 = CLFunction(F3.evaluator)  # no fourier: potential takes the grid route
+
+# (call, the argument its error must name)
+WRONG_DIMENSION = {
+    "green_regular_fourier": (lambda: green_regular_fourier(K3, [0.5, 0.0], 0.0), "x"),
+    "potential": (lambda: potential(K3, F3, X2), "x"),
+    "potential-grid-route": (lambda: potential(K3, GRID_ONLY_F3, X2, GridSpec(3, 16, 16.0)), "x"),
+    "mc_expectation": (lambda: mc_expectation(K1, F1, [0, 0, 0], 1.0, 10, 1), "x"),
+    "mc_truncated_potential": (lambda: mc_truncated_potential(K1, F1, X2, 1.0, 10, 1), "x"),
+    "empirical_random_green_measure": (
+        lambda: empirical_random_green_measure(K1, X2, 1.0, BINS1, np.random.default_rng(0)), "x"),
+    "average_random_green_measure": (lambda: average_random_green_measure(K1, X2, 1.0, BINS1, 4, 0), "x"),
+    "subordinated_solution": (lambda: subordinated_solution(K3, HALF, F3, [0.0], 1.0, GRID3), "x"),
+    "subordinated_solution-1d-grid": (lambda: subordinated_solution(K1, HALF, F1, X2, 1.0, GRID1), "x"),
+    "mc_time_changed_expectation": (lambda: mc_time_changed_expectation(K1, HALF, F1, X2, 1.0, 4, 0), "x"),
+    "renormalized_potential_curve": (lambda: renormalized_potential_curve(K3, HALF, F3, X2, [10.0]), "x"),
+    "unnormalized_potential_integral": (lambda: unnormalized_potential_integral(K3, HALF, F3, X2, 1.0), "x"),
+    "renormalized_green_histogram": (lambda: renormalized_green_histogram(K1, HALF, X2, 10.0, BINS1, 4, 0), "x"),
+    "fke_residual-1d-grid": (lambda: fke_residual(K1, HALF, F1, X2, T_GRID, grid=GRID1), "x"),
+    "renormalized_green_histogram-bins": (
+        lambda: renormalized_green_histogram(K3, HALF, [0.0] * 3, 10.0, BINS2, 10, 1), "bins"),
+    "average_random_green_measure-bins": (lambda: average_random_green_measure(K1, [0.0], 1.0, BINS2, 4, 0), "bins"),
+    "empirical_random_green_measure-bins": (
+        lambda: empirical_random_green_measure(K3, [0.0] * 3, 1.0, BINS2, np.random.default_rng(0)), "bins"),
+    "BinSpec-shape-shorter": (lambda: BinSpec((-1, -1), (1, 1), (4,)), "lo, hi, shape"),
+    "BinSpec-0d": (lambda: BinSpec((), (), ()), "lo, hi, shape"),
+    "make_gaussian_kernel-fraction": (lambda: make_gaussian_kernel(2.5), "d"),
+    "make_gaussian_kernel-bool": (lambda: make_gaussian_kernel(True), "d"),
+    "make_gaussian_kernel-0": (lambda: make_gaussian_kernel(0), "d"),
+}
+
+
+@pytest.mark.parametrize("entry", WRONG_DIMENSION)
+def test_a_wrong_dimension_raises_the_typed_error_naming_its_argument(entry):
+    # each used to return a number computed on the shared axes, or to leak a numpy ValueError
+    call, name = WRONG_DIMENSION[entry]
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert str(info.value).startswith(f"{name} must be "), str(info.value)
+
+
+def test_the_right_dimension_still_runs():
+    # the gate passes a point of kernel.dim coordinates, given as a list, a tuple or a 1-D scalar
+    assert green_regular_fourier(K3, (0.5, 0.0, 0.0), 0.0) > 0
+    assert mc_expectation(K1, F1, 0.0, 1.0, 10, 1).n_samples == 10
+    assert BinSpec((-1.0,), (1.0,), (4,)).dim == 1

@@ -181,18 +181,16 @@ def test_curve_matches_rate_class_sum_before_the_box_is_felt(k3, alpha):
     u = _RateClasses.build(k3, f, [0.0, 0.0, 0.0], GRID3)
     for T in (2.0, 8.0):
         ref = u.weights @ _mixture_weights(spec, T, u.rates, integrated=True)
-        got = unnormalized_potential_integral(k3, spec, f, [0.0, 0.0, 0.0], T, GRID3)
+        got = unnormalized_potential_integral(k3, spec, f, [0.0, 0.0, 0.0], T)
         assert got == pytest.approx(ref, rel=1e-4)
 
 
 def test_curve_and_integral_need_no_grid(k3, stable, half_curve):
-    # grid is optional and unread: the same bits with and without it
+    # the curve's grid is optional and unread: the same bits with and without it
     f = cl_from_kernel(k3)
     curve = renormalized_potential_curve(k3, stable, f, [0.0, 0.0, 0.0], CURVE_TS)
     np.testing.assert_array_equal(curve.values, half_curve.values)
     assert curve.target == half_curve.target
-    assert unnormalized_potential_integral(k3, stable, f, [0.0, 0.0, 0.0], 8.0) == \
-        unnormalized_potential_integral(k3, stable, f, [0.0, 0.0, 0.0], 8.0, GRID3)
 
 
 def test_limit_needs_a_clipped_mean(k3, stable):
@@ -263,7 +261,7 @@ def test_subordinated_solution_rejects_an_aliased_symbol(stable):
 def test_unnormalized_integral_diverges(k3, stable):
     f = cl_from_kernel(k3)
     vals = [
-        unnormalized_potential_integral(k3, stable, f, [0.0, 0.0, 0.0], T, GRID3)
+        unnormalized_potential_integral(k3, stable, f, [0.0, 0.0, 0.0], T)
         for T in (0.5, 1.0, 2.0)
     ]
     assert vals[1] / vals[0] > 1.8
@@ -284,7 +282,7 @@ def test_limit_rejects_unknown_tail_exponent(stable):
     with pytest.raises(DivergentGreenMeasureError):
         renormalized_potential_curve(unknown, stable, f, [0.0, 0.0, 0.0], np.array([1.0, 2.0]), GRID3)
     with pytest.raises(DivergentGreenMeasureError):
-        unnormalized_potential_integral(unknown, stable, f, [0.0, 0.0, 0.0], 1.0, GRID3)
+        unnormalized_potential_integral(unknown, stable, f, [0.0, 0.0, 0.0], 1.0)
 
 
 def test_limit_rejects_inadmissible_subordinator(k3, gamma):

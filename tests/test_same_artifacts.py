@@ -51,7 +51,7 @@ def _checkout(root: Path, side: str, **stub) -> Path:
 
 
 def _run(tool, monkeypatch, capsys, tmp_path, change_stub=None):
-    # three of the 26 runs: each stub run starts a Python process
+    # three of the 39 runs: each stub run starts a Python process
     monkeypatch.setattr(tool, "RUNS", [r for r in tool.RUNS if r[0] in ("potential", "gfd", "rho-gamma")])
     code = tool.main([str(_checkout(tmp_path, "parent")), str(_checkout(tmp_path, "change", **(change_stub or {})))])
     calls = [tuple(json.loads(line)) for line in (tmp_path / "calls.log").read_text().splitlines()]
@@ -61,10 +61,10 @@ def _run(tool, monkeypatch, capsys, tmp_path, change_stub=None):
 def test_every_experiment_has_a_run(tool):
     assert {experiment for _, experiment, _ in tool.RUNS} == set(EXPERIMENTS)
     cfgs = {run_id: sections for run_id, _, sections in tool.RUNS}
-    assert len(cfgs) == len(tool.RUNS) == 26
+    assert len(cfgs) == len(tool.RUNS) == 39
     assert {run_id for run_id, cfg in cfgs.items() if "mc" in cfg} == {
-        "mc-potential", "random-green", "renorm-histogram", "renorm-histogram-gamma",
-        "mc-potential-cauchy", "random-green-cauchy"}
+        f"{name}{suffix}" for name in ("mc-potential", "random-green", "renorm-histogram")
+        for suffix in ("", "-set")} | {"renorm-histogram-gamma", "mc-potential-cauchy", "random-green-cauchy"}
     assert all(cfg["mc"] == {"n": 200, "seed": 11} for cfg in cfgs.values() if "mc" in cfg)
     gamma = {run_id for run_id, cfg in cfgs.items() if cfg.get("subordinator", {}).get("family") == "gamma"}
     assert gamma == {f"{name}-gamma" for name in ("subordinator-check", "rho", "gfd", "subordinate-solve",
@@ -74,6 +74,15 @@ def test_every_experiment_has_a_run(tool):
     assert set(cauchy) == {f"{name}-cauchy" for name in ("validate-kernel", "fit-expansion", "green-fourier",
                                                           "mc-potential", "random-green")}
     assert cauchy["green-fourier-cauchy"]["tolerances"] == {"lam": 0.5}
+    # each experiment with tolerances or horizons runs once more with every one of them off its default
+    overrides = {run_id[:-len("-set")]: cfg for run_id, cfg in cfgs.items() if run_id.endswith("-set")}
+    assert set(overrides) == {name for name, exp in EXPERIMENTS.items() if exp.tolerances or exp.horizons}
+    assert len(overrides) == 13
+    for name, cfg in overrides.items():
+        for section in ("tolerances", "horizons"):
+            defaults = getattr(EXPERIMENTS[name], section)
+            assert set(cfg.get(section, {})) == set(defaults), (name, section)
+            assert all(cfg[section][key] != default for key, default in defaults.items()), (name, section)
 
 
 def test_identical_checkouts_pass(tool, monkeypatch, capsys, tmp_path):

@@ -8,7 +8,9 @@ checkout, as ``python3 -m greenwalk.cli run CONFIG --out DIR`` with
 and seed 11, and the experiments that take a subordinator run once more with
 the gamma family.  The five experiments that run with the Cauchy kernel run
 once more with it, green-fourier at ``lam`` 0.5 since the 1-D Green measure
-diverges.  Each run writes its artifact and its manifest into a
+diverges.  Each of the 13 experiments that take tolerances or horizons runs
+once more (``<name>-set``) with every one of them set off its default, so an
+override that is lost on its way to the run shows.  Each run writes its artifact and its manifest into a
 directory of its own; the artifacts are compared byte for byte, the manifests
 after the output directory is replaced by one placeholder.  The script prints
 every file that differs or exists on one side only, and exits 1 on such a
@@ -50,6 +52,19 @@ RUNS = [
     ("green-fourier-cauchy", "green-fourier", {"kernel": CAUCHY, "tolerances": {"lam": 0.5}}),
     ("mc-potential-cauchy", "mc-potential", {"kernel": CAUCHY, "mc": MC}),
     ("random-green-cauchy", "random-green", {"kernel": CAUCHY, "mc": MC}),
+    ("fit-expansion-set", "fit-expansion", {"tolerances": {"k_min": 2e-3, "k_max": 2e-2}}),
+    *((f"{name}-set", name, {"tolerances": {"lam": 0.5, "radius": 2.0}})
+      for name in ("green-series", "green-fourier", "green-compare")),
+    *((f"{name}-set", name, {"mc": MC, "horizons": {"T": 50.0}}) for name in ("mc-potential", "random-green")),
+    ("subordinator-check-set", "subordinator-check", {"subordinator": STABLE, "tolerances": {"s0": 2.0}}),
+    ("rho-set", "rho", {"subordinator": STABLE, "tolerances": {"tau_max": 5.0, "n_tau": 11},
+                        "horizons": {"T_grid": [0.5, 2.0]}}),
+    ("gfd-set", "gfd", {"subordinator": STABLE, "tolerances": {"power": 0.5}, "horizons": {"T": 1.0, "dt": 0.01}}),
+    ("subordinate-solve-set", "subordinate-solve", {"subordinator": STABLE, "horizons": {"T_grid": [0.25, 3.0]}}),
+    ("renorm-curve-set", "renorm-curve", {"subordinator": STABLE, "horizons": {"T_grid": [256.0, 4096.0]}}),
+    ("renorm-histogram-set", "renorm-histogram", {"subordinator": STABLE, "mc": MC, "horizons": {"T": 100.0}}),
+    ("fke-residual-set", "fke-residual", {"subordinator": STABLE, "tolerances": {"levels": 3, "t_min": 0.2},
+                                          "horizons": {"T": 1.0, "dt": 0.02}}),
 ]
 PLACEHOLDER = "<out>"
 
