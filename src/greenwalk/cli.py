@@ -104,8 +104,9 @@ def _family(section: str, body: dict) -> Callable:
 def load_config(path) -> dict:
     """The config at path, refused with a ConfigError on every check a run of it would make:
     a section, tolerance or horizon its experiment does not read, a value of the wrong JSON
-    type, a family or param outside _FAMILIES, a kernel its factory refuses, a missing
-    subordinator or mc, a grid without both N and L, and a point without kernel.dim numbers."""
+    type, a family or param outside _FAMILIES, a kernel its factory refuses, an empty
+    horizons.T_grid, a horizons.T of fewer than two horizons.dt steps, a missing subordinator
+    or mc, a grid without both N and L, and a point without kernel.dim numbers."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -137,6 +138,12 @@ def load_config(path) -> dict:
         # lambda = 0 is the Green measure itself; every other tolerance is a size
         if not (val > 0 or (val == 0 and key == "lam")):
             raise ConfigError(f"tolerance {key!r} must be a positive number")
+    horizons = {**exp.horizons, **cfg.get("horizons", {})}
+    if horizons.get("T_grid") == []:
+        raise ConfigError("horizons.T_grid must hold at least one time")
+    # round(T / dt) >= 2 steps: the three samples of gfd's central difference, and no division by dt = 0
+    if "dt" in horizons and not (horizons["dt"] > 0 and 1.5 <= horizons["T"] / horizons["dt"] < np.inf):
+        raise ConfigError("horizons.T must span at least two steps of horizons.dt > 0")
     if "mc" in exp.reads and not {"n", "seed"} <= set(cfg.get("mc", {})):
         raise ConfigError(f"experiment {name!r} is stochastic and needs mc.n and mc.seed")
     if "subordinator" in exp.reads and "subordinator" not in cfg:

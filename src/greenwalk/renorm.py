@@ -88,6 +88,7 @@ def mc_time_changed_expectation(
     _require(0 <= t < np.inf, "t", "finite and >= 0")
     _require_count(n, "n", 2)
     _require_count(seed, "seed", 0)
+    x = _finite_point(x, kernel.dim)  # before any draw of D(t), which may cost many law evaluations
     rng = np.random.default_rng(seed)
     d_draws = sample_inverse_many(spec, t, None, n, seed=int(rng.integers(2**63))) if t > 0 else np.zeros(n)
     return _mc_end_values(kernel, f, x, d_draws, rng, seed, time_change=spec.to_json_dict())

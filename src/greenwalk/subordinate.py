@@ -238,6 +238,9 @@ def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
     )
 
 
+_EPS = np.finfo(float).eps
+
+
 def _gamma_q(s, x):
     """Q(s, x) = Gamma(s, x) / Gamma(s), the regularized upper incomplete gamma, for s, x >= 0.
 
@@ -246,8 +249,12 @@ def _gamma_q(s, x):
     Q(s, x) = Q(s + 1, x) - x^s e^{-x} / Gamma(s + 1) (DiDonato and Morris,
     ACM TOMS 12 (1986) 377) wherever the difference keeps at least 1/8 of
     Q(s + 1, x), so that its cancellation costs at most three bits: within
-    5e-14 relative of Q for x in [1e-3, 100].  Elsewhere (s >= 1, or s small
-    against x, where the difference cancels) it is gammaincc itself.
+    5e-14 relative of Q for x in [1e-3, 100].  For s >= 1 and x > 1.4 s,
+    gammaincc's factor x^s e^{-x} / Gamma(s) is the exponential of a sum
+    whose rounding grows with x: 2e-14 at x = 30, 8e-14 at x = 100.  There,
+    from x = 10 on and while x^s and e^{-x} are normal floats, this takes
+    _gamma_q_fraction.  Elsewhere (s >= 1 and x <= 1.4 s or x <= 10, or s
+    small against x, where the difference cancels) it is gammaincc itself.
     Scalars give a scalar.
     """
     s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
@@ -257,8 +264,34 @@ def _gamma_q(s, x):
         up = special.gammaincc(s1 + 1.0, x1)
         q[rec] = up - x1**s1 * np.exp(-x1) * special.rgamma(s1 + 1.0)
     rec[rec] = q[rec] >= up / 8.0
-    q[~rec] = special.gammaincc(s[~rec], x[~rec])
+    # e^{-x} and x^s stay normal floats for x <= 700 and s log x <= 700
+    frac = (s >= 1.0) & (x > np.maximum(1.4 * s, 10.0)) & (x <= 700.0) & (s * np.log(np.maximum(x, 1.0)) <= 700.0)
+    q[frac] = _gamma_q_fraction(s[frac], x[frac])
+    rest = ~(rec | frac)
+    q[rest] = special.gammaincc(s[rest], x[rest])
     return q[()]
+
+
+def _gamma_q_fraction(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q(s, x) for s >= 1 and x > max(1.4 s, 10), with x^s and e^{-x} normal floats.
+
+    Legendre's continued fraction Gamma(s, x) = x^s e^{-x} / (x + 1 - s - 1 (1 - s) / (x + 3 - s - ...)),
+    by the modified Lentz method (Numerical Recipes, 3rd ed., 6.2), takes at most
+    about 20 terms there, each value until its own term changes it by at most eps;
+    the factor is the product of x^s, e^{-x} and 1 / Gamma(s), each rounded once.
+    """
+    b = x + 1.0 - s
+    c, d = np.full(s.shape, np.inf), 1.0 / b
+    value, active, i = d.copy(), np.arange(s.size), 0
+    while active.size:
+        i += 1
+        an, b[active] = -i * (i - s[active]), b[active] + 2.0
+        d[active] = 1.0 / (an * d[active] + b[active])
+        c[active] = b[active] + an / c[active]
+        ratio = d[active] * c[active]
+        value[active] *= ratio
+        active = active[np.abs(ratio - 1.0) > _EPS]
+    return x**s * np.exp(-x) * special.rgamma(s) * value
 
 
 def make_gamma_subordinator(a: float, b: float) -> SubordinatorSpec:
@@ -453,6 +486,8 @@ def check_admissible(spec: SubordinatorSpec, s0: float) -> AdmissibilityReport:
 # nodes of the passage-law table, and the cap on its range
 _PASSAGE_NODES = 129
 _PASSAGE_TAU_MAX = 2.0**63
+# Newton-secant steps a draw takes before it goes on by bisection
+_PASSAGE_STEPS = 6
 
 
 def sample_inverse_many(spec: SubordinatorSpec, t: float, ds, n: int, seed: int) -> np.ndarray:
@@ -462,15 +497,15 @@ def sample_inverse_many(spec: SubordinatorSpec, t: float, ds, n: int, seed: int)
     (t / S(1))^alpha (Meerschaert and Straka, Math. Model. Nat. Phenom. 8
     (2013)), with S(1) drawn by the spec's own increment sampler.  A family
     with a passage_cdf F(tau) = P(D(t) <= tau) is drawn as the roots of
-    F(tau) = U for n uniforms U at once: one 129-node table of F on
-    [0, tau_hi], with tau_hi doubled from 1 until it covers max U, brackets
-    each U in a table cell, and one Chandrupatla search solves every cell
-    to full precision (a U above 1/2 is solved on the spec's passage_sf,
-    as 1 - U, where it has one, in the same search); it raises
-    TruncationError when the table cannot cover max U or a root search
-    fails.  A spec with neither capability gets a ConfigError.  ds is not
-    read: it stays only because callers, the benchmark among them, pass it
-    positionally.
+    F(tau) = U for n uniforms U at once (_invert_passage_cdf): one 129-node
+    table of F on [0, tau_hi], with tau_hi doubled from 1 until it covers
+    max U, brackets each U in a table cell and gives its cubic Hermite start;
+    bracketed Newton-secant steps then take about three evaluations of F per
+    draw to full precision (a U above 1/2 is solved on the spec's passage_sf,
+    as 1 - U, where it has one).  It raises TruncationError when the table
+    cannot cover max U or F is not finite where it is evaluated.  A spec with
+    neither capability gets a ConfigError.  ds is not read: it stays only
+    because callers, the benchmark among them, pass it positionally.
     """
     _require(0 < t < np.inf, "t", "finite and positive")
     _require_count(n, "n", 0)
@@ -483,6 +518,26 @@ def sample_inverse_many(spec: SubordinatorSpec, t: float, ds, n: int, seed: int)
     raise ConfigError("exact draws of D(t) need the subordinator's self_similarity or passage_cdf")
 
 
+def _table_slopes(table: np.ndarray, h: float) -> np.ndarray:
+    """Slopes of a table on nodes h apart: fourth-order central differences, second-order at the two end pairs."""
+    slopes = np.gradient(table, h, edge_order=2)
+    slopes[2:-2] = (table[:-4] - table[4:] + 8.0 * (table[3:-1] - table[1:-3])) / (12.0 * h)
+    return slopes
+
+
+def _hermite_root(g0, g1, d0, d1):
+    """(s, slope): a root s in [0, 1] of the cubic Hermite interpolant with values g0 < 0 <= g1 and
+    slopes d0, d1 per unit s at s = 0 and 1, by three Newton steps from the chord's root, and
+    the interpolant's slope at s."""
+    c2, c3 = 3.0 * (g1 - g0) - 2.0 * d0 - d1, 2.0 * (g0 - g1) + d0 + d1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -g0 / (g1 - g0)
+        for _ in range(3):
+            s = np.clip(s - (g0 + s * (d0 + s * (c2 + s * c3))) / (d0 + s * (2.0 * c2 + 3.0 * s * c3)), 0.0, 1.0)
+    s = np.where(np.isnan(s), 0.5, s)
+    return s, d0 + s * (2.0 * c2 + 3.0 * s * c3)
+
+
 def _invert_passage_cdf(spec: SubordinatorSpec, t: float, u: np.ndarray) -> np.ndarray:
     """Roots tau >= 0 of spec.passage_cdf(t, tau) = u, elementwise; the root of u = 0 is 0.
 
@@ -492,52 +547,81 @@ def _invert_passage_cdf(spec: SubordinatorSpec, t: float, u: np.ndarray) -> np.n
     _PASSAGE_NODES nodes on [0, tau_hi], with tau_hi doubled from 1 until
     passage_cdf(tau_hi) >= max u (and passage_sf(tau_hi) <= 1 - max u when
     the sf is used).  Each side's law is evaluated once on the nodes, and
-    each u falls in the table cell where its law crosses it.  One
-    Chandrupatla search then solves every cell to full precision, each
-    element on its own side's law, so a root does not depend on which other
-    draws share the batch, or on whether the spec has a passage_sf if u <= 1/2.
-    Raises TruncationError when the range cannot cover max u up to
-    _PASSAGE_TAU_MAX, when a table is not finite, or when a root search fails.
+    each u falls in the table cell where its law crosses it.  The cell's
+    cubic Hermite interpolant, with slopes from the table's finite
+    differences, gives a start at no evaluation.  Each Newton-secant step
+    then evaluates the law once at every unfinished draw, narrows the draw's
+    bracket by the sign of law - u, and bisects the bracket when the step
+    leaves it; the first step takes the interpolant's slope.  A draw stops
+    when its step is at most 8 eps tau, its law equals u to rounding (2 eps
+    |u|), or its bracket is at most 4 eps wide relative to its upper end; after
+    _PASSAGE_STEPS steps it goes on by bisection alone.  So a root depends
+    only on its own u and the table, not on which other draws share the batch,
+    nor on whether the spec has a passage_sf if u <= 1/2.  Raises
+    TruncationError when the range cannot cover max u up to
+    _PASSAGE_TAU_MAX, or when the law is not finite on the table or at an iterate.
     """
-    from scipy.optimize import elementwise
-
     out, pos = np.zeros(u.shape), u > 0
     if not pos.any():
         return out
-    upper = pos & (u > 0.5) if spec.passage_sf is not None else np.zeros(u.shape, dtype=bool)
-    # each side as a law increasing in tau and its targets: the cdf against u,
-    # minus the sf against u - 1, which is exact for u > 1/2
-    sides = [(pos & ~upper, spec.passage_cdf, u)]
-    if upper.any():
-        sides.append((upper, lambda t, tau: -spec.passage_sf(t, tau), u - 1.0))
+    # each side as a law increasing in tau: the cdf against u, minus the sf
+    # against u - 1, which is exact for u > 1/2
+    laws = (spec.passage_cdf, lambda t, tau: -spec.passage_sf(t, tau))
+    side = ((u[pos] > 0.5) & (spec.passage_sf is not None)).astype(int)
+    y = np.where(side, u[pos] - 1.0, u[pos])
+    # the cdf covers max u, and the sf, where it solves any draw, 1 - max u
     tau_hi, top = 1.0, u[pos].max()
-    while not all(law(t, tau_hi) >= y[pos].max() for _, law, y in sides):
+    while not all(law(t, tau_hi) >= target for law, target in zip(laws, (top, top - 1.0)[:1 + side.any()])):
         if tau_hi >= _PASSAGE_TAU_MAX:
             raise TruncationError(f"passage law stays below {top:.17g} up to tau = {tau_hi:.6g} at t = {t:.6g}")
         tau_hi *= 2.0
     nodes = np.linspace(0.0, tau_hi, _PASSAGE_NODES)
-    cell, target = np.zeros(u.shape, dtype=int), np.zeros(u.shape)
-    for mask, law, y in sides:
-        table = np.asarray(law(t, nodes), dtype=float)
+    h = nodes[1]
+    # per draw: its cell's ends, law - y at both, and the table's slopes there per unit of the cell
+    cell, ends, slopes = np.empty(y.shape, dtype=int), np.empty((2,) + y.shape), np.empty((2,) + y.shape)
+    for k in np.unique(side):
+        table = np.asarray(laws[k](t, nodes), dtype=float)
         if not np.all(np.isfinite(table)):
             raise TruncationError(f"passage law is not finite on [0, {tau_hi:.6g}] at t = {t:.6g}")
+        on = side == k
         # table[cell - 1] < y <= table[cell] by bisection: law - y changes sign on the cell
-        cell[mask] = np.clip(np.searchsorted(table, y[mask]), 1, _PASSAGE_NODES - 1)
-        target[mask] = y[mask]
-
-    def gap(tau, y, side):
-        value = np.empty(tau.shape)
-        for k, (_, law, _) in enumerate(sides):
-            on = side == k
-            value[on] = law(t, tau[on])
-        return value - y
-
-    cell = cell[pos]
-    root = elementwise.find_root(gap, (nodes[cell - 1], nodes[cell]), args=(target[pos], upper[pos].astype(int)))
-    failed = int(np.sum(~root.success))
-    if failed:
-        raise TruncationError(f"passage-law inversion failed for {failed} of {u.size} draws at t = {t:.6g}")
-    out[pos] = root.x
+        cell[on] = np.clip(np.searchsorted(table, y[on]), 1, _PASSAGE_NODES - 1)
+        ends[:, on] = table[[cell[on] - 1, cell[on]]] - y[on]
+        slopes[:, on] = _table_slopes(table, h)[[cell[on] - 1, cell[on]]] * h
+    lo, hi = nodes[cell - 1], nodes[cell]
+    s, slope = _hermite_root(*ends, *slopes)
+    x, slope = lo + s * h, slope / h
+    root = np.where(ends[1] == 0.0, hi, 0.0)  # a node where the law equals y is its own root
+    active = np.flatnonzero(ends[1] != 0.0)
+    x_prev, g_prev = np.full(y.shape, np.nan), np.full(y.shape, np.nan)
+    steps = 0
+    while active.size:
+        xa, g = x[active], np.empty(active.size)
+        for k in np.unique(side[active]):
+            on = side[active] == k
+            g[on] = laws[k](t, xa[on])
+        if not np.all(np.isfinite(g)):
+            raise TruncationError(f"passage law is not finite at {np.sum(~np.isfinite(g))} iterates at t = {t:.6g}")
+        g -= y[active]
+        below = g < 0.0
+        lo[active[below]], hi[active[~below]] = xa[below], xa[~below]
+        left, right = lo[active], hi[active]
+        flat = np.abs(g) <= 2.0 * _EPS * np.abs(y[active])  # the law equals y to rounding
+        settled = flat | (right - left <= 4.0 * _EPS * right)
+        new = 0.5 * (left + right)
+        if steps < _PASSAGE_STEPS:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                secant = (g - g_prev[active]) / (xa - x_prev[active])
+                slope[active] = np.where(secant > 0.0, secant, slope[active])
+                delta = -g / slope[active]
+            small = np.abs(delta) <= 8.0 * _EPS * xa
+            stepped = np.clip(xa + delta, left, right)
+            new = np.where(small | ((stepped > left) & (stepped < right)), stepped, new)
+            settled |= small
+        root[active] = np.where(flat, xa, new)
+        x_prev[active], g_prev[active], x[active] = xa, g, new
+        active, steps = active[~settled], steps + 1
+    out[pos] = root
     return out
 
 

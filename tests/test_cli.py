@@ -519,8 +519,17 @@ def test_validate_accepts_each_section_the_run_reads(tmp_path, name, section):
      "horizons.T_grid must be a JSON array of numbers"),
     ({"experiment": "gfd", "subordinator": {"family": "stable"}, "horizons": {"T": [2.0]}},
      "horizons.T must be a JSON number"),
+    # an empty T_grid used to give a header-only CSV (rho, subordinate-solve) and exit 0
+    *(({"experiment": name, "subordinator": {"family": "stable"}, "horizons": {"T_grid": []}},
+       "horizons.T_grid must hold at least one time") for name in ("rho", "subordinate-solve", "renorm-curve")),
+    # round(T / dt) = 0 steps used to be refused at run time as too few f_samples, and dt = 0
+    # to end in a ZeroDivisionError traceback
+    *(({"experiment": name, "subordinator": {"family": "stable"}, "horizons": horizons},
+       "horizons.T must span at least two steps of horizons.dt > 0")
+      for name, horizons in (("gfd", {"T": 0.001, "dt": 0.01}), ("gfd", {"dt": 0.0}), ("fke-residual", {"dt": 0.0}))),
 ], ids=["rho-no-subordinator", "kernel-dim-0", "grid-without-L", "point-of-one", "point-not-numbers",
-        "cauchy-point-of-three", "T_grid-bool-and-string", "T_grid-string", "T-array"])
+        "cauchy-point-of-three", "T_grid-bool-and-string", "T_grid-string", "T-array", "rho-empty-T_grid",
+        "subordinate-solve-empty-T_grid", "renorm-curve-empty-T_grid", "gfd-no-step", "gfd-dt-0", "fke-dt-0"])
 def test_validate_gives_the_verdict_run_gives(tmp_path, capsys, body, message):
     cfg = write_cfg(tmp_path, "bad", output="bad", **body)
     kind, message = message if isinstance(message, tuple) else ("ConfigError", message)

@@ -16,7 +16,8 @@ from scipy import integrate, special
 
 from green_oracles import ZETA_ORACLE
 from greenwalk import renorm, simulate
-from greenwalk.errors import AliasingError, ConfigError, DivergentGreenMeasureError, InversionInstabilityError
+from greenwalk.errors import (AliasingError, ConfigError, DivergentGreenMeasureError, InvalidInputError,
+                             InversionInstabilityError)
 from greenwalk.grids import GridSpec
 from greenwalk.green import CLFunction, _RateClasses, cl_from_kernel, potential
 from greenwalk.kernels import convolve_power, make_cauchy_kernel, make_gaussian_kernel
@@ -123,6 +124,22 @@ def test_subordinated_solution_gamma_matches_mc(k1, a, b):
     v = subordinated_solution(k1, spec, f, [0.0], 1.0, grid=GRID1)
     est = mc_time_changed_expectation(k1, spec, f, [0.0], 1.0, n=20_000, seed=29)
     assert abs(est.mean - v) <= 5 * est.stderr
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0], [np.nan]], ids=["wrong-dim", "nan"])
+def test_mc_time_changed_checks_x_before_any_draw(k1, gamma, x):
+    # a bad point is refused before D(t) is drawn, which costs law evaluations
+    calls = []
+
+    def counted(law):
+        return lambda t, tau: calls.append(np.size(tau)) or law(t, tau)
+
+    spec = dataclasses.replace(gamma, passage_cdf=counted(gamma.passage_cdf), passage_sf=counted(gamma.passage_sf))
+    with pytest.raises(InvalidInputError, match="^x must be"):
+        mc_time_changed_expectation(k1, spec, cl_from_kernel(k1), x, 1.0, 2000, seed=31)
+    assert calls == []
+    mc_time_changed_expectation(k1, spec, cl_from_kernel(k1), [0.0], 1.0, 20, seed=31)
+    assert calls
 
 
 def test_mc_time_changed_constant(k1, stable):

@@ -316,9 +316,9 @@ def test_import_does_not_load_scipy_stats():
 
 
 def test_import_does_not_load_scipy_solvers():
-    # scipy.optimize is imported by the passage-law inversion on first use, and
-    # must still run from a cold import; scipy.integrate is never imported, not
-    # even by N(T) of a spec without k_primitive, which is a Talbot inversion
+    # neither scipy.optimize nor scipy.integrate is imported, not by gamma draws
+    # (a Newton-secant search of their own), nor by N(T) of a spec without
+    # k_primitive, which is a Talbot inversion
     code = """if True:
         import dataclasses, sys
         import greenwalk
@@ -328,17 +328,16 @@ def test_import_does_not_load_scipy_solvers():
             make_gamma_subordinator, make_stable_subordinator, sample_inverse_many, time_averaged_ratio)
         gamma = make_gamma_subordinator(2.0, 0.5)
         draws = sample_inverse_many(gamma, 1.0, 1e-3, 50, seed=3)
-        print(draws.size, bool((draws > 0).all()))
+        print(draws.size, bool((draws > 0).all()), "scipy.optimize" in sys.modules)
         print(repr(time_averaged_ratio(make_stable_subordinator(0.5), 1.0, 10.0)[0]))
         print(repr(normalization_N(dataclasses.replace(gamma, k_primitive=None), 2.0)), repr(float(gamma.k_primitive(2.0))))
-        print("scipy.integrate" in sys.modules)
+        print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
     """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded, draws, m_rho, prims, integrate_loaded = out.stdout.strip().splitlines()
-    assert loaded == "[]"
-    assert integrate_loaded == "False"
-    assert draws == "50 True"
+    loaded, draws, m_rho, prims, loaded_after = out.stdout.strip().splitlines()
+    assert loaded == loaded_after == "[]"
+    assert draws == "50 True False"
     # M_rho = (1/t) int_0^t rho_s(1) ds with the half-normal rho_s(1) = e^{-1/(4s)}/sqrt(pi s)
     exact = mp.quad(lambda s: mp.exp(-1 / (4 * s)) / mp.sqrt(mp.pi * s), [0, 1, 10]) / 10
     assert float(m_rho) == pytest.approx(float(exact), rel=1e-8)
@@ -376,12 +375,15 @@ def test_gamma_passage_cdf_is_the_upper_incomplete_gamma():
 def test_gamma_q_matches_mpmath(x):
     # s in [1e-6, 1) covers both sides of the switch between the recurrence
     # and scipy's gammaincc at every x up to 3; from x = 10 on, Q(s, x) < Q(s + 1, x) / 8
-    # and only gammaincc runs
-    s = np.concatenate([np.geomspace(1e-6, 1.0 - 1e-6, 120), np.linspace(0.005, 0.995, 100)])
-    up = special.gammaincc(s + 1.0, x)
-    rec = up - x**s * np.exp(-x) / special.gamma(s + 1.0)
+    # and only gammaincc runs.  The passage-law inversion meets s = b tau up to b tau_hi;
+    # s in [1, 64] is gammaincc up to x = 10, and from x = 30 on the continued
+    # fraction below s = x / 1.4, where gammaincc is off by up to 8e-14 at x = 100
+    small = np.concatenate([np.geomspace(1e-6, 1.0 - 1e-6, 120), np.linspace(0.005, 0.995, 100)])
+    up = special.gammaincc(small + 1.0, x)
+    rec = up - x**small * np.exp(-x) / special.gamma(small + 1.0)
     if x <= 3.0:
         assert np.any(rec >= up / 8.0) and np.any(rec < up / 8.0)
+    s = np.concatenate([small, np.geomspace(1.0, 64.0, 60), np.linspace(1.5, 63.5, 32)])
     with mp.workdps(40):
         ref = np.array([float(mp.gammainc(mp.mpf(v), mp.mpf(x), mp.inf, regularized=True)) for v in s])
     np.testing.assert_allclose(subordinate._gamma_q(s, x), ref, rtol=5e-14, atol=0.0)
@@ -499,6 +501,43 @@ def test_table_bracketed_inversion_matches_searched_brackets(ab, t):
     np.testing.assert_allclose(got[u < 0.99], ref[u < 0.99], rtol=1e-13, atol=0.0)
 
 
+ORACLE_U = np.concatenate([np.geomspace(1e-12, 0.5, 12), 1.0 - np.geomspace(0.3, 1e-12, 12)])
+
+
+@pytest.mark.parametrize("ab", [GAMMA_AB, (1.0, 1.0)])
+@pytest.mark.parametrize("t", [1e-2, 1.0, 30.0])
+def test_inversion_matches_mpmath_roots(ab, t):
+    # each root against the 40-digit root of P(b tau, a t) = 1 - u, which is Q(b tau, a t) = u
+    a, b = ab
+    spec = make_gamma_subordinator(a, b)
+    u = ORACLE_U
+    got = subordinate._invert_passage_cdf(spec, t, u)
+    with mp.workdps(40):
+        ref = np.array([float(mp.findroot(lambda tau: mp.gammainc(b * tau, 0, a * t, regularized=True) - (1 - mp.mpf(v)),
+                                          mp.mpf(g))) for v, g in zip(u, got)])
+    np.testing.assert_allclose(got[u < 0.99], ref[u < 0.99], rtol=1e-13, atol=0.0)
+    # the flat-cdf bound of the comparison with searched brackets
+    h = 1e-3 * ref
+    slope = (spec.passage_cdf(t, ref + h) - spec.passage_cdf(t, ref - h)) / (2.0 * h)
+    np.testing.assert_array_less(np.abs(got - ref), 1e-13 * ref + 4.0 * np.spacing(u) / slope)
+
+
+@pytest.mark.parametrize("ab", [GAMMA_AB, (1.0, 1.0)])
+@pytest.mark.parametrize("t", [1e-2, 1.0, 30.0])
+def test_inversion_takes_at_most_four_law_evaluations_per_draw(ab, t):
+    # every tau at which either side's law is evaluated counts, the table and its range included
+    spec = make_gamma_subordinator(*ab)
+    taus = []
+
+    def counted(law):
+        return lambda t, tau: taus.append(np.size(tau)) or law(t, tau)
+
+    counting = dataclasses.replace(spec, passage_cdf=counted(spec.passage_cdf), passage_sf=counted(spec.passage_sf))
+    draws = sample_inverse_many(counting, t, None, 2000, seed=41)
+    np.testing.assert_array_equal(draws, sample_inverse_many(spec, t, None, 2000, seed=41))
+    assert sum(taus) / draws.size <= 4.0
+
+
 def test_table_bracketed_inversion_maps_zero_to_zero(gamma):
     got = subordinate._invert_passage_cdf(gamma, 1.0, np.array([0.0, 0.5, 0.0]))
     assert got[0] == got[2] == 0.0 and got[1] > 0.0
@@ -522,8 +561,8 @@ def test_table_bracketed_inversion_raises_on_nan(gamma, lo, hi):
 
 
 def test_table_bracketed_inversion_raises_when_the_root_search_meets_nan(gamma):
-    # NaN on a window around the root that holds no table node: only
-    # Chandrupatla's iterates see it
+    # NaN on a window around the root that holds no table node: only the
+    # Newton-secant iterates, which start within it, see it
     root = float(_searched_roots(gamma, 1.0, np.array([0.5]))[0])
     nodes = np.linspace(0.0, 2.0, subordinate._PASSAGE_NODES)  # F(1) < 0.5 <= F(2)
     assert np.min(np.abs(nodes - root)) > 2e-4
