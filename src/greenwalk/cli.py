@@ -105,8 +105,9 @@ def load_config(path) -> dict:
     """The config at path, refused with a ConfigError on every check a run of it would make:
     a section, tolerance or horizon its experiment does not read, a value of the wrong JSON
     type, a family or param outside _FAMILIES, a kernel its factory refuses, an empty
-    horizons.T_grid, a horizons.T of fewer than two horizons.dt steps, a missing subordinator
-    or mc, a grid without both N and L, and a point without kernel.dim numbers."""
+    horizons.T_grid, a horizons.T of fewer than two horizons.dt steps (three for fke-residual,
+    and a tolerances.t_min after its last interior time), a missing subordinator or mc, a grid
+    without both N and L, and a point without kernel.dim numbers."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -144,6 +145,16 @@ def load_config(path) -> dict:
     # round(T / dt) >= 2 steps: the three samples of gfd's central difference, and no division by dt = 0
     if "dt" in horizons and not (horizons["dt"] > 0 and 1.5 <= horizons["T"] / horizons["dt"] < np.inf):
         raise ConfigError("horizons.T must span at least two steps of horizons.dt > 0")
+    if name == "fke-residual":
+        # the coarsest level's t_grid, dt * arange(steps + 1); each finer level has at least as
+        # many steps and a t_grid[-2] at least as late, so it passes fke_residual's checks too
+        steps = int(round(horizons["T"] / horizons["dt"]))
+        if steps < 3:
+            raise ConfigError("horizons.T must span at least three steps of horizons.dt (four times for fke-residual)")
+        t_min = {**exp.tolerances, **cfg.get("tolerances", {})}["t_min"]
+        if not t_min <= horizons["dt"] * (steps - 1):
+            raise ConfigError("tolerances.t_min must be at most the last interior time, "
+                              "horizons.dt * (round(horizons.T / horizons.dt) - 1)")
     if "mc" in exp.reads and not {"n", "seed"} <= set(cfg.get("mc", {})):
         raise ConfigError(f"experiment {name!r} is stochastic and needs mc.n and mc.seed")
     if "subordinator" in exp.reads and "subordinator" not in cfg:

@@ -299,7 +299,8 @@ def _radial_value(kernel: JumpKernel, x, lam: float, multiplier) -> tuple[np.nda
     with np.errstate(over="ignore"):
         r = float(np.linalg.norm(_finite_point(x, kernel.dim)))
     _require(r < np.inf, "x", "of finite length |x|")
-    (k16, w16), (k8, w8) = (_radial_rule(_fourier_cutoff(kernel, lam), n) for n in (16, 8))
+    k_max = _fourier_cutoff(kernel, lam)
+    (k16, w16), (k8, w8) = (_radial_rule(k_max, n) for n in (16, 8))
     k = np.concatenate((k16, k8))
     a_hat = np.asarray(kernel.fourier(k), dtype=float)
     gap = 1.0 - a_hat

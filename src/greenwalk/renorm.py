@@ -183,7 +183,8 @@ def renormalized_potential_curve(
 
     The integrals are one radial quadrature in the continuum (green._radial_value) and
     the target is potential's radial route, so grid is optional and not read.  The
-    integrals read the spec's Phi, not its clipped mean, and need f.fourier (an f
+    integrals read the spec's laplace_closed_form where it has one (the 1/2-stable
+    W_T), else its Phi, never its clipped mean, and need f.fourier (an f
     without it gets a ConfigError).  quad_errors records the quadrature error
     estimate of each value.
     """

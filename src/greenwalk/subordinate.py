@@ -42,8 +42,10 @@ class SubordinatorSpec:
     rho_closed_form is set for families with a known inverse-process density,
     and replaces the Laplace inversion in rho_density (replace it by None to
     force the inversion);
-    laplace_closed_form (t, rates) -> E e^{-r D(t)} is set for families whose
-    mixture weights have a closed form, and replaces their Laplace inversion;
+    laplace_closed_form (t, rates, integrated=False) -> E e^{-r D(t)}, or with
+    integrated=True W_t(r) = int_0^t E e^{-r D(s)} ds, is set for families whose
+    mixture weights and their time integrals have a closed form, and replaces
+    both Laplace inversions;
     self_similarity is the index alpha of a self-similar family, for which
     S(c t) has the law of c^{1/alpha} S(t); passage_cdf (t, tau) ->
     P(D(t) <= tau) = P(S(tau) >= t) is set for families whose first-passage
@@ -69,7 +71,7 @@ class SubordinatorSpec:
     k_primitive: Optional[Callable] = None
     rho_closed_form: Optional[Callable] = None  # (t, tau) -> density
     self_similarity: Optional[float] = None
-    laplace_closed_form: Optional[Callable] = None  # (t, rates) -> E e^{-r D(t)}
+    laplace_closed_form: Optional[Callable] = None  # (t, rates, integrated) -> E e^{-r D(t)} or W_t(r)
     clipped_mean: Optional[Callable] = None  # (T, tau) -> E[S(tau) ^ T]
     passage_cdf: Optional[Callable] = None  # (t, tau) -> P(D(t) <= tau)
     passage_sf: Optional[Callable] = None  # (t, tau) -> P(D(t) > tau)
@@ -157,6 +159,39 @@ def _stable_clipped_mean(alpha: float, T: float, tau) -> np.ndarray:
     return T * _kanter_average(alpha, tau, T, lambda w: _w_expint(p, w) - np.expm1(-w), 1.0)
 
 
+# 1/Gamma(m/2 + 2) for m = 39 .. 0, highest order first: the series of E_{1/2,2}(-z) to rounding for z < 1
+_ML_HALF_2 = special.rgamma(0.5 * np.arange(40) + 2.0)[::-1]
+# below this z the series of E_{1/2,2}(-z) takes over from the erfcx form, which errs by up to
+# 2.3e-15 relative at z = 0.5 and 7e-16 at z = 1, where the series errs by 2e-16
+_ML_HALF_2_SWITCH = 1.0
+
+
+def _half_stable_occupation(t, rates) -> np.ndarray:
+    """W_t(r) = int_0^t erfcx(r sqrt(s)) ds = t E_{1/2,2}(-z), z = r sqrt(t), for the 1/2-stable D.
+
+    E_{1/2,2}(-z) = (erfcx(z) - 1 + 2 z / sqrt(pi)) / z^2 (Gorenflo, Kilbas,
+    Mainardi and Rogosin, Mittag-Leffler Functions, 2014, ch. 4) cancels as
+    z -> 0 (1e-14 relative at z = 0.2).  Below _ML_HALF_2_SWITCH this takes
+    the series sum_m (-z)^m / Gamma(m/2 + 2) by Horner, and from there on
+    W_t = (sqrt(t) / r) ((erfcx(z) - 1) / z + 2 / sqrt(pi)), finite even where
+    z overflows.  Both stay within 5e-16 relative of 60-digit mpmath, and
+    W_t(0) = t exactly.  t and rates broadcast.
+    """
+    t = np.asarray(t, dtype=float)
+    t, root, rates = np.broadcast_arrays(t, np.sqrt(t), np.asarray(rates, dtype=float))
+    with np.errstate(over="ignore"):
+        z = rates * root
+        out, series = np.empty(z.shape), z < _ML_HALF_2_SWITCH
+        neg, acc = -z[series], np.full(np.count_nonzero(series), _ML_HALF_2[0])
+        for c in _ML_HALF_2[1:]:
+            acc *= neg
+            acc += c
+        out[series] = t[series] * acc
+        far = ~series
+        out[far] = root[far] / rates[far] * ((special.erfcx(z[far]) - 1.0) / z[far] + 2.0 / np.sqrt(np.pi))
+    return out
+
+
 def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
     """alpha-stable subordinator: Phi = lambda^alpha, k(t) = t^{-alpha}/Gamma(1-alpha)."""
     _require(0.0 < alpha < 1.0, "alpha", "in (0, 1)")
@@ -195,8 +230,10 @@ def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
             with np.errstate(over="ignore"):  # tau^2 overflows beyond tau ~ 1e154, where rho is 0
                 return np.exp(-(np.asarray(tau, float) ** 2 / 4.0) / t) / (2.0 * np.sqrt(np.pi * (t / 4.0)))
 
-        def laplace_closed_form(t, rates):
+        def laplace_closed_form(t, rates, integrated=False):
             # E_{1/2}(-r sqrt(t)) = e^{r^2 t} erfc(r sqrt(t)), computed stably
+            if integrated:
+                return _half_stable_occupation(t, rates)
             return special.erfcx(np.asarray(rates, float) * np.sqrt(t))
 
         def clipped_mean(T, tau):
@@ -245,7 +282,8 @@ def _gamma_q(s, x):
     """Q(s, x) = Gamma(s, x) / Gamma(s), the regularized upper incomplete gamma, for s, x >= 0.
 
     SciPy's gammaincc takes microseconds per value for s < 1 and x near 1, about ten
-    times its cost at s + 1.  For s < 1 this takes the recurrence
+    times its cost at s + 1.  For s < 1 and 0 < x <= _GAMMA_Q_SERIES_X this takes
+    _gamma_q_series, within 1e-14 relative of Q.  For the other s < 1 it takes the recurrence
     Q(s, x) = Q(s + 1, x) - x^s e^{-x} / Gamma(s + 1) (DiDonato and Morris,
     ACM TOMS 12 (1986) 377) wherever the difference keeps at least 1/8 of
     Q(s + 1, x), so that its cancellation costs at most three bits: within
@@ -258,7 +296,9 @@ def _gamma_q(s, x):
     Scalars give a scalar.
     """
     s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
-    q, rec = np.empty(s.shape), np.array(s < 1.0)
+    q, series = np.empty(s.shape), (s < 1.0) & (x > 0.0) & (x <= _GAMMA_Q_SERIES_X)
+    q[series] = _gamma_q_series(s[series], x[series])
+    rec = np.array((s < 1.0) & ~series)
     s1, x1 = s[rec], x[rec]
     with np.errstate(invalid="ignore"):  # x = inf gives inf * 0 = nan, which fails the guard
         up = special.gammaincc(s1 + 1.0, x1)
@@ -267,9 +307,51 @@ def _gamma_q(s, x):
     # e^{-x} and x^s stay normal floats for x <= 700 and s log x <= 700
     frac = (s >= 1.0) & (x > np.maximum(1.4 * s, 10.0)) & (x <= 700.0) & (s * np.log(np.maximum(x, 1.0)) <= 700.0)
     q[frac] = _gamma_q_fraction(s[frac], x[frac])
-    rest = ~(rec | frac)
+    rest = ~(series | rec | frac)
     q[rest] = special.gammaincc(s[rest], x[rest])
     return q[()]
+
+
+# c_2 .. c_28 of 1/Gamma(z) = sum_k c_k z^k (A&S 6.1.34), to double precision
+_RGAMMA_TAYLOR = np.array([
+    0.5772156649015329, -0.6558780715202539, -0.04200263503409524, 0.16653861138229148,
+    -0.04219773455554433, -0.009621971527876973, 0.0072189432466631, -0.0011651675918590652,
+    -0.00021524167411495098, 0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09, 5.002007644469223e-09,
+    -1.18127457048702e-09, 1.0434267116911005e-10, 7.782263439905071e-12, -3.696805618642206e-12,
+    5.100370287454476e-13, -2.0583260535665066e-14, -5.348122539423018e-15, 1.2267786282382608e-15,
+    -1.1812593016974588e-16, 1.1866922547516004e-18, 1.4123806553180319e-18,
+])
+# the largest x of _gamma_q_series, and the terms of its sum, whose last is at most 1.5^24 / 24! = 3e-20
+_GAMMA_Q_SERIES_X = 1.5
+_GAMMA_Q_SERIES_TERMS = 24
+
+
+def _gamma_q_series(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q(s, x) for 0 <= s < 1 and 0 < x <= _GAMMA_Q_SERIES_X, with full relative precision as s -> 0.
+
+    Q = 1 - x^s / Gamma(1 + s) - s x^s sum_{n>=1} (-x)^n / (n! (s + n)) / Gamma(1 + s),
+    and 1 - x^s / Gamma(1 + s) = -expm1(s log x) - g x^s with g = 1/Gamma(1 + s) - 1
+    = sum_{k>=2} c_k s^{k-1} from _RGAMMA_TAYLOR (DiDonato and Morris 1986), so no
+    term cancels as Q -> s E_1(x).  Within 1.4e-15 relative of Q for x <= 1 and 7e-15
+    at x = 1.5, where E_1(x) = -gamma - log x - sum_n (-x)^n / (n n!) keeps a tenth of its parts.
+    """
+    # in place, with no temporaries: on the few hundred values of a draw batch a ufunc call
+    # costs little more than its overhead
+    g = np.full(s.shape, _RGAMMA_TAYLOR[-1])
+    for c in _RGAMMA_TAYLOR[-2::-1]:
+        g *= s
+        g += c
+    g *= s
+    minus_x, term, total, part = -x, np.ones(x.shape), np.zeros(s.shape), np.empty(s.shape)
+    for n in range(1, _GAMMA_Q_SERIES_TERMS + 1):
+        term *= minus_x
+        term /= n
+        np.add(s, n, out=part)
+        np.divide(term, part, out=part)
+        total += part
+    s_log_x = s * np.log(x)
+    return -np.expm1(s_log_x) - np.exp(s_log_x) * (g + s * total * (1.0 + g))
 
 
 def _gamma_q_fraction(s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -634,12 +716,14 @@ def _mixture_weights(spec: SubordinatorSpec, t, rates, integrated: bool = False)
     """E e^{-r D(t)}, or with integrated=True W_t(r) = int_0^t E e^{-r D(s)} ds: see laplace.mixture_weights.
 
     A sum of exponentials sum_c w_c e^{-tau r_c} subordinates to sum_c w_c E e^{-r_c D(t)} with no
-    tau-quadrature.  A spec's laplace_closed_form gives E e^{-r D(t)}, broadcast as (t[:, None], rates).
+    tau-quadrature.  A spec's laplace_closed_form(t, rates, integrated), broadcast as
+    (t[:, None], rates), gives either weight in place of the Laplace inversion.
     """
     t = np.asarray(t, dtype=float)
     rates = np.asarray(rates, dtype=float)
-    if not integrated and spec.laplace_closed_form is not None:
-        return np.asarray(spec.laplace_closed_form(t.reshape(t.shape + (1,) * rates.ndim), rates), dtype=float)
+    if spec.laplace_closed_form is not None:
+        return np.asarray(spec.laplace_closed_form(t.reshape(t.shape + (1,) * rates.ndim), rates, integrated),
+                          dtype=float)
     return laplace.mixture_weights(spec.phi_eval, t, rates, integrated)
 
 

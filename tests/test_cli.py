@@ -527,9 +527,17 @@ def test_validate_accepts_each_section_the_run_reads(tmp_path, name, section):
     *(({"experiment": name, "subordinator": {"family": "stable"}, "horizons": horizons},
        "horizons.T must span at least two steps of horizons.dt > 0")
       for name, horizons in (("gfd", {"T": 0.001, "dt": 0.01}), ("gfd", {"dt": 0.0}), ("fke-residual", {"dt": 0.0}))),
+    # fke_residual refused these at run time only: a t_grid of three times, and t_min past its
+    # last interior time 0.04
+    ({"experiment": "fke-residual", "subordinator": {"family": "stable"}, "horizons": {"T": 0.015, "dt": 0.01}},
+     "horizons.T must span at least three steps of horizons.dt (four times for fke-residual)"),
+    ({"experiment": "fke-residual", "subordinator": {"family": "stable"}, "horizons": {"T": 0.05, "dt": 0.01},
+      "tolerances": {"t_min": 0.045}},
+     "tolerances.t_min must be at most the last interior time, horizons.dt * (round(horizons.T / horizons.dt) - 1)"),
 ], ids=["rho-no-subordinator", "kernel-dim-0", "grid-without-L", "point-of-one", "point-not-numbers",
         "cauchy-point-of-three", "T_grid-bool-and-string", "T_grid-string", "T-array", "rho-empty-T_grid",
-        "subordinate-solve-empty-T_grid", "renorm-curve-empty-T_grid", "gfd-no-step", "gfd-dt-0", "fke-dt-0"])
+        "subordinate-solve-empty-T_grid", "renorm-curve-empty-T_grid", "gfd-no-step", "gfd-dt-0", "fke-dt-0",
+        "fke-two-steps", "fke-t_min-past-the-grid"])
 def test_validate_gives_the_verdict_run_gives(tmp_path, capsys, body, message):
     cfg = write_cfg(tmp_path, "bad", output="bad", **body)
     kind, message = message if isinstance(message, tuple) else ("ConfigError", message)

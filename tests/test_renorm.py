@@ -15,7 +15,7 @@ import pytest
 from scipy import integrate, special
 
 from green_oracles import ZETA_ORACLE
-from greenwalk import renorm, simulate
+from greenwalk import laplace, renorm, simulate
 from greenwalk.errors import (AliasingError, ConfigError, DivergentGreenMeasureError, InvalidInputError,
                              InversionInstabilityError)
 from greenwalk.grids import GridSpec
@@ -600,6 +600,26 @@ def test_fke_residual_inverts_every_node_in_one_call(k1, stable, gamma, name):
     res = fke_residual(k1, counted, cl_from_kernel(k1), [0.0], t_grid, grid=GRID1, t_min=0.1)
     assert res == fke_residual(k1, spec, cl_from_kernel(k1), [0.0], t_grid, grid=GRID1, t_min=0.1)
     assert 1 <= len(calls) <= (1 if capability == "laplace_closed_form" else 2)
+
+
+def test_half_stable_curve_inverts_no_laplace_transform(k3, stable, half_curve, monkeypatch):
+    # one closed-form call gives W_T at every T and radial node; Phi is seen only by
+    # check_H's real probes, never on a Talbot contour
+    def no_inversion(*args, **kwargs):
+        raise AssertionError("laplace.mixture_weights called")
+
+    monkeypatch.setattr(laplace, "mixture_weights", no_inversion)
+    counted, closed = _counting(stable, "laplace_closed_form")
+    counted, phi = _counting(counted, "phi_eval")
+    f = cl_from_kernel(k3)
+    curve = renormalized_potential_curve(k3, counted, f, [0.0, 0.0, 0.0], CURVE_TS)
+    np.testing.assert_array_equal(curve.values, half_curve.values)
+    assert len(closed) == 1 and closed[0][2] is True
+    assert np.shape(closed[0][0]) == (CURVE_TS.size, 1)
+    assert phi and not any(np.iscomplexobj(args[0]) for args in phi)
+    del closed[:], phi[:]
+    unnormalized_potential_integral(k3, counted, f, [0.0, 0.0, 0.0], 2.0)
+    assert len(closed) == 1 and not any(np.iscomplexobj(args[0]) for args in phi)
 
 
 def test_subordinated_solution_array_of_t_equals_the_scalar_calls(k1, stable, gamma):

@@ -50,10 +50,11 @@ def _checkout(root: Path, side: str, **stub) -> Path:
     return d
 
 
-def _run(tool, monkeypatch, capsys, tmp_path, change_stub=None):
+def _run(tool, monkeypatch, capsys, tmp_path, change_stub=None, parent_stub=None):
     # three of the 39 runs: each stub run starts a Python process
     monkeypatch.setattr(tool, "RUNS", [r for r in tool.RUNS if r[0] in ("potential", "gfd", "rho-gamma")])
-    code = tool.main([str(_checkout(tmp_path, "parent")), str(_checkout(tmp_path, "change", **(change_stub or {})))])
+    code = tool.main([str(_checkout(tmp_path, "parent", **(parent_stub or {}))),
+                      str(_checkout(tmp_path, "change", **(change_stub or {})))])
     calls = [tuple(json.loads(line)) for line in (tmp_path / "calls.log").read_text().splitlines()]
     return code, capsys.readouterr().out, calls
 
@@ -110,3 +111,25 @@ def test_a_failed_run_fails_and_the_others_still_run(tool, monkeypatch, capsys, 
     assert "gfd: change run failed (exit 1: " in out and "stub refuses gfd" in out
     assert len(calls) == 6
     assert "3 runs, 1 failed; 4 files compared, 0 differ" in out
+
+
+def test_a_differing_csv_prints_its_largest_relative_difference_per_column(tool, monkeypatch, capsys, tmp_path):
+    # a last-digit move in one numeric column; the label column and the unchanged one read apart
+    parent = {"values": {"gfd": "label,T,value\na,2.0,1.0\nb,4.0,3.0", "rho-gamma": "x\n1.0"}}
+    change = {"values": {"gfd": "label,T,value\na,2.0,1.0000000000001\nb,4.0,3.0", "rho-gamma": "x\n1.0\n2.0"}}
+    code, out, _ = _run(tool, monkeypatch, capsys, tmp_path, change, parent)
+    assert code == 1
+    assert "  gfd_gfd.csv: largest relative difference T 0, value 1e-13\n" in out
+    # a row count that differs gets no per-column line
+    assert "differs: rho-gamma/rho-gamma_rho.csv" in out and "rho-gamma_rho.csv: largest" not in out
+
+
+def test_column_gaps(tool, tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("T,value,note\n1.0,0.0,x\n2.0,nan,y\n")
+    b.write_text("T,value,note\n1.0,-0.0,x\n2.5,nan,z\n")
+    assert tool.column_gaps(a, b) == {"T": 0.2, "value": 0.0}
+    b.write_text("T,other,note\n1.0,0.0,x\n2.0,nan,y\n")
+    assert tool.column_gaps(a, b) is None
+    b.write_text("T,value,note\n1.0,inf,x\n2.0,nan,y\n")
+    assert tool.column_gaps(a, b)["value"] == float("inf")

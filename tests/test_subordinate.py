@@ -373,20 +373,31 @@ def test_gamma_passage_cdf_is_the_upper_incomplete_gamma():
 
 @pytest.mark.parametrize("x", [1e-3, 0.01, 0.1, 1.0, 3.0, 10.0, 30.0, 100.0])
 def test_gamma_q_matches_mpmath(x):
-    # s in [1e-6, 1) covers both sides of the switch between the recurrence
-    # and scipy's gammaincc at every x up to 3; from x = 10 on, Q(s, x) < Q(s + 1, x) / 8
-    # and only gammaincc runs.  The passage-law inversion meets s = b tau up to b tau_hi;
-    # s in [1, 64] is gammaincc up to x = 10, and from x = 30 on the continued
-    # fraction below s = x / 1.4, where gammaincc is off by up to 8e-14 at x = 100
+    # s in [1e-6, 1) is the series up to x = 1.5; at x = 3 it covers both sides of
+    # the switch between the recurrence and scipy's gammaincc; from x = 10 on,
+    # Q(s, x) < Q(s + 1, x) / 8 and only gammaincc runs.  The passage-law inversion meets
+    # s = b tau up to b tau_hi; s in [1, 64] is gammaincc up to x = 10, and from x = 30 on
+    # the continued fraction below s = x / 1.4, where gammaincc is off by up to 8e-14 at x = 100
     small = np.concatenate([np.geomspace(1e-6, 1.0 - 1e-6, 120), np.linspace(0.005, 0.995, 100)])
     up = special.gammaincc(small + 1.0, x)
     rec = up - x**small * np.exp(-x) / special.gamma(small + 1.0)
-    if x <= 3.0:
+    if x == 3.0:
         assert np.any(rec >= up / 8.0) and np.any(rec < up / 8.0)
     s = np.concatenate([small, np.geomspace(1.0, 64.0, 60), np.linspace(1.5, 63.5, 32)])
     with mp.workdps(40):
         ref = np.array([float(mp.gammainc(mp.mpf(v), mp.mpf(x), mp.inf, regularized=True)) for v in s])
     np.testing.assert_allclose(subordinate._gamma_q(s, x), ref, rtol=5e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("x", np.geomspace(1e-3, 1.5, 12))
+def test_gamma_q_small_s_matches_mpmath(x):
+    # the series of _gamma_q_series keeps full relative precision as Q -> s E_1(x);
+    # the recurrence and gammaincc it replaced were off by up to 1.1e-14 (x <= 1) and 2.7e-14 (x = 1.5)
+    s = np.concatenate([np.geomspace(1e-12, 1.0, 60, endpoint=False), 1.0 - np.geomspace(1e-2, 1e-12, 6),
+                        np.linspace(0.005, 0.995, 100)])
+    with mp.workdps(40):
+        ref = np.array([float(mp.gammainc(mp.mpf(v), mp.mpf(x), mp.inf, regularized=True)) for v in s])
+    np.testing.assert_allclose(subordinate._gamma_q(s, x), ref, rtol=1e-14, atol=0.0)
 
 
 def test_gamma_q_handles_the_edges():
@@ -705,13 +716,46 @@ def test_mixture_weights_are_exact_at_rate_zero(gamma):
 
 
 def test_occupation_weights_half_stable_closed_form(stable):
-    # int_0^T erfcx(r sqrt(s)) ds = (erfcx(x) + 2 x / sqrt(pi) - 1) / r^2, x = r sqrt(T)
+    # int_0^T erfcx(r sqrt(s)) ds = (erfcx(x) + 2 x / sqrt(pi) - 1) / r^2, x = r sqrt(T),
+    # by the spec's closed form and by the Laplace inversion
     rates = RATES[1:]
-    for T in (1.0, 512.0, 2.0**21):
-        x = rates * np.sqrt(T)
-        exact = (special.erfcx(x) + 2.0 * x / np.sqrt(np.pi) - 1.0) / rates**2
-        got = _mixture_weights(stable, T, rates, integrated=True)
-        np.testing.assert_allclose(got, exact, rtol=1e-9)
+    for spec in (stable, dataclasses.replace(stable, laplace_closed_form=None)):
+        for T in (1.0, 512.0, 2.0**21):
+            x = rates * np.sqrt(T)
+            exact = (special.erfcx(x) + 2.0 * x / np.sqrt(np.pi) - 1.0) / rates**2
+            got = _mixture_weights(spec, T, rates, integrated=True)
+            np.testing.assert_allclose(got, exact, rtol=1e-9)
+
+
+def _half_stable_W_mpmath(T, r):
+    """W_T(r) = T E_{1/2,2}(-x), x = r sqrt(T), at 60 digits: the series below x = 1, erfcx above."""
+    with mp.workdps(60):
+        T, x = mp.mpf(T), mp.mpf(r) * mp.sqrt(T)
+        if x < 1:
+            return T * mp.nsum(lambda m: (-x) ** m / mp.gamma(m / 2 + 2), [0, mp.inf])
+        return T * (mp.exp(x * x) * mp.erfc(x) - 1 + 2 * x / mp.sqrt(mp.pi)) / x**2
+
+
+@pytest.mark.parametrize("T", [1e-3, 1.0, 512.0, 2.0**21])
+def test_half_stable_occupation_weight_matches_mpmath(stable, T):
+    # the closed form switches from the series to erfcx at z = r sqrt(T) = 1; each T also
+    # gets the rates one part in 1e6 on either side of it
+    switch = subordinate._ML_HALF_2_SWITCH / np.sqrt(T) * np.array([1.0 - 1e-6, 1.0, 1.0 + 1e-6])
+    rates = np.concatenate(([0.0, 1e-300, 1e-12], np.geomspace(1e-10, 2.0, 60), switch))
+    got = _mixture_weights(stable, T, rates, integrated=True)
+    exact = np.array([float(_half_stable_W_mpmath(T, r)) for r in rates])
+    np.testing.assert_allclose(got, exact, rtol=2e-15, atol=0.0)
+    assert got[0] == T
+
+
+def test_half_stable_occupation_weight_is_finite_at_the_extremes(stable):
+    # W_t(r) ~ 2 sqrt(t) / (sqrt(pi) r) once r sqrt(t) overflows, and W_t <= t throughout
+    t = np.array([1e-300, 1e-3, 1e300])[:, None]
+    rates = np.array([0.0, 1e-300, 1.0, 1e200, 1e308])
+    got = _mixture_weights(stable, t[:, 0], rates, integrated=True)
+    assert np.all(np.isfinite(got)) and np.all((got >= 0.0) & (got <= t))
+    np.testing.assert_array_equal(got[:, 0], t[:, 0])
+    assert got[2, 3] == pytest.approx(2.0 * np.sqrt(1e300) / (np.sqrt(np.pi) * 1e200), rel=1e-15)
 
 
 def test_occupation_weights_integrate_the_weights(gamma):
@@ -738,16 +782,18 @@ def test_mixture_inversion_outside_talbot_validity_raises():
 
 def test_occupation_weights_keep_relative_precision_where_W_is_small(stable):
     # W_T << T for r sqrt(T) >> 1, where T - r L^{-1}[1/(lambda^2 (r + Phi))]
-    # cancelled about three digits (1.2e-10 relative at T = 2^21, r = 2)
+    # cancelled about three digits (1.2e-10 relative at T = 2^21, r = 2); the
+    # inversion of Phi/(lambda^2 (r + Phi)) and the closed form both keep them
     rates = np.array([1e-3, 0.05, 0.5, 2.0])
     for T in (512.0, 2.0**21):
-        got = _mixture_weights(stable, T, rates, integrated=True)
         with mp.workdps(60):
             exact = [
                 float((mp.exp(x**2) * mp.erfc(x) + 2 * x / mp.sqrt(mp.pi) - 1) / r**2)
                 for r, x in ((mp.mpf(r), mp.mpf(r) * mp.sqrt(T)) for r in rates)
             ]
-        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
+        for spec in (stable, dataclasses.replace(stable, laplace_closed_form=None)):
+            got = _mixture_weights(spec, T, rates, integrated=True)
+            np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +811,7 @@ def test_mixture_weights_batch_equals_the_per_time_calls(stable, gamma, integrat
         batch = _mixture_weights(spec, TIMES, rates, integrated=integrated)
         single = np.array([_mixture_weights(spec, t, rates, integrated=integrated) for t in TIMES])
         assert batch.shape == (TIMES.size, rates.size)
-        if spec is stable and not integrated:
+        if spec is stable:
             np.testing.assert_array_equal(batch, single)  # the closed form, broadcast
         else:
             np.testing.assert_allclose(batch / (TIMES[:, None] if integrated else 1.0),

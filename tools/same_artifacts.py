@@ -14,13 +14,18 @@ override that is lost on its way to the run shows.  Each run writes its artifact
 directory of its own; the artifacts are compared byte for byte, the manifests
 after the output directory is replaced by one placeholder.  The script prints
 every file that differs or exists on one side only, and exits 1 on such a
-file or on a failed run.
+file or on a failed run.  For a differing CSV with the same header and row
+count on both sides it also prints, per numeric column, the largest relative
+difference |a - b| / max(|a|, |b|) over the rows, so that a move in the last
+digits reads apart from a real change.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -92,6 +97,30 @@ def read_normalised(path: Path, out: Path) -> bytes:
     return data
 
 
+def _relative_gap(a: str, b: str) -> float:
+    """|a - b| / max(|a|, |b|) of two numbers as written: 0 where they are equal (or both NaN), inf where
+    they differ and one is not finite; ValueError where one is not a number."""
+    x, y = float(a), float(b)
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x) and math.isfinite(y) else math.inf
+
+
+def column_gaps(a: Path, b: Path) -> dict | None:
+    """{column: largest relative gap over the rows} for every column whose cells are all numbers on
+    both sides, or None unless both CSVs have the same header and the same number of rows."""
+    (head_a, *rows_a), (head_b, *rows_b) = (list(csv.reader(p.read_text().splitlines())) or [[]] for p in (a, b))
+    if head_a != head_b or len(rows_a) != len(rows_b) or any(len(r) != len(head_a) for r in rows_a + rows_b):
+        return None
+    gaps = {}
+    for j, name in enumerate(head_a):
+        try:
+            gaps[name] = max((_relative_gap(ra[j], rb[j]) for ra, rb in zip(rows_a, rows_b)), default=0.0)
+        except ValueError:  # a cell that is not a number
+            continue
+    return gaps
+
+
 def compare(work: dict, run_id: str) -> tuple[list, int]:
     """(names of the run's files that differ or exist on one side only, number of files compared)."""
     outs = {side: work[side] / run_id for side in SIDES}
@@ -123,6 +152,12 @@ def main(argv=None) -> int:
             n_files += n
             differ.extend(f"{run_id}/{name}" for name in names)
             print(f"{run_id}: {n} files, {'differ: ' + ', '.join(names) if names else 'identical'}")
+            for name in names:
+                paths = [work[side] / run_id / name for side in SIDES]
+                gaps = column_gaps(*paths) if name.endswith(".csv") and all(p.is_file() for p in paths) else None
+                if gaps:
+                    print(f"  {name}: largest relative difference "
+                          + ", ".join(f"{col} {gap:.2g}" for col, gap in gaps.items()))
     print(f"\n{len(RUNS)} runs, {len(failed)} failed; {n_files} files compared, {len(differ)} differ")
     for name in differ:
         print(f"differs: {name}")
