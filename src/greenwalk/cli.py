@@ -18,15 +18,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, GreenwalkError, _require
+from .errors import ConfigError, GreenwalkError, _require, _require_mc
 from .green import (
     cl_from_kernel,
     green_regular_fourier,
     green_regular_series,
     potential,
 )
-from .grids import GridSpec
+from .grids import GridSpec, _finite_point, _inside_box
 from .kernels import (
+    _require_k_window,
     fit_small_k_expansion,
     make_cauchy_kernel,
     make_gaussian_kernel,
@@ -40,6 +41,7 @@ from .renorm import (
 )
 from .simulate import BinSpec, average_random_green_measure, mc_truncated_potential
 from .subordinate import (
+    _require_s0,
     check_H,
     check_admissible,
     gfd_apply,
@@ -102,12 +104,15 @@ def _family(section: str, body: dict) -> Callable:
 
 
 def load_config(path) -> dict:
-    """The config at path, refused with a ConfigError on every check a run of it would make:
-    a section, tolerance or horizon its experiment does not read, a value of the wrong JSON
-    type, a family or param outside _FAMILIES, a kernel its factory refuses, an empty
-    horizons.T_grid, a horizons.T of fewer than two horizons.dt steps (three for fke-residual,
-    and a tolerances.t_min after its last interior time), a missing subordinator or mc, a grid
-    without both N and L, and a point without kernel.dim numbers."""
+    """The config at path, refused with a ConfigError unless it fits the schema, and then with the
+    error of the first input its run would refuse to build.
+
+    The schema: a section, tolerance or horizon its experiment reads (EXPERIMENTS) and of the
+    JSON type of its key, a non-empty output, positive finite tolerances (lam may be 0), and
+    positive finite horizons, horizons.T_grid a non-empty and strictly increasing array.  Then
+    the run's own _Inputs builds each section the experiment reads, a family and its params
+    from _FAMILIES, and the step count of a run that reads horizons.dt, as the run will.
+    """
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -131,52 +136,38 @@ def load_config(path) -> dict:
         for key, val in body.items():
             if not _is(val, keys[section][key]):
                 raise ConfigError(f"{section}.{key} must be a JSON {keys[section][key]}")
-        if section in _FAMILIES:
-            _family(section, body)
     if "output" in cfg and not (isinstance(cfg["output"], str) and cfg["output"]):
         raise ConfigError("output must be a non-empty string (the artifact file prefix)")
     for key, val in cfg.get("tolerances", {}).items():
-        # lambda = 0 is the Green measure itself; every other tolerance is a size
-        if not (val > 0 or (val == 0 and key == "lam")):
+        # lambda = 0 is the Green measure itself; every other tolerance is a size.  Python's json
+        # reads Infinity, which is no JSON number
+        if not (0 < val < np.inf or (val == 0 and key == "lam")):
             raise ConfigError(f"tolerance {key!r} must be a positive number")
-    horizons = {**exp.horizons, **cfg.get("horizons", {})}
-    if horizons.get("T_grid") == []:
-        raise ConfigError("horizons.T_grid must hold at least one time")
-    # round(T / dt) >= 2 steps: the three samples of gfd's central difference, and no division by dt = 0
-    if "dt" in horizons and not (horizons["dt"] > 0 and 1.5 <= horizons["T"] / horizons["dt"] < np.inf):
-        raise ConfigError("horizons.T must span at least two steps of horizons.dt > 0")
-    if name == "fke-residual":
-        # the coarsest level's t_grid, dt * arange(steps + 1); each finer level has at least as
-        # many steps and a t_grid[-2] at least as late, so it passes fke_residual's checks too
-        steps = int(round(horizons["T"] / horizons["dt"]))
-        if steps < 3:
-            raise ConfigError("horizons.T must span at least three steps of horizons.dt (four times for fke-residual)")
-        t_min = {**exp.tolerances, **cfg.get("tolerances", {})}["t_min"]
-        if not t_min <= horizons["dt"] * (steps - 1):
-            raise ConfigError("tolerances.t_min must be at most the last interior time, "
-                              "horizons.dt * (round(horizons.T / horizons.dt) - 1)")
-    if "mc" in exp.reads and not {"n", "seed"} <= set(cfg.get("mc", {})):
-        raise ConfigError(f"experiment {name!r} is stochastic and needs mc.n and mc.seed")
-    if "subordinator" in exp.reads and "subordinator" not in cfg:
-        raise ConfigError("this experiment needs a subordinator section")
-    if "grid" in cfg and set(cfg["grid"]) != {"N", "L"}:
-        raise ConfigError("grid needs both N and L")
-    if "kernel" in exp.reads:  # the run's own kernel: its factory checks dim, and point needs dim numbers
-        dim = _Inputs(cfg, "").kernel.dim
-        if "point" in cfg and not (_is(cfg["point"], "array of numbers") and len(cfg["point"]) == dim):
-            raise ConfigError(f"point must be a list of {dim} coordinates (the kernel dim)")
+    for key, val in cfg.get("horizons", {}).items():
+        times = np.atleast_1d(np.asarray(val, dtype=float))
+        if not (times.size and np.all((times > 0) & (times < np.inf)) and np.all(np.diff(times) > 0)):
+            raise ConfigError(f"horizon {key!r} must be " + ("a non-empty, strictly increasing array of positive "
+                              "finite times" if isinstance(val, list) else "a positive finite time"))
+    inp = _Inputs(cfg, "")
+    for built in (*exp.reads, *("steps",) * ("dt" in inp.horizons)):
+        getattr(inp, built)
     return cfg
 
 
 class _Inputs:
-    """One run's validated config; each section is built on first use and then kept.
-    tol and horizons hold every tolerance and horizon the experiment reads, unset ones at their defaults."""
+    """One run's inputs from its config, each built on first use and then kept: every section
+    the experiment reads, by its own name, and the step count of a run that reads horizons.dt.
+    Each builder refuses what its run would, through the library's own gates where it has one.
+    tolerances and horizons hold every value the experiment reads, unset ones at their defaults."""
 
     def __init__(self, cfg: dict, prefix: str):
-        self.cfg, self.prefix = cfg, prefix
-        exp = EXPERIMENTS[cfg["experiment"]]
-        self.tol = {**exp.tolerances, **cfg.get("tolerances", {})}
-        self.horizons = {**exp.horizons, **cfg.get("horizons", {})}
+        self.cfg, self.prefix, self.exp = cfg, prefix, EXPERIMENTS[cfg["experiment"]]
+        self.tolerances = {**self.exp.tolerances, **cfg.get("tolerances", {})}
+        self.horizons = {**self.exp.horizons, **cfg.get("horizons", {})}
+        if "k_min" in self.tolerances:
+            _require_k_window(self.tolerances["k_min"], self.tolerances["k_max"])
+        if "s0" in self.tolerances:
+            _require_s0(self.tolerances["s0"])
 
     @cached_property
     def kernel(self):
@@ -192,10 +183,14 @@ class _Inputs:
             d = self.kernel.dim
             _require(d in defaults, "kernel.dim", f"1, 2 or 3 for the radial Fourier rule, not {d}")
             return GridSpec(d, *defaults[d])
+        if set(g) != {"N", "L"}:
+            raise ConfigError("grid needs both N and L")
         return GridSpec(self.kernel.dim, g["N"], float(g["L"]))
 
     @cached_property
-    def spec(self):
+    def subordinator(self):
+        if "subordinator" not in self.cfg:
+            raise ConfigError("this experiment needs a subordinator section")
         return _family("subordinator", self.cfg["subordinator"])()
 
     @cached_property
@@ -203,8 +198,16 @@ class _Inputs:
         return _family("f", self.cfg.get("f", {}))(self.kernel)
 
     @cached_property
-    def x(self) -> tuple:
-        return tuple(float(v) for v in self.cfg.get("point", [0.0] * self.kernel.dim))
+    def point(self) -> tuple:
+        """x, the origin unless set; inside the box of a run that reads a grid, whose periodic sum would wrap it."""
+        dim = self.kernel.dim
+        given = self.cfg.get("point", [0.0] * dim)
+        if not (_is(given, "array of numbers") and len(given) == dim):
+            raise ConfigError(f"point must be a list of {dim} coordinates (the kernel dim)")
+        x = _finite_point(given, dim)
+        if "grid" in self.exp.reads:
+            _inside_box(x, self.grid)
+        return tuple(x.tolist())
 
     @cached_property
     def bins(self) -> BinSpec:
@@ -213,8 +216,27 @@ class _Inputs:
 
     @cached_property
     def mc(self) -> tuple:
-        """(n, seed); load_config makes an experiment that reads mc carry both."""
-        return self.cfg["mc"]["n"], self.cfg["mc"]["seed"]
+        """(n, seed), which a stochastic run must set."""
+        mc = self.cfg.get("mc", {})
+        if not {"n", "seed"} <= set(mc):
+            raise ConfigError(f"experiment {self.cfg['experiment']!r} is stochastic and needs mc.n and mc.seed")
+        _require_mc(mc["n"], mc["seed"])
+        return mc["n"], mc["seed"]
+
+    @cached_property
+    def steps(self) -> int:
+        """round(T / dt): at least two, the three times of gfd's central difference, and for a run that
+        reads t_min at least three (fke_residual's four times), with t_min at most the last interior time."""
+        ratio, least = self.horizons["T"] / self.horizons["dt"], 3 if "t_min" in self.tolerances else 2
+        steps = int(round(ratio)) if ratio < np.inf else 0
+        if steps < least:
+            raise ConfigError(f"horizons.T / horizons.dt must round to a finite step count of at least {least}")
+        # the coarsest level's t_grid is dt * arange(steps + 1); each finer level has at least as
+        # many steps and a t_grid[-2] at least as late, so it passes fke_residual's checks too
+        if not self.tolerances.get("t_min", 0.0) <= self.horizons["dt"] * (steps - 1):
+            raise ConfigError("tolerances.t_min must be at most the last interior time, "
+                              "horizons.dt * (round(horizons.T / horizons.dt) - 1)")
+        return steps
 
     def write_csv(self, name: str, header, rows) -> list:
         """Write {prefix}_{name}.csv, numbers as repr(float); returns the artifact list."""
@@ -236,9 +258,9 @@ class _Inputs:
 def _axis_profile(inp: _Inputs, *methods: str) -> list:
     """Columns x, then G_lam by each method ("series", "fourier"), at the grid
     nodes on the first axis with |x| <= tolerances.radius."""
-    lam = inp.tol["lam"]
+    lam = inp.tolerances["lam"]
     xs = inp.grid.axis
-    xs = xs[np.abs(xs) <= inp.tol["radius"]]
+    xs = xs[np.abs(xs) <= inp.tolerances["radius"]]
     pts = np.zeros((xs.size, inp.kernel.dim))
     pts[:, 0] = xs
     values = {
@@ -270,7 +292,7 @@ def _exp_validate_kernel(inp):
 
 
 def _exp_fit_expansion(inp):
-    A, alpha, resid = fit_small_k_expansion(inp.kernel, k_min=inp.tol["k_min"], k_max=inp.tol["k_max"])
+    A, alpha, resid = fit_small_k_expansion(inp.kernel, inp.tolerances["k_min"], inp.tolerances["k_max"])
     return inp.write_csv("fit", ["A", "alpha", "max_log_residual"], [[A, alpha, resid]])
 
 
@@ -291,29 +313,28 @@ def _exp_green_compare(inp):
 
 
 def _exp_potential(inp):
-    val = potential(inp.kernel, inp.f, inp.x)
-    return inp.write_csv("potential", [*(f"x{i}" for i in range(inp.kernel.dim)), "V"], [[*inp.x, val]])
+    val = potential(inp.kernel, inp.f, inp.point)
+    return inp.write_csv("potential", [*(f"x{i}" for i in range(inp.kernel.dim)), "V"], [[*inp.point, val]])
 
 
 def _exp_mc_potential(inp):
     T = float(inp.horizons["T"])
-    est = mc_truncated_potential(inp.kernel, inp.f, inp.x, T, *inp.mc)
+    est = mc_truncated_potential(inp.kernel, inp.f, inp.point, T, *inp.mc)
     return inp.write_csv("mc_potential", ["mean", "stderr", "n", "seed", "T"],
                          [[est.mean, est.stderr, est.n_samples, est.seed, T]])
 
 
 def _exp_random_green(inp):
     T = float(inp.horizons["T"])
-    hist, stderr = average_random_green_measure(inp.kernel, inp.x, T, inp.bins, *inp.mc)
+    hist, stderr = average_random_green_measure(inp.kernel, inp.point, T, inp.bins, *inp.mc)
     return inp.write_csv("random_green", *_histogram_rows(inp.bins, hist, stderr))
 
 
 def _exp_subordinator_check(inp):
-    h = check_H(inp.spec)
-    adm = check_admissible(inp.spec, s0=inp.tol["s0"])
+    h = check_H(inp.subordinator)
+    adm = check_admissible(inp.subordinator, s0=inp.tolerances["s0"])
     return inp.write_json("subordinator", {
-        "family": inp.spec.family,
-        "params": inp.spec.params,
+        **inp.subordinator.to_json_dict(),
         "H": {k: v for k, v in h.__dict__.items() if k != "details"},
         "H_passed": h.passed,
         "admissible": {
@@ -325,41 +346,39 @@ def _exp_subordinator_check(inp):
 
 
 def _exp_rho(inp):
-    taus = np.linspace(0.0, inp.tol["tau_max"], inp.tol["n_tau"])
+    taus = np.linspace(0.0, inp.tolerances["tau_max"], inp.tolerances["n_tau"])
     rows = [
         [t, tau, rho]
         for t in inp.horizons["T_grid"]
-        for tau, rho in zip(taus, rho_density(inp.spec, float(t), taus))
+        for tau, rho in zip(taus, rho_density(inp.subordinator, float(t), taus))
     ]
     return inp.write_csv("rho", ["t", "tau", "rho"], rows)
 
 
 def _exp_gfd(inp):
-    T = float(inp.horizons["T"])
-    dt = float(inp.horizons["dt"])
-    m = int(round(T / dt))
+    dt, m = float(inp.horizons["dt"]), inp.steps
     t_grid = dt * np.arange(m + 1)
-    masses = kernel_cell_masses(inp.spec, dt, m)
-    vals = gfd_apply(None, t_grid ** inp.tol["power"], dt, cell_masses=masses)
+    masses = kernel_cell_masses(inp.subordinator, dt, m)
+    vals = gfd_apply(None, t_grid ** inp.tolerances["power"], dt, cell_masses=masses)
     return inp.write_csv("gfd", ["t", "gfd"], zip(t_grid[1:m], vals))
 
 
 def _exp_subordinate_solve(inp):
     ts = inp.horizons["T_grid"]
-    v = subordinated_solution(inp.kernel, inp.spec, inp.f, inp.x, np.asarray(ts, dtype=float), grid=inp.grid)
+    v = subordinated_solution(inp.kernel, inp.subordinator, inp.f, inp.point, np.asarray(ts, float), inp.grid)
     return inp.write_csv("subordinate_solve", ["t", "v"], zip(ts, v))
 
 
 def _exp_renorm_curve(inp):
     T_grid = inp.horizons["T_grid"]
-    curve = renormalized_potential_curve(inp.kernel, inp.spec, inp.f, inp.x, np.asarray(T_grid, float))
+    curve = renormalized_potential_curve(inp.kernel, inp.subordinator, inp.f, inp.point, np.asarray(T_grid, float))
     rows = zip(curve.T_grid, curve.N_values, curve.values, [curve.target] * curve.values.size, curve.rel_gaps)
     return inp.write_csv("renorm_curve", ["T", "N", "value", "target", "rel_gap"], rows)
 
 
 def _exp_renorm_histogram(inp):
     T = float(inp.horizons["T"])
-    hist, stderr = renormalized_green_histogram(inp.kernel, inp.spec, inp.x, T, inp.bins, *inp.mc)
+    hist, stderr = renormalized_green_histogram(inp.kernel, inp.subordinator, inp.point, T, inp.bins, *inp.mc)
     return inp.write_csv("renorm_histogram", *_histogram_rows(inp.bins, hist, stderr))
 
 
@@ -367,11 +386,11 @@ def _exp_fke_residual(inp):
     T = float(inp.horizons["T"])
     dt = float(inp.horizons["dt"])
     rows = []
-    for lev in range(inp.tol["levels"]):
+    for lev in range(inp.tolerances["levels"]):
         step = dt / 2**lev
         t_grid = step * np.arange(int(round(T / step)) + 1)
-        residual = fke_residual(inp.kernel, inp.spec, inp.f, inp.x, t_grid, grid=inp.grid,
-                                t_min=inp.tol["t_min"])
+        residual = fke_residual(inp.kernel, inp.subordinator, inp.f, inp.point, t_grid, grid=inp.grid,
+                                t_min=inp.tolerances["t_min"])
         rows.append([step, residual])
     return inp.write_csv("fke_residual", ["dt", "residual"], rows)
 

@@ -51,3 +51,9 @@ def _require_count(n, name: str, least: int) -> None:
     """Raise InvalidInputError unless n is an integer >= least; a bool is no integer."""
     if not (isinstance(n, Integral) and not isinstance(n, bool) and n >= least):
         raise InvalidInputError(f"{name} must be an integer with {name} >= {least}")
+
+
+def _require_mc(n, seed) -> None:
+    """The gate of every Monte Carlo estimate: n >= 2 replicas, so that it has a standard error, and a seed >= 0."""
+    _require_count(n, "n", 2)
+    _require_count(seed, "seed", 0)

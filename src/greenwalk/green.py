@@ -28,7 +28,7 @@ from .errors import (
     _require,
 )
 from .grids import FieldGrid, GridSpec, field_from_function, require_same_grid
-from .grids import _finite_point, _from_spectral, _half, _to_spectral
+from .grids import _finite_point, _from_spectral, _half, _inside_box, _panel_rule, _to_spectral
 from .kernels import JumpKernel, spectral_density
 
 
@@ -116,8 +116,7 @@ class _RateClasses:
 
     @classmethod
     def build(cls, kernel: JumpKernel, f: CLFunction, x, grid: GridSpec) -> "_RateClasses":
-        f, x = f.samples_on(grid), _finite_point(x, kernel.dim)
-        _require((x >= -grid.half_width) & (x < grid.half_width), "x", "finite and inside the box [-L, L)^d")
+        f, x = f.samples_on(grid), _inside_box(_finite_point(x, kernel.dim), grid)
         a_hat = spectral_density(kernel, grid)
         excess = float(a_hat.max()) - 1.0
         if excess > _SYMBOL_EXCESS:
@@ -125,8 +124,7 @@ class _RateClasses:
                 f"sampled symbol exceeds 1 by {excess:.3e} on this grid: the density is "
                 "undersampled, so 1 - a_hat would be a negative decay rate"
             )
-        n = grid.points_per_axis
-        k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+        n, k1 = grid.points_per_axis, grid.frequency_axis
         # the Nyquist index stands for both signs of pi/h, so its phase factor
         # e^{-i pi x/h} becomes cos(pi x/h), the real sum over the full layout
         nyquist = np.where(np.arange(n) == n // 2, k1, 0.0)
@@ -272,18 +270,6 @@ _TAIL_FORM_K = 1e-4
 _RADIAL_TOL = 1e-4
 
 
-# Gauss-Legendre nodes and weights on [-1, 1]: order 16 gives a radial value, order 8 its error
-_LEGENDRE = {n: np.polynomial.legendre.leggauss(n) for n in (16, 8)}
-
-
-def _radial_rule(k_max: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of order-point Gauss-Legendre on each panel of [0, k_max]."""
-    edges = np.concatenate(([0.0], np.geomspace(1e-8, k_max, _PANELS + 1)))
-    t, w = _LEGENDRE[order]
-    half = 0.5 * np.diff(edges)[:, None]
-    return (edges[:-1, None] + half * (1.0 + t)).ravel(), (half * w).ravel()
-
-
 def _radial_value(kernel: JumpKernel, x, lam: float, multiplier) -> tuple[np.ndarray, np.ndarray]:
     """(2 pi)^{-d} int e^{i(k,x)} g(k) dk for g = multiplier(k, a_hat, 1 - a_hat), and its error.
 
@@ -299,8 +285,8 @@ def _radial_value(kernel: JumpKernel, x, lam: float, multiplier) -> tuple[np.nda
     with np.errstate(over="ignore"):
         r = float(np.linalg.norm(_finite_point(x, kernel.dim)))
     _require(r < np.inf, "x", "of finite length |x|")
-    k_max = _fourier_cutoff(kernel, lam)
-    (k16, w16), (k8, w8) = (_radial_rule(k_max, n) for n in (16, 8))
+    edges = np.concatenate(([0.0], np.geomspace(1e-8, _fourier_cutoff(kernel, lam), _PANELS + 1)))
+    (k16, w16), (k8, w8) = (_panel_rule(edges, n) for n in (16, 8))
     k = np.concatenate((k16, k8))
     a_hat = np.asarray(kernel.fourier(k), dtype=float)
     gap = 1.0 - a_hat

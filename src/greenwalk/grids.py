@@ -6,10 +6,12 @@ stored as d-dimensional arrays in natural coordinate order (index 0 is
 x = -L); FFT-based routines shift the origin to index 0 internally.
 Fields are real, so the spectral pair _to_spectral/_from_spectral uses numpy's
 rfftn half layout: fftn layout on every axis but the last, which keeps 0..N/2.
+The module also holds the one Gauss-Legendre panel rule of the 1-d quadratures.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,14 +72,18 @@ class GridSpec:
             r2 += c * c
         return r2
 
+    @property
+    def frequency_axis(self) -> np.ndarray:
+        """1-d angular frequencies 2 pi fftfreq(N, h), in numpy's fft layout."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
+
     def wavenumbers(self) -> list[np.ndarray]:
         """Angular frequency meshes matching numpy's fftn layout."""
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
-        return list(np.meshgrid(*([k1] * self.dim), indexing="ij"))
+        return list(np.meshgrid(*([self.frequency_axis] * self.dim), indexing="ij"))
 
     def wavenumber_radius_squared(self) -> np.ndarray:
         """|k|^2 on the fftn-layout mesh, summed by broadcast from one axis."""
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
+        k1 = self.frequency_axis
         return sum(np.ix_(*[k1 * k1] * self.dim))
 
 
@@ -138,6 +144,23 @@ def _finite_point(x, dim: int) -> np.ndarray:
     _require(x.shape == (dim,), "x", f"a point of kernel.dim = {dim} coordinates")
     _require(np.isfinite(x), "x", "finite")
     return x
+
+
+def _inside_box(x: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """x; InvalidInputError unless it lies in the box [-L, L)^d, which a periodic sum over the grid would wrap."""
+    _require((x >= -grid.half_width) & (x < grid.half_width), "x", "finite and inside the box [-L, L)^d")
+    return x
+
+
+# Gauss-Legendre nodes and weights on [-1, 1] of each order, built once
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)
+
+
+def _panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of order-point Gauss-Legendre on each panel [edges[i], edges[i + 1]], panel by panel."""
+    t, w = _leggauss(order)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (1.0 + t)).ravel(), (half * w).ravel()
 
 
 def require_same_grid(a: FieldGrid, b: FieldGrid) -> None:

@@ -1,4 +1,4 @@
-"""Jump kernels: densities, Fourier transforms, tail fits and convolution powers.
+"""Jump kernels: densities, Fourier transforms, tail fits and grid validation.
 
 A jump kernel is a symmetric probability density a on R^d.  Its Fourier
 transform satisfies a_hat(0) = 1, |a_hat| <= 1 and a_hat -> 0 at infinity.
@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AliasingError, InvalidKernelError, _require, _require_count
-from .grids import FieldGrid, GridSpec, _from_spectral, _half, field_from_function
+from .grids import FieldGrid, GridSpec, field_from_function
 
 ALIASING_THRESHOLD = 1e-12
 
@@ -91,6 +91,11 @@ def make_cauchy_kernel() -> JumpKernel:
     return _stable_kernel(1.0, 1, density, sampler, "cauchy1d")
 
 
+def _require_k_window(k_min: float, k_max: float) -> None:
+    """fit_small_k_expansion's gate on its probe window."""
+    _require(0 < k_min < k_max < np.inf, "k_min, k_max", "finite with 0 < k_min < k_max")
+
+
 def fit_small_k_expansion(
     kernel: JumpKernel,
     k_min: float = 1e-3,
@@ -100,7 +105,7 @@ def fit_small_k_expansion(
 
     Returns (A, alpha, max relative residual of the fit in log space).
     """
-    _require(0 < k_min < k_max < np.inf, "k_min, k_max", "finite with 0 < k_min < k_max")
+    _require_k_window(k_min, k_max)
     ks = np.geomspace(k_min, k_max, 64)
     drop = 1.0 - np.asarray(kernel.fourier(ks), dtype=float)
     if np.any(drop <= 0):
@@ -151,14 +156,6 @@ def spectral_density(kernel: JumpKernel, grid: GridSpec) -> np.ndarray:
         by_grid[grid] = np.real(np.fft.fftn(shifted)) * grid.cell_volume
         by_grid[grid].flags.writeable = False
     return by_grid[grid]
-
-
-def convolve_power(kernel: JumpKernel, n: int, grid: GridSpec) -> FieldGrid:
-    """n-fold self-convolution a^{*n} sampled on the grid, via FFT."""
-    _require_count(n, "n", 1)  # the 0-fold convolution is a delta
-    if n == 1:
-        return sample_density(kernel, grid)
-    return FieldGrid(grid, _from_spectral(grid, _half(spectral_density(kernel, grid)) ** n))
 
 
 @dataclass

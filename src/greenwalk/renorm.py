@@ -15,9 +15,9 @@ import numpy as np
 from scipy import special
 
 from . import laplace
-from .errors import ConfigError, InvalidInputError, InversionInstabilityError, TruncationError, _require, _require_count
+from .errors import ConfigError, InvalidInputError, InversionInstabilityError, TruncationError, _require, _require_mc
 from .green import CLFunction, _radial_value, _RateClasses, _require_green_measure, potential
-from .grids import GridSpec, _finite_point
+from .grids import GridSpec, _finite_point, _panel_rule
 from .kernels import JumpKernel
 from .simulate import BinSpec, McEstimate, _mc_end_values, _mc_occupation
 from .subordinate import (
@@ -86,8 +86,7 @@ def mc_time_changed_expectation(
     with paths ordered by N and no holding time drawn.
     """
     _require(0 <= t < np.inf, "t", "finite and >= 0")
-    _require_count(n, "n", 2)
-    _require_count(seed, "seed", 0)
+    _require_mc(n, seed)
     x = _finite_point(x, kernel.dim)  # before any draw of D(t), which may cost many law evaluations
     rng = np.random.default_rng(seed)
     d_draws = sample_inverse_many(spec, t, None, n, seed=int(rng.integers(2**63))) if t > 0 else np.zeros(n)
@@ -204,9 +203,12 @@ def unnormalized_potential_integral(
     x,
     T: float,
 ) -> float:
-    """int_0^T v(s, x) ds without the 1/N(T) renormalization (diverges in T).
+    """int_0^T v(s, x) ds without the 1/N(T) renormalization.
 
-    The curve's continuum radial quadrature; it reads no grid.
+    The curve's continuum radial quadrature; it reads no grid.  Under the hypotheses it
+    checks, assumption (H) with K(0+) = infinity, so that S has no finite mean, it grows
+    without bound, like N(T) V(x, f).  A subordinator with a finite mean Phi'(0) would give
+    the finite limit Phi'(0) V(x, f) instead, but such a spec fails (H) and is refused.
     """
     _require(0 < T < np.inf, "T", "finite and positive")
     return float(_occupation_integrals(kernel, spec, f, x, [T])[0][0])
@@ -215,10 +217,6 @@ def unnormalized_potential_integral(
 # ---------------------------------------------------------------------------
 # renormalized occupation histogram of Z
 # ---------------------------------------------------------------------------
-
-
-# Gauss-Legendre nodes and weights of one panel in s = sqrt(tau) of the quadrature weights
-_GAMMA_RULE = np.polynomial.legendre.leggauss(12)
 
 
 def _state_weights(spec: SubordinatorSpec, T: float) -> np.ndarray:
@@ -252,9 +250,8 @@ def _quadrature_weights(spec: SubordinatorSpec, T: float) -> np.ndarray:
     tau_stop = _horizon(spec.clipped_mean, T)
     n = np.arange(int(np.ceil(tau_stop + 10.0 * np.sqrt(tau_stop) + 10.0)) + 1)
     centre = np.sqrt(n + 0.5)
-    x, w = _GAMMA_RULE
-    s = (0.5 * np.arange(np.ceil(2.0 * centre[-1] + 16.0))[:, None] + 0.25 * (1.0 + x)).ravel()
-    mass = np.tile(0.25 * w, s.size // w.size) * (T - spec.clipped_mean(T, s * s))
+    s, w = _panel_rule(0.5 * np.arange(np.ceil(2.0 * centre[-1] + 16.0) + 1.0), 12)
+    mass = w * (T - spec.clipped_mean(T, s * s))
     lo, hi = np.searchsorted(s, centre - 8.0), np.searchsorted(s, centre + 8.0)
     R = np.empty(n.size)
     for i in range(0, n.size, 256):  # rows in blocks, each over the columns its bumps reach
@@ -300,8 +297,7 @@ def renormalized_green_histogram(
     _require(bins.dim == kernel.dim, "bins", f"a BinSpec of kernel.dim = {kernel.dim} axes")
     if method not in ("conditional", "raw"):
         raise InvalidInputError(f"method must be 'conditional' or 'raw', not {method!r}")
-    _require_count(n, "n", 2)
-    _require_count(seed, "seed", 0)
+    _require_mc(n, seed)
     if spec.clipped_mean is None:
         raise ConfigError("the subordinator has no clipped mean E[S(tau) ^ T]")
     rng = np.random.default_rng(seed)

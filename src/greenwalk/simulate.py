@@ -9,15 +9,15 @@ the path's states, and draw no holding time.
 
 from __future__ import annotations
 
+import functools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidKernelError, _require, _require_count
+from .errors import InvalidKernelError, _require, _require_count, _require_mc
 from .green import CLFunction
 from .grids import _finite_point
 from .kernels import JumpKernel
@@ -85,30 +85,18 @@ _HORIZON_BOUND = "below 2**62, so that the jump count fits an int64"
 # pay less per-op overhead; 2^19 gained a little more speed but 6% more peak RSS.
 _CHUNK_ELEMENTS = 1 << 18
 
-# worker threads for path chunks, created on first use: numpy's generators,
-# ufuncs and cumsum release the interpreter lock
-_POOL: Optional[ThreadPoolExecutor] = None
-_POOL_LOCK = threading.Lock()
 
-
+@functools.cache
 def _pool() -> ThreadPoolExecutor:
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-            _POOL = ThreadPoolExecutor(cores or 1, thread_name_prefix="greenwalk-paths")
-        return _POOL
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads, so
-    # work submitted to it would never run
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
+    """The worker threads for path chunks, created on first use: numpy's generators, ufuncs and cumsum
+    release the interpreter lock."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return ThreadPoolExecutor(cores or 1, thread_name_prefix="greenwalk-paths")
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    # a forked child inherits the pool object but none of its threads, so work submitted to it would never run
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 @dataclass
@@ -230,8 +218,7 @@ def mc_expectation(
 ) -> McEstimate:
     """Sample mean of f(X(t)) over n independent paths."""
     _require(0 <= t < np.inf, "t", "finite and >= 0")
-    _require_count(n, "n", 2)
-    _require_count(seed, "seed", 0)
+    _require_mc(n, seed)
     rng = np.random.default_rng(seed)
     return _mc_end_values(kernel, f, x, np.full(n, float(t)), rng, seed)
 
@@ -265,8 +252,7 @@ def mc_truncated_potential(
     states Y_0 = x, ..., Y_N give T / (N + 1) sum_j f(Y_j): same mean, less variance.
     """
     _require(0 < T < np.inf, "T", "finite and positive")
-    _require_count(n, "n", 2)
-    _require_count(seed, "seed", 0)
+    _require_mc(n, seed)
     rng = np.random.default_rng(seed)
 
     def consume(c):
@@ -322,15 +308,16 @@ class BinSpec:
 
         The bin coordinate floor((p - lo) / w) is range-tested and clipped in
         float before the cast to int64, so a point beyond about 9.2e18 w is
-        outside rather than an undefined cast; one float buffer per axis is
-        reused in place.
+        outside rather than an undefined cast, and one whose coordinate overflows
+        to inf is outside too; one float buffer per axis is reused in place.
         """
         points = np.atleast_2d(points)
         idx = np.zeros(points.shape[0], dtype=np.int64)
         inside = np.ones(points.shape[0], dtype=bool)
         for lo, hi, n, coord in zip(self.lo, self.hi, self.shape, points.T):
-            j = np.subtract(coord, lo)
-            j /= (hi - lo) / n
+            with np.errstate(over="ignore"):
+                j = np.subtract(coord, lo)
+                j /= (hi - lo) / n
             np.floor(j, out=j)
             inside &= j >= 0
             inside &= j < n
@@ -382,12 +369,13 @@ def _mc_occupation(kernel: JumpKernel, x, h: Optional[float], bins: BinSpec, n: 
     return OccupationHistogram(bins, mean, float(acc.mean[-1])), stderr
 
 
-def _start_in_box(kernel: JumpKernel, bins: BinSpec, x) -> np.ndarray:
-    """x, a finite point of kernel.dim coordinates inside bins, which must have kernel.dim axes."""
+def _binned_start(kernel: JumpKernel, bins: BinSpec, x) -> np.ndarray:
+    """x, a finite point of kernel.dim coordinates, for bins of kernel.dim axes.
+
+    x may lie outside the bins: its states there deposit into the escaped mass.
+    """
     _require(bins.dim == kernel.dim, "bins", f"a BinSpec of kernel.dim = {kernel.dim} axes")
-    x = _finite_point(x, kernel.dim)
-    _require((x >= np.asarray(bins.lo)) & (x < np.asarray(bins.hi)), "x", "inside the binned box")
-    return x
+    return _finite_point(x, kernel.dim)
 
 
 def empirical_random_green_measure(
@@ -395,7 +383,7 @@ def empirical_random_green_measure(
 ) -> OccupationHistogram:
     """Occupation measure of a single path: durations deposited per bin."""
     _require(0 < T < np.inf, "T", "finite and positive")
-    x = _start_in_box(kernel, bins, x)
+    x = _binned_start(kernel, bins, x)
     return _mc_occupation(kernel, x, float(T), bins, 1, rng, lambda c: (c.durations, 0.0))[0]
 
 
@@ -407,8 +395,7 @@ def average_random_green_measure(
     A path deposits T / (N + 1) at each of its N + 1 states and draws no holding time.
     """
     _require(0 < T < np.inf, "T", "finite and positive")
-    _require_count(n, "n", 2)
-    _require_count(seed, "seed", 0)
-    x = _start_in_box(kernel, bins, x)
+    _require_mc(n, seed)
+    x = _binned_start(kernel, bins, x)
     rng = np.random.default_rng(seed)
     return _mc_occupation(kernel, x, float(T), bins, n, rng, lambda c: (c.mean_durations(), 0.0))

@@ -18,6 +18,7 @@ from scipy import special
 
 from . import laplace
 from .errors import ConfigError, TruncationError, _require, _require_count
+from .grids import _panel_rule
 
 __all__ = [
     "SubordinatorSpec",
@@ -98,8 +99,6 @@ def _standard_stable(alpha: float, rng, size) -> np.ndarray:
 
 # rows x nodes of the Kanter quadrature held at once
 _KANTER_BLOCK = 1 << 18
-# Gauss-Legendre nodes and weights of one Kanter panel on [-1, 1]
-_KANTER_RULE = np.polynomial.legendre.leggauss(12)
 
 
 def _kanter_average(alpha: float, tau, t: float, h: Callable, h_inf: float) -> np.ndarray:
@@ -117,12 +116,9 @@ def _kanter_average(alpha: float, tau, t: float, h: Callable, h_inf: float) -> n
         out, pos = np.zeros(s.shape), s > 0
         Y = np.log(np.pi / (np.sin(alpha * np.pi) * np.min(s[pos], initial=1.0))) + 8.0
         if np.isfinite(Y):
-            edges = np.linspace(0.0, Y, int(np.ceil(Y / min(1.0, 2.0 * (1.0 - alpha)))) + 1)
-            x, w = _KANTER_RULE
-            half = 0.5 * np.diff(edges)[:, None]
-            y = (edges[:-1, None] + half * (1.0 + x)).ravel()
+            y, w = _panel_rule(np.linspace(0.0, Y, int(np.ceil(Y / min(1.0, 2.0 * (1.0 - alpha)))) + 1), 12)
             A = _kanter_A(alpha, -np.pi * np.expm1(-y), np.pi * np.exp(-y))
-            weights = np.exp(-y) * (half * w).ravel()
+            weights = np.exp(-y) * w
             scaled = s[pos] ** (1.0 / (1.0 - alpha))
             blocks = np.array_split(scaled, 1 + scaled.size * y.size // _KANTER_BLOCK)
             out[pos] = np.concatenate([h(b[:, None] * A) @ weights for b in blocks]) + h_inf * np.exp(-Y)
@@ -542,10 +538,15 @@ class AdmissibilityReport:
         return bool(self.a1_estimate > 0 and self.a2_max_deviation < 0.15)
 
 
+def _require_s0(s0: float) -> None:
+    """check_admissible's gate on s0, which it divides by lambda down to 1e-6."""
+    _require(0 < s0 < np.finfo(float).max * 1e-6, "s0", "positive, with s0 / 1e-6 a finite float")
+
+
 def check_admissible(spec: SubordinatorSpec, s0: float) -> AdmissibilityReport:
     """Estimate liminf (1/K(lambda)) int_0^{s0/lambda} k and the t/r -> 1 ratio limit."""
+    _require_s0(s0)
     lams = np.geomspace(1e-2, 1e-6, 9)
-    _require(0 < s0 < np.finfo(float).max * lams[-1], "s0", "positive, with s0 / 1e-6 a finite float")
     a1_vals = normalization_N(spec, s0 / lams) / np.asarray(spec.K_eval(lams), dtype=float)
     base_t = 1e6
     ratios_t = np.linspace(0.9, 1.1, 9)

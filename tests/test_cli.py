@@ -1,5 +1,6 @@
 """Command-line runner tests: strict configs, artifacts, reproducibility."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -114,33 +115,20 @@ def test_cli_errors_are_json(tmp_path, capsys):
     assert err["type"] == "DivergentGreenMeasureError"
 
 
-def test_cli_bad_inputs_report_the_typed_error(tmp_path, capsys):
-    # a negative seed passes the config schema and is refused by the library's input gate
-    cfg = write_cfg(tmp_path, "seed", experiment="mc-potential", mc={"n": 10, "seed": -1})
-    assert run_cli(["run", cfg, "--out", tmp_path]) == 1
-    err = json.loads(capsys.readouterr().out)["error"]
-    assert err == {"type": "InvalidInputError", "message": "seed must be an integer with seed >= 0"}
-
-
 DIM4 = {"kernel": {"family": "gaussian", "dim": 4}}
 
 
 @pytest.mark.parametrize("body, message", [
-    ({"experiment": "random-green", "bins": {"per_axis": 0}, "mc": {"n": 10, "seed": 1}},
-     "shape must be an integer with shape >= 1"),
     ({"experiment": "renorm-curve", "subordinator": {"family": "stable"}, **DIM4},
      "kernel.dim must be 1, 2 or 3 for the radial Fourier rule, not 4"),
     ({"experiment": "green-fourier", "grid": {"N": 8, "L": 4.0}, **DIM4},
      "kernel.dim must be 1, 2 or 3 for the radial Fourier rule, not 4"),
-    # with no grid section, the same error, not one about a default grid the config never set
-    ({"experiment": "green-fourier", **DIM4},
-     "kernel.dim must be 1, 2 or 3 for the radial Fourier rule, not 4"),
     ({"experiment": "potential", **DIM4},
      "kernel.dim must be 1, 2 or 3 for the radial Fourier rule, not 4"),
-], ids=["bins-per-axis-zero", "renorm-curve-dim-4", "green-fourier-dim-4", "green-fourier-dim-4-no-grid",
-        "potential-dim-4-no-grid"])
+], ids=["renorm-curve-dim-4", "green-fourier-dim-4", "potential-dim-4-no-grid"])
 def test_cli_inputs_the_library_refuses_print_the_error_line(tmp_path, capsys, body, message):
-    # each used to end in a traceback (ZeroDivisionError, NotImplementedError)
+    # each used to end in a traceback (NotImplementedError).  validate passes them: the radial
+    # rule refuses the dimension inside the library call, which no input builder makes
     cfg = write_cfg(tmp_path, "refused", **body)
     assert run_cli(["run", cfg, "--out", tmp_path]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == {"type": "InvalidInputError", "message": message}
@@ -313,11 +301,17 @@ def test_cauchy_kernel_in_three_dimensions_is_rejected(tmp_path):
 
 
 def test_families_are_read_from_one_table():
-    # load_config's check and the run's kernel, subordinator and f all go through cli._family
+    # the run's kernel, subordinator and f all go through cli._family, and each experiment's
+    # rules through the sections, tolerances and horizons it reads: no comparison in cli.py
+    # names a family or an experiment
     source = Path(cli.__file__).read_text()
     assert "family ==" not in source and "_FAMILY_PARAMS" not in source
     assert {section: set(families) for section, families in cli._FAMILIES.items()} == {
         "kernel": {"gaussian", "cauchy"}, "subordinator": {"stable", "gamma"}, "f": {"kernel"}}
+    names = {*EXPERIMENTS, *(family for families in cli._FAMILIES.values() for family in families)}
+    compared = [const.value for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare)
+                for const in ast.walk(node) if isinstance(const, ast.Constant) and const.value in names]
+    assert compared == []
 
 
 @pytest.mark.parametrize("body, built", [
@@ -332,7 +326,7 @@ def test_table_builds_each_family_with_its_param_defaults(tmp_path, body, built)
     body = {"subordinator": {"family": "stable"}, **body}
     inp = cli._Inputs(load_config(write_cfg(tmp_path, "families", experiment="renorm-curve", **body)),
                       str(tmp_path / "x"))
-    assert (inp.kernel.name, inp.spec.family, inp.spec.params) == built
+    assert (inp.kernel.name, inp.subordinator.family, inp.subordinator.params) == built
     assert inp.f.evaluator is inp.kernel.density and inp.f.fourier is inp.kernel.fourier
 
 
@@ -504,6 +498,11 @@ def test_validate_accepts_each_section_the_run_reads(tmp_path, name, section):
     assert run_cli(["validate", write_cfg(tmp_path, "read", experiment=name, **{section: sample, **body})]) == 0
 
 
+STABLE = {"family": "stable"}
+MC = {"n": 10, "seed": 1}
+T_GRID_RULE = "horizon 'T_grid' must be a non-empty, strictly increasing array of positive finite times"
+
+
 @pytest.mark.parametrize("body, message", [
     ({"experiment": "rho"}, "this experiment needs a subordinator section"),
     ({"experiment": "fit-expansion", "kernel": {"family": "gaussian", "dim": 0}},
@@ -513,35 +512,91 @@ def test_validate_accepts_each_section_the_run_reads(tmp_path, name, section):
     ({"experiment": "potential", "point": ["0.5", True, 0]}, "point must be a list of 3 coordinates (the kernel dim)"),
     ({"experiment": "potential", "kernel": {"family": "cauchy"}, "point": [0.0, 0.0, 0.0]},
      "point must be a list of 1 coordinates (the kernel dim)"),
-    ({"experiment": "rho", "subordinator": {"family": "stable"}, "horizons": {"T_grid": [True, "2"]}},
+    ({"experiment": "rho", "subordinator": STABLE, "horizons": {"T_grid": [True, "2"]}},
      "horizons.T_grid must be a JSON array of numbers"),
-    ({"experiment": "subordinate-solve", "subordinator": {"family": "stable"}, "horizons": {"T_grid": [0.5, "2"]}},
+    ({"experiment": "subordinate-solve", "subordinator": STABLE, "horizons": {"T_grid": [0.5, "2"]}},
      "horizons.T_grid must be a JSON array of numbers"),
-    ({"experiment": "gfd", "subordinator": {"family": "stable"}, "horizons": {"T": [2.0]}},
-     "horizons.T must be a JSON number"),
+    ({"experiment": "gfd", "subordinator": STABLE, "horizons": {"T": [2.0]}}, "horizons.T must be a JSON number"),
     # an empty T_grid used to give a header-only CSV (rho, subordinate-solve) and exit 0
-    *(({"experiment": name, "subordinator": {"family": "stable"}, "horizons": {"T_grid": []}},
-       "horizons.T_grid must hold at least one time") for name in ("rho", "subordinate-solve", "renorm-curve")),
+    *(({"experiment": name, "subordinator": STABLE, "horizons": {"T_grid": []}}, T_GRID_RULE)
+      for name in ("rho", "subordinate-solve", "renorm-curve")),
     # round(T / dt) = 0 steps used to be refused at run time as too few f_samples, and dt = 0
     # to end in a ZeroDivisionError traceback
-    *(({"experiment": name, "subordinator": {"family": "stable"}, "horizons": horizons},
-       "horizons.T must span at least two steps of horizons.dt > 0")
-      for name, horizons in (("gfd", {"T": 0.001, "dt": 0.01}), ("gfd", {"dt": 0.0}), ("fke-residual", {"dt": 0.0}))),
+    ({"experiment": "gfd", "subordinator": STABLE, "horizons": {"T": 0.001, "dt": 0.01}},
+     "horizons.T / horizons.dt must round to a finite step count of at least 2"),
+    *(({"experiment": name, "subordinator": STABLE, "horizons": {"dt": 0.0}},
+       "horizon 'dt' must be a positive finite time") for name in ("gfd", "fke-residual")),
     # fke_residual refused these at run time only: a t_grid of three times, and t_min past its
     # last interior time 0.04
-    ({"experiment": "fke-residual", "subordinator": {"family": "stable"}, "horizons": {"T": 0.015, "dt": 0.01}},
-     "horizons.T must span at least three steps of horizons.dt (four times for fke-residual)"),
-    ({"experiment": "fke-residual", "subordinator": {"family": "stable"}, "horizons": {"T": 0.05, "dt": 0.01},
+    ({"experiment": "fke-residual", "subordinator": STABLE, "horizons": {"T": 0.015, "dt": 0.01}},
+     "horizons.T / horizons.dt must round to a finite step count of at least 3"),
+    ({"experiment": "fke-residual", "subordinator": STABLE, "horizons": {"T": 0.05, "dt": 0.01},
       "tolerances": {"t_min": 0.045}},
      "tolerances.t_min must be at most the last interior time, horizons.dt * (round(horizons.T / horizons.dt) - 1)"),
+    # validate passed each of the rest, and run refused it: the horizons
+    ({"experiment": "renorm-curve", "subordinator": STABLE, "horizons": {"T_grid": [4.0, 2.0]}}, T_GRID_RULE),
+    *(({"experiment": name, "subordinator": STABLE, "horizons": {"T_grid": [t]}}, T_GRID_RULE)
+      for name, t in (("rho", -1.0), ("rho", 0.0), ("subordinate-solve", 0.0))),
+    ({"experiment": "renorm-histogram", "subordinator": STABLE, "mc": MC, "horizons": {"T": -5.0}},
+     "horizon 'T' must be a positive finite time"),
+    ({"experiment": "mc-potential", "mc": MC, "horizons": {"T": 0.0}}, "horizon 'T' must be a positive finite time"),
+    # the sections, each refused by its builder
+    ({"experiment": "rho", "subordinator": {"family": "stable", "params": {"alpha": 1.5}}},
+     ("InvalidInputError", "alpha must be in (0, 1)")),
+    ({"experiment": "rho", "subordinator": {"family": "gamma", "params": {"a": -1.0}}},
+     ("InvalidInputError", "a must be finite and positive")),
+    ({"experiment": "random-green", "bins": {"per_axis": 0}, "mc": MC},
+     ("InvalidInputError", "shape must be an integer with shape >= 1")),
+    ({"experiment": "mc-potential", "mc": {"n": 1, "seed": 1}},
+     ("InvalidInputError", "n must be an integer with n >= 2")),
+    ({"experiment": "mc-potential", "mc": {"n": 10, "seed": -1}},
+     ("InvalidInputError", "seed must be an integer with seed >= 0")),
+    ({"experiment": "green-series", "grid": {"N": 100, "L": 16.0}},
+     ("InvalidInputError", "points_per_axis must be a power of two")),
+    # with no grid section, the radial rule's dimension error, not one about a default grid the config never set
+    ({"experiment": "green-fourier", **DIM4},
+     ("InvalidInputError", "kernel.dim must be 1, 2 or 3 for the radial Fourier rule, not 4")),
+    # the library's gates on a config value, which the builders call
+    ({"experiment": "fit-expansion", "tolerances": {"k_min": 0.1, "k_max": 0.01}},
+     ("InvalidInputError", "k_min, k_max must be finite with 0 < k_min < k_max")),
+    ({"experiment": "subordinator-check", "subordinator": STABLE, "tolerances": {"s0": 1e303}},
+     ("InvalidInputError", "s0 must be positive, with s0 / 1e-6 a finite float")),
+    ({"experiment": "subordinate-solve", "kernel": GAUSS1, "subordinator": STABLE, "point": [50.0]},
+     ("InvalidInputError", "x must be finite and inside the box [-L, L)^d")),
+    # Python's json reads Infinity, which the run's green_regular_series refused
+    ({"experiment": "green-series", "tolerances": {"lam": float("inf")}}, "tolerance 'lam' must be a positive number"),
+    # a start outside the bins deposits its occupation as escaped mass: both commands accept it
+    ({"experiment": "random-green", "kernel": GAUSS1, "point": [100.0], "mc": MC}, None),
 ], ids=["rho-no-subordinator", "kernel-dim-0", "grid-without-L", "point-of-one", "point-not-numbers",
         "cauchy-point-of-three", "T_grid-bool-and-string", "T_grid-string", "T-array", "rho-empty-T_grid",
         "subordinate-solve-empty-T_grid", "renorm-curve-empty-T_grid", "gfd-no-step", "gfd-dt-0", "fke-dt-0",
-        "fke-two-steps", "fke-t_min-past-the-grid"])
+        "fke-two-steps", "fke-t_min-past-the-grid", "renorm-curve-T_grid-decreasing", "rho-T_grid-negative",
+        "rho-T_grid-zero", "subordinate-solve-T_grid-zero", "renorm-histogram-T-negative", "mc-potential-T-zero",
+        "rho-stable-alpha-1.5", "rho-gamma-a-negative", "random-green-bins-per-axis-0", "mc-potential-n-1",
+        "mc-potential-seed-negative", "green-series-N-100", "green-fourier-dim-4-no-grid",
+        "fit-expansion-k_min-above-k_max", "subordinator-check-s0-1e303", "subordinate-solve-point-outside-the-box",
+        "green-series-lam-infinite", "random-green-start-outside-the-bins"])
 def test_validate_gives_the_verdict_run_gives(tmp_path, capsys, body, message):
     cfg = write_cfg(tmp_path, "bad", output="bad", **body)
-    kind, message = message if isinstance(message, tuple) else ("ConfigError", message)
+    verdicts = []
     for command in (["validate", cfg], ["run", cfg, "--out", tmp_path]):
-        assert run_cli(command) == 1
-        assert json.loads(capsys.readouterr().out)["error"] == {"type": kind, "message": message}
+        code = run_cli(command)
+        verdicts.append((code, json.loads(capsys.readouterr().out).get("error")))
+    if message is None:
+        assert verdicts == [(0, None)] * 2
+        return
+    kind, message = message if isinstance(message, tuple) else ("ConfigError", message)
+    assert verdicts == [(1, {"type": kind, "message": message})] * 2
     assert list(tmp_path.glob("bad_*")) == []
+
+
+def test_load_config_builds_exactly_the_sections_each_experiment_reads(tmp_path, monkeypatch):
+    # each builder is replaced by one that records its name; a run that reads horizons.dt also builds its steps
+    built = []
+    for name in (*cli._SECTION_KEYS, "point", "steps"):
+        monkeypatch.setattr(cli._Inputs, name, property(lambda inp, name=name: built.append(name)))
+    for experiment, (body, _, _) in RUNS.items():
+        built.clear()
+        load_config(write_cfg(tmp_path, experiment, experiment=experiment, **body))
+        exp = EXPERIMENTS[experiment]
+        assert built == [*exp.reads, *["steps"] * ("dt" in exp.horizons)], experiment

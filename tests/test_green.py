@@ -44,7 +44,6 @@ from greenwalk.green import (
 )
 from greenwalk.kernels import (
     JumpKernel,
-    convolve_power,
     fit_small_k_expansion,
     make_cauchy_kernel,
     make_gaussian_kernel,
@@ -249,9 +248,6 @@ def test_half_layout_matches_full_fftn_reference(grid):
     ]
     for got, want in cases:
         np.testing.assert_allclose(got.values, want, rtol=0.0, atol=tol)
-    a3 = full_from_spectral(grid, a_hat**3)
-    np.testing.assert_allclose(convolve_power(kernel, 3, grid).values, a3, rtol=0.0,
-                               atol=1e-13 * np.max(a3))
     # an off-node x and tau = 0 keep the Nyquist plane's share of f(x) in the sum
     x, taus = (0.37, -1.21, 0.55)[: grid.dim], np.array([0.0, 0.3, 2.0])
     np.testing.assert_allclose(_RateClasses.build(kernel, CLFunction(f.values_at), x, grid)(taus), per_mode_sum(kernel, f, x, taus),

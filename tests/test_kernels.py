@@ -18,7 +18,6 @@ from greenwalk.errors import AliasingError, InvalidKernelError
 from greenwalk.grids import FieldGrid, GridSpec
 from greenwalk.kernels import (
     JumpKernel,
-    convolve_power,
     fit_small_k_expansion,
     make_cauchy_kernel,
     make_gaussian_kernel,
@@ -136,46 +135,17 @@ def test_fit_rejects_flat_symbol():
 
 
 # ---------------------------------------------------------------------------
-# convolution powers
+# convolution
 # ---------------------------------------------------------------------------
 
 
-def test_convolve_power_identity():
-    k = make_gaussian_kernel(1)
-    a1 = convolve_power(k, 1, GRID1)
-    direct = sample_density(k, GRID1)
-    np.testing.assert_allclose(a1.values, direct.values, atol=1e-10)
-
-
-def test_convolve_power_two_matches_heat_kernel():
-    k = make_gaussian_kernel(1)
-    a2 = convolve_power(k, 2, GRID1)
-    xs = GRID1.axis[:, None]
-    np.testing.assert_allclose(a2.values, gaussian_n(xs, 2, 1), atol=1e-8)
-
-
-def test_convolve_power_two_at_origin_3d():
-    k = make_gaussian_kernel(3)
-    g = GridSpec(3, 64, 16.0)
-    a2 = convolve_power(k, 2, g)
-    assert a2.value_at([0.0, 0.0, 0.0]) == pytest.approx((8 * np.pi) ** -1.5, rel=1e-4)
-
-
 def test_convolution_semigroup_property():
-    # a_{m+n} = a_m * a_n: check a_5 against a_2 convolved with a_3
+    # a_{m+n} = a_m * a_n: the FFT convolution of the sampled a_2 and a_3 is the analytic a_5
     from greenwalk.green import convolve_fields
 
-    k = make_gaussian_kernel(1)
-    a2 = convolve_power(k, 2, GRID1)
-    a3 = convolve_power(k, 3, GRID1)
-    a5 = convolve_power(k, 5, GRID1)
-    np.testing.assert_allclose(convolve_fields(a2, a3).values, a5.values, atol=1e-8)
-
-
-def test_convolve_power_conserves_mass():
-    k = make_gaussian_kernel(1)
-    for n in (1, 2, 4, 8, 16, 32, 64):
-        assert convolve_power(k, n, GRID1).integral() == pytest.approx(1.0, abs=1e-6)
+    xs = GRID1.axis[:, None]
+    a2, a3 = (FieldGrid(GRID1, gaussian_n(xs, n, 1)) for n in (2, 3))
+    np.testing.assert_allclose(convolve_fields(a2, a3).values, gaussian_n(xs, 5, 1), atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,7 @@ def test_engine_results_do_not_depend_on_the_pool_size(k1, k3, monkeypatch):
         sys.setswitchinterval(1e-5)
         for workers in (1, 2, 3):
             with ThreadPoolExecutor(workers) as pool:
-                monkeypatch.setattr(simulate, "_POOL", pool)
+                monkeypatch.setattr(simulate, "_pool", lambda: pool)
                 runs.append(engine_outputs(k1, k3))
     finally:
         sys.setswitchinterval(interval)
@@ -490,6 +490,20 @@ def test_zero_jump_histogram_hits_one_bin(k1):
     idx = bins.flat_index(np.array([[1.5]]))[0]
     assert hist.masses.ravel()[idx] == pytest.approx(T)
     assert np.count_nonzero(hist.masses) == 1
+
+
+@pytest.mark.parametrize("x", [[100.0], [1.7e308]], ids=["x-100", "x-1.7e308"])
+def test_a_start_outside_the_bins_deposits_all_its_mass_as_escaped(k1, x):
+    # no path from so far out reaches [-1, 1), and 1.7e308 / w overflows to inf, which is outside
+    bins, T = BinSpec.cube(1.0, 8, 1), 5.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hist, stderr = average_random_green_measure(k1, x, T, bins, 20, seed=4)
+        single = empirical_random_green_measure(k1, x, T, bins, np.random.default_rng(4))
+    for h in (hist, single):
+        assert not h.masses.any()
+        assert h.escaped == pytest.approx(T, rel=1e-14) and h.total_mass() == h.escaped
+    assert not stderr.any()
 
 
 @pytest.mark.parametrize("T, n, match", [(5.0, 0, "n >= 2"), (5.0, 1, "n >= 2"), (-1.0, 20, "positive"),

@@ -48,3 +48,23 @@ def test_counts_physical_and_code_lines(tmp_path):
     table = _run(str(pkg)).splitlines()
     assert table[0].split() == ["module", "lines", "code"]
     assert table[-1].split() == ["total", "21", "9"]
+
+
+def test_against_prints_both_packages_and_the_difference(tmp_path):
+    # the other side is a checkout, found at its src/greenwalk; old.py is gone and new.py added
+    before, after = tmp_path / "parent" / "src" / "greenwalk", tmp_path / "change"
+    for pkg in (before, after):
+        pkg.mkdir(parents=True)
+        (pkg / "mod.py").write_text(MODULE)
+    (before / "old.py").write_text("x = 1\n\ny = 2\n")
+    (after / "new.py").write_text("# a comment\nz = 3\n")
+    counts = json.loads(_run("--json", "--against", str(tmp_path / "parent"), str(after)))
+    assert counts["modules"]["mod.py"]["code"] == {"against": 9, "this": 9, "diff": 0}
+    assert counts["modules"]["old.py"] == {"lines": {"against": 3, "this": 0, "diff": -3},
+                                           "code": {"against": 2, "this": 0, "diff": -2}}
+    assert counts["modules"]["new.py"]["code"] == {"against": 0, "this": 1, "diff": 1}
+    assert counts["total"] == {"lines": {"against": 24, "this": 23, "diff": -1},
+                               "code": {"against": 11, "this": 10, "diff": -1}}
+    table = _run("--against", str(before), str(after)).splitlines()
+    assert table[0].split() == ["module", "lines", "against", "this", "diff", "code", "against", "this", "diff"]
+    assert table[-1].split() == ["total", "24", "23", "-1", "11", "10", "-1"]

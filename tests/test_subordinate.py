@@ -21,7 +21,7 @@ from scipy import integrate, special, stats
 from scipy.optimize import elementwise
 
 import greenwalk.subordinate as subordinate
-from greenwalk import laplace
+from greenwalk import grids, laplace
 from greenwalk.errors import ConfigError, InvalidInputError, InversionInstabilityError, TruncationError
 from greenwalk.green import CLFunction, cl_from_kernel, evolve_semigroup, green_regular_fourier, green_regular_series, potential
 from greenwalk.grids import GridSpec
@@ -347,10 +347,11 @@ def test_import_does_not_load_scipy_solvers():
 
 def test_import_starts_no_thread():
     # the path engine's worker pool is created on first use, not at import
-    code = "import threading, greenwalk; print(threading.active_count(), greenwalk.simulate._POOL)"
+    code = ("import threading, greenwalk; "
+            "print(threading.active_count(), greenwalk.simulate._pool.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["1", "None"]
+    assert out.stdout.split() == ["1", "0"]
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +650,10 @@ def test_rho_stable_kanter_matches_mpmath(alpha):
                 assert rho_density(spec, t, tau) == pytest.approx(ref, rel=1e-9, abs=1e-13)
 
 
-def test_kanter_rule_is_built_once(monkeypatch):
-    # the 12-node rule is a module constant, equal to leggauss(12); with
-    # leggauss broken, rho and clipped_mean return the same bits
-    np.testing.assert_array_equal(subordinate._KANTER_RULE, np.polynomial.legendre.leggauss(12))
+def test_kanter_rule_is_built_once():
+    # the 12-node rule is the one cached grids._leggauss(12), equal to leggauss(12): once
+    # built, rho and clipped_mean take it from the cache and build no rule of their own
+    np.testing.assert_array_equal(grids._leggauss(12), np.polynomial.legendre.leggauss(12))
     specs = [make_stable_subordinator(alpha) for alpha in (0.7, 0.3)]
     taus = np.array([0.0, 1e-3, 0.5, 3.0])
 
@@ -660,13 +661,9 @@ def test_kanter_rule_is_built_once(monkeypatch):
         rho = [rho_density(spec, t, float(tau)) for spec in specs for t in (0.05, 1.0) for tau in taus]
         return np.array(rho), np.array([spec.clipped_mean(T, taus) for spec in specs for T in (1e2, 2.0**21)])
 
-    before = values()
-
-    def broken(deg):
-        raise AssertionError("leggauss called")
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", broken)
-    after = values()
+    before, built = values(), grids._leggauss.cache_info()
+    after, again = values(), grids._leggauss.cache_info()
+    assert again.misses == built.misses and again.hits > built.hits
     for b, a in zip(before, after):
         np.testing.assert_array_equal(a, b)
 

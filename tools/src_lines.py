@@ -1,6 +1,6 @@
 """Line counts of the greenwalk package, per module and in total.
 
-    python3 tools/src_lines.py [--json] [PACKAGE_DIR]
+    python3 tools/src_lines.py [--json] [--against DIR] [PACKAGE_DIR]
 
 For every ``*.py`` file under PACKAGE_DIR (default ``src/greenwalk`` next to
 this script) it prints the physical line count and the code-only count: the
@@ -8,6 +8,11 @@ lines that hold a token of code.  Comments, blank lines and docstrings (the
 string that opens a module, class or function body) are not code; any other
 string is, on every line it spans.  ``--json`` prints one JSON object
 instead: ``{"modules": {name: {"lines": n, "code": n}}, "total": {...}}``.
+
+``--against DIR`` compares with another checkout (its ``src/greenwalk``) or
+package directory: each module's lines and code lines there, in PACKAGE_DIR,
+and the difference, a module missing on one side counting 0 there.  With
+``--json`` each count is then ``{"against": n, "this": n, "diff": n}``.
 """
 
 from __future__ import annotations
@@ -53,18 +58,40 @@ def count_package(package: Path) -> dict:
     return {"modules": modules, "total": total}
 
 
+def compare(against: Path, package: Path) -> dict:
+    """count_package of both, each count as {"against", "this", "diff"}."""
+    base, this = count_package(against), count_package(package)
+    zero = {"lines": 0, "code": 0}
+
+    def pair(a: dict, b: dict) -> dict:
+        return {key: {"against": a[key], "this": b[key], "diff": b[key] - a[key]} for key in ("lines", "code")}
+
+    names = sorted({*base["modules"], *this["modules"]})
+    return {"modules": {name: pair(base["modules"].get(name, zero), this["modules"].get(name, zero))
+                        for name in names},
+            "total": pair(base["total"], this["total"])}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("package", nargs="?", type=Path, default=DEFAULT_PACKAGE)
     parser.add_argument("--json", action="store_true", help="print one JSON object")
+    parser.add_argument("--against", type=Path, help="another checkout or package directory to compare with")
     args = parser.parse_args(argv)
-    counts = count_package(args.package)
+    if args.against is None:
+        counts = count_package(args.package)
+        header, cell = f"{'lines':>7} {'code':>7}", lambda c: f"{c:>7,}"
+    else:
+        checkout_package = args.against / "src" / "greenwalk"
+        counts = compare(checkout_package if checkout_package.is_dir() else args.against, args.package)
+        header = " ".join(f"{f'{key} against':>14} {'this':>7} {'diff':>7}" for key in ("lines", "code"))
+        cell = lambda c: f"{c['against']:>14,} {c['this']:>7,} {c['diff']:>+7,}"
     if args.json:
         print(json.dumps(counts, sort_keys=True))
         return 0
-    print(f"{'module':<20} {'lines':>7} {'code':>7}")
+    print(f"{'module':<20} {header}")
     for name, c in [*counts["modules"].items(), ("total", counts["total"])]:
-        print(f"{name:<20} {c['lines']:>7,} {c['code']:>7,}")
+        print(f"{name:<20} {cell(c['lines'])} {cell(c['code'])}")
     return 0
 
 
