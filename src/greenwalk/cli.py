@@ -75,6 +75,8 @@ _FAMILIES = {
                      "gamma": (make_gamma_subordinator, {"a": 1.0, "b": 1.0}, ())},
     "f": {"kernel": (cl_from_kernel, {}, ())},
 }
+# the family of a section body without one; a subordinator must name its own
+_DEFAULT_FAMILY = {"kernel": "gaussian", "f": "kernel"}
 
 
 def _is(val, kind: str) -> bool:
@@ -91,8 +93,8 @@ def _fail_unknown(reader: str, given: dict, allowed, prefix: str = "") -> None:
 
 def _family(section: str, body: dict) -> Callable:
     """The family of a section's body, its params and dim checked, as a factory of the section's
-    own arguments; f's family defaults to the kernel, and an unset param to its default."""
-    name = body.get("family", "kernel" if section == "f" else None)
+    own arguments; an unset family is the section's _DEFAULT_FAMILY, and an unset param its default."""
+    name = body.get("family", _DEFAULT_FAMILY.get(section))
     if name not in _FAMILIES[section]:
         raise ConfigError(f"unknown {section} family {name!r}")
     (make, defaults, dims), given = _FAMILIES[section][name], body.get("params", {})
@@ -171,7 +173,7 @@ class _Inputs:
 
     @cached_property
     def kernel(self):
-        body = self.cfg.get("kernel", {"family": "gaussian"})
+        body = self.cfg.get("kernel", {})
         return _family("kernel", body)(body.get("dim", 3))
 
     @cached_property

@@ -28,7 +28,7 @@ from .errors import (
     _require,
 )
 from .grids import FieldGrid, GridSpec, field_from_function, require_same_grid
-from .grids import _finite_point, _from_spectral, _half, _inside_box, _panel_rule, _to_spectral
+from .grids import _finite_point, _from_spectral, _half, _inside_box, _to_spectral
 from .kernels import JumpKernel, spectral_density
 
 
@@ -234,14 +234,6 @@ def green_regular_series(kernel: JumpKernel, grid: GridSpec, lam: float) -> Reso
     return ResolventKernel(lam, FieldGrid(grid, np.maximum(vals, 0.0)))
 
 
-def _fourier_cutoff(kernel: JumpKernel, lam: float) -> float:
-    """Frequency beyond which a_hat/(1+lam-a_hat) is negligible."""
-    k = 1.0
-    while k < 1e6 and not abs(float(np.ravel(kernel.fourier(np.array([k])))[0])) < 1e-14 * (1.0 + lam):
-        k *= 2.0
-    return min(k, 1e6)
-
-
 def _radial_measure(d: int, r: float, k: np.ndarray) -> np.ndarray:
     """m(k) with (2 pi)^{-d} int e^{i(k,x)} g(|k|) dk = int_0^inf g(k) m(k) dk at |x| = r.
 
@@ -258,36 +250,38 @@ def _radial_measure(d: int, r: float, k: np.ndarray) -> np.ndarray:
     return k * np.sin(k * r) / (2.0 * np.pi**2 * r)
 
 
-# geometric Gauss-Legendre panels from 1e-8 to the Fourier cutoff, plus [0, 1e-8]; with 80,
-# the 3-D Gaussian's 1/2-stable curve moves by 2e-13 from 80 to 320 panels
-_PANELS = 80
+# exp-sinh trapezoid rule (Takahasi and Mori, Publ. RIMS 9 (1974) 721), built once: nodes
+# k_j = exp((pi/2) sinh t_j) at t_j = -6 + j 2^-7, j = 0 .. 1178, weights 2^-7 dk/dt.  k runs
+# from 2.5e-138, where k^2 is still a normal float, to 2.4e8, where e^{-k^alpha} < 1e-141 for
+# alpha >= 0.3; the even j with doubled weights are the same rule at step 2^-6
+_RADIAL_T = -6.0 + 2.0**-7 * np.arange(1179)
+_RADIAL_K = np.exp(0.5 * np.pi * np.sinh(_RADIAL_T))
+_RADIAL_W = 2.0**-7 * 0.5 * np.pi * np.cosh(_RADIAL_T) * _RADIAL_K
 # without a symbol_gap, below this |k| the gap 1 - a_hat is the tail form A |k|^alpha,
 # which does not cancel
 _TAIL_FORM_K = 1e-4
-# largest |order 16 - order 8| / |order 16| accepted from the radial rule.  For G_0 of
-# the 3-D Gaussian it is 8.0e-7 at |x| = 30 and 2.2e-2 at |x| = 120, where the panels
-# no longer resolve sin(k |x|)
+# largest error estimate / |value| accepted from the radial rule.  For G_0 of the 3-D
+# Gaussian it is 5.3e-13 at |x| = 30 and 3.7e-3 at |x| = 120, where the half-step sum
+# no longer resolves sin(k |x|)
 _RADIAL_TOL = 1e-4
 
 
-def _radial_value(kernel: JumpKernel, x, lam: float, multiplier) -> tuple[np.ndarray, np.ndarray]:
+def _radial_value(kernel: JumpKernel, x, multiplier) -> tuple[np.ndarray, np.ndarray]:
     """(2 pi)^{-d} int e^{i(k,x)} g(k) dk for g = multiplier(k, a_hat, 1 - a_hat), and its error.
 
-    One radial integral up to _fourier_cutoff(kernel, lam).  The gap 1 - a_hat
-    is the kernel's symbol_gap when it has one; otherwise it is A |k|^alpha
-    below _TAIL_FORM_K when the kernel's tail_params are known.
-    multiplier may return (..., nodes), one integral per row.  Order-16
-    Gauss-Legendre gives the value, its gap to order 8 the error estimate;
-    TruncationError when that gap exceeds _RADIAL_TOL of the value; InvalidInputError for a non-finite x
-    or a kernel dimension outside {1, 2, 3}.
+    One exp-sinh trapezoid sum over the fixed nodes _RADIAL_K, which take the algebraic
+    k^{d-1-alpha} end and the decaying tail alike.  The gap 1 - a_hat is the kernel's
+    symbol_gap when it has one; otherwise it is A |k|^alpha below _TAIL_FORM_K when the
+    kernel's tail_params are known.  multiplier may return (..., nodes), one integral per
+    row.  The error estimate is |sum - half-step sum| + |first term| + |last term|;
+    TruncationError when it exceeds _RADIAL_TOL of the value; InvalidInputError for a
+    non-finite x or a kernel dimension outside {1, 2, 3}.
     """
     _require(kernel.dim in (1, 2, 3), "kernel.dim", f"1, 2 or 3 for the radial Fourier rule, not {kernel.dim}")
     with np.errstate(over="ignore"):
         r = float(np.linalg.norm(_finite_point(x, kernel.dim)))
     _require(r < np.inf, "x", "of finite length |x|")
-    edges = np.concatenate(([0.0], np.geomspace(1e-8, _fourier_cutoff(kernel, lam), _PANELS + 1)))
-    (k16, w16), (k8, w8) = (_panel_rule(edges, n) for n in (16, 8))
-    k = np.concatenate((k16, k8))
+    k = _RADIAL_K
     a_hat = np.asarray(kernel.fourier(k), dtype=float)
     gap = 1.0 - a_hat
     if kernel.symbol_gap is not None:
@@ -295,12 +289,12 @@ def _radial_value(kernel: JumpKernel, x, lam: float, multiplier) -> tuple[np.nda
     elif kernel.tail_params is not None:
         A, alpha = kernel.tail_params
         gap = np.where(k < _TAIL_FORM_K, A * k**alpha, gap)
-    terms = np.asarray(multiplier(k, a_hat, gap), dtype=float) * _radial_measure(kernel.dim, r, k)
-    value = terms[..., :k16.size] @ w16
-    err = np.abs(value - terms[..., k16.size:] @ w8)
+    terms = np.asarray(multiplier(k, a_hat, gap), dtype=float) * (_radial_measure(kernel.dim, r, k) * _RADIAL_W)
+    value = terms.sum(axis=-1)
+    err = np.abs(value - 2.0 * terms[..., ::2].sum(axis=-1)) + np.abs(terms[..., 0]) + np.abs(terms[..., -1])
     if not np.all(err <= _RADIAL_TOL * np.abs(value)):
         raise TruncationError(
-            f"radial quadrature at |x| = {r:g}: orders 16 and 8 differ by "
+            f"radial quadrature at |x| = {r:g}: the exp-sinh error estimate is "
             f"{np.max(err / np.abs(value)):.2e} relative (tolerance {_RADIAL_TOL:g})"
         )
     return value, err
@@ -310,16 +304,16 @@ def green_regular_fourier(kernel: JumpKernel, x, lam: float) -> float:
     """(2 pi)^{-d} int e^{i(k,x)} a_hat/(1+lam-a_hat) dk by the radial rule of _radial_value.
 
     Supports d in {1, 2, 3}.  For lambda = 0 the integrand has an integrable
-    |k|^{-alpha} singularity at the origin, which the geometric panels grade
-    toward; the gap 1 - a_hat is the kernel's symbol_gap, or A |k|^alpha below
+    |k|^{-alpha} singularity at the origin, which the exp-sinh nodes reach down to
+    k = 2.5e-138; the gap 1 - a_hat is the kernel's symbol_gap, or A |k|^alpha below
     k = _TAIL_FORM_K, free of cancellation either way.  Raises TruncationError
-    when orders 16 and 8 disagree by more than _RADIAL_TOL, as they do for the
-    3-D Gaussian beyond |x| of about 30.
+    when the rule's error estimate exceeds _RADIAL_TOL, as it does for the
+    3-D Gaussian from |x| of about 70.
     """
     _require(0 <= lam < np.inf, "lam", "finite and >= 0")
     if lam == 0:
         _require_green_measure(kernel)
-    value, _ = _radial_value(kernel, x, lam, lambda k, a_hat, gap: a_hat / (lam + gap))
+    value, _ = _radial_value(kernel, x, lambda k, a_hat, gap: a_hat / (lam + gap))
     return float(value)
 
 
@@ -345,13 +339,13 @@ def potential(kernel: JumpKernel, f: CLFunction, x, grid: Optional[GridSpec] = N
     """V(x, f) = f(x) + (G_0 * f)(x), the delta part plus the regular convolution.
 
     With f.fourier (cl_from_kernel): one radial rule of _radial_value, no FFT and no grid,
-    exact off centre; TruncationError where the rule fails (|x| of about 70 for the 3-D
-    Gaussian).  An f without fourier takes potential_field on grid, which wraps.
+    exact off centre; TruncationError where the rule fails (from |x| of about 115 for the
+    3-D Gaussian and f = a).  An f without fourier takes potential_field on grid, which wraps.
     """
     if f.fourier is None:
         _require(grid is not None, "grid", "given for an f without fourier")
         x = _finite_point(x, kernel.dim)
         return float(potential_field(kernel, f, grid).value_at(x))
     _require_green_measure(kernel)
-    conv, _ = _radial_value(kernel, x, 0.0, lambda k, a_hat, gap: f.fourier(k) * a_hat / gap)
+    conv, _ = _radial_value(kernel, x, lambda k, a_hat, gap: f.fourier(k) * a_hat / gap)
     return f.value_at(x) + float(conv)

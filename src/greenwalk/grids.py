@@ -6,7 +6,8 @@ stored as d-dimensional arrays in natural coordinate order (index 0 is
 x = -L); FFT-based routines shift the origin to index 0 internally.
 Fields are real, so the spectral pair _to_spectral/_from_spectral uses numpy's
 rfftn half layout: fftn layout on every axis but the last, which keeps 0..N/2.
-The module also holds the one Gauss-Legendre panel rule of the 1-d quadratures.
+The module also holds the one Gauss-Legendre panel rule, behind the Kanter
+integrals and the histogram's quadrature-weight fallback.
 """
 
 from __future__ import annotations

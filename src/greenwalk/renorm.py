@@ -167,7 +167,7 @@ def _occupation_integrals(kernel, spec, f, x, T_grid) -> tuple[np.ndarray, np.nd
     def multiplier(k, a_hat, gap):
         return f.fourier(k) * _mixture_weights(spec, T_grid, gap, integrated=True)
 
-    return _radial_value(kernel, x, 0.0, multiplier)
+    return _radial_value(kernel, x, multiplier)
 
 
 def renormalized_potential_curve(
@@ -180,12 +180,12 @@ def renormalized_potential_curve(
 ) -> RenormCurve:
     """(1/N(T)) int_0^T v(s, x) ds along T_grid, with target V(x, f) = f(x) + (G_0 * f)(x).
 
-    The integrals are one radial quadrature in the continuum (green._radial_value) and
+    The integrals are one exp-sinh radial sum in the continuum (green._radial_value) and
     the target is potential's radial route, so grid is optional and not read.  The
     integrals read the spec's laplace_closed_form where it has one (the 1/2-stable
     W_T), else its Phi, never its clipped mean, and need f.fourier (an f
-    without it gets a ConfigError).  quad_errors records the quadrature error
-    estimate of each value.
+    without it gets a ConfigError).  quad_errors records the rule's error estimate
+    of each value: its gap to the half-step sum plus its two end terms.
     """
     T_grid = np.asarray(T_grid, dtype=float)
     _require(T_grid.ndim == 1 and T_grid.size >= 1 and np.all((T_grid > 0) & (T_grid < np.inf)), "T_grid",

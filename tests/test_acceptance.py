@@ -158,7 +158,7 @@ def test_criterion_04_companion_truncated_potential_plus_exact_tail(k3):
     a = cl_from_kernel(k3)
 
     def radial(multiplier):
-        return float(_radial_value(k3, ORIGIN3, 0.0, multiplier)[0])
+        return float(_radial_value(k3, ORIGIN3, multiplier)[0])
 
     head = radial(lambda k, a_hat, g: -a_hat * np.expm1(-T * g) / g)
     tail = radial(lambda k, a_hat, g: a_hat * np.exp(-T * g) / g)

@@ -330,6 +330,17 @@ def test_table_builds_each_family_with_its_param_defaults(tmp_path, body, built)
     assert inp.f.evaluator is inp.kernel.density and inp.f.fourier is inp.kernel.fourier
 
 
+def test_a_kernel_section_without_a_family_is_the_gaussian(tmp_path):
+    written = []
+    for name, kernel in (("bare", {"dim": 1}), ("named", {"family": "gaussian", "dim": 1})):
+        cfg = write_cfg(tmp_path, name, experiment="green-series", output=name, kernel=kernel,
+                        tolerances={"lam": 0.5, "radius": 2.0})
+        assert run_cli(["validate", cfg]) == 0
+        assert run_cli(["run", cfg, "--out", tmp_path]) == 0
+        written.append((tmp_path / f"{name}_green_series.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("experiment, body", [
     ("mc-potential", {"mc": {"n": 100.5, "seed": 1}}),
     ("mc-potential", {"mc": {"n": 100, "seed": 1.5}}),

@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from green_oracles import ZETA_ORACLE, gaussian_g0
-from greenwalk import green
+from green_oracles import ZETA_ORACLE, gaussian_g0, gaussian_g0_poisson
+from greenwalk import green, kernels
 from greenwalk.errors import (
     AliasingError,
     DivergentGreenMeasureError,
@@ -410,11 +410,22 @@ def test_green_fourier_matches_far_field_at_large_x(k3, r):
     assert abs(green_regular_fourier(k3, [0.0, r, 0.0], 0.0) - far) < 1e-10
 
 
-def test_green_fourier_raises_where_the_panels_miss_the_oscillation(k3):
-    # at |x| = 120 the geometric panels under-resolve sin(k |x|): orders 16 and 8
-    # differ by 2.2e-2 relative (8.0e-7 at |x| = 30)
-    with pytest.raises(TruncationError, match="orders 16 and 8"):
+def test_green_fourier_raises_where_the_rule_misses_the_oscillation(k3):
+    # at |x| = 120 the half-step exp-sinh sum under-resolves sin(k |x|): the error
+    # estimate is 3.7e-3 relative (5.3e-13 at |x| = 30)
+    with pytest.raises(TruncationError, match="exp-sinh error estimate"):
         green_regular_fourier(k3, [120.0, 0.0, 0.0], 0.0)
+
+
+@pytest.mark.parametrize("d, alpha", [(3, 0.3), (3, 0.5), (3, 1.9), (2, 0.5), (2, 1.5), (2, 1.7), (2, 1.9),
+                                      (1, 0.3), (1, 0.5), (1, 0.7), (1, 0.9)])
+def test_stable_kernel_green_at_origin_matches_zeta_form(d, alpha):
+    # a_n(0) = (2 pi)^{-d} int e^{-n |k|^alpha} dk, so G_0(0) = |S^{d-1}| Gamma(d/alpha)
+    # zeta(d/alpha) / (alpha (2 pi)^d); the integrand k^{d-1-alpha} is singular at 0 for d < 1 + alpha
+    kernel = kernels._stable_kernel(alpha, d, None, None, "stable")
+    sphere = 2.0 * np.pi ** (0.5 * d) / special.gamma(0.5 * d)
+    exact = sphere * special.gamma(d / alpha) * special.zeta(d / alpha) / (alpha * (2.0 * np.pi) ** d)
+    assert green_regular_fourier(kernel, [0.0] * d, 0.0) == pytest.approx(exact, rel=1e-13)
 
 
 def test_green_methods_agree_pointwise(k1):
@@ -590,17 +601,18 @@ def test_potential_of_kernel_matches_zeta_oracle(k3):
     assert potential(k3, f, [0.0, 0.0, 0.0], GRID3) == pytest.approx(ZETA_ORACLE, rel=0.01)
 
 
-@pytest.mark.parametrize("r", [0.5, 3.0, 5.0, 12.0, 15.0, 25.0, 40.0])
+@pytest.mark.parametrize("r", [0.5, 3.0, 5.0, 12.0, 15.0, 25.0, 40.0, 60.0, 80.0])
 def test_potential_of_kernel_matches_g0_oracle_off_centre(k3, r):
     # V(x, a) = sum_{n>=1} a_n(x) = G_0(x); the periodic 64^3 box wraps, 8.0e-5 off
-    # at r = 12 and 2.3e-2 at r = 15, and ends at r = 16
+    # at r = 12 and 2.3e-2 at r = 15, and ends at r = 16.  The mpmath sum fails from
+    # r = 60, so the Poisson-summation form is the oracle there
     v = potential(k3, cl_from_kernel(k3), [r, 0.0, 0.0], GRID3)
-    assert v == pytest.approx(gaussian_g0(r), rel=1e-13)
+    assert v == pytest.approx(gaussian_g0(r) if r < 60 else gaussian_g0_poisson(r), rel=1e-13)
 
 
 def test_potential_raises_where_the_radial_rule_fails(k3):
-    with pytest.raises(TruncationError, match="orders 16 and 8"):
-        potential(k3, cl_from_kernel(k3), [80.0, 0.0, 0.0], GRID3)
+    with pytest.raises(TruncationError, match="exp-sinh error estimate"):
+        potential(k3, cl_from_kernel(k3), [200.0, 0.0, 0.0], GRID3)
 
 
 def test_potential_with_fourier_makes_no_fft_and_samples_no_grid(k3, monkeypatch):
@@ -679,8 +691,6 @@ def test_potential_is_time_integral_of_semigroup(k3):
     tau0 = 8.0
     taus = np.linspace(0.0, tau0, 1025)
     head = integrate.simpson(_RateClasses.build(k3, cl_from_kernel(k3), [0.0, 0.0, 0.0], GRID3)(taus), x=taus)
-    tail, _ = green._radial_value(
-        k3, [0.0, 0.0, 0.0], 0.0, lambda k, a_hat, gap: a_hat * np.exp(-tau0 * gap) / gap
-    )
+    tail, _ = green._radial_value(k3, [0.0, 0.0, 0.0], lambda k, a_hat, gap: a_hat * np.exp(-tau0 * gap) / gap)
     assert tail > 0.25 * target  # the t^{-1/2} tail is not small
     assert head + tail == pytest.approx(target, rel=1e-8)

@@ -35,7 +35,8 @@ from greenwalk.renorm import (
 )
 from greenwalk.laplace import state_weights
 from greenwalk.simulate import BinSpec
-from greenwalk.subordinate import _mixture_weights, make_gamma_subordinator, make_stable_subordinator
+from greenwalk.subordinate import (_half_stable_occupation, _mixture_weights, make_gamma_subordinator,
+                                  make_stable_subordinator)
 
 GRID1 = GridSpec(1, 1024, 40.0)
 GRID3 = GridSpec(3, 64, 16.0)
@@ -258,6 +259,35 @@ def test_curve_matches_closed_form_W_and_records_its_quadrature_error(k3, stable
     np.testing.assert_allclose(curve.values, exact, rtol=1e-10)
     assert curve.quad_errors.shape == T_grid.shape
     assert np.all(curve.quad_errors <= 1e-10 * curve.values)
+
+
+S0 = 0.1
+
+
+def gaussian_f(s0):
+    """f = (4 pi s0)^{-3/2} e^{-|x|^2/(4 s0)} on R^3, with f_hat = e^{-s0 k^2}."""
+    density = lambda p: (4 * np.pi * s0) ** -1.5 * np.exp(-np.sum(np.atleast_2d(p) ** 2, axis=-1) / (4 * s0))
+    return CLFunction(density, name="gaussian_f", fourier=lambda k: np.exp(-s0 * k * k))
+
+
+@pytest.mark.parametrize("T", [1e-6, 1.0, 2.0**21])
+def test_integral_of_an_f_hat_that_a_hat_does_not_damp(k3, stable, T):
+    # f_hat = e^{-0.1 k^2} is still 1.7e-3 where a_hat = e^{-k^2} reaches 1e-28, so a
+    # cutoff set by a_hat alone would leave out about 0.5% of the integral
+    def integrand(k):
+        return k * k * np.exp(-S0 * k * k) * _half_stable_occupation(T, -np.expm1(-k * k)) / (2 * np.pi**2)
+
+    edges = [0.0, 1e-3, 1.0, 10.0, 60.0]
+    exact = sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for lo, hi in zip(edges[:-1], edges[1:]))
+    value = unnormalized_potential_integral(k3, stable, gaussian_f(S0), [0.0, 0.0, 0.0], T)
+    assert value == pytest.approx(exact, rel=1e-12)
+
+
+def test_potential_of_a_gaussian_f_matches_the_hurwitz_zeta(k3):
+    # V(0, f) = f(0) + sum_{n >= 1} (4 pi (n + s0))^{-3/2}
+    exact = (4 * np.pi * S0) ** -1.5 + (4 * np.pi) ** -1.5 * float(mp.zeta(1.5, 1 + S0))
+    assert potential(k3, gaussian_f(S0), [0.0, 0.0, 0.0]) == pytest.approx(exact, rel=1e-13)
 
 
 def test_curve_needs_the_fourier_transform_of_f(k3, stable):

@@ -51,7 +51,7 @@ def _checkout(root: Path, side: str, **stub) -> Path:
 
 
 def _run(tool, monkeypatch, capsys, tmp_path, change_stub=None, parent_stub=None):
-    # three of the 39 runs: each stub run starts a Python process
+    # three of the 41 runs: each stub run starts a Python process
     monkeypatch.setattr(tool, "RUNS", [r for r in tool.RUNS if r[0] in ("potential", "gfd", "rho-gamma")])
     code = tool.main([str(_checkout(tmp_path, "parent", **(parent_stub or {}))),
                       str(_checkout(tmp_path, "change", **(change_stub or {})))])
@@ -62,7 +62,10 @@ def _run(tool, monkeypatch, capsys, tmp_path, change_stub=None, parent_stub=None
 def test_every_experiment_has_a_run(tool):
     assert {experiment for _, experiment, _ in tool.RUNS} == set(EXPERIMENTS)
     cfgs = {run_id: sections for run_id, _, sections in tool.RUNS}
-    assert len(cfgs) == len(tool.RUNS) == 39
+    assert len(cfgs) == len(tool.RUNS) == 41
+    # the Talbot-inverted curve and an off-centre potential, beside the defaults
+    assert cfgs["renorm-curve-stable07"] == {"subordinator": {"family": "stable", "params": {"alpha": 0.7}}}
+    assert cfgs["potential-off-centre"] == {"point": [20.0, 0.0, 0.0]}
     assert {run_id for run_id, cfg in cfgs.items() if "mc" in cfg} == {
         f"{name}{suffix}" for name in ("mc-potential", "random-green", "renorm-histogram")
         for suffix in ("", "-set")} | {"renorm-histogram-gamma", "mc-potential-cauchy", "random-green-cauchy"}

@@ -6,7 +6,10 @@ Runs every ``greenwalk run`` experiment at its default config once in each
 checkout, as ``python3 -m greenwalk.cli run CONFIG --out DIR`` with
 ``PYTHONPATH=<checkout>/src``, the two checkouts at once.  The stochastic experiments get ``mc`` n = 200
 and seed 11, and the experiments that take a subordinator run once more with
-the gamma family.  The five experiments that run with the Cauchy kernel run
+the gamma family.  renorm-curve runs once more with the stable family at
+``alpha`` 0.7, whose W_T comes from the Talbot inversion rather than the
+1/2-stable closed form, and potential once more off centre, at (20, 0, 0).
+The five experiments that run with the Cauchy kernel run
 once more with it, green-fourier at ``lam`` 0.5 since the 1-D Green measure
 diverges.  Each of the 13 experiments that take tolerances or horizons runs
 once more (``<name>-set``) with every one of them set off its default, so an
@@ -49,6 +52,8 @@ RUNS = [
     ("mc-potential", "mc-potential", {"mc": MC}),
     ("random-green", "random-green", {"mc": MC}),
     ("renorm-curve", "renorm-curve", {"subordinator": STABLE}),
+    ("renorm-curve-stable07", "renorm-curve", {"subordinator": {"family": "stable", "params": {"alpha": 0.7}}}),
+    ("potential-off-centre", "potential", {"point": [20.0, 0.0, 0.0]}),
     *((f"{name}{suffix}", name, {"subordinator": sub, **({"mc": MC} if name == "renorm-histogram" else {})})
       for name in ("subordinator-check", "rho", "gfd", "subordinate-solve", "fke-residual", "renorm-histogram")
       for suffix, sub in (("", STABLE), ("-gamma", GAMMA))),
