@@ -18,8 +18,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, GreenwalkError, _require, _require_mc
+from .errors import ConfigError, GreenwalkError, _require_mc
 from .green import (
+    _require_green_measure,
+    _require_radial_dim,
     cl_from_kernel,
     green_regular_fourier,
     green_regular_series,
@@ -113,7 +115,8 @@ def load_config(path) -> dict:
     JSON type of its key, a non-empty output, positive finite tolerances (lam may be 0), and
     positive finite horizons, horizons.T_grid a non-empty and strictly increasing array.  Then
     the run's own _Inputs builds each section the experiment reads, a family and its params
-    from _FAMILIES, and the step count of a run that reads horizons.dt, as the run will.
+    from _FAMILIES, and the step count of a run that reads horizons.dt, as the run will, and
+    applies the library's gates of the computations the experiment runs (EXPERIMENTS).
     """
     try:
         with open(path) as fh:
@@ -151,7 +154,7 @@ def load_config(path) -> dict:
             raise ConfigError(f"horizon {key!r} must be " + ("a non-empty, strictly increasing array of positive "
                               "finite times" if isinstance(val, list) else "a positive finite time"))
     inp = _Inputs(cfg, "")
-    for built in (*exp.reads, *("steps",) * ("dt" in inp.horizons)):
+    for built in (*exp.reads, *exp.gates, *("steps",) * ("dt" in inp.horizons)):
         getattr(inp, built)
     return cfg
 
@@ -159,7 +162,9 @@ def load_config(path) -> dict:
 class _Inputs:
     """One run's inputs from its config, each built on first use and then kept: every section
     the experiment reads, by its own name, and the step count of a run that reads horizons.dt.
-    Each builder refuses what its run would, through the library's own gates where it has one.
+    Each builder refuses what its run would, through the library's own gates where it has one;
+    green_measure and radial_rule build nothing and apply the gates of the library's G_0 and of
+    its radial rule.
     tolerances and horizons hold every value the experiment reads, unset ones at their defaults."""
 
     def __init__(self, cfg: dict, prefix: str):
@@ -180,14 +185,23 @@ class _Inputs:
     def grid(self) -> GridSpec:
         g = self.cfg.get("grid")
         if g is None:
-            # a default grid exists where the radial rule does; beyond, a run fails on the rule's own error
-            defaults = {1: (1024, 40.0), 2: (256, 24.0), 3: (64, 16.0)}
+            # a default grid exists where the radial rule does
             d = self.kernel.dim
-            _require(d in defaults, "kernel.dim", f"1, 2 or 3 for the radial Fourier rule, not {d}")
-            return GridSpec(d, *defaults[d])
+            _require_radial_dim(d)
+            return GridSpec(d, *{1: (1024, 40.0), 2: (256, 24.0), 3: (64, 16.0)}[d])
         if set(g) != {"N", "L"}:
             raise ConfigError("grid needs both N and L")
         return GridSpec(self.kernel.dim, g["N"], float(g["L"]))
+
+    @cached_property
+    def green_measure(self) -> None:
+        """The Green-existence gate of a run that needs G_0: always, or at lam = 0 for one that reads lam."""
+        if self.tolerances.get("lam", 0.0) == 0.0:
+            _require_green_measure(self.kernel)
+
+    @cached_property
+    def radial_rule(self) -> None:
+        _require_radial_dim(self.kernel.dim)
 
     @cached_property
     def subordinator(self):
@@ -400,13 +414,16 @@ def _exp_fke_residual(inp):
 class _Experiment(NamedTuple):
     """A run: its function, its line in `greenwalk list`, the sections it reads besides
     tolerances and horizons ("point" among them), and the tolerances and horizons it reads
-    with their defaults.  load_config refuses any other; each value's JSON type is its default's."""
+    with their defaults.  load_config refuses any other; each value's JSON type is its default's.
+    gates names the library computations the run needs, whose gates load_config applies:
+    "green_measure" (G_0, which a run that reads lam needs only at lam = 0) and "radial_rule"."""
 
     fn: Callable[[_Inputs], list]
     doc: str
     reads: tuple
     tolerances: dict = {}
     horizons: dict = {}
+    gates: tuple = ()
 
     @property
     def sections(self) -> tuple:
@@ -414,16 +431,21 @@ class _Experiment(NamedTuple):
 
 
 _GREEN = (("kernel", "grid"), {"lam": 0.0, "radius": 3.0})
+_G0_RADIAL = ("green_measure", "radial_rule")
 _SUBORDINATED = ("kernel", "grid", "subordinator", "f", "point")
 EXPERIMENTS = {
     "validate-kernel": _Experiment(_exp_validate_kernel, "kernel symmetry/mass/Fourier checks on a grid",
                                    ("kernel", "grid")),
     "fit-expansion": _Experiment(_exp_fit_expansion, "fit the small-frequency tail expansion (A, alpha)", ("kernel",),
                                  {"k_min": 1e-3, "k_max": 1e-2}),
-    "green-series": _Experiment(_exp_green_series, "regular Green kernel by the convolution-power series", *_GREEN),
-    "green-fourier": _Experiment(_exp_green_fourier, "regular Green kernel by radial Fourier quadrature", *_GREEN),
-    "green-compare": _Experiment(_exp_green_compare, "series vs Fourier Green kernel cross-validation", *_GREEN),
-    "potential": _Experiment(_exp_potential, "potential V(x, f) = f(x) + (G_0 * f)(x)", ("kernel", "f", "point")),
+    "green-series": _Experiment(_exp_green_series, "regular Green kernel by the convolution-power series", *_GREEN,
+                                gates=("green_measure",)),
+    "green-fourier": _Experiment(_exp_green_fourier, "regular Green kernel by radial Fourier quadrature", *_GREEN,
+                                 gates=_G0_RADIAL),
+    "green-compare": _Experiment(_exp_green_compare, "series vs Fourier Green kernel cross-validation", *_GREEN,
+                                 gates=_G0_RADIAL),
+    "potential": _Experiment(_exp_potential, "potential V(x, f) = f(x) + (G_0 * f)(x)", ("kernel", "f", "point"),
+                             gates=_G0_RADIAL),
     "mc-potential": _Experiment(_exp_mc_potential, "Monte Carlo truncated random potential",
                                 ("kernel", "f", "point", "mc"), horizons={"T": 200.0}),
     "random-green": _Experiment(_exp_random_green, "conditional mean occupation histograms of paths",
@@ -438,7 +460,7 @@ EXPERIMENTS = {
                                      horizons={"T_grid": [0.5, 1.0, 2.0]}),
     "renorm-curve": _Experiment(_exp_renorm_curve, "renormalized Green measure curve vs potential",
                                 ("kernel", "subordinator", "f", "point"),
-                                horizons={"T_grid": [2.0**j for j in range(9, 22, 2)]}),
+                                horizons={"T_grid": [2.0**j for j in range(9, 22, 2)]}, gates=_G0_RADIAL),
     "renorm-histogram": _Experiment(_exp_renorm_histogram,
                                     "normalized occupation histogram of the time-changed process",
                                     ("kernel", "subordinator", "point", "bins", "mc"), horizons={"T": 1e4}),

@@ -266,6 +266,11 @@ _TAIL_FORM_K = 1e-4
 _RADIAL_TOL = 1e-4
 
 
+def _require_radial_dim(dim: int) -> None:
+    """The radial rule's gate: InvalidInputError unless dim is one that _radial_measure has, 1, 2 or 3."""
+    _require(dim in (1, 2, 3), "kernel.dim", f"1, 2 or 3 for the radial Fourier rule, not {dim}")
+
+
 def _radial_value(kernel: JumpKernel, x, multiplier) -> tuple[np.ndarray, np.ndarray]:
     """(2 pi)^{-d} int e^{i(k,x)} g(k) dk for g = multiplier(k, a_hat, 1 - a_hat), and its error.
 
@@ -275,9 +280,9 @@ def _radial_value(kernel: JumpKernel, x, multiplier) -> tuple[np.ndarray, np.nda
     kernel's tail_params are known.  multiplier may return (..., nodes), one integral per
     row.  The error estimate is |sum - half-step sum| + |first term| + |last term|;
     TruncationError when it exceeds _RADIAL_TOL of the value; InvalidInputError for a
-    non-finite x or a kernel dimension outside {1, 2, 3}.
+    non-finite x or, from _require_radial_dim, a kernel dimension outside {1, 2, 3}.
     """
-    _require(kernel.dim in (1, 2, 3), "kernel.dim", f"1, 2 or 3 for the radial Fourier rule, not {kernel.dim}")
+    _require_radial_dim(kernel.dim)
     with np.errstate(over="ignore"):
         r = float(np.linalg.norm(_finite_point(x, kernel.dim)))
     _require(r < np.inf, "x", "of finite length |x|")

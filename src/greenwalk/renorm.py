@@ -125,9 +125,9 @@ def _horizon(clipped_mean, T: float) -> float:
     """tau* = min{tau : T - C_T(tau) <= 1e-8 T}, bracketed on powers of 2, then bisected.
 
     The bracket is found by doubling or halving from tau = 1, one tau per clipped-mean
-    call, so no call reaches the powers far from tau* where the Kanter rule of a stable
-    alpha near 1 over- or underflows.  Powers run from 2^-40 (below which the bracket
-    starts at 0) to 2^199.
+    call, since the Kanter rule of a stable alpha holds its nodes for every tau of a call
+    and grows with the smallest.  Powers run from 2^-40 (below which the bracket starts
+    at 0) to 2^199.
     """
     def done(tau):
         return T - clipped_mean(T, np.array([tau]))[0] <= 1e-8 * T

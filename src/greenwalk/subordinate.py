@@ -81,20 +81,25 @@ class SubordinatorSpec:
         return {"family": self.family, "params": dict(self.params)}
 
 
-def _kanter_A(alpha: float, u, eps):
-    """Kanter's A(u) on (0, pi), given eps = pi - u to keep precision at the pole u -> pi."""
+def _kanter_log_A(alpha: float, u, eps):
+    """log of Kanter's A(u) = sin(alpha u)^{alpha b} sin((1 - alpha) u) / sin(eps)^b, b = 1/(1 - alpha), on (0, pi).
+
+    eps = pi - u keeps precision at the pole u -> pi.  In logs nothing over- or underflows
+    for any alpha in (0, 1), where the powers do as alpha -> 1.
+    """
     b = 1.0 / (1.0 - alpha)
-    return np.sin(alpha * u) ** (alpha * b) * np.sin((1.0 - alpha) * u) / np.sin(eps) ** b
+    return alpha * b * np.log(np.sin(alpha * u)) + np.log(np.sin((1.0 - alpha) * u)) - b * np.log(np.sin(eps))
 
 
 def _standard_stable(alpha: float, rng, size) -> np.ndarray:
     """One-sided alpha-stable with Laplace transform e^{-lambda^alpha}.
 
     Kanter (Ann. Probab. 3 (1975) 697): S = (A(U)/E)^{(1-alpha)/alpha} with U
-    uniform on (0, pi) and E ~ Exp(1).
+    uniform on (0, pi) and E ~ Exp(1), formed as e^{((1-alpha)/alpha)(log A(U) - log E)},
+    which is finite for every alpha in (0, 1).
     """
     u = rng.uniform(0.0, np.pi, size=size)
-    return (_kanter_A(alpha, u, np.pi - u) / rng.exponential(size=size)) ** ((1.0 - alpha) / alpha)
+    return np.exp((1.0 - alpha) / alpha * (_kanter_log_A(alpha, u, np.pi - u) - np.log(rng.exponential(size=size))))
 
 
 # rows x nodes of the Kanter quadrature held at once
@@ -102,43 +107,49 @@ _KANTER_BLOCK = 1 << 18
 
 
 def _kanter_average(alpha: float, tau, t: float, h: Callable, h_inf: float) -> np.ndarray:
-    """E h(A(U) s^{1/(1-alpha)}) over U uniform on (0, pi), s = tau t^{-alpha}; 0 where s = 0.
+    """E h(log w) / min(s, 1) over U uniform on (0, pi), w = A(U) s^{1/(1-alpha)}, s = tau t^{-alpha}; 0 at tau = 0.
 
     For small s the integrand piles up at the pole u -> pi.  In y, with
     pi - u = pi e^{-y}, it is smooth: 12-node Gauss-Legendre panels of width
     min(1, 2 (1 - alpha)) cover [0, Y], where Y lies 8 e-folds beyond the
-    scale pi - u = sin(alpha pi) min(s, 1) at which A s^{1/(1-alpha)} ~ 1.
-    Beyond Y, h equals h_inf to roundoff, and that part is added exactly.  Raises
-    TruncationError where s is so small or so large that the rule over- or underflows.
+    scale pi - u = sin(alpha pi) min(s, 1) at which w ~ 1.  Beyond Y, h equals
+    h_inf to roundoff, and that part is added exactly.  h takes log w =
+    log A(u) + log s / (1 - alpha), log s = log tau - alpha log t, capped at 700,
+    where every h has reached h_inf, so that e^{log w} is finite.  An s below 1e-20
+    is taken at 1e-20: for both h of this module E h / s = c (1 + O(s)) as s -> 0
+    (rho_t(0) = k(t), and C_T(tau) ~ T s / Gamma(2 - alpha)), so it has reached c
+    to rounding there, and Y stays below log(pi / sin(alpha pi)) + 55.  So no step
+    overflows or loses a representable result to underflow, for every alpha, tau and t.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s = np.asarray(tau, dtype=float) * t**-alpha
-        out, pos = np.zeros(s.shape), s > 0
-        Y = np.log(np.pi / (np.sin(alpha * np.pi) * np.min(s[pos], initial=1.0))) + 8.0
-        if np.isfinite(Y):
-            y, w = _panel_rule(np.linspace(0.0, Y, int(np.ceil(Y / min(1.0, 2.0 * (1.0 - alpha)))) + 1), 12)
-            A = _kanter_A(alpha, -np.pi * np.expm1(-y), np.pi * np.exp(-y))
-            weights = np.exp(-y) * w
-            scaled = s[pos] ** (1.0 / (1.0 - alpha))
-            blocks = np.array_split(scaled, 1 + scaled.size * y.size // _KANTER_BLOCK)
-            out[pos] = np.concatenate([h(b[:, None] * A) @ weights for b in blocks]) + h_inf * np.exp(-Y)
-    if not (np.isfinite(Y) and np.all(np.isfinite(out))):
-        raise TruncationError(f"the Kanter quadrature over- or underflows for tau t^-alpha in "
-                              f"[{s.min():.3g}, {s.max():.3g}]")
+    tau = np.asarray(tau, dtype=float)
+    out, pos = np.zeros(tau.shape), tau > 0
+    log_s = np.maximum(np.log(tau[pos]) - alpha * np.log(t), np.log(1e-20))
+    Y = np.log(np.pi / np.sin(alpha * np.pi)) - np.min(log_s, initial=0.0) + 8.0
+    y, w = _panel_rule(np.linspace(0.0, Y, int(np.ceil(Y / min(1.0, 2.0 * (1.0 - alpha)))) + 1), 12)
+    log_A = _kanter_log_A(alpha, -np.pi * np.expm1(-y), np.pi * np.exp(-y))
+    weights = np.exp(-y) * w
+    blocks = np.array_split(log_s / (1.0 - alpha), 1 + log_s.size * y.size // _KANTER_BLOCK)
+    mean = np.concatenate([h(np.minimum(b[:, None] + log_A, 700.0)) @ weights for b in blocks])
+    out[pos] = (mean + h_inf * np.exp(-Y)) * np.exp(-np.minimum(log_s, 0.0))
     return out
 
 
-def _w_expint(p: float, w: np.ndarray) -> np.ndarray:
-    """w E_p(w), E_p(w) = int_1^inf e^{-w t} t^{-p} dt, for p > 0.
+def _w_expint(p: float, log_w: np.ndarray) -> np.ndarray:
+    """w E_p(w), E_p(w) = int_1^inf e^{-w t} t^{-p} dt, for p > 0, from log w.
 
-    Starts at q = p - ceil(p) in (-1, 0], an upper incomplete gamma of order
-    1 - q in [1, 2) (E_1 if p is an integer), and climbs by q E_{q+1} = e^{-w} - w E_q.
+    Starts at q = p - ceil(p) in (-1, 0], where E_q(w) = w^{q-1} Gamma(1 - q, w) is an upper
+    incomplete gamma of order 1 - q in [1, 2) (E_1 if p is an integer), and climbs by
+    q E_{q+1} = e^{-w} - w E_q.  The first step reads w^2 E_q = e^{(1+q) log w} Gamma(1 - q, w)
+    from log w, so for p < 1 the limit Gamma(1 - p) w^p of w E_p(w) as w -> 0 keeps its value
+    where w underflows: for alpha >= 0.995 it is O(1) far below w = e^-700.
     """
+    w = np.exp(log_w)
     q = p - np.ceil(p - 1e-9)
     if q > -1e-9:
-        q, f = 1.0, w * special.exp1(w)
+        q, f = 1.0, w * special.exp1(w, out=np.zeros_like(w), where=w > 0)
     else:
-        f = w**q * special.gamma(1.0 - q) * special.gammaincc(1.0 - q, w)
+        wf = np.exp((1.0 + q) * log_w) * special.gamma(1.0 - q) * special.gammaincc(1.0 - q, w)
+        f, q = (w * np.exp(-w) - wf) / q, q + 1.0
     while q < p - 0.5:
         f, q = (w * np.exp(-w) - w * f) / q, q + 1.0
     return f
@@ -152,7 +163,8 @@ def _stable_clipped_mean(alpha: float, T: float, tau) -> np.ndarray:
     no cancellation as tau -> 0.
     """
     p = (1.0 - alpha) / alpha
-    return T * _kanter_average(alpha, tau, T, lambda w: _w_expint(p, w) - np.expm1(-w), 1.0)
+    average = _kanter_average(alpha, tau, T, lambda log_w: _w_expint(p, log_w) - np.expm1(-np.exp(log_w)), 1.0)
+    return average * T ** (1.0 - alpha) * np.minimum(tau, T**alpha)  # T min(s, 1), which does not overflow
 
 
 # 1/Gamma(m/2 + 2) for m = 39 .. 0, highest order first: the series of E_{1/2,2}(-z) to rounding for z < 1
@@ -235,11 +247,11 @@ def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
         def clipped_mean(T, tau):
             tau = np.asarray(tau, dtype=float)
             z = tau / (2.0 * np.sqrt(T))
-            return (
-                T * special.erf(z)
-                + tau * np.sqrt(T / np.pi) * np.exp(-(z**2))
-                - 0.5 * tau**2 * special.erfc(z)
-            )
+            # from z = 30 on erf(z) = 1 and e^{-z^2} = erfc(z) = 0, so C_T = T, and tau^2 overflows from ~1e154
+            far = z >= 30.0
+            z, tau = np.where(far, 0.0, z), np.where(far, 0.0, tau)
+            near = T * special.erf(z) + tau * np.sqrt(T / np.pi) * np.exp(-(z**2)) - 0.5 * tau**2 * special.erfc(z)
+            return np.where(far, float(T), near)[()]
 
     else:
         def increment_sampler(dt, rng, size):
@@ -247,10 +259,11 @@ def make_stable_subordinator(alpha: float) -> SubordinatorSpec:
 
         def rho_closed_form(t, tau):
             # P(D(t) <= tau) = P(S(1) >= t tau^{-1/alpha}) = E[1 - e^{-w}] with
-            # w = A(U) (tau t^{-alpha})^{1/(1-alpha)}; differentiate in tau.  rho_t(0) = k(t)
+            # w = A(U) (tau t^{-alpha})^{1/(1-alpha)}; differentiate in tau: rho = E[w e^{-w}] / ((1 - alpha) tau),
+            # and min(s, 1) / tau = 1 / max(tau, t^alpha), which does not overflow.  rho_t(0) = k(t)
             tau = np.asarray(tau, dtype=float)
-            mean = _kanter_average(alpha, tau, t, lambda w: w * np.exp(-w), 0.0)
-            return np.divide(mean, (1.0 - alpha) * tau, out=np.full(tau.shape, k_eval(t)), where=tau > 0)
+            average = _kanter_average(alpha, tau, t, lambda log_w: np.exp(log_w - np.exp(log_w)), 0.0)
+            return np.where(tau > 0, average / ((1.0 - alpha) * np.maximum(tau, t**alpha)), k_eval(t))
 
         clipped_mean = functools.partial(_stable_clipped_mean, alpha)
         laplace_closed_form = None

@@ -127,8 +127,8 @@ DIM4 = {"kernel": {"family": "gaussian", "dim": 4}}
      "kernel.dim must be 1, 2 or 3 for the radial Fourier rule, not 4"),
 ], ids=["renorm-curve-dim-4", "green-fourier-dim-4", "potential-dim-4-no-grid"])
 def test_cli_inputs_the_library_refuses_print_the_error_line(tmp_path, capsys, body, message):
-    # each used to end in a traceback (NotImplementedError).  validate passes them: the radial
-    # rule refuses the dimension inside the library call, which no input builder makes
+    # each used to end in a traceback (NotImplementedError).  The radial rule's own gate refuses
+    # the dimension, and validate now refuses them too (test_validate_gives_the_verdict_run_gives)
     cfg = write_cfg(tmp_path, "refused", **body)
     assert run_cli(["run", cfg, "--out", tmp_path]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == {"type": "InvalidInputError", "message": message}
@@ -322,9 +322,10 @@ def test_families_are_read_from_one_table():
      ("cauchy1d", "stable", {"alpha": 0.7})),
 ], ids=["defaults", "gaussian2-gamma", "cauchy-stable07"])
 def test_table_builds_each_family_with_its_param_defaults(tmp_path, body, built):
-    # renorm-curve reads the kernel, the subordinator and f
+    # subordinate-solve reads the kernel, the subordinator and f, and needs no G_0, which
+    # diverges for the 2-D Gaussian and the Cauchy kernel
     body = {"subordinator": {"family": "stable"}, **body}
-    inp = cli._Inputs(load_config(write_cfg(tmp_path, "families", experiment="renorm-curve", **body)),
+    inp = cli._Inputs(load_config(write_cfg(tmp_path, "families", experiment="subordinate-solve", **body)),
                       str(tmp_path / "x"))
     assert (inp.kernel.name, inp.subordinator.family, inp.subordinator.params) == built
     assert inp.f.evaluator is inp.kernel.density and inp.f.fourier is inp.kernel.fourier
@@ -576,6 +577,16 @@ T_GRID_RULE = "horizon 'T_grid' must be a non-empty, strictly increasing array o
      ("InvalidInputError", "x must be finite and inside the box [-L, L)^d")),
     # Python's json reads Infinity, which the run's green_regular_series refused
     ({"experiment": "green-series", "tolerances": {"lam": float("inf")}}, "tolerance 'lam' must be a positive number"),
+    # the gates of the computations a run needs (EXPERIMENTS' gates): validate passed these, and
+    # run refused them before computing anything
+    ({"experiment": "green-series", "kernel": GAUSS1},
+     ("DivergentGreenMeasureError", "Green measure diverges: d = 1 <= alpha = 2.0")),
+    ({"experiment": "potential", "kernel": {"family": "cauchy"}, "point": [0.0]},
+     ("DivergentGreenMeasureError", "Green measure diverges: d = 1 <= alpha = 1.0")),
+    ({"experiment": "renorm-curve", "kernel": {"dim": 1}, "subordinator": STABLE},
+     ("DivergentGreenMeasureError", "Green measure diverges: d = 1 <= alpha = 2.0")),
+    ({"experiment": "potential", **DIM4},
+     ("InvalidInputError", "kernel.dim must be 1, 2 or 3 for the radial Fourier rule, not 4")),
     # a start outside the bins deposits its occupation as escaped mass: both commands accept it
     ({"experiment": "random-green", "kernel": GAUSS1, "point": [100.0], "mc": MC}, None),
 ], ids=["rho-no-subordinator", "kernel-dim-0", "grid-without-L", "point-of-one", "point-not-numbers",
@@ -586,7 +597,8 @@ T_GRID_RULE = "horizon 'T_grid' must be a non-empty, strictly increasing array o
         "rho-stable-alpha-1.5", "rho-gamma-a-negative", "random-green-bins-per-axis-0", "mc-potential-n-1",
         "mc-potential-seed-negative", "green-series-N-100", "green-fourier-dim-4-no-grid",
         "fit-expansion-k_min-above-k_max", "subordinator-check-s0-1e303", "subordinate-solve-point-outside-the-box",
-        "green-series-lam-infinite", "random-green-start-outside-the-bins"])
+        "green-series-lam-infinite", "green-series-dim-1", "potential-cauchy", "renorm-curve-dim-1",
+        "potential-dim-4", "random-green-start-outside-the-bins"])
 def test_validate_gives_the_verdict_run_gives(tmp_path, capsys, body, message):
     cfg = write_cfg(tmp_path, "bad", output="bad", **body)
     verdicts = []
@@ -602,12 +614,13 @@ def test_validate_gives_the_verdict_run_gives(tmp_path, capsys, body, message):
 
 
 def test_load_config_builds_exactly_the_sections_each_experiment_reads(tmp_path, monkeypatch):
-    # each builder is replaced by one that records its name; a run that reads horizons.dt also builds its steps
+    # each builder and gate is replaced by one that records its name; a run that reads horizons.dt
+    # also builds its steps
     built = []
-    for name in (*cli._SECTION_KEYS, "point", "steps"):
+    for name in (*cli._SECTION_KEYS, "point", "steps", "green_measure", "radial_rule"):
         monkeypatch.setattr(cli._Inputs, name, property(lambda inp, name=name: built.append(name)))
     for experiment, (body, _, _) in RUNS.items():
         built.clear()
         load_config(write_cfg(tmp_path, experiment, experiment=experiment, **body))
         exp = EXPERIMENTS[experiment]
-        assert built == [*exp.reads, *["steps"] * ("dt" in exp.horizons)], experiment
+        assert built == [*exp.reads, *exp.gates, *["steps"] * ("dt" in exp.horizons)], experiment

@@ -8,6 +8,7 @@ D(t) =d= |N(0, sqrt(2t))| with mean 2 sqrt(t/pi).
 """
 
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 from scipy.optimize import elementwise
 
 import greenwalk.subordinate as subordinate
@@ -276,7 +277,7 @@ def test_inverse_sampling_is_reproducible(stable):
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.7, 0.9])
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 0.9, 0.99, 0.999])
 def test_kanter_sampler_laplace_transform(alpha):
     # E exp(-lambda S(1)) = exp(-lambda^alpha) for the standard alpha-stable law
     s1 = make_stable_subordinator(alpha).increment_sampler(1.0, np.random.default_rng(5), 400_000)
@@ -293,6 +294,15 @@ def test_exact_stable07_inverse_moments():
         vals = draws**m
         z = (vals.mean() - target) / (vals.std(ddof=1) / np.sqrt(vals.size))
         assert abs(z) < 4.0, (m, z)
+
+
+@pytest.mark.parametrize("alpha", [0.99, 0.995, 0.999])
+def test_stable_inverse_draws_near_alpha_one_are_finite(alpha):
+    # here A(U), a product of powers of order 1/(1 - alpha), leaves the double range unless formed in logs
+    draws = sample_inverse_many(make_stable_subordinator(alpha), 1.0, None, 200_000, seed=4)
+    assert np.all(np.isfinite(draws))
+    z = (draws.mean() - 1.0 / special.gamma(1.0 + alpha)) / (draws.std(ddof=1) / np.sqrt(draws.size))
+    assert abs(z) < 4.0, z
 
 
 def test_stable_inverse_draws_do_not_depend_on_ds(stable):
@@ -650,6 +660,40 @@ def test_rho_stable_kanter_matches_mpmath(alpha):
                 assert rho_density(spec, t, tau) == pytest.approx(ref, rel=1e-9, abs=1e-13)
 
 
+@pytest.mark.parametrize("alpha", [0.99, 0.995, 0.999])
+def test_rho_stable_near_alpha_one_has_unit_mass_and_the_mean_of_d(alpha):
+    # E D(1) = 1 / Gamma(1 + alpha); rho_1 peaks within a few (1 - alpha) of its mode and is 0
+    # to double precision from tau = 1.5 on
+    spec = make_stable_subordinator(alpha)
+    rho = functools.cache(lambda tau: float(rho_density(spec, 1.0, tau)))
+    mode = optimize.minimize_scalar(lambda tau: -rho(tau), bracket=(0.9, 1.0, 1.2), tol=1e-6).x
+    assert rho(1.5) == 0.0
+    points = mode + (1.0 - alpha) * np.array([-30.0, -10.0, 0.0, 10.0])
+    for m, target in ((0, 1.0), (1, 1.0 / special.gamma(1.0 + alpha))):
+        moment, _ = integrate.quad(lambda tau: tau**m * rho(tau), 0.0, 1.5, points=points, limit=100)
+        assert moment == pytest.approx(target, abs=1e-10), m
+
+
+@pytest.mark.parametrize("t", [1e150, 1e200, 1e300])
+def test_rho_stable_at_huge_t(t):
+    # (tau t^-alpha)^{1/(1-alpha)} is far below the double range; rho_t(tau) -> k(t) as tau t^-alpha -> 0, and
+    # rho_t(tau) = t^-alpha rho_1(tau t^-alpha) by self-similarity
+    spec = make_stable_subordinator(0.7)
+    near_zero = np.array([0.5, 1.0, 5.0])
+    np.testing.assert_allclose(rho_density(spec, t, near_zero), spec.k_eval(t), rtol=1e-12)
+    scaled = np.array([0.5, 1.0, 2.0])
+    np.testing.assert_allclose(rho_density(spec, t, t**0.7 * scaled), t**-0.7 * rho_density(spec, 1.0, scaled),
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 0.999])
+def test_rho_stable_at_tiny_tau_is_k(alpha):
+    # rho_t(tau) = k(t) (1 + O(tau t^-alpha)), and at tau t^-alpha = 1e-300 E[w e^{-w}] is subnormal
+    spec = make_stable_subordinator(alpha)
+    np.testing.assert_allclose(rho_density(spec, 1.0, np.array([1e-300, 1e-200, 1e-30])), spec.k_eval(1.0),
+                               rtol=1e-12)
+
+
 def test_kanter_rule_is_built_once():
     # the 12-node rule is the one cached grids._leggauss(12), equal to leggauss(12): once
     # built, rho and clipped_mean take it from the cache and build no rule of their own
@@ -905,6 +949,23 @@ def test_kanter_clipped_mean_matches_erf_form_at_one_half(stable):
         )
 
 
+@pytest.mark.parametrize("alpha", [0.99, 0.995, 0.999])
+def test_stable_clipped_mean_near_alpha_one_matches_monte_carlo(alpha):
+    # S(tau) = tau^{1/alpha} S(1); at 0.995, T = 10 and tau = 0.01 the w^p tail of the
+    # integrand, far below w = e^-700, carries C_T = 0.0102
+    spec, T, taus = make_stable_subordinator(alpha), 10.0, np.array([1e-4, 0.01, 0.5, 5.0])
+    s1 = spec.increment_sampler(1.0, np.random.default_rng(7), 200_000)
+    for tau, mean in zip(taus, spec.clipped_mean(T, taus)):
+        vals = np.minimum(tau ** (1.0 / alpha) * s1, T)
+        z = (vals.mean() - mean) / (vals.std(ddof=1) / np.sqrt(vals.size))
+        assert abs(z) < 5.0, (tau, z)
+
+
+def test_half_stable_clipped_mean_is_t_where_tau_squared_overflows(stable):
+    # z^2 and tau^2 overflow from tau ~ 1.3e154, where inf * 0 would give NaN
+    np.testing.assert_array_equal(stable.clipped_mean(10.0, np.array([1e155, 1e200, 1e300])), 10.0)
+
+
 @pytest.mark.parametrize("spec", [make_gamma_subordinator(1.0, 1.0)] + [
     make_stable_subordinator(a) for a in (0.3, 0.5, 0.7)])
 def test_clipped_mean_small_tau_limit(spec):
@@ -916,6 +977,14 @@ def test_clipped_mean_small_tau_limit(spec):
             ratio = float(spec.clipped_mean(T, np.array([tau]))[0]) / (tau * N_T)
             assert abs(ratio - 1.0) <= 0.2 * tau
         assert spec.clipped_mean(T, np.array([0.0]))[0] == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.7, 0.999])
+def test_stable_clipped_mean_where_tau_t_minus_alpha_leaves_the_double_range(alpha):
+    # C_T(tau) = tau N(T) (1 + O(tau T^-alpha)); here tau T^-alpha is below 1e-300, C_T is not
+    spec = make_stable_subordinator(alpha)
+    T, taus = 1e300, np.array([1e-120, 1e-60, 1e-30])
+    np.testing.assert_allclose(spec.clipped_mean(T, taus), taus * float(spec.k_primitive(T)), rtol=1e-11)
 
 
 def test_time_averaged_ratio_near_one_at_large_t(stable):

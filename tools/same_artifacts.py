@@ -9,6 +9,9 @@ and seed 11, and the experiments that take a subordinator run once more with
 the gamma family.  renorm-curve runs once more with the stable family at
 ``alpha`` 0.7, whose W_T comes from the Talbot inversion rather than the
 1/2-stable closed form, and potential once more off centre, at (20, 0, 0).
+rho runs once more at ``alpha`` 0.7 and renorm-histogram at ``alpha`` 0.9, so
+that the Kanter rule runs: its rho_t and, where the histogram's Laplace table
+fails its gate, its clipped mean E[S(tau) ^ T].
 The five experiments that run with the Cauchy kernel run
 once more with it, green-fourier at ``lam`` 0.5 since the 1-D Green measure
 diverges.  Each of the 13 experiments that take tolerances or horizons runs
@@ -54,6 +57,9 @@ RUNS = [
     ("renorm-curve", "renorm-curve", {"subordinator": STABLE}),
     ("renorm-curve-stable07", "renorm-curve", {"subordinator": {"family": "stable", "params": {"alpha": 0.7}}}),
     ("potential-off-centre", "potential", {"point": [20.0, 0.0, 0.0]}),
+    ("rho-stable07", "rho", {"subordinator": {"family": "stable", "params": {"alpha": 0.7}}}),
+    ("renorm-histogram-stable09", "renorm-histogram",
+     {"subordinator": {"family": "stable", "params": {"alpha": 0.9}}, "mc": MC}),
     *((f"{name}{suffix}", name, {"subordinator": sub, **({"mc": MC} if name == "renorm-histogram" else {})})
       for name in ("subordinator-check", "rho", "gfd", "subordinate-solve", "fke-residual", "renorm-histogram")
       for suffix, sub in (("", STABLE), ("-gamma", GAMMA))),
