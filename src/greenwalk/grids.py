@@ -4,8 +4,10 @@ All spatial discretization in greenwalk happens on a uniform grid over the
 periodic box [-L, L)^d with N (a power of two) points per axis.  Fields are
 stored as d-dimensional arrays in natural coordinate order (index 0 is
 x = -L); FFT-based routines shift the origin to index 0 internally.
-Fields are real, so the spectral pair _to_spectral/_from_spectral uses numpy's
-rfftn half layout: fftn layout on every axis but the last, which keeps 0..N/2.
+Every transform runs here, on scipy.fft (imported on first use, so importing
+greenwalk does not load it).  Fields are real, so the spectral pair
+_to_spectral/_from_spectral uses the rfftn half layout: fftn layout on every
+axis but the last, which keeps 0..N/2; _real_spectrum is in full fftn layout.
 The module also holds the one Gauss-Legendre panel rule, behind the Kanter
 integrals and the histogram's quadrature-weight fallback.
 """
@@ -75,11 +77,11 @@ class GridSpec:
 
     @property
     def frequency_axis(self) -> np.ndarray:
-        """1-d angular frequencies 2 pi fftfreq(N, h), in numpy's fft layout."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
+        """1-d angular frequencies 2 pi fftfreq(N, h), in fft layout."""
+        return 2.0 * np.pi * _fft().fftfreq(self.points_per_axis, d=self.spacing)
 
     def wavenumbers(self) -> list[np.ndarray]:
-        """Angular frequency meshes matching numpy's fftn layout."""
+        """Angular frequency meshes matching the fftn layout."""
         return list(np.meshgrid(*([self.frequency_axis] * self.dim), indexing="ij"))
 
     def wavenumber_radius_squared(self) -> np.ndarray:
@@ -175,6 +177,13 @@ def field_from_function(grid: GridSpec, fn) -> FieldGrid:
     return FieldGrid(grid, vals)
 
 
+def _fft():
+    """scipy.fft, imported on first use: it costs import time that most of greenwalk does not need."""
+    import scipy.fft
+
+    return scipy.fft
+
+
 def _half(full: np.ndarray) -> np.ndarray:
     """View of a full fftn-layout array in rfftn half layout (last axis 0..N/2)."""
     return full[..., : full.shape[-1] // 2 + 1]
@@ -182,10 +191,21 @@ def _half(full: np.ndarray) -> np.ndarray:
 
 def _to_spectral(field: FieldGrid) -> np.ndarray:
     """Continuous-FT approximation of a real field, in rfftn half layout."""
-    return np.fft.rfftn(np.fft.ifftshift(field.values)) * field.grid.cell_volume
+    fft = _fft()
+    spec = fft.rfftn(fft.ifftshift(field.values))
+    spec *= field.grid.cell_volume
+    return spec
 
 
 def _from_spectral(grid: GridSpec, spec_vals: np.ndarray) -> np.ndarray:
     """Real field on grid whose half-layout spectrum is spec_vals; inverts _to_spectral."""
-    return np.fft.fftshift(np.fft.irfftn(spec_vals, s=grid.shape, axes=range(grid.dim))) / grid.cell_volume
+    fft = _fft()
+    vals = fft.fftshift(fft.irfftn(spec_vals, s=grid.shape, axes=range(grid.dim)))
+    vals /= grid.cell_volume
+    return vals
 
+
+def _real_spectrum(field: FieldGrid) -> np.ndarray:
+    """Real part of the continuous-FT approximation of a real field, in full fftn layout."""
+    fft = _fft()
+    return np.multiply(fft.fftn(fft.ifftshift(field.values)).real, field.grid.cell_volume)

@@ -4,6 +4,8 @@ A jump kernel is a symmetric probability density a on R^d.  Its Fourier
 transform satisfies a_hat(0) = 1, |a_hat| <= 1 and a_hat -> 0 at infinity.
 Heavy tails are quantified by the small-frequency expansion
 a_hat(k) = 1 - A |k|^alpha + o(|k|^alpha) with A > 0 and 0 < alpha <= 2.
+On a grid, a_hat is sampled by spectral_density: a full scipy.fft fftn of the
+sampled density, through grids._real_spectrum.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AliasingError, InvalidKernelError, _require, _require_count
-from .grids import FieldGrid, GridSpec, field_from_function
+from .grids import FieldGrid, GridSpec, _real_spectrum, field_from_function
 
 ALIASING_THRESHOLD = 1e-12
 
@@ -144,7 +146,7 @@ _SPECTRAL_CACHE: "weakref.WeakKeyDictionary[JumpKernel, dict]" = weakref.WeakKey
 def spectral_density(kernel: JumpKernel, grid: GridSpec) -> np.ndarray:
     """Discrete Fourier transform of the sampled density (approximates a_hat).
 
-    Returned in the full numpy fftn frequency layout; real for symmetric kernels.  It stays
+    Returned in the full fftn frequency layout; real for symmetric kernels.  It stays
     a full fftn: callers compare it with a_hat on the full wavenumber mesh, its roundoff
     sets green._RateClasses' keys, and the half-layout FFTs read the view grids._half.
     Sampled and alias-checked once per (kernel, grid) while the kernel lives:
@@ -152,8 +154,7 @@ def spectral_density(kernel: JumpKernel, grid: GridSpec) -> np.ndarray:
     """
     by_grid = _SPECTRAL_CACHE.setdefault(kernel, {})
     if grid not in by_grid:
-        shifted = np.fft.ifftshift(check_aliasing(kernel, grid).values)
-        by_grid[grid] = np.real(np.fft.fftn(shifted)) * grid.cell_volume
+        by_grid[grid] = _real_spectrum(check_aliasing(kernel, grid))
         by_grid[grid].flags.writeable = False
     return by_grid[grid]
 
@@ -191,9 +192,7 @@ def validate_kernel(kernel: JumpKernel, grid: GridSpec) -> KernelReport:
     """
     samples = sample_density(kernel, grid)
     vals = samples.values
-    flipped = vals[
-        tuple(np.ix_(*[(-np.arange(grid.points_per_axis)) % grid.points_per_axis] * grid.dim))
-    ]
+    flipped = np.roll(np.flip(vals), 1, axis=tuple(range(grid.dim)))  # the field at -x
     sym_err = float(np.max(np.abs(vals - flipped)))
     mass = samples.integral()
     ks = np.geomspace(1e-3, 50.0, 256)

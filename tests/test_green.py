@@ -11,13 +11,16 @@ V(0, a) equals the same zeta series.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from conftest import FFT_TRANSFORMS
 from green_oracles import ZETA_ORACLE, gaussian_g0, gaussian_g0_poisson
 from greenwalk import green, kernels
 from greenwalk.errors import (
@@ -27,7 +30,7 @@ from greenwalk.errors import (
     InvalidKernelError,
     TruncationError,
 )
-from greenwalk.grids import FieldGrid, GridSpec, field_from_function
+from greenwalk.grids import FieldGrid, GridSpec, _from_spectral, _to_spectral, field_from_function
 from greenwalk.green import (
     CLFunction,
     GreenExistence,
@@ -252,6 +255,33 @@ def test_half_layout_matches_full_fftn_reference(grid):
     x, taus = (0.37, -1.21, 0.55)[: grid.dim], np.array([0.0, 0.3, 2.0])
     np.testing.assert_allclose(_RateClasses.build(kernel, CLFunction(f.values_at), x, grid)(taus), per_mode_sum(kernel, f, x, taus),
                                rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=lambda g: f"d{g.dim}")
+def test_spectral_pair_round_trips_to_roundoff(grid):
+    f = off_centre_field(grid, 3)
+    back = _from_spectral(grid, _to_spectral(f))
+    np.testing.assert_allclose(back, f.values, rtol=0.0, atol=1e-15 * np.max(np.abs(f.values)))
+
+
+def test_gaussian_spectral_density_is_its_symbol_to_two_ulps(k3):
+    # the sampled density's aliasing and box-edge terms are below 1e-16 on GRID3
+    want = np.exp(-GRID3.wavenumber_radius_squared())
+    np.testing.assert_allclose(spectral_density(k3, GRID3), want, rtol=0.0, atol=2.0 * np.finfo(float).eps)
+
+
+def test_semigroup_makes_one_forward_and_one_inverse_transform(k3, fft_calls):
+    spectral_density(k3, GRID3)
+    fft_calls.clear()
+    evolve_semigroup(k3, sample_density(k3, GRID3), 0.7)
+    assert fft_calls == ["rfftn", "irfftn"]
+
+
+def test_rate_classes_make_one_forward_transform(k3, fft_calls):
+    spectral_density(k3, GRID3)
+    fft_calls.clear()
+    _RateClasses.build(k3, cl_from_kernel(k3), (1.5, -0.5, 2.0), GRID3)
+    assert fft_calls == ["rfftn"]
 
 
 PROPERTY_GRIDS = [GridSpec(1, 256, 20.0), GridSpec(2, 64, 12.0)]
@@ -570,11 +600,12 @@ def test_green_series_makes_one_inverse_fft(k3, lam, monkeypatch):
     # one real inverse transform in half layout, never a complex one; it names the
     # output shape, which the half layout cannot tell for an odd N
     calls = []
-    irfftn = np.fft.irfftn
+    irfftn = scipy.fft.irfftn
     monkeypatch.setattr(
-        np.fft, "irfftn", lambda a, *args, **kw: calls.append(kw.get("s")) or irfftn(a, *args, **kw)
+        scipy.fft, "irfftn", lambda a, *args, **kw: calls.append(kw.get("s")) or irfftn(a, *args, **kw)
     )
-    monkeypatch.setattr(np.fft, "ifftn", lambda *args, **kw: pytest.fail("complex ifftn called"))
+    for module in (scipy.fft, np.fft):
+        monkeypatch.setattr(module, "ifftn", lambda *args, **kw: pytest.fail("complex ifftn called"))
     green_regular_series(k3, GRID3, lam)
     assert calls == [GRID3.shape]
 
@@ -618,8 +649,8 @@ def test_potential_raises_where_the_radial_rule_fails(k3):
 def test_potential_with_fourier_makes_no_fft_and_samples_no_grid(k3, monkeypatch):
     # f.fourier routes to the radial rule: the kernel's density is never sampled
     # (f evaluates its own copy at x alone) and no FFT runs
-    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, lambda *args, **kw: pytest.fail("FFT called"))
+    for module, name in itertools.product((scipy.fft, np.fft), FFT_TRANSFORMS):
+        monkeypatch.setattr(module, name, lambda *args, **kw: pytest.fail("FFT called"))
     kernel = dataclasses.replace(k3, density=lambda x: pytest.fail("density sampled"))
     v = potential(kernel, cl_from_kernel(k3), [3.0, 0.0, 0.0], GRID3)
     assert v == pytest.approx(gaussian_g0(3.0), rel=1e-13)

@@ -6,6 +6,7 @@ has Fourier transform e^{-|k|^2} and n-fold convolution
 Fourier transform e^{-|k|}.
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -172,6 +173,25 @@ def test_validate_flags_asymmetric_density():
     assert not report.passed
 
 
+def gathered_symmetry_error(kernel, grid):
+    """max |a(x) - a(-x)|, with a(-x) gathered by index arithmetic."""
+    vals = sample_density(kernel, grid).values
+    n = grid.points_per_axis
+    return float(np.max(np.abs(vals - vals[np.ix_(*[(-np.arange(n)) % n] * grid.dim)])))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(3, 64, 16.0), GridSpec(2, 64, 12.0)], ids=lambda g: f"d{g.dim}")
+@pytest.mark.parametrize("shift", [0.0, 0.7])
+def test_validate_symmetry_matches_the_index_gather(grid, shift):
+    base = make_gaussian_kernel(grid.dim)
+    kernel = dataclasses.replace(base, density=lambda x: base.density(np.atleast_2d(x) - shift))
+    report = validate_kernel(kernel, grid)
+    assert report.symmetry_error == gathered_symmetry_error(kernel, grid)
+    assert report.symmetric == report.passed == (shift == 0.0)
+    if shift:
+        assert report.symmetry_error > 1e-3
+
+
 @settings(max_examples=25)
 @given(
     dim=st.sampled_from([1, 2]),
@@ -232,6 +252,15 @@ def test_spectral_cache_entry_dies_with_its_kernel():
     del kernel
     gc.collect()
     assert entry() is None
+
+
+def test_spectral_density_transforms_once_on_a_miss_and_never_on_a_hit(fft_calls):
+    kernel = make_gaussian_kernel(3)
+    grid = GridSpec(3, 32, 12.0)
+    spectral_density(kernel, grid)
+    assert fft_calls == ["fftn"]
+    spectral_density(kernel, grid)
+    assert fft_calls == ["fftn"]
 
 
 def test_aliasing_kernel_raises_on_every_call():

@@ -325,6 +325,20 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_import_does_not_load_scipy_fft():
+    # scipy.fft is imported by the first grid transform, not by the package
+    code = """if True:
+        import sys, greenwalk
+        from greenwalk.kernels import spectral_density
+        print('scipy.fft' in sys.modules)
+        spectral_density(greenwalk.make_gaussian_kernel(1), greenwalk.GridSpec(1, 64, 12.0))
+        print('scipy.fft' in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
+
+
 def test_import_does_not_load_scipy_solvers():
     # neither scipy.optimize nor scipy.integrate is imported, not by gamma draws
     # (a Newton-secant search of their own), nor by N(T) of a spec without
