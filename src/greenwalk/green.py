@@ -28,8 +28,8 @@ from .errors import (
     _require,
 )
 from .grids import FieldGrid, GridSpec, field_from_function, require_same_grid
-from .grids import _finite_point, _from_spectral, _half, _inside_box, _to_spectral
-from .kernels import JumpKernel, spectral_density
+from .grids import _HALF, _ORTHANT, _finite_point, _from_spectral, _inside_box, _mirror_even, _to_spectral
+from .kernels import JumpKernel, _spectral_layout, spectral_density
 
 
 # ---------------------------------------------------------------------------
@@ -78,18 +78,25 @@ def cl_from_kernel(kernel: JumpKernel) -> CLFunction:
 
 def apply_generator(kernel: JumpKernel, f: FieldGrid) -> FieldGrid:
     """Lf = a*f - f via FFT convolution on the field's grid."""
-    a_hat = _half(spectral_density(kernel, f.grid))
+    a_hat = _HALF.spectral(spectral_density(kernel, f.grid))
     conv = _from_spectral(f.grid, a_hat * _to_spectral(f))
     return FieldGrid(f.grid, conv - f.values)
 
 
 def evolve_semigroup(kernel: JumpKernel, f: FieldGrid, t: float) -> FieldGrid:
-    """u(t,.) = e^{-t} sum_n (t^n/n!) a_n * f, summed exactly as e^{t (a_hat - 1)} f."""
+    """u(t,.) = e^{-t} sum_n (t^n/n!) a_n * f, summed exactly as e^{t (a_hat - 1)} f.
+
+    One forward and one inverse transform: DCT-I on the orthant when a_hat came from the
+    orthant and f is mirror-even too (grids._ORTHANT), else rfftn/irfftn (grids._HALF).
+    """
     _require(0 <= t < np.inf, "t", "finite and >= 0")
     if t == 0:
         return FieldGrid(f.grid, f.values.copy())
-    a_hat = _half(spectral_density(kernel, f.grid))
-    return FieldGrid(f.grid, _from_spectral(f.grid, np.exp(t * (a_hat - 1.0)) * _to_spectral(f)))
+    a_hat, layout = _spectral_layout(kernel, f.grid)
+    if layout is _ORTHANT and not _mirror_even(f.values):
+        layout = _HALF
+    u = layout.from_spectral(f.grid, np.exp(t * (layout.spectral(a_hat) - 1.0)) * layout.to_spectral(f))
+    return FieldGrid(f.grid, layout.natural(u))
 
 
 # width of a rate class: four ulps of 1, above the FFT roundoff of a_hat
@@ -128,11 +135,11 @@ class _RateClasses:
         # the Nyquist index stands for both signs of pi/h, so its phase factor
         # e^{-i pi x/h} becomes cos(pi x/h), the real sum over the full layout
         nyquist = np.where(np.arange(n) == n // 2, k1, 0.0)
-        phase = _half(sum(np.ix_(*((k1 - nyquist) * xi for xi in x))))
-        cos = np.cos(_half(sum(np.ix_(*(nyquist * xi for xi in x)))))
+        phase = _HALF.spectral(sum(np.ix_(*((k1 - nyquist) * xi for xi in x))))
+        cos = np.cos(_HALF.spectral(sum(np.ix_(*(nyquist * xi for xi in x)))))
         w = (_to_spectral(f) * np.exp(1j * phase)).real * cos / (2.0 * grid.half_width) ** grid.dim
         w[..., 1 : n // 2] *= 2.0
-        keys, inverse = np.unique(np.rint(_half(a_hat).ravel() / _RATE_QUANTUM), return_inverse=True)
+        keys, inverse = np.unique(np.rint(_HALF.spectral(a_hat).ravel() / _RATE_QUANTUM), return_inverse=True)
         weights = np.bincount(inverse, weights=w.ravel(), minlength=keys.size)
         # decay rates 1 - a_hat >= 0 up to roundoff
         return cls(np.maximum(1.0 - keys * _RATE_QUANTUM, 0.0), weights)
@@ -199,12 +206,12 @@ def green_regular_series(kernel: JumpKernel, grid: GridSpec, lam: float) -> Reso
     plus s(r) = Gamma(b) 1F1(b; d/2; -r^2/4) / (A 2^d pi^{d/2} Gamma(d/2)), b = (d - alpha)/2.
     R is bounded only when (A, alpha) is the kernel's true tail, so an InvalidKernelError
     names tail_params when R spreads by more than _TAIL_SPREAD over the three small k.
+    Both run in the layout a_hat came from: when it came from the orthant, G_lambda is
+    mirror-even, so the spectrum, s(r), the clip at 0 and one idctn all stay on the
+    (N/2+1)^d orthant (grids._ORTHANT); otherwise one irfftn (grids._HALF).
     """
     _require(0 <= lam < np.inf, "lam", "finite and >= 0")
-    if lam > 0:
-        a_hat = _half(spectral_density(kernel, grid))
-        vals = _from_spectral(grid, a_hat / (1.0 + lam - a_hat))
-    else:
+    if lam == 0:
         _require_green_measure(kernel)  # gates before the density is sampled
         (A, alpha), d = kernel.tail_params, grid.dim
         regular = lambda a, k2: a / (1.0 - a) - np.exp(-k2) / (A * k2 ** (0.5 * alpha))
@@ -216,22 +223,28 @@ def green_regular_series(kernel: JumpKernel, grid: GridSpec, lam: float) -> Reso
                 f"tail_params (A, alpha) = ({A:g}, {alpha:g}) do not fit the kernel's a_hat "
                 f"near 0: the regular part spreads by {spread:.3g} over k = 0.025 .. 0.1"
             )
-        a_hat = _half(spectral_density(kernel, grid))
+    a_hat, layout = _spectral_layout(kernel, grid)
+    a_hat = layout.spectral(a_hat)
+    if lam > 0:
+        vals = layout.from_spectral(grid, a_hat / (1.0 + lam - a_hat))
+    else:
         spec = np.empty(a_hat.shape)
         spec.ravel()[0] = np.polyfit(ks**2, near_zero, 2)[-1]
-        spec.ravel()[1:] = regular(a_hat.ravel()[1:], _half(grid.wavenumber_radius_squared()).ravel()[1:])
-        j = np.arange(grid.points_per_axis) - grid.points_per_axis // 2
-        m2 = sum(np.ix_(*[j * j] * d))  # |x|^2 / h^2
+        k1 = grid.frequency_axis
+        k2 = sum(layout.spectral(c) for c in np.ix_(*[k1 * k1] * d))  # |k|^2 on the layout's view alone
+        spec.ravel()[1:] = regular(a_hat.ravel()[1:], k2.ravel()[1:])
+        j = layout.real(np.arange(grid.points_per_axis) - grid.points_per_axis // 2)
+        m2 = sum(np.ix_(*[j * j] * d))  # |x|^2 / h^2, in the layout's real order
         # 1F1 once per integer 0..max m2, fewer values than grid points unless d = 1
         r2 = np.arange(m2.max() + 1) if d > 1 else m2
         b = 0.5 * (d - alpha)
         s = special.gamma(b) * special.hyp1f1(b, 0.5 * d, -0.25 * grid.spacing**2 * r2)
         s /= A * 2.0**d * np.pi ** (0.5 * d) * special.gamma(0.5 * d)
-        vals = _from_spectral(grid, spec) + (s[m2] if d > 1 else s)
+        vals = layout.from_spectral(grid, spec) + (s[m2] if d > 1 else s)
     floor = float(vals.min())
     if floor < -1e-8:
         raise TruncationError(f"Green series produced negative values ({floor:.2e})")
-    return ResolventKernel(lam, FieldGrid(grid, np.maximum(vals, 0.0)))
+    return ResolventKernel(lam, FieldGrid(grid, layout.natural(np.maximum(vals, 0.0))))
 
 
 def _radial_measure(d: int, r: float, k: np.ndarray) -> np.ndarray:

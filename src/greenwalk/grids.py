@@ -3,11 +3,18 @@
 All spatial discretization in greenwalk happens on a uniform grid over the
 periodic box [-L, L)^d with N (a power of two) points per axis.  Fields are
 stored as d-dimensional arrays in natural coordinate order (index 0 is
-x = -L); FFT-based routines shift the origin to index 0 internally.
-Every transform runs here, on scipy.fft (imported on first use, so importing
-greenwalk does not load it).  Fields are real, so the spectral pair
-_to_spectral/_from_spectral uses the rfftn half layout: fftn layout on every
-axis but the last, which keeps 0..N/2; _real_spectrum is in full fftn layout.
+x = -L).  Every transform runs here, on scipy.fft (imported on first use, so
+importing greenwalk does not load it), through one of two _Layouts.  Any real
+field takes _HALF: the origin shifted to index 0 and the rfftn half layout,
+fftn layout on every axis but the last, which keeps 0..N/2.  A field that is
+_mirror_even, equal to its reflection through the origin on every axis bit for
+bit (a symmetric kernel's density, a_hat, G_lambda, a radial f sampled on a box
+whose coordinates -L + i h mirror exactly), takes _ORTHANT: a DCT-I of its
+(N/2+1)^d orthant x >= 0, which is its DFT on a 2^-d share of the data, and one
+np.take per axis back to natural order.  A routine picks its layout once, from
+the data alone, and runs one code path over it.  Either layout also gives a
+field's real spectrum in full fftn layout (real_spectrum), the form in which
+kernels.spectral_density keeps a_hat.
 The module also holds the one Gauss-Legendre panel rule, behind the Kanter
 integrals and the histogram's quadrature-weight fallback.
 """
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -184,28 +192,87 @@ def _fft():
     return scipy.fft
 
 
-def _half(full: np.ndarray) -> np.ndarray:
-    """View of a full fftn-layout array in rfftn half layout (last axis 0..N/2)."""
-    return full[..., : full.shape[-1] // 2 + 1]
+def _mirror_even(values: np.ndarray) -> bool:
+    """True when values, in natural order, equal their reflection through the origin on every axis, bit for bit."""
+    n = values.shape[0]
+    return all(np.array_equal(v[n // 2 + 1 :], v[n // 2 - 1 : 0 : -1])
+               for v in (np.moveaxis(values, ax, 0) for ax in range(values.ndim)))
 
 
-def _to_spectral(field: FieldGrid) -> np.ndarray:
-    """Continuous-FT approximation of a real field, in rfftn half layout."""
-    fft = _fft()
-    spec = fft.rfftn(fft.ifftshift(field.values))
-    spec *= field.grid.cell_volume
-    return spec
+def _each_axis(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """a indexed by index along every axis, one np.take per axis."""
+    for ax in range(a.ndim):
+        a = np.take(a, index, axis=ax)
+    return a
+
+
+def _mirror_index(n: int) -> np.ndarray:
+    """|i - N/2| for i = 0 .. N - 1: the orthant index of natural index i; N/2 minus it is the
+    orthant index of fftn-layout frequency index i."""
+    return np.abs(np.arange(n) - n // 2)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """One spectral layout of real grid fields; a routine picks one, then runs one code path over it.
+
+    real maps natural order to the layout's real order and natural maps it back; spectral views a
+    full fftn-layout spectrum in the layout's spectral order; forward(values) and
+    inverse(spec, shape) are the unscaled transforms between the two orders; real_spectrum(field)
+    is the real part of the continuous-FT approximation of a field, in full fftn layout.
+    """
+
+    real: Callable[[np.ndarray], np.ndarray]
+    natural: Callable[[np.ndarray], np.ndarray]
+    spectral: Callable[[np.ndarray], np.ndarray]
+    forward: Callable[[np.ndarray], np.ndarray]
+    inverse: Callable[[np.ndarray, tuple], np.ndarray]
+    real_spectrum: Callable[[FieldGrid], np.ndarray]
+
+    def to_spectral(self, field: FieldGrid) -> np.ndarray:
+        """Continuous-FT approximation of field, in this layout's spectral order."""
+        spec = self.forward(self.real(field.values))
+        spec *= field.grid.cell_volume
+        return spec
+
+    def from_spectral(self, grid: GridSpec, spec: np.ndarray) -> np.ndarray:
+        """Real field on grid, in this layout's real order, whose spectrum is spec; inverts to_spectral."""
+        vals = self.inverse(spec, grid.shape)
+        vals /= grid.cell_volume
+        return vals
+
+
+# any real field: the origin at index 0, rfftn/irfftn, and the last axis of the spectrum kept 0..N/2
+_HALF = _Layout(
+    real=lambda v: _fft().ifftshift(v),
+    natural=lambda v: _fft().fftshift(v),
+    spectral=lambda full: full[..., : full.shape[-1] // 2 + 1],
+    forward=lambda v: _fft().rfftn(v),
+    inverse=lambda spec, shape: _fft().irfftn(spec, s=shape, axes=range(len(shape))),
+    real_spectrum=lambda f: np.multiply(_fft().fftn(_HALF.real(f.values)).real, f.grid.cell_volume),
+)
+# a _mirror_even field: its (N/2+1)^d orthant x >= 0, read as x <= 0 reversed, and DCT-I, which is
+# the DFT of an even sequence; orthant index j on an axis is x = j h and k = j pi/L
+_ORTHANT = _Layout(
+    real=lambda v: v[(slice(v.shape[0] // 2, None, -1),) * v.ndim],
+    natural=lambda v: _each_axis(v, _mirror_index(2 * v.shape[0] - 2)),
+    spectral=lambda full: full[tuple(slice(n // 2 + 1) for n in full.shape)],
+    forward=lambda v: _fft().dctn(v, type=1),
+    inverse=lambda spec, shape: _fft().idctn(spec, type=1),
+    real_spectrum=lambda f: _each_axis(
+        _ORTHANT.to_spectral(f), f.grid.points_per_axis // 2 - _mirror_index(f.grid.points_per_axis)
+    ),
+)
+
+
+def _layout_of(field: FieldGrid) -> _Layout:
+    """_ORTHANT for a _mirror_even field, else _HALF."""
+    return _ORTHANT if _mirror_even(field.values) else _HALF
+
+
+_to_spectral = _HALF.to_spectral
 
 
 def _from_spectral(grid: GridSpec, spec_vals: np.ndarray) -> np.ndarray:
-    """Real field on grid whose half-layout spectrum is spec_vals; inverts _to_spectral."""
-    fft = _fft()
-    vals = fft.fftshift(fft.irfftn(spec_vals, s=grid.shape, axes=range(grid.dim)))
-    vals /= grid.cell_volume
-    return vals
-
-
-def _real_spectrum(field: FieldGrid) -> np.ndarray:
-    """Real part of the continuous-FT approximation of a real field, in full fftn layout."""
-    fft = _fft()
-    return np.multiply(fft.fftn(fft.ifftshift(field.values)).real, field.grid.cell_volume)
+    """Real field on grid, in natural order, whose half-layout spectrum is spec_vals; inverts _to_spectral."""
+    return _HALF.natural(_HALF.from_spectral(grid, spec_vals))

@@ -4,8 +4,11 @@ A jump kernel is a symmetric probability density a on R^d.  Its Fourier
 transform satisfies a_hat(0) = 1, |a_hat| <= 1 and a_hat -> 0 at infinity.
 Heavy tails are quantified by the small-frequency expansion
 a_hat(k) = 1 - A |k|^alpha + o(|k|^alpha) with A > 0 and 0 < alpha <= 2.
-On a grid, a_hat is sampled by spectral_density: a full scipy.fft fftn of the
-sampled density, through grids._real_spectrum.
+On a grid, a_hat is sampled by spectral_density, once per kernel and grid: a
+DCT-I of the orthant when the sampled density is mirror-even (grids._ORTHANT),
+as a symmetric kernel's is on a box whose coordinates mirror exactly, else a
+full fftn (grids._HALF).  Either way it is kept in full fftn layout, read-only,
+beside the layout it came from, which the grid routines of green transform in.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AliasingError, InvalidKernelError, _require, _require_count
-from .grids import FieldGrid, GridSpec, _real_spectrum, field_from_function
+from .grids import FieldGrid, GridSpec, _Layout, _layout_of, field_from_function
 
 ALIASING_THRESHOLD = 1e-12
 
@@ -146,16 +149,26 @@ _SPECTRAL_CACHE: "weakref.WeakKeyDictionary[JumpKernel, dict]" = weakref.WeakKey
 def spectral_density(kernel: JumpKernel, grid: GridSpec) -> np.ndarray:
     """Discrete Fourier transform of the sampled density (approximates a_hat).
 
-    Returned in the full fftn frequency layout; real for symmetric kernels.  It stays
-    a full fftn: callers compare it with a_hat on the full wavenumber mesh, its roundoff
-    sets green._RateClasses' keys, and the half-layout FFTs read the view grids._half.
-    Sampled and alias-checked once per (kernel, grid) while the kernel lives:
-    later calls return the same read-only array; AliasingError is never cached.
+    Returned in the full fftn frequency layout; real for symmetric kernels.  A mirror-even
+    sampled density (grids._mirror_even) is transformed on its orthant by DCT-I and unfolded;
+    any other by a full fftn.  It stays in full fftn layout either way: callers compare it with
+    a_hat on the full wavenumber mesh, its roundoff sets green._RateClasses' keys, and each
+    layout's transforms read their own view of it.  Sampled and alias-checked once per
+    (kernel, grid) while the kernel lives: later calls return the same read-only array;
+    AliasingError is never cached.
     """
+    return _spectral_layout(kernel, grid)[0]
+
+
+def _spectral_layout(kernel: JumpKernel, grid: GridSpec) -> tuple[np.ndarray, _Layout]:
+    """(spectral_density(kernel, grid), the grids._Layout it was transformed in), cached together."""
     by_grid = _SPECTRAL_CACHE.setdefault(kernel, {})
     if grid not in by_grid:
-        by_grid[grid] = _real_spectrum(check_aliasing(kernel, grid))
-        by_grid[grid].flags.writeable = False
+        samples = check_aliasing(kernel, grid)
+        layout = _layout_of(samples)
+        a_hat = layout.real_spectrum(samples)
+        a_hat.flags.writeable = False
+        by_grid[grid] = (a_hat, layout)
     return by_grid[grid]
 
 

@@ -11,7 +11,7 @@ settings.register_profile("greenwalk", deadline=None, derandomize=True)
 settings.load_profile("greenwalk")
 
 
-FFT_TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
+FFT_TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn", "dctn", "idctn")
 
 
 @pytest.fixture

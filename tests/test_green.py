@@ -30,7 +30,16 @@ from greenwalk.errors import (
     InvalidKernelError,
     TruncationError,
 )
-from greenwalk.grids import FieldGrid, GridSpec, _from_spectral, _to_spectral, field_from_function
+from greenwalk.grids import (
+    _ORTHANT,
+    FieldGrid,
+    GridSpec,
+    _from_spectral,
+    _Layout,
+    _layout_of,
+    _to_spectral,
+    field_from_function,
+)
 from greenwalk.green import (
     CLFunction,
     GreenExistence,
@@ -57,6 +66,8 @@ from greenwalk.kernels import (
 GRID1 = GridSpec(1, 1024, 40.0)
 GRID3 = GridSpec(3, 64, 16.0)
 SMALL_GRID3 = GridSpec(3, 32, 12.0)
+# coordinates -L + i h that do not mirror bit for bit: every field on it takes the half layout
+UNMIRRORED_GRID3 = GridSpec(3, 64, 15.3)
 
 
 def gaussian_n(x, n, d):
@@ -264,6 +275,55 @@ def test_spectral_pair_round_trips_to_roundoff(grid):
     np.testing.assert_allclose(back, f.values, rtol=0.0, atol=1e-15 * np.max(np.abs(f.values)))
 
 
+# ---------------------------------------------------------------------------
+# orthant DCT-I pair against the same full complex fftn reference
+# ---------------------------------------------------------------------------
+
+ORTHANT_GRIDS = [GRID1, GridSpec(2, 256, 24.0), GRID3]
+# the layout interface over numpy's complex fftn: the full reference, run through each routine's code
+FULL_FFTN = _Layout(real=np.fft.ifftshift, natural=np.fft.fftshift, spectral=lambda full: full,
+                    forward=np.fft.fftn, inverse=lambda spec, shape: np.fft.ifftn(spec).real,
+                    real_spectrum=lambda field: full_to_spectral(field).real)
+
+
+def mirror_even_field(grid, seed):
+    """Noise on the orthant, reflected onto every axis: mirror-even bit for bit and not band-limited."""
+    n = grid.points_per_axis
+    orthant = np.random.default_rng(seed).uniform(-1.0, 1.0, (n // 2 + 1,) * grid.dim)
+    return FieldGrid(grid, orthant[np.ix_(*[np.abs(np.arange(n) - n // 2)] * grid.dim)])
+
+
+@pytest.mark.parametrize("grid", ORTHANT_GRIDS, ids=lambda g: f"d{g.dim}")
+def test_orthant_pair_matches_full_fftn_reference(grid):
+    f, g = mirror_even_field(grid, 1), mirror_even_field(grid, 2)
+    assert _layout_of(f) is _ORTHANT
+    f_hat, g_hat = full_to_spectral(f), full_to_spectral(g)
+    tol = 16 * np.finfo(float).eps
+    np.testing.assert_allclose(_ORTHANT.real_spectrum(f), f_hat.real, rtol=0.0, atol=tol * np.max(np.abs(f_hat)))
+    np.testing.assert_allclose(_ORTHANT.to_spectral(f), _ORTHANT.spectral(f_hat.real), rtol=0.0,
+                               atol=tol * np.max(np.abs(f_hat)))
+    product = f_hat.real * g_hat.real
+    conv = full_from_spectral(grid, product)
+    got = _ORTHANT.natural(_ORTHANT.from_spectral(grid, _ORTHANT.spectral(product)))
+    np.testing.assert_allclose(got, conv, rtol=0.0, atol=tol * np.max(np.abs(conv)))
+
+
+def test_orthant_route_matches_full_fftn_reference_to_four_ulps(k3, monkeypatch):
+    # the same routines on a fresh kernel whose a_hat takes the full complex fftn layout
+    def assert_close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=4 * np.finfo(float).eps * np.max(np.abs(want)))
+
+    fs = sample_density(k3, GRID3)
+    got = [spectral_density(k3, GRID3), evolve_semigroup(k3, fs, 0.7).values]
+    got += [green_regular_series(k3, GRID3, lam).regular_part.values for lam in (0.0, 0.5)]
+    monkeypatch.setattr(kernels, "_layout_of", lambda field: FULL_FFTN)
+    reference = make_gaussian_kernel(3)
+    want = [spectral_density(reference, GRID3), evolve_semigroup(reference, fs, 0.7).values]
+    want += [green_regular_series(reference, GRID3, lam).regular_part.values for lam in (0.0, 0.5)]
+    for a, b in zip(got, want):
+        assert_close(a, b)
+
+
 def test_gaussian_spectral_density_is_its_symbol_to_two_ulps(k3):
     # the sampled density's aliasing and box-edge terms are below 1e-16 on GRID3
     want = np.exp(-GRID3.wavenumber_radius_squared())
@@ -271,10 +331,17 @@ def test_gaussian_spectral_density_is_its_symbol_to_two_ulps(k3):
 
 
 def test_semigroup_makes_one_forward_and_one_inverse_transform(k3, fft_calls):
-    spectral_density(k3, GRID3)
-    fft_calls.clear()
-    evolve_semigroup(k3, sample_density(k3, GRID3), 0.7)
-    assert fft_calls == ["rfftn", "irfftn"]
+    # DCT-I on the orthant for a mirror-even f and a_hat; rfftn/irfftn for an f centred
+    # off the origin or a box whose coordinates do not mirror
+    centred = cl_from_kernel(k3)
+    off_centre = CLFunction(lambda p: k3.density(p - np.array([1.0, 0.0, 0.0])))
+    for f, grid, want in [(centred, GRID3, ["dctn", "idctn"]), (off_centre, GRID3, ["rfftn", "irfftn"]),
+                          (centred, UNMIRRORED_GRID3, ["rfftn", "irfftn"])]:
+        fs = f.samples_on(grid)
+        spectral_density(k3, grid)
+        fft_calls.clear()
+        evolve_semigroup(k3, fs, 0.7)
+        assert fft_calls == want
 
 
 def test_rate_classes_make_one_forward_transform(k3, fft_calls):
@@ -560,11 +627,12 @@ def test_green_off_origin_matches_fourier_quadrature(g0_series_3d, k3, x):
 
 
 @pytest.mark.parametrize(
-    "dim, grid, tail, evals", [(3, GRID3, (1.0, 2.0), 3 * 32**2 + 1), (1, GRID1, (1.0, 0.5), 1024)]
+    "dim, grid, tail, evals", [(3, GRID3, (1.0, 2.0), 3 * 32**2 + 1), (1, GRID1, (1.0, 0.5), 513)]
 )
 def test_singular_part_evaluates_1f1_once_per_radius(dim, grid, tail, evals, monkeypatch):
     # |x|^2/h^2 is an integer: a table over 0..max needs fewer 1F1 values than
-    # the 64^3 grid has points; in d = 1 it would need N^2/4, so each point gets one
+    # the 64^3 grid has points; in d = 1 it would need N^2/4, so each point of the
+    # N/2 + 1 on the orthant gets one
     # (the 1-D Gaussian has no Green measure: its tail_params only reach the branch,
     # so the check that they fit a_hat near 0 is switched off)
     sizes = []
@@ -596,18 +664,22 @@ def test_green_origin_rejects_wrong_tail_params(k3, tail):
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
-def test_green_series_makes_one_inverse_fft(k3, lam, monkeypatch):
-    # one real inverse transform in half layout, never a complex one; it names the
-    # output shape, which the half layout cannot tell for an odd N
-    calls = []
+def test_green_series_makes_one_inverse_fft(k3, lam, fft_calls, monkeypatch):
+    # one real inverse transform, never a complex one: idctn on the orthant where a_hat came
+    # from it, else irfftn, which names the output shape the half layout cannot tell for an odd N
+    shapes = []
     irfftn = scipy.fft.irfftn
     monkeypatch.setattr(
-        scipy.fft, "irfftn", lambda a, *args, **kw: calls.append(kw.get("s")) or irfftn(a, *args, **kw)
+        scipy.fft, "irfftn", lambda a, *args, **kw: shapes.append(kw.get("s")) or irfftn(a, *args, **kw)
     )
     for module in (scipy.fft, np.fft):
         monkeypatch.setattr(module, "ifftn", lambda *args, **kw: pytest.fail("complex ifftn called"))
-    green_regular_series(k3, GRID3, lam)
-    assert calls == [GRID3.shape]
+    for grid, want in [(GRID3, ["idctn"]), (UNMIRRORED_GRID3, ["irfftn"])]:
+        spectral_density(k3, grid)
+        fft_calls.clear()
+        green_regular_series(k3, grid, lam)
+        assert fft_calls == want
+    assert shapes == [UNMIRRORED_GRID3.shape]
 
 
 def test_density_is_sampled_once_per_kernel_and_grid():
@@ -650,7 +722,8 @@ def test_potential_with_fourier_makes_no_fft_and_samples_no_grid(k3, monkeypatch
     # f.fourier routes to the radial rule: the kernel's density is never sampled
     # (f evaluates its own copy at x alone) and no FFT runs
     for module, name in itertools.product((scipy.fft, np.fft), FFT_TRANSFORMS):
-        monkeypatch.setattr(module, name, lambda *args, **kw: pytest.fail("FFT called"))
+        if hasattr(module, name):  # numpy has no DCT
+            monkeypatch.setattr(module, name, lambda *args, **kw: pytest.fail("FFT called"))
     kernel = dataclasses.replace(k3, density=lambda x: pytest.fail("density sampled"))
     v = potential(kernel, cl_from_kernel(k3), [3.0, 0.0, 0.0], GRID3)
     assert v == pytest.approx(gaussian_g0(3.0), rel=1e-13)

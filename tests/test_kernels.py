@@ -254,13 +254,29 @@ def test_spectral_cache_entry_dies_with_its_kernel():
     assert entry() is None
 
 
+def correlated_gaussian_kernel() -> JumpKernel:
+    """N(0, C) jumps with correlated first two coordinates: a(-x) = a(x), yet a is not even in x_1 alone.
+
+    Only its density is read here; fourier is a placeholder, as a_hat is not radial.
+    """
+    cov = np.array([[2.0, 0.8, 0.0], [0.8, 2.0, 0.0], [0.0, 0.0, 2.0]])
+    inv, norm = np.linalg.inv(cov), (2.0 * np.pi) ** -1.5 / np.sqrt(np.linalg.det(cov))
+    density = lambda x: norm * np.exp(-0.5 * np.einsum("...i,ij,...j->...", x, inv, x))
+    return JumpKernel(3, density, lambda k: np.exp(-np.asarray(k, dtype=float) ** 2), None)
+
+
 def test_spectral_density_transforms_once_on_a_miss_and_never_on_a_hit(fft_calls):
-    kernel = make_gaussian_kernel(3)
-    grid = GridSpec(3, 32, 12.0)
-    spectral_density(kernel, grid)
-    assert fft_calls == ["fftn"]
-    spectral_density(kernel, grid)
-    assert fft_calls == ["fftn"]
+    # a mirror-even density takes one DCT-I of its orthant; a box whose coordinates do not
+    # mirror and a density even only through the origin take one full fftn
+    gaussian = make_gaussian_kernel(3)
+    for kernel, grid, want in [(gaussian, GridSpec(3, 32, 12.0), ["dctn"]),
+                               (gaussian, GridSpec(3, 64, 15.3), ["fftn"]),
+                               (correlated_gaussian_kernel(), GridSpec(3, 32, 12.0), ["fftn"])]:
+        fft_calls.clear()
+        spectral_density(kernel, grid)
+        assert fft_calls == want
+        spectral_density(kernel, grid)
+        assert fft_calls == want
 
 
 def test_aliasing_kernel_raises_on_every_call():
