@@ -42,7 +42,9 @@ class CLFunction:
     """Bounded continuous integrable function (member of CL(R^d)).
 
     evaluator maps an (m, d) array of points to m values and must be callable;
-    a grid table f is CLFunction(f.values_at).  fourier, when set, maps radial
+    the grid and the path engine pass points with contiguous columns, not
+    C-contiguous, so it indexes by axis and does not rely on memory order.
+    A grid table f is CLFunction(f.values_at).  fourier, when set, maps radial
     frequencies |k| to f_hat for a radial f; potential and the renormalized
     curve read it (cl_from_kernel sets it).
     """

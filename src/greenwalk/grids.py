@@ -70,11 +70,15 @@ class GridSpec:
         return list(np.meshgrid(*([self.axis] * self.dim), indexing="ij"))
 
     def points(self) -> np.ndarray:
-        """(N^d, d) coordinates of every grid point, in C order of the field array."""
-        pts = np.empty(self.shape + (self.dim,))
+        """(N^d, d) coordinates of every grid point, in C order of the field array.
+
+        A transposed view of d contiguous coordinate planes: each column is contiguous and the
+        array is not C-contiguous, the layout the path engine also passes; callables index by axis.
+        """
+        planes = np.empty((self.dim,) + self.shape)
         for ax, c in enumerate(np.ix_(*[self.axis] * self.dim)):
-            pts[..., ax] = c
-        return pts.reshape(-1, self.dim)
+            planes[ax] = c
+        return planes.reshape(self.dim, -1).T
 
     def radius_squared(self) -> np.ndarray:
         """|x|^2 at every grid point."""

@@ -13,6 +13,7 @@ beside the layout it came from, which the grid routines of green transform in.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -29,10 +30,11 @@ ALIASING_THRESHOLD = 1e-12
 class JumpKernel:
     """Symmetric probability density with an evaluable Fourier transform.
 
-    density maps points (m, d) -> (m,), fourier maps radial frequencies to
-    a_hat values (accepts arrays).  tail_params is (A, alpha) when known
-    analytically, else None.  sampler(rng, size) draws i.i.d. jumps (size, d);
-    it must draw only from rng, and it may be called from worker threads
+    density maps points (m, d) -> (m,); the grid and the path engine pass points with
+    contiguous columns, not C-contiguous, so it indexes by axis and does not rely on memory
+    order.  fourier maps radial frequencies to a_hat values (accepts arrays).  tail_params
+    is (A, alpha) when known analytically, else None.  sampler(rng, size) draws i.i.d.
+    jumps (size, d); it must draw only from rng, and it may be called from worker threads
     (the path engine samples several chunks at once, each with its own rng).
     symbol_gap, when set, maps |k| to 1 - a_hat free of cancellation, e.g. -expm1(-k^2).
     """
@@ -205,8 +207,10 @@ def validate_kernel(kernel: JumpKernel, grid: GridSpec) -> KernelReport:
     """
     samples = sample_density(kernel, grid)
     vals = samples.values
-    flipped = np.roll(np.flip(vals), 1, axis=tuple(range(grid.dim)))  # the field at -x
-    sym_err = float(np.max(np.abs(vals - flipped)))
+    # |a(x) - a(-x)| over the 2^d pairs of views in which index i meets (N - i) mod N on each axis
+    axis_pairs = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    sym_err = max(float(np.max(np.abs(vals[a] - vals[b])))
+                  for a, b in (zip(*pair) for pair in itertools.product(axis_pairs, repeat=grid.dim)))
     mass = samples.integral()
     ks = np.geomspace(1e-3, 50.0, 256)
     a_hat = np.asarray(kernel.fourier(ks), dtype=float)

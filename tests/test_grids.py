@@ -55,7 +55,19 @@ def test_broadcast_grid_arrays_match_meshgrid_references_bitwise(dim):
     weights = 10.0 ** np.arange(dim)  # tells the axes apart
     reference = np.stack([c.ravel() for c in g.meshgrid()], axis=-1)
     np.testing.assert_array_equal(g.points(), reference)
-    f = field_from_function(g, lambda p: np.sin(p @ weights))
+    # d contiguous coordinate planes, passed to the callable as they are
+    assert all(g.points()[:, ax].flags.c_contiguous for ax in range(dim))
+    calls = []
+
+    def spy(p):
+        calls.append((p, np.sin(p @ weights)))
+        return calls[-1][1]
+
+    f = field_from_function(g, spy)
+    [(seen, returned)] = calls
+    assert seen.T.flags.c_contiguous and seen.flags.c_contiguous == (dim == 1)
+    np.testing.assert_array_equal(seen, reference)
+    assert np.shares_memory(f.values, returned)
     np.testing.assert_array_equal(f.values, np.sin(reference @ weights).reshape(g.shape))
     k2 = np.zeros(g.shape)
     for k in g.wavenumbers():

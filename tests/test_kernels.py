@@ -180,7 +180,8 @@ def gathered_symmetry_error(kernel, grid):
     return float(np.max(np.abs(vals - vals[np.ix_(*[(-np.arange(n)) % n] * grid.dim)])))
 
 
-@pytest.mark.parametrize("grid", [GridSpec(3, 64, 16.0), GridSpec(2, 64, 12.0)], ids=lambda g: f"d{g.dim}")
+@pytest.mark.parametrize("grid", [GridSpec(3, 64, 16.0), GridSpec(2, 64, 12.0), GridSpec(1, 1024, 40.0)],
+                         ids=lambda g: f"d{g.dim}")
 @pytest.mark.parametrize("shift", [0.0, 0.7])
 def test_validate_symmetry_matches_the_index_gather(grid, shift):
     base = make_gaussian_kernel(grid.dim)
@@ -190,6 +191,29 @@ def test_validate_symmetry_matches_the_index_gather(grid, shift):
     assert report.symmetric == report.passed == (shift == 0.0)
     if shift:
         assert report.symmetry_error > 1e-3
+
+
+def test_validate_symmetry_sees_an_asymmetry_inside_a_face_plane():
+    # the x_0 = -L plane maps onto itself under x -> -x; one entry in it breaks the symmetry
+    grid = GridSpec(3, 64, 16.0)
+    table = sample_density(make_gaussian_kernel(3), grid).values.copy()
+    table[0, 5, 7] += 1e-3
+    kernel = JumpKernel(3, FieldGrid(grid, table).values_at, make_gaussian_kernel(3).fourier, None, name="table")
+    report = validate_kernel(kernel, grid)
+    assert report.symmetry_error == gathered_symmetry_error(kernel, grid)
+    assert report.symmetry_error == pytest.approx(1e-3, rel=1e-9)
+    assert not report.symmetric
+
+
+@pytest.mark.parametrize("half_width, ulps", [(16.0, 0), (15.3, 4)])
+def test_gaussian_samples_match_c_ordered_points(half_width, ulps):
+    # einsum sums the squares in another order on column-contiguous points; on a dyadic box every
+    # square and sum is exact, elsewhere the density may move by roundoff
+    grid = GridSpec(3, 64, half_width)
+    kernel = make_gaussian_kernel(3)
+    got = sample_density(kernel, grid).values.ravel()
+    want = kernel.density(np.ascontiguousarray(grid.points()))
+    assert np.max(np.abs(got - want)) <= ulps * np.spacing(want.max())
 
 
 @settings(max_examples=25)

@@ -9,9 +9,10 @@ and seed 11, and the experiments that take a subordinator run once more with
 the gamma family.  renorm-curve runs once more with the stable family at
 ``alpha`` 0.7, whose W_T comes from the Talbot inversion rather than the
 1/2-stable closed form, and potential once more off centre, at (20, 0, 0).
-green-series runs once more on the 64^3 box of half width 15.3, whose
-coordinates -L + i h do not mirror bit for bit, so that its grid transforms
-take the rfftn half layout where the default box takes the orthant DCT-I.
+green-series and validate-kernel run once more on the 64^3 box of half width
+15.3, whose coordinates -L + i h do not mirror bit for bit, so that the grid
+transforms take the rfftn half layout where the default box takes the orthant
+DCT-I, and the sampled density carries the roundoff of its coordinates.
 rho runs once more at ``alpha`` 0.7 and renorm-histogram at ``alpha`` 0.9, so
 that the Kanter rule runs: its rho_t and, where the histogram's Laplace table
 fails its gate, its clipped mean E[S(tau) ^ T].
@@ -61,6 +62,7 @@ RUNS = [
     ("renorm-curve-stable07", "renorm-curve", {"subordinator": {"family": "stable", "params": {"alpha": 0.7}}}),
     ("potential-off-centre", "potential", {"point": [20.0, 0.0, 0.0]}),
     ("green-series-unmirrored", "green-series", {"grid": {"N": 64, "L": 15.3}}),
+    ("validate-kernel-unmirrored", "validate-kernel", {"grid": {"N": 64, "L": 15.3}}),
     ("rho-stable07", "rho", {"subordinator": {"family": "stable", "params": {"alpha": 0.7}}}),
     ("renorm-histogram-stable09", "renorm-histogram",
      {"subordinator": {"family": "stable", "params": {"alpha": 0.9}}, "mc": MC}),
